@@ -25,8 +25,6 @@ from .buildingset import (
     GraphSpecError,
     bipartite_graph,
     building_set_from_graph,
-    building_set_from_key,
-    building_set_lists,
     canonical_key,
     complete_graph,
     components,
@@ -34,7 +32,9 @@ from .buildingset import (
     contraction,
     dimension,
     empty_graph,
+    graph_components,
     graph_from_edges,
+    graph_key,
     graph_spec,
     induced_subgraph,
     is_connected_graph,
@@ -63,13 +63,8 @@ from .ringcalc import (
     FPolyCache,
     PolyExpr,
     boundary,
-    boundary_expr,
-    boundary_graph,
     fpoly,
-    fpoly_expr,
-    fpoly_graph,
     integrate_t,
-    product_factors,
 )
 from .series import (
     DEFAULT_ORDER,

@@ -7,19 +7,20 @@ subgraph.  Subsets are bitmasks over positions into the (sorted) ground
 label tuple, which keeps restriction, removal and validation down to integer
 bit operations.
 
-Two operations drive the facet recursion.  ``restriction(b, s)`` keeps the
-members contained in s; for graphical sets this is the building set of the
-induced subgraph.  ``removal(b, s)`` erases the elements of s from every
-member; for graphical sets this is the building set of the graph obtained by
-reconnecting the remaining nodes through s (``contraction``), not of the
-induced subgraph on the complement.
+The facet recursion (``ringcalc``) works on graphs alone, through two graph
+operations.  ``induced_subgraph(g, s)`` is the graph whose building set is
+``restriction(b, s)``, the members contained in s.  ``contraction(g, s)``
+reconnects the remaining nodes through s; its building set is
+``removal(b, s)``, every member with the elements of s erased (not the
+induced subgraph on the complement).  ``restriction`` and ``removal`` are
+the definitions on building sets that these two agree with, and the tests
+check that agreement.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -38,8 +39,10 @@ __all__ = [
     "connected_submask",
     "induced_subgraph",
     "contraction",
+    "graph_components",
     "parse_graph_spec",
     "graph_spec",
+    "graph_key",
     "connected_graphs_upto_iso",
     "BuildingSet",
     "building_set_from_graph",
@@ -50,14 +53,15 @@ __all__ = [
     "components",
     "dimension",
     "canonical_key",
-    "building_set_from_key",
-    "building_set_lists",
 ]
 
 # Grounds are bitmasks in a Python int, so the cap is soft; 20 keeps the
-# all-subsets enumeration in building_set_from_graph at desk scale.
+# all-subsets enumerations (building_set_from_graph, ringcalc.boundary) at
+# desk scale.
 MAX_GROUND = 20
-_ISO_KEY_MAX_GROUND = 8
+# Deepest parenthesis nesting parse_graph_spec accepts; far above any spec
+# within MAX_GROUND nodes that does not join empty graphs.
+_MAX_SPEC_NESTING = 32
 
 
 class GraphSpecError(ValueError):
@@ -123,13 +127,9 @@ def adjacency_masks(g: Graph) -> list[int]:
     return adj
 
 
-def connected_submask(adj: Sequence[int], mask: int) -> bool:
-    """Whether the induced subgraph on the masked nodes is connected."""
-    if mask == 0:
-        return False
-    start = mask & -mask
-    seen = start
-    frontier = start
+def _closure(adj: Sequence[int], seed: int, mask: int) -> int:
+    """The seed nodes plus every masked node reachable from them inside mask."""
+    seen = frontier = seed
     while frontier:
         reach = 0
         m = frontier
@@ -139,7 +139,14 @@ def connected_submask(adj: Sequence[int], mask: int) -> bool:
             m ^= low
         frontier = reach & mask & ~seen
         seen |= frontier
-    return seen == mask
+    return seen
+
+
+def connected_submask(adj: Sequence[int], mask: int) -> bool:
+    """Whether the induced subgraph on the masked nodes is connected."""
+    if mask == 0:
+        return False
+    return _closure(adj, mask & -mask, mask) == mask
 
 
 def is_connected_graph(g: Graph) -> bool:
@@ -161,8 +168,9 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph on the masked nodes, relabeled compactly in label order."""
     nodes = _mask_nodes(mask)
     index = {v: i for i, v in enumerate(nodes)}
+    # index is increasing, so the relabeled pairs stay sorted
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return graph_from_edges(len(nodes), edges)
+    return Graph(len(nodes), frozenset(edges))
 
 
 def contraction(g: Graph, removed: int) -> Graph:
@@ -173,31 +181,40 @@ def contraction(g: Graph, removed: int) -> Graph:
     """
     adj = adjacency_masks(g)
     keep = [v for v in range(g.n) if not (removed >> v) & 1]
-    index = {v: i for i, v in enumerate(keep)}
     # reach[v] = removed nodes reachable from v walking only inside `removed`
-    reach = {}
-    for v in keep:
-        seen = 0
-        frontier = adj[v] & removed
-        while frontier:
-            seen |= frontier
-            step = 0
-            m = frontier
-            while m:
-                low = m & -m
-                step |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = step & removed & ~seen
-        reach[v] = seen
+    reach = {v: _closure(adj, adj[v] & removed, removed) for v in keep}
     edges = []
     for a in range(len(keep)):
         u = keep[a]
         through_u = reach[u] | (1 << u)
         for b in range(a + 1, len(keep)):
-            v = keep[b]
-            if adj[v] & through_u:
+            if adj[keep[b]] & through_u:
                 edges.append((a, b))
-    return graph_from_edges(len(keep), edges)
+    return Graph(len(keep), frozenset(edges))
+
+
+def graph_components(g: Graph) -> list[Graph]:
+    """Induced subgraphs on the connected components, by smallest node."""
+    adj = adjacency_masks(g)
+    full = left = (1 << g.n) - 1
+    parts = []
+    while left:
+        part = _closure(adj, left & -left, full)
+        parts.append(induced_subgraph(g, part))
+        left &= ~part
+    return parts
+
+
+GraphKey = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def graph_key(g: Graph) -> GraphKey:
+    """Sortable, hashable key of g in its own labeling: nodes and sorted edges.
+
+    Two graphs share a key exactly when they are equal, so relabeled copies
+    of one isomorphism class get different keys.
+    """
+    return g.n, tuple(sorted(g.edges))
 
 
 def graph_spec(g: Graph) -> str:
@@ -238,36 +255,65 @@ def _parse_size(text: str, spec: str) -> int:
     return n
 
 
+def _node_count(n: int, spec: str) -> int:
+    """n itself, once it is known to be within MAX_GROUND."""
+    if n > MAX_GROUND:
+        raise GraphSpecError(f"{spec!r} has {n} nodes, more than {MAX_GROUND}")
+    return n
+
+
 def parse_graph_spec(spec: str) -> Graph:
     """Parse the graph mini-language.
 
     Accepted forms: ``complete:N``, ``empty:N``, ``star:N``, ``path:N``,
     ``bipartite:M,N``, ``edges:N:0-1,1-2,...`` (0-based labels, possibly no
-    edges) and ``join(SPEC,SPEC)``.
+    edges) and ``join(SPEC,SPEC)``.  Node counts above MAX_GROUND are
+    rejected before any edge is built, and so is nesting deeper than
+    _MAX_SPEC_NESTING parentheses.
     """
+    depth = 0
+    for ch in spec:
+        if ch == "(":
+            depth += 1
+            if depth > _MAX_SPEC_NESTING:
+                raise GraphSpecError(
+                    f"graph spec nested more than {_MAX_SPEC_NESTING} deep"
+                )
+        elif ch == ")":
+            depth -= 1
+    return _parse_spec(spec)
+
+
+def _parse_spec(spec: str) -> Graph:
     spec = spec.strip()
     if spec.startswith("join(") and spec.endswith(")"):
         inner = _split_top_level(spec[len("join(") : -1])
         if len(inner) != 2:
             raise GraphSpecError(f"join takes two arguments: {spec!r}")
-        return join_graphs(parse_graph_spec(inner[0]), parse_graph_spec(inner[1]))
+        a, b = _parse_spec(inner[0]), _parse_spec(inner[1])
+        _node_count(a.n + b.n, spec)
+        return join_graphs(a, b)
     head, _, rest = spec.partition(":")
     if head == "complete":
-        return complete_graph(_parse_size(rest, spec))
+        return complete_graph(_node_count(_parse_size(rest, spec), spec))
     if head == "empty":
-        return empty_graph(_parse_size(rest, spec))
+        return empty_graph(_node_count(_parse_size(rest, spec), spec))
     if head == "star":
-        return star_graph(_parse_size(rest, spec))
+        leaves = _parse_size(rest, spec)
+        _node_count(leaves + 1, spec)
+        return star_graph(leaves)
     if head == "path":
-        return path_graph(_parse_size(rest, spec))
+        return path_graph(_node_count(_parse_size(rest, spec), spec))
     if head == "bipartite":
         sizes = rest.split(",")
         if len(sizes) != 2:
             raise GraphSpecError(f"bipartite takes two sizes: {spec!r}")
-        return bipartite_graph(_parse_size(sizes[0], spec), _parse_size(sizes[1], spec))
+        m, n = _parse_size(sizes[0], spec), _parse_size(sizes[1], spec)
+        _node_count(m + n, spec)
+        return bipartite_graph(m, n)
     if head == "edges":
         count, _, body = rest.partition(":")
-        n = _parse_size(count, spec)
+        n = _node_count(_parse_size(count, spec), spec)
         pairs = []
         for item in body.split(","):
             item = item.strip()
@@ -434,48 +480,13 @@ def dimension(b: BuildingSet) -> int:
     return len(b.ground) - len(components(b))
 
 
-def canonical_key(b: BuildingSet, iso: bool = False) -> bytes:
-    """Byte key identifying b up to relabeling of the ground.
+def canonical_key(b: BuildingSet) -> bytes:
+    """Byte key identifying b up to label-order-preserving relabeling.
 
-    The default key relabels the ground to 0..k-1 preserving label order,
-    which is exactly the position encoding already used, so it serializes
-    the sorted member masks directly.  With ``iso=True`` the key is
-    additionally minimized over all ground permutations (isomorphism
-    reduction); that is affordable only for small grounds, so grounds above
-    8 elements fall back to the label-order key.
+    Relabeling the ground to 0..k-1 in label order is exactly the position
+    encoding already used, so the key serializes the sorted member masks.
     """
-    k = len(b.ground)
     members = sorted(b.sets)
-    if iso and k <= _ISO_KEY_MAX_GROUND:
-        best = None
-        for perm in permutations(range(k)):
-            image = sorted(
-                _apply_permutation(m, perm) for m in b.sets
-            )
-            if best is None or image < best:
-                best = image
-        members = best or []
-    return struct.pack("<II", k, len(members)) + struct.pack(
+    return struct.pack("<II", len(b.ground), len(members)) + struct.pack(
         f"<{len(members)}I", *members
-    )
-
-
-def _apply_permutation(mask: int, perm: Sequence[int]) -> int:
-    out = 0
-    for p in _mask_nodes(mask):
-        out |= 1 << perm[p]
-    return out
-
-
-def building_set_from_key(key: bytes) -> BuildingSet:
-    """Rebuild the relabeled building set a canonical key encodes."""
-    k, count = struct.unpack_from("<II", key)
-    members = struct.unpack_from(f"<{count}I", key, 8)
-    return BuildingSet(tuple(range(k)), frozenset(members))
-
-
-def building_set_lists(b: BuildingSet) -> list[list[int]]:
-    """Serialize as a sorted list of sorted 1-based element lists."""
-    return sorted(
-        [label + 1 for label in b.labels_of(m)] for m in b.sets
     )

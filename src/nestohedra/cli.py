@@ -17,14 +17,11 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .algebra import format_rational
 from .buildingset import (
-    Graph,
     GraphSpecError,
-    building_set_from_graph,
     connected_graphs_upto_iso,
     graph_spec,
     parse_graph_spec,
@@ -53,20 +50,11 @@ __all__ = ["main", "entrypoint"]
 MAX_IDENTITY_ORDER = 10
 MAX_BIPARTITE_BOUND = 9
 
-_CONFIG_KEYS = ("order", "jobs", "iso_memo")
+_CONFIG_KEYS = ("order",)
 
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def load_config(path: str) -> dict[str, object]:
@@ -85,32 +73,19 @@ def load_config(path: str) -> dict[str, object]:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
             try:
-                if key == "iso_memo":
-                    settings[key] = _parse_bool(value)
-                else:
-                    parsed = int(value)
-                    if parsed < 1:
-                        raise ValueError("must be positive")
-                    settings[key] = parsed
+                parsed = int(value)
+                if parsed < 1:
+                    raise ValueError("must be positive")
+                settings[key] = parsed
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return settings
 
 
-class _Settings:
-    """Effective run settings: config file values, overridden by flags."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        config = load_config(args.config) if args.config else {}
-        self.order: int = int(config.get("order", DEFAULT_ORDER))
-        jobs = args.jobs if args.jobs is not None else config.get("jobs", 1)
-        self.jobs: int = int(jobs)
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        self.iso_memo: bool = bool(args.iso_memo or config.get("iso_memo", False))
-
-    def cache(self) -> FPolyCache:
-        return FPolyCache(iso=self.iso_memo)
+def _config_order(args: argparse.Namespace) -> int:
+    """The series truncation order: the config file's ``order``, or the default."""
+    config = load_config(args.config) if args.config else {}
+    return int(config.get("order", DEFAULT_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +106,17 @@ def _gamma_cell(gammas: Sequence[object]) -> str:
     return ";".join(format_rational(g) for g in gammas)  # type: ignore[arg-type]
 
 
-def _run_ordered(jobs: int, tasks: Sequence, worker) -> list:
-    """Apply ``worker`` to every task, preserving task order in the output."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
-
-
 # ---------------------------------------------------------------------------
 # invariants
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
+    _config_order(args)  # a bad --config file is a usage error here too
     graph = parse_graph_spec(args.graph)
-    building = building_set_from_graph(graph)
-    cache = settings.cache()
-    fvec = fvector(building, cache)
-    h = hpoly(building, cache)
-    gv = gamma(building, cache)
+    cache = FPolyCache()
+    fvec = fvector(graph, cache)
+    h = hpoly(graph, cache)
+    gv = gamma(graph, cache)
     dim = len(fvec) - 1
     facets = fvec[-2] if dim >= 1 else 0
     if args.format == "json":
@@ -184,26 +150,24 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _verify_family(
-    fam_id: str, max_order: int, truncation: int, jobs: int, cache: FPolyCache
+    fam_id: str, max_order: int, truncation: int, cache: FPolyCache
 ) -> dict[str, object]:
     spec = FAMILIES[fam_id]
     series = family_f(fam_id, truncation)
     indices = spec.indices(max_order)
-
-    def check(index: tuple[int, int]) -> Optional[dict[str, object]]:
-        k, l = index
+    mismatches = []
+    for k, l in indices:
         expected = coeff_normalized(fam_id, k, l, series=series)
-        actual = fpoly(building_set_from_graph(spec.graph_at(k, l)), cache)
-        if expected == actual:
-            return None
-        return {
-            "k": k,
-            "l": l,
-            "series": expected.to_records(),
-            "recursion": actual.to_records(),
-        }
-
-    mismatches = [m for m in _run_ordered(jobs, indices, check) if m is not None]
+        actual = fpoly(spec.graph_at(k, l), cache)
+        if expected != actual:
+            mismatches.append(
+                {
+                    "k": k,
+                    "l": l,
+                    "series": expected.to_records(),
+                    "recursion": actual.to_records(),
+                }
+            )
     return {
         "family": fam_id,
         "checked": len(indices),
@@ -213,8 +177,7 @@ def _verify_family(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
-    truncation = settings.order
+    truncation = _config_order(args)
     max_order = args.max_order if args.max_order is not None else truncation
     if max_order < 0:
         raise ValueError("max order must be nonnegative")
@@ -224,10 +187,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "raise 'order' in the config file to go further"
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
-    cache = settings.cache()
+    cache = FPolyCache()
     reports = [
-        _verify_family(fam_id, max_order, truncation, settings.jobs, cache)
-        for fam_id in fam_ids
+        _verify_family(fam_id, max_order, truncation, cache) for fam_id in fam_ids
     ]
     failed = any(report["mismatches"] for report in reports)
     if args.format == "json":
@@ -257,8 +219,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
-    order = args.order if args.order is not None else settings.order
+    truncation = _config_order(args)
+    order = args.order if args.order is not None else truncation
     if not 2 <= order <= MAX_IDENTITY_ORDER:
         raise ValueError(
             f"identity checks need a truncation order in 2..{MAX_IDENTITY_ORDER}"
@@ -279,8 +241,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
 # gal-scan
 
 
-def _scan_families(args: argparse.Namespace, settings: _Settings) -> int:
-    truncation = settings.order
+def _scan_families(args: argparse.Namespace, truncation: int) -> int:
     bound = args.bound if args.bound is not None else truncation
     if bound > truncation:
         raise ValueError(
@@ -333,7 +294,7 @@ def _scan_families(args: argparse.Namespace, settings: _Settings) -> int:
     return 1 if failed else 0
 
 
-def _scan_graph_classes(args: argparse.Namespace, settings: _Settings) -> int:
+def _scan_graph_classes(args: argparse.Namespace) -> int:
     if args.graph_class != "connected":
         raise ValueError(f"unknown graph class {args.graph_class!r}")
     if args.nodes is None:
@@ -341,15 +302,11 @@ def _scan_graph_classes(args: argparse.Namespace, settings: _Settings) -> int:
     if not 1 <= args.nodes <= 7:
         raise ValueError("graph-class scans cover 1..7 nodes")
     classes = [g for g in connected_graphs_upto_iso(args.nodes) if g.n == args.nodes]
-    cache = settings.cache()
-
-    def check(graph: Graph) -> tuple[str, int, object]:
-        building = building_set_from_graph(graph)
-        dim = len(building.ground) - 1
-        result = gal_check_poly(hpoly(building, cache), dim)
-        return graph_spec(graph), dim, result
-
-    results = _run_ordered(settings.jobs, classes, check)
+    cache = FPolyCache()
+    results = [
+        (graph_spec(g), g.n - 1, gal_check_poly(hpoly(g, cache), g.n - 1))
+        for g in classes
+    ]
     violations = [
         {
             "graph": spec,
@@ -393,7 +350,7 @@ def _scan_graph_classes(args: argparse.Namespace, settings: _Settings) -> int:
 
 
 def cmd_gal_scan(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
+    truncation = _config_order(args)
     if args.bound is not None and args.bound < 1:
         raise ValueError("bound must be at least 1")
     if (args.family is None) == (args.graph_class is None):
@@ -401,10 +358,10 @@ def cmd_gal_scan(args: argparse.Namespace) -> int:
     if args.family is not None:
         if args.nodes is not None:
             raise ValueError("--nodes applies to --graph-class scans only")
-        return _scan_families(args, settings)
+        return _scan_families(args, truncation)
     if args.bound is not None:
         raise ValueError("--bound applies to --family scans; use --nodes")
-    return _scan_graph_classes(args, settings)
+    return _scan_graph_classes(args)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +376,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="output format (default json)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="parallelism cap for scans; output is identical at any value",
-    )
-    parser.add_argument(
         "--config",
         metavar="PATH",
-        help="key = value settings file (order, jobs, iso_memo); flags win",
-    )
-    parser.add_argument(
-        "--iso-memo",
-        action="store_true",
-        help="memoize the facet recursion up to graph isomorphism",
+        help="key = value settings file (order); flags win",
     )
 
 

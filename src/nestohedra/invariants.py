@@ -25,7 +25,7 @@ from .algebra import (
     homogeneous_degree,
     is_symmetric,
 )
-from .buildingset import BuildingSet
+from .buildingset import Graph
 from .ringcalc import FPolyCache, fpoly
 from .series import FamilySpec, Series2, _family
 
@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 
-def fvector(b: BuildingSet, cache: FPolyCache | None = None) -> list[int]:
+def fvector(g: Graph, cache: FPolyCache | None = None) -> list[int]:
     """Face counts by dimension; the last entry (the polytope itself) is 1."""
-    p = fpoly(b, cache)
+    p = fpoly(g, cache)
     n = homogeneous_degree(p)
     out = []
     for i in range(n + 1):
@@ -56,17 +56,17 @@ def fvector(b: BuildingSet, cache: FPolyCache | None = None) -> list[int]:
     return out
 
 
-def hpoly(b: BuildingSet, cache: FPolyCache | None = None) -> Poly2:
-    return h_from_f(fpoly(b, cache))
+def hpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
+    return h_from_f(fpoly(g, cache))
 
 
-def gamma(b: BuildingSet, cache: FPolyCache | None = None) -> GammaVector:
-    return gamma_from_h(hpoly(b, cache))
+def gamma(g: Graph, cache: FPolyCache | None = None) -> GammaVector:
+    return gamma_from_h(hpoly(g, cache))
 
 
-def dehn_sommerville(b: BuildingSet, cache: FPolyCache | None = None) -> bool:
+def dehn_sommerville(g: Graph, cache: FPolyCache | None = None) -> bool:
     """Symmetry of the h-polynomial."""
-    return is_symmetric(hpoly(b, cache))
+    return is_symmetric(hpoly(g, cache))
 
 
 def euler_relation_holds(face_counts: list[int]) -> bool:

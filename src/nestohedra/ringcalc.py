@@ -1,227 +1,109 @@
-"""The facet recursion: boundaries of nestohedra and their face polynomials.
+"""The facet recursion: boundaries of graph nestohedra and their face polynomials.
 
-The boundary of the nestohedron of a connected building set B decomposes,
-facet by facet, as the sum over proper members S of the product of the
-nestohedra of restriction(B, S) and removal(B, S).  ``PolyExpr`` records
-such sums exactly: a term is a multiset of canonical keys of connected
-building sets (the product of the corresponding polytopes), point factors
-are dropped since a point is the multiplicative identity, and the empty
-product therefore denotes the point itself.
+For the building set of a connected graph g, the boundary of the
+nestohedron decomposes, facet by facet, as the sum over proper node subsets
+S that induce a connected subgraph of the product of two smaller graph
+nestohedra: the one of the induced subgraph on S (the restriction of the
+building set to S) and the one of the contraction of g through S (the
+removal of S).  ``boundary`` records that sum as a ``PolyExpr``: a term is
+a sorted tuple of graph keys (the product of those graphs' nestohedra),
+point factors are dropped since a point is the multiplicative identity, and
+the empty product therefore denotes the point itself.
 
 Integrating the boundary's face polynomial in t and pinning the t-free
 coefficient to alpha^n recovers the face polynomial of the polytope, which
-is what ``fpoly`` computes, memoized across the whole recursion.
+is what ``fpoly`` computes, memoized on graph keys across the whole
+recursion.
+
+The recursion takes graphs only: nestohedra of building sets that do not
+come from a graph are out of scope.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
-from .algebra import Poly2, format_rational, homogeneous_degree
+from .algebra import Poly2, homogeneous_degree
 from .buildingset import (
-    BuildingSet,
+    MAX_GROUND,
     Graph,
+    GraphKey,
     adjacency_masks,
-    building_set_from_graph,
-    building_set_from_key,
-    building_set_lists,
-    canonical_key,
-    components,
     connected_submask,
     contraction,
+    graph_components,
+    graph_key,
     induced_subgraph,
     is_connected_graph,
-    removal,
-    restriction,
 )
 
 __all__ = [
     "PolyExpr",
-    "product_factors",
     "boundary",
-    "boundary_expr",
-    "boundary_graph",
     "integrate_t",
     "FPolyCache",
     "fpoly",
-    "fpoly_expr",
-    "fpoly_graph",
 ]
 
-Product = tuple[bytes, ...]
+Product = tuple[GraphKey, ...]
 
 
 class PolyExpr:
-    """Formal rational combination of products of connected building sets."""
+    """Integer combination of products of connected graph nestohedra."""
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[Product, Fraction | int] | Iterable[tuple[Product, Fraction | int]] = (),
-    ):
-        acc: dict[Product, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for product, c in items:
+    def __init__(self, terms: Mapping[Product, int]):
+        acc: dict[Product, int] = {}
+        for product, c in terms.items():
             product = tuple(sorted(product))
-            c = Fraction(c)
-            if product in acc:
-                acc[product] += c
-            else:
-                acc[product] = c
+            acc[product] = acc.get(product, 0) + c
         self._terms = {p: c for p, c in acc.items() if c}
 
-    @classmethod
-    def zero(cls) -> "PolyExpr":
-        return cls()
-
-    @classmethod
-    def point(cls) -> "PolyExpr":
-        return cls({(): 1})
-
-    @classmethod
-    def of(cls, b: BuildingSet, coefficient: Fraction | int = 1) -> "PolyExpr":
-        """The expression with one term: the product decomposition of b."""
-        return cls({product_factors(b): coefficient})
-
-    def terms(self) -> list[tuple[Product, Fraction]]:
+    def terms(self) -> list[tuple[Product, int]]:
         return sorted(self._terms.items())
-
-    def coeff(self, product: Product) -> Fraction:
-        return self._terms.get(tuple(sorted(product)), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyExpr):
             return NotImplemented
         return self._terms == other._terms
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __add__(self, other: "PolyExpr") -> "PolyExpr":
         out = dict(self._terms)
         for p, c in other._terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
+            out[p] = out.get(p, 0) + c
         return PolyExpr(out)
 
-    def __sub__(self, other: "PolyExpr") -> "PolyExpr":
-        return self + (other * -1)
-
-    def __mul__(self, other: "PolyExpr | Fraction | int") -> "PolyExpr":
-        if isinstance(other, (int, Fraction)):
-            return PolyExpr({p: c * other for p, c in self._terms.items()})
-        if not isinstance(other, PolyExpr):
-            return NotImplemented
-        out: dict[Product, Fraction] = {}
-        for p1, c1 in self._terms.items():
-            for p2, c2 in other._terms.items():
-                key = tuple(sorted(p1 + p2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return PolyExpr(out)
-
-    def __rmul__(self, other: Fraction | int) -> "PolyExpr":
-        return self.__mul__(other)
-
-    def total_mass(self) -> Fraction:
+    def total_mass(self) -> int:
         """Sum of all coefficients; counts facets when terms came from a boundary."""
-        return sum(self._terms.values(), Fraction(0))
-
-    def iso_normalized(self) -> "PolyExpr":
-        """Re-key every factor up to isomorphism and re-aggregate.
-
-        Useful for comparing expressions built from differently labeled but
-        isomorphic building sets.
-        """
-        out: dict[Product, Fraction] = {}
-        for product, c in self._terms.items():
-            key = tuple(
-                sorted(
-                    canonical_key(building_set_from_key(f), iso=True)
-                    for f in product
-                )
-            )
-            out[key] = out.get(key, Fraction(0)) + c
-        return PolyExpr(out)
-
-    def to_json_obj(self) -> list[dict[str, object]]:
-        rows = []
-        for product, c in self._terms.items():
-            factors = [building_set_lists(building_set_from_key(f)) for f in product]
-            rows.append({"coefficient": format_rational(c), "factors": factors})
-        rows.sort(key=lambda r: (r["factors"], r["coefficient"]))
-        return rows
-
-    def __repr__(self) -> str:
-        return f"PolyExpr({len(self._terms)} terms, mass {self.total_mass()})"
+        return sum(self._terms.values())
 
 
-def product_factors(b: BuildingSet) -> Product:
-    """Sorted canonical keys of b's components, point components dropped."""
-    return tuple(
-        sorted(
-            canonical_key(c) for c in components(b) if len(c.ground) > 1
-        )
-    )
+def boundary(g: Graph) -> PolyExpr:
+    """Facet decomposition of the nestohedron of a connected graph.
 
-
-def boundary(b: BuildingSet) -> PolyExpr:
-    """Facet decomposition of the nestohedron of a connected building set.
-
-    One term per proper member S: restriction(b, S) times removal(b, S).
-    The point (one-element ground) has no facets and maps to zero.
+    One term per proper node subset S inducing a connected subgraph: the
+    induced subgraph on S times the contraction through S.  The point (one
+    node) has no facets and maps to zero.
     """
-    if not b.is_connected():
-        raise ValueError("boundary needs a connected building set; use boundary_expr")
-    full = b.full_mask
-    acc: dict[Product, Fraction] = {}
-    for s in b.sets:
-        if s == full:
-            continue
-        product = tuple(
-            sorted(product_factors(restriction(b, s)) + product_factors(removal(b, s)))
-        )
-        acc[product] = acc.get(product, Fraction(0)) + 1
-    return PolyExpr(acc)
-
-
-def boundary_expr(e: PolyExpr) -> PolyExpr:
-    """Extend the boundary to sums of products by linearity and Leibniz."""
-    out = PolyExpr.zero()
-    for product, c in e.terms():
-        for idx, factor in enumerate(product):
-            rest = product[:idx] + product[idx + 1 :]
-            d = boundary(building_set_from_key(factor))
-            out = out + d * PolyExpr({rest: c})
-    return out
-
-
-def boundary_graph(g: Graph) -> PolyExpr:
-    """Facet decomposition computed directly from a connected graph.
-
-    Sums over proper node subsets inducing a connected subgraph; each term
-    is the induced subgraph's building set times the building set of the
-    contraction through that subset.  Agrees term by term with
-    ``boundary(building_set_from_graph(g))``.
-    """
-    if not is_connected_graph(g):
-        raise ValueError("boundary_graph needs a connected graph")
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
-    acc: dict[Product, Fraction] = {}
-    for mask in range(1, full):
-        if not connected_submask(adj, mask):
+    if not connected_submask(adj, full):
+        raise ValueError("boundary needs a connected graph")
+    counts: dict[Product, int] = {}
+    for s in range(1, full):
+        if not connected_submask(adj, s):
             continue
-        inside = building_set_from_graph(induced_subgraph(g, mask))
-        outside = building_set_from_graph(contraction(g, mask))
-        product = tuple(sorted(product_factors(inside) + product_factors(outside)))
-        acc[product] = acc.get(product, Fraction(0)) + 1
-    return PolyExpr(acc)
+        product = tuple(
+            sorted(
+                graph_key(f)
+                for f in (induced_subgraph(g, s), contraction(g, s))
+                if f.n > 1
+            )
+        )
+        counts[product] = counts.get(product, 0) + 1
+    return PolyExpr(counts)
 
 
 def integrate_t(g: Poly2, n: int) -> Poly2:
@@ -244,77 +126,53 @@ def integrate_t(g: Poly2, n: int) -> Poly2:
 
 
 class FPolyCache:
-    """Memo table for the face-polynomial recursion.
+    """Memo table for the face-polynomial recursion, keyed on graph keys."""
 
-    Keys are canonical building-set keys; with ``iso=True`` lookups are made
-    under isomorphism-reduced keys instead, which can merge relabeled
-    repeats at the cost of computing the reduced key.  Inserts are
-    idempotent (the recursion is deterministic), so concurrent use from
-    threads is safe.
-    """
+    def __init__(self) -> None:
+        self._polys: dict[GraphKey, Poly2] = {}
 
-    def __init__(self, iso: bool = False):
-        self.iso = iso
-        self._by_mode: dict[bytes, Poly2] = {}
-        self._by_label: dict[bytes, Poly2] = {}
+    def lookup(self, key: GraphKey) -> Optional[Poly2]:
+        return self._polys.get(key)
 
-    def peek_label(self, label_key: bytes) -> Optional[Poly2]:
-        return self._by_label.get(label_key)
-
-    def lookup(self, b: BuildingSet) -> Optional[Poly2]:
-        return self._by_mode.get(canonical_key(b, iso=self.iso))
-
-    def store(self, b: BuildingSet, value: Poly2) -> None:
-        self._by_mode[canonical_key(b, iso=self.iso)] = value
-        self._by_label[canonical_key(b)] = value
+    def store(self, key: GraphKey, value: Poly2) -> None:
+        self._polys[key] = value
 
     def __len__(self) -> int:
-        return len(self._by_mode)
+        return len(self._polys)
 
 
 _DEFAULT_CACHE = FPolyCache()
 
 
-def fpoly(b: BuildingSet, cache: FPolyCache | None = None) -> Poly2:
-    """Face polynomial of the nestohedron of a building set.
+def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
+    """Face polynomial of the nestohedron of a graph's building set.
 
-    Disconnected building sets give the product over components.  Connected
-    ones recurse through the facet decomposition: integrate the boundary's
-    face polynomial in t and pin the t-free part to alpha^dim.
+    Disconnected graphs give the product over components.  Connected ones
+    recurse through the facet decomposition: integrate the boundary's face
+    polynomial in t and pin the t-free part to alpha^(n-1).  Graphs with
+    more than MAX_GROUND nodes raise ValueError.
     """
+    if g.n > MAX_GROUND:
+        raise ValueError(f"graph larger than {MAX_GROUND} nodes")
     cache = cache if cache is not None else _DEFAULT_CACHE
-    out = Poly2.one()
-    for comp in components(b):
-        out = out * _fpoly_connected(comp, cache)
-    return out
-
-
-def _fpoly_connected(b: BuildingSet, cache: FPolyCache) -> Poly2:
-    if len(b.ground) == 1:
+    if not is_connected_graph(g):
+        out = Poly2.one()
+        for part in graph_components(g):
+            out = out * fpoly(part, cache)
+        return out
+    if g.n == 1:
         return Poly2.one()
-    cached = cache.lookup(b)
+    key = graph_key(g)
+    cached = cache.lookup(key)
     if cached is not None:
         return cached
-    g = fpoly_expr(boundary(b), cache)
-    value = integrate_t(g, len(b.ground) - 1)
-    cache.store(b, value)
+    total = Poly2.zero()
+    for product, c in boundary(g).terms():
+        term = Poly2.constant(c)
+        for n, edges in product:
+            term = term * fpoly(Graph(n, frozenset(edges)), cache)
+        total = total + term
+    value = integrate_t(total, g.n - 1)
+    cache.store(key, value)
     return value
 
-
-def fpoly_expr(e: PolyExpr, cache: FPolyCache | None = None) -> Poly2:
-    """Face polynomial of a formal sum of products of building sets."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    out = Poly2.zero()
-    for product, c in e.terms():
-        term = Poly2.constant(c)
-        for factor in product:
-            known = cache.peek_label(factor)
-            if known is None:
-                known = fpoly(building_set_from_key(factor), cache)
-            term = term * known
-        out = out + term
-    return out
-
-
-def fpoly_graph(g: Graph, cache: FPolyCache | None = None) -> Poly2:
-    return fpoly(building_set_from_graph(g), cache)

@@ -16,15 +16,19 @@ from math import comb
 
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
+    BuildingSet,
     Graph,
     bipartite_graph,
     building_set_from_graph,
-    canonical_key,
     complete_graph,
     connected_graphs_upto_iso,
     empty_graph,
+    graph_from_edges,
+    graph_key,
     join_graphs,
     path_graph,
+    removal,
+    restriction,
     star_graph,
 )
 from nestohedra.cli import main
@@ -36,20 +40,35 @@ from nestohedra.invariants import (
     gal_check_series,
     gamma,
 )
-from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, boundary_graph, fpoly
+from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, fpoly
 from nestohedra.series import FAMILIES, coeff_normalized, family_f, family_h, identity_suite
 
 A = Poly2.alpha()
 T = Poly2.t()
 
 
-def _bs(g: Graph):
-    return building_set_from_graph(g)
-
-
 def _term(graphs: list[Graph], c: int) -> PolyExpr:
-    factors = tuple(sorted(canonical_key(_bs(g)) for g in graphs if g.n > 1))
-    return PolyExpr({factors: Fraction(c)})
+    return PolyExpr({tuple(graph_key(g) for g in graphs if g.n > 1): c})
+
+
+def _graph_of(b: BuildingSet) -> Graph:
+    """The graph a graphical building set comes from: its 2-element members."""
+    edges = []
+    for m in b.sets:
+        if bin(m).count("1") == 2:
+            low = m & -m
+            edges.append((low.bit_length() - 1, (m ^ low).bit_length() - 1))
+    return graph_from_edges(len(b.ground), edges)
+
+
+def _facets_from_building_set(b: BuildingSet) -> PolyExpr:
+    """restriction(b, S) x removal(b, S) over the proper members S, as graphs."""
+    facets: dict = {}
+    for s in b.sets - {b.full_mask}:
+        factors = (_graph_of(restriction(b, s)), _graph_of(removal(b, s)))
+        product = tuple(graph_key(f) for f in factors if f.n > 1)
+        facets[product] = facets.get(product, 0) + 1
+    return PolyExpr(facets)
 
 
 def _ints(p: Poly2) -> list[int]:
@@ -67,7 +86,7 @@ def test_1_recursion_equals_series_coefficients() -> None:
         series = family_f(fam_id, bound)
         for k, l in spec.indices(bound):
             from_series = coeff_normalized(fam_id, k, l, series=series)
-            from_recursion = fpoly(_bs(spec.graph_at(k, l)), cache)
+            from_recursion = fpoly(spec.graph_at(k, l), cache)
             assert from_series == from_recursion, (fam_id, k, l)
             checked += 1
     elapsed = time.perf_counter() - started
@@ -105,11 +124,11 @@ def test_3_gamma_nonnegativity_scan() -> None:
 
 
 def test_4_spot_values() -> None:
-    assert fvector(_bs(path_graph(3))) == [5, 5, 1]
-    assert fvector(_bs(complete_graph(3))) == [6, 6, 1]
-    assert gamma(_bs(complete_graph(3))).gammas == (Fraction(1), Fraction(2))
-    assert fvector(_bs(complete_graph(2))) == [2, 1]
-    assert gamma(_bs(complete_graph(2))).gammas == (Fraction(1),)
+    assert fvector(path_graph(3)) == [5, 5, 1]
+    assert fvector(complete_graph(3)) == [6, 6, 1]
+    assert gamma(complete_graph(3)).gammas == (Fraction(1), Fraction(2))
+    assert fvector(complete_graph(2)) == [2, 1]
+    assert gamma(complete_graph(2)).gammas == (Fraction(1),)
 
     # The same numbers out of the generating functions.
     assert _ints(coeff_normalized("because-because", 1, 2, order=4)) == [5, 5, 1]
@@ -136,9 +155,8 @@ def test_4_spot_values() -> None:
             if len(reached) == size:
                 connected_subsets += 1
     assert connected_subsets == 13
-    b = _bs(g)
-    assert len(b.sets) == connected_subsets
-    assert fvector(b)[-2] == connected_subsets - 1 == 12
+    assert len(building_set_from_graph(g).sets) == connected_subsets
+    assert fvector(g)[-2] == connected_subsets - 1 == 12
     print("PASS spot values: path, triangle, edge, and the 12 facets of K22")
 
 
@@ -148,12 +166,12 @@ def test_5_structural_properties_small_graphs() -> None:
     assert len(graphs) == 143
     cache = FPolyCache()
     for g in graphs:
-        b = _bs(g)
-        d = boundary(b)
-        assert boundary_graph(g) == d, g
+        b = building_set_from_graph(g)
+        d = boundary(g)
+        assert d == _facets_from_building_set(b), g
         assert d.total_mass() == len(b.sets) - 1, g
-        assert dehn_sommerville(b, cache), g
-        assert euler_relation_holds(fvector(b, cache)), g
+        assert dehn_sommerville(g, cache), g
+        assert euler_relation_holds(fvector(g, cache)), g
     elapsed = time.perf_counter() - started
     assert elapsed < 120
     print(f"PASS structural properties: {len(graphs)} graph classes, {elapsed:.2f}s")
@@ -163,12 +181,12 @@ def test_6_closed_form_boundary_formulas() -> None:
     # Complete graphs: every split of the node set, weighted binomially.
     for n in range(1, 7):
         nodes = n + 1
-        expected = PolyExpr.zero()
+        expected = PolyExpr({})
         for s in range(1, nodes):
             expected = expected + _term(
                 [complete_graph(s), complete_graph(nodes - s)], comb(nodes, s)
             )
-        assert boundary(_bs(complete_graph(nodes))) == expected, nodes
+        assert boundary(complete_graph(nodes)) == expected, nodes
 
     # Stars: drop a leaf, or split off a sub-star around the center.
     for n in range(1, 7):
@@ -177,7 +195,7 @@ def test_6_closed_form_boundary_formulas() -> None:
             expected = expected + _term(
                 [star_graph(i), complete_graph(n - i)], comb(n, i)
             )
-        assert boundary(_bs(star_graph(n))) == expected, n
+        assert boundary(star_graph(n)) == expected, n
 
     # Complete bipartite graphs: the five-sum over part splits.
     pairs = [(s, t) for s in range(2, 6) for t in range(2, 6) if s + t <= 7]
@@ -194,7 +212,7 @@ def test_6_closed_form_boundary_formulas() -> None:
                     [bipartite_graph(a, b), complete_graph(s + t - a - b)],
                     comb(s, a) * comb(t, b),
                 )
-        assert boundary(_bs(bipartite_graph(s, t))) == expected, (s, t)
+        assert boundary(bipartite_graph(s, t)) == expected, (s, t)
     print(f"PASS closed-form boundaries: complete, star, and {len(pairs)} bipartite")
 
 

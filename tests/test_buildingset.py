@@ -6,21 +6,23 @@ from itertools import combinations
 
 import pytest
 
+import nestohedra.buildingset as buildingset
 from nestohedra.buildingset import (
+    MAX_GROUND,
     BuildingSet,
     Graph,
     GraphSpecError,
     bipartite_graph,
     building_set_from_graph,
-    building_set_from_key,
-    building_set_lists,
     canonical_key,
     complete_graph,
     components,
     connected_graphs_upto_iso,
     contraction,
+    graph_components,
     dimension,
     empty_graph,
+    graph_key,
     graph_spec,
     induced_subgraph,
     is_connected_graph,
@@ -132,6 +134,36 @@ def test_parse_graph_spec_rejects(bad: str) -> None:
         parse_graph_spec(bad)
 
 
+def test_parse_graph_spec_rejects_oversized_graphs(monkeypatch) -> None:
+    # Sizes are checked before any edge is built, and a join's summed node
+    # count before the join runs.
+    def refuse(*args):
+        raise AssertionError("built edges for an oversized spec")
+
+    monkeypatch.setattr(buildingset, "graph_from_edges", refuse)
+    for spec in ("complete:1500", "empty:21", "path:21", "star:20", "bipartite:10,11"):
+        with pytest.raises(GraphSpecError):
+            parse_graph_spec(spec)
+    with pytest.raises(GraphSpecError):
+        parse_graph_spec("edges:21:0-1")
+    monkeypatch.undo()
+
+    monkeypatch.setattr(buildingset, "join_graphs", refuse)
+    with pytest.raises(GraphSpecError):
+        parse_graph_spec("join(complete:15,complete:15)")
+    monkeypatch.undo()
+    assert parse_graph_spec(f"complete:{MAX_GROUND}").n == MAX_GROUND
+    assert parse_graph_spec("join(complete:10,star:9)").n == MAX_GROUND
+
+
+def test_parse_graph_spec_rejects_deep_nesting() -> None:
+    deep = "join(empty:0," * 2000 + "empty:0" + ")" * 2000
+    with pytest.raises(GraphSpecError, match="nested"):
+        parse_graph_spec(deep)
+    shallow = "join(empty:1," * 10 + "empty:1" + ")" * 10
+    assert parse_graph_spec(shallow) == complete_graph(11)
+
+
 def test_graph_spec_is_a_parser_inverse() -> None:
     for g in (complete_graph(4), star_graph(3), bipartite_graph(2, 3)):
         assert parse_graph_spec(graph_spec(g)) == g
@@ -152,9 +184,7 @@ def test_building_set_of_bipartite_2_2_matches_enumeration() -> None:
     b = building_set_from_graph(g)
     expected = _connected_subsets_oracle(g)
     assert len(expected) == 13
-    assert {frozenset(s) for s in building_set_lists(b)} == {
-        frozenset(v + 1 for v in s) for s in expected
-    }
+    assert {frozenset(b.labels_of(m)) for m in b.sets} == expected
 
 
 def test_building_set_matches_enumeration_on_small_graphs() -> None:
@@ -238,6 +268,11 @@ def test_components_split_disconnected_building_sets() -> None:
     parts = components(building_set_from_graph(two_edges))
     assert len(parts) == 2
     assert all(len(part.sets) == 3 for part in parts)
+    # The graph's own components, relabeled compactly, give the same split.
+    assert graph_components(two_edges) == [complete_graph(2), complete_graph(2)]
+    assert graph_components(empty_graph(3)) == [complete_graph(1)] * 3
+    assert graph_components(empty_graph(0)) == []
+    assert graph_components(path_graph(4)) == [path_graph(4)]
 
 
 def test_dimension() -> None:
@@ -246,31 +281,9 @@ def test_dimension() -> None:
     assert dimension(building_set_from_graph(parse_graph_spec("edges:4:0-1,2-3"))) == 2
 
 
-def test_canonical_key_round_trip() -> None:
-    for g in connected_graphs_upto_iso(5):
-        b = building_set_from_graph(g)
-        assert building_set_from_key(canonical_key(b)) == b
-
-
 def test_canonical_key_label_mode_distinguishes_relabelings() -> None:
     center_first = building_set_from_graph(star_graph(2))
     center_mid = building_set_from_graph(parse_graph_spec("edges:3:0-1,1-2"))
     assert canonical_key(center_first) != canonical_key(center_mid)
-    assert canonical_key(center_first, iso=True) == canonical_key(center_mid, iso=True)
-
-
-def test_canonical_key_iso_mode_falls_back_on_large_grounds() -> None:
-    b = building_set_from_graph(path_graph(9))
-    assert canonical_key(b, iso=True) == canonical_key(b)
-
-
-def test_building_set_lists_are_one_based_and_sorted() -> None:
-    b = building_set_from_graph(path_graph(3))
-    assert building_set_lists(b) == [
-        [1],
-        [1, 2],
-        [1, 2, 3],
-        [2],
-        [2, 3],
-        [3],
-    ]
+    assert graph_key(star_graph(2)) != graph_key(parse_graph_spec("edges:3:0-1,1-2"))
+    assert graph_key(parse_graph_spec("edges:3:1-2,0-1")) == graph_key(path_graph(3))

@@ -50,9 +50,12 @@ def test_invariants_json_for_an_edge(capsys) -> None:
 
 
 def test_invariants_rejects_a_bad_graph_spec(capsys) -> None:
-    code, _, err = _run(capsys, ["invariants", "--graph", "nonsense:4"])
-    assert code == 2
-    assert "error:" in err
+    deep = "join(empty:0," * 2000 + "empty:0" + ")" * 2000
+    for spec in ("nonsense:4", "complete:1500", "join(complete:15,complete:15)", deep):
+        code, out, err = _run(capsys, ["invariants", "--graph", spec])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +212,7 @@ def test_output_is_deterministic_across_runs_and_jobs(capsys) -> None:
     argv = ["gal-scan", "--graph-class", "connected", "--nodes", "5", "--format", "csv"]
     first = _run(capsys, argv)
     second = _run(capsys, argv)
-    parallel = _run(capsys, argv[:-2] + ["--jobs", "4", "--format", "csv"])
-    assert first == second == parallel
-
-
-def test_iso_memo_flag_does_not_change_output(capsys) -> None:
-    argv = ["invariants", "--graph", "bipartite:2,3"]
-    plain = _run(capsys, argv)
-    with_iso = _run(capsys, argv + ["--iso-memo"])
-    assert plain == with_iso
+    assert first == second
 
 
 def test_config_file_raises_the_truncation(capsys, tmp_path: Path) -> None:
@@ -244,9 +239,34 @@ def test_config_file_errors(capsys, tmp_path: Path) -> None:
     assert _run(capsys, ["identities", "--config", str(missing)])[0] == 2
 
 
-def test_jobs_flag_rejects_nonpositive_values(capsys) -> None:
-    code, _, err = _run(
-        capsys, ["identities", "--order", "3", "--jobs", "0"]
-    )
+def test_iso_memo_flag_does_not_change_output(capsys, tmp_path: Path) -> None:
+    # The isomorphism-keyed memo is gone: the flag and its setting are
+    # refused before any output is written.
+    argv = ["invariants", "--graph", "bipartite:2,3"]
+    plain = _run(capsys, argv)
+    assert plain[0] == 0
+    assert _run(capsys, argv) == plain
+    code, out, _ = _run(capsys, argv + ["--iso-memo"])
     assert code == 2
-    assert "jobs" in err
+    assert out == ""
+    config = tmp_path / "settings.cfg"
+    config.write_text("iso_memo = on\n", encoding="utf-8")
+    code, out, err = _run(capsys, argv + ["--config", str(config)])
+    assert code == 2
+    assert out == ""
+    assert "unknown setting" in err
+
+
+def test_jobs_flag_rejects_nonpositive_values(capsys, tmp_path: Path) -> None:
+    # There is no thread pool any more, so every --jobs value is refused.
+    for value in ("0", "-1", "2"):
+        code, _, err = _run(
+            capsys, ["identities", "--order", "3", "--jobs", value]
+        )
+        assert code == 2
+        assert "jobs" in err
+    config = tmp_path / "settings.cfg"
+    config.write_text("jobs = 2\n", encoding="utf-8")
+    code, _, err = _run(capsys, ["identities", "--order", "3", "--config", str(config)])
+    assert code == 2
+    assert "unknown setting" in err

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from nestohedra.algebra import GammaVector, Poly2
 from nestohedra.buildingset import (
     bipartite_graph,
-    building_set_from_graph,
     complete_graph,
     connected_graphs_upto_iso,
     parse_graph_spec,
@@ -32,37 +32,33 @@ A = Poly2.alpha()
 T = Poly2.t()
 
 
-def _bs(g):
-    return building_set_from_graph(g)
-
-
 def test_fvector_frozen_values() -> None:
-    assert fvector(_bs(complete_graph(2))) == [2, 1]
-    assert fvector(_bs(path_graph(3))) == [5, 5, 1]
-    assert fvector(_bs(complete_graph(3))) == [6, 6, 1]
-    assert fvector(_bs(bipartite_graph(2, 2))) == [20, 30, 12, 1]
-    assert fvector(_bs(complete_graph(4))) == [24, 36, 14, 1]
+    assert fvector(complete_graph(2)) == [2, 1]
+    assert fvector(path_graph(3)) == [5, 5, 1]
+    assert fvector(complete_graph(3)) == [6, 6, 1]
+    assert fvector(bipartite_graph(2, 2)) == [20, 30, 12, 1]
+    assert fvector(complete_graph(4)) == [24, 36, 14, 1]
     # Vertices of the three-leaf star's nestohedron count the partial
     # permutations of three items: 16.
-    assert fvector(_bs(star_graph(3))) == [16, 24, 10, 1]
+    assert fvector(star_graph(3)) == [16, 24, 10, 1]
 
 
 def test_fvector_of_a_point() -> None:
-    assert fvector(_bs(complete_graph(1))) == [1]
+    assert fvector(complete_graph(1)) == [1]
 
 
 def test_hpoly_and_gamma_frozen_values() -> None:
-    assert hpoly(_bs(complete_graph(3))) == A**2 + 4 * A * T + T**2
-    assert gamma(_bs(complete_graph(3))).gammas == (Fraction(1), Fraction(2))
-    assert gamma(_bs(path_graph(3))).gammas == (Fraction(1), Fraction(1))
-    assert gamma(_bs(complete_graph(2))).gammas == (Fraction(1),)
-    assert gamma(_bs(bipartite_graph(2, 2))).gammas == (Fraction(1), Fraction(6))
+    assert hpoly(complete_graph(3)) == A**2 + 4 * A * T + T**2
+    assert gamma(complete_graph(3)).gammas == (Fraction(1), Fraction(2))
+    assert gamma(path_graph(3)).gammas == (Fraction(1), Fraction(1))
+    assert gamma(complete_graph(2)).gammas == (Fraction(1),)
+    assert gamma(bipartite_graph(2, 2)).gammas == (Fraction(1), Fraction(6))
 
 
 def test_dehn_sommerville_over_small_connected_graphs() -> None:
     cache = FPolyCache()
     for g in connected_graphs_upto_iso(5):
-        assert dehn_sommerville(_bs(g), cache)
+        assert dehn_sommerville(g, cache)
 
 
 def test_euler_relation() -> None:
@@ -132,7 +128,33 @@ def test_scan_report_serialization() -> None:
 
 def test_gamma_of_disconnected_graphs_uses_the_product() -> None:
     two_edges = parse_graph_spec("edges:4:0-1,2-3")
-    b = _bs(two_edges)
     # The product of two segments is a square; h = (a+t)^2, gamma = [1, 0].
-    assert hpoly(b) == (A + T) ** 2
-    assert gamma(b).gammas == (Fraction(1), Fraction(0))
+    assert hpoly(two_edges) == (A + T) ** 2
+    assert gamma(two_edges).gammas == (Fraction(1), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# closed forms computed without the recursion
+
+
+def test_path_gammas_are_the_associahedron_closed_form() -> None:
+    # path:n gives the (n-1)-dimensional associahedron, with
+    # gamma_i = C(n-1, 2i) * Cat(i).
+    cache = FPolyCache()
+    for n in range(1, 13):
+        catalan = [comb(2 * i, i) // (i + 1) for i in range(n)]
+        expected = tuple(comb(n - 1, 2 * i) * catalan[i] for i in range((n - 1) // 2 + 1))
+        assert gamma(path_graph(n), cache).gammas == expected, n
+
+
+def test_complete_fvectors_are_ordered_set_partitions() -> None:
+    # complete:n gives the permutohedron; its k-faces are the ordered
+    # partitions of n items into n-k blocks: f_k = (n-k)! * S(n, n-k).
+    stirling = [[1]]
+    for n in range(1, 11):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    cache = FPolyCache()
+    for n in range(1, 11):
+        expected = [factorial(n - k) * stirling[n][n - k] for k in range(n)]
+        assert fvector(complete_graph(n), cache) == expected, n

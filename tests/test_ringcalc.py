@@ -2,55 +2,59 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 import pytest
 
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
+    BuildingSet,
     Graph,
     bipartite_graph,
     building_set_from_graph,
-    canonical_key,
     complete_graph,
     connected_graphs_upto_iso,
     dimension,
     empty_graph,
+    graph_from_edges,
+    graph_key,
     join_graphs,
     parse_graph_spec,
     path_graph,
+    removal,
+    restriction,
     star_graph,
 )
-from nestohedra.ringcalc import (
-    FPolyCache,
-    PolyExpr,
-    boundary,
-    boundary_expr,
-    boundary_graph,
-    fpoly,
-    fpoly_expr,
-    fpoly_graph,
-    integrate_t,
-    product_factors,
-)
+from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, fpoly, integrate_t
 
 A = Poly2.alpha()
 T = Poly2.t()
 
 
-def _bs(g: Graph):
-    return building_set_from_graph(g)
-
-
-def _key(g: Graph) -> bytes:
-    return canonical_key(_bs(g))
-
-
 def _term(graphs: list[Graph], c: int = 1) -> PolyExpr:
-    """Product of the graphs' building sets; single nodes drop out."""
-    factors = tuple(sorted(_key(g) for g in graphs if g.n > 1))
-    return PolyExpr({factors: Fraction(c)})
+    """Product of the graphs' nestohedra; single nodes drop out."""
+    return PolyExpr({tuple(graph_key(g) for g in graphs if g.n > 1): c})
+
+
+def _graph_of(b: BuildingSet) -> Graph:
+    """The graph a graphical building set comes from: its 2-element members."""
+    edges = []
+    for m in b.sets:
+        if bin(m).count("1") == 2:
+            low = m & -m
+            edges.append((low.bit_length() - 1, (m ^ low).bit_length() - 1))
+    return graph_from_edges(len(b.ground), edges)
+
+
+def _face_poly(e: PolyExpr, cache: FPolyCache) -> Poly2:
+    """Face polynomial of a sum of products of graph nestohedra."""
+    out = Poly2.zero()
+    for product, c in e.terms():
+        term = Poly2.constant(c)
+        for n, edges in product:
+            term = term * fpoly(graph_from_edges(n, edges), cache)
+        out = out + term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -58,32 +62,40 @@ def _term(graphs: list[Graph], c: int = 1) -> PolyExpr:
 
 
 def test_boundary_of_an_edge_is_two_points() -> None:
-    assert boundary(_bs(complete_graph(2))) == _term([], 2)
+    assert boundary(complete_graph(2)) == _term([], 2)
 
 
 def test_boundary_of_a_triangle_is_six_segments() -> None:
-    assert boundary(_bs(complete_graph(3))) == _term([complete_graph(2)], 6)
+    assert boundary(complete_graph(3)) == _term([complete_graph(2)], 6)
 
 
 def test_boundary_mass_counts_facets() -> None:
-    b = _bs(bipartite_graph(2, 2))
-    assert boundary(b).total_mass() == len(b.sets) - 1 == 12
+    g = bipartite_graph(2, 2)
+    assert boundary(g).total_mass() == len(building_set_from_graph(g).sets) - 1 == 12
 
 
 def test_boundary_rejects_disconnected_building_sets() -> None:
     with pytest.raises(ValueError):
-        boundary(_bs(empty_graph(2)))
+        boundary(empty_graph(2))
 
 
-def test_boundary_expr_satisfies_leibniz() -> None:
-    segment = _term([complete_graph(2)])
-    assert boundary_expr(segment * segment) == _term([complete_graph(2)], 4)
-    assert boundary_expr(PolyExpr.point()).is_zero()
+def test_boundary_drops_point_factors() -> None:
+    # Every facet of the pentagon is a segment times a point.
+    assert boundary(path_graph(3)) == _term([complete_graph(2)], 5)
+    for g in connected_graphs_upto_iso(5):
+        assert all(n > 1 for product, _ in boundary(g).terms() for n, _ in product)
 
 
 def test_boundary_graph_agrees_with_boundary_of_building_set() -> None:
+    # The same facets, built from restriction and removal of the building set.
     for g in connected_graphs_upto_iso(5):
-        assert boundary_graph(g) == boundary(_bs(g))
+        b = building_set_from_graph(g)
+        facets: dict = {}
+        for s in b.sets - {b.full_mask}:
+            factors = (_graph_of(restriction(b, s)), _graph_of(removal(b, s)))
+            product = tuple(graph_key(f) for f in factors if f.n > 1)
+            facets[product] = facets.get(product, 0) + 1
+        assert boundary(g) == PolyExpr(facets), g
 
 
 # ---------------------------------------------------------------------------
@@ -112,54 +124,75 @@ def test_integrate_t_rejects_bad_input() -> None:
 
 
 def test_fpoly_frozen_values() -> None:
-    assert fpoly(_bs(complete_graph(2))) == A + 2 * T
-    assert fpoly(_bs(path_graph(3))) == A**2 + 5 * A * T + 5 * T**2
-    assert fpoly(_bs(complete_graph(3))) == A**2 + 6 * A * T + 6 * T**2
+    assert fpoly(complete_graph(2)) == A + 2 * T
+    assert fpoly(path_graph(3)) == A**2 + 5 * A * T + 5 * T**2
+    assert fpoly(complete_graph(3)) == A**2 + 6 * A * T + 6 * T**2
     assert (
-        fpoly(_bs(bipartite_graph(2, 2)))
+        fpoly(bipartite_graph(2, 2))
         == A**3 + 12 * A**2 * T + 30 * A * T**2 + 20 * T**3
     )
     assert (
-        fpoly(_bs(complete_graph(4)))
+        fpoly(complete_graph(4))
         == A**3 + 14 * A**2 * T + 36 * A * T**2 + 24 * T**3
     )
 
 
 def test_fpoly_of_a_point_and_of_disconnected_graphs() -> None:
-    assert fpoly(_bs(complete_graph(1))) == Poly2.one()
-    assert fpoly(_bs(empty_graph(3))) == Poly2.one()
+    assert fpoly(complete_graph(1)) == Poly2.one()
+    assert fpoly(empty_graph(3)) == Poly2.one()
     two_edges = parse_graph_spec("edges:4:0-1,2-3")
-    assert fpoly(_bs(two_edges)) == (A + 2 * T) ** 2
+    assert fpoly(two_edges) == (A + 2 * T) ** 2
 
 
 def test_fpoly_graph_convenience() -> None:
-    assert fpoly_graph(complete_graph(3)) == A**2 + 6 * A * T + 6 * T**2
+    # fpoly takes the graph itself, with or without a caller's memo.
+    triangle = A**2 + 6 * A * T + 6 * T**2
+    assert fpoly(complete_graph(3)) == triangle
+    assert fpoly(complete_graph(3), FPolyCache()) == triangle
+
+
+def test_fpoly_rejects_graphs_above_the_ground_cap() -> None:
+    with pytest.raises(ValueError):
+        fpoly(empty_graph(21))
 
 
 def test_fpoly_degree_is_the_dimension() -> None:
     cache = FPolyCache()
     for g in connected_graphs_upto_iso(5):
-        b = _bs(g)
-        assert homogeneous_degree(fpoly(b, cache)) == dimension(b) == g.n - 1
+        b = building_set_from_graph(g)
+        assert homogeneous_degree(fpoly(g, cache)) == dimension(b) == g.n - 1
 
 
 def test_fpoly_solves_the_boundary_equation() -> None:
     cache = FPolyCache()
     for g in connected_graphs_upto_iso(5):
-        b = _bs(g)
-        lhs = fpoly(b, cache).deriv_t()
-        rhs = fpoly_expr(boundary(b), cache)
-        assert lhs == rhs
+        assert fpoly(g, cache).deriv_t() == _face_poly(boundary(g), cache)
 
 
-def test_iso_memo_gives_identical_results() -> None:
-    plain = FPolyCache()
-    iso = FPolyCache(iso=True)
+def test_fpoly_of_disconnected_graphs_satisfies_leibniz() -> None:
+    # d/dt f(G + H) = f(boundary(G) x H) + f(G x boundary(H)).
+    cache = FPolyCache()
+    pairs = [
+        (complete_graph(2), complete_graph(2)),
+        (path_graph(3), star_graph(3)),
+        (bipartite_graph(2, 2), complete_graph(3)),
+    ]
+    for g, h in pairs:
+        union = graph_from_edges(
+            g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)]
+        )
+        times_h = PolyExpr({p + (graph_key(h),): c for p, c in boundary(g).terms()})
+        times_g = PolyExpr({p + (graph_key(g),): c for p, c in boundary(h).terms()})
+        assert fpoly(union, cache).deriv_t() == _face_poly(times_h + times_g, cache)
+
+
+def test_relabelled_graphs_give_identical_fpoly() -> None:
+    # The memo is keyed on labelled graphs, so a relabelled copy takes its
+    # own path through the recursion and must still give the same answer.
+    shared = FPolyCache()
     for g in connected_graphs_upto_iso(5):
-        b = _bs(g)
-        assert fpoly(b, plain) == fpoly(b, iso)
-    # Isomorphic relabelings share one entry under the iso cache.
-    assert len(iso) <= len(plain)
+        flipped = graph_from_edges(g.n, ((g.n - 1 - u, g.n - 1 - v) for u, v in g.edges))
+        assert fpoly(flipped, FPolyCache()) == fpoly(g, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +202,12 @@ def test_iso_memo_gives_identical_results() -> None:
 @pytest.mark.parametrize("n", range(1, 7))
 def test_boundary_of_complete_graphs_binomial_formula(n: int) -> None:
     nodes = n + 1
-    expected = PolyExpr.zero()
+    expected = PolyExpr({})
     for s in range(1, nodes):
         expected = expected + _term(
             [complete_graph(s), complete_graph(nodes - s)], comb(nodes, s)
         )
-    assert boundary(_bs(complete_graph(nodes))) == expected
+    assert boundary(complete_graph(nodes)) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -184,7 +217,7 @@ def test_boundary_of_star_graphs_formula(n: int) -> None:
         expected = expected + _term(
             [star_graph(i), complete_graph(n - i)], comb(n, i)
         )
-    assert boundary(_bs(star_graph(n))) == expected
+    assert boundary(star_graph(n)) == expected
 
 
 @pytest.mark.parametrize(
@@ -203,23 +236,20 @@ def test_boundary_of_complete_bipartite_graphs_formula(s: int, t: int) -> None:
                 [bipartite_graph(a, b), complete_graph(s + t - a - b)],
                 comb(s, a) * comb(t, b),
             )
-    assert boundary(_bs(bipartite_graph(s, t))) == expected
+    assert boundary(bipartite_graph(s, t)) == expected
 
 
 # ---------------------------------------------------------------------------
 # expression plumbing
 
 
-def test_product_factors_drop_points() -> None:
-    assert product_factors(_bs(empty_graph(2))) == ()
-    two_edges = parse_graph_spec("edges:5:0-1,2-3")
-    factors = product_factors(_bs(two_edges))
-    assert factors == (_key(complete_graph(2)), _key(complete_graph(2)))
-
-
 def test_polyexpr_arithmetic() -> None:
-    segment = _term([complete_graph(2)])
-    combined = 2 * segment + segment * Fraction(1, 2)
-    assert combined.coeff((_key(complete_graph(2)),)) == Fraction(5, 2)
-    assert (combined - combined).is_zero()
-    assert (segment * PolyExpr.point()) == segment
+    edge, triangle = graph_key(complete_graph(2)), graph_key(complete_graph(3))
+    # Factor order does not matter, equal products merge, zeros drop out.
+    assert PolyExpr({(edge, triangle): 2, (triangle, edge): 3}) == PolyExpr(
+        {(triangle, edge): 5}
+    )
+    assert PolyExpr({(edge,): 0}) == PolyExpr({})
+    total = PolyExpr({(edge,): 2, (): 1}) + PolyExpr({(edge,): -2, (triangle,): 4})
+    assert total.terms() == [((), 1), ((triangle,), 4)]
+    assert total.total_mass() == 5
