@@ -10,7 +10,7 @@ from .algebra import (
     GammaVector,
     InhomogeneousError,
     Poly2,
-    Rational,
+    exact_div,
     format_rational,
     gamma_from_h,
     h_from_f,
@@ -75,7 +75,6 @@ from .series import (
     NotInFamilyError,
     Series2,
     coeff_normalized,
-    deriv,
     eta_linear,
     exp_series,
     family_f,

@@ -4,7 +4,7 @@ The face polynomial of a simple n-dimensional polytope is homogeneous of
 degree n: the coefficient of alpha^i t^(n-i) counts the i-dimensional faces,
 so a segment is alpha + 2t and a hexagon is alpha^2 + 6 alpha t + 6 t^2.
 Polynomials are stored sparsely as a map from exponent pairs (i, j) to
-nonzero rational coefficients; the zero polynomial is the empty map.
+nonzero coefficients; the zero polynomial is the empty map.
 
 Two changes of basis matter downstream.  Substituting alpha -> alpha - t
 turns a face polynomial into the corresponding h-polynomial, which is
@@ -13,7 +13,12 @@ polynomial of degree n can in turn be rewritten over the basis
 (alpha t)^i (alpha + t)^(n-2i); the coefficients of that rewrite form the
 gamma vector, the object whose nonnegativity is checked elsewhere.
 
-All coefficients are ``fractions.Fraction``; arithmetic is exact.
+Coefficients are exact numbers and are never coerced: ``Poly2`` adds and
+multiplies whatever ints or ``Fraction``s it is given.  The library gives it
+only ints.  Face counts are integers, and the series module stores k! l!
+times each coefficient of an exponential generating function, which is an
+integer face polynomial too; where a step divides, it goes through
+``exact_div``, which refuses a remainder instead of leaving the integers.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
-    "Rational",
     "Poly2",
     "GammaVector",
     "InhomogeneousError",
@@ -35,9 +39,9 @@ __all__ = [
     "h_from_gamma",
     "format_rational",
     "parse_rational",
+    "exact_div",
 ]
 
-Rational = Fraction
 Exponents = tuple[int, int]
 CoeffLike = Union[Fraction, int]
 
@@ -45,7 +49,7 @@ CoeffLike = Union[Fraction, int]
 class InhomogeneousError(ValueError):
     """Raised when a polynomial required to be homogeneous mixes degrees."""
 
-    def __init__(self, terms: Iterable[tuple[int, int, Fraction]]):
+    def __init__(self, terms: Iterable[tuple[int, int, CoeffLike]]):
         self.terms = sorted(terms)
         degrees = sorted({i + j for i, j, _ in self.terms})
         offending = ", ".join(
@@ -55,7 +59,7 @@ class InhomogeneousError(ValueError):
 
 
 class Poly2:
-    """Sparse bivariate polynomial in alpha and t with Fraction coefficients.
+    """Sparse bivariate polynomial in alpha and t with exact coefficients.
 
     Instances are treated as immutable; every operation returns a new
     polynomial with zero coefficients pruned.
@@ -67,16 +71,12 @@ class Poly2:
         self,
         terms: Mapping[Exponents, CoeffLike] | Iterable[tuple[Exponents, CoeffLike]] = (),
     ):
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, CoeffLike] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (i, j), c in items:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent pair {(i, j)}")
-            c = Fraction(c)
-            if (i, j) in acc:
-                acc[(i, j)] += c
-            else:
-                acc[(i, j)] = c
+            acc[(i, j)] = acc.get((i, j), 0) + c
         self._terms = {k: c for k, c in acc.items() if c}
 
     @classmethod
@@ -103,14 +103,14 @@ class Poly2:
     def monomial(cls, i: int, j: int, c: CoeffLike = 1) -> "Poly2":
         return cls({(i, j): c})
 
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+    def coeff(self, i: int, j: int) -> CoeffLike:
+        return self._terms.get((i, j), 0)
 
-    def terms(self) -> list[tuple[Exponents, Fraction]]:
+    def terms(self) -> list[tuple[Exponents, CoeffLike]]:
         """Terms sorted by exponent pair, for deterministic iteration."""
         return sorted(self._terms.items())
 
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Exponents, CoeffLike]]:
         return iter(self.terms())
 
     def is_zero(self) -> bool:
@@ -132,7 +132,7 @@ class Poly2:
         other = _as_poly(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return Poly2(out)
 
     def __radd__(self, other: CoeffLike) -> "Poly2":
@@ -149,15 +149,14 @@ class Poly2:
 
     def __mul__(self, other: "Poly2 | CoeffLike") -> "Poly2":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             return Poly2({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, Poly2):
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, CoeffLike] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return Poly2(out)
 
     def __rmul__(self, other: CoeffLike) -> "Poly2":
@@ -225,6 +224,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def exact_div(c: CoeffLike, d: int) -> CoeffLike:
+    """c / d, raising ``ArithmeticError`` when d does not divide c exactly."""
+    q, r = divmod(c, d)
+    if r:
+        raise ArithmeticError(f"{format_rational(c)} is not divisible by {d}")
+    return q
+
+
 def homogeneous_degree(p: Poly2) -> int:
     """Total degree of a homogeneous polynomial.
 
@@ -247,12 +254,12 @@ def is_symmetric(p: Poly2) -> bool:
 
 def h_from_f(p: Poly2) -> Poly2:
     """Substitute alpha -> alpha - t, the face-to-h change of variables."""
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, CoeffLike] = {}
     for (i, j), c in p.terms():
         for k in range(i + 1):
             key = (k, i - k + j)
             term = c * comb(i, k) * (-1) ** (i - k)
-            out[key] = out.get(key, Fraction(0)) + term
+            out[key] = out.get(key, 0) + term
     return Poly2(out)
 
 
@@ -261,7 +268,7 @@ class GammaVector:
     """Coefficients of h over the basis (alpha t)^i (alpha + t)^(n-2i)."""
 
     n: int
-    gammas: tuple[Fraction, ...]
+    gammas: tuple[CoeffLike, ...]
 
     def __post_init__(self) -> None:
         expected = self.n // 2 + 1
@@ -271,9 +278,9 @@ class GammaVector:
             raise ValueError(
                 f"degree {self.n} needs {expected} gamma entries, got {len(self.gammas)}"
             )
-        object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
+        object.__setattr__(self, "gammas", tuple(self.gammas))
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator[CoeffLike]:
         return iter(self.gammas)
 
     def as_strings(self) -> list[str]:

@@ -11,11 +11,10 @@ nonnegativity per index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 from typing import Optional
 
 from .algebra import (
+    CoeffLike,
     GammaVector,
     InhomogeneousError,
     Poly2,
@@ -47,13 +46,7 @@ def fvector(g: Graph, cache: FPolyCache | None = None) -> list[int]:
     """Face counts by dimension; the last entry (the polytope itself) is 1."""
     p = fpoly(g, cache)
     n = homogeneous_degree(p)
-    out = []
-    for i in range(n + 1):
-        c = p.coeff(i, n - i)
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer face count {c} at dimension {i}")
-        out.append(int(c))
-    return out
+    return [p.coeff(i, n - i) for i in range(n + 1)]
 
 
 def hpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
@@ -80,7 +73,7 @@ def euler_relation_holds(face_counts: list[int]) -> bool:
 class GalPolyResult:
     passed: bool
     gammas: GammaVector
-    first_negative: Optional[tuple[int, Fraction]]
+    first_negative: Optional[tuple[int, CoeffLike]]
 
 
 def gal_check_poly(p: Poly2, n: int) -> GalPolyResult:
@@ -144,8 +137,8 @@ def gal_check_series(
 ) -> SeriesScanReport:
     """Sweep a family's h-series and collect per-index violations.
 
-    At each family index (k, l) with k + l <= max_order the normalized
-    coefficient k! l! [x^k y^l] is checked for: being nonzero, symmetry,
+    At each family index (k, l) with k + l <= max_order the series' stored
+    coefficient, k! l! [x^k y^l], is checked for: being nonzero, symmetry,
     homogeneity of the family dimension, the uniform grading degree
     2*(k+l) - 2*(i+j) = 2*offset, and gamma nonnegativity.
     """
@@ -156,7 +149,7 @@ def gal_check_series(
     report = SeriesScanReport(family=spec.id, order=bound, checked=0, violations=[])
     for k, l in spec.indices(bound):
         report.checked += 1
-        p = series_h.coeff(k, l) * (factorial(k) * factorial(l))
+        p = series_h.coeff(k, l)
         if p.is_zero():
             report.violations.append(
                 ScanViolation((k, l), "nonzero", "coefficient is zero")

@@ -21,10 +21,9 @@ come from a graph are out of scope.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional
 
-from .algebra import Poly2, homogeneous_degree
+from .algebra import Poly2, exact_div, homogeneous_degree
 from .buildingset import (
     MAX_GROUND,
     Graph,
@@ -110,6 +109,8 @@ def integrate_t(g: Poly2, n: int) -> Poly2:
     """Solve dF/dt = g for the degree-n face polynomial with F|_{t=0} = alpha^n.
 
     g must be homogeneous of degree n-1, or zero when n = 0 (the point).
+    Face counts are integers, so a coefficient of g whose integral is not an
+    integer means the boundary was wrong and raises ``ArithmeticError``.
     """
     if n < 0:
         raise ValueError("negative dimension")
@@ -120,8 +121,8 @@ def integrate_t(g: Poly2, n: int) -> Poly2:
     degree = homogeneous_degree(g)
     if degree != n - 1:
         raise ValueError(f"boundary polynomial has degree {degree}, expected {n - 1}")
-    out = {(i, j + 1): c / (j + 1) for (i, j), c in g.terms()}
-    out[(n, 0)] = Fraction(1)
+    out = {(i, j + 1): exact_div(c, j + 1) for (i, j), c in g.terms()}
+    out[(n, 0)] = 1
     return Poly2(out)
 
 
@@ -141,20 +142,18 @@ class FPolyCache:
         return len(self._polys)
 
 
-_DEFAULT_CACHE = FPolyCache()
-
-
 def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     """Face polynomial of the nestohedron of a graph's building set.
 
     Disconnected graphs give the product over components.  Connected ones
     recurse through the facet decomposition: integrate the boundary's face
-    polynomial in t and pin the t-free part to alpha^(n-1).  Graphs with
-    more than MAX_GROUND nodes raise ValueError.
+    polynomial in t and pin the t-free part to alpha^(n-1).  Without a
+    caller's cache the memo lives for this call only.  Graphs with more than
+    MAX_GROUND nodes raise ValueError.
     """
     if g.n > MAX_GROUND:
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
-    cache = cache if cache is not None else _DEFAULT_CACHE
+    cache = cache if cache is not None else FPolyCache()
     if not is_connected_graph(g):
         out = Poly2.one()
         for part in graph_components(g):

@@ -4,7 +4,9 @@ A ``Series2`` is a formal power series in x and y, truncated at a fixed
 total degree, whose coefficients are exact polynomials in alpha and t.  The
 coefficient of x^k y^l, rescaled by k! l!, is the face polynomial of one
 polytope in a family; which (k, l) carries which polytope is recorded by a
-``FamilySpec``.
+``FamilySpec``.  That rescaled coefficient is what a ``Series2`` stores, so
+the families' coefficients are integer polynomials, and the product is the
+labelled (binomial) product of exponential generating functions.
 
 The five families are built from closed forms that avoid division by alpha
 by expanding eta(z) = (e^{alpha z} - 1)/alpha termwise:
@@ -28,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Optional
 
-from .algebra import Poly2, h_from_f
+from .algebra import Poly2, exact_div, h_from_f
 from .buildingset import (
     Graph,
     bipartite_graph,
@@ -47,7 +49,6 @@ __all__ = [
     "exp_series",
     "inv_series",
     "eta_linear",
-    "deriv",
     "deriv_x",
     "deriv_y",
     "deriv_t",
@@ -78,6 +79,8 @@ Slot = tuple[int, int]
 class Series2:
     """Power series in x and y truncated at a total degree, Poly2 coefficients.
 
+    The slot (k, l) holds k! l! [x^k y^l], the normalized coefficient of the
+    exponential generating function, and ``coeff`` returns it as stored.
     Instances are treated as immutable.  Binary operations require equal
     truncation orders; mixing orders silently would hide lost precision, so
     it raises instead (use ``truncate`` first).
@@ -105,15 +108,12 @@ class Series2:
         self._coeffs = {s: p for s, p in data.items() if p}
 
     @classmethod
-    def zero(cls, order: int) -> "Series2":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "Series2":
         return cls(order, {(0, 0): Poly2.one()})
 
     @classmethod
     def monomial(cls, order: int, k: int, l: int, p: Poly2 | int = 1) -> "Series2":
+        """The series whose only normalized coefficient is p, at (k, l)."""
         p = p if isinstance(p, Poly2) else Poly2.constant(p)
         return cls(order, {(k, l): p})
 
@@ -154,13 +154,12 @@ class Series2:
     def __neg__(self) -> "Series2":
         return self * -1
 
-    def __mul__(self, other: "Series2 | Poly2 | Fraction | int") -> "Series2":
-        if isinstance(other, (int, Fraction, Poly2)):
+    def __mul__(self, other: "Series2 | Poly2 | int") -> "Series2":
+        """Coefficientwise by a scalar or Poly2; the binomial product by a series."""
+        if not isinstance(other, Series2):
             return Series2(
                 self.order, {s: p * other for s, p in self._coeffs.items()}
             )
-        if not isinstance(other, Series2):
-            return NotImplemented
         self._require_same_order(other)
         out: dict[Slot, Poly2] = {}
         for (k1, l1), p1 in self._coeffs.items():
@@ -169,10 +168,13 @@ class Series2:
                 if k + l > self.order:
                     continue
                 prod = p1 * p2
+                weight = comb(k, k1) * comb(l, l1)
+                if weight != 1:
+                    prod = prod * weight
                 out[(k, l)] = out[(k, l)] + prod if (k, l) in out else prod
         return Series2(self.order, out)
 
-    def __rmul__(self, other: "Poly2 | Fraction | int") -> "Series2":
+    def __rmul__(self, other: "Poly2 | int") -> "Series2":
         return self.__mul__(other)
 
     def to_json_obj(self) -> dict[str, object]:
@@ -205,30 +207,16 @@ def restrict_y0(s: Series2) -> Series2:
 
 
 def deriv_x(s: Series2) -> Series2:
-    """d/dx; the result is reliable only one order lower."""
+    """d/dx, a shift of normalized coefficients; reliable only one order lower."""
     if s.order == 0:
         raise ValueError("cannot differentiate an order-0 truncation in x")
-    return Series2(
-        s.order - 1,
-        {
-            (k - 1, l): p * k
-            for (k, l), p in s._coeffs.items()
-            if k >= 1
-        },
-    )
+    return Series2(s.order - 1, {(k - 1, l): p for (k, l), p in s._coeffs.items() if k})
 
 
 def deriv_y(s: Series2) -> Series2:
     if s.order == 0:
         raise ValueError("cannot differentiate an order-0 truncation in y")
-    return Series2(
-        s.order - 1,
-        {
-            (k, l - 1): p * l
-            for (k, l), p in s._coeffs.items()
-            if l >= 1
-        },
-    )
+    return Series2(s.order - 1, {(k, l - 1): p for (k, l), p in s._coeffs.items() if l})
 
 
 def deriv_t(s: Series2) -> Series2:
@@ -236,23 +224,24 @@ def deriv_t(s: Series2) -> Series2:
     return Series2(s.order, {slot: p.deriv_t() for slot, p in s._coeffs.items()})
 
 
-def deriv(s: Series2, var: str) -> Series2:
-    if var == "x":
-        return deriv_x(s)
-    if var == "y":
-        return deriv_y(s)
-    if var == "t":
-        return deriv_t(s)
-    raise ValueError(f"unknown variable {var!r}")
-
-
 def exp_series(s: Series2) -> Series2:
-    """exp of a series with zero constant coefficient (Horner on sum s^m/m!)."""
+    """exp of a series with zero constant coefficient, summing p_m = s^m/m!.
+
+    p_m = p_(m-1) s / m divides exactly: s^m counts each of the m! orders
+    of m disjoint nonempty label blocks, so integers stay integers.
+    """
     if s.coeff(0, 0):
         raise ValueError("exp needs a zero constant coefficient")
-    acc = Series2.one(s.order)
-    for m in range(s.order, 0, -1):
-        acc = Series2.one(s.order) + acc * s * Fraction(1, m)
+    power = acc = Series2.one(s.order)
+    for m in range(1, s.order + 1):
+        power = Series2(
+            s.order,
+            {
+                slot: Poly2((e, exact_div(c, m)) for e, c in p.terms())
+                for slot, p in (power * s).items()
+            },
+        )
+        acc = acc + power
     return acc
 
 
@@ -270,13 +259,14 @@ def inv_series(s: Series2) -> Series2:
 def eta_linear(u: int, v: int, order: int) -> Series2:
     """eta(u x + v y) with eta(z) = sum_{d>=1} alpha^(d-1) z^d / d!.
 
-    Built termwise, so nothing ever divides by alpha.
+    Built termwise, so nothing ever divides by alpha: the normalized
+    coefficient at (a, b) is alpha^(a+b-1) u^a v^b.
     """
     coeffs: dict[Slot, Poly2] = {}
     for d in range(1, order + 1):
         for a in range(d + 1):
             b = d - a
-            scale = Fraction(u**a * v**b, factorial(a) * factorial(b))
+            scale = u**a * v**b
             if scale:
                 coeffs[(a, b)] = Poly2.monomial(d - 1, 0, scale)
     return Series2(order, coeffs)
@@ -288,7 +278,10 @@ def subst_h_series(s: Series2) -> Series2:
 
 
 def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
-    """Smallest slot, in (k+l, k) order, where two series differ."""
+    """Smallest slot, in (k+l, k) order, where two series differ.
+
+    The difference returned is that of the stored k! l! coefficients.
+    """
     a._require_same_order(b)
     slots = sorted(set(a._coeffs) | set(b._coeffs), key=lambda s: (sum(s), s))
     for k, l in slots:
@@ -489,6 +482,8 @@ def coeff_normalized(
 ) -> Poly2:
     """k! l! times the (k, l) coefficient of the family's face series.
 
+    That is the coefficient a ``Series2`` stores.
+
     Equals the face polynomial of the polytope the family places at
     x^k y^l.  Raises ``NotInFamilyError`` for indices outside the family and
     ``ValueError`` for indices beyond the truncation order.
@@ -500,7 +495,7 @@ def coeff_normalized(
         series = family_f(spec, order if order is not None else DEFAULT_ORDER)
     if k + l > series.order:
         raise ValueError(f"index ({k}, {l}) beyond truncation order {series.order}")
-    return series.coeff(k, l) * (factorial(k) * factorial(l))
+    return series.coeff(k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -613,5 +608,9 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
     results = []
     for name, lhs, rhs in checks:
         diff = first_mismatch(lhs, rhs)
+        if diff is not None:
+            # report the raw [x^k y^l] difference, not the stored k! l! multiple
+            k, l, p = diff
+            diff = (k, l, p * Fraction(1, factorial(k) * factorial(l)))
         results.append(IdentityResult(name=name, passed=diff is None, mismatch=diff))
     return IdentityReport(order=order, results=tuple(results))

@@ -12,6 +12,7 @@ from nestohedra.buildingset import (
     bipartite_graph,
     complete_graph,
     connected_graphs_upto_iso,
+    graph_from_edges,
     parse_graph_spec,
     path_graph,
     star_graph,
@@ -158,3 +159,16 @@ def test_complete_fvectors_are_ordered_set_partitions() -> None:
     for n in range(1, 11):
         expected = [factorial(n - k) * stirling[n][n - k] for k in range(n)]
         assert fvector(complete_graph(n), cache) == expected, n
+
+
+def test_cycle_gammas_are_the_cyclohedron_closed_form() -> None:
+    # The n-cycle gives the (n-1)-dimensional cyclohedron; with d = n - 1,
+    # gamma_i = d! / (i!^2 (d - 2i)!) (Postnikov-Reiner-Williams).
+    for n in range(3, 10):
+        cycle = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        d = n - 1
+        expected = tuple(
+            factorial(d) // (factorial(i) ** 2 * factorial(d - 2 * i))
+            for i in range(d // 2 + 1)
+        )
+        assert gamma(cycle).gammas == expected, n

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from nestohedra import ringcalc
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     BuildingSet,
@@ -110,6 +111,15 @@ def test_integrate_t_point_case() -> None:
     assert integrate_t(Poly2.zero(), 0) == Poly2.one()
 
 
+def test_integrate_t_raises_when_the_integral_is_not_integral() -> None:
+    # d/dt of a face polynomial with integer counts has t^j coefficients
+    # divisible by j + 1; t alone integrates to t^2 / 2.
+    with pytest.raises(ArithmeticError):
+        integrate_t(T, 2)
+    with pytest.raises(ArithmeticError):
+        integrate_t(6 * A + 3 * T, 2)
+
+
 def test_integrate_t_rejects_bad_input() -> None:
     with pytest.raises(ValueError):
         integrate_t(Poly2.zero(), 1)
@@ -154,6 +164,17 @@ def test_fpoly_graph_convenience() -> None:
 def test_fpoly_rejects_graphs_above_the_ground_cap() -> None:
     with pytest.raises(ValueError):
         fpoly(empty_graph(21))
+
+
+def test_fpoly_without_a_cache_keeps_no_memo_between_calls() -> None:
+    fpoly(complete_graph(4))
+    assert not [v for v in vars(ringcalc).values() if isinstance(v, FPolyCache)]
+
+
+def test_fpoly_coefficients_are_ints() -> None:
+    cache = FPolyCache()
+    for g in connected_graphs_upto_iso(6):
+        assert all(type(c) is int for _, c in fpoly(g, cache).terms()), g
 
 
 def test_fpoly_degree_is_the_dimension() -> None:
