@@ -30,6 +30,7 @@ from .buildingset import (
     components,
     connected_graphs_upto_iso,
     contraction,
+    cycle_graph,
     dimension,
     empty_graph,
     graph_components,

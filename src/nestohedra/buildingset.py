@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "complete_graph",
     "empty_graph",
     "path_graph",
+    "cycle_graph",
     "star_graph",
     "bipartite_graph",
     "join_graphs",
@@ -75,6 +77,16 @@ class Graph:
     n: int
     edges: frozenset[tuple[int, int]]
 
+    @cached_property
+    def _adjacency(self) -> tuple[int, ...]:
+        # once per instance: ringcalc.boundary contracts one graph through
+        # each of its connected subsets
+        adj = [0] * self.n
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
+
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     if n < 0:
@@ -101,6 +113,13 @@ def path_graph(n: int) -> Graph:
     return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
+def cycle_graph(n: int) -> Graph:
+    """The n-cycle 0-1-...-(n-1)-0; its nestohedron is the cyclohedron."""
+    if n < 3:
+        raise ValueError(f"a cycle needs at least 3 nodes, not {n}")
+    return graph_from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+
+
 def join_graphs(a: Graph, b: Graph) -> Graph:
     """Disjoint union plus every edge between the two parts; b is shifted."""
     edges = list(a.edges)
@@ -119,12 +138,9 @@ def bipartite_graph(m: int, n: int) -> Graph:
     return join_graphs(empty_graph(m), empty_graph(n))
 
 
-def adjacency_masks(g: Graph) -> list[int]:
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """Bit v of entry u is set when u-v is an edge; built once per graph."""
+    return g._adjacency
 
 
 def _closure(adj: Sequence[int], seed: int, mask: int) -> int:
@@ -266,10 +282,10 @@ def parse_graph_spec(spec: str) -> Graph:
     """Parse the graph mini-language.
 
     Accepted forms: ``complete:N``, ``empty:N``, ``star:N``, ``path:N``,
-    ``bipartite:M,N``, ``edges:N:0-1,1-2,...`` (0-based labels, possibly no
-    edges) and ``join(SPEC,SPEC)``.  Node counts above MAX_GROUND are
-    rejected before any edge is built, and so is nesting deeper than
-    _MAX_SPEC_NESTING parentheses.
+    ``cycle:N`` (N >= 3), ``bipartite:M,N``, ``edges:N:0-1,1-2,...``
+    (0-based labels, possibly no edges) and ``join(SPEC,SPEC)``.  Node
+    counts above MAX_GROUND are rejected before any edge is built, and so
+    is nesting deeper than _MAX_SPEC_NESTING parentheses.
     """
     depth = 0
     for ch in spec:
@@ -304,6 +320,11 @@ def _parse_spec(spec: str) -> Graph:
         return star_graph(leaves)
     if head == "path":
         return path_graph(_node_count(_parse_size(rest, spec), spec))
+    if head == "cycle":
+        n = _node_count(_parse_size(rest, spec), spec)
+        if n < 3:
+            raise GraphSpecError(f"a cycle needs at least 3 nodes: {spec!r}")
+        return cycle_graph(n)
     if head == "bipartite":
         sizes = rest.split(",")
         if len(sizes) != 2:
@@ -333,17 +354,22 @@ def _parse_spec(spec: str) -> Graph:
 def connected_graphs_upto_iso(max_nodes: int) -> list[Graph]:
     """All connected graphs with 1..max_nodes nodes, one per isomorphism class.
 
-    Backed by the networkx graph atlas, which covers every graph on up to
-    seven nodes.
+    In the order and labelling of Read and Wilson's graph atlas, which
+    covers every graph on up to seven nodes.  The classes come from a
+    table committed in ``_atlas``; only node counts up to max_nodes are
+    decoded.
     """
     if not 1 <= max_nodes <= 7:
         raise ValueError("the atlas covers 1..7 nodes")
-    import networkx as nx
+    from ._atlas import CONNECTED
 
     out = []
-    for g in nx.graph_atlas_g():
-        if 1 <= g.number_of_nodes() <= max_nodes and nx.is_connected(g):
-            out.append(graph_from_edges(g.number_of_nodes(), g.edges()))
+    for n in range(1, max_nodes + 1):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for token in CONNECTED[n].split():
+            mask = int(token, 36)
+            edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+            out.append(Graph(n, edges))
     return out
 
 

@@ -397,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument(
         "--graph",
         required=True,
-        help="graph spec: complete:N, empty:N, star:N, path:N, bipartite:M,N, "
-        "join(SPEC,SPEC), or edges:N:0-1,1-2,...",
+        help="graph spec: complete:N, empty:N, star:N, path:N, cycle:N, "
+        "bipartite:M,N, join(SPEC,SPEC), or edges:N:0-1,1-2,...",
     )
     _add_common_flags(p_inv)
     p_inv.set_defaults(func=cmd_invariants)

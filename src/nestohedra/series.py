@@ -246,14 +246,33 @@ def exp_series(s: Series2) -> Series2:
 
 
 def inv_series(s: Series2) -> Series2:
-    """Multiplicative inverse of a series with constant coefficient 1."""
+    """Multiplicative inverse of a series with constant coefficient 1.
+
+    With r = 1 - s, the inverse b solves b = 1 + r b.  r has no constant
+    term, so each slot of b needs only slots of lower total degree, and one
+    pass in order of total degree fills them all:
+    b[k,l] = [k=l=0] + sum C(k,k1) C(l,l1) r[k1,l1] b[k-k1,l-l1].
+    """
     if s.coeff(0, 0) != Poly2.one():
         raise ValueError("inverse needs constant coefficient 1")
-    r = Series2.one(s.order) - s
-    acc = Series2.one(s.order)
-    for _ in range(s.order):
-        acc = Series2.one(s.order) + r * acc
-    return acc
+    r = [(slot, -p) for slot, p in s._coeffs.items() if slot != (0, 0)]
+    inv: dict[Slot, Poly2] = {(0, 0): Poly2.one()}
+    for degree in range(1, s.order + 1):
+        for k in range(degree + 1):
+            l = degree - k
+            acc = Poly2.zero()
+            for (k1, l1), p in r:
+                rest = inv.get((k - k1, l - l1))
+                if rest is None:
+                    continue
+                prod = p * rest
+                weight = comb(k, k1) * comb(l, l1)
+                if weight != 1:
+                    prod = prod * weight
+                acc = acc + prod
+            if acc:
+                inv[(k, l)] = acc
+    return Series2(s.order, inv)
 
 
 def eta_linear(u: int, v: int, order: int) -> Series2:

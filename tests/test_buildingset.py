@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 import nestohedra.buildingset as buildingset
@@ -12,6 +13,7 @@ from nestohedra.buildingset import (
     BuildingSet,
     Graph,
     GraphSpecError,
+    adjacency_masks,
     bipartite_graph,
     building_set_from_graph,
     canonical_key,
@@ -19,9 +21,11 @@ from nestohedra.buildingset import (
     components,
     connected_graphs_upto_iso,
     contraction,
+    cycle_graph,
     graph_components,
     dimension,
     empty_graph,
+    graph_from_edges,
     graph_key,
     graph_spec,
     induced_subgraph,
@@ -72,6 +76,23 @@ def test_graph_constructors() -> None:
     )
 
 
+def test_cycle_graph() -> None:
+    assert cycle_graph(4).edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+    assert cycle_graph(3) == complete_graph(3)
+    for n in (-1, 0, 1, 2):
+        with pytest.raises(ValueError):
+            cycle_graph(n)
+
+
+def test_adjacency_masks_are_built_once_per_graph() -> None:
+    g = bipartite_graph(2, 2)
+    assert adjacency_masks(g) == (0b1100, 0b1100, 0b0011, 0b0011)
+    assert adjacency_masks(g) is adjacency_masks(g)
+    # the memo is not part of the graph's value
+    assert g == bipartite_graph(2, 2)
+    assert hash(g) == hash(bipartite_graph(2, 2))
+
+
 def test_join_shifts_the_second_graph() -> None:
     joined = join_graphs(complete_graph(2), empty_graph(1))
     assert joined == complete_graph(3)
@@ -105,6 +126,7 @@ def test_parse_graph_spec() -> None:
     assert parse_graph_spec("empty:2") == empty_graph(2)
     assert parse_graph_spec("star:4") == star_graph(4)
     assert parse_graph_spec("path:5") == path_graph(5)
+    assert parse_graph_spec("cycle:5") == cycle_graph(5)
     assert parse_graph_spec("bipartite:2,3") == bipartite_graph(2, 3)
     assert parse_graph_spec("edges:3:0-1,1-2") == path_graph(3)
     assert parse_graph_spec("edges:2:") == empty_graph(2)
@@ -126,6 +148,9 @@ def test_parse_graph_spec() -> None:
         "edges:two:0-1",
         "join(complete:2)",
         "join(complete:2,empty:1,empty:1)",
+        "cycle:2",
+        "cycle:0",
+        "cycle:21",
         "",
     ],
 )
@@ -173,6 +198,23 @@ def test_connected_graphs_upto_iso_counts() -> None:
     # 1, 1, 2, 6, 21, 112 connected graphs on 1..6 nodes.
     assert len(connected_graphs_upto_iso(4)) == 10
     assert len(connected_graphs_upto_iso(6)) == 143
+
+
+def test_connected_graphs_upto_iso_match_the_networkx_atlas() -> None:
+    # The committed table against the atlas it was taken from: same
+    # classes, same order, same node labels.
+    atlas = [
+        graph_from_edges(g.number_of_nodes(), g.edges())
+        for g in nx.graph_atlas_g()
+        if 1 <= g.number_of_nodes() <= 7 and nx.is_connected(g)
+    ]
+    assert len(atlas) == 996
+    for max_nodes in range(1, 8):
+        expected = [g for g in atlas if g.n <= max_nodes]
+        assert connected_graphs_upto_iso(max_nodes) == expected, max_nodes
+    for bad in (0, 8):
+        with pytest.raises(ValueError):
+            connected_graphs_upto_iso(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nestohedra
 from nestohedra.cli import main
+from nestohedra.series import FAMILIES
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -52,6 +62,30 @@ def test_invariants_json_for_an_edge(capsys) -> None:
 def test_invariants_rejects_a_bad_graph_spec(capsys) -> None:
     deep = "join(empty:0," * 2000 + "empty:0" + ")" * 2000
     for spec in ("nonsense:4", "complete:1500", "join(complete:15,complete:15)", deep):
+        code, out, err = _run(capsys, ["invariants", "--graph", spec])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_invariants_of_cycles_are_the_cyclohedron_closed_form(capsys) -> None:
+    # cycle:N is the (N-1)-dimensional cyclohedron; with d = N - 1,
+    # gamma_i = d! / (i!^2 (d - 2i)!).
+    for n in range(3, 10):
+        code, out, _ = _run(capsys, ["invariants", "--graph", f"cycle:{n}"])
+        assert code == 0, n
+        d = n - 1
+        expected = [
+            str(factorial(d) // (factorial(i) ** 2 * factorial(d - 2 * i)))
+            for i in range(d // 2 + 1)
+        ]
+        payload = json.loads(out)
+        assert payload["dimension"] == d
+        assert payload["gamma"] == expected, n
+
+
+def test_invariants_rejects_short_cycles(capsys) -> None:
+    for spec in ("cycle:2", "cycle:0", "cycle:21"):
         code, out, err = _run(capsys, ["invariants", "--graph", spec])
         assert code == 2
         assert out == ""
@@ -270,3 +304,101 @@ def test_jobs_flag_rejects_nonpositive_values(capsys, tmp_path: Path) -> None:
     code, _, err = _run(capsys, ["identities", "--order", "3", "--config", str(config)])
     assert code == 2
     assert "unknown setting" in err
+
+
+def test_no_subcommand_imports_networkx() -> None:
+    # The graph atlas is a committed table, so the CLI runs without the
+    # package it was taken from.
+    script = """
+import contextlib, io, json, sys
+from nestohedra.cli import main
+runs = [
+    ["invariants", "--graph", "path:4"],
+    ["verify", "--family", "pe", "--max-order", "3"],
+    ["identities", "--order", "3"],
+    ["gal-scan", "--graph-class", "connected", "--nodes", "5"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "networkx": "networkx" in sys.modules}))
+"""
+    src = str(Path(nestohedra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert json.loads(done.stdout) == {"codes": [0, 0, 0, 0], "networkx": False}
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract for arbitrary argv
+
+_COMMANDS = ("invariants", "verify", "identities", "gal-scan")
+_WORDS = _COMMANDS + (
+    "--graph", "--format", "json", "csv", "--config", "--family", "all",
+    "--max-order", "--order", "--corrupt", "--bound", "--graph-class",
+    "connected", "--nodes", "--help", "-h",
+)
+_COUNT = st.integers(min_value=0, max_value=8)
+_HALF = st.integers(min_value=0, max_value=4)
+
+
+def _edges_spec(n: int) -> st.SearchStrategy[str]:
+    pair = st.tuples(st.integers(-1, n), st.integers(-1, n))
+    return st.lists(pair, max_size=12).map(
+        lambda pairs: f"edges:{n}:" + ",".join(f"{u}-{v}" for u, v in pairs)
+    )
+
+
+# Graph specs of at most 8 nodes (some malformed by a self-loop or an
+# out-of-range label), which keeps any one invariants run under a second.
+_SPECS = st.one_of(
+    st.builds("complete:{}".format, _COUNT),
+    st.builds("empty:{}".format, _COUNT),
+    st.builds("path:{}".format, _COUNT),
+    st.builds("cycle:{}".format, _COUNT),
+    st.builds("star:{}".format, st.integers(min_value=0, max_value=7)),
+    st.builds("bipartite:{},{}".format, _HALF, _HALF),
+    st.builds("join(complete:{},empty:{})".format, _HALF, _HALF),
+    _COUNT.flatmap(_edges_spec),
+)
+# Junk carries no digits, so it cannot ask for an expensive order or scan;
+# numbers come from a small range instead.
+_JUNK = st.text(
+    alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=8
+)
+_NUMBER = st.integers(min_value=-2, max_value=5).map(str)
+_FAMILY = st.sampled_from(("all", *FAMILIES))
+# One argv item, or a flag with a value that often makes sense for it.
+_PIECES = st.one_of(
+    st.tuples(st.sampled_from(_WORDS)),
+    st.tuples(st.just("--graph"), _SPECS),
+    st.tuples(
+        st.sampled_from(("--max-order", "--order", "--bound", "--nodes")), _NUMBER
+    ),
+    st.tuples(st.sampled_from(("--family", "--corrupt")), _FAMILY),
+    st.tuples(st.just("--format"), st.sampled_from(("json", "csv", "xml"))),
+    st.tuples(st.just("--graph-class"), st.sampled_from(("connected", "tree"))),
+    st.tuples(_JUNK),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(_COMMANDS + ("",)),
+    pieces=st.lists(_PIECES, max_size=4),
+)
+def test_any_argv_exits_0_1_or_2(command: str, pieces: list[tuple[str, ...]]) -> None:
+    argv = ([command] if command else []) + [item for piece in pieces for item in piece]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -90,6 +90,15 @@ def test_inv_series_frozen_coefficients() -> None:
         inv_series(Series2.monomial(3, 1, 0))
 
 
+@pytest.mark.parametrize("order", range(2, 11))
+def test_inv_series_inverts_every_family_denominator(order: int) -> None:
+    # 1 - t eta(x) (pe, st) and 1 - t eta(x + y) (the two-variable
+    # families, pe at x + y and phi_h)
+    for u, v in ((1, 0), (1, 1)):
+        denom = Series2.one(order) - eta_linear(u, v, order) * T
+        assert denom * inv_series(denom) == Series2.one(order)
+
+
 def test_subst_h_series_matches_coefficientwise_substitution() -> None:
     s = Series2.monomial(2, 1, 0, A**2) + Series2.monomial(2, 0, 1, T)
     h = subst_h_series(s)
