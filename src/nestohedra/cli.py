@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import format_rational
+from .algebra import format_rational, gamma_from_h
 from .buildingset import (
     GraphSpecError,
     connected_graphs_upto_iso,
@@ -31,7 +31,6 @@ from .invariants import (
     fvector,
     gal_check_poly,
     gal_check_series,
-    gamma,
     hpoly,
 )
 from .ringcalc import FPolyCache, fpoly
@@ -47,45 +46,8 @@ from .series import (
 
 __all__ = ["main", "entrypoint"]
 
-MAX_IDENTITY_ORDER = 10
+MAX_ORDER = 10
 MAX_BIPARTITE_BOUND = 9
-
-_CONFIG_KEYS = ("order",)
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-def load_config(path: str) -> dict[str, object]:
-    """Read ``key = value`` settings; see _CONFIG_KEYS for what is allowed."""
-    settings: dict[str, object] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key or not value:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-            try:
-                parsed = int(value)
-                if parsed < 1:
-                    raise ValueError("must be positive")
-                settings[key] = parsed
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-    return settings
-
-
-def _config_order(args: argparse.Namespace) -> int:
-    """The series truncation order: the config file's ``order``, or the default."""
-    config = load_config(args.config) if args.config else {}
-    return int(config.get("order", DEFAULT_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -102,21 +64,16 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     writer.writerows(rows)
 
 
-def _gamma_cell(gammas: Sequence[object]) -> str:
-    return ";".join(format_rational(g) for g in gammas)  # type: ignore[arg-type]
-
-
 # ---------------------------------------------------------------------------
 # invariants
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    _config_order(args)  # a bad --config file is a usage error here too
     graph = parse_graph_spec(args.graph)
     cache = FPolyCache()
     fvec = fvector(graph, cache)
     h = hpoly(graph, cache)
-    gv = gamma(graph, cache)
+    gv = gamma_from_h(h)
     dim = len(fvec) - 1
     facets = fvec[-2] if dim >= 1 else 0
     if args.format == "json":
@@ -127,7 +84,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
                 "facets": facets,
                 "f_vector": fvec,
                 "h_polynomial": h.to_records(),
-                "gamma": [format_rational(g) for g in gv.gammas],
+                "gamma": gv.as_strings(),
             }
         )
     else:
@@ -139,7 +96,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
                 ("facets", facets),
                 ("f_vector", ";".join(str(c) for c in fvec)),
                 ("h_polynomial", str(h)),
-                ("gamma", _gamma_cell(gv.gammas)),
+                ("gamma", ";".join(gv.as_strings())),
             ),
         )
     return 0
@@ -149,11 +106,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 # verify
 
 
-def _verify_family(
-    fam_id: str, max_order: int, truncation: int, cache: FPolyCache
-) -> dict[str, object]:
+def _verify_family(fam_id: str, max_order: int, cache: FPolyCache) -> dict[str, object]:
     spec = FAMILIES[fam_id]
-    series = family_f(fam_id, truncation)
+    series = family_f(fam_id, max_order)
     indices = spec.indices(max_order)
     mismatches = []
     for k, l in indices:
@@ -177,20 +132,16 @@ def _verify_family(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    truncation = _config_order(args)
-    max_order = args.max_order if args.max_order is not None else truncation
+    max_order = args.max_order
     if max_order < 0:
         raise ValueError("max order must be nonnegative")
-    if max_order > truncation:
+    if max_order > MAX_ORDER:
         raise ValueError(
-            f"max order {max_order} exceeds the truncation order {truncation}; "
-            "raise 'order' in the config file to go further"
+            f"max order {max_order} exceeds the largest truncation order {MAX_ORDER}"
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
     cache = FPolyCache()
-    reports = [
-        _verify_family(fam_id, max_order, truncation, cache) for fam_id in fam_ids
-    ]
+    reports = [_verify_family(fam_id, max_order, cache) for fam_id in fam_ids]
     failed = any(report["mismatches"] for report in reports)
     if args.format == "json":
         _emit_json(
@@ -219,12 +170,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    truncation = _config_order(args)
-    order = args.order if args.order is not None else truncation
-    if not 2 <= order <= MAX_IDENTITY_ORDER:
-        raise ValueError(
-            f"identity checks need a truncation order in 2..{MAX_IDENTITY_ORDER}"
-        )
+    order = args.order
+    if not 2 <= order <= MAX_ORDER:
+        raise ValueError(f"identity checks need a truncation order in 2..{MAX_ORDER}")
     report = identity_suite(order, corrupt=args.corrupt)
     if args.format == "json":
         _emit_json(report.to_json_obj())
@@ -241,12 +189,11 @@ def cmd_identities(args: argparse.Namespace) -> int:
 # gal-scan
 
 
-def _scan_families(args: argparse.Namespace, truncation: int) -> int:
-    bound = args.bound if args.bound is not None else truncation
-    if bound > truncation:
+def _scan_families(args: argparse.Namespace) -> int:
+    bound = args.bound if args.bound is not None else DEFAULT_ORDER
+    if bound > MAX_ORDER:
         raise ValueError(
-            f"bound {bound} exceeds the truncation order {truncation}; "
-            "raise 'order' in the config file to go further"
+            f"bound {bound} exceeds the largest truncation order {MAX_ORDER}"
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
     if "because-because" in fam_ids and bound > MAX_BIPARTITE_BOUND:
@@ -267,7 +214,7 @@ def _scan_families(args: argparse.Namespace, truncation: int) -> int:
                     "k": k,
                     "l": l,
                     "dimension": spec.dim(k, l),
-                    "gamma": [format_rational(g) for g in gv.gammas],
+                    "gamma": gv.as_strings(),
                 }
                 for (k, l), gv in sorted(report.gammas.items(), key=lambda it: (sum(it[0]), it[0]))
             ]
@@ -286,7 +233,7 @@ def _scan_families(args: argparse.Namespace, truncation: int) -> int:
                         k,
                         l,
                         spec.dim(k, l),
-                        "" if gv is None else _gamma_cell(gv.gammas),
+                        "" if gv is None else ";".join(gv.as_strings()),
                         "violation" if (k, l) in bad else "ok",
                     )
                 )
@@ -329,7 +276,7 @@ def _scan_graph_classes(args: argparse.Namespace) -> int:
                     {
                         "graph": spec,
                         "dimension": dim,
-                        "gamma": [format_rational(g) for g in result.gammas.gammas],
+                        "gamma": result.gammas.as_strings(),
                     }
                     for spec, dim, result in results
                 ],
@@ -340,7 +287,7 @@ def _scan_graph_classes(args: argparse.Namespace) -> int:
             (
                 spec,
                 dim,
-                _gamma_cell(result.gammas.gammas),
+                ";".join(result.gammas.as_strings()),
                 "ok" if result.passed else "violation",
             )
             for spec, dim, result in results
@@ -350,7 +297,6 @@ def _scan_graph_classes(args: argparse.Namespace) -> int:
 
 
 def cmd_gal_scan(args: argparse.Namespace) -> int:
-    truncation = _config_order(args)
     if args.bound is not None and args.bound < 1:
         raise ValueError("bound must be at least 1")
     if (args.family is None) == (args.graph_class is None):
@@ -358,7 +304,7 @@ def cmd_gal_scan(args: argparse.Namespace) -> int:
     if args.family is not None:
         if args.nodes is not None:
             raise ValueError("--nodes applies to --graph-class scans only")
-        return _scan_families(args, truncation)
+        return _scan_families(args)
     if args.bound is not None:
         raise ValueError("--bound applies to --family scans; use --nodes")
     return _scan_graph_classes(args)
@@ -374,11 +320,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         choices=("json", "csv"),
         default="json",
         help="output format (default json)",
-    )
-    parser.add_argument(
-        "--config",
-        metavar="PATH",
-        help="key = value settings file (order); flags win",
     )
 
 
@@ -411,8 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--max-order",
         type=int,
+        default=DEFAULT_ORDER,
         metavar="M",
-        help="largest total index k+l to check (default: the truncation order)",
+        help=f"largest total index k+l to check, 0..{MAX_ORDER} "
+        f"(default {DEFAULT_ORDER})",
     )
     _add_common_flags(p_ver)
     p_ver.set_defaults(func=cmd_verify)
@@ -423,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument(
         "--order",
         type=int,
+        default=DEFAULT_ORDER,
         metavar="N",
-        help=f"truncation order, 2..{MAX_IDENTITY_ORDER} (default: config order)",
+        help=f"truncation order, 2..{MAX_ORDER} (default {DEFAULT_ORDER})",
     )
     p_ident.add_argument(
         "--corrupt",
@@ -445,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound",
         type=int,
         metavar="B",
-        help="largest total index k+l to scan (family mode)",
+        help=f"largest total index k+l to scan, 1..{MAX_ORDER} (family mode, "
+        f"default {DEFAULT_ORDER})",
     )
     p_gal.add_argument(
         "--graph-class",

@@ -113,7 +113,12 @@ class Series2:
 
     @classmethod
     def monomial(cls, order: int, k: int, l: int, p: Poly2 | int = 1) -> "Series2":
-        """The series whose only normalized coefficient is p, at (k, l)."""
+        """The series whose only normalized coefficient is p, at (k, l).
+
+        A slot above the truncation order truncates to the zero series.
+        """
+        if k >= 0 and l >= 0 and k + l > order:
+            return cls(order)
         p = p if isinstance(p, Poly2) else Poly2.constant(p)
         return cls(order, {(k, l): p})
 

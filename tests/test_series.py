@@ -43,6 +43,15 @@ def test_monomial_and_coeff() -> None:
     assert s.coeff(0, 0).is_zero()
 
 
+def test_monomial_above_the_order_truncates_to_zero() -> None:
+    assert Series2.monomial(0, 1, 0, A + T) == Series2(0)
+    assert Series2.monomial(2, 2, 1).is_zero()
+    with pytest.raises(ValueError):
+        Series2(2, {(2, 1): Poly2.one()})
+    with pytest.raises(ValueError):
+        Series2.monomial(2, -1, 0)
+
+
 def test_multiplication_truncates() -> None:
     x = Series2.monomial(2, 1, 0)
     cube_truncated = x * x * x
@@ -170,6 +179,25 @@ def test_family_coefficients_are_ints() -> None:
         for series in (family_f(fam_id, 8), family_h(fam_id, 8)):
             for slot, p in series.items():
                 assert all(type(c) is int for _, c in p.terms()), (fam_id, slot)
+
+
+@pytest.mark.parametrize("fam", list(FAMILIES))
+def test_order_zero_is_the_truncation_of_order_one(fam: str) -> None:
+    assert family_f(fam, 0) == truncate(family_f(fam, 1), 0)
+    assert family_h(fam, 0) == truncate(family_h(fam, 1), 0)
+
+
+@pytest.mark.parametrize("fam", list(FAMILIES))
+def test_coefficients_do_not_depend_on_the_truncation_order(fam: str) -> None:
+    # A coefficient at k + l <= m is the same whether the series is
+    # expanded to order m or beyond; the CLI computes at the order it is
+    # asked for and relies on this.
+    deep_f, deep_h = family_f(fam, 10), family_h(fam, 10)
+    for m in range(10):
+        f, h = family_f(fam, m), family_h(fam, m)
+        for k, l in FAMILIES[fam].indices(m):
+            assert f.coeff(k, l) == deep_f.coeff(k, l), (m, k, l)
+            assert h.coeff(k, l) == deep_h.coeff(k, l), (m, k, l)
 
 
 def test_because_because_series_is_symmetric_in_x_and_y() -> None:
