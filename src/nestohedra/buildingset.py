@@ -14,7 +14,9 @@ reconnects the remaining nodes through s; its building set is
 ``removal(b, s)``, every member with the elements of s erased (not the
 induced subgraph on the complement).  ``restriction`` and ``removal`` are
 the definitions on building sets that these two agree with, and the tests
-check that agreement.
+check that agreement.  ``connected_subset_orbits`` lists the subsets S the
+recursion visits: the connected ones, one per orbit under permutations of
+twin nodes (``twin_classes``), each with its orbit size.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -37,6 +40,8 @@ __all__ = [
     "join_graphs",
     "graph_from_edges",
     "adjacency_masks",
+    "twin_classes",
+    "connected_subset_orbits",
     "is_connected_graph",
     "connected_submask",
     "induced_subgraph",
@@ -58,8 +63,8 @@ __all__ = [
 ]
 
 # Grounds are bitmasks in a Python int, so the cap is soft; 20 keeps the
-# all-subsets enumerations (building_set_from_graph, ringcalc.boundary) at
-# desk scale.
+# all-subsets enumerations (building_set_from_graph, and
+# connected_subset_orbits on twin-free graphs) at desk scale.
 MAX_GROUND = 20
 # Deepest parenthesis nesting parse_graph_spec accepts; far above any spec
 # within MAX_GROUND nodes that does not join empty graphs.
@@ -143,6 +148,31 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
     return g._adjacency
 
 
+def twin_classes(g: Graph) -> list[list[int]]:
+    """Nodes grouped into twin classes, each class and the list in node order.
+
+    u and v are twins when N(u) minus v equals N(v) minus u: false twins
+    share their open neighbourhood, true twins their closed one.  A node u
+    with a true twin v has no false twin w: w would share N(u), which holds
+    v, so w would lie in N[v] = N[u] and be adjacent to u.  So the two
+    groupings never overlap, and any permutation inside a class is an
+    automorphism of g.
+    """
+    adj = adjacency_masks(g)
+    open_groups: dict[int, list[int]] = {}
+    closed_groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        open_groups.setdefault(adj[v], []).append(v)
+        closed_groups.setdefault(adj[v] | 1 << v, []).append(v)
+    classes = []
+    for v in range(g.n):
+        false_twins = open_groups[adj[v]]
+        cls = false_twins if len(false_twins) > 1 else closed_groups[adj[v] | 1 << v]
+        if cls[0] == v:
+            classes.append(cls)
+    return classes
+
+
 def _closure(adj: Sequence[int], seed: int, mask: int) -> int:
     """The seed nodes plus every masked node reachable from them inside mask."""
     seen = frontier = seed
@@ -163,6 +193,39 @@ def connected_submask(adj: Sequence[int], mask: int) -> bool:
     if mask == 0:
         return False
     return _closure(adj, mask & -mask, mask) == mask
+
+
+def connected_subset_orbits(g: Graph) -> list[tuple[int, int]]:
+    """Proper connected node subsets up to permutations inside twin classes.
+
+    An orbit is fixed by how many nodes c_i it takes from each twin class
+    C_i (``twin_classes``), 0 <= c_i <= |C_i|, so the count vectors are
+    enumerated in place of the 2^n subsets.  Each orbit is represented by
+    the first c_i nodes of each class and comes with its size, the product
+    of C(|C_i|, c_i).  Twin swaps are automorphisms, so a whole orbit is
+    connected or not together.  Returns (mask, size) for every nonempty
+    proper orbit that induces a connected subgraph; on a twin-free graph
+    these are the connected subsets themselves, each of size 1.
+    """
+    adj = adjacency_masks(g)
+    classes = twin_classes(g)
+    reps = [0]
+    for cls in classes:
+        prefixes = [0]
+        for v in cls:
+            prefixes.append(prefixes[-1] | 1 << v)
+        reps = [m | p for p in prefixes for m in reps]
+    # singleton classes contribute a factor of 1 to every size
+    twins = [(len(cls), sum(1 << v for v in cls)) for cls in classes if len(cls) > 1]
+    orbits = []
+    # reps[0] is the empty set and reps[-1] the whole node set
+    for s in reps[1:-1]:
+        if _closure(adj, s & -s, s) == s:
+            size = 1
+            for k, mask in twins:
+                size *= comb(k, (s & mask).bit_count())
+            orbits.append((s, size))
+    return orbits
 
 
 def is_connected_graph(g: Graph) -> bool:

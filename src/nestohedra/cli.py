@@ -46,8 +46,7 @@ from .series import (
 
 __all__ = ["main", "entrypoint"]
 
-MAX_ORDER = 10
-MAX_BIPARTITE_BOUND = 9
+MAX_ORDER = 16
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +195,6 @@ def _scan_families(args: argparse.Namespace) -> int:
             f"bound {bound} exceeds the largest truncation order {MAX_ORDER}"
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
-    if "because-because" in fam_ids and bound > MAX_BIPARTITE_BOUND:
-        raise ValueError(
-            f"the complete-bipartite scan is capped at bound {MAX_BIPARTITE_BOUND}"
-        )
     reports: list[SeriesScanReport] = [
         gal_check_series(family_h(fam_id, bound), fam_id) for fam_id in fam_ids
     ]

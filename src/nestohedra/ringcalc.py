@@ -10,6 +10,15 @@ a sorted tuple of graph keys (the product of those graphs' nestohedra),
 point factors are dropped since a point is the multiplicative identity, and
 the empty product therefore denotes the point itself.
 
+Swapping twin nodes (same neighbours apart from each other) is an
+automorphism, so subsets that take equally many nodes from each twin class
+give isomorphic facets.  ``boundary`` visits one representative subset per
+such orbit and weights its facet by the orbit size, so it does polynomial
+work on complete, star and complete bipartite graphs and on the many twins
+that contractions create, and the same 2^n subsets as a plain sweep on
+twin-free graphs.  The representative fixes the labelling of the keys, so
+a term's key is one labelled copy of its facet class.
+
 Integrating the boundary's face polynomial in t and pinning the t-free
 coefficient to alpha^n recovers the face polynomial of the polytope, which
 is what ``fpoly`` computes, memoized on graph keys across the whole
@@ -28,11 +37,11 @@ from .buildingset import (
     MAX_GROUND,
     Graph,
     GraphKey,
-    adjacency_masks,
-    connected_submask,
+    connected_subset_orbits,
     contraction,
     graph_components,
     graph_key,
+    graph_spec,
     induced_subgraph,
     is_connected_graph,
 )
@@ -82,18 +91,18 @@ class PolyExpr:
 def boundary(g: Graph) -> PolyExpr:
     """Facet decomposition of the nestohedron of a connected graph.
 
-    One term per proper node subset S inducing a connected subgraph: the
-    induced subgraph on S times the contraction through S.  The point (one
-    node) has no facets and maps to zero.
+    One facet per proper node subset S inducing a connected subgraph: the
+    induced subgraph on S times the contraction through S.  The subsets are
+    taken up to permutations inside the twin classes
+    (``connected_subset_orbits``): each orbit's representative S contributes
+    its facet with the orbit size as multiplicity, so the total mass still
+    counts every facet.  The point (one node) has no facets and maps to
+    zero.
     """
-    adj = adjacency_masks(g)
-    full = (1 << g.n) - 1
-    if not connected_submask(adj, full):
+    if not is_connected_graph(g):
         raise ValueError("boundary needs a connected graph")
     counts: dict[Product, int] = {}
-    for s in range(1, full):
-        if not connected_submask(adj, s):
-            continue
+    for s, size in connected_subset_orbits(g):
         product = tuple(
             sorted(
                 graph_key(f)
@@ -101,7 +110,7 @@ def boundary(g: Graph) -> PolyExpr:
                 if f.n > 1
             )
         )
-        counts[product] = counts.get(product, 0) + 1
+        counts[product] = counts.get(product, 0) + size
     return PolyExpr(counts)
 
 
@@ -149,7 +158,8 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     recurse through the facet decomposition: integrate the boundary's face
     polynomial in t and pin the t-free part to alpha^(n-1).  Without a
     caller's cache the memo lives for this call only.  Graphs with more than
-    MAX_GROUND nodes raise ValueError.
+    MAX_GROUND nodes raise ValueError.  A boundary that does not integrate
+    to integer face counts raises ArithmeticError naming the graph.
     """
     if g.n > MAX_GROUND:
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
@@ -171,7 +181,10 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
         for n, edges in product:
             term = term * fpoly(Graph(n, frozenset(edges)), cache)
         total = total + term
-    value = integrate_t(total, g.n - 1)
+    try:
+        value = integrate_t(total, g.n - 1)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"integrating the boundary of {graph_spec(g)}: {exc}") from exc
     cache.store(key, value)
     return value
 

@@ -509,14 +509,16 @@ def coeff_normalized(
     That is the coefficient a ``Series2`` stores.
 
     Equals the face polynomial of the polytope the family places at
-    x^k y^l.  Raises ``NotInFamilyError`` for indices outside the family and
-    ``ValueError`` for indices beyond the truncation order.
+    x^k y^l.  Without ``order`` or ``series`` the series is built at order
+    k + l, the least that holds the coefficient.  Raises
+    ``NotInFamilyError`` for indices outside the family and ``ValueError``
+    for indices beyond the truncation order.
     """
     spec = _family(fam)
     if not spec.contains(k, l):
         raise NotInFamilyError(f"({k}, {l}) carries no polytope of family {spec.id!r}")
     if series is None:
-        series = family_f(spec, order if order is not None else DEFAULT_ORDER)
+        series = family_f(spec, order if order is not None else k + l)
     if k + l > series.order:
         raise ValueError(f"index ({k}, {l}) beyond truncation order {series.order}")
     return series.coeff(k, l)

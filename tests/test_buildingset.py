@@ -20,6 +20,7 @@ from nestohedra.buildingset import (
     complete_graph,
     components,
     connected_graphs_upto_iso,
+    connected_subset_orbits,
     contraction,
     cycle_graph,
     graph_components,
@@ -37,6 +38,7 @@ from nestohedra.buildingset import (
     removal,
     restriction,
     star_graph,
+    twin_classes,
     validate,
 )
 
@@ -119,6 +121,99 @@ def test_contraction_connects_through_the_removed_set() -> None:
     assert contraction(path_graph(4), 0b0010) == path_graph(3)
     # Contracting a leaf just deletes it.
     assert contraction(star_graph(3), 0b0010) == star_graph(2)
+
+
+# ---------------------------------------------------------------------------
+# twin classes and subset orbits
+
+
+def _twin_classes_oracle(g: Graph) -> list[list[int]]:
+    """Classes of u ~ v iff N(u) - {v} == N(v) - {u}, straight from the definition."""
+    nbrs = [{v for e in g.edges for v in e if u in e and v != u} for u in range(g.n)]
+    classes: list[list[int]] = []
+    for v in range(g.n):
+        for cls in classes:
+            u = cls[0]
+            if nbrs[u] - {v} == nbrs[v] - {u}:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_twin_classes_of_complete_graphs_are_one_class(n: int) -> None:
+    assert twin_classes(complete_graph(n)) == [list(range(n))]
+
+
+@pytest.mark.parametrize("leaves", range(2, 20))
+def test_twin_classes_of_stars_split_off_the_centre(leaves: int) -> None:
+    assert twin_classes(star_graph(leaves)) == [[0], list(range(1, leaves + 1))]
+
+
+def test_twin_classes_of_complete_bipartite_graphs_are_the_parts() -> None:
+    for m in range(1, 11):
+        for n in range(1, 11):
+            if m + n >= 3:
+                parts = [list(range(m)), list(range(m, m + n))]
+                assert twin_classes(bipartite_graph(m, n)) == parts, (m, n)
+
+
+def test_paths_and_long_cycles_are_twin_free() -> None:
+    for n in range(4, 21):
+        assert twin_classes(path_graph(n)) == [[v] for v in range(n)], n
+    for n in range(5, 21):
+        assert twin_classes(cycle_graph(n)) == [[v] for v in range(n)], n
+
+
+def test_twin_classes_follow_the_definition() -> None:
+    for g in connected_graphs_upto_iso(7):
+        assert twin_classes(g) == _twin_classes_oracle(g), graph_spec(g)
+
+
+def test_subset_orbits_partition_the_proper_connected_subsets() -> None:
+    # Expand each orbit into every subset with the same count per twin
+    # class; together the orbits cover each proper connected subset once.
+    shapes = [parse_graph_spec(spec) for spec in (
+        "bipartite:3,4", "star:6", "complete:7", "join(complete:3,empty:4)",
+        "join(star:2,empty:3)", "cycle:4", "path:3",
+    )]
+    for g in connected_graphs_upto_iso(6) + shapes:
+        classes = twin_classes(g)
+        full = (1 << g.n) - 1
+
+        def counts(s: int) -> tuple[int, ...]:
+            return tuple(sum(s >> v & 1 for v in cls) for cls in classes)
+
+        wanted = {
+            sum(1 << v for v in subset) for subset in _connected_subsets_oracle(g)
+        } - {full}
+        orbits = connected_subset_orbits(g)
+        assert sum(size for _, size in orbits) == len(wanted), graph_spec(g)
+        covered = []
+        for rep, size in orbits:
+            members = [s for s in range(1, full) if counts(s) == counts(rep)]
+            assert len(members) == size, graph_spec(g)
+            covered += members
+        assert sorted(covered) == sorted(wanted), graph_spec(g)
+
+
+def test_subset_orbits_take_the_first_nodes_of_each_class() -> None:
+    assert connected_subset_orbits(complete_graph(4)) == [
+        (0b0001, 4), (0b0011, 6), (0b0111, 4)
+    ]
+    # K_{2,3}: a single node of either part, or a nonempty share of both.
+    orbits = dict(connected_subset_orbits(bipartite_graph(2, 3)))
+    assert orbits == {
+        0b00001: 2, 0b00100: 3,
+        0b00101: 6, 0b01101: 6, 0b11101: 2,
+        0b00111: 3, 0b01111: 3,
+    }
+    # A twin-free graph has one orbit per connected subset.
+    assert connected_subset_orbits(path_graph(4)) == [
+        (s, 1) for s in range(1, 15) if s in (1, 2, 3, 4, 6, 7, 8, 12, 14)
+    ]
 
 
 def test_parse_graph_spec() -> None:

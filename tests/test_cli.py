@@ -148,8 +148,8 @@ def test_identities_reject_order_one(capsys) -> None:
     assert "order" in err
 
 
-def test_identities_reject_orders_beyond_ten(capsys) -> None:
-    code, _, _ = _run(capsys, ["identities", "--order", "11"])
+def test_identities_reject_orders_beyond_the_ceiling(capsys) -> None:
+    code, _, _ = _run(capsys, ["identities", "--order", "17"])
     assert code == 2
 
 
@@ -224,7 +224,7 @@ def test_gal_scan_usage_errors(capsys) -> None:
     assert (
         _run(
             capsys,
-            ["gal-scan", "--family", "because-because", "--bound", "10"],
+            ["gal-scan", "--family", "because-because", "--bound", "17"],
         )[0]
         == 2
     )
@@ -252,22 +252,40 @@ def test_output_is_deterministic_across_runs_and_jobs(capsys) -> None:
 def test_every_subcommand_runs_to_the_order_ceiling(capsys) -> None:
     # Each command computes its series at the order it is given, so orders
     # up to the ceiling need nothing beyond the flag.
-    for order in (9, 10):
+    for order in (9, 16):
         code, out, _ = _run(
             capsys, ["verify", "--family", "pe", "--max-order", str(order)]
         )
         assert code == 0
         assert json.loads(out)["reports"][0]["checked"] == order
-    assert _run(capsys, ["gal-scan", "--family", "pe", "--bound", "10"])[0] == 0
+    assert _run(capsys, ["gal-scan", "--family", "pe", "--bound", "16"])[0] == 0
     assert _run(capsys, ["verify", "--max-order", "0"])[0] == 0
     for argv in (
-        ["verify", "--family", "pe", "--max-order", "11"],
-        ["gal-scan", "--family", "pe", "--bound", "11"],
-        ["identities", "--order", "11"],
+        ["verify", "--family", "pe", "--max-order", "17"],
+        ["gal-scan", "--family", "pe", "--bound", "17"],
+        ["identities", "--order", "17"],
     ):
         code, out, _ = _run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
+
+
+def test_complete_bipartite_recursion_matches_the_series_to_order_sixteen(capsys) -> None:
+    # Every K_{k,l} with k + l <= 16 through the facet recursion, against
+    # the paper's generating function; the scan of the same family reaches
+    # the same order.
+    code, out, _ = _run(
+        capsys, ["verify", "--family", "because-because", "--max-order", "16"]
+    )
+    assert code == 0
+    report = json.loads(out)["reports"][0]
+    # (0, 1), (1, 0), and every k, l >= 1 with k + l <= 16
+    assert report["checked"] == 2 + 15 * 16 // 2 == 122
+    assert report["mismatches"] == []
+    assert (
+        _run(capsys, ["gal-scan", "--family", "because-because", "--bound", "16"])[0]
+        == 0
+    )
 
 
 def test_config_flag_is_refused(capsys, tmp_path: Path) -> None:

@@ -9,6 +9,7 @@ import pytest
 
 from nestohedra.algebra import GammaVector, Poly2
 from nestohedra.buildingset import (
+    MAX_GROUND,
     bipartite_graph,
     complete_graph,
     connected_graphs_upto_iso,
@@ -151,12 +152,13 @@ def test_path_gammas_are_the_associahedron_closed_form() -> None:
 def test_complete_fvectors_are_ordered_set_partitions() -> None:
     # complete:n gives the permutohedron; its k-faces are the ordered
     # partitions of n items into n-k blocks: f_k = (n-k)! * S(n, n-k).
+    # Every node size the spec language admits, up to MAX_GROUND.
     stirling = [[1]]
-    for n in range(1, 11):
+    for n in range(1, MAX_GROUND + 1):
         prev = stirling[-1] + [0]
         stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
     cache = FPolyCache()
-    for n in range(1, 11):
+    for n in range(1, MAX_GROUND + 1):
         expected = [factorial(n - k) * stirling[n][n - k] for k in range(n)]
         assert fvector(complete_graph(n), cache) == expected, n
 

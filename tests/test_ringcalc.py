@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -11,20 +13,28 @@ from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     BuildingSet,
     Graph,
+    GraphKey,
+    adjacency_masks,
     bipartite_graph,
     building_set_from_graph,
     complete_graph,
     connected_graphs_upto_iso,
+    connected_submask,
+    contraction,
+    cycle_graph,
     dimension,
     empty_graph,
     graph_from_edges,
     graph_key,
+    graph_spec,
+    induced_subgraph,
     join_graphs,
     parse_graph_spec,
     path_graph,
     removal,
     restriction,
     star_graph,
+    twin_classes,
 )
 from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, fpoly, integrate_t
 
@@ -45,6 +55,40 @@ def _graph_of(b: BuildingSet) -> Graph:
             low = m & -m
             edges.append((low.bit_length() - 1, (m ^ low).bit_length() - 1))
     return graph_from_edges(len(b.ground), edges)
+
+
+@lru_cache(maxsize=None)
+def _canonical(key: GraphKey) -> GraphKey:
+    """Least sorted edge tuple over every relabelling: one key per class."""
+    n, edges = key
+    return n, min(
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        for p in permutations(range(n))
+    )
+
+
+def _up_to_iso(e: PolyExpr) -> dict:
+    """The terms of e with every factor replaced by its isomorphism class."""
+    out: dict = {}
+    for product, c in e.terms():
+        classes = tuple(sorted(_canonical(key) for key in product))
+        out[classes] = out.get(classes, 0) + c
+    return out
+
+
+def _plain_boundary(g: Graph) -> PolyExpr:
+    """The facet decomposition over all 2^n node subsets, one by one."""
+    adj = adjacency_masks(g)
+    full = (1 << g.n) - 1
+    if not connected_submask(adj, full):
+        raise ValueError("boundary needs a connected graph")
+    counts: dict = {}
+    for s in range(1, full):
+        if connected_submask(adj, s):
+            factors = (induced_subgraph(g, s), contraction(g, s))
+            product = tuple(sorted(graph_key(f) for f in factors if f.n > 1))
+            counts[product] = counts.get(product, 0) + 1
+    return PolyExpr(counts)
 
 
 def _face_poly(e: PolyExpr, cache: FPolyCache) -> Poly2:
@@ -88,7 +132,9 @@ def test_boundary_drops_point_factors() -> None:
 
 
 def test_boundary_graph_agrees_with_boundary_of_building_set() -> None:
-    # The same facets, built from restriction and removal of the building set.
+    # The same facets, built from restriction and removal of the building
+    # set.  boundary labels each facet by its twin orbit's representative,
+    # so the two multisets are compared factor by isomorphism class.
     for g in connected_graphs_upto_iso(5):
         b = building_set_from_graph(g)
         facets: dict = {}
@@ -96,7 +142,24 @@ def test_boundary_graph_agrees_with_boundary_of_building_set() -> None:
             factors = (_graph_of(restriction(b, s)), _graph_of(removal(b, s)))
             product = tuple(graph_key(f) for f in factors if f.n > 1)
             facets[product] = facets.get(product, 0) + 1
-        assert boundary(g) == PolyExpr(facets), g
+        assert _up_to_iso(boundary(g)) == _up_to_iso(PolyExpr(facets)), g
+        assert boundary(g).total_mass() == len(b.sets) - 1, g
+
+
+def test_boundary_equals_the_all_subsets_sweep_on_twin_free_graphs() -> None:
+    # With no twins every orbit is one subset, labels included.
+    twin_free = [path_graph(n) for n in range(4, 9)]
+    twin_free += [cycle_graph(n) for n in range(5, 9)]
+    twin_free += [parse_graph_spec("edges:6:0-1,1-2,2-3,3-4,4-5,1-4")]
+    for g in twin_free:
+        assert len(twin_classes(g)) == g.n, graph_spec(g)
+        assert boundary(g) == _plain_boundary(g), graph_spec(g)
+
+
+def test_boundary_of_graphs_with_twins_matches_the_sweep_up_to_isomorphism() -> None:
+    for spec in ("bipartite:3,4", "star:6", "complete:6", "join(complete:2,empty:3)"):
+        g = parse_graph_spec(spec)
+        assert _up_to_iso(boundary(g)) == _up_to_iso(_plain_boundary(g)), spec
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +222,36 @@ def test_fpoly_graph_convenience() -> None:
     triangle = A**2 + 6 * A * T + 6 * T**2
     assert fpoly(complete_graph(3)) == triangle
     assert fpoly(complete_graph(3), FPolyCache()) == triangle
+
+
+def test_fpoly_over_the_atlas_equals_the_all_subsets_recursion(monkeypatch) -> None:
+    # Every connected class on up to seven nodes, once through the orbit
+    # boundary and once through the plain sweep, each with its own memo.
+    graphs = connected_graphs_upto_iso(7)
+    assert len(graphs) == 996
+    cache = FPolyCache()
+    orbit = [fpoly(g, cache) for g in graphs]
+    monkeypatch.setattr(ringcalc, "boundary", _plain_boundary)
+    cache = FPolyCache()
+    for g, value in zip(graphs, orbit):
+        assert fpoly(g, cache) == value, graph_spec(g)
+
+
+def test_fpoly_names_the_graph_whose_boundary_does_not_integrate(monkeypatch) -> None:
+    # A path on three nodes as the whole boundary of a four-node graph:
+    # its 5 alpha t and 5 t^2 do not integrate to integer face counts.
+    plain = ringcalc.boundary
+
+    def broken(g: Graph) -> PolyExpr:
+        if g.n == 4:
+            return _term([path_graph(3)])
+        return plain(g)
+
+    monkeypatch.setattr(ringcalc, "boundary", broken)
+    g = complete_graph(4)
+    with pytest.raises(ArithmeticError, match=r"edges:4:0-1,0-2,0-3,1-2,1-3,2-3"):
+        fpoly(g)
+    assert graph_spec(g) == "edges:4:0-1,0-2,0-3,1-2,1-3,2-3"
 
 
 def test_fpoly_rejects_graphs_above_the_ground_cap() -> None:

@@ -153,6 +153,15 @@ def test_coeff_normalized_matches_the_recursion() -> None:
         assert coeff_normalized(fam_id, k, l, order=5) == expected
 
 
+def test_coeff_normalized_builds_the_order_the_index_needs() -> None:
+    # With neither an order nor a series the coefficient comes from a series
+    # built at k + l, so indices above the default order are within reach.
+    for fam_id, k, l in [("pe", 9, 0), ("pe", 12, 0), ("because-because", 5, 6)]:
+        expected = fpoly(FAMILIES[fam_id].graph_at(k, l))
+        assert coeff_normalized(fam_id, k, l) == expected, (fam_id, k, l)
+        assert coeff_normalized(fam_id, k, l, order=k + l + 2) == expected
+
+
 def test_coeff_normalized_rejects_bad_indices() -> None:
     with pytest.raises(NotInFamilyError):
         coeff_normalized("pe", 0, 0, order=4)
