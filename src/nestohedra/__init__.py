@@ -35,7 +35,6 @@ from .buildingset import (
     empty_graph,
     graph_components,
     graph_from_edges,
-    graph_key,
     graph_spec,
     induced_subgraph,
     is_connected_graph,

@@ -1,5 +1,9 @@
 """Graphs on {0..n-1} and the building sets their connected subgraphs form.
 
+A ``Graph`` is its tuple of adjacency masks (bit v of ``adj[u]`` marks the
+edge u-v), which every operation reads and the recursion uses as memo key.
+``graph_from_edges`` is the validating constructor for outside edge lists.
+
 A building set on a finite ground set contains every singleton and is closed
 under unions of intersecting members.  The ones used here are graphical:
 ``building_set_from_graph`` collects the node subsets that induce a connected
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -39,7 +42,6 @@ __all__ = [
     "bipartite_graph",
     "join_graphs",
     "graph_from_edges",
-    "adjacency_masks",
     "twin_classes",
     "connected_subset_orbits",
     "is_connected_graph",
@@ -49,7 +51,6 @@ __all__ = [
     "graph_components",
     "parse_graph_spec",
     "graph_spec",
-    "graph_key",
     "connected_graphs_upto_iso",
     "BuildingSet",
     "building_set_from_graph",
@@ -75,35 +76,74 @@ class GraphSpecError(ValueError):
     """Malformed graph description."""
 
 
-@dataclass(frozen=True)
+def _mask_nodes(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _compress(masks: Iterable[int], within: int) -> tuple[int, ...]:
+    """Re-index the bits of each mask against the bits set in ``within``.
+
+    Bits outside ``within`` drop out; each run of its set bits is one shift.
+    """
+    runs = []
+    p = 0
+    while within:
+        low = within & -within
+        run = within & ~(within + low)
+        runs.append((run, low.bit_length() - 1 - p))
+        p += run.bit_count()
+        within ^= run
+    out = []
+    for m in masks:
+        packed = 0
+        for run, shift in runs:
+            packed |= (m & run) >> shift
+        out.append(packed)
+    return tuple(out)
+
+
+@dataclass(frozen=True, order=True)
 class Graph:
-    """Simple undirected graph on nodes 0..n-1 with edges as sorted pairs."""
+    """Simple undirected graph on nodes 0..n-1, as adjacency masks.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    Bit v of ``adj[u]`` is set when u-v is an edge.  The masks are the whole
+    value, so a graph is hashable and sortable and serves as its own memo
+    key: two graphs are equal exactly when they are the same labelled
+    graph.  ``Graph(adj)`` trusts its masks to be symmetric and loop-free;
+    ``graph_from_edges`` is the validating constructor.
+    """
 
-    @cached_property
-    def _adjacency(self) -> tuple[int, ...]:
-        # once per instance: ringcalc.boundary contracts one graph through
-        # each of its connected subsets
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
+    adj: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as sorted pairs (u, v), u < v."""
+        return frozenset(
+            (u, v) for u, m in enumerate(self.adj) for v in _mask_nodes(m) if u < v
+        )
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     if n < 0:
         raise ValueError("negative node count")
-    edges = set()
+    adj = [0] * n
     for u, v in pairs:
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {u}-{v} out of range for {n} nodes")
-        edges.add((min(u, v), max(u, v)))
-    return Graph(n, frozenset(edges))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(tuple(adj))
 
 
 def complete_graph(n: int) -> Graph:
@@ -127,10 +167,9 @@ def cycle_graph(n: int) -> Graph:
 
 def join_graphs(a: Graph, b: Graph) -> Graph:
     """Disjoint union plus every edge between the two parts; b is shifted."""
-    edges = list(a.edges)
-    edges += [(u + a.n, v + a.n) for u, v in b.edges]
-    edges += [(u, v + a.n) for u in range(a.n) for v in range(b.n)]
-    return graph_from_edges(a.n + b.n, edges)
+    low = (1 << a.n) - 1
+    high = ((1 << b.n) - 1) << a.n
+    return Graph(tuple(m | high for m in a.adj) + tuple(m << a.n | low for m in b.adj))
 
 
 def star_graph(leaves: int) -> Graph:
@@ -143,11 +182,6 @@ def bipartite_graph(m: int, n: int) -> Graph:
     return join_graphs(empty_graph(m), empty_graph(n))
 
 
-def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Bit v of entry u is set when u-v is an edge; built once per graph."""
-    return g._adjacency
-
-
 def twin_classes(g: Graph) -> list[list[int]]:
     """Nodes grouped into twin classes, each class and the list in node order.
 
@@ -158,7 +192,7 @@ def twin_classes(g: Graph) -> list[list[int]]:
     groupings never overlap, and any permutation inside a class is an
     automorphism of g.
     """
-    adj = adjacency_masks(g)
+    adj = g.adj
     open_groups: dict[int, list[int]] = {}
     closed_groups: dict[int, list[int]] = {}
     for v in range(g.n):
@@ -207,7 +241,7 @@ def connected_subset_orbits(g: Graph) -> list[tuple[int, int]]:
     proper orbit that induces a connected subgraph; on a twin-free graph
     these are the connected subsets themselves, each of size 1.
     """
-    adj = adjacency_masks(g)
+    adj = g.adj
     classes = twin_classes(g)
     reps = [0]
     for cls in classes:
@@ -231,69 +265,47 @@ def connected_subset_orbits(g: Graph) -> list[tuple[int, int]]:
 def is_connected_graph(g: Graph) -> bool:
     if g.n == 0:
         return False
-    return connected_submask(adjacency_masks(g), (1 << g.n) - 1)
-
-
-def _mask_nodes(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return connected_submask(g.adj, (1 << g.n) - 1)
 
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph on the masked nodes, relabeled compactly in label order."""
-    nodes = _mask_nodes(mask)
-    index = {v: i for i, v in enumerate(nodes)}
-    # index is increasing, so the relabeled pairs stay sorted
-    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return Graph(len(nodes), frozenset(edges))
+    return Graph(_compress((g.adj[v] for v in _mask_nodes(mask)), mask))
 
 
 def contraction(g: Graph, removed: int) -> Graph:
     """Graph on the remaining nodes after reconnecting through ``removed``.
 
     Two surviving nodes become adjacent exactly when they are joined by a
-    path whose interior lies in the removed set (a direct edge counts).
+    path whose interior lies in the removed set (a direct edge counts), that
+    is, when both touch one connected piece of the removed set: each piece
+    turns its surviving neighbours into a clique.  Relabeled compactly in
+    label order.
     """
-    adj = adjacency_masks(g)
-    keep = [v for v in range(g.n) if not (removed >> v) & 1]
-    # reach[v] = removed nodes reachable from v walking only inside `removed`
-    reach = {v: _closure(adj, adj[v] & removed, removed) for v in keep}
-    edges = []
-    for a in range(len(keep)):
-        u = keep[a]
-        through_u = reach[u] | (1 << u)
-        for b in range(a + 1, len(keep)):
-            if adj[keep[b]] & through_u:
-                edges.append((a, b))
-    return Graph(len(keep), frozenset(edges))
+    adj = g.adj
+    keep = ((1 << g.n) - 1) & ~removed
+    out = list(adj)
+    left = removed
+    while left:
+        piece = _closure(adj, left & -left, removed)
+        left ^= piece
+        rim = 0
+        for w in _mask_nodes(piece):
+            rim |= adj[w]
+        for u in _mask_nodes(rim & keep):
+            out[u] |= rim
+    return Graph(_compress((out[u] & ~(1 << u) for u in _mask_nodes(keep)), keep))
 
 
 def graph_components(g: Graph) -> list[Graph]:
     """Induced subgraphs on the connected components, by smallest node."""
-    adj = adjacency_masks(g)
     full = left = (1 << g.n) - 1
     parts = []
     while left:
-        part = _closure(adj, left & -left, full)
+        part = _closure(g.adj, left & -left, full)
         parts.append(induced_subgraph(g, part))
         left &= ~part
     return parts
-
-
-GraphKey = tuple[int, tuple[tuple[int, int], ...]]
-
-
-def graph_key(g: Graph) -> GraphKey:
-    """Sortable, hashable key of g in its own labeling: nodes and sorted edges.
-
-    Two graphs share a key exactly when they are equal, so relabeled copies
-    of one isomorphism class get different keys.
-    """
-    return g.n, tuple(sorted(g.edges))
 
 
 def graph_spec(g: Graph) -> str:
@@ -431,8 +443,11 @@ def connected_graphs_upto_iso(max_nodes: int) -> list[Graph]:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for token in CONNECTED[n].split():
             mask = int(token, 36)
-            edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-            out.append(Graph(n, edges))
+            adj = [0] * n
+            for u, v in (p for i, p in enumerate(pairs) if mask >> i & 1):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            out.append(Graph(tuple(adj)))
     return out
 
 
@@ -486,7 +501,7 @@ def building_set_from_graph(g: Graph) -> BuildingSet:
     """Building set of all node subsets inducing a connected subgraph."""
     if g.n > MAX_GROUND:
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
-    adj = adjacency_masks(g)
+    adj = g.adj
     members = [
         mask for mask in range(1, 1 << g.n) if connected_submask(adj, mask)
     ]
@@ -515,23 +530,10 @@ def is_valid(b: BuildingSet) -> bool:
     return not validate(b)
 
 
-def _compress(mask: int, within: int) -> int:
-    """Re-index the bits of ``mask`` against the bits set in ``within``."""
-    out = 0
-    p = 0
-    while within:
-        low = within & -within
-        if mask & low:
-            out |= 1 << p
-        p += 1
-        within ^= low
-    return out
-
-
 def restriction(b: BuildingSet, s: int) -> BuildingSet:
     """Members contained in s, on ground s."""
     ground = b.labels_of(s)
-    members = frozenset(_compress(m, s) for m in b.sets if m and (m & ~s) == 0)
+    members = frozenset(_compress((m for m in b.sets if m and (m & ~s) == 0), s))
     return BuildingSet(ground, members)
 
 
@@ -539,9 +541,7 @@ def removal(b: BuildingSet, s: int) -> BuildingSet:
     """Every member with the elements of s erased, on the remaining ground."""
     keep = b.full_mask & ~s
     ground = b.labels_of(keep)
-    members = frozenset(
-        _compress(m & keep, keep) for m in b.sets if m & keep
-    )
+    members = frozenset(_compress((m for m in b.sets if m & keep), keep))
     return BuildingSet(ground, members)
 
 

@@ -411,6 +411,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GraphSpecError, NotInFamilyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # valid input whose computation failed an exactness check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

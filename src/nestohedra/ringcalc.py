@@ -6,9 +6,9 @@ S that induce a connected subgraph of the product of two smaller graph
 nestohedra: the one of the induced subgraph on S (the restriction of the
 building set to S) and the one of the contraction of g through S (the
 removal of S).  ``boundary`` records that sum as a ``PolyExpr``: a term is
-a sorted tuple of graph keys (the product of those graphs' nestohedra),
-point factors are dropped since a point is the multiplicative identity, and
-the empty product therefore denotes the point itself.
+a sorted tuple of graphs (the product of their nestohedra), point factors
+are dropped since a point is the multiplicative identity, and the empty
+product therefore denotes the point itself.
 
 Swapping twin nodes (same neighbours apart from each other) is an
 automorphism, so subsets that take equally many nodes from each twin class
@@ -16,13 +16,13 @@ give isomorphic facets.  ``boundary`` visits one representative subset per
 such orbit and weights its facet by the orbit size, so it does polynomial
 work on complete, star and complete bipartite graphs and on the many twins
 that contractions create, and the same 2^n subsets as a plain sweep on
-twin-free graphs.  The representative fixes the labelling of the keys, so
-a term's key is one labelled copy of its facet class.
+twin-free graphs.  The representative fixes the labelling of the factors,
+so a term's graph is one labelled copy of its facet class.
 
 Integrating the boundary's face polynomial in t and pinning the t-free
 coefficient to alpha^n recovers the face polynomial of the polytope, which
-is what ``fpoly`` computes, memoized on graph keys across the whole
-recursion.
+is what ``fpoly`` computes, memoized on the labelled graphs themselves
+across the whole recursion.
 
 The recursion takes graphs only: nestohedra of building sets that do not
 come from a graph are out of scope.
@@ -36,11 +36,9 @@ from .algebra import Poly2, exact_div, homogeneous_degree
 from .buildingset import (
     MAX_GROUND,
     Graph,
-    GraphKey,
     connected_subset_orbits,
     contraction,
     graph_components,
-    graph_key,
     graph_spec,
     induced_subgraph,
     is_connected_graph,
@@ -54,7 +52,7 @@ __all__ = [
     "fpoly",
 ]
 
-Product = tuple[GraphKey, ...]
+Product = tuple[Graph, ...]
 
 
 class PolyExpr:
@@ -96,20 +94,16 @@ def boundary(g: Graph) -> PolyExpr:
     taken up to permutations inside the twin classes
     (``connected_subset_orbits``): each orbit's representative S contributes
     its facet with the orbit size as multiplicity, so the total mass still
-    counts every facet.  The point (one node) has no facets and maps to
+    counts every facet.  A product holds the facet's factors as graphs,
+    point factors dropped.  The point (one node) has no facets and maps to
     zero.
     """
     if not is_connected_graph(g):
         raise ValueError("boundary needs a connected graph")
     counts: dict[Product, int] = {}
     for s, size in connected_subset_orbits(g):
-        product = tuple(
-            sorted(
-                graph_key(f)
-                for f in (induced_subgraph(g, s), contraction(g, s))
-                if f.n > 1
-            )
-        )
+        facet = (induced_subgraph(g, s), contraction(g, s))
+        product = tuple(f for f in facet if f.n > 1)
         counts[product] = counts.get(product, 0) + size
     return PolyExpr(counts)
 
@@ -136,16 +130,16 @@ def integrate_t(g: Poly2, n: int) -> Poly2:
 
 
 class FPolyCache:
-    """Memo table for the face-polynomial recursion, keyed on graph keys."""
+    """Memo table for the face-polynomial recursion, keyed on labelled graphs."""
 
     def __init__(self) -> None:
-        self._polys: dict[GraphKey, Poly2] = {}
+        self._polys: dict[Graph, Poly2] = {}
 
-    def lookup(self, key: GraphKey) -> Optional[Poly2]:
-        return self._polys.get(key)
+    def lookup(self, g: Graph) -> Optional[Poly2]:
+        return self._polys.get(g)
 
-    def store(self, key: GraphKey, value: Poly2) -> None:
-        self._polys[key] = value
+    def store(self, g: Graph, value: Poly2) -> None:
+        self._polys[g] = value
 
     def __len__(self) -> int:
         return len(self._polys)
@@ -171,20 +165,19 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
         return out
     if g.n == 1:
         return Poly2.one()
-    key = graph_key(g)
-    cached = cache.lookup(key)
+    cached = cache.lookup(g)
     if cached is not None:
         return cached
     total = Poly2.zero()
     for product, c in boundary(g).terms():
         term = Poly2.constant(c)
-        for n, edges in product:
-            term = term * fpoly(Graph(n, frozenset(edges)), cache)
+        for factor in product:
+            term = term * fpoly(factor, cache)
         total = total + term
     try:
         value = integrate_t(total, g.n - 1)
     except ArithmeticError as exc:
         raise ArithmeticError(f"integrating the boundary of {graph_spec(g)}: {exc}") from exc
-    cache.store(key, value)
+    cache.store(g, value)
     return value
 

@@ -11,26 +11,18 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
-    BuildingSet,
-    Graph,
-    GraphKey,
     bipartite_graph,
     building_set_from_graph,
     complete_graph,
     connected_graphs_upto_iso,
     empty_graph,
-    graph_from_edges,
-    graph_key,
     join_graphs,
     path_graph,
-    removal,
-    restriction,
     star_graph,
 )
 from nestohedra.cli import main
@@ -44,52 +36,10 @@ from nestohedra.invariants import (
 )
 from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, fpoly
 from nestohedra.series import FAMILIES, coeff_normalized, family_f, family_h, identity_suite
+from witnesses import facets_from_building_set, term_of, up_to_iso
 
 A = Poly2.alpha()
 T = Poly2.t()
-
-
-def _term(graphs: list[Graph], c: int) -> PolyExpr:
-    return PolyExpr({tuple(graph_key(g) for g in graphs if g.n > 1): c})
-
-
-def _graph_of(b: BuildingSet) -> Graph:
-    """The graph a graphical building set comes from: its 2-element members."""
-    edges = []
-    for m in b.sets:
-        if bin(m).count("1") == 2:
-            low = m & -m
-            edges.append((low.bit_length() - 1, (m ^ low).bit_length() - 1))
-    return graph_from_edges(len(b.ground), edges)
-
-
-def _facets_from_building_set(b: BuildingSet) -> PolyExpr:
-    """restriction(b, S) x removal(b, S) over the proper members S, as graphs."""
-    facets: dict = {}
-    for s in b.sets - {b.full_mask}:
-        factors = (_graph_of(restriction(b, s)), _graph_of(removal(b, s)))
-        product = tuple(graph_key(f) for f in factors if f.n > 1)
-        facets[product] = facets.get(product, 0) + 1
-    return PolyExpr(facets)
-
-
-@lru_cache(maxsize=None)
-def _canonical(key: GraphKey) -> GraphKey:
-    """Least sorted edge tuple over every relabelling: one key per class."""
-    n, edges = key
-    return n, min(
-        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
-        for p in permutations(range(n))
-    )
-
-
-def _up_to_iso(e: PolyExpr) -> dict:
-    """The terms of e with every factor replaced by its isomorphism class."""
-    out: dict = {}
-    for product, c in e.terms():
-        classes = tuple(sorted(_canonical(key) for key in product))
-        out[classes] = out.get(classes, 0) + c
-    return out
 
 
 def _ints(p: Poly2) -> list[int]:
@@ -191,7 +141,7 @@ def test_5_structural_properties_small_graphs() -> None:
         d = boundary(g)
         # boundary labels each facet by its twin orbit's representative, so
         # the facets are compared factor by isomorphism class
-        assert _up_to_iso(d) == _up_to_iso(_facets_from_building_set(b)), g
+        assert up_to_iso(d) == up_to_iso(facets_from_building_set(b)), g
         assert d.total_mass() == len(b.sets) - 1, g
         assert dehn_sommerville(g, cache), g
         assert euler_relation_holds(fvector(g, cache)), g
@@ -206,16 +156,16 @@ def test_6_closed_form_boundary_formulas() -> None:
         nodes = n + 1
         expected = PolyExpr({})
         for s in range(1, nodes):
-            expected = expected + _term(
+            expected = expected + term_of(
                 [complete_graph(s), complete_graph(nodes - s)], comb(nodes, s)
             )
         assert boundary(complete_graph(nodes)) == expected, nodes
 
     # Stars: drop a leaf, or split off a sub-star around the center.
     for n in range(1, 7):
-        expected = _term([star_graph(n - 1)], n)
+        expected = term_of([star_graph(n - 1)], n)
         for i in range(n):
-            expected = expected + _term(
+            expected = expected + term_of(
                 [star_graph(i), complete_graph(n - i)], comb(n, i)
             )
         assert boundary(star_graph(n)) == expected, n
@@ -223,15 +173,15 @@ def test_6_closed_form_boundary_formulas() -> None:
     # Complete bipartite graphs: the five-sum over part splits.
     pairs = [(s, t) for s in range(2, 6) for t in range(2, 6) if s + t <= 7]
     for s, t in pairs:
-        expected = _term([join_graphs(empty_graph(s - 1), complete_graph(t))], s)
-        expected = expected + _term(
+        expected = term_of([join_graphs(empty_graph(s - 1), complete_graph(t))], s)
+        expected = expected + term_of(
             [join_graphs(complete_graph(s), empty_graph(t - 1))], t
         )
         for a in range(1, s + 1):
             for b in range(1, t + 1):
                 if (a, b) == (s, t):
                     continue
-                expected = expected + _term(
+                expected = expected + term_of(
                     [bipartite_graph(a, b), complete_graph(s + t - a - b)],
                     comb(s, a) * comb(t, b),
                 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations
 
 import networkx as nx
@@ -13,7 +14,6 @@ from nestohedra.buildingset import (
     BuildingSet,
     Graph,
     GraphSpecError,
-    adjacency_masks,
     bipartite_graph,
     building_set_from_graph,
     canonical_key,
@@ -27,7 +27,6 @@ from nestohedra.buildingset import (
     dimension,
     empty_graph,
     graph_from_edges,
-    graph_key,
     graph_spec,
     induced_subgraph,
     is_connected_graph,
@@ -87,12 +86,20 @@ def test_cycle_graph() -> None:
 
 
 def test_adjacency_masks_are_built_once_per_graph() -> None:
+    # The masks are the graph's one field: built by the constructor, read
+    # by every operation, and the whole of its value, hash and order.
+    assert [f.name for f in dataclasses.fields(Graph)] == ["adj"]
     g = bipartite_graph(2, 2)
-    assert adjacency_masks(g) == (0b1100, 0b1100, 0b0011, 0b0011)
-    assert adjacency_masks(g) is adjacency_masks(g)
-    # the memo is not part of the graph's value
-    assert g == bipartite_graph(2, 2)
+    assert g.adj == (0b1100, 0b1100, 0b0011, 0b0011)
+    assert g.n == 4
+    assert g == Graph((0b1100, 0b1100, 0b0011, 0b0011)) == bipartite_graph(2, 2)
     assert hash(g) == hash(bipartite_graph(2, 2))
+    assert path_graph(3).adj == (0b010, 0b101, 0b010)
+    assert star_graph(3).adj == (0b1110, 0b0001, 0b0001, 0b0001)
+    assert empty_graph(2).adj == (0, 0)
+    assert empty_graph(0).adj == ()
+    # ordered by the mask tuples: (0b010, ...) before (0b110, ...)
+    assert sorted([star_graph(2), path_graph(3)]) == [path_graph(3), star_graph(2)]
 
 
 def test_join_shifts_the_second_graph() -> None:
@@ -285,8 +292,11 @@ def test_parse_graph_spec_rejects_deep_nesting() -> None:
 
 
 def test_graph_spec_is_a_parser_inverse() -> None:
-    for g in (complete_graph(4), star_graph(3), bipartite_graph(2, 3)):
-        assert parse_graph_spec(graph_spec(g)) == g
+    graphs = [complete_graph(4), star_graph(3), bipartite_graph(2, 3), empty_graph(0)]
+    graphs += connected_graphs_upto_iso(7)
+    for g in graphs:
+        assert parse_graph_spec(graph_spec(g)) == g, graph_spec(g)
+        assert graph_from_edges(g.n, g.edges) == g, graph_spec(g)
 
 
 def test_connected_graphs_upto_iso_counts() -> None:
@@ -373,10 +383,20 @@ def test_removal_of_a_singleton_from_the_four_cycle() -> None:
     )
 
 
+def _atlas_and_reversed(max_nodes: int) -> list[Graph]:
+    """The atlas classes, each followed by its copy with labels reversed."""
+    out = []
+    for g in connected_graphs_upto_iso(max_nodes):
+        out.append(g)
+        reversed_edges = ((g.n - 1 - u, g.n - 1 - v) for u, v in g.edges)
+        out.append(graph_from_edges(g.n, reversed_edges))
+    return out
+
+
 def test_removal_agrees_with_graph_contraction() -> None:
     # Building sets from graphs use ground labels 0..n-1, so member masks
     # double as node masks of the graph itself.
-    for g in connected_graphs_upto_iso(5):
+    for g in _atlas_and_reversed(6):
         b = building_set_from_graph(g)
         for mask in b.sets:
             if mask == b.full_mask:
@@ -387,7 +407,7 @@ def test_removal_agrees_with_graph_contraction() -> None:
 
 
 def test_restriction_agrees_with_induced_subgraph() -> None:
-    for g in connected_graphs_upto_iso(5):
+    for g in _atlas_and_reversed(6):
         b = building_set_from_graph(g)
         for mask in b.sets:
             restricted = restriction(b, mask)
@@ -422,5 +442,5 @@ def test_canonical_key_label_mode_distinguishes_relabelings() -> None:
     center_first = building_set_from_graph(star_graph(2))
     center_mid = building_set_from_graph(parse_graph_spec("edges:3:0-1,1-2"))
     assert canonical_key(center_first) != canonical_key(center_mid)
-    assert graph_key(star_graph(2)) != graph_key(parse_graph_spec("edges:3:0-1,1-2"))
-    assert graph_key(parse_graph_spec("edges:3:1-2,0-1")) == graph_key(path_graph(3))
+    assert star_graph(2) != parse_graph_spec("edges:3:0-1,1-2")
+    assert parse_graph_spec("edges:3:1-2,0-1") == path_graph(3)

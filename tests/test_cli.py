@@ -16,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestohedra
+from nestohedra import algebra, ringcalc
+from nestohedra.buildingset import Graph, path_graph
 from nestohedra.cli import main
+from nestohedra.ringcalc import PolyExpr
 from nestohedra.series import FAMILIES
 
 
@@ -90,6 +93,35 @@ def test_invariants_rejects_short_cycles(capsys) -> None:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_a_boundary_that_does_not_integrate_exits_one(capsys, monkeypatch) -> None:
+    # A path on three nodes as the whole boundary of a four-node graph:
+    # valid input, but the recursion's exactness check fails, so this is a
+    # failed check (1) with one error line, not a usage error (2).
+    plain = ringcalc.boundary
+
+    def broken(g: Graph) -> PolyExpr:
+        return PolyExpr({(path_graph(3),): 1}) if g.n == 4 else plain(g)
+
+    monkeypatch.setattr(ringcalc, "boundary", broken)
+    code, out, err = _run(capsys, ["invariants", "--graph", "complete:4"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: integrating the boundary of edges:4:0-1,0-2,0-3,1-2,1-3,2-3: "
+        "5 is not divisible by 3\n"
+    )
+
+
+def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:
+    # Doubling the gamma basis leaves a residual on any h-polynomial with
+    # a nonzero gamma_0, here the triangle's.
+    basis = algebra._gamma_basis
+    monkeypatch.setattr(algebra, "_gamma_basis", lambda i, n: basis(i, n) * 2)
+    code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: gamma extraction left a residual: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
 from math import comb
 
 import pytest
@@ -11,10 +9,7 @@ import pytest
 from nestohedra import ringcalc
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
-    BuildingSet,
     Graph,
-    GraphKey,
-    adjacency_masks,
     bipartite_graph,
     building_set_from_graph,
     complete_graph,
@@ -25,68 +20,31 @@ from nestohedra.buildingset import (
     dimension,
     empty_graph,
     graph_from_edges,
-    graph_key,
     graph_spec,
     induced_subgraph,
     join_graphs,
     parse_graph_spec,
     path_graph,
-    removal,
-    restriction,
     star_graph,
     twin_classes,
 )
 from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, fpoly, integrate_t
+from witnesses import facets_from_building_set, term_of, up_to_iso
 
 A = Poly2.alpha()
 T = Poly2.t()
 
 
-def _term(graphs: list[Graph], c: int = 1) -> PolyExpr:
-    """Product of the graphs' nestohedra; single nodes drop out."""
-    return PolyExpr({tuple(graph_key(g) for g in graphs if g.n > 1): c})
-
-
-def _graph_of(b: BuildingSet) -> Graph:
-    """The graph a graphical building set comes from: its 2-element members."""
-    edges = []
-    for m in b.sets:
-        if bin(m).count("1") == 2:
-            low = m & -m
-            edges.append((low.bit_length() - 1, (m ^ low).bit_length() - 1))
-    return graph_from_edges(len(b.ground), edges)
-
-
-@lru_cache(maxsize=None)
-def _canonical(key: GraphKey) -> GraphKey:
-    """Least sorted edge tuple over every relabelling: one key per class."""
-    n, edges = key
-    return n, min(
-        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
-        for p in permutations(range(n))
-    )
-
-
-def _up_to_iso(e: PolyExpr) -> dict:
-    """The terms of e with every factor replaced by its isomorphism class."""
-    out: dict = {}
-    for product, c in e.terms():
-        classes = tuple(sorted(_canonical(key) for key in product))
-        out[classes] = out.get(classes, 0) + c
-    return out
-
-
 def _plain_boundary(g: Graph) -> PolyExpr:
     """The facet decomposition over all 2^n node subsets, one by one."""
-    adj = adjacency_masks(g)
     full = (1 << g.n) - 1
-    if not connected_submask(adj, full):
+    if not connected_submask(g.adj, full):
         raise ValueError("boundary needs a connected graph")
     counts: dict = {}
     for s in range(1, full):
-        if connected_submask(adj, s):
+        if connected_submask(g.adj, s):
             factors = (induced_subgraph(g, s), contraction(g, s))
-            product = tuple(sorted(graph_key(f) for f in factors if f.n > 1))
+            product = tuple(sorted(f for f in factors if f.n > 1))
             counts[product] = counts.get(product, 0) + 1
     return PolyExpr(counts)
 
@@ -96,8 +54,8 @@ def _face_poly(e: PolyExpr, cache: FPolyCache) -> Poly2:
     out = Poly2.zero()
     for product, c in e.terms():
         term = Poly2.constant(c)
-        for n, edges in product:
-            term = term * fpoly(graph_from_edges(n, edges), cache)
+        for factor in product:
+            term = term * fpoly(factor, cache)
         out = out + term
     return out
 
@@ -107,11 +65,11 @@ def _face_poly(e: PolyExpr, cache: FPolyCache) -> Poly2:
 
 
 def test_boundary_of_an_edge_is_two_points() -> None:
-    assert boundary(complete_graph(2)) == _term([], 2)
+    assert boundary(complete_graph(2)) == term_of([], 2)
 
 
 def test_boundary_of_a_triangle_is_six_segments() -> None:
-    assert boundary(complete_graph(3)) == _term([complete_graph(2)], 6)
+    assert boundary(complete_graph(3)) == term_of([complete_graph(2)], 6)
 
 
 def test_boundary_mass_counts_facets() -> None:
@@ -126,9 +84,9 @@ def test_boundary_rejects_disconnected_building_sets() -> None:
 
 def test_boundary_drops_point_factors() -> None:
     # Every facet of the pentagon is a segment times a point.
-    assert boundary(path_graph(3)) == _term([complete_graph(2)], 5)
+    assert boundary(path_graph(3)) == term_of([complete_graph(2)], 5)
     for g in connected_graphs_upto_iso(5):
-        assert all(n > 1 for product, _ in boundary(g).terms() for n, _ in product)
+        assert all(f.n > 1 for product, _ in boundary(g).terms() for f in product)
 
 
 def test_boundary_graph_agrees_with_boundary_of_building_set() -> None:
@@ -137,12 +95,8 @@ def test_boundary_graph_agrees_with_boundary_of_building_set() -> None:
     # so the two multisets are compared factor by isomorphism class.
     for g in connected_graphs_upto_iso(5):
         b = building_set_from_graph(g)
-        facets: dict = {}
-        for s in b.sets - {b.full_mask}:
-            factors = (_graph_of(restriction(b, s)), _graph_of(removal(b, s)))
-            product = tuple(graph_key(f) for f in factors if f.n > 1)
-            facets[product] = facets.get(product, 0) + 1
-        assert _up_to_iso(boundary(g)) == _up_to_iso(PolyExpr(facets)), g
+        facets = facets_from_building_set(b)
+        assert up_to_iso(boundary(g)) == up_to_iso(facets), g
         assert boundary(g).total_mass() == len(b.sets) - 1, g
 
 
@@ -159,7 +113,7 @@ def test_boundary_equals_the_all_subsets_sweep_on_twin_free_graphs() -> None:
 def test_boundary_of_graphs_with_twins_matches_the_sweep_up_to_isomorphism() -> None:
     for spec in ("bipartite:3,4", "star:6", "complete:6", "join(complete:2,empty:3)"):
         g = parse_graph_spec(spec)
-        assert _up_to_iso(boundary(g)) == _up_to_iso(_plain_boundary(g)), spec
+        assert up_to_iso(boundary(g)) == up_to_iso(_plain_boundary(g)), spec
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +198,7 @@ def test_fpoly_names_the_graph_whose_boundary_does_not_integrate(monkeypatch) ->
 
     def broken(g: Graph) -> PolyExpr:
         if g.n == 4:
-            return _term([path_graph(3)])
+            return term_of([path_graph(3)])
         return plain(g)
 
     monkeypatch.setattr(ringcalc, "boundary", broken)
@@ -295,8 +249,8 @@ def test_fpoly_of_disconnected_graphs_satisfies_leibniz() -> None:
         union = graph_from_edges(
             g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)]
         )
-        times_h = PolyExpr({p + (graph_key(h),): c for p, c in boundary(g).terms()})
-        times_g = PolyExpr({p + (graph_key(g),): c for p, c in boundary(h).terms()})
+        times_h = PolyExpr({p + (h,): c for p, c in boundary(g).terms()})
+        times_g = PolyExpr({p + (g,): c for p, c in boundary(h).terms()})
         assert fpoly(union, cache).deriv_t() == _face_poly(times_h + times_g, cache)
 
 
@@ -318,7 +272,7 @@ def test_boundary_of_complete_graphs_binomial_formula(n: int) -> None:
     nodes = n + 1
     expected = PolyExpr({})
     for s in range(1, nodes):
-        expected = expected + _term(
+        expected = expected + term_of(
             [complete_graph(s), complete_graph(nodes - s)], comb(nodes, s)
         )
     assert boundary(complete_graph(nodes)) == expected
@@ -326,9 +280,9 @@ def test_boundary_of_complete_graphs_binomial_formula(n: int) -> None:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_boundary_of_star_graphs_formula(n: int) -> None:
-    expected = _term([star_graph(n - 1)], n)
+    expected = term_of([star_graph(n - 1)], n)
     for i in range(n):
-        expected = expected + _term(
+        expected = expected + term_of(
             [star_graph(i), complete_graph(n - i)], comb(n, i)
         )
     assert boundary(star_graph(n)) == expected
@@ -338,15 +292,15 @@ def test_boundary_of_star_graphs_formula(n: int) -> None:
     "s,t", [(s, t) for s in range(2, 6) for t in range(2, 6) if s + t <= 7]
 )
 def test_boundary_of_complete_bipartite_graphs_formula(s: int, t: int) -> None:
-    expected = _term([join_graphs(empty_graph(s - 1), complete_graph(t))], s)
-    expected = expected + _term(
+    expected = term_of([join_graphs(empty_graph(s - 1), complete_graph(t))], s)
+    expected = expected + term_of(
         [join_graphs(complete_graph(s), empty_graph(t - 1))], t
     )
     for a in range(1, s + 1):
         for b in range(1, t + 1):
             if (a, b) == (s, t):
                 continue
-            expected = expected + _term(
+            expected = expected + term_of(
                 [bipartite_graph(a, b), complete_graph(s + t - a - b)],
                 comb(s, a) * comb(t, b),
             )
@@ -358,7 +312,7 @@ def test_boundary_of_complete_bipartite_graphs_formula(s: int, t: int) -> None:
 
 
 def test_polyexpr_arithmetic() -> None:
-    edge, triangle = graph_key(complete_graph(2)), graph_key(complete_graph(3))
+    edge, triangle = complete_graph(2), complete_graph(3)
     # Factor order does not matter, equal products merge, zeros drop out.
     assert PolyExpr({(edge, triangle): 2, (triangle, edge): 3}) == PolyExpr(
         {(triangle, edge): 5}
