@@ -1,10 +1,13 @@
-"""Exact sparse polynomials in the face-counting variables alpha and t.
+"""Exact homogeneous polynomials in the face-counting variables alpha and t.
 
 The face polynomial of a simple n-dimensional polytope is homogeneous of
 degree n: the coefficient of alpha^i t^(n-i) counts the i-dimensional faces,
 so a segment is alpha + 2t and a hexagon is alpha^2 + 6 alpha t + 6 t^2.
-Polynomials are stored sparsely as a map from exponent pairs (i, j) to
-nonzero coefficients; the zero polynomial is the empty map.
+Every polynomial the library builds is homogeneous, so a ``Poly2`` is
+stored densely: a nonzero polynomial of degree n is the tuple of its n + 1
+coefficients, entry i being that of alpha^i t^(n-i), and the zero
+polynomial is the empty tuple.  Products are list convolutions, sums are
+elementwise, and mixing total degrees raises ``InhomogeneousError``.
 
 Two changes of basis matter downstream.  Substituting alpha -> alpha - t
 turns a face polynomial into the corresponding h-polynomial, which is
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -59,56 +63,77 @@ class InhomogeneousError(ValueError):
 
 
 class Poly2:
-    """Sparse bivariate polynomial in alpha and t with exact coefficients.
+    """Homogeneous polynomial in alpha and t with exact coefficients.
 
-    Instances are treated as immutable; every operation returns a new
-    polynomial with zero coefficients pruned.
+    ``coeffs`` holds the n + 1 coefficients of a degree-n polynomial, entry
+    i being that of alpha^i t^(n-i); the zero polynomial has no entries and
+    adds to a polynomial of any degree.  The constructor sums terms given
+    as a dict or an iterable of ((i, j), c) pairs.  Adding or subtracting
+    nonzero polynomials of different degrees, in the constructor too,
+    raises ``InhomogeneousError``.  Instances are treated as immutable.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(
         self,
-        terms: Mapping[Exponents, CoeffLike] | Iterable[tuple[Exponents, CoeffLike]] = (),
+        terms: dict[Exponents, CoeffLike] | Iterable[tuple[Exponents, CoeffLike]] = (),
     ):
-        acc: dict[Exponents, CoeffLike] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (i, j), c in items:
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent pair {(i, j)}")
-            acc[(i, j)] = acc.get((i, j), 0) + c
-        self._terms = {k: c for k, c in acc.items() if c}
+        p = Poly2.zero()
+        for (i, j), c in terms.items() if isinstance(terms, dict) else terms:
+            p = p + Poly2.monomial(i, j, c)
+        self._terms = p._terms
+
+    @classmethod
+    def from_coeffs(cls, coeffs: Iterable[CoeffLike]) -> "Poly2":
+        """The polynomial whose coefficient of alpha^i t^(n-i) is coeffs[i].
+
+        n is len(coeffs) - 1; all-zero coefficients give the zero polynomial.
+        """
+        coeffs = tuple(coeffs)
+        p = cls.__new__(cls)
+        p._terms = coeffs if any(coeffs) else ()
+        return p
 
     @classmethod
     def zero(cls) -> "Poly2":
-        return cls()
+        return cls.from_coeffs(())
 
     @classmethod
     def constant(cls, c: CoeffLike) -> "Poly2":
-        return cls({(0, 0): c})
+        return cls.from_coeffs((c,))
 
     @classmethod
     def one(cls) -> "Poly2":
-        return cls({(0, 0): 1})
+        return cls.from_coeffs((1,))
 
     @classmethod
     def alpha(cls) -> "Poly2":
-        return cls({(1, 0): 1})
+        return cls.from_coeffs((0, 1))
 
     @classmethod
     def t(cls) -> "Poly2":
-        return cls({(0, 1): 1})
+        return cls.from_coeffs((1, 0))
 
     @classmethod
     def monomial(cls, i: int, j: int, c: CoeffLike = 1) -> "Poly2":
-        return cls({(i, j): c})
+        if i < 0 or j < 0:
+            raise ValueError(f"negative exponent pair {(i, j)}")
+        return cls.from_coeffs((0,) * i + (c,) + (0,) * j)
+
+    @property
+    def coeffs(self) -> tuple[CoeffLike, ...]:
+        return self._terms
 
     def coeff(self, i: int, j: int) -> CoeffLike:
-        return self._terms.get((i, j), 0)
+        if i < 0 or j < 0 or i + j + 1 != len(self._terms):
+            return 0
+        return self._terms[i]
 
     def terms(self) -> list[tuple[Exponents, CoeffLike]]:
-        """Terms sorted by exponent pair, for deterministic iteration."""
-        return sorted(self._terms.items())
+        """Nonzero terms sorted by exponent pair, for deterministic iteration."""
+        n = len(self._terms) - 1
+        return [((i, n - i), c) for i, c in enumerate(self._terms) if c]
 
     def __iter__(self) -> Iterator[tuple[Exponents, CoeffLike]]:
         return iter(self.terms())
@@ -130,10 +155,15 @@ class Poly2:
 
     def __add__(self, other: "Poly2 | CoeffLike") -> "Poly2":
         other = _as_poly(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return Poly2(out)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        if len(self._terms) != len(other._terms):
+            raise InhomogeneousError(
+                (i, j, c) for p in (self, other) for (i, j), c in p.terms()
+            )
+        return Poly2.from_coeffs(map(add, self._terms, other._terms))
 
     def __radd__(self, other: CoeffLike) -> "Poly2":
         return self.__add__(other)
@@ -145,19 +175,25 @@ class Poly2:
         return _as_poly(other).__sub__(self)
 
     def __neg__(self) -> "Poly2":
-        return Poly2({k: -c for k, c in self._terms.items()})
+        return Poly2.from_coeffs(-c for c in self._terms)
 
     def __mul__(self, other: "Poly2 | CoeffLike") -> "Poly2":
         if isinstance(other, (int, Fraction)):
-            return Poly2({k: c * other for k, c in self._terms.items()})
+            return Poly2.from_coeffs([c * other for c in self._terms])
         if not isinstance(other, Poly2):
             return NotImplemented
-        out: dict[Exponents, CoeffLike] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return Poly2(out)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return Poly2.zero()
+        # the outer loop skips zeros, so run it over the sparser factor
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return Poly2.from_coeffs(out)
 
     def __rmul__(self, other: CoeffLike) -> "Poly2":
         return self.__mul__(other)
@@ -172,16 +208,17 @@ class Poly2:
 
     def deriv_t(self) -> "Poly2":
         """Formal d/dt."""
-        return Poly2({(i, j - 1): c * j for (i, j), c in self._terms.items() if j})
+        n = len(self._terms) - 1
+        return Poly2.from_coeffs(c * (n - i) for i, c in enumerate(self._terms[:-1]))
 
     def __repr__(self) -> str:
-        return f"Poly2({self._terms!r})"
+        return f"Poly2({dict(self.terms())!r})"
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for (i, j), c in sorted(self._terms.items(), key=lambda kv: (-kv[0][0], -kv[0][1])):
+        for (i, j), c in reversed(self.terms()):
             factors = []
             if c != 1 or (i, j) == (0, 0):
                 factors.append(format_rational(c))
@@ -233,34 +270,29 @@ def exact_div(c: CoeffLike, d: int) -> CoeffLike:
 
 
 def homogeneous_degree(p: Poly2) -> int:
-    """Total degree of a homogeneous polynomial.
-
-    Raises ``ValueError`` on the zero polynomial (its degree is undefined)
-    and ``InhomogeneousError``, carrying the offending terms, when the input
-    mixes total degrees.
-    """
+    """Total degree of a polynomial; ``ValueError`` on the zero polynomial."""
     if p.is_zero():
         raise ValueError("zero polynomial has no homogeneous degree")
-    degrees = {i + j for (i, j), _ in p.terms()}
-    if len(degrees) > 1:
-        raise InhomogeneousError((i, j, c) for (i, j), c in p.terms())
-    return degrees.pop()
+    return len(p.coeffs) - 1
 
 
 def is_symmetric(p: Poly2) -> bool:
     """True when p(alpha, t) == p(t, alpha).  The zero polynomial qualifies."""
-    return all(c == p.coeff(j, i) for (i, j), c in p.terms())
+    return p.coeffs == p.coeffs[::-1]
 
 
 def h_from_f(p: Poly2) -> Poly2:
-    """Substitute alpha -> alpha - t, the face-to-h change of variables."""
-    out: dict[Exponents, CoeffLike] = {}
-    for (i, j), c in p.terms():
-        for k in range(i + 1):
-            key = (k, i - k + j)
-            term = c * comb(i, k) * (-1) ** (i - k)
-            out[key] = out.get(key, 0) + term
-    return Poly2(out)
+    """Substitute alpha -> alpha - t, the face-to-h change of variables.
+
+    With t = 1 this is the Taylor shift f(alpha) -> f(alpha - 1), done in
+    place by repeated synthetic division.
+    """
+    h = list(p.coeffs)
+    n = len(h) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            h[k] -= h[k + 1]
+    return Poly2.from_coeffs(h)
 
 
 @dataclass(frozen=True)
@@ -289,9 +321,8 @@ class GammaVector:
 
 def _gamma_basis(i: int, n: int) -> Poly2:
     """(alpha t)^i (alpha + t)^(n - 2i), expanded."""
-    return Poly2(
-        {(i + k, n - i - k): comb(n - 2 * i, k) for k in range(n - 2 * i + 1)}
-    )
+    m = n - 2 * i
+    return Poly2.from_coeffs((0,) * i + tuple(comb(m, k) for k in range(m + 1)) + (0,) * i)
 
 
 def gamma_from_h(p: Poly2) -> GammaVector:

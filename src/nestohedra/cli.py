@@ -8,7 +8,8 @@ a polytope family or over all small connected graphs.  Output is JSON
 (sorted keys) or CSV; both are byte-deterministic for fixed inputs.
 
 Exit codes: 0 when every check passes, 1 when a verification or scan
-finds a failure, 2 on bad usage or input.
+finds a failure or the computation fails one of its own checks, 2 on bad
+usage or input.
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .algebra import format_rational, gamma_from_h
+from .algebra import Poly2, format_rational
 from .buildingset import (
+    Graph,
     GraphSpecError,
     connected_graphs_upto_iso,
     graph_spec,
     parse_graph_spec,
 )
 from .invariants import (
+    GalPolyResult,
     SeriesScanReport,
     fvector,
     gal_check_poly,
@@ -67,13 +70,26 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
 # invariants
 
 
+def _gal_check_recursion(g: Graph, h: Poly2, n: int) -> GalPolyResult:
+    """``gal_check_poly`` on the h-polynomial the recursion gave for g.
+
+    g came from valid input, so an h-polynomial the check refuses (not
+    symmetric, or not of degree n) is the recursion's failure: it is raised
+    as ArithmeticError naming the graph, which exits 1, not 2.
+    """
+    try:
+        return gal_check_poly(h, n)
+    except ValueError as exc:
+        raise ArithmeticError(f"h-polynomial of {graph_spec(g)}: {exc}") from exc
+
+
 def cmd_invariants(args: argparse.Namespace) -> int:
     graph = parse_graph_spec(args.graph)
     cache = FPolyCache()
     fvec = fvector(graph, cache)
     h = hpoly(graph, cache)
-    gv = gamma_from_h(h)
     dim = len(fvec) - 1
+    gv = _gal_check_recursion(graph, h, dim).gammas
     facets = fvec[-2] if dim >= 1 else 0
     if args.format == "json":
         _emit_json(
@@ -246,7 +262,7 @@ def _scan_graph_classes(args: argparse.Namespace) -> int:
     classes = [g for g in connected_graphs_upto_iso(args.nodes) if g.n == args.nodes]
     cache = FPolyCache()
     results = [
-        (graph_spec(g), g.n - 1, gal_check_poly(hpoly(g, cache), g.n - 1))
+        (graph_spec(g), g.n - 1, _gal_check_recursion(g, hpoly(g, cache), g.n - 1))
         for g in classes
     ]
     violations = [

@@ -124,9 +124,10 @@ def integrate_t(g: Poly2, n: int) -> Poly2:
     degree = homogeneous_degree(g)
     if degree != n - 1:
         raise ValueError(f"boundary polynomial has degree {degree}, expected {n - 1}")
-    out = {(i, j + 1): exact_div(c, j + 1) for (i, j), c in g.terms()}
-    out[(n, 0)] = 1
-    return Poly2(out)
+    # alpha^i t^(n-1-i) integrates to alpha^i t^(n-i) / (n-i)
+    return Poly2.from_coeffs(
+        [exact_div(c, n - i) for i, c in enumerate(g.coeffs)] + [1]
+    )
 
 
 class FPolyCache:
@@ -152,8 +153,10 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     recurse through the facet decomposition: integrate the boundary's face
     polynomial in t and pin the t-free part to alpha^(n-1).  Without a
     caller's cache the memo lives for this call only.  Graphs with more than
-    MAX_GROUND nodes raise ValueError.  A boundary that does not integrate
-    to integer face counts raises ArithmeticError naming the graph.
+    MAX_GROUND nodes raise ValueError.  A boundary whose terms mix degrees,
+    has the wrong degree or does not integrate to integer face counts is the
+    recursion's fault, not the input's, and raises ArithmeticError naming
+    the graph.
     """
     if g.n > MAX_GROUND:
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
@@ -168,15 +171,15 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     cached = cache.lookup(g)
     if cached is not None:
         return cached
-    total = Poly2.zero()
+    terms = []
     for product, c in boundary(g).terms():
         term = Poly2.constant(c)
         for factor in product:
             term = term * fpoly(factor, cache)
-        total = total + term
+        terms.append(term)
     try:
-        value = integrate_t(total, g.n - 1)
-    except ArithmeticError as exc:
+        value = integrate_t(sum(terms, Poly2.zero()), g.n - 1)
+    except (ArithmeticError, ValueError) as exc:
         raise ArithmeticError(f"integrating the boundary of {graph_spec(g)}: {exc}") from exc
     cache.store(g, value)
     return value

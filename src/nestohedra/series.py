@@ -242,7 +242,7 @@ def exp_series(s: Series2) -> Series2:
         power = Series2(
             s.order,
             {
-                slot: Poly2((e, exact_div(c, m)) for e, c in p.terms())
+                slot: Poly2.from_coeffs(exact_div(c, m) for c in p.coeffs)
                 for slot, p in (power * s).items()
             },
         )

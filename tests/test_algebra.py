@@ -19,9 +19,36 @@ from nestohedra.algebra import (
     is_symmetric,
     parse_rational,
 )
+from nestohedra.ringcalc import integrate_t
+from witnesses import (
+    sparse_add,
+    sparse_deriv_t,
+    sparse_gamma_from_h,
+    sparse_h_from_f,
+    sparse_h_from_gamma,
+    sparse_integrate_t,
+    sparse_mul,
+    sparse_neg,
+)
 
 A = Poly2.alpha()
 T = Poly2.t()
+
+# zero often, so that dense coefficient tuples carry zeros inside
+COEFFICIENTS = st.one_of(
+    st.just(0),
+    st.integers(min_value=-1000, max_value=1000),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+)
+
+
+@st.composite
+def homogeneous(draw, degree: int | None = None, coefficients=COEFFICIENTS):
+    """A homogeneous polynomial of degree 0..8, as a Poly2 and as sparse terms."""
+    d = draw(st.integers(min_value=0, max_value=8)) if degree is None else degree
+    coeffs = draw(st.lists(coefficients, min_size=d + 1, max_size=d + 1))
+    terms = {(i, d - i): c for i, c in enumerate(coeffs)}
+    return Poly2(terms), {e: c for e, c in terms.items() if c}
 
 
 def test_ring_arithmetic_basics() -> None:
@@ -41,16 +68,17 @@ def test_fraction_coefficients_stay_exact() -> None:
 
 
 def test_deriv_t() -> None:
-    p = A**2 * T**3 + 2 * T
-    assert p.deriv_t() == 3 * A**2 * T**2 + Poly2.constant(2)
+    p = A**2 * T**3 + 2 * A**4 * T
+    assert p.deriv_t() == 3 * A**2 * T**2 + 2 * A**4
+    assert (A**3).deriv_t().is_zero()
     assert Poly2.constant(5).deriv_t().is_zero()
 
 
 def test_records_round_trip() -> None:
-    p = A**2 - Poly2.monomial(1, 1, Fraction(7, 2)) + T
+    p = A**2 - Poly2.monomial(1, 1, Fraction(7, 2)) + T**2
     records = p.to_records()
     assert records == [
-        {"i": 0, "j": 1, "c": "1"},
+        {"i": 0, "j": 2, "c": "1"},
         {"i": 1, "j": 1, "c": "-7/2"},
         {"i": 2, "j": 0, "c": "1"},
     ]
@@ -66,6 +94,20 @@ def test_homogeneous_degree() -> None:
         homogeneous_degree(A + T**2)
 
 
+def test_mixed_total_degrees_are_refused() -> None:
+    with pytest.raises(InhomogeneousError):
+        Poly2({(2, 0): 1, (0, 1): 1})
+    with pytest.raises(InhomogeneousError):
+        A + T**2
+    with pytest.raises(InhomogeneousError):
+        A - T**2
+    for p in (Poly2.constant(3), A, A**2 + 6 * A * T, T**7):
+        assert Poly2.zero() + p == p
+        assert p + Poly2.zero() == p
+        assert Poly2.zero() - p == -p
+        assert (p - p).is_zero()
+
+
 def test_h_from_f_hexagon() -> None:
     # The hexagon has 6 vertices, 6 edges, and itself.
     f = 6 * T**2 + 6 * A * T + A**2
@@ -73,10 +115,11 @@ def test_h_from_f_hexagon() -> None:
 
 
 def test_h_from_f_is_a_ring_homomorphism() -> None:
-    p = A**2 + 3 * T
-    q = A * T - 2 * A
+    p = A**2 + 3 * T**2
+    q = A * T**2 - 2 * A**3
+    r = A * T - 2 * A**2
     assert h_from_f(p * q) == h_from_f(p) * h_from_f(q)
-    assert h_from_f(p + q) == h_from_f(p) + h_from_f(q)
+    assert h_from_f(p + r) == h_from_f(p) + h_from_f(r)
 
 
 def test_is_symmetric() -> None:
@@ -121,6 +164,67 @@ def test_gamma_round_trip(n: int, data) -> None:
     assume(any(entries))
     gv = GammaVector(n, tuple(entries))
     assert gamma_from_h(h_from_gamma(gv)) == gv
+
+
+@given(homogeneous(), homogeneous())
+def test_arithmetic_agrees_with_the_sparse_witness(pair_p, pair_q) -> None:
+    (p, sp), (q, sq) = pair_p, pair_q
+    assert dict(p.terms()) == sp
+    assert dict((p * q).terms()) == sparse_mul(sp, sq)
+    assert dict((-p).terms()) == sparse_neg(sp)
+    assert dict(p.deriv_t().terms()) == sparse_deriv_t(sp)
+    assert dict(h_from_f(p).terms()) == sparse_h_from_f(sp)
+    if p and q and homogeneous_degree(p) != homogeneous_degree(q):
+        with pytest.raises(InhomogeneousError):
+            p + q
+        with pytest.raises(InhomogeneousError):
+            p - q
+    else:
+        assert dict((p + q).terms()) == sparse_add(sp, sq)
+        assert dict((p - q).terms()) == sparse_add(sp, sparse_neg(sq))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    data=st.data(),
+)
+def test_integrate_t_agrees_with_the_sparse_witness(n: int, data) -> None:
+    # integer coefficients, most of them multiples of what they are divided by
+    g, sg = data.draw(
+        homogeneous(
+            n - 1,
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=-50, max_value=50).map(lambda c: c * 2520),
+                st.integers(min_value=-50, max_value=50),
+            ),
+        )
+    )
+    try:
+        expected = sparse_integrate_t(sg, n)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            integrate_t(g, n)
+    else:
+        if g:
+            assert dict(integrate_t(g, n).terms()) == expected
+        else:
+            with pytest.raises(ValueError):
+                integrate_t(g, n)
+
+
+@given(
+    n=st.integers(min_value=0, max_value=8),
+    data=st.data(),
+)
+def test_gamma_round_trip_agrees_with_the_sparse_witness(n: int, data) -> None:
+    gammas = data.draw(st.lists(COEFFICIENTS, min_size=n // 2 + 1, max_size=n // 2 + 1))
+    assume(any(gammas))
+    gv = GammaVector(n, tuple(gammas))
+    h = h_from_gamma(gv)
+    assert dict(h.terms()) == sparse_h_from_gamma(n, gammas)
+    assert gamma_from_h(h) == gv
+    assert list(gamma_from_h(h).gammas) == sparse_gamma_from_h(dict(h.terms()), n)
 
 
 def test_rational_formatting() -> None:

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestohedra
-from nestohedra import algebra, ringcalc
+from nestohedra import algebra, cli, ringcalc
+from nestohedra.algebra import Poly2
 from nestohedra.buildingset import Graph, path_graph
 from nestohedra.cli import main
 from nestohedra.ringcalc import PolyExpr
@@ -111,6 +112,50 @@ def test_a_boundary_that_does_not_integrate_exits_one(capsys, monkeypatch) -> No
         "error: integrating the boundary of edges:4:0-1,0-2,0-3,1-2,1-3,2-3: "
         "5 is not divisible by 3\n"
     )
+
+
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ({(path_graph(3),): 1, (path_graph(2),): 1}, "mixed total degrees [1, 2]: "),
+        ({(path_graph(2),): 5}, "boundary polynomial has degree 1, expected 2"),
+    ],
+    ids=["mixed-degrees", "one-degree-short"],
+)
+def test_a_boundary_of_the_wrong_degree_exits_one(
+    capsys, monkeypatch, facets: dict, message: str
+) -> None:
+    # The facets of a four-node graph are two-dimensional; a boundary term
+    # of another dimension is the recursion's fault, not the input's.
+    plain = ringcalc.boundary
+
+    def broken(g: Graph) -> PolyExpr:
+        return PolyExpr(facets) if g.n == 4 else plain(g)
+
+    monkeypatch.setattr(ringcalc, "boundary", broken)
+    code, out, err = _run(capsys, ["invariants", "--graph", "complete:4"])
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "error: integrating the boundary of edges:4:0-1,0-2,0-3,1-2,1-3,2-3: " + message
+    )
+    assert err.count("\n") == 1
+
+
+def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
+    # An h-polynomial that breaks Dehn-Sommerville came from a faulty
+    # recursion on a valid spec: a failed check (1), not bad input (2).
+    plain = cli.hpoly
+    monkeypatch.setattr(cli, "hpoly", lambda g, cache=None: plain(g, cache) + Poly2.alpha() ** 2)
+    code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: h-polynomial of edges:3:0-1,0-2,1-2: "
+        "not symmetric in alpha and t: 2*a^2 + 4*a*t + t^2\n"
+    )
+    code, out, err = _run(capsys, ["gal-scan", "--graph-class", "connected", "--nodes", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: h-polynomial of edges:3:")
+    assert err.count("\n") == 1
 
 
 def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:

@@ -1,15 +1,21 @@
-"""Brute-force witnesses shared by the facet-recursion tests.
+"""Brute-force witnesses shared by the tests.
 
 A facet product is a tuple of graphs.  These helpers build products from
 graphs and from building sets, and compare sums of them factor by
 isomorphism class, under a canonical form found by trying every
 relabelling (fine for the <= 7-node factors the tests use).
+
+The sparse polynomial arithmetic at the end is the reference for the dense
+``Poly2``: a polynomial is a dict from exponent pairs (i, j) to nonzero
+coefficients of alpha^i t^j, with no notion of degree.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import comb
 
 from nestohedra.buildingset import (
     BuildingSet,
@@ -62,3 +68,90 @@ def up_to_iso(e: PolyExpr) -> dict:
         classes = tuple(sorted(canonical(g) for g in product))
         out[classes] = out.get(classes, 0) + c
     return out
+
+
+# ---------------------------------------------------------------------------
+# sparse polynomial arithmetic
+
+Sparse = dict  # (i, j) -> nonzero coefficient of alpha^i t^j
+
+
+def _pruned(terms: dict) -> Sparse:
+    return {e: c for e, c in terms.items() if c}
+
+
+def sparse_add(p: Sparse, q: Sparse) -> Sparse:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return _pruned(out)
+
+
+def sparse_neg(p: Sparse) -> Sparse:
+    return {e: -c for e, c in p.items()}
+
+
+def sparse_mul(p: Sparse, q: Sparse) -> Sparse:
+    out: dict = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return _pruned(out)
+
+
+def sparse_deriv_t(p: Sparse) -> Sparse:
+    return _pruned({(i, j - 1): c * j for (i, j), c in p.items() if j})
+
+
+def sparse_h_from_f(p: Sparse) -> Sparse:
+    """alpha -> alpha - t, expanded term by term with binomial coefficients."""
+    out: dict = {}
+    for (i, j), c in p.items():
+        for k in range(i + 1):
+            e = (k, i - k + j)
+            out[e] = out.get(e, 0) + c * comb(i, k) * (-1) ** (i - k)
+    return _pruned(out)
+
+
+def sparse_integrate_t(g: Sparse, n: int) -> Sparse:
+    """The F with dF/dt = g and F|_{t=0} = alpha^n; ArithmeticError off the integers."""
+    out = {}
+    for (i, j), c in g.items():
+        q = Fraction(c) / (j + 1)
+        if q.denominator != 1:
+            raise ArithmeticError(f"{c} is not divisible by {j + 1}")
+        out[(i, j + 1)] = q
+    out[(n, 0)] = 1
+    return out
+
+
+def sparse_gamma_basis(i: int, n: int) -> Sparse:
+    """(alpha t)^i (alpha + t)^(n - 2i) as a product of sparse factors."""
+    out = {(0, 0): 1}
+    for _ in range(i):
+        out = sparse_mul(out, {(1, 1): 1})
+    for _ in range(n - 2 * i):
+        out = sparse_mul(out, {(1, 0): 1, (0, 1): 1})
+    return out
+
+
+def sparse_h_from_gamma(n: int, gammas) -> Sparse:
+    out: Sparse = {}
+    for i, g in enumerate(gammas):
+        out = sparse_add(out, {e: g * c for e, c in sparse_gamma_basis(i, n).items()})
+    return out
+
+
+def sparse_gamma_from_h(p: Sparse, n: int) -> list:
+    """Peel the basis off a symmetric degree-n polynomial, highest alpha first."""
+    residual = dict(p)
+    gammas = []
+    for i in range(n // 2 + 1):
+        g = residual.get((n - i, i), 0)
+        gammas.append(g)
+        basis = sparse_gamma_basis(i, n)
+        residual = sparse_add(residual, {e: -g * c for e, c in basis.items()})
+    if residual:
+        raise ArithmeticError(f"residual {residual}")
+    return gammas
