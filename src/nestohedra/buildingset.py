@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "MAX_GROUND",
@@ -43,6 +43,7 @@ __all__ = [
     "join_graphs",
     "graph_from_edges",
     "twin_classes",
+    "canonical_graph",
     "connected_subset_orbits",
     "is_connected_graph",
     "connected_submask",
@@ -260,6 +261,90 @@ def connected_subset_orbits(g: Graph) -> list[tuple[int, int]]:
                 size *= comb(k, (s & mask).bit_count())
             orbits.append((s, size))
     return orbits
+
+
+# Leaves canonical_graph may visit before it gives up and returns its input.
+_CANONICAL_LEAF_CAP = 2048
+
+
+def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
+    """Colour refinement of an ordered partition (cells as node masks).
+
+    Each round splits every cell by its nodes' counts of neighbours in each
+    cell and orders the pieces by those counts, until no cell splits.  The
+    result depends only on the structure, so a relabelled graph and
+    partition refine to the relabelled result.
+    """
+    n = len(adj)
+    while len(cells) < n:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            pieces: dict[tuple[int, ...], int] = {}
+            for v in _mask_nodes(cell):
+                a = adj[v]
+                signature = tuple([(a & c).bit_count() for c in cells])
+                pieces[signature] = pieces.get(signature, 0) | 1 << v
+            out.extend(pieces[s] for s in sorted(pieces))
+        if len(out) == len(cells):
+            break
+        cells = out
+    return cells
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """A relabelling of g that is the same for every labelling of g.
+
+    Colour refinement plus individualization (McKay and Piperno, *Practical
+    graph isomorphism II*): refine the ordered partition, then branch on
+    the first cell of several nodes that is not inside one twin class, with
+    one branch per twin class it meets, since swapping twins is an
+    automorphism.  A partition whose every cell lies inside a twin class is
+    a leaf: numbering its nodes in cell order (twins in either order) gives
+    one relabelling.  The result is the least of these over all leaves.  A
+    search that passes _CANONICAL_LEAF_CAP leaves returns g unchanged, which
+    is still a copy of g, just not a shared one.
+    """
+    n = g.n
+    if n < 2:
+        return g
+    adj = g.adj
+    twin_mask = [0] * n
+    for cls in twin_classes(g):
+        mask = sum(1 << v for v in cls)
+        for v in cls:
+            twin_mask[v] = mask
+    neighbours = [_mask_nodes(m) for m in adj]
+    best: Optional[tuple[int, ...]] = None
+    leaves = 0
+    stack = [_refine(adj, [(1 << n) - 1])]
+    while stack:
+        cells = stack.pop()
+        split = next(
+            (i for i, c in enumerate(cells) if c & ~twin_mask[(c & -c).bit_length() - 1]),
+            None,
+        )
+        if split is None:
+            leaves += 1
+            if leaves > _CANONICAL_LEAF_CAP:
+                return g
+            order = [v for c in cells for v in _mask_nodes(c)]
+            bit = [0] * n
+            for i, v in enumerate(order):
+                bit[v] = 1 << i
+            relabelled = tuple([sum([bit[w] for w in neighbours[v]]) for v in order])
+            if best is None or relabelled < best:
+                best = relabelled
+            continue
+        cell = left = cells[split]
+        while left:
+            v = (left & -left).bit_length() - 1
+            left &= ~twin_mask[v]
+            individualized = [1 << v, cell & ~(1 << v)]
+            stack.append(_refine(adj, cells[:split] + individualized + cells[split + 1 :]))
+    return Graph(best)
 
 
 def is_connected_graph(g: Graph) -> bool:

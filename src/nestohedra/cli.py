@@ -74,12 +74,13 @@ def _gal_check_recursion(g: Graph, h: Poly2, n: int) -> GalPolyResult:
     """``gal_check_poly`` on the h-polynomial the recursion gave for g.
 
     g came from valid input, so an h-polynomial the check refuses (not
-    symmetric, or not of degree n) is the recursion's failure: it is raised
-    as ArithmeticError naming the graph, which exits 1, not 2.
+    symmetric, or not of degree n) or whose gamma extraction leaves a
+    residual is the recursion's failure: it is raised as ArithmeticError
+    naming the graph, which exits 1, not 2.
     """
     try:
         return gal_check_poly(h, n)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ArithmeticError(f"h-polynomial of {graph_spec(g)}: {exc}") from exc
 
 

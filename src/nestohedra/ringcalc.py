@@ -21,8 +21,9 @@ so a term's graph is one labelled copy of its facet class.
 
 Integrating the boundary's face polynomial in t and pinning the t-free
 coefficient to alpha^n recovers the face polynomial of the polytope, which
-is what ``fpoly`` computes, memoized on the labelled graphs themselves
-across the whole recursion.
+is what ``fpoly`` computes, memoized across the whole recursion on each
+labelled graph and on its canonical relabelling (``canonical_graph``), so
+the boundary is computed once per isomorphism class.
 
 The recursion takes graphs only: nestohedra of building sets that do not
 come from a graph are out of scope.
@@ -36,6 +37,7 @@ from .algebra import Poly2, exact_div, homogeneous_degree
 from .buildingset import (
     MAX_GROUND,
     Graph,
+    canonical_graph,
     connected_subset_orbits,
     contraction,
     graph_components,
@@ -131,7 +133,13 @@ def integrate_t(g: Poly2, n: int) -> Poly2:
 
 
 class FPolyCache:
-    """Memo table for the face-polynomial recursion, keyed on labelled graphs."""
+    """Memo table for the face-polynomial recursion, keyed on graphs.
+
+    ``fpoly`` stores each value under every labelled graph it was asked
+    for and under their shared canonical relabelling.  The face polynomial
+    does not depend on the labelling, so any key isomorphic to the graph is
+    exact.
+    """
 
     def __init__(self) -> None:
         self._polys: dict[Graph, Poly2] = {}
@@ -151,12 +159,14 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
 
     Disconnected graphs give the product over components.  Connected ones
     recurse through the facet decomposition: integrate the boundary's face
-    polynomial in t and pin the t-free part to alpha^(n-1).  Without a
-    caller's cache the memo lives for this call only.  Graphs with more than
-    MAX_GROUND nodes raise ValueError.  A boundary whose terms mix degrees,
-    has the wrong degree or does not integrate to integer face counts is the
-    recursion's fault, not the input's, and raises ArithmeticError naming
-    the graph.
+    polynomial in t and pin the t-free part to alpha^(n-1).  A graph found
+    in the memo neither as labelled nor as its canonical relabelling has
+    its own boundary computed, so errors name the graph as the caller
+    labelled it.  Without a caller's cache the memo lives for this call
+    only.  Graphs with more than MAX_GROUND nodes raise ValueError.  A
+    boundary whose terms mix degrees, has the wrong degree or does not
+    integrate to integer face counts is the recursion's fault, not the
+    input's, and raises ArithmeticError naming the graph.
     """
     if g.n > MAX_GROUND:
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
@@ -171,6 +181,11 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     cached = cache.lookup(g)
     if cached is not None:
         return cached
+    key = canonical_graph(g)
+    cached = cache.lookup(key)
+    if cached is not None:
+        cache.store(g, cached)
+        return cached
     terms = []
     for product, c in boundary(g).terms():
         term = Poly2.constant(c)
@@ -182,5 +197,6 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     except (ArithmeticError, ValueError) as exc:
         raise ArithmeticError(f"integrating the boundary of {graph_spec(g)}: {exc}") from exc
     cache.store(g, value)
+    cache.store(key, value)
     return value
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+import time
 from itertools import combinations
 
 import networkx as nx
@@ -16,6 +18,7 @@ from nestohedra.buildingset import (
     GraphSpecError,
     bipartite_graph,
     building_set_from_graph,
+    canonical_graph,
     canonical_key,
     complete_graph,
     components,
@@ -40,6 +43,7 @@ from nestohedra.buildingset import (
     twin_classes,
     validate,
 )
+from witnesses import canonical
 
 
 def _connected_subsets_oracle(g: Graph) -> set[frozenset[int]]:
@@ -221,6 +225,93 @@ def test_subset_orbits_take_the_first_nodes_of_each_class() -> None:
     assert connected_subset_orbits(path_graph(4)) == [
         (s, 1) for s in range(1, 15) if s in (1, 2, 3, 4, 6, 7, 8, 12, 14)
     ]
+
+
+# ---------------------------------------------------------------------------
+# canonical relabelling
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+
+
+def _is_relabelling_of(c: Graph, g: Graph) -> bool:
+    degrees = sorted(m.bit_count() for m in g.adj)
+    return (
+        c.n == g.n
+        and sorted(m.bit_count() for m in c.adj) == degrees
+        and nx.is_isomorphic(nx.Graph(c.edges), nx.Graph(g.edges))
+    )
+
+
+def _rook_graph(k: int) -> Graph:
+    """K_k x K_k: cells of a k-by-k board, adjacent when in one row or column."""
+    cells = range(k * k)
+    return graph_from_edges(
+        k * k,
+        ((a, b) for a, b in combinations(cells, 2) if a // k == b // k or a % k == b % k),
+    )
+
+
+def _hypercube_graph(d: int) -> Graph:
+    return graph_from_edges(
+        1 << d, ((a, a | 1 << i) for a in range(1 << d) for i in range(d) if not a >> i & 1)
+    )
+
+
+def test_canonical_graph_agrees_with_the_brute_force_canonical_form() -> None:
+    # Every class on up to six nodes and seeded relabellings of each: two
+    # graphs share a canonical graph exactly when they share the least
+    # relabelling over all n! permutations.
+    rng = random.Random(9)
+    graphs = []
+    for g in connected_graphs_upto_iso(6):
+        graphs += [g] + [_relabelled(g, rng) for _ in range(3)]
+    pairs = {(canonical_graph(g), canonical(g)) for g in graphs}
+    assert len(pairs) == len({c for c, _ in pairs}) == len({w for _, w in pairs}) == 143
+
+
+def test_canonical_graph_is_a_relabelling_of_its_input() -> None:
+    for g in connected_graphs_upto_iso(7):
+        assert _is_relabelling_of(canonical_graph(g), g), graph_spec(g)
+
+
+def test_canonical_graph_of_small_and_trivial_graphs() -> None:
+    assert canonical_graph(Graph(())) == Graph(())
+    assert canonical_graph(complete_graph(1)) == complete_graph(1)
+    assert canonical_graph(empty_graph(4)) == empty_graph(4)
+    assert canonical_graph(star_graph(3)) == canonical_graph(
+        parse_graph_spec("edges:4:0-3,1-3,2-3")
+    )
+
+
+def test_canonical_graph_returns_its_input_past_the_leaf_cap(monkeypatch) -> None:
+    # The 6-cycle's search reaches 12 leaves, one per automorphism; the
+    # triangle's refinement is a leaf at once.
+    monkeypatch.setattr(buildingset, "_CANONICAL_LEAF_CAP", 11)
+    hexagon = cycle_graph(6)
+    assert canonical_graph(hexagon) is hexagon
+    assert canonical_graph(complete_graph(3)) == complete_graph(3)
+    monkeypatch.setattr(buildingset, "_CANONICAL_LEAF_CAP", 12)
+    assert canonical_graph(hexagon) is not hexagon
+
+
+@pytest.mark.parametrize(
+    "g",
+    [parse_graph_spec(spec) for spec in ("cycle:20", "complete:20", "bipartite:10,10")]
+    + [_rook_graph(4), _hypercube_graph(4)],
+    ids=["cycle:20", "complete:20", "bipartite:10,10", "rook:4", "hypercube:4"],
+)
+def test_canonical_graph_of_symmetric_extremes(g: Graph) -> None:
+    # Large cells and many automorphisms: the search must still reach the
+    # same relabelling from another labelling, well within the time limit.
+    start = time.perf_counter()
+    c = canonical_graph(g)
+    assert canonical_graph(_relabelled(g, random.Random(5))) == c
+    assert time.perf_counter() - start < 20
+    assert _is_relabelling_of(c, g)
 
 
 def test_parse_graph_spec() -> None:

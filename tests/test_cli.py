@@ -165,7 +165,14 @@ def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:
     monkeypatch.setattr(algebra, "_gamma_basis", lambda i, n: basis(i, n) * 2)
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
     assert (code, out) == (1, "")
-    assert err.startswith("error: gamma extraction left a residual: ")
+    assert err.startswith(
+        "error: h-polynomial of edges:3:0-1,0-2,1-2: gamma extraction left a residual: "
+    )
+    assert err.count("\n") == 1
+    code, out, err = _run(capsys, ["gal-scan", "--graph-class", "connected", "--nodes", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: h-polynomial of edges:3:")
+    assert "gamma extraction left a residual: " in err
     assert err.count("\n") == 1
 
 

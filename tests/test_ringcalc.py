@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
@@ -28,8 +29,9 @@ from nestohedra.buildingset import (
     star_graph,
     twin_classes,
 )
+from nestohedra.cli import main
 from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, fpoly, integrate_t
-from witnesses import facets_from_building_set, term_of, up_to_iso
+from witnesses import canonical, facets_from_building_set, term_of, up_to_iso
 
 A = Poly2.alpha()
 T = Poly2.t()
@@ -255,12 +257,50 @@ def test_fpoly_of_disconnected_graphs_satisfies_leibniz() -> None:
 
 
 def test_relabelled_graphs_give_identical_fpoly() -> None:
-    # The memo is keyed on labelled graphs, so a relabelled copy takes its
-    # own path through the recursion and must still give the same answer.
+    # Each flipped copy starts from an empty memo, so its recursion runs on
+    # its own labelling (canonical keys share only within one memo) and
+    # must still give the same answer.
     shared = FPolyCache()
     for g in connected_graphs_upto_iso(5):
         flipped = graph_from_edges(g.n, ((g.n - 1 - u, g.n - 1 - v) for u, v in g.edges))
         assert fpoly(flipped, FPolyCache()) == fpoly(g, shared)
+
+
+def _count_boundaries(monkeypatch) -> list[Graph]:
+    """Record every graph whose boundary the recursion computes."""
+    computed: list[Graph] = []
+    plain = ringcalc.boundary
+
+    def counted(g: Graph) -> PolyExpr:
+        computed.append(g)
+        return plain(g)
+
+    monkeypatch.setattr(ringcalc, "boundary", counted)
+    return computed
+
+
+def test_the_memo_computes_one_boundary_per_isomorphism_class(monkeypatch, capsys) -> None:
+    # The six-node scan reaches every connected class on 2..6 nodes,
+    # 1 + 2 + 6 + 21 + 112 of them, and computes each boundary once.
+    computed = _count_boundaries(monkeypatch)
+    assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
+    capsys.readouterr()
+    assert len(computed) == 142
+    assert len({canonical(g) for g in computed}) == 142
+
+
+def test_a_relabelled_copy_reuses_the_shared_memo(monkeypatch) -> None:
+    computed = _count_boundaries(monkeypatch)
+    shared = FPolyCache()
+    rng = random.Random(3)
+    for g in connected_graphs_upto_iso(6):
+        value = fpoly(g, shared)
+        before = len(computed)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        copy = graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+        assert fpoly(copy, shared) == value, graph_spec(g)
+        assert len(computed) == before, graph_spec(g)
 
 
 # ---------------------------------------------------------------------------
