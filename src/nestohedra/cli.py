@@ -18,9 +18,10 @@ import argparse
 import csv
 import json
 import sys
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
-from .algebra import Poly2, format_rational
+from .algebra import InhomogeneousError, Poly2, format_rational
 from .buildingset import (
     Graph,
     GraphSpecError,
@@ -64,6 +65,24 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# series builds
+
+
+@contextmanager
+def _series_build(what: str, order: int) -> Iterator[None]:
+    """Re-raise a mixed-degree slot of a series build as ArithmeticError.
+
+    The arguments were validated before the build, so a slot that mixes
+    degrees is the series arithmetic's failure, not the input's: one line
+    naming what was built and at which order, exit 1, not 2.
+    """
+    try:
+        yield
+    except InhomogeneousError as exc:
+        raise ArithmeticError(f"{what} at order {order}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +143,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def _verify_family(fam_id: str, max_order: int, cache: FPolyCache) -> dict[str, object]:
     spec = FAMILIES[fam_id]
-    series = family_f(fam_id, max_order)
+    with _series_build(f"series of {fam_id}", max_order):
+        series = family_f(fam_id, max_order)
     indices = spec.indices(max_order)
     mismatches = []
     for k, l in indices:
@@ -189,7 +209,8 @@ def cmd_identities(args: argparse.Namespace) -> int:
     order = args.order
     if not 2 <= order <= MAX_ORDER:
         raise ValueError(f"identity checks need a truncation order in 2..{MAX_ORDER}")
-    report = identity_suite(order, corrupt=args.corrupt)
+    with _series_build("identities", order):
+        report = identity_suite(order, corrupt=args.corrupt)
     if args.format == "json":
         _emit_json(report.to_json_obj())
     else:
@@ -212,9 +233,11 @@ def _scan_families(args: argparse.Namespace) -> int:
             f"bound {bound} exceeds the largest truncation order {MAX_ORDER}"
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
-    reports: list[SeriesScanReport] = [
-        gal_check_series(family_h(fam_id, bound), fam_id) for fam_id in fam_ids
-    ]
+    reports: list[SeriesScanReport] = []
+    for fam_id in fam_ids:
+        with _series_build(f"series of {fam_id}", bound):
+            series = family_h(fam_id, bound)
+        reports.append(gal_check_series(series, fam_id))
     failed = any(report.violations for report in reports)
     if args.format == "json":
         payload = []

@@ -165,19 +165,10 @@ class Series2:
             return Series2(
                 self.order, {s: p * other for s, p in self._coeffs.items()}
             )
-        self._require_same_order(other)
-        out: dict[Slot, Poly2] = {}
-        for (k1, l1), p1 in self._coeffs.items():
-            for (k2, l2), p2 in other._coeffs.items():
-                k, l = k1 + k2, l1 + l2
-                if k + l > self.order:
-                    continue
-                prod = p1 * p2
-                weight = comb(k, k1) * comb(l, l1)
-                if weight != 1:
-                    prod = prod * weight
-                out[(k, l)] = out[(k, l)] + prod if (k, l) in out else prod
-        return Series2(self.order, out)
+        return Series2(
+            self.order,
+            {s: Poly2.from_coeffs(c) for s, c in _slot_products(self, other).items()},
+        )
 
     def __rmul__(self, other: "Poly2 | int") -> "Series2":
         return self.__mul__(other)
@@ -193,6 +184,44 @@ class Series2:
 
     def __repr__(self) -> str:
         return f"Series2(order={self.order}, slots={len(self._coeffs)})"
+
+
+def _accumulate(acc: list | None, p: tuple, q: tuple, weight: int) -> list:
+    """acc + weight * p * q, for the dense coefficient tuples of two nonzero Poly2s.
+
+    acc is a slot's running coefficient list, or None for a slot nothing has
+    landed in yet; it is updated in place and returned.  A product of
+    another degree goes through Poly2 addition, which raises
+    InhomogeneousError unless the slot has cancelled to zero.
+    """
+    n = len(p) + len(q) - 1
+    if acc is None:
+        acc = [0] * n
+    elif len(acc) != n:
+        product = Poly2.from_coeffs(p) * Poly2.from_coeffs(q) * weight
+        return list((Poly2.from_coeffs(acc) + product).coeffs)
+    for i, x in enumerate(p):
+        if x:
+            x *= weight
+            for j, y in enumerate(q, i):
+                acc[j] += x * y
+    return acc
+
+
+def _slot_products(a: Series2, b: Series2) -> dict[Slot, list]:
+    """The binomial product a b as one coefficient list per slot."""
+    a._require_same_order(b)
+    order = a.order
+    right = [(k2, l2, p2.coeffs) for (k2, l2), p2 in b._coeffs.items()]
+    out: dict[Slot, list] = {}
+    for (k1, l1), p1 in a._coeffs.items():
+        p = p1.coeffs
+        for k2, l2, q in right:
+            k, l = k1 + k2, l1 + l2
+            if k + l <= order:
+                weight = comb(k, k1) * comb(l, l1)
+                out[(k, l)] = _accumulate(out.get((k, l)), p, q, weight)
+    return out
 
 
 def truncate(s: Series2, order: int) -> Series2:
@@ -242,8 +271,8 @@ def exp_series(s: Series2) -> Series2:
         power = Series2(
             s.order,
             {
-                slot: Poly2.from_coeffs(exact_div(c, m) for c in p.coeffs)
-                for slot, p in (power * s).items()
+                slot: Poly2.from_coeffs(exact_div(c, m) for c in coeffs)
+                for slot, coeffs in _slot_products(power, s).items()
             },
         )
         acc = acc + power
@@ -257,27 +286,24 @@ def inv_series(s: Series2) -> Series2:
     term, so each slot of b needs only slots of lower total degree, and one
     pass in order of total degree fills them all:
     b[k,l] = [k=l=0] + sum C(k,k1) C(l,l1) r[k1,l1] b[k-k1,l-l1].
+    Off the constant slot r is -s, so each slot of s enters with the
+    negated binomial weight.
     """
     if s.coeff(0, 0) != Poly2.one():
         raise ValueError("inverse needs constant coefficient 1")
-    r = [(slot, -p) for slot, p in s._coeffs.items() if slot != (0, 0)]
-    inv: dict[Slot, Poly2] = {(0, 0): Poly2.one()}
+    r = [(k1, l1, p.coeffs) for (k1, l1), p in s._coeffs.items() if (k1, l1) != (0, 0)]
+    inv: dict[Slot, tuple] = {(0, 0): (1,)}
     for degree in range(1, s.order + 1):
         for k in range(degree + 1):
             l = degree - k
-            acc = Poly2.zero()
-            for (k1, l1), p in r:
+            acc = None
+            for k1, l1, p in r:
                 rest = inv.get((k - k1, l - l1))
-                if rest is None:
-                    continue
-                prod = p * rest
-                weight = comb(k, k1) * comb(l, l1)
-                if weight != 1:
-                    prod = prod * weight
-                acc = acc + prod
-            if acc:
-                inv[(k, l)] = acc
-    return Series2(s.order, inv)
+                if rest is not None:
+                    acc = _accumulate(acc, p, rest, -comb(k, k1) * comb(l, l1))
+            if acc is not None and any(acc):
+                inv[(k, l)] = tuple(acc)
+    return Series2(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
 
 
 def eta_linear(u: int, v: int, order: int) -> Series2:
@@ -421,17 +447,22 @@ _T = Poly2.t()
 
 
 @lru_cache(maxsize=None)
+def _denominator(u: int, v: int, order: int) -> Series2:
+    """1 / (1 - t eta(u x + v y)), shared by every series built at this order."""
+    return inv_series(Series2.one(order) - eta_linear(u, v, order) * _T)
+
+
+@lru_cache(maxsize=None)
 def _family_f_cached(fam_id: str, order: int) -> Series2:
     eta_x = eta_linear(1, 0, order)
     if fam_id == "pe":
-        return eta_x * inv_series(Series2.one(order) - eta_x * _T)
+        return eta_x * _denominator(1, 0, order)
     if fam_id == "st":
         grow = exp_series(Series2.monomial(order, 1, 0, _A + _T))
-        return grow * inv_series(Series2.one(order) - eta_x * _T)
+        return grow * _denominator(1, 0, order)
     if fam_id == "starmarked":
         return _family_f_cached("st", order) * _y(order)
-    eta_xy = eta_linear(1, 1, order)
-    denom = inv_series(Series2.one(order) - eta_xy * _T)
+    denom = _denominator(1, 1, order)
     if fam_id == "nabla-because":
         grow_y = exp_series(Series2.monomial(order, 0, 1, _A + _T))
         return grow_y * eta_x * denom
@@ -470,8 +501,7 @@ def family_h(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
 @lru_cache(maxsize=None)
 def pe_f_xplusy(order: int = DEFAULT_ORDER) -> Series2:
     """The permutohedron series evaluated at x + y."""
-    eta_xy = eta_linear(1, 1, order)
-    return eta_xy * inv_series(Series2.one(order) - eta_xy * _T)
+    return eta_linear(1, 1, order) * _denominator(1, 1, order)
 
 
 @lru_cache(maxsize=None)
@@ -485,14 +515,9 @@ def phi_h(order: int = DEFAULT_ORDER) -> Series2:
     1 + (alpha + t) Pe_h(x).
     """
     eta_x = eta_linear(1, 0, order)
-    eta_xy = eta_linear(1, 1, order)
     shrink_y = exp_series(Series2.monomial(order, 0, 1, -_T))
     bare_x = exp_series(Series2.monomial(order, 1, 0, _A))
-    f_level = (
-        shrink_y
-        * (bare_x + eta_x * _T)
-        * inv_series(Series2.one(order) - eta_xy * _T)
-    )
+    f_level = shrink_y * (bare_x + eta_x * _T) * _denominator(1, 1, order)
     return subst_h_series(f_level)
 
 

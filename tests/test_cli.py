@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestohedra
-from nestohedra import algebra, cli, ringcalc
+from nestohedra import algebra, cli, ringcalc, series
 from nestohedra.algebra import Poly2
 from nestohedra.buildingset import Graph, path_graph
 from nestohedra.cli import main
@@ -173,6 +174,31 @@ def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:
     assert (code, out) == (1, "")
     assert err.startswith("error: h-polynomial of edges:3:")
     assert "gamma extraction left a residual: " in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identities", "--order", "4"], "error: identities at order 4: "),
+        (["verify", "--family", "st", "--max-order", "4"], "error: series of st at order 4: "),
+        (["verify", "--max-order", "3"], "error: series of pe at order 3: "),
+        (["gal-scan", "--family", "because-because", "--bound", "5"],
+         "error: series of because-because at order 5: "),
+    ],
+    ids=["identities", "verify-st", "verify-all", "gal-scan"],
+)
+def test_a_series_slot_of_the_wrong_length_exits_one(
+    capsys, monkeypatch, cold_series_caches, argv: list[str], message: str
+) -> None:
+    # A kernel that pads every slot by one coefficient leaves slots of two
+    # degrees meeting in one sum.  The arguments were valid, so that is the
+    # series arithmetic's failure (1), named in one line, not bad input (2).
+    plain = series._accumulate
+    monkeypatch.setattr(series, "_accumulate", lambda acc, p, q, w: plain(acc, p, q, w) + [0])
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message + "mixed total degrees ")
     assert err.count("\n") == 1
 
 
@@ -370,6 +396,36 @@ def test_complete_bipartite_recursion_matches_the_series_to_order_sixteen(capsys
         _run(capsys, ["gal-scan", "--family", "because-because", "--bound", "16"])[0]
         == 0
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["identities", "--order", "12"],
+            "c02a038eaaa67597a47a1088fe2351b6468a93b07c2c75af677efa001d9237b8",
+        ),
+        (
+            ["identities", "--order", "16"],
+            "b4120c77392688ede5d53f6ac6b8a604038886defaa480cd0e2cb78910e252a5",
+        ),
+        (
+            ["gal-scan", "--family", "all", "--bound", "16", "--format", "csv"],
+            "dad367b113ec949007357b35bceb4e06de3b9da57576eb95158617f031532523",
+        ),
+        (
+            ["verify", "--family", "all", "--max-order", "12"],
+            "04fb4edb0bd79734a9a9bceab4263a278d49e78c6645a3ee414d0b13569b0199",
+        ),
+    ],
+    ids=["identities-12", "identities-16", "gal-scan-all-16-csv", "verify-all-12"],
+)
+def test_output_digests_above_the_bench_reference(capsys, argv: list[str], digest: str) -> None:
+    # sha256 of stdout, recorded before the one-pass series kernel; the
+    # bench reference stops at order 10.
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_config_flag_is_refused(capsys, tmp_path: Path) -> None:

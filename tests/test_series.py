@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nestohedra.algebra import Poly2, homogeneous_degree
+from nestohedra import series
+from nestohedra.algebra import InhomogeneousError, Poly2, homogeneous_degree
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
@@ -28,6 +31,7 @@ from nestohedra.series import (
     swap_xy,
     truncate,
 )
+from witnesses import raw_from_series, raw_inv, raw_mul
 
 A = Poly2.alpha()
 T = Poly2.t()
@@ -61,6 +65,10 @@ def test_multiplication_truncates() -> None:
 def test_mixed_orders_raise() -> None:
     with pytest.raises(ValueError):
         Series2.one(3) + Series2.one(4)
+    with pytest.raises(ValueError, match="order mismatch: 3 vs 4"):
+        Series2.one(3) * Series2.one(4)
+    with pytest.raises(ValueError, match="order mismatch: 4 vs 3"):
+        eta_linear(1, 0, 4) * family_f("pe", 3)
     lowered = truncate(Series2.one(4), 3) + Series2.one(3)
     assert lowered.coeff(0, 0) == Poly2.constant(2)
     with pytest.raises(ValueError):
@@ -106,6 +114,101 @@ def test_inv_series_inverts_every_family_denominator(order: int) -> None:
     for u, v in ((1, 0), (1, 1)):
         denom = Series2.one(order) - eta_linear(u, v, order) * T
         assert denom * inv_series(denom) == Series2.one(order)
+
+
+@st.composite
+def graded_series(draw, order: int, grading: tuple[int, int], base: int) -> Series2:
+    """A random series whose slot (k, l) is homogeneous of degree base + a k + b l."""
+    a, b = grading
+    coeffs = {}
+    for k in range(order + 1):
+        for l in range(order + 1 - k):
+            if draw(st.booleans()):
+                n = base + a * k + b * l
+                coeffs[(k, l)] = Poly2.from_coeffs(
+                    draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
+                )
+    return Series2(order, coeffs)
+
+
+def _mirror_x(s: Series2) -> Series2:
+    """s(-x, y): odd powers of x change sign."""
+    return Series2(s.order, {(k, l): p * (-1) ** k for (k, l), p in s.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_product_and_inverse_agree_with_the_raw_series_witness(data) -> None:
+    # The binomial product of the stored k! l! coefficients against the
+    # plain product of [x^k y^l] over Fraction, and the same for the
+    # inverse.  s(x) s(-x) is even in x, so its odd slots cancel, and
+    # inverting an inverse cancels every slot the sparse unit lacks.
+    order = data.draw(st.integers(0, 4))
+    grading = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    left = data.draw(graded_series(order, grading, data.draw(st.integers(0, 2))))
+    right = data.draw(graded_series(order, grading, data.draw(st.integers(0, 2))))
+    for a, b in ((left, right), (left, _mirror_x(left))):
+        assert raw_from_series(a * b) == raw_mul(raw_from_series(a), raw_from_series(b), order)
+    tail = data.draw(graded_series(order, grading, 0))
+    unit = Series2(
+        order,
+        [(slot, p) for slot, p in tail.items() if slot != (0, 0)] + [((0, 0), Poly2.one())],
+    )
+    inverse = inv_series(unit)
+    assert raw_from_series(inverse) == raw_inv(raw_from_series(unit), order)
+    assert raw_from_series(inv_series(inverse)) == raw_inv(raw_from_series(inverse), order)
+    assert inv_series(inverse) == unit
+
+
+def test_a_product_slot_that_mixes_degrees_raises() -> None:
+    # (1 + alpha x)(1 + x): the slot x gets alpha and 1
+    a = Series2(2, {(0, 0): Poly2.one(), (1, 0): A})
+    b = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one()})
+    with pytest.raises(InhomogeneousError, match=r"^mixed total degrees \[0, 1\]"):
+        a * b
+    # 1 / (1 - x - alpha x^2/2): the slot x^2 gets 2 (from x times x) and alpha
+    with pytest.raises(InhomogeneousError, match=r"^mixed total degrees \[0, 1\]"):
+        inv_series(Series2(2, {(0, 0): Poly2.one(), (1, 0): -Poly2.one(), (2, 0): -A}))
+
+
+def test_a_slot_that_cancels_is_dropped() -> None:
+    # (1 + x)(1 - x) = 1 - x^2, stored as 1 - 2 x^2/2!
+    one_plus_x = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one()})
+    one_minus_x = Series2(2, {(0, 0): Poly2.one(), (1, 0): -Poly2.one()})
+    product = one_plus_x * one_minus_x
+    assert [slot for slot, _ in product.items()] == [(0, 0), (2, 0)]
+    assert product.coeff(1, 0) == Poly2.zero()
+    assert product.coeff(2, 0) == Poly2.constant(-2)
+    # 1 / (1 + x + x^2) = (1 - x) / (1 - x^3) = 1 - x + x^3 - ..., with no x^2
+    one = Poly2.one()
+    inv = inv_series(Series2(3, {(0, 0): one, (1, 0): one, (2, 0): Poly2.constant(2)}))
+    assert inv.items() == [((0, 0), one), ((1, 0), -one), ((3, 0), Poly2.constant(6))]
+    assert inv.coeff(2, 0).is_zero()
+    # a slot that has cancelled to zero takes a product of any degree, as
+    # the zero Poly2 does: at x^2, -2 and 2 cancel before alpha lands
+    a = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one(), (2, 0): A})
+    b = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one(), (2, 0): Poly2.constant(-2)})
+    assert a * b == Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.constant(2), (2, 0): A})
+
+
+def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_caches) -> None:
+    # 1/(1 - t eta(x)) and 1/(1 - t eta(x + y)) are each inverted once
+    inverses = []
+    plain = series.inv_series
+
+    def counted(s: Series2) -> Series2:
+        inverses.append(plain(s))
+        return inverses[-1]
+
+    monkeypatch.setattr(series, "inv_series", counted)
+    assert identity_suite(8).all_passed
+    assert len(inverses) == 2
+    order = 6
+    inverses.clear()
+    family_f("nabla-because", order)
+    family_f("because-because", order)
+    assert len(inverses) == 1
+    assert series._denominator(1, 1, order) is inverses[0]
 
 
 def test_subst_h_series_matches_coefficientwise_substitution() -> None:

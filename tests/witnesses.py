@@ -7,7 +7,10 @@ relabelling (fine for the <= 7-node factors the tests use).
 
 The sparse polynomial arithmetic at the end is the reference for the dense
 ``Poly2``: a polynomial is a dict from exponent pairs (i, j) to nonzero
-coefficients of alpha^i t^j, with no notion of degree.
+coefficients of alpha^i t^j, with no notion of degree.  On top of it, the
+raw series arithmetic is the reference for ``Series2``: it multiplies and
+inverts the plain coefficients [x^k y^l] as ordinary power series over
+``Fraction``, with no binomial weights and no notion of degree.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 from nestohedra.buildingset import (
     BuildingSet,
@@ -155,3 +158,45 @@ def sparse_gamma_from_h(p: Sparse, n: int) -> list:
     if residual:
         raise ArithmeticError(f"residual {residual}")
     return gammas
+
+
+# ---------------------------------------------------------------------------
+# raw series arithmetic
+
+Raw = dict  # (k, l) -> nonzero sparse polynomial, the plain [x^k y^l]
+
+
+def raw_from_series(s) -> Raw:
+    """The plain coefficients of a Series2: each stored slot over k! l!."""
+    return {
+        (k, l): {e: Fraction(c) / (factorial(k) * factorial(l)) for e, c in p.terms()}
+        for (k, l), p in s.items()
+    }
+
+
+def raw_mul(a: Raw, b: Raw, order: int) -> Raw:
+    """The ordinary product of two series in x and y, truncated at total degree order."""
+    out: dict = {}
+    for (k1, l1), p in a.items():
+        for (k2, l2), q in b.items():
+            if k1 + k2 + l1 + l2 <= order:
+                slot = (k1 + k2, l1 + l2)
+                out[slot] = sparse_add(out.get(slot, {}), sparse_mul(p, q))
+    return {slot: p for slot, p in out.items() if p}
+
+
+def raw_inv(a: Raw, order: int) -> Raw:
+    """1 / a for a constant coefficient 1: b[k,l] = -sum a[k1,l1] b[k-k1,l-l1]."""
+    assert a.get((0, 0)) == {(0, 0): 1}
+    out: Raw = {(0, 0): {(0, 0): Fraction(1)}}
+    for degree in range(1, order + 1):
+        for k in range(degree + 1):
+            l = degree - k
+            acc: Sparse = {}
+            for (k1, l1), p in a.items():
+                rest = out.get((k - k1, l - l1))
+                if (k1, l1) != (0, 0) and rest is not None:
+                    acc = sparse_add(acc, sparse_neg(sparse_mul(p, rest)))
+            if acc:
+                out[(k, l)] = acc
+    return out
