@@ -1,8 +1,8 @@
 """Exact face enumeration for nestohedra of graphs.
 
 The package computes face, h- and gamma-polynomials of nestohedra built
-from graphical building sets, both by the facet-decomposition recursion and
-from closed-form generating functions, and cross-checks the two routes
+from graphical building sets, both by the nested-set recursion and from
+closed-form generating functions, and cross-checks the two routes
 against each other.
 """
 
@@ -20,32 +20,22 @@ from .algebra import (
     parse_rational,
 )
 from .buildingset import (
-    BuildingSet,
     Graph,
     GraphSpecError,
     bipartite_graph,
-    building_set_from_graph,
-    canonical_key,
     complete_graph,
-    components,
     connected_graphs_upto_iso,
-    contraction,
     cycle_graph,
-    dimension,
     empty_graph,
     graph_components,
     graph_from_edges,
     graph_spec,
     induced_subgraph,
     is_connected_graph,
-    is_valid,
     join_graphs,
     parse_graph_spec,
     path_graph,
-    removal,
-    restriction,
     star_graph,
-    validate,
 )
 from .invariants import (
     GalPolyResult,
@@ -59,13 +49,7 @@ from .invariants import (
     gamma,
     hpoly,
 )
-from .ringcalc import (
-    FPolyCache,
-    PolyExpr,
-    boundary,
-    fpoly,
-    integrate_t,
-)
+from .ringcalc import FPolyCache, fpoly
 from .series import (
     DEFAULT_ORDER,
     FAMILIES,

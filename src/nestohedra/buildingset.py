@@ -1,34 +1,22 @@
-"""Graphs on {0..n-1} and the building sets their connected subgraphs form.
+"""Graphs on {0..n-1}: constructors, the graph-spec language and the atlas.
 
 A ``Graph`` is its tuple of adjacency masks (bit v of ``adj[u]`` marks the
-edge u-v), which every operation reads and the recursion uses as memo key.
+edge u-v), which every operation reads and the shared memo uses as key.
 ``graph_from_edges`` is the validating constructor for outside edge lists.
 
-A building set on a finite ground set contains every singleton and is closed
-under unions of intersecting members.  The ones used here are graphical:
-``building_set_from_graph`` collects the node subsets that induce a connected
-subgraph.  Subsets are bitmasks over positions into the (sorted) ground
-label tuple, which keeps restriction, removal and validation down to integer
-bit operations.
-
-The facet recursion (``ringcalc``) works on graphs alone, through two graph
-operations.  ``induced_subgraph(g, s)`` is the graph whose building set is
-``restriction(b, s)``, the members contained in s.  ``contraction(g, s)``
-reconnects the remaining nodes through s; its building set is
-``removal(b, s)``, every member with the elements of s erased (not the
-induced subgraph on the complement).  ``restriction`` and ``removal`` are
-the definitions on building sets that these two agree with, and the tests
-check that agreement.  ``connected_subset_orbits`` lists the subsets S the
-recursion visits: the connected ones, one per orbit under permutations of
-twin nodes (``twin_classes``), each with its orbit size.
+The connected induced subgraphs of a graph are its building set, and the
+nested-set recursion (``ringcalc``) reads them straight off node masks:
+``connected_submask`` tests a mask, ``induced_subgraph`` relabels one
+compactly, and ``twin_classes`` groups the nodes that every induced
+subgraph treats alike.  The building-set definitions themselves
+(restriction, removal, validation) are kept in the tests as the witness
+these graph operations are checked against.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "MAX_GROUND",
@@ -43,30 +31,20 @@ __all__ = [
     "join_graphs",
     "graph_from_edges",
     "twin_classes",
-    "canonical_graph",
-    "connected_subset_orbits",
     "is_connected_graph",
     "connected_submask",
     "induced_subgraph",
-    "contraction",
     "graph_components",
     "parse_graph_spec",
     "graph_spec",
     "connected_graphs_upto_iso",
-    "BuildingSet",
-    "building_set_from_graph",
-    "validate",
-    "is_valid",
-    "restriction",
-    "removal",
-    "components",
-    "dimension",
-    "canonical_key",
 ]
 
-# Grounds are bitmasks in a Python int, so the cap is soft; 20 keeps the
-# all-subsets enumerations (building_set_from_graph, and
-# connected_subset_orbits on twin-free graphs) at desk scale.
+# Grounds are bitmasks in a Python int, so the cap is soft.  It is not a
+# cost bound: the nested-set recursion visits every connected node set of
+# a twin-free graph, about 3.5 times more per node (a random 14-node one
+# takes about 6 s, so one near 20 nodes would take hours), while twin-rich
+# and sparse graphs at 20 nodes take well under a second.
 MAX_GROUND = 20
 # Deepest parenthesis nesting parse_graph_spec accepts; far above any spec
 # within MAX_GROUND nodes that does not join empty graphs.
@@ -230,123 +208,6 @@ def connected_submask(adj: Sequence[int], mask: int) -> bool:
     return _closure(adj, mask & -mask, mask) == mask
 
 
-def connected_subset_orbits(g: Graph) -> list[tuple[int, int]]:
-    """Proper connected node subsets up to permutations inside twin classes.
-
-    An orbit is fixed by how many nodes c_i it takes from each twin class
-    C_i (``twin_classes``), 0 <= c_i <= |C_i|, so the count vectors are
-    enumerated in place of the 2^n subsets.  Each orbit is represented by
-    the first c_i nodes of each class and comes with its size, the product
-    of C(|C_i|, c_i).  Twin swaps are automorphisms, so a whole orbit is
-    connected or not together.  Returns (mask, size) for every nonempty
-    proper orbit that induces a connected subgraph; on a twin-free graph
-    these are the connected subsets themselves, each of size 1.
-    """
-    adj = g.adj
-    classes = twin_classes(g)
-    reps = [0]
-    for cls in classes:
-        prefixes = [0]
-        for v in cls:
-            prefixes.append(prefixes[-1] | 1 << v)
-        reps = [m | p for p in prefixes for m in reps]
-    # singleton classes contribute a factor of 1 to every size
-    twins = [(len(cls), sum(1 << v for v in cls)) for cls in classes if len(cls) > 1]
-    orbits = []
-    # reps[0] is the empty set and reps[-1] the whole node set
-    for s in reps[1:-1]:
-        if _closure(adj, s & -s, s) == s:
-            size = 1
-            for k, mask in twins:
-                size *= comb(k, (s & mask).bit_count())
-            orbits.append((s, size))
-    return orbits
-
-
-# Leaves canonical_graph may visit before it gives up and returns its input.
-_CANONICAL_LEAF_CAP = 2048
-
-
-def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
-    """Colour refinement of an ordered partition (cells as node masks).
-
-    Each round splits every cell by its nodes' counts of neighbours in each
-    cell and orders the pieces by those counts, until no cell splits.  The
-    result depends only on the structure, so a relabelled graph and
-    partition refine to the relabelled result.
-    """
-    n = len(adj)
-    while len(cells) < n:
-        out = []
-        for cell in cells:
-            if not cell & (cell - 1):
-                out.append(cell)
-                continue
-            pieces: dict[tuple[int, ...], int] = {}
-            for v in _mask_nodes(cell):
-                a = adj[v]
-                signature = tuple([(a & c).bit_count() for c in cells])
-                pieces[signature] = pieces.get(signature, 0) | 1 << v
-            out.extend(pieces[s] for s in sorted(pieces))
-        if len(out) == len(cells):
-            break
-        cells = out
-    return cells
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """A relabelling of g that is the same for every labelling of g.
-
-    Colour refinement plus individualization (McKay and Piperno, *Practical
-    graph isomorphism II*): refine the ordered partition, then branch on
-    the first cell of several nodes that is not inside one twin class, with
-    one branch per twin class it meets, since swapping twins is an
-    automorphism.  A partition whose every cell lies inside a twin class is
-    a leaf: numbering its nodes in cell order (twins in either order) gives
-    one relabelling.  The result is the least of these over all leaves.  A
-    search that passes _CANONICAL_LEAF_CAP leaves returns g unchanged, which
-    is still a copy of g, just not a shared one.
-    """
-    n = g.n
-    if n < 2:
-        return g
-    adj = g.adj
-    twin_mask = [0] * n
-    for cls in twin_classes(g):
-        mask = sum(1 << v for v in cls)
-        for v in cls:
-            twin_mask[v] = mask
-    neighbours = [_mask_nodes(m) for m in adj]
-    best: Optional[tuple[int, ...]] = None
-    leaves = 0
-    stack = [_refine(adj, [(1 << n) - 1])]
-    while stack:
-        cells = stack.pop()
-        split = next(
-            (i for i, c in enumerate(cells) if c & ~twin_mask[(c & -c).bit_length() - 1]),
-            None,
-        )
-        if split is None:
-            leaves += 1
-            if leaves > _CANONICAL_LEAF_CAP:
-                return g
-            order = [v for c in cells for v in _mask_nodes(c)]
-            bit = [0] * n
-            for i, v in enumerate(order):
-                bit[v] = 1 << i
-            relabelled = tuple([sum([bit[w] for w in neighbours[v]]) for v in order])
-            if best is None or relabelled < best:
-                best = relabelled
-            continue
-        cell = left = cells[split]
-        while left:
-            v = (left & -left).bit_length() - 1
-            left &= ~twin_mask[v]
-            individualized = [1 << v, cell & ~(1 << v)]
-            stack.append(_refine(adj, cells[:split] + individualized + cells[split + 1 :]))
-    return Graph(best)
-
-
 def is_connected_graph(g: Graph) -> bool:
     if g.n == 0:
         return False
@@ -356,30 +217,6 @@ def is_connected_graph(g: Graph) -> bool:
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph on the masked nodes, relabeled compactly in label order."""
     return Graph(_compress((g.adj[v] for v in _mask_nodes(mask)), mask))
-
-
-def contraction(g: Graph, removed: int) -> Graph:
-    """Graph on the remaining nodes after reconnecting through ``removed``.
-
-    Two surviving nodes become adjacent exactly when they are joined by a
-    path whose interior lies in the removed set (a direct edge counts), that
-    is, when both touch one connected piece of the removed set: each piece
-    turns its surviving neighbours into a clique.  Relabeled compactly in
-    label order.
-    """
-    adj = g.adj
-    keep = ((1 << g.n) - 1) & ~removed
-    out = list(adj)
-    left = removed
-    while left:
-        piece = _closure(adj, left & -left, removed)
-        left ^= piece
-        rim = 0
-        for w in _mask_nodes(piece):
-            rim |= adj[w]
-        for u in _mask_nodes(rim & keep):
-            out[u] |= rim
-    return Graph(_compress((out[u] & ~(1 << u) for u in _mask_nodes(keep)), keep))
 
 
 def graph_components(g: Graph) -> list[Graph]:
@@ -534,133 +371,3 @@ def connected_graphs_upto_iso(max_nodes: int) -> list[Graph]:
                 adj[v] |= 1 << u
             out.append(Graph(tuple(adj)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# building sets
-
-
-@dataclass(frozen=True)
-class BuildingSet:
-    """Members of a building set as bitmasks over positions into ``ground``.
-
-    ``ground`` is a sorted tuple of integer labels; bit p of a member mask
-    refers to ``ground[p]``.  Validity (singletons present, unions of
-    intersecting members present) is checked by ``validate``, not enforced
-    on construction.
-    """
-
-    ground: tuple[int, ...]
-    sets: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if len(self.ground) > MAX_GROUND:
-            raise ValueError(f"ground larger than {MAX_GROUND} elements")
-        if list(self.ground) != sorted(set(self.ground)):
-            raise ValueError("ground labels must be strictly increasing")
-        limit = 1 << len(self.ground)
-        for m in self.sets:
-            if not 0 < m < limit:
-                raise ValueError(f"member mask {m} outside the ground")
-
-    def labels_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(self.ground[p] for p in _mask_nodes(mask))
-
-    def mask_of(self, labels: Iterable[int]) -> int:
-        position = {label: p for p, label in enumerate(self.ground)}
-        mask = 0
-        for label in labels:
-            mask |= 1 << position[label]
-        return mask
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.ground)) - 1
-
-    def is_connected(self) -> bool:
-        """A building set is connected when the whole ground is a member."""
-        return self.full_mask in self.sets
-
-
-def building_set_from_graph(g: Graph) -> BuildingSet:
-    """Building set of all node subsets inducing a connected subgraph."""
-    if g.n > MAX_GROUND:
-        raise ValueError(f"graph larger than {MAX_GROUND} nodes")
-    adj = g.adj
-    members = [
-        mask for mask in range(1, 1 << g.n) if connected_submask(adj, mask)
-    ]
-    return BuildingSet(tuple(range(g.n)), frozenset(members))
-
-
-def validate(b: BuildingSet) -> list[str]:
-    """All axiom violations, formatted with ground labels; empty means valid."""
-    problems = []
-    for p, label in enumerate(b.ground):
-        if (1 << p) not in b.sets:
-            problems.append(f"missing singleton {{{label}}}")
-    members = sorted(b.sets)
-    present = b.sets
-    for a_idx, m1 in enumerate(members):
-        for m2 in members[a_idx + 1 :]:
-            if m1 & m2 and (m1 | m2) not in present:
-                problems.append(
-                    f"sets {set(b.labels_of(m1))} and {set(b.labels_of(m2))} "
-                    "intersect but their union is missing"
-                )
-    return problems
-
-
-def is_valid(b: BuildingSet) -> bool:
-    return not validate(b)
-
-
-def restriction(b: BuildingSet, s: int) -> BuildingSet:
-    """Members contained in s, on ground s."""
-    ground = b.labels_of(s)
-    members = frozenset(_compress((m for m in b.sets if m and (m & ~s) == 0), s))
-    return BuildingSet(ground, members)
-
-
-def removal(b: BuildingSet, s: int) -> BuildingSet:
-    """Every member with the elements of s erased, on the remaining ground."""
-    keep = b.full_mask & ~s
-    ground = b.labels_of(keep)
-    members = frozenset(_compress((m for m in b.sets if m & keep), keep))
-    return BuildingSet(ground, members)
-
-
-def components(b: BuildingSet) -> list[BuildingSet]:
-    """Restrictions of b to its inclusion-maximal members.
-
-    For a valid building set the maximal members partition the ground, so
-    the result is the list of connected components, ordered by their
-    smallest label.
-    """
-    if not b.ground:
-        return []
-    if b.is_connected():
-        return [b]
-    maximal: list[int] = []
-    for m in sorted(b.sets, key=lambda m: -bin(m).count("1")):
-        if not any(m | kept == kept for kept in maximal):
-            maximal.append(m)
-    maximal.sort(key=lambda m: m & -m)
-    return [restriction(b, m) for m in maximal]
-
-
-def dimension(b: BuildingSet) -> int:
-    """Dimension of the nestohedron: ground size minus component count."""
-    return len(b.ground) - len(components(b))
-
-
-def canonical_key(b: BuildingSet) -> bytes:
-    """Byte key identifying b up to label-order-preserving relabeling.
-
-    Relabeling the ground to 0..k-1 in label order is exactly the position
-    encoding already used, so the key serializes the sorted member masks.
-    """
-    members = sorted(b.sets)
-    return struct.pack("<II", len(b.ground), len(members)) + struct.pack(
-        f"<{len(members)}I", *members
-    )

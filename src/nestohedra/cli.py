@@ -1,7 +1,7 @@
 """Command-line front end for nestohedron invariants and series checks.
 
 Four subcommands: ``invariants`` prints face data for one graph's
-nestohedron, ``verify`` compares the facet recursion against the
+nestohedron, ``verify`` compares the nested-set recursion against the
 closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
 a polytope family or over all small connected graphs.  Output is JSON
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser(
         "verify",
-        help="check that the facet recursion matches the closed-form series",
+        help="check that the nested-set recursion matches the closed-form series",
     )
     p_ver.add_argument("--family", choices=family_choices, default="all")
     p_ver.add_argument(

@@ -1,145 +1,59 @@
-"""The facet recursion: boundaries of graph nestohedra and their face polynomials.
+"""The nested-set recursion: face polynomials of graph nestohedra.
 
-For the building set of a connected graph g, the boundary of the
-nestohedron decomposes, facet by facet, as the sum over proper node subsets
-S that induce a connected subgraph of the product of two smaller graph
-nestohedra: the one of the induced subgraph on S (the restriction of the
-building set to S) and the one of the contraction of g through S (the
-removal of S).  ``boundary`` records that sum as a ``PolyExpr``: a term is
-a sorted tuple of graphs (the product of their nestohedra), point factors
-are dropped since a point is the multiplicative identity, and the empty
-product therefore denotes the point itself.
+A face of the nestohedron of a connected graph on W is a nested set of
+tubes (node sets inducing connected subgraphs) that holds W.  Dropping W
+leaves a node set U, a proper subset of W, whose components carry nested
+sets of their own (Postnikov, arXiv:math/0507163, section 7; Carr and
+Devadoss, arXiv:math/0407229).  So, with F_W the sum of alpha^dim over the
+faces, (1 + alpha) F_W is the sum over every U inside W of
+alpha^|W - U| times the F of each component of U.  Splitting on whether U
+holds the lowest node v of W, and on the component C of v in U, gives
 
-Swapping twin nodes (same neighbours apart from each other) is an
-automorphism, so subsets that take equally many nodes from each twin class
-give isomorphic facets.  ``boundary`` visits one representative subset per
-such orbit and weights its facet by the orbit size, so it does polynomial
-work on complete, star and complete bipartite graphs and on the many twins
-that contractions create, and the same 2^n subsets as a plain sweep on
-twin-free graphs.  The representative fixes the labelling of the factors,
-so a term's graph is one labelled copy of its facet class.
+    F_W = S(W - v) + sum over C of F_C alpha^(|N_W(C)| - 1) S(W - C - N_W(C))
 
-Integrating the boundary's face polynomial in t and pinning the t-free
-coefficient to alpha^n recovers the face polynomial of the polytope, which
-is what ``fpoly`` computes, memoized across the whole recursion on each
-labelled graph and on its canonical relabelling (``canonical_graph``), so
-the boundary is computed once per isomorphism class.
+over the connected C that hold v, other than W itself.  N_W(C) is the set
+of nodes of W outside C with a neighbour in C, and S(X) is the product of
+(1 + alpha) F_D over the components D of X, with S of nothing 1.  Every
+subproblem is an induced subgraph of the input, so the recursion runs on
+node masks of the one graph, and every term is a nonnegative integer.
 
-The recursion takes graphs only: nestohedra of building sets that do not
-come from a graph are out of scope.
+Twin nodes of a graph (``twin_classes``) stay twins in every induced
+subgraph, so F_W depends only on how many nodes W takes from each class.
+The memo is keyed on the twin-canonical mask, the first nodes of each
+class, and C is grown one class at a time through the class quotient,
+with counts chosen only inside classes of two or more nodes of W.  On a
+twin-free graph this is plain connected-set extension.
+
+``FPolyCache`` shares results between graphs: each subproblem missed by
+the per-call mask memo is looked up, and stored, under its labelled
+induced subgraph.  The recursion takes graphs only: nestohedra of building
+sets that do not come from a graph are out of scope.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from itertools import product
+from math import comb
+from typing import Iterator, Optional
 
-from .algebra import Poly2, exact_div, homogeneous_degree
+from .algebra import Poly2
 from .buildingset import (
     MAX_GROUND,
     Graph,
-    canonical_graph,
-    connected_subset_orbits,
-    contraction,
-    graph_components,
+    _closure,
+    _mask_nodes,
     graph_spec,
     induced_subgraph,
-    is_connected_graph,
+    twin_classes,
 )
 
-__all__ = [
-    "PolyExpr",
-    "boundary",
-    "integrate_t",
-    "FPolyCache",
-    "fpoly",
-]
+__all__ = ["FPolyCache", "fpoly"]
 
-Product = tuple[Graph, ...]
-
-
-class PolyExpr:
-    """Integer combination of products of connected graph nestohedra."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Product, int]):
-        acc: dict[Product, int] = {}
-        for product, c in terms.items():
-            product = tuple(sorted(product))
-            acc[product] = acc.get(product, 0) + c
-        self._terms = {p: c for p, c in acc.items() if c}
-
-    def terms(self) -> list[tuple[Product, int]]:
-        return sorted(self._terms.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyExpr):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "PolyExpr") -> "PolyExpr":
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, 0) + c
-        return PolyExpr(out)
-
-    def total_mass(self) -> int:
-        """Sum of all coefficients; counts facets when terms came from a boundary."""
-        return sum(self._terms.values())
-
-
-def boundary(g: Graph) -> PolyExpr:
-    """Facet decomposition of the nestohedron of a connected graph.
-
-    One facet per proper node subset S inducing a connected subgraph: the
-    induced subgraph on S times the contraction through S.  The subsets are
-    taken up to permutations inside the twin classes
-    (``connected_subset_orbits``): each orbit's representative S contributes
-    its facet with the orbit size as multiplicity, so the total mass still
-    counts every facet.  A product holds the facet's factors as graphs,
-    point factors dropped.  The point (one node) has no facets and maps to
-    zero.
-    """
-    if not is_connected_graph(g):
-        raise ValueError("boundary needs a connected graph")
-    counts: dict[Product, int] = {}
-    for s, size in connected_subset_orbits(g):
-        facet = (induced_subgraph(g, s), contraction(g, s))
-        product = tuple(f for f in facet if f.n > 1)
-        counts[product] = counts.get(product, 0) + size
-    return PolyExpr(counts)
-
-
-def integrate_t(g: Poly2, n: int) -> Poly2:
-    """Solve dF/dt = g for the degree-n face polynomial with F|_{t=0} = alpha^n.
-
-    g must be homogeneous of degree n-1, or zero when n = 0 (the point).
-    Face counts are integers, so a coefficient of g whose integral is not an
-    integer means the boundary was wrong and raises ``ArithmeticError``.
-    """
-    if n < 0:
-        raise ValueError("negative dimension")
-    if g.is_zero():
-        if n == 0:
-            return Poly2.one()
-        raise ValueError(f"zero boundary polynomial for dimension {n}")
-    degree = homogeneous_degree(g)
-    if degree != n - 1:
-        raise ValueError(f"boundary polynomial has degree {degree}, expected {n - 1}")
-    # alpha^i t^(n-1-i) integrates to alpha^i t^(n-i) / (n-i)
-    return Poly2.from_coeffs(
-        [exact_div(c, n - i) for i, c in enumerate(g.coeffs)] + [1]
-    )
+Coeffs = tuple[int, ...]  # entry i counts the faces of dimension i
 
 
 class FPolyCache:
-    """Memo table for the face-polynomial recursion, keyed on graphs.
-
-    ``fpoly`` stores each value under every labelled graph it was asked
-    for and under their shared canonical relabelling.  The face polynomial
-    does not depend on the labelling, so any key isomorphic to the graph is
-    exact.
-    """
+    """Face polynomials keyed on labelled graphs, shared across ``fpoly`` calls."""
 
     def __init__(self) -> None:
         self._polys: dict[Graph, Poly2] = {}
@@ -154,49 +68,176 @@ class FPolyCache:
         return len(self._polys)
 
 
+class _NestedSets:
+    """The recursion on the twin-canonical node masks of one graph.
+
+    A mask is twin-canonical when it holds the first nodes of each twin
+    class.  The masks built below all are, and so are their components: a
+    component holds every masked node of each class it meets, unless the
+    class is independent and its node is on its own, which is one node.
+    """
+
+    def __init__(self, g: Graph, cache: FPolyCache):
+        self.g, self.cache = g, cache
+        classes = twin_classes(g)
+        self.node_class = [0] * g.n
+        # prefix[i][c]: the first c nodes of class i
+        self.prefix: list[list[int]] = []
+        for i, nodes in enumerate(classes):
+            masks = [0]
+            for v in nodes:
+                masks.append(masks[-1] | 1 << v)
+                self.node_class[v] = i
+            self.prefix.append(masks)
+        self.clique = [len(c) > 1 and g.adj[c[0]] >> c[1] & 1 for c in classes]
+        # reach[i]: the nodes outside class i joined to it; quotient[i]: their classes
+        self.reach = [g.adj[c[0]] & ~p[-1] for c, p in zip(classes, self.prefix)]
+        self.quotient = [
+            sum(1 << i for i, p in enumerate(self.prefix) if r & p[1]) for r in self.reach
+        ]
+        self.memo: dict[int, Coeffs] = {}
+        self.products: dict[int, list[int]] = {}
+
+    def face_counts(self, mask: int) -> Coeffs:
+        """F of a connected twin-canonical mask: memo, shared cache, formula."""
+        f = self.memo.get(mask)
+        if f is not None:
+            return f
+        if not mask & (mask - 1):
+            return (1,)
+        sub = induced_subgraph(self.g, mask)
+        cached = self.cache.lookup(sub)
+        if cached is not None:
+            f = cached.coeffs
+        else:
+            f = self.expand(mask)
+            n = mask.bit_count()
+            if len(f) != n or f[-1] != 1:
+                raise ArithmeticError(
+                    f"face counts of {graph_spec(sub)} are {list(f)}, "
+                    f"not {n} entries ending in 1"
+                )
+            self.cache.store(sub, Poly2.from_coeffs(f))
+        self.memo[mask] = f
+        return f
+
+    def components(self, mask: int) -> Iterator[int]:
+        left = mask
+        while left:
+            part = _closure(self.g.adj, left & -left, mask)
+            left ^= part
+            yield part
+
+    def components_product(self, mask: int) -> list[int]:
+        """S(mask): (1 + alpha) F_D multiplied over the components D."""
+        out = self.products.get(mask)
+        if out is None:
+            out = [1]
+            for part in self.components(mask):
+                out = _convolve(_convolve(out, (1, 1)), self.face_counts(part))
+            self.products[mask] = out
+        return out
+
+    def expand(self, mask: int) -> Coeffs:
+        """The formula for F_W, W = mask, before any check."""
+        prefix = self.prefix
+        counts = [(mask & p[-1]).bit_count() for p in prefix]
+        first = self.node_class[(mask & -mask).bit_length() - 1]
+        w0 = counts[first]
+        # S(W - v): v is the first node of its class, so drop the class's last
+        out = list(self.components_product(mask ^ prefix[first][w0] ^ prefix[first][w0 - 1]))
+        support = sum(1 << i for i, w in enumerate(counts) if w)
+        multi = sum(1 << i for i, w in enumerate(counts) if w > 1)
+        # per remainder X: the sum of weight * F_C * alpha^(|N_W(C)| - 1)
+        sums: dict[int, list[int]] = {}
+        for classes, nodes, reach in self.supports(first, support):
+            # classes outside the support go whole to N_W(C) (rim, counted)
+            # or to X (rest); C takes the one node of each class holding one
+            outside = mask & ~nodes
+            rim, rest = (outside & reach).bit_count(), outside & ~reach
+            fixed = mask & nodes
+            # per class of several nodes, per count c: C's nodes, the ways to
+            # pick them with v among them, and what is left to N_W(C) and X
+            choices = []
+            for i in _mask_nodes(classes & multi):
+                w = counts[i]
+                fixed &= ~prefix[i][w]
+                # the class's nodes left out of C are joined to C, unless the
+                # class is independent and C lies inside it (then C is one node)
+                to_rim = self.clique[i] or classes != 1 << i
+                choices.append([
+                    (
+                        prefix[i][c],
+                        comb(w - 1, c - 1) if i == first else comb(w, c),
+                        w - c if to_rim else 0,
+                        0 if to_rim else prefix[i][w - c],
+                    )
+                    for c in range(1, w + 1 if to_rim else 2)
+                ])
+            for picks in product(*choices):
+                part, weight, size, left = fixed, 1, rim, rest
+                for bits, ways, rim_add, rest_add in picks:
+                    part |= bits
+                    weight *= ways
+                    size += rim_add
+                    left |= rest_add
+                if part != mask:
+                    acc = sums.get(left)
+                    if acc is None:
+                        acc = sums[left] = [0] * (len(out) - left.bit_count() - 1)
+                    for k, c in enumerate(self.face_counts(part), size - 1):
+                        acc[k] += weight * c
+        for left, acc in sums.items():
+            for k, c in enumerate(_convolve(acc, self.components_product(left))):
+                out[k] += c
+        return tuple(out)
+
+    def supports(self, first: int, allowed: int):
+        """The connected class sets inside ``allowed`` that hold ``first``, once each.
+
+        Yields each with its nodes and the nodes outside it joined to it.
+        Extension search: a set grows by one quotient neighbour at a time,
+        and the neighbours tried before it are banned from that branch.
+        """
+        quotient, reach = self.quotient, self.reach
+        stack = [(1 << first, quotient[first] & allowed, 0, self.prefix[first][-1], reach[first])]
+        while stack:
+            grown, frontier, banned, nodes, joined = stack.pop()
+            yield grown, nodes, joined
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                i = low.bit_length() - 1
+                new = quotient[i] & allowed & ~grown & ~banned & ~low
+                stack.append((
+                    grown | low, frontier | new, banned,
+                    nodes | self.prefix[i][-1], joined | reach[i],
+                ))
+                banned |= low
+
+
+def _convolve(p, q) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     """Face polynomial of the nestohedron of a graph's building set.
 
-    Disconnected graphs give the product over components.  Connected ones
-    recurse through the facet decomposition: integrate the boundary's face
-    polynomial in t and pin the t-free part to alpha^(n-1).  A graph found
-    in the memo neither as labelled nor as its canonical relabelling has
-    its own boundary computed, so errors name the graph as the caller
-    labelled it.  Without a caller's cache the memo lives for this call
+    The product over the components of the nested-set recursion's face
+    counts; without a caller's cache the shared memo lives for this call
     only.  Graphs with more than MAX_GROUND nodes raise ValueError.  A
-    boundary whose terms mix degrees, has the wrong degree or does not
-    integrate to integer face counts is the recursion's fault, not the
-    input's, and raises ArithmeticError naming the graph.
+    subproblem whose face counts do not have one entry per node, ending in
+    the single top face, is the recursion's fault, not the input's, and
+    raises ArithmeticError naming that induced subgraph.
     """
     if g.n > MAX_GROUND:
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
-    cache = cache if cache is not None else FPolyCache()
-    if not is_connected_graph(g):
-        out = Poly2.one()
-        for part in graph_components(g):
-            out = out * fpoly(part, cache)
-        return out
-    if g.n == 1:
-        return Poly2.one()
-    cached = cache.lookup(g)
-    if cached is not None:
-        return cached
-    key = canonical_graph(g)
-    cached = cache.lookup(key)
-    if cached is not None:
-        cache.store(g, cached)
-        return cached
-    terms = []
-    for product, c in boundary(g).terms():
-        term = Poly2.constant(c)
-        for factor in product:
-            term = term * fpoly(factor, cache)
-        terms.append(term)
-    try:
-        value = integrate_t(sum(terms, Poly2.zero()), g.n - 1)
-    except (ArithmeticError, ValueError) as exc:
-        raise ArithmeticError(f"integrating the boundary of {graph_spec(g)}: {exc}") from exc
-    cache.store(g, value)
-    cache.store(key, value)
-    return value
-
+    nested = _NestedSets(g, cache if cache is not None else FPolyCache())
+    f = [1]
+    for part in nested.components((1 << g.n) - 1):
+        f = _convolve(f, nested.face_counts(part))
+    return Poly2.from_coeffs(f)

@@ -21,7 +21,7 @@ by expanding eta(z) = (e^{alpha z} - 1)/alpha termwise:
 
 ``identity_suite`` checks the eight exact differential identities these
 series satisfy, in both the face and h normalizations; they are the
-series-level image of the facet recursion and double as a deep consistency
+series-level image of the facet decomposition and double as a deep consistency
 check between the closed forms and the polytope recursion.
 """
 

@@ -17,7 +17,6 @@ from math import comb
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     bipartite_graph,
-    building_set_from_graph,
     complete_graph,
     connected_graphs_upto_iso,
     empty_graph,
@@ -34,9 +33,16 @@ from nestohedra.invariants import (
     gal_check_series,
     gamma,
 )
-from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, fpoly
+from nestohedra.ringcalc import FPolyCache, fpoly
 from nestohedra.series import FAMILIES, coeff_normalized, family_f, family_h, identity_suite
-from witnesses import facets_from_building_set, term_of, up_to_iso
+from witnesses import (
+    PolyExpr,
+    boundary,
+    building_set_from_graph,
+    facets_from_building_set,
+    term_of,
+    up_to_iso,
+)
 
 A = Poly2.alpha()
 T = Poly2.t()

@@ -19,8 +19,8 @@ from nestohedra.algebra import (
     is_symmetric,
     parse_rational,
 )
-from nestohedra.ringcalc import integrate_t
 from witnesses import (
+    integrate_t,
     sparse_add,
     sparse_deriv_t,
     sparse_gamma_from_h,

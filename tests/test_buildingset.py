@@ -1,4 +1,4 @@
-"""Graphs, the graph-spec mini-language, and building set operations."""
+"""Graphs, the graph-spec mini-language, and the witness graph and building set operations."""
 
 from __future__ import annotations
 
@@ -13,37 +13,40 @@ import pytest
 import nestohedra.buildingset as buildingset
 from nestohedra.buildingset import (
     MAX_GROUND,
-    BuildingSet,
     Graph,
     GraphSpecError,
     bipartite_graph,
-    building_set_from_graph,
-    canonical_graph,
-    canonical_key,
     complete_graph,
-    components,
     connected_graphs_upto_iso,
-    connected_subset_orbits,
-    contraction,
     cycle_graph,
     graph_components,
-    dimension,
     empty_graph,
     graph_from_edges,
     graph_spec,
     induced_subgraph,
     is_connected_graph,
-    is_valid,
     join_graphs,
     parse_graph_spec,
     path_graph,
-    removal,
-    restriction,
     star_graph,
     twin_classes,
+)
+import witnesses
+from witnesses import (
+    BuildingSet,
+    building_set_from_graph,
+    canonical,
+    canonical_graph,
+    canonical_key,
+    components,
+    connected_subset_orbits,
+    contraction,
+    dimension,
+    is_valid,
+    removal,
+    restriction,
     validate,
 )
-from witnesses import canonical
 
 
 def _connected_subsets_oracle(g: Graph) -> set[frozenset[int]]:
@@ -290,11 +293,11 @@ def test_canonical_graph_of_small_and_trivial_graphs() -> None:
 def test_canonical_graph_returns_its_input_past_the_leaf_cap(monkeypatch) -> None:
     # The 6-cycle's search reaches 12 leaves, one per automorphism; the
     # triangle's refinement is a leaf at once.
-    monkeypatch.setattr(buildingset, "_CANONICAL_LEAF_CAP", 11)
+    monkeypatch.setattr(witnesses, "_CANONICAL_LEAF_CAP", 11)
     hexagon = cycle_graph(6)
     assert canonical_graph(hexagon) is hexagon
     assert canonical_graph(complete_graph(3)) == complete_graph(3)
-    monkeypatch.setattr(buildingset, "_CANONICAL_LEAF_CAP", 12)
+    monkeypatch.setattr(witnesses, "_CANONICAL_LEAF_CAP", 12)
     assert canonical_graph(hexagon) is not hexagon
 
 

@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 import nestohedra
 from nestohedra import algebra, cli, ringcalc, series
 from nestohedra.algebra import Poly2
-from nestohedra.buildingset import Graph, path_graph
 from nestohedra.cli import main
-from nestohedra.ringcalc import PolyExpr
 from nestohedra.series import FAMILIES
 
 
@@ -97,49 +95,33 @@ def test_invariants_rejects_short_cycles(capsys) -> None:
         assert err.startswith("error:")
 
 
-def test_a_boundary_that_does_not_integrate_exits_one(capsys, monkeypatch) -> None:
-    # A path on three nodes as the whole boundary of a four-node graph:
-    # valid input, but the recursion's exactness check fails, so this is a
-    # failed check (1) with one error line, not a usage error (2).
-    plain = ringcalc.boundary
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda f: f[:-1] + (2,), "[24, 36, 14, 2], not 4 entries ending in 1"),
+        (lambda f: f + (0,), "[24, 36, 14, 1, 0], not 4 entries ending in 1"),
+        (lambda f: f[1:], "[36, 14, 1], not 4 entries ending in 1"),
+    ],
+    ids=["top-face-not-one", "one-entry-long", "one-entry-short"],
+)
+def test_face_counts_that_fail_the_check_exit_one(
+    capsys, monkeypatch, corrupt, message: str
+) -> None:
+    # Valid input, but the face counts the recursion computes for a
+    # four-node subproblem fail its own check: a failed check (1) with one
+    # error line naming the graph, not a usage error (2).
+    plain = ringcalc._NestedSets.expand
 
-    def broken(g: Graph) -> PolyExpr:
-        return PolyExpr({(path_graph(3),): 1}) if g.n == 4 else plain(g)
+    def broken(self, mask: int) -> tuple[int, ...]:
+        f = plain(self, mask)
+        return corrupt(f) if mask.bit_count() == 4 else f
 
-    monkeypatch.setattr(ringcalc, "boundary", broken)
+    monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:4"])
     assert (code, out) == (1, "")
     assert err == (
-        "error: integrating the boundary of edges:4:0-1,0-2,0-3,1-2,1-3,2-3: "
-        "5 is not divisible by 3\n"
+        "error: face counts of edges:4:0-1,0-2,0-3,1-2,1-3,2-3 are " + message + "\n"
     )
-
-
-@pytest.mark.parametrize(
-    "facets, message",
-    [
-        ({(path_graph(3),): 1, (path_graph(2),): 1}, "mixed total degrees [1, 2]: "),
-        ({(path_graph(2),): 5}, "boundary polynomial has degree 1, expected 2"),
-    ],
-    ids=["mixed-degrees", "one-degree-short"],
-)
-def test_a_boundary_of_the_wrong_degree_exits_one(
-    capsys, monkeypatch, facets: dict, message: str
-) -> None:
-    # The facets of a four-node graph are two-dimensional; a boundary term
-    # of another dimension is the recursion's fault, not the input's.
-    plain = ringcalc.boundary
-
-    def broken(g: Graph) -> PolyExpr:
-        return PolyExpr(facets) if g.n == 4 else plain(g)
-
-    monkeypatch.setattr(ringcalc, "boundary", broken)
-    code, out, err = _run(capsys, ["invariants", "--graph", "complete:4"])
-    assert (code, out) == (1, "")
-    assert err.startswith(
-        "error: integrating the boundary of edges:4:0-1,0-2,0-3,1-2,1-3,2-3: " + message
-    )
-    assert err.count("\n") == 1
 
 
 def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:

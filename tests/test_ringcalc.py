@@ -6,23 +6,21 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestohedra import ringcalc
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     Graph,
     bipartite_graph,
-    building_set_from_graph,
     complete_graph,
     connected_graphs_upto_iso,
-    connected_submask,
-    contraction,
     cycle_graph,
-    dimension,
     empty_graph,
     graph_from_edges,
     graph_spec,
-    induced_subgraph,
+    is_connected_graph,
     join_graphs,
     parse_graph_spec,
     path_graph,
@@ -30,25 +28,22 @@ from nestohedra.buildingset import (
     twin_classes,
 )
 from nestohedra.cli import main
-from nestohedra.ringcalc import FPolyCache, PolyExpr, boundary, fpoly, integrate_t
-from witnesses import canonical, facets_from_building_set, term_of, up_to_iso
+from nestohedra.ringcalc import FPolyCache, fpoly
+from witnesses import (
+    PolyExpr,
+    boundary,
+    building_set_from_graph,
+    dimension,
+    facet_fpoly,
+    facets_from_building_set,
+    integrate_t,
+    plain_boundary,
+    term_of,
+    up_to_iso,
+)
 
 A = Poly2.alpha()
 T = Poly2.t()
-
-
-def _plain_boundary(g: Graph) -> PolyExpr:
-    """The facet decomposition over all 2^n node subsets, one by one."""
-    full = (1 << g.n) - 1
-    if not connected_submask(g.adj, full):
-        raise ValueError("boundary needs a connected graph")
-    counts: dict = {}
-    for s in range(1, full):
-        if connected_submask(g.adj, s):
-            factors = (induced_subgraph(g, s), contraction(g, s))
-            product = tuple(sorted(f for f in factors if f.n > 1))
-            counts[product] = counts.get(product, 0) + 1
-    return PolyExpr(counts)
 
 
 def _face_poly(e: PolyExpr, cache: FPolyCache) -> Poly2:
@@ -109,13 +104,13 @@ def test_boundary_equals_the_all_subsets_sweep_on_twin_free_graphs() -> None:
     twin_free += [parse_graph_spec("edges:6:0-1,1-2,2-3,3-4,4-5,1-4")]
     for g in twin_free:
         assert len(twin_classes(g)) == g.n, graph_spec(g)
-        assert boundary(g) == _plain_boundary(g), graph_spec(g)
+        assert boundary(g) == plain_boundary(g), graph_spec(g)
 
 
 def test_boundary_of_graphs_with_twins_matches_the_sweep_up_to_isomorphism() -> None:
     for spec in ("bipartite:3,4", "star:6", "complete:6", "join(complete:2,empty:3)"):
         g = parse_graph_spec(spec)
-        assert up_to_iso(boundary(g)) == up_to_iso(_plain_boundary(g)), spec
+        assert up_to_iso(boundary(g)) == up_to_iso(plain_boundary(g)), spec
 
 
 # ---------------------------------------------------------------------------
@@ -180,34 +175,116 @@ def test_fpoly_graph_convenience() -> None:
     assert fpoly(complete_graph(3), FPolyCache()) == triangle
 
 
-def test_fpoly_over_the_atlas_equals_the_all_subsets_recursion(monkeypatch) -> None:
-    # Every connected class on up to seven nodes, once through the orbit
-    # boundary and once through the plain sweep, each with its own memo.
+def test_fpoly_over_the_atlas_equals_the_all_subsets_recursion() -> None:
+    # Every connected class on up to seven nodes, once through the
+    # nested-set recursion and once through the facet recursion over all
+    # 2^n node subsets, each with its own memo.
     graphs = connected_graphs_upto_iso(7)
     assert len(graphs) == 996
+    cache, memo = FPolyCache(), {}
+    for g in graphs:
+        assert fpoly(g, cache) == facet_fpoly(g, memo, plain_boundary), graph_spec(g)
+
+
+def _random_twin_free(n: int, rng: random.Random) -> Graph:
+    """A connected twin-free graph on n nodes, edges drawn with probability 1/2."""
+    while True:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        g = graph_from_edges(n, pairs)
+        if is_connected_graph(g) and len(twin_classes(g)) == n:
+            return g
+
+
+# the benchmark's named shapes
+NAMED_SHAPES = (
+    "path:12",
+    "bipartite:4,4",
+    "complete:9",
+    "join(complete:4,empty:5)",
+    "star:9",
+    "join(star:3,empty:5)",
+    "join(star:4,empty:4)",
+)
+
+
+def test_fpoly_equals_the_facet_recursion_witness() -> None:
+    # Two different formulas for the same numbers: the nested-set recursion
+    # and the facet recursion with its twin orbits and canonical memo.  The
+    # atlas classes are compared in the all-subsets test above.
+    memo: dict = {}
     cache = FPolyCache()
-    orbit = [fpoly(g, cache) for g in graphs]
-    monkeypatch.setattr(ringcalc, "boundary", _plain_boundary)
-    cache = FPolyCache()
-    for g, value in zip(graphs, orbit):
-        assert fpoly(g, cache) == value, graph_spec(g)
+    graphs = [parse_graph_spec(spec) for spec in NAMED_SHAPES]
+    rng = random.Random(5)
+    graphs += [_random_twin_free(n, rng) for n in range(5, 11)]
+    for g in graphs:
+        assert fpoly(g, cache) == facet_fpoly(g, memo), graph_spec(g)
 
 
-def test_fpoly_names_the_graph_whose_boundary_does_not_integrate(monkeypatch) -> None:
-    # A path on three nodes as the whole boundary of a four-node graph:
-    # its 5 alpha t and 5 t^2 do not integrate to integer face counts.
-    plain = ringcalc.boundary
+@st.composite
+def blow_ups(draw) -> Graph:
+    """A small quotient graph with every node blown up into a twin class.
 
+    Each class has a random size and is a clique or an independent set;
+    classes joined in the quotient are joined completely.
+    """
+    q = draw(st.integers(min_value=1, max_value=5))
+    sizes: list[int] = []
+    for i in range(q):
+        # at most 10 nodes in all, at least one left for each later class
+        sizes.append(draw(st.integers(1, min(4, 10 - sum(sizes) - (q - 1 - i)))))
+    cliques = draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    joined = {
+        (a, b)
+        for a in range(q)
+        for b in range(a + 1, q)
+        if draw(st.booleans())
+    }
+    start = [sum(sizes[:i]) for i in range(q)]
+    members = [range(start[i], start[i] + sizes[i]) for i in range(q)]
+    pairs = []
+    for i in range(q):
+        if cliques[i]:
+            pairs += [(u, v) for u in members[i] for v in members[i] if u < v]
+    for a, b in joined:
+        pairs += [(u, v) for u in members[a] for v in members[b]]
+    return graph_from_edges(sum(sizes), pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blow_ups())
+def test_fpoly_equals_the_facet_recursion_on_twin_blow_ups(g: Graph) -> None:
+    assert fpoly(g) == facet_fpoly(g), graph_spec(g)
+
+
+def test_fpoly_names_the_graph_whose_boundary_does_not_integrate() -> None:
+    # The witness recursion checks its own integrals: a path on three nodes
+    # as the whole boundary of a four-node graph has 5 alpha t and 5 t^2,
+    # which do not integrate to integer face counts.
     def broken(g: Graph) -> PolyExpr:
         if g.n == 4:
             return term_of([path_graph(3)])
-        return plain(g)
+        return boundary(g)
 
-    monkeypatch.setattr(ringcalc, "boundary", broken)
     g = complete_graph(4)
     with pytest.raises(ArithmeticError, match=r"edges:4:0-1,0-2,0-3,1-2,1-3,2-3"):
-        fpoly(g)
+        facet_fpoly(g, facets=broken)
     assert graph_spec(g) == "edges:4:0-1,0-2,0-3,1-2,1-3,2-3"
+
+
+def test_fpoly_names_the_subgraph_whose_face_counts_fail_the_check(monkeypatch) -> None:
+    # Every subproblem is checked for one count per node ending in the top
+    # face; a failure names the induced subgraph, labelled compactly.
+    plain = ringcalc._NestedSets.expand
+
+    def broken(self, mask: int) -> tuple[int, ...]:
+        f = plain(self, mask)
+        return f[:-1] if mask.bit_count() == 3 else f
+
+    monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
+    with pytest.raises(ArithmeticError, match=r"^face counts of edges:3:0-1,1-2 are \[5, 5\]"):
+        fpoly(path_graph(5))
+    with pytest.raises(ArithmeticError, match=r"edges:3:0-1,0-2,1-2 are \[6, 6\]"):
+        fpoly(complete_graph(6))
 
 
 def test_fpoly_rejects_graphs_above_the_ground_cap() -> None:
@@ -258,49 +335,41 @@ def test_fpoly_of_disconnected_graphs_satisfies_leibniz() -> None:
 
 def test_relabelled_graphs_give_identical_fpoly() -> None:
     # Each flipped copy starts from an empty memo, so its recursion runs on
-    # its own labelling (canonical keys share only within one memo) and
-    # must still give the same answer.
+    # its own labelling and must still give the same answer.
     shared = FPolyCache()
     for g in connected_graphs_upto_iso(5):
         flipped = graph_from_edges(g.n, ((g.n - 1 - u, g.n - 1 - v) for u, v in g.edges))
         assert fpoly(flipped, FPolyCache()) == fpoly(g, shared)
 
 
-def _count_boundaries(monkeypatch) -> list[Graph]:
-    """Record every graph whose boundary the recursion computes."""
-    computed: list[Graph] = []
-    plain = ringcalc.boundary
-
-    def counted(g: Graph) -> PolyExpr:
-        computed.append(g)
-        return plain(g)
-
-    monkeypatch.setattr(ringcalc, "boundary", counted)
-    return computed
+def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() -> None:
+    # K_{8,8} is the induced subgraph of K_{9,9} on the first nodes of each
+    # part, so the larger recursion has already stored it, labels and all.
+    cache = FPolyCache()
+    fpoly(bipartite_graph(9, 9), cache)
+    size = len(cache)
+    assert cache.lookup(bipartite_graph(8, 8)) is not None
+    assert fpoly(bipartite_graph(8, 8), cache) == facet_fpoly(bipartite_graph(8, 8))
+    assert len(cache) == size
 
 
-def test_the_memo_computes_one_boundary_per_isomorphism_class(monkeypatch, capsys) -> None:
-    # The six-node scan reaches every connected class on 2..6 nodes,
-    # 1 + 2 + 6 + 21 + 112 of them, and computes each boundary once.
-    computed = _count_boundaries(monkeypatch)
+def test_a_class_scan_stores_each_labelled_induced_subgraph_once(monkeypatch, capsys) -> None:
+    stored: list[Graph] = []
+    plain = FPolyCache.store
+
+    def counted(cache: FPolyCache, g: Graph, value: Poly2) -> None:
+        stored.append(g)
+        plain(cache, g, value)
+
+    monkeypatch.setattr(FPolyCache, "store", counted)
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
     capsys.readouterr()
-    assert len(computed) == 142
-    assert len({canonical(g) for g in computed}) == 142
-
-
-def test_a_relabelled_copy_reuses_the_shared_memo(monkeypatch) -> None:
-    computed = _count_boundaries(monkeypatch)
-    shared = FPolyCache()
-    rng = random.Random(3)
-    for g in connected_graphs_upto_iso(6):
-        value = fpoly(g, shared)
-        before = len(computed)
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        copy = graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
-        assert fpoly(copy, shared) == value, graph_spec(g)
-        assert len(computed) == before, graph_spec(g)
+    assert len(stored) == len(set(stored))
+    # every scanned class is stored under its own labelling, and every
+    # entry is a connected graph the scan's subproblems reached
+    scanned = {g for g in connected_graphs_upto_iso(6) if g.n == 6}
+    assert scanned <= set(stored)
+    assert all(is_connected_graph(g) for g in stored)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,19 @@
-"""Brute-force witnesses shared by the tests.
+"""Independent witnesses shared by the tests.
 
-A facet product is a tuple of graphs.  These helpers build products from
-graphs and from building sets, and compare sums of them factor by
+The library computes face polynomials by the nested-set recursion
+(``nestohedra.ringcalc``).  The facet recursion kept here is a second,
+different formula for the same numbers: the boundary of a graph
+nestohedron is a sum, over the proper connected node subsets S, of the
+product of the nestohedra of the induced subgraph on S and of the
+contraction through S, and integrating the boundary's face polynomial in t
+recovers the polytope's.  Its graph operations (``contraction``, the twin
+orbits ``connected_subset_orbits`` and the canonical relabelling
+``canonical_graph`` that shares its memo between isomorphic graphs) live
+here with it, and so does the paper's definition of building sets
+(``BuildingSet`` with ``restriction``, ``removal`` and the rest), which the
+graph operations are checked against.
+
+A facet product is a tuple of graphs.  Sums of them are compared factor by
 isomorphism class, under a canonical form found by trying every
 relabelling (fine for the <= 7-node factors the tests use).
 
@@ -15,24 +27,464 @@ inverts the plain coefficients [x^k y^l] as ordinary power series over
 
 from __future__ import annotations
 
+import struct
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from nestohedra.algebra import Poly2, exact_div, homogeneous_degree
 from nestohedra.buildingset import (
-    BuildingSet,
+    MAX_GROUND,
     Graph,
+    _closure,
+    _compress,
+    _mask_nodes,
+    connected_submask,
+    graph_components,
     graph_from_edges,
-    removal,
-    restriction,
+    graph_spec,
+    induced_subgraph,
+    is_connected_graph,
+    twin_classes,
 )
-from nestohedra.ringcalc import PolyExpr
+
+# ---------------------------------------------------------------------------
+# graph operations of the facet recursion
+
+
+def contraction(g: Graph, removed: int) -> Graph:
+    """Graph on the remaining nodes after reconnecting through ``removed``.
+
+    Two surviving nodes become adjacent exactly when they are joined by a
+    path whose interior lies in the removed set (a direct edge counts), that
+    is, when both touch one connected piece of the removed set: each piece
+    turns its surviving neighbours into a clique.  Relabeled compactly in
+    label order.
+    """
+    adj = g.adj
+    keep = ((1 << g.n) - 1) & ~removed
+    out = list(adj)
+    left = removed
+    while left:
+        piece = _closure(adj, left & -left, removed)
+        left ^= piece
+        rim = 0
+        for w in _mask_nodes(piece):
+            rim |= adj[w]
+        for u in _mask_nodes(rim & keep):
+            out[u] |= rim
+    return Graph(_compress((out[u] & ~(1 << u) for u in _mask_nodes(keep)), keep))
+
+
+def connected_subset_orbits(g: Graph) -> list[tuple[int, int]]:
+    """Proper connected node subsets up to permutations inside twin classes.
+
+    An orbit is fixed by how many nodes c_i it takes from each twin class
+    C_i (``twin_classes``), 0 <= c_i <= |C_i|, so the count vectors are
+    enumerated in place of the 2^n subsets.  Each orbit is represented by
+    the first c_i nodes of each class and comes with its size, the product
+    of C(|C_i|, c_i).  Twin swaps are automorphisms, so a whole orbit is
+    connected or not together.  Returns (mask, size) for every nonempty
+    proper orbit that induces a connected subgraph; on a twin-free graph
+    these are the connected subsets themselves, each of size 1.
+    """
+    adj = g.adj
+    classes = twin_classes(g)
+    reps = [0]
+    for cls in classes:
+        prefixes = [0]
+        for v in cls:
+            prefixes.append(prefixes[-1] | 1 << v)
+        reps = [m | p for p in prefixes for m in reps]
+    # singleton classes contribute a factor of 1 to every size
+    twins = [(len(cls), sum(1 << v for v in cls)) for cls in classes if len(cls) > 1]
+    orbits = []
+    # reps[0] is the empty set and reps[-1] the whole node set
+    for s in reps[1:-1]:
+        if _closure(adj, s & -s, s) == s:
+            size = 1
+            for k, mask in twins:
+                size *= comb(k, (s & mask).bit_count())
+            orbits.append((s, size))
+    return orbits
+
+
+# Leaves canonical_graph may visit before it gives up and returns its input.
+_CANONICAL_LEAF_CAP = 2048
+
+
+def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
+    """Colour refinement of an ordered partition (cells as node masks).
+
+    Each round splits every cell by its nodes' counts of neighbours in each
+    cell and orders the pieces by those counts, until no cell splits.  The
+    result depends only on the structure, so a relabelled graph and
+    partition refine to the relabelled result.
+    """
+    n = len(adj)
+    while len(cells) < n:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            pieces: dict[tuple[int, ...], int] = {}
+            for v in _mask_nodes(cell):
+                a = adj[v]
+                signature = tuple([(a & c).bit_count() for c in cells])
+                pieces[signature] = pieces.get(signature, 0) | 1 << v
+            out.extend(pieces[s] for s in sorted(pieces))
+        if len(out) == len(cells):
+            break
+        cells = out
+    return cells
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """A relabelling of g that is the same for every labelling of g.
+
+    Colour refinement plus individualization (McKay and Piperno, *Practical
+    graph isomorphism II*): refine the ordered partition, then branch on
+    the first cell of several nodes that is not inside one twin class, with
+    one branch per twin class it meets, since swapping twins is an
+    automorphism.  A partition whose every cell lies inside a twin class is
+    a leaf: numbering its nodes in cell order (twins in either order) gives
+    one relabelling.  The result is the least of these over all leaves.  A
+    search that passes _CANONICAL_LEAF_CAP leaves returns g unchanged, which
+    is still a copy of g, just not a shared one.
+    """
+    n = g.n
+    if n < 2:
+        return g
+    adj = g.adj
+    twin_mask = [0] * n
+    for cls in twin_classes(g):
+        mask = sum(1 << v for v in cls)
+        for v in cls:
+            twin_mask[v] = mask
+    neighbours = [_mask_nodes(m) for m in adj]
+    best: Optional[tuple[int, ...]] = None
+    leaves = 0
+    stack = [_refine(adj, [(1 << n) - 1])]
+    while stack:
+        cells = stack.pop()
+        split = next(
+            (i for i, c in enumerate(cells) if c & ~twin_mask[(c & -c).bit_length() - 1]),
+            None,
+        )
+        if split is None:
+            leaves += 1
+            if leaves > _CANONICAL_LEAF_CAP:
+                return g
+            order = [v for c in cells for v in _mask_nodes(c)]
+            bit = [0] * n
+            for i, v in enumerate(order):
+                bit[v] = 1 << i
+            relabelled = tuple([sum([bit[w] for w in neighbours[v]]) for v in order])
+            if best is None or relabelled < best:
+                best = relabelled
+            continue
+        cell = left = cells[split]
+        while left:
+            v = (left & -left).bit_length() - 1
+            left &= ~twin_mask[v]
+            individualized = [1 << v, cell & ~(1 << v)]
+            stack.append(_refine(adj, cells[:split] + individualized + cells[split + 1 :]))
+    return Graph(best)
+
+
+# ---------------------------------------------------------------------------
+# the facet recursion
+
+Product = tuple[Graph, ...]
+
+
+class PolyExpr:
+    """Integer combination of products of connected graph nestohedra."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[Product, int]):
+        acc: dict[Product, int] = {}
+        for product, c in terms.items():
+            product = tuple(sorted(product))
+            acc[product] = acc.get(product, 0) + c
+        self._terms = {p: c for p, c in acc.items() if c}
+
+    def terms(self) -> list[tuple[Product, int]]:
+        return sorted(self._terms.items())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PolyExpr):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __add__(self, other: "PolyExpr") -> "PolyExpr":
+        out = dict(self._terms)
+        for p, c in other._terms.items():
+            out[p] = out.get(p, 0) + c
+        return PolyExpr(out)
+
+    def total_mass(self) -> int:
+        """Sum of all coefficients; counts facets when terms came from a boundary."""
+        return sum(self._terms.values())
+
+
+def boundary(g: Graph) -> PolyExpr:
+    """Facet decomposition of the nestohedron of a connected graph.
+
+    One facet per proper node subset S inducing a connected subgraph: the
+    induced subgraph on S times the contraction through S.  The subsets are
+    taken up to permutations inside the twin classes
+    (``connected_subset_orbits``): each orbit's representative S contributes
+    its facet with the orbit size as multiplicity, so the total mass still
+    counts every facet.  A product holds the facet's factors as graphs,
+    point factors dropped.  The point (one node) has no facets and maps to
+    zero.
+    """
+    if not is_connected_graph(g):
+        raise ValueError("boundary needs a connected graph")
+    counts: dict[Product, int] = {}
+    for s, size in connected_subset_orbits(g):
+        facet = (induced_subgraph(g, s), contraction(g, s))
+        product = tuple(f for f in facet if f.n > 1)
+        counts[product] = counts.get(product, 0) + size
+    return PolyExpr(counts)
+
+
+def plain_boundary(g: Graph) -> PolyExpr:
+    """The facet decomposition over all 2^n node subsets, one by one."""
+    full = (1 << g.n) - 1
+    if not connected_submask(g.adj, full):
+        raise ValueError("boundary needs a connected graph")
+    counts: dict = {}
+    for s in range(1, full):
+        if connected_submask(g.adj, s):
+            factors = (induced_subgraph(g, s), contraction(g, s))
+            product = tuple(sorted(f for f in factors if f.n > 1))
+            counts[product] = counts.get(product, 0) + 1
+    return PolyExpr(counts)
+
+
+def integrate_t(g: Poly2, n: int) -> Poly2:
+    """Solve dF/dt = g for the degree-n face polynomial with F|_{t=0} = alpha^n.
+
+    g must be homogeneous of degree n-1, or zero when n = 0 (the point).
+    Face counts are integers, so a coefficient of g whose integral is not an
+    integer means the boundary was wrong and raises ``ArithmeticError``.
+    """
+    if n < 0:
+        raise ValueError("negative dimension")
+    if g.is_zero():
+        if n == 0:
+            return Poly2.one()
+        raise ValueError(f"zero boundary polynomial for dimension {n}")
+    degree = homogeneous_degree(g)
+    if degree != n - 1:
+        raise ValueError(f"boundary polynomial has degree {degree}, expected {n - 1}")
+    # alpha^i t^(n-1-i) integrates to alpha^i t^(n-i) / (n-i)
+    return Poly2.from_coeffs(
+        [exact_div(c, n - i) for i, c in enumerate(g.coeffs)] + [1]
+    )
+
+
+def facet_fpoly(
+    g: Graph,
+    memo: Optional[dict] = None,
+    facets: Callable[[Graph], PolyExpr] = boundary,
+) -> Poly2:
+    """Face polynomial by the facet recursion, memoized per isomorphism class.
+
+    Disconnected graphs give the product over components.  A connected
+    graph integrates the face polynomial of ``facets(g)`` in t, the t-free
+    part pinned to alpha^(n-1); ``memo`` maps canonical graphs to values.
+    A boundary that mixes degrees, has the wrong degree or does not
+    integrate to integer face counts raises ArithmeticError naming g.
+    """
+    if g.n > MAX_GROUND:
+        raise ValueError(f"graph larger than {MAX_GROUND} nodes")
+    memo = {} if memo is None else memo
+    if not is_connected_graph(g):
+        out = Poly2.one()
+        for part in graph_components(g):
+            out = out * facet_fpoly(part, memo, facets)
+        return out
+    if g.n == 1:
+        return Poly2.one()
+    key = canonical_graph(g)
+    if key not in memo:
+        terms = []
+        for product, c in facets(g).terms():
+            term = Poly2.constant(c)
+            for factor in product:
+                term = term * facet_fpoly(factor, memo, facets)
+            terms.append(term)
+        try:
+            memo[key] = integrate_t(sum(terms, Poly2.zero()), g.n - 1)
+        except (ArithmeticError, ValueError) as exc:
+            raise ArithmeticError(
+                f"integrating the boundary of {graph_spec(g)}: {exc}"
+            ) from exc
+    return memo[key]
 
 
 def term_of(graphs: list[Graph], c: int = 1) -> PolyExpr:
     """c times the product of the graphs' nestohedra; single nodes drop out."""
     return PolyExpr({tuple(g for g in graphs if g.n > 1): c})
+
+
+@lru_cache(maxsize=None)
+def canonical(g: Graph) -> Graph:
+    """Least relabelled copy of g over every node permutation: one per class."""
+    return min(
+        graph_from_edges(g.n, ((p[u], p[v]) for u, v in g.edges))
+        for p in permutations(range(g.n))
+    )
+
+
+def up_to_iso(e: PolyExpr) -> dict:
+    """The terms of e with every factor replaced by its isomorphism class."""
+    out: dict = {}
+    for product, c in e.terms():
+        classes = tuple(sorted(canonical(g) for g in product))
+        out[classes] = out.get(classes, 0) + c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# building sets
+
+
+@dataclass(frozen=True)
+class BuildingSet:
+    """Members of a building set as bitmasks over positions into ``ground``.
+
+    A building set on a finite ground set contains every singleton and is
+    closed under unions of intersecting members.  ``ground`` is a sorted
+    tuple of integer labels; bit p of a member mask refers to
+    ``ground[p]``.  Validity is checked by ``validate``, not enforced on
+    construction.  ``restriction(b, s)`` is the building set of
+    ``induced_subgraph(g, s)`` and ``removal(b, s)`` that of
+    ``contraction(g, s)``, which the tests check.
+    """
+
+    ground: tuple[int, ...]
+    sets: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if len(self.ground) > MAX_GROUND:
+            raise ValueError(f"ground larger than {MAX_GROUND} elements")
+        if list(self.ground) != sorted(set(self.ground)):
+            raise ValueError("ground labels must be strictly increasing")
+        limit = 1 << len(self.ground)
+        for m in self.sets:
+            if not 0 < m < limit:
+                raise ValueError(f"member mask {m} outside the ground")
+
+    def labels_of(self, mask: int) -> tuple[int, ...]:
+        return tuple(self.ground[p] for p in _mask_nodes(mask))
+
+    def mask_of(self, labels: Iterable[int]) -> int:
+        position = {label: p for p, label in enumerate(self.ground)}
+        mask = 0
+        for label in labels:
+            mask |= 1 << position[label]
+        return mask
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << len(self.ground)) - 1
+
+    def is_connected(self) -> bool:
+        """A building set is connected when the whole ground is a member."""
+        return self.full_mask in self.sets
+
+
+def building_set_from_graph(g: Graph) -> BuildingSet:
+    """Building set of all node subsets inducing a connected subgraph."""
+    if g.n > MAX_GROUND:
+        raise ValueError(f"graph larger than {MAX_GROUND} nodes")
+    adj = g.adj
+    members = [
+        mask for mask in range(1, 1 << g.n) if connected_submask(adj, mask)
+    ]
+    return BuildingSet(tuple(range(g.n)), frozenset(members))
+
+
+def validate(b: BuildingSet) -> list[str]:
+    """All axiom violations, formatted with ground labels; empty means valid."""
+    problems = []
+    for p, label in enumerate(b.ground):
+        if (1 << p) not in b.sets:
+            problems.append(f"missing singleton {{{label}}}")
+    members = sorted(b.sets)
+    present = b.sets
+    for a_idx, m1 in enumerate(members):
+        for m2 in members[a_idx + 1 :]:
+            if m1 & m2 and (m1 | m2) not in present:
+                problems.append(
+                    f"sets {set(b.labels_of(m1))} and {set(b.labels_of(m2))} "
+                    "intersect but their union is missing"
+                )
+    return problems
+
+
+def is_valid(b: BuildingSet) -> bool:
+    return not validate(b)
+
+
+def restriction(b: BuildingSet, s: int) -> BuildingSet:
+    """Members contained in s, on ground s."""
+    ground = b.labels_of(s)
+    members = frozenset(_compress((m for m in b.sets if m and (m & ~s) == 0), s))
+    return BuildingSet(ground, members)
+
+
+def removal(b: BuildingSet, s: int) -> BuildingSet:
+    """Every member with the elements of s erased, on the remaining ground."""
+    keep = b.full_mask & ~s
+    ground = b.labels_of(keep)
+    members = frozenset(_compress((m for m in b.sets if m & keep), keep))
+    return BuildingSet(ground, members)
+
+
+def components(b: BuildingSet) -> list[BuildingSet]:
+    """Restrictions of b to its inclusion-maximal members.
+
+    For a valid building set the maximal members partition the ground, so
+    the result is the list of connected components, ordered by their
+    smallest label.
+    """
+    if not b.ground:
+        return []
+    if b.is_connected():
+        return [b]
+    maximal: list[int] = []
+    for m in sorted(b.sets, key=lambda m: -bin(m).count("1")):
+        if not any(m | kept == kept for kept in maximal):
+            maximal.append(m)
+    maximal.sort(key=lambda m: m & -m)
+    return [restriction(b, m) for m in maximal]
+
+
+def dimension(b: BuildingSet) -> int:
+    """Dimension of the nestohedron: ground size minus component count."""
+    return len(b.ground) - len(components(b))
+
+
+def canonical_key(b: BuildingSet) -> bytes:
+    """Byte key identifying b up to label-order-preserving relabeling.
+
+    Relabeling the ground to 0..k-1 in label order is exactly the position
+    encoding already used, so the key serializes the sorted member masks.
+    """
+    members = sorted(b.sets)
+    return struct.pack("<II", len(b.ground), len(members)) + struct.pack(
+        f"<{len(members)}I", *members
+    )
 
 
 def graph_of(b: BuildingSet) -> Graph:
@@ -53,24 +505,6 @@ def facets_from_building_set(b: BuildingSet) -> PolyExpr:
         product = tuple(f for f in factors if f.n > 1)
         facets[product] = facets.get(product, 0) + 1
     return PolyExpr(facets)
-
-
-@lru_cache(maxsize=None)
-def canonical(g: Graph) -> Graph:
-    """Least relabelled copy of g over every node permutation: one per class."""
-    return min(
-        graph_from_edges(g.n, ((p[u], p[v]) for u, v in g.edges))
-        for p in permutations(range(g.n))
-    )
-
-
-def up_to_iso(e: PolyExpr) -> dict:
-    """The terms of e with every factor replaced by its isomorphism class."""
-    out: dict = {}
-    for product, c in e.terms():
-        classes = tuple(sorted(canonical(g) for g in product))
-        out[classes] = out.get(classes, 0) + c
-    return out
 
 
 # ---------------------------------------------------------------------------
