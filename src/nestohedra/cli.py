@@ -7,6 +7,13 @@ differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
 a polytope family or over all small connected graphs.  Output is JSON
 (sorted keys) or CSV; both are byte-deterministic for fixed inputs.
 
+The subcommands and their flags live in one option table, ``_COMMANDS``.
+A well-formed argv (an exact subcommand, then exact ``--flag value``
+pairs with valid values) is read from it directly; anything else, help
+and every usage error included, goes to the argparse parser built from
+the same table, so argparse is imported only when it has something to
+say.
+
 Exit codes: 0 when every check passes, 1 when a verification or scan
 finds a failure or the computation fails one of its own checks, 2 on bad
 usage or input.
@@ -14,12 +21,12 @@ usage or input.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .algebra import InhomogeneousError, Poly2, format_rational
 from .buildingset import (
@@ -47,6 +54,9 @@ from .series import (
     family_h,
     identity_suite,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "entrypoint"]
 
@@ -103,7 +113,7 @@ def _gal_check_recursion(g: Graph, h: Poly2, n: int) -> GalPolyResult:
         raise ArithmeticError(f"h-polynomial of {graph_spec(g)}: {exc}") from exc
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
+def cmd_invariants(args: SimpleNamespace) -> int:
     graph = parse_graph_spec(args.graph)
     cache = FPolyCache()
     fvec = fvector(graph, cache)
@@ -167,7 +177,7 @@ def _verify_family(fam_id: str, max_order: int, cache: FPolyCache) -> dict[str, 
     }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     max_order = args.max_order
     if max_order < 0:
         raise ValueError("max order must be nonnegative")
@@ -205,7 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # identities
 
 
-def cmd_identities(args: argparse.Namespace) -> int:
+def cmd_identities(args: SimpleNamespace) -> int:
     order = args.order
     if not 2 <= order <= MAX_ORDER:
         raise ValueError(f"identity checks need a truncation order in 2..{MAX_ORDER}")
@@ -226,7 +236,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
 # gal-scan
 
 
-def _scan_families(args: argparse.Namespace) -> int:
+def _scan_families(args: SimpleNamespace) -> int:
     bound = args.bound if args.bound is not None else DEFAULT_ORDER
     if bound > MAX_ORDER:
         raise ValueError(
@@ -276,7 +286,7 @@ def _scan_families(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _scan_graph_classes(args: argparse.Namespace) -> int:
+def _scan_graph_classes(args: SimpleNamespace) -> int:
     if args.graph_class != "connected":
         raise ValueError(f"unknown graph class {args.graph_class!r}")
     if args.nodes is None:
@@ -331,7 +341,7 @@ def _scan_graph_classes(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def cmd_gal_scan(args: argparse.Namespace) -> int:
+def cmd_gal_scan(args: SimpleNamespace) -> int:
     if args.bound is not None and args.bound < 1:
         raise ValueError("bound must be at least 1")
     if (args.family is None) == (args.graph_class is None):
@@ -346,106 +356,167 @@ def cmd_gal_scan(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# the option table, its two readers, and dispatch
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
+_FAMILY_CHOICES = ("all", *FAMILIES)
+_FORMAT = {
+    "--format": dict(
+        dest="format",
         choices=("json", "csv"),
         default="json",
         help="output format (default json)",
     )
+}
+
+# subcommand: (handler, help line, {flag: add_argument keywords}), in the
+# order of --help; a keyword left out takes add_argument's default
+_COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, dict[str, dict]]] = {
+    "invariants": (
+        cmd_invariants,
+        "f-vector, h-polynomial, and gamma-vector of one graph",
+        {
+            "--graph": dict(
+                dest="graph",
+                required=True,
+                help="graph spec: complete:N, empty:N, star:N, path:N, cycle:N, "
+                "bipartite:M,N, join(SPEC,SPEC), or edges:N:0-1,1-2,...",
+            ),
+            **_FORMAT,
+        },
+    ),
+    "verify": (
+        cmd_verify,
+        "check that the nested-set recursion matches the closed-form series",
+        {
+            "--family": dict(dest="family", choices=_FAMILY_CHOICES, default="all"),
+            "--max-order": dict(
+                dest="max_order",
+                type=int,
+                default=DEFAULT_ORDER,
+                metavar="M",
+                help=f"largest total index k+l to check, 0..{MAX_ORDER} "
+                f"(default {DEFAULT_ORDER})",
+            ),
+            **_FORMAT,
+        },
+    ),
+    "identities": (
+        cmd_identities,
+        "run the eight differential identities",
+        {
+            "--order": dict(
+                dest="order",
+                type=int,
+                default=DEFAULT_ORDER,
+                metavar="N",
+                help=f"truncation order, 2..{MAX_ORDER} (default {DEFAULT_ORDER})",
+            ),
+            "--corrupt": dict(
+                dest="corrupt",
+                choices=("pe", "st", "nabla-because", "because-because"),
+                metavar="FAMILY",
+                help="drop one series term first; the suite must then fail "
+                "(negative control)",
+            ),
+            **_FORMAT,
+        },
+    ),
+    "gal-scan": (
+        cmd_gal_scan,
+        "check gamma-nonnegativity over a family or over graph classes",
+        {
+            "--family": dict(dest="family", choices=_FAMILY_CHOICES),
+            "--bound": dict(
+                dest="bound",
+                type=int,
+                metavar="B",
+                help=f"largest total index k+l to scan, 1..{MAX_ORDER} (family mode, "
+                f"default {DEFAULT_ORDER})",
+            ),
+            "--graph-class": dict(
+                dest="graph_class",
+                choices=("connected",),
+                help="scan every isomorphism class of this kind instead of a family",
+            ),
+            "--nodes": dict(
+                dest="nodes", type=int, metavar="N", help="node count for --graph-class (1..7)"
+            ),
+            **_FORMAT,
+        },
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the option table: help, usage and its errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nestohedra",
         description="face counts, h- and gamma-polynomials, and series checks "
         "for nestohedra of graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    family_choices = ("all", *FAMILIES)
-
-    p_inv = sub.add_parser(
-        "invariants", help="f-vector, h-polynomial, and gamma-vector of one graph"
-    )
-    p_inv.add_argument(
-        "--graph",
-        required=True,
-        help="graph spec: complete:N, empty:N, star:N, path:N, cycle:N, "
-        "bipartite:M,N, join(SPEC,SPEC), or edges:N:0-1,1-2,...",
-    )
-    _add_common_flags(p_inv)
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_ver = sub.add_parser(
-        "verify",
-        help="check that the nested-set recursion matches the closed-form series",
-    )
-    p_ver.add_argument("--family", choices=family_choices, default="all")
-    p_ver.add_argument(
-        "--max-order",
-        type=int,
-        default=DEFAULT_ORDER,
-        metavar="M",
-        help=f"largest total index k+l to check, 0..{MAX_ORDER} "
-        f"(default {DEFAULT_ORDER})",
-    )
-    _add_common_flags(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_ident = sub.add_parser(
-        "identities", help="run the eight differential identities"
-    )
-    p_ident.add_argument(
-        "--order",
-        type=int,
-        default=DEFAULT_ORDER,
-        metavar="N",
-        help=f"truncation order, 2..{MAX_ORDER} (default {DEFAULT_ORDER})",
-    )
-    p_ident.add_argument(
-        "--corrupt",
-        choices=("pe", "st", "nabla-because", "because-because"),
-        metavar="FAMILY",
-        help="drop one series term first; the suite must then fail "
-        "(negative control)",
-    )
-    _add_common_flags(p_ident)
-    p_ident.set_defaults(func=cmd_identities)
-
-    p_gal = sub.add_parser(
-        "gal-scan",
-        help="check gamma-nonnegativity over a family or over graph classes",
-    )
-    p_gal.add_argument("--family", choices=family_choices)
-    p_gal.add_argument(
-        "--bound",
-        type=int,
-        metavar="B",
-        help=f"largest total index k+l to scan, 1..{MAX_ORDER} (family mode, "
-        f"default {DEFAULT_ORDER})",
-    )
-    p_gal.add_argument(
-        "--graph-class",
-        choices=("connected",),
-        help="scan every isomorphism class of this kind instead of a family",
-    )
-    p_gal.add_argument(
-        "--nodes", type=int, metavar="N", help="node count for --graph-class (1..7)"
-    )
-    _add_common_flags(p_gal)
-    p_gal.set_defaults(func=cmd_gal_scan)
-
+    for command, (func, help_line, flags) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_line)
+        for flag, keywords in flags.items():
+            p_cmd.add_argument(flag, **keywords)
+        p_cmd.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace of a well-formed argv, read from the option table.
+
+    Well-formed is an exact subcommand name followed by exact ``--flag
+    value`` pairs: each flag of that subcommand at most once, no value
+    starting with ``-``, int values through ``int()``, choices checked and
+    required flags present.  On such an argv argparse builds the same
+    namespace.  Anything else gives None, so help, abbreviations,
+    ``--flag=value``, repeated flags, ``--`` and every usage error are left
+    to ``build_parser`` and read exactly as argparse reads them.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, flags = _COMMANDS[argv[0]]
+    pairs = argv[1:]
+    if len(pairs) % 2:
+        return None
+    values: dict[str, object] = {}
+    for flag, text in zip(pairs[::2], pairs[1::2]):
+        keywords = flags.get(flag)
+        if keywords is None or flag in values or text.startswith("-"):
+            return None
+        value: object = text
+        if "type" in keywords:
+            try:
+                value = keywords["type"](text)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, keywords in flags.items():
+        if flag in values:
+            setattr(args, keywords["dest"], values[flag])
+        elif keywords.get("required"):
+            return None
+        else:
+            setattr(args, keywords["dest"], keywords.get("default"))
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (GraphSpecError, NotInFamilyError, ValueError, OSError) as exc:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import Poly2, exact_div, h_from_f
@@ -108,6 +109,14 @@ class Series2:
         self._coeffs = {s: p for s, p in data.items() if p}
 
     @classmethod
+    def _built(cls, order: int, coeffs: dict[Slot, Poly2]) -> "Series2":
+        """A series from slots this module built: in range, nonzero, unchecked."""
+        s = cls.__new__(cls)
+        s.order = order
+        s._coeffs = coeffs
+        return s
+
+    @classmethod
     def one(cls, order: int) -> "Series2":
         return cls(order, {(0, 0): Poly2.one()})
 
@@ -165,9 +174,13 @@ class Series2:
             return Series2(
                 self.order, {s: p * other for s, p in self._coeffs.items()}
             )
-        return Series2(
+        return Series2._built(
             self.order,
-            {s: Poly2.from_coeffs(c) for s, c in _slot_products(self, other).items()},
+            {
+                s: p
+                for s, c in _slot_products(self, other).items()
+                if (p := Poly2.from_coeffs(c))
+            },
         )
 
     def __rmul__(self, other: "Poly2 | int") -> "Series2":
@@ -209,18 +222,27 @@ def _accumulate(acc: list | None, p: tuple, q: tuple, weight: int) -> list:
 
 
 def _slot_products(a: Series2, b: Series2) -> dict[Slot, list]:
-    """The binomial product a b as one coefficient list per slot."""
+    """The binomial product a b as one coefficient list per slot.
+
+    b's slots are walked in order of total degree, so each slot of a stops
+    at the first one that would land beyond the truncation order.
+    """
     a._require_same_order(b)
     order = a.order
-    right = [(k2, l2, p2.coeffs) for (k2, l2), p2 in b._coeffs.items()]
+    right = sorted(
+        ((k2 + l2, k2, l2, p2.coeffs) for (k2, l2), p2 in b._coeffs.items()),
+        key=itemgetter(0),
+    )
     out: dict[Slot, list] = {}
     for (k1, l1), p1 in a._coeffs.items():
         p = p1.coeffs
-        for k2, l2, q in right:
+        room = order - k1 - l1
+        for degree, k2, l2, q in right:
+            if degree > room:
+                break
             k, l = k1 + k2, l1 + l2
-            if k + l <= order:
-                weight = comb(k, k1) * comb(l, l1)
-                out[(k, l)] = _accumulate(out.get((k, l)), p, q, weight)
+            weight = comb(k, k1) * comb(l, l1)
+            out[(k, l)] = _accumulate(out.get((k, l)), p, q, weight)
     return out
 
 
@@ -228,11 +250,11 @@ def truncate(s: Series2, order: int) -> Series2:
     """Drop coefficients above a lower truncation order."""
     if order > s.order:
         raise ValueError("cannot raise the truncation order of a computed series")
-    return Series2(order, {slot: p for slot, p in s._coeffs.items() if sum(slot) <= order})
+    return Series2._built(order, {slot: p for slot, p in s._coeffs.items() if sum(slot) <= order})
 
 
 def swap_xy(s: Series2) -> Series2:
-    return Series2(s.order, {(l, k): p for (k, l), p in s._coeffs.items()})
+    return Series2._built(s.order, {(l, k): p for (k, l), p in s._coeffs.items()})
 
 
 def restrict_y0(s: Series2) -> Series2:
@@ -244,18 +266,20 @@ def deriv_x(s: Series2) -> Series2:
     """d/dx, a shift of normalized coefficients; reliable only one order lower."""
     if s.order == 0:
         raise ValueError("cannot differentiate an order-0 truncation in x")
-    return Series2(s.order - 1, {(k - 1, l): p for (k, l), p in s._coeffs.items() if k})
+    return Series2._built(s.order - 1, {(k - 1, l): p for (k, l), p in s._coeffs.items() if k})
 
 
 def deriv_y(s: Series2) -> Series2:
     if s.order == 0:
         raise ValueError("cannot differentiate an order-0 truncation in y")
-    return Series2(s.order - 1, {(k, l - 1): p for (k, l), p in s._coeffs.items() if l})
+    return Series2._built(s.order - 1, {(k, l - 1): p for (k, l), p in s._coeffs.items() if l})
 
 
 def deriv_t(s: Series2) -> Series2:
     """d/dt acts on coefficients and keeps the truncation order."""
-    return Series2(s.order, {slot: p.deriv_t() for slot, p in s._coeffs.items()})
+    return Series2._built(
+        s.order, {slot: dp for slot, p in s._coeffs.items() if (dp := p.deriv_t())}
+    )
 
 
 def exp_series(s: Series2) -> Series2:
@@ -268,11 +292,12 @@ def exp_series(s: Series2) -> Series2:
         raise ValueError("exp needs a zero constant coefficient")
     power = acc = Series2.one(s.order)
     for m in range(1, s.order + 1):
-        power = Series2(
+        power = Series2._built(
             s.order,
             {
-                slot: Poly2.from_coeffs(exact_div(c, m) for c in coeffs)
+                slot: p
                 for slot, coeffs in _slot_products(power, s).items()
+                if (p := Poly2.from_coeffs(exact_div(c, m) for c in coeffs))
             },
         )
         acc = acc + power
@@ -303,7 +328,7 @@ def inv_series(s: Series2) -> Series2:
                     acc = _accumulate(acc, p, rest, -comb(k, k1) * comb(l, l1))
             if acc is not None and any(acc):
                 inv[(k, l)] = tuple(acc)
-    return Series2(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
+    return Series2._built(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
 
 
 def eta_linear(u: int, v: int, order: int) -> Series2:
@@ -629,7 +654,13 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
     x, y = _x(order), _y(order)
     at = _A * _T
     apt = _A + _T
+    # d/dx and d/dy cost I5-I8 one order, so their right-hand sides are
+    # built from operands truncated to order - 1
     low = order - 1
+    st_l, pe_l, nb_l, bb_l, sum_l, phi_l, grow_l = (
+        truncate(s, low) for s in (st_h, pe_h, nb_h, bb_h, pe_sum_h, phi, grow_y)
+    )
+    x_l, y_l = _x(low), _y(low)
 
     checks: list[tuple[str, Series2, Series2]] = [
         ("I1", deriv_t(pe), pe * pe),
@@ -640,20 +671,17 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
             deriv_t(bb),
             x * swap_xy(nb) + y * nb + bb * pe_sum - (x + y) * pe_sum,
         ),
-        ("I5", deriv_x(st_h), truncate(st_h * apt + pe_h * st_h * at, low)),
-        ("I6", deriv_x(nb_h), truncate(grow_y * phi + nb_h * pe_sum_h * at, low)),
-        ("I7", deriv_y(phi), truncate(pe_sum_h * phi * at, low)),
+        ("I5", deriv_x(st_h), st_l * apt + pe_l * st_l * at),
+        ("I6", deriv_x(nb_h), grow_l * phi_l + nb_l * sum_l * at),
+        ("I7", deriv_y(phi), sum_l * phi_l * at),
         (
             "I8",
             deriv_x(bb_h),
-            truncate(
-                bb_h * pe_sum_h * at
-                + swap_xy(nb_h) * apt
-                - pe_sum_h * apt
-                - (x + y) * pe_sum_h * at
-                + grow_y * phi,
-                low,
-            ),
+            bb_l * sum_l * at
+            + swap_xy(nb_l) * apt
+            - sum_l * apt
+            - (x_l + y_l) * sum_l * at
+            + grow_l * phi_l,
         ),
     ]
     results = []

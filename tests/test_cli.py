@@ -457,9 +457,19 @@ def test_jobs_flag_rejects_nonpositive_values(capsys, tmp_path: Path) -> None:
     assert out == ""
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(nestohedra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def test_no_subcommand_imports_networkx() -> None:
     # The graph atlas is a committed table, so the CLI runs without the
-    # package it was taken from.
+    # package it was taken from.  A well-formed argv is read from the
+    # option table without argparse (nor the locale module its messages
+    # pull in); an abbreviated flag is argparse's to read.
     script = """
 import contextlib, io, json, sys
 from nestohedra.cli import main
@@ -473,19 +483,99 @@ codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "networkx": "networkx" in sys.modules}))
+loaded = {name: name in sys.modules for name in ("networkx", "argparse", "locale")}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["invariants", "--gra", "path:4"]))
+loaded["argparse after --gra"] = "argparse" in sys.modules
+print(json.dumps({"codes": codes, **loaded}))
 """
-    src = str(Path(nestohedra.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         check=True,
     )
-    assert json.loads(done.stdout) == {"codes": [0, 0, 0, 0], "networkx": False}
+    assert json.loads(done.stdout) == {
+        "codes": [0, 0, 0, 0, 0],
+        "networkx": False,
+        "argparse": False,
+        "locale": False,
+        "argparse after --gra": True,
+    }
+
+
+def test_the_module_entry_point_reads_sys_argv(capsys, monkeypatch) -> None:
+    # python -m nestohedra.cli reads its own argv: the same bytes as
+    # main(argv) in process, and argparse's usage error without one.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = _src_env()
+    argv = ["invariants", "--graph", "path:4"]
+    done = subprocess.run(
+        [sys.executable, "-m", "nestohedra.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == _run(capsys, argv)
+    assert done.returncode == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "nestohedra.cli"], capture_output=True, text=True, env=env
+    )
+    code, out, err = _run(capsys, [])
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nestohedra [-h]")
+
+
+# ---------------------------------------------------------------------------
+# the option table's reader
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["verify", "-h"],
+        ["VERIFY"],
+        ["invariants"],
+        ["invariants", "--graph=path:4"],
+        ["invariants", "--gra", "path:4"],
+        ["verify", "--max", "4"],
+        ["verify", "--max-order", "3", "--max-order", "4"],
+        ["invariants", "--graph", "path:4", "--graph", "path:5"],
+        ["invariants", "--", "--graph", "path:4"],
+        ["invariants", "--graph", "path:4", "--"],
+        ["verify", "--max-order", "-1"],
+        ["verify", "--max-order", "3.0"],
+        ["invariants", "--graph", "path:4", "extra"],
+        ["invariants", "--graph"],
+        ["invariants", "--graph", "path:4", "--format", "xml"],
+        ["verify", "--family", "xx"],
+        ["identities", "--corrupt", "starmarked"],
+        ["gal-scan", "--graph-class", "tree", "--nodes", "3"],
+        ["gal-scan", "--family", "pe", "--order", "3"],
+    ],
+)
+def test_the_reader_leaves_other_argvs_to_argparse(argv: list[str]) -> None:
+    # Help, prefixes, --flag=value, repeats, --, negative numbers, bad
+    # values and missing or extra arguments all take argparse's path.
+    assert cli._read_argv(argv) is None
+
+
+def test_the_reader_reads_ints_and_defaults_as_argparse_does() -> None:
+    args = cli._read_argv(["gal-scan", "--nodes", "\u0663", "--graph-class", "connected"])
+    assert vars(args) == {
+        "command": "gal-scan",
+        "func": cli.cmd_gal_scan,
+        "family": None,
+        "bound": None,
+        "graph_class": "connected",
+        "nodes": 3,
+        "format": "json",
+    }
+    for text in ("+3", "0_3", " 3 ", "3"):
+        assert cli._read_argv(["verify", "--max-order", text]).max_order == 3
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +585,7 @@ _COMMANDS = ("invariants", "verify", "identities", "gal-scan")
 _WORDS = _COMMANDS + (
     "--graph", "--format", "json", "csv", "--config", "--family", "all",
     "--max-order", "--order", "--corrupt", "--bound", "--graph-class",
-    "connected", "--nodes", "--help", "-h",
+    "connected", "--nodes", "--help", "-h", "--",
 )
 _COUNT = st.integers(min_value=0, max_value=8)
 _HALF = st.integers(min_value=0, max_value=4)
@@ -525,18 +615,23 @@ _SPECS = st.one_of(
 _JUNK = st.text(
     alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=8
 )
-_NUMBER = st.integers(min_value=-2, max_value=5).map(str)
+_NUMBER = st.one_of(
+    st.integers(min_value=-2, max_value=5).map(str),
+    st.sampled_from(("+3", "0_3", " 3 ", "\u0663", "3.0")),
+)
 _FAMILY = st.sampled_from(("all", *FAMILIES))
-# One argv item, or a flag with a value that often makes sense for it.
+_INT_FLAGS = ("--max-order", "--order", "--bound", "--nodes", "--max", "--no")
+# One argv item, or a flag with a value that often makes sense for it,
+# written out or as a near miss: --flag=value, a unique prefix, a repeat.
 _PIECES = st.one_of(
     st.tuples(st.sampled_from(_WORDS)),
-    st.tuples(st.just("--graph"), _SPECS),
-    st.tuples(
-        st.sampled_from(("--max-order", "--order", "--bound", "--nodes")), _NUMBER
-    ),
+    st.tuples(st.sampled_from(("--graph", "--gra")), _SPECS),
+    st.tuples(st.sampled_from(_INT_FLAGS), _NUMBER),
+    st.builds("{}={}".format, st.sampled_from(_INT_FLAGS), _NUMBER).map(lambda a: (a,)),
     st.tuples(st.sampled_from(("--family", "--corrupt")), _FAMILY),
     st.tuples(st.just("--format"), st.sampled_from(("json", "csv", "xml"))),
     st.tuples(st.just("--graph-class"), st.sampled_from(("connected", "tree"))),
+    st.sampled_from(("json", "csv")).map(lambda f: ("--format", f) * 2),
     st.tuples(_JUNK),
 )
 
@@ -553,3 +648,49 @@ def test_any_argv_exits_0_1_or_2(command: str, pieces: list[tuple[str, ...]]) ->
     ):
         code = main(argv)
     assert code in (0, 1, 2), argv
+
+
+# Each command's own flags with values of the kind it takes, good or bad.
+_VALUES = {
+    "--graph": _SPECS,
+    "--format": st.sampled_from(("json", "csv", "xml")),
+    "--family": _FAMILY,
+    "--corrupt": _FAMILY,
+    "--max-order": _NUMBER,
+    "--order": _NUMBER,
+    "--bound": _NUMBER,
+    "--nodes": _NUMBER,
+    "--graph-class": st.sampled_from(("connected", "tree")),
+}
+_FLAGS = {
+    "invariants": ("--graph", "--format"),
+    "verify": ("--family", "--max-order", "--format"),
+    "identities": ("--order", "--corrupt", "--format"),
+    "gal-scan": ("--family", "--bound", "--graph-class", "--nodes", "--format"),
+}
+
+
+def _argv_of(command: str) -> st.SearchStrategy[list[str]]:
+    """command, some of its own flags once each, and at most one other piece."""
+    own = st.lists(st.sampled_from(_FLAGS[command]), unique=True).flatmap(
+        lambda flags: st.tuples(*(st.tuples(st.just(f), _VALUES[f]) for f in flags))
+    )
+    pieces = st.tuples(own, st.lists(_PIECES, max_size=1)).map(lambda t: [*t[0], *t[1]])
+    return pieces.flatmap(st.permutations).map(
+        lambda pieces: [command] + [item for piece in pieces for item in piece]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.sampled_from(_COMMANDS).flatmap(_argv_of))
+def test_the_reader_agrees_with_argparse(argv: list[str]) -> None:
+    # argparse is the reference: on every argv the option table's reader
+    # accepts, argparse accepts it too and builds the same namespace.
+    args = cli._read_argv(argv)
+    if args is not None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                reference = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+        assert vars(args) == vars(reference), argv

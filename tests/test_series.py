@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,7 +119,13 @@ def test_inv_series_inverts_every_family_denominator(order: int) -> None:
 
 
 @st.composite
-def graded_series(draw, order: int, grading: tuple[int, int], base: int) -> Series2:
+def graded_series(
+    draw,
+    order: int,
+    grading: tuple[int, int],
+    base: int,
+    coefficients: st.SearchStrategy[int] = st.integers(-3, 3),
+) -> Series2:
     """A random series whose slot (k, l) is homogeneous of degree base + a k + b l."""
     a, b = grading
     coeffs = {}
@@ -126,7 +134,7 @@ def graded_series(draw, order: int, grading: tuple[int, int], base: int) -> Seri
             if draw(st.booleans()):
                 n = base + a * k + b * l
                 coeffs[(k, l)] = Poly2.from_coeffs(
-                    draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
+                    draw(st.lists(coefficients, min_size=n + 1, max_size=n + 1))
                 )
     return Series2(order, coeffs)
 
@@ -160,6 +168,53 @@ def test_product_and_inverse_agree_with_the_raw_series_witness(data) -> None:
     assert inv_series(inverse) == unit
 
 
+def _all_pairs_product(a: Series2, b: Series2) -> dict:
+    """The binomial product's slots, by Poly2 arithmetic over every slot pair."""
+    out: dict = {}
+    for (k1, l1), p in a.items():
+        for (k2, l2), q in b.items():
+            k, l = k1 + k2, l1 + l2
+            if k + l <= a.order:
+                out[(k, l)] = out.get((k, l), Poly2.zero()) + p * q * (
+                    comb(k, k1) * comb(l, l1)
+                )
+    return {slot: p for slot, p in out.items() if p}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_slot_products_equal_the_all_pairs_product(data) -> None:
+    # The kernel walks the right operand by total degree and stops each
+    # left slot at the truncation order; the reference visits every pair.
+    # A rogue left slot one degree off makes each product slot it reaches
+    # mix degrees, which both must refuse; positive coefficients keep
+    # such a slot from cancelling to zero before the rogue term lands.
+    order = data.draw(st.integers(0, 5))
+    grading = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    rogue = data.draw(st.booleans())
+    coefficients = st.integers(1, 3) if rogue else st.integers(-3, 3)
+    base = data.draw(st.integers(0, 2))
+    left = data.draw(graded_series(order, grading, base, coefficients))
+    right = data.draw(graded_series(order, grading, data.draw(st.integers(0, 2)), coefficients))
+    if rogue:
+        k = data.draw(st.integers(0, order))
+        l = data.draw(st.integers(0, order - k))
+        n = base + grading[0] * k + grading[1] * l + 1
+        slots = dict(left.items())
+        slots[(k, l)] = Poly2.from_coeffs(
+            data.draw(st.lists(coefficients, min_size=n + 1, max_size=n + 1))
+        )
+        left = Series2(order, slots)
+    try:
+        expected = _all_pairs_product(left, right)
+    except InhomogeneousError:
+        with pytest.raises(InhomogeneousError):
+            series._slot_products(left, right)
+        return
+    products = series._slot_products(left, right)
+    assert {slot: Poly2.from_coeffs(c) for slot, c in products.items() if any(c)} == expected
+
+
 def test_a_product_slot_that_mixes_degrees_raises() -> None:
     # (1 + alpha x)(1 + x): the slot x gets alpha and 1
     a = Series2(2, {(0, 0): Poly2.one(), (1, 0): A})
@@ -189,6 +244,17 @@ def test_a_slot_that_cancels_is_dropped() -> None:
     a = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one(), (2, 0): A})
     b = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one(), (2, 0): Poly2.constant(-2)})
     assert a * b == Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.constant(2), (2, 0): A})
+
+
+def test_series_the_module_builds_hold_no_zero_slot() -> None:
+    # results built without the constructor's checks still drop a slot
+    # whose coefficient is zero, so they compare equal to checked ones
+    one = Series2.one(3)
+    assert deriv_t(one) == Series2(3)
+    assert deriv_t(one + Series2.monomial(3, 1, 0, A * T)).items() == [((1, 0), A)]
+    assert exp_series(Series2(3)) == one
+    assert truncate(eta_linear(1, 1, 3), 0) == Series2(0)
+    assert deriv_x(Series2.monomial(3, 0, 2, A)) == Series2(2)
 
 
 def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_caches) -> None:
