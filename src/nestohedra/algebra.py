@@ -22,15 +22,22 @@ only ints.  Face counts are integers, and the series module stores k! l!
 times each coefficient of an exponential generating function, which is an
 integer face polynomial too; where a step divides, it goes through
 ``exact_div``, which refuses a remainder instead of leaving the integers.
+So ``fractions`` is imported only by the code that meets a non-integer:
+formatting or parsing one, and the rescaled difference a failed identity
+reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import sys
 from math import comb
 from operator import add
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+
+from ._record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Poly2",
@@ -47,7 +54,7 @@ __all__ = [
 ]
 
 Exponents = tuple[int, int]
-CoeffLike = Union[Fraction, int]
+CoeffLike = Union[int, "Fraction"]
 
 
 class InhomogeneousError(ValueError):
@@ -147,7 +154,7 @@ class Poly2:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly2):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return self._terms == Poly2.constant(other)._terms
         return NotImplemented
 
@@ -178,9 +185,9 @@ class Poly2:
         return Poly2.from_coeffs(-c for c in self._terms)
 
     def __mul__(self, other: "Poly2 | CoeffLike") -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            return Poly2.from_coeffs([c * other for c in self._terms])
         if not isinstance(other, Poly2):
+            if isinstance(other, int) or _is_fraction(other):
+                return Poly2.from_coeffs([c * other for c in self._terms])
             return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
@@ -249,8 +256,22 @@ def _as_poly(value: "Poly2 | CoeffLike") -> Poly2:
     return Poly2.constant(value)
 
 
+def _is_fraction(value: object) -> bool:
+    """Whether value is a ``Fraction``, asked without importing ``fractions``.
+
+    No Fraction can exist before that module is imported, so an int-only
+    run never loads it (nor the ``decimal`` and ``numbers`` it pulls in).
+    """
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
 def format_rational(c: CoeffLike) -> str:
     """Render exactly, as ``p`` for integers and ``p/q`` in lowest terms otherwise."""
+    if type(c) is int:
+        return str(c)
+    from fractions import Fraction
+
     c = Fraction(c)
     if c.denominator == 1:
         return str(c.numerator)
@@ -258,6 +279,8 @@ def format_rational(c: CoeffLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(text)
 
 
@@ -295,22 +318,20 @@ def h_from_f(p: Poly2) -> Poly2:
     return Poly2.from_coeffs(h)
 
 
-@dataclass(frozen=True)
-class GammaVector:
+class GammaVector(Record):
     """Coefficients of h over the basis (alpha t)^i (alpha + t)^(n-2i)."""
 
-    n: int
-    gammas: tuple[CoeffLike, ...]
+    __slots__ = ("n", "gammas")
 
-    def __post_init__(self) -> None:
-        expected = self.n // 2 + 1
-        if self.n < 0:
+    def __init__(self, n: int, gammas: tuple[CoeffLike, ...]):
+        expected = n // 2 + 1
+        if n < 0:
             raise ValueError("negative degree")
-        if len(self.gammas) != expected:
+        if len(gammas) != expected:
             raise ValueError(
-                f"degree {self.n} needs {expected} gamma entries, got {len(self.gammas)}"
+                f"degree {n} needs {expected} gamma entries, got {len(gammas)}"
             )
-        object.__setattr__(self, "gammas", tuple(self.gammas))
+        self._set(n, tuple(gammas))
 
     def __iter__(self) -> Iterator[CoeffLike]:
         return iter(self.gammas)

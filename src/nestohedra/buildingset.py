@@ -15,8 +15,10 @@ these graph operations are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 __all__ = [
     "MAX_GROUND",
@@ -86,8 +88,8 @@ def _compress(masks: Iterable[int], within: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class Graph:
+@total_ordering
+class Graph(Record):
     """Simple undirected graph on nodes 0..n-1, as adjacency masks.
 
     Bit v of ``adj[u]`` is set when u-v is an edge.  The masks are the whole
@@ -97,7 +99,25 @@ class Graph:
     ``graph_from_edges`` is the validating constructor.
     """
 
-    adj: tuple[int, ...]
+    __slots__ = ("adj",)
+
+    # the recursion builds graphs and looks them up in the shared memo, so
+    # these read and write the masks directly, not through Record's field loop
+    def __init__(self, adj: tuple[int, ...]):
+        object.__setattr__(self, "adj", adj)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash(self.adj)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.adj < other.adj
 
     @property
     def n(self) -> int:

@@ -287,8 +287,6 @@ def _scan_families(args: SimpleNamespace) -> int:
 
 
 def _scan_graph_classes(args: SimpleNamespace) -> int:
-    if args.graph_class != "connected":
-        raise ValueError(f"unknown graph class {args.graph_class!r}")
     if args.nodes is None:
         raise ValueError("--graph-class needs --nodes N")
     if not 1 <= args.nodes <= 7:

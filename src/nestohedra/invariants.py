@@ -10,9 +10,9 @@ nonnegativity per index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import Record
 from .algebra import (
     CoeffLike,
     GammaVector,
@@ -66,11 +66,16 @@ def euler_relation_holds(face_counts: list[int]) -> bool:
     return total == (-1) ** n
 
 
-@dataclass(frozen=True)
-class GalPolyResult:
-    passed: bool
-    gammas: GammaVector
-    first_negative: Optional[tuple[int, CoeffLike]]
+class GalPolyResult(Record):
+    __slots__ = ("passed", "gammas", "first_negative")
+
+    def __init__(
+        self,
+        passed: bool,
+        gammas: GammaVector,
+        first_negative: Optional[tuple[int, CoeffLike]],
+    ):
+        self._set(passed, gammas, first_negative)
 
 
 def gal_check_poly(p: Poly2, n: int) -> GalPolyResult:
@@ -91,11 +96,11 @@ def gal_check_poly(p: Poly2, n: int) -> GalPolyResult:
     return GalPolyResult(passed=True, gammas=gv, first_negative=None)
 
 
-@dataclass(frozen=True)
-class ScanViolation:
-    index: tuple[int, int]
-    condition: str
-    witness: str
+class ScanViolation(Record):
+    __slots__ = ("index", "condition", "witness")
+
+    def __init__(self, index: tuple[int, int], condition: str, witness: str):
+        self._set(index, condition, witness)
 
     def to_json_obj(self) -> dict[str, object]:
         return {
@@ -106,13 +111,23 @@ class ScanViolation:
         }
 
 
-@dataclass
-class SeriesScanReport:
-    family: str
-    order: int
-    checked: int
-    violations: list[ScanViolation]
-    gammas: dict[tuple[int, int], GammaVector] = field(default_factory=dict)
+class SeriesScanReport(Record):
+    """The one mutable record: a scan fills it in as it goes."""
+
+    __slots__ = ("family", "order", "checked", "violations", "gammas")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        family: str,
+        order: int,
+        checked: int,
+        violations: list[ScanViolation],
+        gammas: dict[tuple[int, int], GammaVector] | None = None,
+    ):
+        self._set(family, order, checked, violations, {} if gammas is None else gammas)
 
     @property
     def passed(self) -> bool:

@@ -27,13 +27,12 @@ check between the closed forms and the polytope recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
+from ._record import Record
 from .algebra import Poly2, exact_div, h_from_f
 from .buildingset import (
     Graph,
@@ -374,8 +373,7 @@ class NotInFamilyError(ValueError):
     """An (k, l) index that carries no polytope of the requested family."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Where a family's polytopes sit in its generating function.
 
     ``member`` decides which monomials x^k y^l carry a polytope, ``graph_at``
@@ -384,11 +382,17 @@ class FamilySpec:
     the constant 2*offset across the whole series.
     """
 
-    id: str
-    offset: int
-    description: str
-    member: Callable[[int, int], bool]
-    graph_at: Callable[[int, int], Graph]
+    __slots__ = ("id", "offset", "description", "member", "graph_at")
+
+    def __init__(
+        self,
+        id: str,
+        offset: int,
+        description: str,
+        member: Callable[[int, int], bool],
+        graph_at: Callable[[int, int], Graph],
+    ):
+        self._set(id, offset, description, member, graph_at)
 
     def contains(self, k: int, l: int) -> bool:
         return k >= 0 and l >= 0 and self.member(k, l)
@@ -581,11 +585,13 @@ def coeff_normalized(
 IDENTITY_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8")
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    passed: bool
-    mismatch: Optional[tuple[int, int, Poly2]]
+class IdentityResult(Record):
+    __slots__ = ("name", "passed", "mismatch")
+
+    def __init__(
+        self, name: str, passed: bool, mismatch: Optional[tuple[int, int, Poly2]]
+    ):
+        self._set(name, passed, mismatch)
 
     def to_json_obj(self) -> dict[str, object]:
         obj: dict[str, object] = {"identity": self.name, "passed": self.passed}
@@ -595,10 +601,11 @@ class IdentityResult:
         return obj
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    order: int
-    results: tuple[IdentityResult, ...]
+class IdentityReport(Record):
+    __slots__ = ("order", "results")
+
+    def __init__(self, order: int, results: tuple[IdentityResult, ...]):
+        self._set(order, results)
 
     @property
     def all_passed(self) -> bool:
@@ -689,6 +696,8 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
         diff = first_mismatch(lhs, rhs)
         if diff is not None:
             # report the raw [x^k y^l] difference, not the stored k! l! multiple
+            from fractions import Fraction
+
             k, l, p = diff
             diff = (k, l, p * Fraction(1, factorial(k) * factorial(l)))
         results.append(IdentityResult(name=name, passed=diff is None, mismatch=diff))

@@ -231,6 +231,11 @@ def test_rational_formatting() -> None:
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-5, 2)) == "-5/2"
     assert format_rational(Fraction(0)) == "0"
+    assert format_rational(7) == "7"
+    assert format_rational(-12) == "-12"
+    assert format_rational(0) == "0"
+    assert format_rational(True) == "1"
+    assert format_rational(False) == "0"
     assert parse_rational("3") == Fraction(3)
     assert parse_rational("-5/2") == Fraction(-5, 2)
 

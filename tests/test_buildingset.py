@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from itertools import combinations
@@ -95,8 +94,11 @@ def test_cycle_graph() -> None:
 def test_adjacency_masks_are_built_once_per_graph() -> None:
     # The masks are the graph's one field: built by the constructor, read
     # by every operation, and the whole of its value, hash and order.
-    assert [f.name for f in dataclasses.fields(Graph)] == ["adj"]
+    assert Graph.__slots__ == ("adj",)
     g = bipartite_graph(2, 2)
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(AttributeError):
+        g.adj = ()
     assert g.adj == (0b1100, 0b1100, 0b0011, 0b0011)
     assert g.n == 4
     assert g == Graph((0b1100, 0b1100, 0b0011, 0b0011)) == bipartite_graph(2, 2)

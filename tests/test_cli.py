@@ -410,6 +410,20 @@ def test_output_digests_above_the_bench_reference(capsys, argv: list[str], diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_negative_control_output_digest(capsys) -> None:
+    # sha256 of stdout, recorded while fractions was still imported at
+    # module level: the mismatch records print 1/2, the one non-integer
+    # a command line run formats.
+    argv = ["identities", "--order", "4", "--corrupt", "pe", "--format", "json"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (1, "")
+    assert '"c": "1/2"' in out
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f0cc767571653bcb0b41bb4d4911796294968e7822871fc2a4b8892cc3cf888d"
+    )
+
+
 def test_config_flag_is_refused(capsys, tmp_path: Path) -> None:
     # There is no settings file: --config is a usage error on every command.
     config = tmp_path / "settings.cfg"
@@ -469,7 +483,9 @@ def test_no_subcommand_imports_networkx() -> None:
     # The graph atlas is a committed table, so the CLI runs without the
     # package it was taken from.  A well-formed argv is read from the
     # option table without argparse (nor the locale module its messages
-    # pull in); an abbreviated flag is argparse's to read.
+    # pull in); an abbreviated flag is argparse's to read.  The records
+    # are plain slotted classes and every passing op is integer-only, so
+    # neither dataclasses nor fractions (nor what they import) is loaded.
     script = """
 import contextlib, io, json, sys
 from nestohedra.cli import main
@@ -483,7 +499,11 @@ codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-loaded = {name: name in sys.modules for name in ("networkx", "argparse", "locale")}
+unused = (
+    "networkx", "argparse", "locale",
+    "dataclasses", "inspect", "ast", "fractions", "decimal", "numbers",
+)
+loaded = {name: name in sys.modules for name in unused}
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["invariants", "--gra", "path:4"]))
 loaded["argparse after --gra"] = "argparse" in sys.modules
@@ -501,6 +521,12 @@ print(json.dumps({"codes": codes, **loaded}))
         "networkx": False,
         "argparse": False,
         "locale": False,
+        "dataclasses": False,
+        "inspect": False,
+        "ast": False,
+        "fractions": False,
+        "decimal": False,
+        "numbers": False,
         "argparse after --gra": True,
     }
 

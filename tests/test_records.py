@@ -1,0 +1,138 @@
+"""The value records: construction, repr, equality, hash and immutability.
+
+The repr strings were recorded from the dataclasses these records were
+before they became slotted classes, so the public behaviour is pinned
+across that change.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from nestohedra import (
+    FamilySpec,
+    GalPolyResult,
+    GammaVector,
+    Graph,
+    IdentityReport,
+    IdentityResult,
+    Poly2,
+    ScanViolation,
+    SeriesScanReport,
+    path_graph,
+    star_graph,
+)
+
+# (build one record, build an unequal one, a field name, the repr)
+FROZEN = {
+    "Graph": (
+        lambda: path_graph(3),
+        lambda: star_graph(2),
+        "adj",
+        "Graph(adj=(2, 5, 2))",
+    ),
+    "GammaVector": (
+        lambda: GammaVector(2, (1, 2)),
+        lambda: GammaVector(2, (1, -2)),
+        "gammas",
+        "GammaVector(n=2, gammas=(1, 2))",
+    ),
+    "IdentityResult": (
+        lambda: IdentityResult("I1", True, None),
+        lambda: IdentityResult(name="I2", passed=True, mismatch=None),
+        "passed",
+        "IdentityResult(name='I1', passed=True, mismatch=None)",
+    ),
+    "IdentityReport": (
+        lambda: IdentityReport(3, (IdentityResult("I1", True, None),)),
+        lambda: IdentityReport(order=3, results=()),
+        "results",
+        "IdentityReport(order=3, results=(IdentityResult(name='I1', passed=True, mismatch=None),))",
+    ),
+    "GalPolyResult": (
+        lambda: GalPolyResult(
+            passed=False, gammas=GammaVector(2, (1, -2)), first_negative=(1, -2)
+        ),
+        lambda: GalPolyResult(True, GammaVector(2, (1, 2)), None),
+        "first_negative",
+        "GalPolyResult(passed=False, gammas=GammaVector(n=2, gammas=(1, -2)), "
+        "first_negative=(1, -2))",
+    ),
+    "ScanViolation": (
+        lambda: ScanViolation((1, 2), "symmetry", "x"),
+        lambda: ScanViolation(index=(1, 2), condition="symmetry", witness="y"),
+        "witness",
+        "ScanViolation(index=(1, 2), condition='symmetry', witness='x')",
+    ),
+    "FamilySpec": (
+        lambda: FamilySpec("demo", 1, "a family", max, min),
+        lambda: FamilySpec(id="demo", offset=1, description="a family", member=max, graph_at=max),
+        "offset",
+        "FamilySpec(id='demo', offset=1, description='a family', "
+        "member=<built-in function max>, graph_at=<built-in function min>)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_records_are_values(name: str) -> None:
+    make, make_other, field, text = FROZEN[name]
+    a, b, other = make(), make(), make_other()
+    assert a is not b
+    assert repr(a) == text
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_a_record_holding_a_polynomial_is_unhashable() -> None:
+    result = IdentityResult("I1", False, (1, 2, Poly2.from_coeffs((1, 2))))
+    assert repr(result) == (
+        "IdentityResult(name='I1', passed=False, mismatch=(1, 2, Poly2({(0, 1): 1, (1, 0): 2})))"
+    )
+    assert result == IdentityResult("I1", False, (1, 2, Poly2.from_coeffs((1, 2))))
+    with pytest.raises(TypeError):
+        hash(result)
+
+
+def test_graphs_order_by_their_masks() -> None:
+    low, high = path_graph(3), star_graph(2)  # (0b010, ...) before (0b110, ...)
+    assert low < high and low <= high and low <= path_graph(3)
+    assert high > low and high >= low and high >= star_graph(2)
+    assert not high < low and not low > high
+    with pytest.raises(TypeError):
+        low < low.adj  # noqa: B015
+    assert Graph(low.adj) == low and hash(Graph(low.adj)) == hash(low)
+    assert low != low.adj
+
+
+def test_gamma_vectors_validate_and_keep_a_tuple() -> None:
+    assert GammaVector(2, [1, 2]).gammas == (1, 2)
+    assert GammaVector(n=3, gammas=(1, 4)) == GammaVector(3, [1, 4])
+    with pytest.raises(ValueError, match="needs 2 gamma entries, got 1"):
+        GammaVector(2, (1,))
+    with pytest.raises(ValueError, match="negative degree"):
+        GammaVector(-1, ())
+
+
+def test_scan_reports_are_mutable_with_their_own_gammas() -> None:
+    a = SeriesScanReport("pe", 3, 0, [])
+    b = SeriesScanReport(family="pe", order=3, checked=0, violations=[])
+    assert repr(a) == (
+        "SeriesScanReport(family='pe', order=3, checked=0, violations=[], gammas={})"
+    )
+    assert a == b
+    assert a.gammas is not b.gammas
+    a.checked += 1
+    a.gammas[(1, 0)] = GammaVector(0, (1,))
+    assert (a.checked, b.checked, b.gammas) == (1, 0, {})
+    assert a != b
+    with pytest.raises(TypeError):
+        hash(a)
