@@ -44,9 +44,10 @@ __all__ = [
 
 # Grounds are bitmasks in a Python int, so the cap is soft.  It is not a
 # cost bound: the nested-set recursion visits every connected node set of
-# a twin-free graph, about 3.5 times more per node (a random 14-node one
-# takes about 6 s, so one near 20 nodes would take hours), while twin-rich
-# and sparse graphs at 20 nodes take well under a second.
+# a twin-free graph, about 3 to 3.5 times more per node (a random 14-node
+# one takes 2.7-4.8 s, so one near 20 nodes would take hours), while
+# twin-rich and sparse graphs at 20 nodes take under 0.05 s (2 shared
+# cores, CPython 3.11).
 MAX_GROUND = 20
 # Deepest parenthesis nesting parse_graph_spec accepts; far above any spec
 # within MAX_GROUND nodes that does not join empty graphs.
@@ -93,26 +94,18 @@ class Graph(Record):
     """Simple undirected graph on nodes 0..n-1, as adjacency masks.
 
     Bit v of ``adj[u]`` is set when u-v is an edge.  The masks are the whole
-    value, so a graph is hashable and sortable and serves as its own memo
-    key: two graphs are equal exactly when they are the same labelled
-    graph.  ``Graph(adj)`` trusts its masks to be symmetric and loop-free;
-    ``graph_from_edges`` is the validating constructor.
+    value, so a graph is hashable and sortable, and its masks serve as the
+    shared memo's key: two graphs are equal exactly when they are the same
+    labelled graph.  ``Graph(adj)`` trusts its masks to be symmetric and
+    loop-free; ``graph_from_edges`` is the validating constructor.
     """
 
     __slots__ = ("adj",)
 
-    # the recursion builds graphs and looks them up in the shared memo, so
-    # these read and write the masks directly, not through Record's field loop
+    # the atlas load builds graphs in bulk, so this writes the masks
+    # directly, not through Record's field loop
     def __init__(self, adj: tuple[int, ...]):
         object.__setattr__(self, "adj", adj)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash(self.adj)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .algebra import InhomogeneousError, Poly2, format_rational
+from .algebra import InhomogeneousError, Poly2, format_rational, h_from_f
 from .buildingset import (
     Graph,
     GraphSpecError,
@@ -39,7 +39,6 @@ from .buildingset import (
 from .invariants import (
     GalPolyResult,
     SeriesScanReport,
-    fvector,
     gal_check_poly,
     gal_check_series,
     hpoly,
@@ -115,9 +114,9 @@ def _gal_check_recursion(g: Graph, h: Poly2, n: int) -> GalPolyResult:
 
 def cmd_invariants(args: SimpleNamespace) -> int:
     graph = parse_graph_spec(args.graph)
-    cache = FPolyCache()
-    fvec = fvector(graph, cache)
-    h = hpoly(graph, cache)
+    f = fpoly(graph)
+    fvec = list(f.coeffs)
+    h = h_from_f(f)
     dim = len(fvec) - 1
     gv = _gal_check_recursion(graph, h, dim).gammas
     facets = fvec[-2] if dim >= 1 else 0

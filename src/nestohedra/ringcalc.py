@@ -24,10 +24,20 @@ class, and C is grown one class at a time through the class quotient,
 with counts chosen only inside classes of two or more nodes of W.  On a
 twin-free graph this is plain connected-set extension.
 
+Every face polynomial, product S(X) and partial sum is one packed int
+(Kronecker substitution, Harvey, arXiv:0712.4046): the coefficient of
+alpha^i sits in bits [i * _WIDTH, (i + 1) * _WIDTH).  Multiplying by
+(1 + alpha) or by alpha^k, adding and convolving are then single integer
+operations.  Every coefficient built is a partial sum of the face counts
+of a nestohedron on at most MAX_GROUND nodes, so it is at most the face
+count of the permutohedron, the ordered Bell number, and never carries
+into the next field.
+
 ``FPolyCache`` shares results between graphs: each subproblem missed by
-the per-call mask memo is looked up, and stored, under its labelled
-induced subgraph.  The recursion takes graphs only: nestohedra of building
-sets that do not come from a graph are out of scope.
+the per-call mask memo is looked up, and stored, under the adjacency tuple
+of its labelled induced subgraph.  The recursion takes graphs only:
+nestohedra of building sets that do not come from a graph are out of
+scope.
 """
 
 from __future__ import annotations
@@ -41,28 +51,52 @@ from .buildingset import (
     MAX_GROUND,
     Graph,
     _closure,
+    _compress,
     _mask_nodes,
     graph_spec,
-    induced_subgraph,
     twin_classes,
 )
 
 __all__ = ["FPolyCache", "fpoly"]
 
-Coeffs = tuple[int, ...]  # entry i counts the faces of dimension i
+
+def _ordered_bell(n: int) -> int:
+    """Ordered set partitions of n items: the faces of the (n-1)-permutohedron."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
+
+
+# bits per packed coefficient, one spare above the largest face count
+_WIDTH = _ordered_bell(MAX_GROUND).bit_length() + 1
+_FIELD = (1 << _WIDTH) - 1
+_ONE_PLUS_ALPHA = 1 << _WIDTH | 1
+
+
+def _unpack(f: int) -> list[int]:
+    """The coefficients of a packed polynomial, up to its top nonzero one."""
+    out = []
+    while f:
+        out.append(f & _FIELD)
+        f >>= _WIDTH
+    return out
 
 
 class FPolyCache:
-    """Face polynomials keyed on labelled graphs, shared across ``fpoly`` calls."""
+    """Packed face counts keyed on labelled graphs' adjacency tuples.
+
+    Shared across ``fpoly`` calls; ``Graph(key)`` is the graph of a key.
+    """
 
     def __init__(self) -> None:
-        self._polys: dict[Graph, Poly2] = {}
+        self._polys: dict[tuple[int, ...], int] = {}
 
-    def lookup(self, g: Graph) -> Optional[Poly2]:
-        return self._polys.get(g)
+    def lookup(self, key: tuple[int, ...]) -> Optional[int]:
+        return self._polys.get(key)
 
-    def store(self, g: Graph, value: Poly2) -> None:
-        self._polys[g] = value
+    def store(self, key: tuple[int, ...], value: int) -> None:
+        self._polys[key] = value
 
     def __len__(self) -> int:
         return len(self._polys)
@@ -78,7 +112,7 @@ class _NestedSets:
     """
 
     def __init__(self, g: Graph, cache: FPolyCache):
-        self.g, self.cache = g, cache
+        self.adj, self.cache = g.adj, cache
         classes = twin_classes(g)
         self.node_class = [0] * g.n
         # prefix[i][c]: the first c nodes of class i
@@ -95,67 +129,73 @@ class _NestedSets:
         self.quotient = [
             sum(1 << i for i, p in enumerate(self.prefix) if r & p[1]) for r in self.reach
         ]
-        self.memo: dict[int, Coeffs] = {}
-        self.products: dict[int, list[int]] = {}
+        self.memo: dict[int, int] = {}
+        self.products: dict[int, int] = {}
 
-    def face_counts(self, mask: int) -> Coeffs:
-        """F of a connected twin-canonical mask: memo, shared cache, formula."""
+    def face_counts(self, mask: int) -> int:
+        """Packed F of a connected twin-canonical mask: memo, shared cache, formula."""
         f = self.memo.get(mask)
         if f is not None:
             return f
         if not mask & (mask - 1):
-            return (1,)
-        sub = induced_subgraph(self.g, mask)
-        cached = self.cache.lookup(sub)
-        if cached is not None:
-            f = cached.coeffs
-        else:
+            return 1
+        adj = self.adj
+        key = _compress([adj[v] for v in _mask_nodes(mask)], mask)
+        f = self.cache.lookup(key)
+        if f is None:
             f = self.expand(mask)
             n = mask.bit_count()
-            if len(f) != n or f[-1] != 1:
+            if f >> _WIDTH * (n - 1) != 1:
                 raise ArithmeticError(
-                    f"face counts of {graph_spec(sub)} are {list(f)}, "
+                    f"face counts of {graph_spec(Graph(key))} are {_unpack(f)}, "
                     f"not {n} entries ending in 1"
                 )
-            self.cache.store(sub, Poly2.from_coeffs(f))
+            self.cache.store(key, f)
         self.memo[mask] = f
         return f
 
     def components(self, mask: int) -> Iterator[int]:
         left = mask
         while left:
-            part = _closure(self.g.adj, left & -left, mask)
+            part = _closure(self.adj, left & -left, mask)
             left ^= part
             yield part
 
-    def components_product(self, mask: int) -> list[int]:
-        """S(mask): (1 + alpha) F_D multiplied over the components D."""
+    def components_product(self, mask: int) -> int:
+        """Packed S(mask): (1 + alpha) F_D multiplied over the components D."""
         out = self.products.get(mask)
         if out is None:
-            out = [1]
+            out = 1
             for part in self.components(mask):
-                out = _convolve(_convolve(out, (1, 1)), self.face_counts(part))
+                out *= _ONE_PLUS_ALPHA * self.face_counts(part)
             self.products[mask] = out
         return out
 
-    def expand(self, mask: int) -> Coeffs:
-        """The formula for F_W, W = mask, before any check."""
+    def expand(self, mask: int) -> int:
+        """The formula for packed F_W, W = mask, before any check."""
         prefix = self.prefix
         counts = [(mask & p[-1]).bit_count() for p in prefix]
         first = self.node_class[(mask & -mask).bit_length() - 1]
         w0 = counts[first]
         # S(W - v): v is the first node of its class, so drop the class's last
-        out = list(self.components_product(mask ^ prefix[first][w0] ^ prefix[first][w0 - 1]))
+        out = self.components_product(mask ^ prefix[first][w0] ^ prefix[first][w0 - 1])
         support = sum(1 << i for i, w in enumerate(counts) if w)
         multi = sum(1 << i for i, w in enumerate(counts) if w > 1)
         # per remainder X: the sum of weight * F_C * alpha^(|N_W(C)| - 1)
-        sums: dict[int, list[int]] = {}
+        sums: dict[int, int] = {}
         for classes, nodes, reach in self.supports(first, support):
             # classes outside the support go whole to N_W(C) (rim, counted)
             # or to X (rest); C takes the one node of each class holding one
             outside = mask & ~nodes
             rim, rest = (outside & reach).bit_count(), outside & ~reach
             fixed = mask & nodes
+            if not classes & multi:
+                # one node per class: C is the support's nodes, one pick
+                if fixed != mask:
+                    sums[rest] = sums.get(rest, 0) + (
+                        self.face_counts(fixed) << _WIDTH * (rim - 1)
+                    )
+                continue
             # per class of several nodes, per count c: C's nodes, the ways to
             # pick them with v among them, and what is left to N_W(C) and X
             choices = []
@@ -182,15 +222,12 @@ class _NestedSets:
                     size += rim_add
                     left |= rest_add
                 if part != mask:
-                    acc = sums.get(left)
-                    if acc is None:
-                        acc = sums[left] = [0] * (len(out) - left.bit_count() - 1)
-                    for k, c in enumerate(self.face_counts(part), size - 1):
-                        acc[k] += weight * c
+                    sums[left] = sums.get(left, 0) + (
+                        weight * self.face_counts(part) << _WIDTH * (size - 1)
+                    )
         for left, acc in sums.items():
-            for k, c in enumerate(_convolve(acc, self.components_product(left))):
-                out[k] += c
-        return tuple(out)
+            out += acc * self.components_product(left)
+        return out
 
     def supports(self, first: int, allowed: int):
         """The connected class sets inside ``allowed`` that hold ``first``, once each.
@@ -216,14 +253,6 @@ class _NestedSets:
                 banned |= low
 
 
-def _convolve(p, q) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     """Face polynomial of the nestohedron of a graph's building set.
 
@@ -237,7 +266,7 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     if g.n > MAX_GROUND:
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
     nested = _NestedSets(g, cache if cache is not None else FPolyCache())
-    f = [1]
+    f = 1
     for part in nested.components((1 << g.n) - 1):
-        f = _convolve(f, nested.face_counts(part))
-    return Poly2.from_coeffs(f)
+        f *= nested.face_counts(part)
+    return Poly2.from_coeffs(_unpack(f))

@@ -99,7 +99,9 @@ def test_invariants_rejects_short_cycles(capsys) -> None:
     "corrupt, message",
     [
         (lambda f: f[:-1] + (2,), "[24, 36, 14, 2], not 4 entries ending in 1"),
-        (lambda f: f + (0,), "[24, 36, 14, 1, 0], not 4 entries ending in 1"),
+        # a packed int holds no zero field past its top one, so the extra
+        # entry is a 1
+        (lambda f: f + (1,), "[24, 36, 14, 1, 1], not 4 entries ending in 1"),
         (lambda f: f[1:], "[36, 14, 1], not 4 entries ending in 1"),
     ],
     ids=["top-face-not-one", "one-entry-long", "one-entry-short"],
@@ -109,12 +111,16 @@ def test_face_counts_that_fail_the_check_exit_one(
 ) -> None:
     # Valid input, but the face counts the recursion computes for a
     # four-node subproblem fail its own check: a failed check (1) with one
-    # error line naming the graph, not a usage error (2).
+    # error line naming the graph, not a usage error (2).  The face counts
+    # are unpacked, corrupted and packed again.
     plain = ringcalc._NestedSets.expand
 
-    def broken(self, mask: int) -> tuple[int, ...]:
+    def broken(self, mask: int) -> int:
         f = plain(self, mask)
-        return corrupt(f) if mask.bit_count() == 4 else f
+        if mask.bit_count() != 4:
+            return f
+        wrong = corrupt(tuple(ringcalc._unpack(f)))
+        return sum(c << ringcalc._WIDTH * i for i, c in enumerate(wrong))
 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:4"])
@@ -127,8 +133,13 @@ def test_face_counts_that_fail_the_check_exit_one(
 def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
     # An h-polynomial that breaks Dehn-Sommerville came from a faulty
     # recursion on a valid spec: a failed check (1), not bad input (2).
-    plain = cli.hpoly
-    monkeypatch.setattr(cli, "hpoly", lambda g, cache=None: plain(g, cache) + Poly2.alpha() ** 2)
+    # invariants derives h from its one face polynomial, and gal-scan asks
+    # for h graph by graph.
+    plain_h_from_f, plain_hpoly = cli.h_from_f, cli.hpoly
+    monkeypatch.setattr(cli, "h_from_f", lambda f: plain_h_from_f(f) + Poly2.alpha() ** 2)
+    monkeypatch.setattr(
+        cli, "hpoly", lambda g, cache=None: plain_hpoly(g, cache) + Poly2.alpha() ** 2
+    )
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
     assert (code, out) == (1, "")
     assert err == (
@@ -405,6 +416,39 @@ def test_complete_bipartite_recursion_matches_the_series_to_order_sixteen(capsys
 def test_output_digests_above_the_bench_reference(capsys, argv: list[str], digest: str) -> None:
     # sha256 of stdout, recorded before the one-pass series kernel; the
     # bench reference stops at order 10.
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["gal-scan", "--graph-class", "connected", "--nodes", "7", "--format", "csv"],
+            "48fa6c1f02663062f0f023c805c19c6405c0776c31199a358e2e03bc69a87138",
+        ),
+        (
+            ["invariants", "--graph", "cycle:20"],
+            "6b16a41fbd68e71b9d01c66894dbfa36e99e3c61f6abd07115777baefc8ab2ae",
+        ),
+        (
+            ["invariants", "--graph", "bipartite:10,10"],
+            "75a54d7ea27202aa73ea5ba5e63c30f328d1c33150e022f14057a36062f96ab4",
+        ),
+        (
+            ["invariants", "--graph", "path:20"],
+            "97b526378172eeb824d15a416c1643f2e13458cbc8c001bb4cf3b8634a58d4b7",
+        ),
+    ],
+    ids=["gal-scan-connected-7-csv", "cycle-20", "bipartite-10-10", "path-20"],
+)
+def test_recursion_output_digests_beyond_the_bench_reference(
+    capsys, argv: list[str], digest: str
+) -> None:
+    # sha256 of stdout, recorded while the recursion still held its face
+    # counts as coefficient lists; the bench reference has no 7-node scan
+    # and no 20-node graph.
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

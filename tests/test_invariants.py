@@ -143,7 +143,7 @@ def test_path_gammas_are_the_associahedron_closed_form() -> None:
     # path:n gives the (n-1)-dimensional associahedron, with
     # gamma_i = C(n-1, 2i) * Cat(i).
     cache = FPolyCache()
-    for n in range(1, 13):
+    for n in range(1, MAX_GROUND + 1):
         catalan = [comb(2 * i, i) // (i + 1) for i in range(n)]
         expected = tuple(comb(n - 1, 2 * i) * catalan[i] for i in range((n - 1) // 2 + 1))
         assert gamma(path_graph(n), cache).gammas == expected, n
@@ -166,7 +166,7 @@ def test_complete_fvectors_are_ordered_set_partitions() -> None:
 def test_cycle_gammas_are_the_cyclohedron_closed_form() -> None:
     # The n-cycle gives the (n-1)-dimensional cyclohedron; with d = n - 1,
     # gamma_i = d! / (i!^2 (d - 2i)!) (Postnikov-Reiner-Williams).
-    for n in range(3, 10):
+    for n in range(3, MAX_GROUND + 1):
         cycle = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
         d = n - 1
         expected = tuple(

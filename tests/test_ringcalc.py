@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nestohedra import ringcalc
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
+    MAX_GROUND,
     Graph,
     bipartite_graph,
     complete_graph,
@@ -276,9 +277,12 @@ def test_fpoly_names_the_subgraph_whose_face_counts_fail_the_check(monkeypatch) 
     # face; a failure names the induced subgraph, labelled compactly.
     plain = ringcalc._NestedSets.expand
 
-    def broken(self, mask: int) -> tuple[int, ...]:
+    def broken(self, mask: int) -> int:
         f = plain(self, mask)
-        return f[:-1] if mask.bit_count() == 3 else f
+        if mask.bit_count() != 3:
+            return f
+        wrong = ringcalc._unpack(f)[:-1]
+        return sum(c << ringcalc._WIDTH * i for i, c in enumerate(wrong))
 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
     with pytest.raises(ArithmeticError, match=r"^face counts of edges:3:0-1,1-2 are \[5, 5\]"):
@@ -348,18 +352,18 @@ def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() ->
     cache = FPolyCache()
     fpoly(bipartite_graph(9, 9), cache)
     size = len(cache)
-    assert cache.lookup(bipartite_graph(8, 8)) is not None
+    assert cache.lookup(bipartite_graph(8, 8).adj) is not None
     assert fpoly(bipartite_graph(8, 8), cache) == facet_fpoly(bipartite_graph(8, 8))
     assert len(cache) == size
 
 
 def test_a_class_scan_stores_each_labelled_induced_subgraph_once(monkeypatch, capsys) -> None:
-    stored: list[Graph] = []
+    stored: list[tuple[int, ...]] = []
     plain = FPolyCache.store
 
-    def counted(cache: FPolyCache, g: Graph, value: Poly2) -> None:
-        stored.append(g)
-        plain(cache, g, value)
+    def counted(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
+        stored.append(key)
+        plain(cache, key, value)
 
     monkeypatch.setattr(FPolyCache, "store", counted)
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
@@ -367,9 +371,42 @@ def test_a_class_scan_stores_each_labelled_induced_subgraph_once(monkeypatch, ca
     assert len(stored) == len(set(stored))
     # every scanned class is stored under its own labelling, and every
     # entry is a connected graph the scan's subproblems reached
-    scanned = {g for g in connected_graphs_upto_iso(6) if g.n == 6}
+    scanned = {g.adj for g in connected_graphs_upto_iso(6) if g.n == 6}
     assert scanned <= set(stored)
-    assert all(is_connected_graph(g) for g in stored)
+    assert all(is_connected_graph(Graph(key)) for key in stored)
+
+
+def test_a_class_scan_shares_subproblems_across_its_graphs(monkeypatch, capsys) -> None:
+    # The six-node scan makes 2297 keyed lookups, and only 411 of them
+    # miss and run the formula.  A cache key that stopped matching equal
+    # labelled subgraphs across graphs would run it more often.
+    expanded = []
+    plain = ringcalc._NestedSets.expand
+
+    def counted(self, mask: int) -> int:
+        expanded.append(mask)
+        return plain(self, mask)
+
+    monkeypatch.setattr(ringcalc._NestedSets, "expand", counted)
+    assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
+    capsys.readouterr()
+    assert len(expanded) == 411
+
+
+def test_the_packed_field_width_holds_the_permutohedron_face_count() -> None:
+    # No coefficient the recursion builds exceeds the face count of the
+    # permutohedron on MAX_GROUND nodes, the ordered Bell number
+    # sum_k k! S(n, k); the width leaves a spare bit above it.
+    stirling = [1]
+    for n in range(1, MAX_GROUND + 1):
+        prev = stirling + [0]
+        stirling = [0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)]
+    ordered_bell = sum(factorial(k) * s for k, s in enumerate(stirling))
+    assert ringcalc._WIDTH > ordered_bell.bit_length()
+    assert ringcalc._unpack(ordered_bell << ringcalc._WIDTH | ringcalc._FIELD) == [
+        ringcalc._FIELD,
+        ordered_bell,
+    ]
 
 
 # ---------------------------------------------------------------------------
