@@ -45,8 +45,8 @@ __all__ = [
 # Grounds are bitmasks in a Python int, so the cap is soft.  It is not a
 # cost bound: the nested-set recursion visits every connected node set of
 # a twin-free graph, about 3 to 3.5 times more per node (a random 14-node
-# one takes 2.7-4.8 s, so one near 20 nodes would take hours), while
-# twin-rich and sparse graphs at 20 nodes take under 0.05 s (2 shared
+# one takes 3.7-5 s, so one near 20 nodes would take hours), while
+# twin-rich and sparse graphs at 20 nodes take under 0.1 s (2 shared
 # cores, CPython 3.11).
 MAX_GROUND = 20
 # Deepest parenthesis nesting parse_graph_spec accepts; far above any spec
@@ -102,10 +102,8 @@ class Graph(Record):
 
     __slots__ = ("adj",)
 
-    # the atlas load builds graphs in bulk, so this writes the masks
-    # directly, not through Record's field loop
     def __init__(self, adj: tuple[int, ...]):
-        object.__setattr__(self, "adj", adj)
+        self._set(adj)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -227,9 +225,14 @@ def is_connected_graph(g: Graph) -> bool:
     return connected_submask(g.adj, (1 << g.n) - 1)
 
 
+def _induced_adj(adj: Sequence[int], mask: int) -> tuple[int, ...]:
+    """``induced_subgraph``'s masks, which also key the shared memo."""
+    return _compress([adj[v] for v in _mask_nodes(mask)], mask)
+
+
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph on the masked nodes, relabeled compactly in label order."""
-    return Graph(_compress((g.adj[v] for v in _mask_nodes(mask)), mask))
+    return Graph(_induced_adj(g.adj, mask))
 
 
 def graph_components(g: Graph) -> list[Graph]:

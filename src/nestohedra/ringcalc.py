@@ -51,7 +51,7 @@ from .buildingset import (
     MAX_GROUND,
     Graph,
     _closure,
-    _compress,
+    _induced_adj,
     _mask_nodes,
     graph_spec,
     twin_classes,
@@ -139,8 +139,7 @@ class _NestedSets:
             return f
         if not mask & (mask - 1):
             return 1
-        adj = self.adj
-        key = _compress([adj[v] for v in _mask_nodes(mask)], mask)
+        key = _induced_adj(self.adj, mask)
         f = self.cache.lookup(key)
         if f is None:
             f = self.expand(mask)
@@ -189,13 +188,6 @@ class _NestedSets:
             outside = mask & ~nodes
             rim, rest = (outside & reach).bit_count(), outside & ~reach
             fixed = mask & nodes
-            if not classes & multi:
-                # one node per class: C is the support's nodes, one pick
-                if fixed != mask:
-                    sums[rest] = sums.get(rest, 0) + (
-                        self.face_counts(fixed) << _WIDTH * (rim - 1)
-                    )
-                continue
             # per class of several nodes, per count c: C's nodes, the ways to
             # pick them with v among them, and what is left to N_W(C) and X
             choices = []
