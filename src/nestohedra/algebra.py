@@ -20,11 +20,10 @@ Coefficients are exact numbers and are never coerced: ``Poly2`` adds and
 multiplies whatever ints or ``Fraction``s it is given.  The library gives it
 only ints.  Face counts are integers, and the series module stores k! l!
 times each coefficient of an exponential generating function, which is an
-integer face polynomial too; where a step divides, it goes through
-``exact_div``, which refuses a remainder instead of leaving the integers.
-So ``fractions`` is imported only by the code that meets a non-integer:
-formatting or parsing one, and the rescaled difference a failed identity
-reports.
+integer face polynomial too; no step of the library divides.  The one
+non-integer it makes is the rescaled difference a failed identity reports,
+so ``fractions`` is imported only there and where one is formatted or
+parsed.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "h_from_gamma",
     "format_rational",
     "parse_rational",
-    "exact_div",
 ]
 
 Exponents = tuple[int, int]
@@ -195,12 +193,7 @@ class Poly2:
         # the outer loop skips zeros, so run it over the sparser factor
         if len(a) - a.count(0) > len(b) - b.count(0):
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    out[k] += x * y
-        return Poly2.from_coeffs(out)
+        return Poly2.from_coeffs(_convolve([0] * (len(a) + len(b) - 1), a, b))
 
     def __rmul__(self, other: CoeffLike) -> "Poly2":
         return self.__mul__(other)
@@ -256,6 +249,16 @@ def _as_poly(value: "Poly2 | CoeffLike") -> Poly2:
     return Poly2.constant(value)
 
 
+def _convolve(out: list, a: tuple, b: tuple, weight: CoeffLike = 1) -> list:
+    """out[i + j] += weight * a[i] * b[j] for the nonzero a[i]; returns out."""
+    for i, x in enumerate(a):
+        if x:
+            x *= weight
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
 def _is_fraction(value: object) -> bool:
     """Whether value is a ``Fraction``, asked without importing ``fractions``.
 
@@ -282,14 +285,6 @@ def parse_rational(text: str) -> Fraction:
     from fractions import Fraction
 
     return Fraction(text)
-
-
-def exact_div(c: CoeffLike, d: int) -> CoeffLike:
-    """c / d, raising ``ArithmeticError`` when d does not divide c exactly."""
-    q, r = divmod(c, d)
-    if r:
-        raise ArithmeticError(f"{format_rational(c)} is not divisible by {d}")
-    return q
 
 
 def homogeneous_degree(p: Poly2) -> int:

@@ -42,7 +42,6 @@ scope.
 
 from __future__ import annotations
 
-from itertools import product
 from math import comb
 from typing import Iterator, Optional
 
@@ -187,32 +186,26 @@ class _NestedSets:
             # or to X (rest); C takes the one node of each class holding one
             outside = mask & ~nodes
             rim, rest = (outside & reach).bit_count(), outside & ~reach
-            fixed = mask & nodes
-            # per class of several nodes, per count c: C's nodes, the ways to
-            # pick them with v among them, and what is left to N_W(C) and X
-            choices = []
+            # partial terms (C's nodes, the ways to pick them with v among
+            # them, |N_W(C)|, X), one per count c in each class of several
+            # nodes met so far
+            terms = [(mask & nodes, 1, rim, rest)]
             for i in _mask_nodes(classes & multi):
                 w = counts[i]
-                fixed &= ~prefix[i][w]
                 # the class's nodes left out of C are joined to C, unless the
                 # class is independent and C lies inside it (then C is one node)
                 to_rim = self.clique[i] or classes != 1 << i
-                choices.append([
+                terms = [
                     (
-                        prefix[i][c],
-                        comb(w - 1, c - 1) if i == first else comb(w, c),
-                        w - c if to_rim else 0,
-                        0 if to_rim else prefix[i][w - c],
+                        part ^ prefix[i][w] ^ prefix[i][c],
+                        weight * (comb(w - 1, c - 1) if i == first else comb(w, c)),
+                        size + w - c if to_rim else size,
+                        left if to_rim else left | prefix[i][w - c],
                     )
+                    for part, weight, size, left in terms
                     for c in range(1, w + 1 if to_rim else 2)
-                ])
-            for picks in product(*choices):
-                part, weight, size, left = fixed, 1, rim, rest
-                for bits, ways, rim_add, rest_add in picks:
-                    part |= bits
-                    weight *= ways
-                    size += rim_add
-                    left |= rest_add
+                ]
+            for part, weight, size, left in terms:
                 if part != mask:
                     sums[left] = sums.get(left, 0) + (
                         weight * self.face_counts(part) << _WIDTH * (size - 1)

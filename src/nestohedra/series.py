@@ -9,7 +9,9 @@ the families' coefficients are integer polynomials, and the product is the
 labelled (binomial) product of exponential generating functions.
 
 The five families are built from closed forms that avoid division by alpha
-by expanding eta(z) = (e^{alpha z} - 1)/alpha termwise:
+by expanding eta(z) = (e^{alpha z} - 1)/alpha termwise.  Their other
+factors are exponentials of linear series, e^{a x + b y}, whose stored
+coefficient at (k, l) is just a^k b^l, so no step of the module divides:
 
 * pe:               eta(x) / (1 - t eta(x)), permutohedra at x^(n+1)/(n+1)!
 * st:               e^{(alpha+t)x} / (1 - t eta(x)), stellohedra at x^n/n!
@@ -33,7 +35,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from ._record import Record
-from .algebra import Poly2, exact_div, h_from_f
+from .algebra import Poly2, _convolve, h_from_f
 from .buildingset import (
     Graph,
     bipartite_graph,
@@ -212,12 +214,7 @@ def _accumulate(acc: list | None, p: tuple, q: tuple, weight: int) -> list:
     elif len(acc) != n:
         product = Poly2.from_coeffs(p) * Poly2.from_coeffs(q) * weight
         return list((Poly2.from_coeffs(acc) + product).coeffs)
-    for i, x in enumerate(p):
-        if x:
-            x *= weight
-            for j, y in enumerate(q, i):
-                acc[j] += x * y
-    return acc
+    return _convolve(acc, p, q, weight)
 
 
 def _slot_products(a: Series2, b: Series2) -> dict[Slot, list]:
@@ -282,25 +279,33 @@ def deriv_t(s: Series2) -> Series2:
 
 
 def exp_series(s: Series2) -> Series2:
-    """exp of a series with zero constant coefficient, summing p_m = s^m/m!.
+    """exp(a x + b y) for a linear series s = a x + b y, in closed form.
 
-    p_m = p_(m-1) s / m divides exactly: s^m counts each of the m! orders
-    of m disjoint nonempty label blocks, so integers stay integers.
+    The families exponentiate nothing else, and for a linear series the
+    stored coefficient k! l! [x^k y^l] is a^k b^l: two running power lists
+    give every slot, and nothing divides.  A series with a slot other than
+    (1, 0) and (0, 1), a constant one included, raises ValueError.
     """
-    if s.coeff(0, 0):
-        raise ValueError("exp needs a zero constant coefficient")
-    power = acc = Series2.one(s.order)
-    for m in range(1, s.order + 1):
-        power = Series2._built(
-            s.order,
-            {
-                slot: p
-                for slot, coeffs in _slot_products(power, s).items()
-                if (p := Poly2.from_coeffs(exact_div(c, m) for c in coeffs))
-            },
-        )
-        acc = acc + power
-    return acc
+    stray = sorted(s._coeffs.keys() - {(1, 0), (0, 1)})
+    if stray:
+        raise ValueError(f"exp needs a linear series a x + b y, not one with slot {stray[0]}")
+    powers = []
+    for slot in ((1, 0), (0, 1)):
+        run = [Poly2.one()]
+        base = s._coeffs.get(slot)
+        if base is not None:
+            for _ in range(s.order):
+                run.append(run[-1] * base)
+        powers.append(run)
+    xs, ys = powers
+    return Series2._built(
+        s.order,
+        {
+            (k, l): a * b if k and l else a if k else b
+            for k, a in enumerate(xs)
+            for l, b in enumerate(ys[: s.order + 1 - k])
+        },
+    )
 
 
 def inv_series(s: Series2) -> Series2:
@@ -517,23 +522,16 @@ def family_f(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
     return _family_f_cached(_family(fam).id, order)
 
 
-@lru_cache(maxsize=None)
-def _family_h_cached(fam_id: str, order: int) -> Series2:
-    return subst_h_series(_family_f_cached(fam_id, order))
-
-
 def family_h(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
     """h-polynomial generating function: the face series under alpha -> alpha - t."""
-    return _family_h_cached(_family(fam).id, order)
+    return subst_h_series(family_f(fam, order))
 
 
-@lru_cache(maxsize=None)
 def pe_f_xplusy(order: int = DEFAULT_ORDER) -> Series2:
     """The permutohedron series evaluated at x + y."""
     return eta_linear(1, 1, order) * _denominator(1, 1, order)
 
 
-@lru_cache(maxsize=None)
 def phi_h(order: int = DEFAULT_ORDER) -> Series2:
     """The h-level two-variable kernel appearing in the x-derivatives.
 

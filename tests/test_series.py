@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from math import comb
 
 import pytest
@@ -33,7 +34,7 @@ from nestohedra.series import (
     swap_xy,
     truncate,
 )
-from witnesses import raw_from_series, raw_inv, raw_mul
+from witnesses import power_sum_exp, raw_from_series, raw_inv, raw_mul
 
 A = Poly2.alpha()
 T = Poly2.t()
@@ -95,6 +96,43 @@ def test_exp_series_frozen_coefficients() -> None:
     assert grow.coeff(2, 0) == (A + T) ** 2
     with pytest.raises(ValueError):
         exp_series(Series2.one(3))
+
+
+def _homogeneous(degree: int) -> st.SearchStrategy[Poly2]:
+    """A random homogeneous polynomial of the given degree, zero included."""
+    return st.lists(st.integers(-3, 3), min_size=degree + 1, max_size=degree + 1).map(
+        Poly2.from_coeffs
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exp_series_equals_the_power_sum_witness(data) -> None:
+    # exp(a x + b y) in closed form against the sum of (a x + b y)^m / m!,
+    # for a and b of equal or different degrees, either of them zero
+    order = data.draw(st.integers(0, 10))
+    a = data.draw(st.integers(0, 3).flatmap(_homogeneous))
+    b = data.draw(st.integers(0, 3).flatmap(_homogeneous))
+    s = Series2.monomial(order, 1, 0, a) + Series2.monomial(order, 0, 1, b)
+    assert exp_series(s) == power_sum_exp(s)
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [
+        {(0, 0): Poly2.one()},
+        {(2, 0): A},
+        {(0, 2): T},
+        {(1, 1): A + T},
+        {(3, 0): Poly2.one()},
+        {(1, 0): A, (2, 0): A**2},
+        {(1, 0): A, (0, 1): T, (0, 0): Poly2.one()},
+    ],
+)
+def test_exp_series_refuses_a_series_that_is_not_linear(slots) -> None:
+    stray = min(slot for slot in slots if slot not in ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match=re.escape(f"a x + b y, not one with slot {stray}")):
+        exp_series(Series2(3, slots))
 
 
 def test_inv_series_frozen_coefficients() -> None:

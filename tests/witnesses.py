@@ -22,7 +22,9 @@ The sparse polynomial arithmetic at the end is the reference for the dense
 coefficients of alpha^i t^j, with no notion of degree.  On top of it, the
 raw series arithmetic is the reference for ``Series2``: it multiplies and
 inverts the plain coefficients [x^k y^l] as ordinary power series over
-``Fraction``, with no binomial weights and no notion of degree.
+``Fraction``, with no binomial weights and no notion of degree, and the
+general power-sum exponential is the reference for the closed-form
+``exp_series`` of a linear series.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import permutations
 from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from nestohedra.algebra import Poly2, exact_div, homogeneous_degree
+from nestohedra.algebra import Poly2, format_rational, homogeneous_degree
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
@@ -50,6 +52,7 @@ from nestohedra.buildingset import (
     is_connected_graph,
     twin_classes,
 )
+from nestohedra.series import Series2
 
 # ---------------------------------------------------------------------------
 # graph operations of the facet recursion
@@ -267,6 +270,14 @@ def plain_boundary(g: Graph) -> PolyExpr:
             product = tuple(sorted(f for f in factors if f.n > 1))
             counts[product] = counts.get(product, 0) + 1
     return PolyExpr(counts)
+
+
+def exact_div(c, d: int):
+    """c / d, raising ``ArithmeticError`` when d does not divide c exactly."""
+    q, r = divmod(c, d)
+    if r:
+        raise ArithmeticError(f"{format_rational(c)} is not divisible by {d}")
+    return q
 
 
 def integrate_t(g: Poly2, n: int) -> Poly2:
@@ -634,3 +645,24 @@ def raw_inv(a: Raw, order: int) -> Raw:
             if acc:
                 out[(k, l)] = acc
     return out
+
+
+def power_sum_exp(s: Series2) -> Series2:
+    """exp of any series with zero constant coefficient, summing p_m = s^m/m!.
+
+    p_m = p_(m-1) s / m divides exactly: s^m counts each of the m! orders
+    of m disjoint nonempty label blocks, so integers stay integers.
+    """
+    if s.coeff(0, 0):
+        raise ValueError("exp needs a zero constant coefficient")
+    power = acc = Series2.one(s.order)
+    for m in range(1, s.order + 1):
+        power = Series2(
+            s.order,
+            {
+                slot: Poly2.from_coeffs(exact_div(c, m) for c in p.coeffs)
+                for slot, p in (power * s).items()
+            },
+        )
+        acc = acc + power
+    return acc
