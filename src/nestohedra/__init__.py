@@ -13,10 +13,8 @@ from .algebra import (
     format_rational,
     gamma_from_h,
     h_from_f,
-    h_from_gamma,
     homogeneous_degree,
     is_symmetric,
-    parse_rational,
 )
 from .buildingset import (
     Graph,
@@ -26,11 +24,9 @@ from .buildingset import (
     connected_graphs_upto_iso,
     cycle_graph,
     empty_graph,
-    graph_components,
     graph_from_edges,
     graph_spec,
     induced_subgraph,
-    is_connected_graph,
     join_graphs,
     parse_graph_spec,
     path_graph,
@@ -67,7 +63,6 @@ from .series import (
     inv_series,
     pe_f_xplusy,
     phi_h,
-    restrict_y0,
     subst_h_series,
     swap_xy,
     truncate,

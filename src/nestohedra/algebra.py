@@ -18,12 +18,12 @@ gamma vector, the object whose nonnegativity is checked elsewhere.
 
 Coefficients are exact numbers and are never coerced: ``Poly2`` adds and
 multiplies whatever ints or ``Fraction``s it is given.  The library gives it
-only ints.  Face counts are integers, and the series module stores k! l!
-times each coefficient of an exponential generating function, which is an
-integer face polynomial too; no step of the library divides.  The one
-non-integer it makes is the rescaled difference a failed identity reports,
-so ``fractions`` is imported only there and where one is formatted or
-parsed.
+only ints.  Face counts are integers, and the series module packs k! l!
+times each coefficient of an exponential generating function, an integer
+face polynomial too, into one int and builds a ``Poly2`` only where one is
+read; no step of the library divides.  The one non-integer it makes is the
+rescaled difference a failed identity reports, so ``fractions`` is imported
+only there and where one is formatted.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import sys
 from math import comb
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from ._record import Record
 
@@ -46,9 +46,7 @@ __all__ = [
     "homogeneous_degree",
     "is_symmetric",
     "gamma_from_h",
-    "h_from_gamma",
     "format_rational",
-    "parse_rational",
 ]
 
 Exponents = tuple[int, int]
@@ -140,9 +138,6 @@ class Poly2:
         n = len(self._terms) - 1
         return [((i, n - i), c) for i, c in enumerate(self._terms) if c]
 
-    def __iter__(self) -> Iterator[tuple[Exponents, CoeffLike]]:
-        return iter(self.terms())
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -193,18 +188,15 @@ class Poly2:
         # the outer loop skips zeros, so run it over the sparser factor
         if len(a) - a.count(0) > len(b) - b.count(0):
             a, b = b, a
-        return Poly2.from_coeffs(_convolve([0] * (len(a) + len(b) - 1), a, b))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return Poly2.from_coeffs(out)
 
     def __rmul__(self, other: CoeffLike) -> "Poly2":
         return self.__mul__(other)
-
-    def __pow__(self, exponent: int) -> "Poly2":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly2.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def deriv_t(self) -> "Poly2":
         """Formal d/dt."""
@@ -236,27 +228,11 @@ class Poly2:
             for (i, j), c in self.terms()
         ]
 
-    @classmethod
-    def from_records(cls, records: Iterable[Mapping[str, object]]) -> "Poly2":
-        return cls(
-            {(int(r["i"]), int(r["j"])): parse_rational(str(r["c"])) for r in records}
-        )
-
 
 def _as_poly(value: "Poly2 | CoeffLike") -> Poly2:
     if isinstance(value, Poly2):
         return value
     return Poly2.constant(value)
-
-
-def _convolve(out: list, a: tuple, b: tuple, weight: CoeffLike = 1) -> list:
-    """out[i + j] += weight * a[i] * b[j] for the nonzero a[i]; returns out."""
-    for i, x in enumerate(a):
-        if x:
-            x *= weight
-            for k, y in enumerate(b, i):
-                out[k] += x * y
-    return out
 
 
 def _is_fraction(value: object) -> bool:
@@ -279,12 +255,6 @@ def format_rational(c: CoeffLike) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(text)
 
 
 def homogeneous_degree(p: Poly2) -> int:
@@ -362,12 +332,3 @@ def gamma_from_h(p: Poly2) -> GammaVector:
     if residual:
         raise ArithmeticError(f"gamma extraction left a residual: {residual}")
     return GammaVector(n, tuple(gammas))
-
-
-def h_from_gamma(gv: GammaVector) -> Poly2:
-    """Inverse of gamma_from_h: expand the gamma vector back to a polynomial."""
-    out = Poly2.zero()
-    for i, g in enumerate(gv.gammas):
-        if g:
-            out = out + _gamma_basis(i, gv.n) * g
-    return out

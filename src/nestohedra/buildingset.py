@@ -33,10 +33,8 @@ __all__ = [
     "join_graphs",
     "graph_from_edges",
     "twin_classes",
-    "is_connected_graph",
     "connected_submask",
     "induced_subgraph",
-    "graph_components",
     "parse_graph_spec",
     "graph_spec",
     "connected_graphs_upto_iso",
@@ -219,12 +217,6 @@ def connected_submask(adj: Sequence[int], mask: int) -> bool:
     return _closure(adj, mask & -mask, mask) == mask
 
 
-def is_connected_graph(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    return connected_submask(g.adj, (1 << g.n) - 1)
-
-
 def _induced_adj(adj: Sequence[int], mask: int) -> tuple[int, ...]:
     """``induced_subgraph``'s masks, which also key the shared memo."""
     return _compress([adj[v] for v in _mask_nodes(mask)], mask)
@@ -233,17 +225,6 @@ def _induced_adj(adj: Sequence[int], mask: int) -> tuple[int, ...]:
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph on the masked nodes, relabeled compactly in label order."""
     return Graph(_induced_adj(g.adj, mask))
-
-
-def graph_components(g: Graph) -> list[Graph]:
-    """Induced subgraphs on the connected components, by smallest node."""
-    full = left = (1 << g.n) - 1
-    parts = []
-    while left:
-        part = _closure(g.adj, left & -left, full)
-        parts.append(induced_subgraph(g, part))
-        left &= ~part
-    return parts
 
 
 def graph_spec(g: Graph) -> str:

@@ -82,15 +82,16 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
 
 @contextmanager
 def _series_build(what: str, order: int) -> Iterator[None]:
-    """Re-raise a mixed-degree slot of a series build as ArithmeticError.
+    """Re-raise a failed series build as ArithmeticError naming it.
 
     The arguments were validated before the build, so a slot that mixes
-    degrees is the series arithmetic's failure, not the input's: one line
-    naming what was built and at which order, exit 1, not 2.
+    degrees, or coefficients that outgrow their packed fields, are the
+    series arithmetic's failure, not the input's: one line naming what was
+    built and at which order, exit 1, not 2.
     """
     try:
         yield
-    except InhomogeneousError as exc:
+    except (InhomogeneousError, ArithmeticError) as exc:
         raise ArithmeticError(f"{what} at order {order}: {exc}") from exc
 
 
@@ -152,12 +153,12 @@ def cmd_invariants(args: SimpleNamespace) -> int:
 
 def _verify_family(fam_id: str, max_order: int, cache: FPolyCache) -> dict[str, object]:
     spec = FAMILIES[fam_id]
+    indices = spec.indices(max_order)
     with _series_build(f"series of {fam_id}", max_order):
         series = family_f(fam_id, max_order)
-    indices = spec.indices(max_order)
+        coeffs = [coeff_normalized(fam_id, k, l, series=series) for k, l in indices]
     mismatches = []
-    for k, l in indices:
-        expected = coeff_normalized(fam_id, k, l, series=series)
+    for (k, l), expected in zip(indices, coeffs):
         actual = fpoly(spec.graph_at(k, l), cache)
         if expected != actual:
             mismatches.append(

@@ -8,6 +8,23 @@ polytope in a family; which (k, l) carries which polytope is recorded by a
 the families' coefficients are integer polynomials, and the product is the
 labelled (binomial) product of exponential generating functions.
 
+A slot holds its polynomial as one int, the value at alpha = 2^W and t = 1
+(Kronecker substitution, Harvey, arXiv:0712.4046), and its coefficient
+count, which gives back the degree.  Evaluation commutes with sums and
+products, so the kernel is int arithmetic; a slot is decoded, in balanced
+digits, only where it is read, substituted or differentiated in t, or
+differs from another.  Each series bounds, per total degree, its slots'
+absolute coefficient sums and raises ArithmeticError where a bound reaches
+2^(W-1), beyond which decoding could be wrong.  Bounds multiply as
+exponential generating functions in z = x + y.  With E = e^z and
+R = 1 / (2 - E) (ordered Bell numbers), every face series of a family is
+at most F = 5 E^3 R, and so are the h-series and phi_h (h-polynomials of
+simple polytopes are nonnegative and sum to the vertex count).  A d/dt, and
+every sum of products the identity suite forms, is at most 10 F^2, and W at
+order N is one bit above the N-th coefficient of 10 F^2 = 250 E^6 R^2.  A
+truncation or derivative keeps its operand's fields, and an operation on
+series of two widths repacks the narrower one.
+
 The five families are built from closed forms that avoid division by alpha
 by expanding eta(z) = (e^{alpha z} - 1)/alpha termwise.  Their other
 factors are exponentials of linear series, e^{a x + b y}, whose stored
@@ -32,10 +49,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._record import Record
-from .algebra import Poly2, _convolve, h_from_f
+from .algebra import Poly2, h_from_f
 from .buildingset import (
     Graph,
     bipartite_graph,
@@ -56,7 +73,6 @@ __all__ = [
     "deriv_t",
     "swap_xy",
     "truncate",
-    "restrict_y0",
     "subst_h_series",
     "first_mismatch",
     "FamilySpec",
@@ -76,6 +92,50 @@ __all__ = [
 DEFAULT_ORDER = 8
 
 Slot = tuple[int, int]
+Packed = tuple[int, int]  # (value at alpha = 2^W and t = 1, coefficient count)
+Bounds = tuple[int, ...]  # per total degree, bounds on slots' absolute coefficient sums
+
+
+def _egf_product(p: Bounds, q: Bounds) -> Bounds:
+    return tuple(sum(comb(n, j) * p[j] * q[n - j] for j in range(n + 1)) for n in range(len(p)))
+
+
+def _egf_inverse(r: Bounds) -> Bounds:
+    """1 / (1 - r) for r without constant term."""
+    b = [1]
+    for n in range(1, len(r)):
+        b.append(sum(comb(n, j) * r[j] * b[n - j] for j in range(1, n + 1)))
+    return tuple(b)
+
+
+@lru_cache(maxsize=None)
+def _width(order: int) -> int:
+    """Bits per packed coefficient at a truncation order; see the module docstring."""
+    bell = _egf_inverse((0,) + (1,) * order)
+    e6 = tuple(6**m for m in range(order + 1))
+    return (250 * _egf_product(_egf_product(bell, bell), e6)[-1]).bit_length() + 1
+
+
+def _pack(coeffs: Sequence[int], width: int) -> Packed:
+    value = 0
+    for c in reversed(coeffs):
+        if type(c) is not int:
+            raise TypeError(f"series coefficients are integers, not {c!r}")
+        value = (value << width) + c
+    return value, len(coeffs)
+
+
+def _unpack(packed: Packed, width: int, slot: Slot) -> Poly2:
+    """A packed slot's polynomial, read in balanced width-bit digits."""
+    value, count = packed
+    half, mask = 1 << width - 1, (1 << width) - 1
+    coeffs = []
+    for _ in range(count):
+        coeffs.append(((value + half) & mask) - half)
+        value = (value - coeffs[-1]) >> width
+    if value:
+        raise ArithmeticError(f"slot {slot} does not fit {width}-bit fields")
+    return Poly2.from_coeffs(coeffs)
 
 
 class Series2:
@@ -83,21 +143,17 @@ class Series2:
 
     The slot (k, l) holds k! l! [x^k y^l], the normalized coefficient of the
     exponential generating function, and ``coeff`` returns it as stored.
+    Coefficients are integers, packed as the module docstring describes.
     Instances are treated as immutable.  Binary operations require equal
     truncation orders; mixing orders silently would hide lost precision, so
     it raises instead (use ``truncate`` first).
     """
 
-    __slots__ = ("order", "_coeffs")
+    __slots__ = ("order", "_coeffs", "_bounds", "_width")
 
-    def __init__(
-        self,
-        order: int,
-        coeffs: Mapping[Slot, Poly2] | Iterable[tuple[Slot, Poly2]] = (),
-    ):
+    def __init__(self, order: int, coeffs: Mapping[Slot, Poly2] | Iterable[tuple[Slot, Poly2]] = ()):
         if order < 0:
             raise ValueError("negative truncation order")
-        self.order = order
         data: dict[Slot, Poly2] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for (k, l), p in items:
@@ -107,19 +163,31 @@ class Series2:
                 raise ValueError(f"slot {(k, l)} beyond truncation order {order}")
             if p:
                 data[(k, l)] = data[(k, l)] + p if (k, l) in data else p
-        self._coeffs = {s: p for s, p in data.items() if p}
+        width, packed, bounds = _width(order), {}, [0] * (order + 1)
+        for (k, l), p in data.items():
+            if p:
+                packed[(k, l)] = _pack(p.coeffs, width)
+                bounds[k + l] = max(bounds[k + l], sum(map(abs, p.coeffs)))
+        self._set(order, packed, tuple(bounds), width)
+
+    def _set(self, order: int, coeffs: dict[Slot, Packed], bounds: Bounds, width: int) -> None:
+        """Take nonzero packed slots in range, refused where they may not decode."""
+        if max(bounds) >> width - 1:
+            raise ArithmeticError(f"coefficients outgrow the {width}-bit fields of order {order}")
+        self.order, self._coeffs, self._bounds, self._width = order, coeffs, bounds, width
 
     @classmethod
-    def _built(cls, order: int, coeffs: dict[Slot, Poly2]) -> "Series2":
-        """A series from slots this module built: in range, nonzero, unchecked."""
+    def _built(
+        cls, order: int, coeffs: dict[Slot, Packed], bounds: Bounds, width: int | None = None
+    ) -> "Series2":
+        """A series of packed slots, at the order's width unless ``width`` is given."""
         s = cls.__new__(cls)
-        s.order = order
-        s._coeffs = coeffs
+        s._set(order, coeffs, bounds, _width(order) if width is None else width)
         return s
 
     @classmethod
     def one(cls, order: int) -> "Series2":
-        return cls(order, {(0, 0): Poly2.one()})
+        return cls._built(order, {(0, 0): (1, 1)}, (1,) + (0,) * order)
 
     @classmethod
     def monomial(cls, order: int, k: int, l: int, p: Poly2 | int = 1) -> "Series2":
@@ -133,10 +201,11 @@ class Series2:
         return cls(order, {(k, l): p})
 
     def coeff(self, k: int, l: int) -> Poly2:
-        return self._coeffs.get((k, l), Poly2.zero())
+        packed = self._coeffs.get((k, l))
+        return Poly2.zero() if packed is None else _unpack(packed, self._width, (k, l))
 
     def items(self) -> list[tuple[Slot, Poly2]]:
-        return sorted(self._coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return [(s, self.coeff(*s)) for s in sorted(self._coeffs, key=lambda s: (sum(s), s))]
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -147,135 +216,154 @@ class Series2:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series2):
             return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
+        if self.order != other.order:
+            return False
+        a, b = self._aligned(other)
+        return a._coeffs == b._coeffs
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _require_same_order(self, other: "Series2") -> None:
+    def _aligned(self, other: "Series2") -> tuple["Series2", "Series2"]:
+        """Both series at the wider of their widths; their orders must agree."""
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+        width = max(self._width, other._width)
+        return self._at(width), other._at(width)
+
+    def _at(self, width: int) -> "Series2":
+        if width == self._width:
+            return self
+        coeffs = {s: _pack(_unpack(c, self._width, s).coeffs, width) for s, c in self._coeffs.items()}
+        return Series2._built(self.order, coeffs, self._bounds, width)
 
     def __add__(self, other: "Series2") -> "Series2":
-        self._require_same_order(other)
+        self, other = self._aligned(other)
         out = dict(self._coeffs)
-        for s, p in other._coeffs.items():
-            out[s] = out[s] + p if s in out else p
-        return Series2(self.order, out)
+        for s, (q, m) in other._coeffs.items():
+            if s not in out:
+                out[s] = (q, m)
+            elif out[s][1] == m:
+                out[s] = (out[s][0] + q, m)
+            else:
+                # two nonzero slots of different degrees: Poly2 addition raises
+                self.coeff(*s) + other.coeff(*s)
+        bounds = tuple(map(int.__add__, self._bounds, other._bounds))
+        return Series2._built(self.order, {s: c for s, c in out.items() if c[0]}, bounds, self._width)
 
     def __sub__(self, other: "Series2") -> "Series2":
-        self._require_same_order(other)
         return self + (other * -1)
-
-    def __neg__(self) -> "Series2":
-        return self * -1
 
     def __mul__(self, other: "Series2 | Poly2 | int") -> "Series2":
         """Coefficientwise by a scalar or Poly2; the binomial product by a series."""
-        if not isinstance(other, Series2):
-            return Series2(
-                self.order, {s: p * other for s, p in self._coeffs.items()}
-            )
+        order = self.order
+        if isinstance(other, Series2):
+            self, other = self._aligned(other)
+            vals, lens = [0] * (order + 1) ** 2, [0] * (order + 1) ** 2
+            right = _by_degree(other._coeffs, order)
+            for (k1, l1), (p, n) in self._coeffs.items():
+                _push(vals, lens, order, self._width, k1, l1, p, n, right)
+            bounds = _egf_product(self._bounds, other._bounds)
+            return Series2._built(order, _slots(vals, lens, order), bounds, self._width)
+        if isinstance(other, int):
+            other = Poly2.constant(other)
+        elif not isinstance(other, Poly2):
+            return NotImplemented
+        if not other:
+            return Series2(order)
+        c, m = _pack(other.coeffs, self._width)
         return Series2._built(
-            self.order,
-            {
-                s: p
-                for s, c in _slot_products(self, other).items()
-                if (p := Poly2.from_coeffs(c))
-            },
+            order,
+            {s: (p * c, n + m - 1) for s, (p, n) in self._coeffs.items()},
+            tuple(b * sum(map(abs, other.coeffs)) for b in self._bounds),
+            self._width,
         )
 
     def __rmul__(self, other: "Poly2 | int") -> "Series2":
         return self.__mul__(other)
 
-    def to_json_obj(self) -> dict[str, object]:
-        return {
-            "order": self.order,
-            "coeffs": [
-                {"k": k, "l": l, "poly": p.to_records()}
-                for (k, l), p in self.items()
-            ],
-        }
-
     def __repr__(self) -> str:
         return f"Series2(order={self.order}, slots={len(self._coeffs)})"
 
 
-def _accumulate(acc: list | None, p: tuple, q: tuple, weight: int) -> list:
-    """acc + weight * p * q, for the dense coefficient tuples of two nonzero Poly2s.
-
-    acc is a slot's running coefficient list, or None for a slot nothing has
-    landed in yet; it is updated in place and returned.  A product of
-    another degree goes through Poly2 addition, which raises
-    InhomogeneousError unless the slot has cancelled to zero.
-    """
-    n = len(p) + len(q) - 1
-    if acc is None:
-        acc = [0] * n
-    elif len(acc) != n:
-        product = Poly2.from_coeffs(p) * Poly2.from_coeffs(q) * weight
-        return list((Poly2.from_coeffs(acc) + product).coeffs)
-    return _convolve(acc, p, q, weight)
-
-
-def _slot_products(a: Series2, b: Series2) -> dict[Slot, list]:
-    """The binomial product a b as one coefficient list per slot.
-
-    b's slots are walked in order of total degree, so each slot of a stops
-    at the first one that would land beyond the truncation order.
-    """
-    a._require_same_order(b)
-    order = a.order
-    right = sorted(
-        ((k2 + l2, k2, l2, p2.coeffs) for (k2, l2), p2 in b._coeffs.items()),
+def _by_degree(coeffs: dict[Slot, Packed], order: int) -> list[tuple]:
+    """(k + l, k, l, slot table index, value, count) per slot, by total degree."""
+    return sorted(
+        ((k + l, k, l, k * (order + 1) + l, v, n) for (k, l), (v, n) in coeffs.items()),
         key=itemgetter(0),
     )
-    out: dict[Slot, list] = {}
-    for (k1, l1), p1 in a._coeffs.items():
-        p = p1.coeffs
-        room = order - k1 - l1
-        for degree, k2, l2, q in right:
-            if degree > room:
-                break
-            k, l = k1 + k2, l1 + l2
-            weight = comb(k, k1) * comb(l, l1)
-            out[(k, l)] = _accumulate(out.get((k, l)), p, q, weight)
-    return out
+
+
+@lru_cache(maxsize=None)
+def _binomials(i: int, order: int) -> tuple[int, ...]:
+    """C(i + j, i) for j up to the order."""
+    return tuple(comb(i + j, i) for j in range(order + 1))
+
+
+def _push(
+    vals: list[int], lens: list[int], order: int, width: int,
+    k1: int, l1: int, p: int, n: int, right: list,
+) -> None:
+    """Add the left slot (k1, l1), packed p with n coefficients, times right.
+
+    The table holds slot (k, l)'s packed value and coefficient count (0 when
+    empty) at k (order + 1) + l, so a product, weighted, lands at the sum of
+    its factors' indices.  The right slots come by total degree, so the walk
+    stops at the first beyond the order.  A product of another degree than
+    the slot's running sum raises InhomogeneousError, unless that sum is 0.
+    """
+    room = order - k1 - l1
+    base = k1 * (order + 1) + l1
+    over_k, over_l = _binomials(k1, order), _binomials(l1, order)
+    for degree, k2, l2, offset, q, m in right:
+        if degree > room:
+            break
+        i = base + offset
+        count = n + m - 1
+        term = p * q * over_k[k2] * over_l[l2]
+        if lens[i] == count:
+            vals[i] += term
+        elif vals[i]:
+            # two degrees meet in a slot that has not cancelled: Poly2 addition raises
+            slot = divmod(i, order + 1)
+            _unpack((vals[i], lens[i]), width, slot) + _unpack((term, count), width, slot)
+        else:
+            vals[i], lens[i] = term, count
+
+
+def _slots(vals: list[int], lens: list[int], order: int) -> dict[Slot, Packed]:
+    """The nonzero slots of a slot table."""
+    return {divmod(i, order + 1): (v, lens[i]) for i, v in enumerate(vals) if v}
 
 
 def truncate(s: Series2, order: int) -> Series2:
     """Drop coefficients above a lower truncation order."""
     if order > s.order:
         raise ValueError("cannot raise the truncation order of a computed series")
-    return Series2._built(order, {slot: p for slot, p in s._coeffs.items() if sum(slot) <= order})
+    kept = {slot: c for slot, c in s._coeffs.items() if sum(slot) <= order}
+    return Series2._built(order, kept, s._bounds[: order + 1], s._width)
 
 
 def swap_xy(s: Series2) -> Series2:
-    return Series2._built(s.order, {(l, k): p for (k, l), p in s._coeffs.items()})
-
-
-def restrict_y0(s: Series2) -> Series2:
-    """The y = 0 slice, kept as a series in x."""
-    return Series2(s.order, {slot: p for slot, p in s._coeffs.items() if slot[1] == 0})
+    return Series2._built(s.order, {(l, k): c for (k, l), c in s._coeffs.items()}, s._bounds, s._width)
 
 
 def deriv_x(s: Series2) -> Series2:
     """d/dx, a shift of normalized coefficients; reliable only one order lower."""
     if s.order == 0:
         raise ValueError("cannot differentiate an order-0 truncation in x")
-    return Series2._built(s.order - 1, {(k - 1, l): p for (k, l), p in s._coeffs.items() if k})
+    shifted = {(k - 1, l): c for (k, l), c in s._coeffs.items() if k}
+    return Series2._built(s.order - 1, shifted, s._bounds[1:], s._width)
 
 
 def deriv_y(s: Series2) -> Series2:
     if s.order == 0:
         raise ValueError("cannot differentiate an order-0 truncation in y")
-    return Series2._built(s.order - 1, {(k, l - 1): p for (k, l), p in s._coeffs.items() if l})
+    return swap_xy(deriv_x(swap_xy(s)))
 
 
 def deriv_t(s: Series2) -> Series2:
     """d/dt acts on coefficients and keeps the truncation order."""
-    return Series2._built(
-        s.order, {slot: dp for slot, p in s._coeffs.items() if (dp := p.deriv_t())}
-    )
+    return Series2(s.order, {slot: s.coeff(*slot).deriv_t() for slot in s._coeffs})
 
 
 def exp_series(s: Series2) -> Series2:
@@ -289,50 +377,40 @@ def exp_series(s: Series2) -> Series2:
     stray = sorted(s._coeffs.keys() - {(1, 0), (0, 1)})
     if stray:
         raise ValueError(f"exp needs a linear series a x + b y, not one with slot {stray[0]}")
-    powers = []
-    for slot in ((1, 0), (0, 1)):
-        run = [Poly2.one()]
-        base = s._coeffs.get(slot)
-        if base is not None:
-            for _ in range(s.order):
-                run.append(run[-1] * base)
-        powers.append(run)
-    xs, ys = powers
-    return Series2._built(
-        s.order,
-        {
-            (k, l): a * b if k and l else a if k else b
-            for k, a in enumerate(xs)
-            for l, b in enumerate(ys[: s.order + 1 - k])
-        },
+    xs, ys = (
+        [(base**d, d * (n - 1) + 1) for d in range(s.order + 1)]
+        for base, n in (s._coeffs.get(slot, (0, 1)) for slot in ((1, 0), (0, 1)))
     )
+    coeffs = {
+        (k, l): (a * b, m + p - 1)
+        for k, (a, m) in enumerate(xs)
+        for l, (b, p) in enumerate(ys[: s.order + 1 - k])
+        if a and b
+    }
+    rate = max(sum(map(abs, s.coeff(*slot).coeffs)) for slot in ((1, 0), (0, 1)))
+    return Series2._built(s.order, coeffs, tuple(rate**d for d in range(s.order + 1)), s._width)
 
 
 def inv_series(s: Series2) -> Series2:
     """Multiplicative inverse of a series with constant coefficient 1.
 
-    With r = 1 - s, the inverse b solves b = 1 + r b.  r has no constant
-    term, so each slot of b needs only slots of lower total degree, and one
-    pass in order of total degree fills them all:
-    b[k,l] = [k=l=0] + sum C(k,k1) C(l,l1) r[k1,l1] b[k-k1,l-l1].
-    Off the constant slot r is -s, so each slot of s enters with the
-    negated binomial weight.
+    With r = 1 - s, which has no constant term, the inverse b solves
+    b = 1 + r b: in order of total degree, each slot of b is complete when
+    reached, and its products with r are added to the slots above it.
     """
-    if s.coeff(0, 0) != Poly2.one():
+    if s._coeffs.get((0, 0)) != (1, 1):
         raise ValueError("inverse needs constant coefficient 1")
-    r = [(k1, l1, p.coeffs) for (k1, l1), p in s._coeffs.items() if (k1, l1) != (0, 0)]
-    inv: dict[Slot, tuple] = {(0, 0): (1,)}
-    for degree in range(1, s.order + 1):
+    order = s.order
+    right = _by_degree({slot: (-v, n) for slot, (v, n) in s._coeffs.items() if slot != (0, 0)}, order)
+    vals, lens = [0] * (order + 1) ** 2, [0] * (order + 1) ** 2
+    vals[0] = lens[0] = 1
+    for degree in range(order + 1):
         for k in range(degree + 1):
-            l = degree - k
-            acc = None
-            for k1, l1, p in r:
-                rest = inv.get((k - k1, l - l1))
-                if rest is not None:
-                    acc = _accumulate(acc, p, rest, -comb(k, k1) * comb(l, l1))
-            if acc is not None and any(acc):
-                inv[(k, l)] = tuple(acc)
-    return Series2._built(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
+            i = k * (order + 1) + degree - k
+            if vals[i]:
+                _push(vals, lens, order, s._width, k, degree - k, vals[i], lens[i], right)
+    bounds = _egf_inverse((0,) + s._bounds[1:])
+    return Series2._built(order, _slots(vals, lens, order), bounds, s._width)
 
 
 def eta_linear(u: int, v: int, order: int) -> Series2:
@@ -341,19 +419,20 @@ def eta_linear(u: int, v: int, order: int) -> Series2:
     Built termwise, so nothing ever divides by alpha: the normalized
     coefficient at (a, b) is alpha^(a+b-1) u^a v^b.
     """
-    coeffs: dict[Slot, Poly2] = {}
+    width = _width(order)
+    coeffs = {}
     for d in range(1, order + 1):
         for a in range(d + 1):
-            b = d - a
-            scale = u**a * v**b
+            scale = u**a * v ** (d - a)
             if scale:
-                coeffs[(a, b)] = Poly2.monomial(d - 1, 0, scale)
-    return Series2(order, coeffs)
+                coeffs[(a, d - a)] = (scale << width * (d - 1), d)
+    rate = max(abs(u), abs(v))
+    return Series2._built(order, coeffs, (0,) + tuple(rate**d for d in range(1, order + 1)))
 
 
 def subst_h_series(s: Series2) -> Series2:
     """Apply the alpha -> alpha - t substitution to every coefficient."""
-    return Series2(s.order, {slot: h_from_f(p) for slot, p in s._coeffs.items()})
+    return Series2(s.order, {slot: h_from_f(s.coeff(*slot)) for slot in s._coeffs})
 
 
 def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
@@ -361,12 +440,11 @@ def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
 
     The difference returned is that of the stored k! l! coefficients.
     """
-    a._require_same_order(b)
+    a, b = a._aligned(b)
     slots = sorted(set(a._coeffs) | set(b._coeffs), key=lambda s: (sum(s), s))
     for k, l in slots:
-        diff = a.coeff(k, l) - b.coeff(k, l)
-        if diff:
-            return (k, l, diff)
+        if a._coeffs.get((k, l)) != b._coeffs.get((k, l)):
+            return (k, l, a.coeff(k, l) - b.coeff(k, l))
     return None
 
 
@@ -407,14 +485,8 @@ class FamilySpec(Record):
 
     def indices(self, bound: int) -> list[tuple[int, int]]:
         """Family indices with k + l <= bound, in (k+l, k) order."""
-        out = [
-            (k, l)
-            for k in range(bound + 1)
-            for l in range(bound + 1 - k)
-            if self.contains(k, l)
-        ]
-        out.sort(key=lambda s: (sum(s), s))
-        return out
+        out = [(k, l) for k in range(bound + 1) for l in range(bound + 1 - k) if self.contains(k, l)]
+        return sorted(out, key=lambda s: (sum(s), s))
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -468,14 +540,6 @@ def _family(fam: "FamilySpec | str") -> FamilySpec:
         raise NotInFamilyError(f"unknown family {fam!r}") from None
 
 
-def _x(order: int) -> Series2:
-    return Series2.monomial(order, 1, 0)
-
-
-def _y(order: int) -> Series2:
-    return Series2.monomial(order, 0, 1)
-
-
 _A = Poly2.alpha()
 _T = Poly2.t()
 
@@ -495,7 +559,7 @@ def _family_f_cached(fam_id: str, order: int) -> Series2:
         grow = exp_series(Series2.monomial(order, 1, 0, _A + _T))
         return grow * _denominator(1, 0, order)
     if fam_id == "starmarked":
-        return _family_f_cached("st", order) * _y(order)
+        return _family_f_cached("st", order) * Series2.monomial(order, 0, 1)
     denom = _denominator(1, 1, order)
     if fam_id == "nabla-because":
         grow_y = exp_series(Series2.monomial(order, 0, 1, _A + _T))
@@ -513,7 +577,7 @@ def _family_f_cached(fam_id: str, order: int) -> Series2:
             - bare_x * eta_y
             - bare_y * eta_x
         )
-        return bracket * denom + _x(order) + _y(order)
+        return bracket * denom + Series2.monomial(order, 1, 0) + Series2.monomial(order, 0, 1)
     raise NotInFamilyError(f"unknown family {fam_id!r}")
 
 
@@ -558,13 +622,12 @@ def coeff_normalized(
 ) -> Poly2:
     """k! l! times the (k, l) coefficient of the family's face series.
 
-    That is the coefficient a ``Series2`` stores.
-
-    Equals the face polynomial of the polytope the family places at
-    x^k y^l.  Without ``order`` or ``series`` the series is built at order
-    k + l, the least that holds the coefficient.  Raises
-    ``NotInFamilyError`` for indices outside the family and ``ValueError``
-    for indices beyond the truncation order.
+    That is the coefficient a ``Series2`` stores, and it equals the face
+    polynomial of the polytope the family places at x^k y^l.  Without
+    ``order`` or ``series`` the series is built at order k + l, the least
+    that holds the coefficient.  Raises ``NotInFamilyError`` for indices
+    outside the family and ``ValueError`` for indices beyond the truncation
+    order.
     """
     spec = _family(fam)
     if not spec.contains(k, l):
@@ -586,9 +649,7 @@ IDENTITY_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8")
 class IdentityResult(Record):
     __slots__ = ("name", "passed", "mismatch")
 
-    def __init__(
-        self, name: str, passed: bool, mismatch: Optional[tuple[int, int, Poly2]]
-    ):
+    def __init__(self, name: str, passed: bool, mismatch: Optional[tuple[int, int, Poly2]]):
         self._set(name, passed, mismatch)
 
     def to_json_obj(self) -> dict[str, object]:
@@ -611,10 +672,7 @@ class IdentityReport(Record):
 
     @property
     def first_failure(self) -> Optional[IdentityResult]:
-        for r in self.results:
-            if not r.passed:
-                return r
-        return None
+        return next((r for r in self.results if not r.passed), None)
 
     def to_json_obj(self) -> dict[str, object]:
         return {
@@ -626,11 +684,12 @@ class IdentityReport(Record):
 
 def _drop_one_term(s: Series2) -> Series2:
     """Remove the smallest slot of total degree >= 2; a test corruption."""
-    slots = [slot for slot, _ in s.items() if sum(slot) >= 2]
+    slots = [slot for slot in s._coeffs if sum(slot) >= 2]
     if not slots:
         raise ValueError("series has no slot of total degree >= 2 to drop")
     victim = min(slots, key=lambda slot: (sum(slot), slot))
-    return Series2(s.order, {slot: p for slot, p in s.items() if slot != victim})
+    kept = {slot: c for slot, c in s._coeffs.items() if slot != victim}
+    return Series2._built(s.order, kept, s._bounds, s._width)
 
 
 def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> IdentityReport:
@@ -656,7 +715,7 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
     pe_sum_h = subst_h_series(pe_sum)
     phi = phi_h(order)
     grow_y = exp_series(Series2.monomial(order, 0, 1, _A + _T))
-    x, y = _x(order), _y(order)
+    x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
     at = _A * _T
     apt = _A + _T
     # d/dx and d/dy cost I5-I8 one order, so their right-hand sides are
@@ -665,19 +724,16 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
     st_l, pe_l, nb_l, bb_l, sum_l, phi_l, grow_l = (
         truncate(s, low) for s in (st_h, pe_h, nb_h, bb_h, pe_sum_h, phi, grow_y)
     )
-    x_l, y_l = _x(low), _y(low)
+    grow_phi = grow_l * phi_l
+    x_l, y_l = Series2.monomial(low, 1, 0), Series2.monomial(low, 0, 1)
 
     checks: list[tuple[str, Series2, Series2]] = [
         ("I1", deriv_t(pe), pe * pe),
         ("I2", deriv_t(st), (x + pe) * st),
         ("I3", deriv_t(nb), nb * (y + pe_sum)),
-        (
-            "I4",
-            deriv_t(bb),
-            x * swap_xy(nb) + y * nb + bb * pe_sum - (x + y) * pe_sum,
-        ),
+        ("I4", deriv_t(bb), x * swap_xy(nb) + y * nb + bb * pe_sum - (x + y) * pe_sum),
         ("I5", deriv_x(st_h), st_l * apt + pe_l * st_l * at),
-        ("I6", deriv_x(nb_h), grow_l * phi_l + nb_l * sum_l * at),
+        ("I6", deriv_x(nb_h), grow_phi + nb_l * sum_l * at),
         ("I7", deriv_y(phi), sum_l * phi_l * at),
         (
             "I8",
@@ -686,7 +742,7 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
             + swap_xy(nb_l) * apt
             - sum_l * apt
             - (x_l + y_l) * sum_l * at
-            + grow_l * phi_l,
+            + grow_phi,
         ),
     ]
     results = []

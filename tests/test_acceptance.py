@@ -40,6 +40,7 @@ from witnesses import (
     boundary,
     building_set_from_graph,
     facets_from_building_set,
+    power,
     term_of,
     up_to_iso,
 )
@@ -203,7 +204,7 @@ def test_7_negative_controls(capsys) -> None:
     assert failure.mismatch[:2] == (2, 0)
 
     # The gamma extraction must expose the non-Gal polynomial alpha^2 + t^2.
-    result = gal_check_poly(A**2 + T**2, 2)
+    result = gal_check_poly(power(A, 2) + power(T, 2), 2)
     assert not result.passed
     assert result.first_negative == (1, Fraction(-2))
 

@@ -14,13 +14,15 @@ from nestohedra.algebra import (
     format_rational,
     gamma_from_h,
     h_from_f,
-    h_from_gamma,
     homogeneous_degree,
     is_symmetric,
-    parse_rational,
 )
 from witnesses import (
+    h_from_gamma,
     integrate_t,
+    parse_rational,
+    poly_from_records,
+    power,
     sparse_add,
     sparse_deriv_t,
     sparse_gamma_from_h,
@@ -52,8 +54,10 @@ def homogeneous(draw, degree: int | None = None, coefficients=COEFFICIENTS):
 
 
 def test_ring_arithmetic_basics() -> None:
-    square = (A + T) ** 2
+    square = (A + T) * (A + T)
     assert square == A * A + 2 * A * T + T * T
+    assert power(A + T, 2) == square
+    assert power(A + T, 0) == Poly2.one()
     assert square.coeff(1, 1) == 2
     assert (square - square).is_zero()
     assert (A + T) * Poly2.zero() == Poly2.zero()
@@ -68,40 +72,40 @@ def test_fraction_coefficients_stay_exact() -> None:
 
 
 def test_deriv_t() -> None:
-    p = A**2 * T**3 + 2 * A**4 * T
-    assert p.deriv_t() == 3 * A**2 * T**2 + 2 * A**4
-    assert (A**3).deriv_t().is_zero()
+    p = power(A, 2) * power(T, 3) + 2 * power(A, 4) * T
+    assert p.deriv_t() == 3 * power(A, 2) * power(T, 2) + 2 * power(A, 4)
+    assert power(A, 3).deriv_t().is_zero()
     assert Poly2.constant(5).deriv_t().is_zero()
 
 
 def test_records_round_trip() -> None:
-    p = A**2 - Poly2.monomial(1, 1, Fraction(7, 2)) + T**2
+    p = power(A, 2) - Poly2.monomial(1, 1, Fraction(7, 2)) + power(T, 2)
     records = p.to_records()
     assert records == [
         {"i": 0, "j": 2, "c": "1"},
         {"i": 1, "j": 1, "c": "-7/2"},
         {"i": 2, "j": 0, "c": "1"},
     ]
-    assert Poly2.from_records(records) == p
+    assert poly_from_records(records) == p
 
 
 def test_homogeneous_degree() -> None:
-    assert homogeneous_degree(A**2 + 4 * A * T + T**2) == 2
+    assert homogeneous_degree(power(A, 2) + 4 * A * T + power(T, 2)) == 2
     assert homogeneous_degree(Poly2.one()) == 0
     with pytest.raises(ValueError):
         homogeneous_degree(Poly2.zero())
     with pytest.raises(InhomogeneousError):
-        homogeneous_degree(A + T**2)
+        homogeneous_degree(A + power(T, 2))
 
 
 def test_mixed_total_degrees_are_refused() -> None:
     with pytest.raises(InhomogeneousError):
         Poly2({(2, 0): 1, (0, 1): 1})
     with pytest.raises(InhomogeneousError):
-        A + T**2
+        A + power(T, 2)
     with pytest.raises(InhomogeneousError):
-        A - T**2
-    for p in (Poly2.constant(3), A, A**2 + 6 * A * T, T**7):
+        A - power(T, 2)
+    for p in (Poly2.constant(3), A, power(A, 2) + 6 * A * T, power(T, 7)):
         assert Poly2.zero() + p == p
         assert p + Poly2.zero() == p
         assert Poly2.zero() - p == -p
@@ -110,43 +114,43 @@ def test_mixed_total_degrees_are_refused() -> None:
 
 def test_h_from_f_hexagon() -> None:
     # The hexagon has 6 vertices, 6 edges, and itself.
-    f = 6 * T**2 + 6 * A * T + A**2
-    assert h_from_f(f) == A**2 + 4 * A * T + T**2
+    f = 6 * power(T, 2) + 6 * A * T + power(A, 2)
+    assert h_from_f(f) == power(A, 2) + 4 * A * T + power(T, 2)
 
 
 def test_h_from_f_is_a_ring_homomorphism() -> None:
-    p = A**2 + 3 * T**2
-    q = A * T**2 - 2 * A**3
-    r = A * T - 2 * A**2
+    p = power(A, 2) + 3 * power(T, 2)
+    q = A * power(T, 2) - 2 * power(A, 3)
+    r = A * T - 2 * power(A, 2)
     assert h_from_f(p * q) == h_from_f(p) * h_from_f(q)
     assert h_from_f(p + r) == h_from_f(p) + h_from_f(r)
 
 
 def test_is_symmetric() -> None:
-    assert is_symmetric(A**2 + 4 * A * T + T**2)
-    assert is_symmetric(A**2 + T**2)
-    assert not is_symmetric(A**2 + A * T)
+    assert is_symmetric(power(A, 2) + 4 * A * T + power(T, 2))
+    assert is_symmetric(power(A, 2) + power(T, 2))
+    assert not is_symmetric(power(A, 2) + A * T)
 
 
 def test_gamma_from_h_hexagon() -> None:
-    gv = gamma_from_h(A**2 + 4 * A * T + T**2)
+    gv = gamma_from_h(power(A, 2) + 4 * A * T + power(T, 2))
     assert gv == GammaVector(2, (Fraction(1), Fraction(2)))
 
 
 def test_gamma_detects_negative_entries() -> None:
-    gv = gamma_from_h(A**2 + T**2)
+    gv = gamma_from_h(power(A, 2) + power(T, 2))
     assert gv.gammas == (Fraction(1), Fraction(-2))
 
 
 def test_gamma_rejects_asymmetric_input() -> None:
     with pytest.raises(ValueError):
-        gamma_from_h(A**2 + A * T)
+        gamma_from_h(power(A, 2) + A * T)
 
 
 def test_h_from_gamma_expands_the_basis() -> None:
     gv = GammaVector(3, (Fraction(1), Fraction(4)))
     # (a+t)^3 + 4*a*t*(a+t)
-    assert h_from_gamma(gv) == (A + T) ** 3 + 4 * A * T * (A + T)
+    assert h_from_gamma(gv) == power(A + T, 3) + 4 * A * T * (A + T)
 
 
 @given(

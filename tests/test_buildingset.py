@@ -18,12 +18,10 @@ from nestohedra.buildingset import (
     complete_graph,
     connected_graphs_upto_iso,
     cycle_graph,
-    graph_components,
     empty_graph,
     graph_from_edges,
     graph_spec,
     induced_subgraph,
-    is_connected_graph,
     join_graphs,
     parse_graph_spec,
     path_graph,
@@ -41,6 +39,8 @@ from witnesses import (
     connected_subset_orbits,
     contraction,
     dimension,
+    graph_components,
+    is_connected_graph,
     is_valid,
     removal,
     restriction,

@@ -21,6 +21,7 @@ from nestohedra import algebra, cli, ringcalc, series
 from nestohedra.algebra import Poly2
 from nestohedra.cli import main
 from nestohedra.series import FAMILIES
+from witnesses import power
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -136,9 +137,9 @@ def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
     # invariants derives h from its one face polynomial, and gal-scan asks
     # for h graph by graph.
     plain_h_from_f, plain_hpoly = cli.h_from_f, cli.hpoly
-    monkeypatch.setattr(cli, "h_from_f", lambda f: plain_h_from_f(f) + Poly2.alpha() ** 2)
+    monkeypatch.setattr(cli, "h_from_f", lambda f: plain_h_from_f(f) + power(Poly2.alpha(), 2))
     monkeypatch.setattr(
-        cli, "hpoly", lambda g, cache=None: plain_hpoly(g, cache) + Poly2.alpha() ** 2
+        cli, "hpoly", lambda g, cache=None: plain_hpoly(g, cache) + power(Poly2.alpha(), 2)
     )
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
     assert (code, out) == (1, "")
@@ -184,14 +185,43 @@ def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:
 def test_a_series_slot_of_the_wrong_length_exits_one(
     capsys, monkeypatch, cold_series_caches, argv: list[str], message: str
 ) -> None:
-    # A kernel that pads every slot by one coefficient leaves slots of two
-    # degrees meeting in one sum.  The arguments were valid, so that is the
-    # series arithmetic's failure (1), named in one line, not bad input (2).
-    plain = series._accumulate
-    monkeypatch.setattr(series, "_accumulate", lambda acc, p, q, w: plain(acc, p, q, w) + [0])
+    # A kernel that pads every slot by one coefficient after each row it
+    # adds leaves slots of two degrees meeting in one sum.  The arguments
+    # were valid, so that is the series arithmetic's failure (1), named in
+    # one line, not bad input (2).
+    plain = series._push
+
+    def padded(vals, lens, *row) -> None:
+        plain(vals, lens, *row)
+        lens[:] = [n + 1 if n else 0 for n in lens]
+
+    monkeypatch.setattr(series, "_push", padded)
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
     assert err.startswith(message + "mixed total degrees ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identities", "--order", "4"], "error: identities at order 4: "),
+        (["verify", "--max-order", "3"], "error: series of pe at order 3: "),
+        (["gal-scan", "--family", "because-because", "--bound", "5"],
+         "error: series of because-because at order 5: "),
+    ],
+    ids=["identities", "verify-all", "gal-scan"],
+)
+def test_packed_fields_too_narrow_exit_one(
+    capsys, monkeypatch, cold_series_caches, argv: list[str], message: str
+) -> None:
+    # Fields of 3 bits cannot hold the ordered Bell numbers of the shared
+    # denominators: a failed check of the series arithmetic (1), named in
+    # one line, never a wrong coefficient.
+    monkeypatch.setattr(series, "_width", lambda order: 3)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message + "coefficients outgrow the 3-bit fields of order ")
     assert err.count("\n") == 1
 
 
@@ -451,6 +481,30 @@ def test_recursion_output_digests_beyond_the_bench_reference(
     # and no 20-node graph.
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_HIGH_ORDER_NEGATIVE_CONTROLS = {
+    ("pe", 12): "cb308d4da6191e7b4557e276686c19b8caec7ebf9a10bd03d8c9410646188406",
+    ("pe", 16): "f34ed89f86c51842085aa291b33ac3d0c50520a4b89be8a035497c2d8e333165",
+    ("st", 12): "35d59422c6cc2beffc2e47764f57b5b5b5e6c0c01667a805b2f03c37766b4ce9",
+    ("st", 16): "70907492bf4e2cd0802acf4d56a495edd1348d9b1988d0ddbb035ccd023d758d",
+    ("nabla-because", 12): "e3d616f693746d803b76c836f0e2602ba4f2ecc0c1c33c86ed67ed598683e7c0",
+    ("nabla-because", 16): "edbfa537535816907c0f32a1d81b99f4dc20b0b22c4267f1c3e736745ee2f14c",
+    ("because-because", 12): "cbe17c3e6282a16ec986e01fe3ddd9cdfc394d37ebf7b4060a80c8726ca86c1e",
+    ("because-because", 16): "20b867823888508b25b4d932a6fd4e46cbc36a8568668ae136cc1cbd49eb029d",
+}
+
+
+@pytest.mark.parametrize("family, order", list(_HIGH_ORDER_NEGATIVE_CONTROLS))
+def test_negative_control_output_digests_at_high_order(capsys, family: str, order: int) -> None:
+    # sha256 of stdout, recorded while each product slot was still summed
+    # as a list of coefficients: the mismatches are decoded from packed
+    # slots only where two series differ.
+    argv = ["identities", "--order", str(order), "--corrupt", family, "--format", "json"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (1, "")
+    digest = _HIGH_ORDER_NEGATIVE_CONTROLS[(family, order)]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

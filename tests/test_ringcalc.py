@@ -21,7 +21,6 @@ from nestohedra.buildingset import (
     empty_graph,
     graph_from_edges,
     graph_spec,
-    is_connected_graph,
     join_graphs,
     parse_graph_spec,
     path_graph,
@@ -38,7 +37,9 @@ from witnesses import (
     facet_fpoly,
     facets_from_building_set,
     integrate_t,
+    is_connected_graph,
     plain_boundary,
+    power,
     term_of,
     up_to_iso,
 )
@@ -119,7 +120,7 @@ def test_boundary_of_graphs_with_twins_matches_the_sweep_up_to_isomorphism() -> 
 
 
 def test_integrate_t_recovers_the_hexagon() -> None:
-    assert integrate_t(6 * (A + 2 * T), 2) == A**2 + 6 * A * T + 6 * T**2
+    assert integrate_t(6 * (A + 2 * T), 2) == power(A, 2) + 6 * A * T + 6 * power(T, 2)
 
 
 def test_integrate_t_point_case() -> None:
@@ -150,15 +151,15 @@ def test_integrate_t_rejects_bad_input() -> None:
 
 def test_fpoly_frozen_values() -> None:
     assert fpoly(complete_graph(2)) == A + 2 * T
-    assert fpoly(path_graph(3)) == A**2 + 5 * A * T + 5 * T**2
-    assert fpoly(complete_graph(3)) == A**2 + 6 * A * T + 6 * T**2
+    assert fpoly(path_graph(3)) == power(A, 2) + 5 * A * T + 5 * power(T, 2)
+    assert fpoly(complete_graph(3)) == power(A, 2) + 6 * A * T + 6 * power(T, 2)
     assert (
         fpoly(bipartite_graph(2, 2))
-        == A**3 + 12 * A**2 * T + 30 * A * T**2 + 20 * T**3
+        == power(A, 3) + 12 * power(A, 2) * T + 30 * A * power(T, 2) + 20 * power(T, 3)
     )
     assert (
         fpoly(complete_graph(4))
-        == A**3 + 14 * A**2 * T + 36 * A * T**2 + 24 * T**3
+        == power(A, 3) + 14 * power(A, 2) * T + 36 * A * power(T, 2) + 24 * power(T, 3)
     )
 
 
@@ -166,12 +167,12 @@ def test_fpoly_of_a_point_and_of_disconnected_graphs() -> None:
     assert fpoly(complete_graph(1)) == Poly2.one()
     assert fpoly(empty_graph(3)) == Poly2.one()
     two_edges = parse_graph_spec("edges:4:0-1,2-3")
-    assert fpoly(two_edges) == (A + 2 * T) ** 2
+    assert fpoly(two_edges) == power(A + 2 * T, 2)
 
 
 def test_fpoly_graph_convenience() -> None:
     # fpoly takes the graph itself, with or without a caller's memo.
-    triangle = A**2 + 6 * A * T + 6 * T**2
+    triangle = power(A, 2) + 6 * A * T + 6 * power(T, 2)
     assert fpoly(complete_graph(3)) == triangle
     assert fpoly(complete_graph(3), FPolyCache()) == triangle
 

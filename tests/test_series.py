@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestohedra import series
+from nestohedra.cli import MAX_ORDER
 from nestohedra.algebra import InhomogeneousError, Poly2, homogeneous_degree
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
@@ -29,12 +30,20 @@ from nestohedra.series import (
     inv_series,
     pe_f_xplusy,
     phi_h,
-    restrict_y0,
     subst_h_series,
     swap_xy,
     truncate,
 )
-from witnesses import power_sum_exp, raw_from_series, raw_inv, raw_mul
+from witnesses import (
+    list_inv_series,
+    list_product,
+    power,
+    power_sum_exp,
+    raw_from_series,
+    raw_inv,
+    raw_mul,
+    restrict_y0,
+)
 
 A = Poly2.alpha()
 T = Poly2.t()
@@ -83,7 +92,7 @@ def test_eta_linear_frozen_coefficients() -> None:
     eta = eta_linear(1, 0, 3)
     assert eta.coeff(1, 0) == Poly2.one()
     assert eta.coeff(2, 0) == A
-    assert eta.coeff(3, 0) == A**2
+    assert eta.coeff(3, 0) == power(A, 2)
     # eta(x + y) weights x^a y^b by alpha^(a+b-1) binom(a+b, a) / (a+b)!,
     # which a! b! turns into alpha^(a+b-1).
     eta_xy = eta_linear(1, 1, 2)
@@ -93,7 +102,7 @@ def test_eta_linear_frozen_coefficients() -> None:
 def test_exp_series_frozen_coefficients() -> None:
     grow = exp_series(Series2.monomial(3, 1, 0, A + T))
     assert grow.coeff(0, 0) == Poly2.one()
-    assert grow.coeff(2, 0) == (A + T) ** 2
+    assert grow.coeff(2, 0) == power(A + T, 2)
     with pytest.raises(ValueError):
         exp_series(Series2.one(3))
 
@@ -125,7 +134,7 @@ def test_exp_series_equals_the_power_sum_witness(data) -> None:
         {(0, 2): T},
         {(1, 1): A + T},
         {(3, 0): Poly2.one()},
-        {(1, 0): A, (2, 0): A**2},
+        {(1, 0): A, (2, 0): power(A, 2)},
         {(1, 0): A, (0, 1): T, (0, 0): Poly2.one()},
     ],
 )
@@ -141,7 +150,7 @@ def test_inv_series_frozen_coefficients() -> None:
     inv = inv_series(denom)
     assert inv.coeff(0, 0) == Poly2.one()
     assert inv.coeff(1, 0) == T
-    assert inv.coeff(2, 0) == A * T + 2 * T**2
+    assert inv.coeff(2, 0) == A * T + 2 * power(T, 2)
     assert (inv * denom) == Series2.one(order)
     with pytest.raises(ValueError):
         inv_series(Series2.monomial(3, 1, 0))
@@ -182,6 +191,11 @@ def _mirror_x(s: Series2) -> Series2:
     return Series2(s.order, {(k, l): p * (-1) ** k for (k, l), p in s.items()})
 
 
+def _unit(order: int, tail: Series2) -> Series2:
+    """tail with its constant slot set to 1."""
+    return Series2(order, [(s, p) for s, p in tail.items() if s != (0, 0)] + [((0, 0), Poly2.one())])
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_product_and_inverse_agree_with_the_raw_series_witness(data) -> None:
@@ -196,10 +210,7 @@ def test_product_and_inverse_agree_with_the_raw_series_witness(data) -> None:
     for a, b in ((left, right), (left, _mirror_x(left))):
         assert raw_from_series(a * b) == raw_mul(raw_from_series(a), raw_from_series(b), order)
     tail = data.draw(graded_series(order, grading, 0))
-    unit = Series2(
-        order,
-        [(slot, p) for slot, p in tail.items() if slot != (0, 0)] + [((0, 0), Poly2.one())],
-    )
+    unit = _unit(order, tail)
     inverse = inv_series(unit)
     assert raw_from_series(inverse) == raw_inv(raw_from_series(unit), order)
     assert raw_from_series(inv_series(inverse)) == raw_inv(raw_from_series(inverse), order)
@@ -222,7 +233,7 @@ def _all_pairs_product(a: Series2, b: Series2) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_slot_products_equal_the_all_pairs_product(data) -> None:
-    # The kernel walks the right operand by total degree and stops each
+    # The product walks the right operand by total degree and stops each
     # left slot at the truncation order; the reference visits every pair.
     # A rogue left slot one degree off makes each product slot it reaches
     # mix degrees, which both must refuse; positive coefficients keep
@@ -247,10 +258,62 @@ def test_slot_products_equal_the_all_pairs_product(data) -> None:
         expected = _all_pairs_product(left, right)
     except InhomogeneousError:
         with pytest.raises(InhomogeneousError):
-            series._slot_products(left, right)
+            left * right
         return
-    products = series._slot_products(left, right)
-    assert {slot: Poly2.from_coeffs(c) for slot, c in products.items() if any(c)} == expected
+    assert dict((left * right).items()) == expected
+
+
+def _with_rogue_slot(data, s: Series2, grading, base: int, coefficients) -> Series2:
+    """s with one slot off the constant one redrawn a degree above its grading."""
+    k = data.draw(st.integers(0, s.order))
+    l = data.draw(st.integers(0, s.order - k))
+    if (k, l) == (0, 0):
+        return s
+    n = base + grading[0] * k + grading[1] * l + 1
+    slots = dict(s.items())
+    slots[(k, l)] = Poly2.from_coeffs(
+        data.draw(st.lists(coefficients, min_size=n + 1, max_size=n + 1))
+    )
+    return Series2(s.order, slots)
+
+
+def _same_outcome(packed, listed, *args) -> None:
+    """Both kernels give the same series, or both refuse mixed degrees."""
+    try:
+        expected = listed(*args)
+    except InhomogeneousError:
+        with pytest.raises(InhomogeneousError, match=r"^mixed total degrees \["):
+            packed(*args)
+    else:
+        assert packed(*args) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_packed_kernel_equals_the_list_kernel(data) -> None:
+    # Products of random signed graded series, s(x) s(-x) among them, whose
+    # odd slots cancel, and inverses.  Then a rogue slot one degree off in
+    # a factor, or in the series inverted: its coefficients have one sign
+    # (negative in the inverted series, so that 1 - s is positive), which
+    # keeps any slot from cancelling before the rogue term lands, whatever
+    # order the kernels visit the terms in.
+    order = data.draw(st.integers(0, 4))
+    grading = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    base = data.draw(st.integers(0, 2))
+    left = data.draw(graded_series(order, grading, base))
+    right = data.draw(graded_series(order, grading, data.draw(st.integers(0, 2))))
+    for a, b in ((left, right), (left, _mirror_x(left)), (right, left)):
+        assert a * b == list_product(a, b)
+    unit = _unit(order, data.draw(graded_series(order, grading, 0)))
+    assert inv_series(unit) == list_inv_series(unit)
+
+    positive = data.draw(graded_series(order, grading, base, st.integers(1, 3)))
+    rogue = _with_rogue_slot(data, positive, grading, base, st.integers(1, 3))
+    _same_outcome(Series2.__mul__, list_product, rogue, positive)
+    _same_outcome(Series2.__mul__, list_product, positive, rogue)
+    tail = data.draw(graded_series(order, grading, 0, st.integers(-3, -1)))
+    negative = _with_rogue_slot(data, tail, grading, 0, st.integers(-3, -1))
+    _same_outcome(inv_series, list_inv_series, _unit(order, negative))
 
 
 def test_a_product_slot_that_mixes_degrees_raises() -> None:
@@ -262,6 +325,47 @@ def test_a_product_slot_that_mixes_degrees_raises() -> None:
     # 1 / (1 - x - alpha x^2/2): the slot x^2 gets 2 (from x times x) and alpha
     with pytest.raises(InhomogeneousError, match=r"^mixed total degrees \[0, 1\]"):
         inv_series(Series2(2, {(0, 0): Poly2.one(), (1, 0): -Poly2.one(), (2, 0): -A}))
+
+
+def test_the_fields_hold_every_coefficient_of_the_largest_order(
+    monkeypatch, cold_series_caches
+) -> None:
+    # Every series the identity suite and the five family series build at
+    # the command line's largest order, decoded: the largest coefficient
+    # has 56 bits (a slot of d/dt of the st series), and each series keeps
+    # at least 14 bits between its largest coefficient and its fields.
+    built = []
+    plain = Series2._set
+
+    def recorded(self, *args) -> None:
+        plain(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Series2, "_set", recorded)
+    assert identity_suite(MAX_ORDER).all_passed
+    for fam in FAMILIES:
+        family_h(fam, MAX_ORDER)
+    largest = [
+        (s._width, max(abs(c) for _, p in s.items() for c in p.coeffs).bit_length())
+        for s in built
+        if s
+    ]
+    assert max(bits for _, bits in largest) == 56
+    assert min(width - 1 - bits for width, bits in largest) == 14
+
+
+def test_coefficients_that_outgrow_the_fields_raise() -> None:
+    width = series._width(2)
+    with pytest.raises(ArithmeticError, match=f"^coefficients outgrow the {width}-bit fields of order 2"):
+        Series2(2, {(0, 0): Poly2.constant(1 << width - 1)})
+    half = Series2(2, {(1, 0): Poly2.constant(1 << width // 2)})
+    with pytest.raises(ArithmeticError, match="outgrow"):
+        half * half
+    # a packed slot with a digit beyond its count names itself on decoding
+    s = Series2.monomial(4, 2, 1, A + T)
+    s._coeffs[(2, 1)] = (1 << 2 * series._width(4), 2)
+    with pytest.raises(ArithmeticError, match=r"^slot \(2, 1\) does not fit"):
+        s.coeff(2, 1)
 
 
 def test_a_slot_that_cancels_is_dropped() -> None:
@@ -316,9 +420,9 @@ def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_
 
 
 def test_subst_h_series_matches_coefficientwise_substitution() -> None:
-    s = Series2.monomial(2, 1, 0, A**2) + Series2.monomial(2, 0, 1, T)
+    s = Series2.monomial(2, 1, 0, power(A, 2)) + Series2.monomial(2, 0, 1, T)
     h = subst_h_series(s)
-    assert h.coeff(1, 0) == (A - T) ** 2
+    assert h.coeff(1, 0) == power(A - T, 2)
     assert h.coeff(0, 1) == T
 
 
@@ -339,12 +443,12 @@ def test_pe_series_coefficients_are_permutohedra() -> None:
     pe = family_f("pe", 4)
     assert pe.coeff(1, 0) == Poly2.one()
     assert pe.coeff(2, 0) == A + 2 * T
-    assert pe.coeff(3, 0) == A**2 + 6 * A * T + 6 * T**2
+    assert pe.coeff(3, 0) == power(A, 2) + 6 * A * T + 6 * power(T, 2)
 
 
 def test_pe_h_coefficient_is_the_hexagon_h_polynomial() -> None:
     pe_h = family_h("pe", 4)
-    assert pe_h.coeff(3, 0) == A**2 + 4 * A * T + T**2
+    assert pe_h.coeff(3, 0) == power(A, 2) + 4 * A * T + power(T, 2)
 
 
 def test_coeff_normalized_matches_the_recursion() -> None:

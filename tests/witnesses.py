@@ -24,7 +24,13 @@ raw series arithmetic is the reference for ``Series2``: it multiplies and
 inverts the plain coefficients [x^k y^l] as ordinary power series over
 ``Fraction``, with no binomial weights and no notion of degree, and the
 general power-sum exponential is the reference for the closed-form
-``exp_series`` of a linear series.
+``exp_series`` of a linear series.  The list kernel, which accumulates each
+product slot as a list of coefficients, is the reference for the packed
+kernel of ``Series2`` products and inverses.
+
+The rest of the file is library surface only the tests use: powers,
+records and gamma expansions of ``Poly2``, rational parsing, graph
+components and the y = 0 slice of a series.
 """
 
 from __future__ import annotations
@@ -35,9 +41,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from nestohedra.algebra import Poly2, format_rational, homogeneous_degree
+from nestohedra.algebra import (
+    GammaVector,
+    Poly2,
+    _gamma_basis,
+    format_rational,
+    homogeneous_degree,
+)
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
@@ -45,11 +58,9 @@ from nestohedra.buildingset import (
     _compress,
     _mask_nodes,
     connected_submask,
-    graph_components,
     graph_from_edges,
     graph_spec,
     induced_subgraph,
-    is_connected_graph,
     twin_classes,
 )
 from nestohedra.series import Series2
@@ -197,6 +208,21 @@ def canonical_graph(g: Graph) -> Graph:
             individualized = [1 << v, cell & ~(1 << v)]
             stack.append(_refine(adj, cells[:split] + individualized + cells[split + 1 :]))
     return Graph(best)
+
+
+def is_connected_graph(g: Graph) -> bool:
+    return g.n > 0 and connected_submask(g.adj, (1 << g.n) - 1)
+
+
+def graph_components(g: Graph) -> list[Graph]:
+    """Induced subgraphs on the connected components, by smallest node."""
+    full = left = (1 << g.n) - 1
+    parts = []
+    while left:
+        part = _closure(g.adj, left & -left, full)
+        parts.append(induced_subgraph(g, part))
+        left &= ~part
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +681,129 @@ def power_sum_exp(s: Series2) -> Series2:
     """
     if s.coeff(0, 0):
         raise ValueError("exp needs a zero constant coefficient")
-    power = acc = Series2.one(s.order)
+    term = acc = Series2.one(s.order)
     for m in range(1, s.order + 1):
-        power = Series2(
+        term = Series2(
             s.order,
             {
                 slot: Poly2.from_coeffs(exact_div(c, m) for c in p.coeffs)
-                for slot, p in (power * s).items()
+                for slot, p in (term * s).items()
             },
         )
-        acc = acc + power
+        acc = acc + term
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the list series kernel
+
+Slot = tuple[int, int]
+
+
+def _accumulate(acc: list | None, p: tuple, q: tuple, weight: int) -> list:
+    """acc + weight * p * q, for the dense coefficient tuples of two nonzero Poly2s.
+
+    acc is a slot's running coefficient list, or None for a slot nothing has
+    landed in yet; it is updated in place and returned.  A product of
+    another degree goes through Poly2 addition, which raises
+    InhomogeneousError unless the slot has cancelled to zero.
+    """
+    n = len(p) + len(q) - 1
+    if acc is None:
+        acc = [0] * n
+    elif len(acc) != n:
+        product = Poly2.from_coeffs(p) * Poly2.from_coeffs(q) * weight
+        return list((Poly2.from_coeffs(acc) + product).coeffs)
+    for i, x in enumerate(p):
+        if x:
+            x *= weight
+            for k, y in enumerate(q, i):
+                acc[k] += x * y
+    return acc
+
+
+def list_slot_products(a: Series2, b: Series2) -> dict[Slot, list]:
+    """The binomial product a b as one coefficient list per slot.
+
+    b's slots are walked in order of total degree, so each slot of a stops
+    at the first one that would land beyond the truncation order.
+    """
+    order = a.order
+    right = sorted(
+        ((k2 + l2, k2, l2, p2.coeffs) for (k2, l2), p2 in b.items()), key=itemgetter(0)
+    )
+    out: dict[Slot, list] = {}
+    for (k1, l1), p1 in a.items():
+        room = order - k1 - l1
+        for degree, k2, l2, q in right:
+            if degree > room:
+                break
+            k, l = k1 + k2, l1 + l2
+            weight = comb(k, k1) * comb(l, l1)
+            out[(k, l)] = _accumulate(out.get((k, l)), p1.coeffs, q, weight)
+    return out
+
+
+def list_product(a: Series2, b: Series2) -> Series2:
+    products = list_slot_products(a, b)
+    return Series2(a.order, {slot: Poly2.from_coeffs(c) for slot, c in products.items()})
+
+
+def list_inv_series(s: Series2) -> Series2:
+    """1 / s for a constant coefficient 1, solving b = 1 + (1 - s) b slot by slot.
+
+    b[k,l] = [k=l=0] - sum C(k,k1) C(l,l1) s[k1,l1] b[k-k1,l-l1] over the
+    slots of s off the constant one, in order of total degree.
+    """
+    assert s.coeff(0, 0) == Poly2.one()
+    r = [(k1, l1, p.coeffs) for (k1, l1), p in s.items() if (k1, l1) != (0, 0)]
+    inv: dict[Slot, tuple] = {(0, 0): (1,)}
+    for degree in range(1, s.order + 1):
+        for k in range(degree + 1):
+            l = degree - k
+            acc = None
+            for k1, l1, p in r:
+                rest = inv.get((k - k1, l - l1))
+                if rest is not None:
+                    acc = _accumulate(acc, p, rest, -comb(k, k1) * comb(l, l1))
+            if acc is not None and any(acc):
+                inv[(k, l)] = tuple(acc)
+    return Series2(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
+
+
+# ---------------------------------------------------------------------------
+# library surface only the tests use
+
+
+def power(p: Poly2, exponent: int) -> Poly2:
+    if exponent < 0:
+        raise ValueError("negative power of a polynomial")
+    out = Poly2.one()
+    for _ in range(exponent):
+        out = out * p
+    return out
+
+
+def parse_rational(text: str) -> Fraction:
+    return Fraction(text)
+
+
+def poly_from_records(records: Iterable[Mapping[str, object]]) -> Poly2:
+    """Inverse of ``Poly2.to_records``."""
+    return Poly2(
+        {(int(r["i"]), int(r["j"])): parse_rational(str(r["c"])) for r in records}
+    )
+
+
+def h_from_gamma(gv: GammaVector) -> Poly2:
+    """Inverse of gamma_from_h: expand the gamma vector back to a polynomial."""
+    out = Poly2.zero()
+    for i, g in enumerate(gv.gammas):
+        if g:
+            out = out + _gamma_basis(i, gv.n) * g
+    return out
+
+
+def restrict_y0(s: Series2) -> Series2:
+    """The y = 0 slice, kept as a series in x."""
+    return Series2(s.order, {slot: p for slot, p in s.items() if slot[1] == 0})
