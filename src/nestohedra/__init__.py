@@ -10,7 +10,6 @@ from .algebra import (
     GammaVector,
     InhomogeneousError,
     Poly2,
-    format_rational,
     gamma_from_h,
     h_from_f,
     homogeneous_degree,

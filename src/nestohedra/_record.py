@@ -4,8 +4,7 @@ A record class lists its fields as ``__slots__`` and sets them once, in
 its own ``__init__``, through ``_set``.  The base gives it value equality
 between instances of the same class, a hash over the field values, a
 ``Name(field=value, ...)`` repr, and refuses assignment and deletion
-afterwards.  A mutable record restores ``object.__setattr__`` and
-``object.__delattr__`` and sets ``__hash__ = None``.
+afterwards.
 """
 
 from __future__ import annotations

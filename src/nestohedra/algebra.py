@@ -16,27 +16,21 @@ polynomial of degree n can in turn be rewritten over the basis
 (alpha t)^i (alpha + t)^(n-2i); the coefficients of that rewrite form the
 gamma vector, the object whose nonnegativity is checked elsewhere.
 
-Coefficients are exact numbers and are never coerced: ``Poly2`` adds and
-multiplies whatever ints or ``Fraction``s it is given.  The library gives it
-only ints.  Face counts are integers, and the series module packs k! l!
-times each coefficient of an exponential generating function, an integer
-face polynomial too, into one int and builds a ``Poly2`` only where one is
-read; no step of the library divides.  The one non-integer it makes is the
-rescaled difference a failed identity reports, so ``fractions`` is imported
-only there and where one is formatted.
+Coefficients are ints.  Face counts are integers, and the series module
+packs k! l! times each coefficient of an exponential generating function,
+an integer face polynomial too, into one int and builds a ``Poly2`` only
+where one is read, so no step of the library divides.  The one rational
+any command prints, the [x^k y^l] difference a failed identity reports,
+is formed where it is written, by ``series.IdentityResult``.
 """
 
 from __future__ import annotations
 
-import sys
 from math import comb
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from ._record import Record
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "Poly2",
@@ -46,27 +40,23 @@ __all__ = [
     "homogeneous_degree",
     "is_symmetric",
     "gamma_from_h",
-    "format_rational",
 ]
 
 Exponents = tuple[int, int]
-CoeffLike = Union[int, "Fraction"]
 
 
 class InhomogeneousError(ValueError):
     """Raised when a polynomial required to be homogeneous mixes degrees."""
 
-    def __init__(self, terms: Iterable[tuple[int, int, CoeffLike]]):
+    def __init__(self, terms: Iterable[tuple[int, int, int]]):
         self.terms = sorted(terms)
         degrees = sorted({i + j for i, j, _ in self.terms})
-        offending = ", ".join(
-            f"{format_rational(c)}*a^{i}*t^{j}" for i, j, c in self.terms
-        )
+        offending = ", ".join(f"{c}*a^{i}*t^{j}" for i, j, c in self.terms)
         super().__init__(f"mixed total degrees {degrees}: {offending}")
 
 
 class Poly2:
-    """Homogeneous polynomial in alpha and t with exact coefficients.
+    """Homogeneous polynomial in alpha and t with int coefficients.
 
     ``coeffs`` holds the n + 1 coefficients of a degree-n polynomial, entry
     i being that of alpha^i t^(n-i); the zero polynomial has no entries and
@@ -80,7 +70,7 @@ class Poly2:
 
     def __init__(
         self,
-        terms: dict[Exponents, CoeffLike] | Iterable[tuple[Exponents, CoeffLike]] = (),
+        terms: dict[Exponents, int] | Iterable[tuple[Exponents, int]] = (),
     ):
         p = Poly2.zero()
         for (i, j), c in terms.items() if isinstance(terms, dict) else terms:
@@ -88,7 +78,7 @@ class Poly2:
         self._terms = p._terms
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[CoeffLike]) -> "Poly2":
+    def from_coeffs(cls, coeffs: Iterable[int]) -> "Poly2":
         """The polynomial whose coefficient of alpha^i t^(n-i) is coeffs[i].
 
         n is len(coeffs) - 1; all-zero coefficients give the zero polynomial.
@@ -103,7 +93,7 @@ class Poly2:
         return cls.from_coeffs(())
 
     @classmethod
-    def constant(cls, c: CoeffLike) -> "Poly2":
+    def constant(cls, c: int) -> "Poly2":
         return cls.from_coeffs((c,))
 
     @classmethod
@@ -119,21 +109,21 @@ class Poly2:
         return cls.from_coeffs((1, 0))
 
     @classmethod
-    def monomial(cls, i: int, j: int, c: CoeffLike = 1) -> "Poly2":
+    def monomial(cls, i: int, j: int, c: int = 1) -> "Poly2":
         if i < 0 or j < 0:
             raise ValueError(f"negative exponent pair {(i, j)}")
         return cls.from_coeffs((0,) * i + (c,) + (0,) * j)
 
     @property
-    def coeffs(self) -> tuple[CoeffLike, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         return self._terms
 
-    def coeff(self, i: int, j: int) -> CoeffLike:
+    def coeff(self, i: int, j: int) -> int:
         if i < 0 or j < 0 or i + j + 1 != len(self._terms):
             return 0
         return self._terms[i]
 
-    def terms(self) -> list[tuple[Exponents, CoeffLike]]:
+    def terms(self) -> list[tuple[Exponents, int]]:
         """Nonzero terms sorted by exponent pair, for deterministic iteration."""
         n = len(self._terms) - 1
         return [((i, n - i), c) for i, c in enumerate(self._terms) if c]
@@ -147,13 +137,13 @@ class Poly2:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly2):
             return self._terms == other._terms
-        if isinstance(other, int) or _is_fraction(other):
+        if isinstance(other, int):
             return self._terms == Poly2.constant(other)._terms
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: "Poly2 | CoeffLike") -> "Poly2":
+    def __add__(self, other: "Poly2 | int") -> "Poly2":
         other = _as_poly(other)
         if not other._terms:
             return self
@@ -165,21 +155,21 @@ class Poly2:
             )
         return Poly2.from_coeffs(map(add, self._terms, other._terms))
 
-    def __radd__(self, other: CoeffLike) -> "Poly2":
+    def __radd__(self, other: int) -> "Poly2":
         return self.__add__(other)
 
-    def __sub__(self, other: "Poly2 | CoeffLike") -> "Poly2":
+    def __sub__(self, other: "Poly2 | int") -> "Poly2":
         return self.__add__(-_as_poly(other))
 
-    def __rsub__(self, other: CoeffLike) -> "Poly2":
+    def __rsub__(self, other: int) -> "Poly2":
         return _as_poly(other).__sub__(self)
 
     def __neg__(self) -> "Poly2":
         return Poly2.from_coeffs(-c for c in self._terms)
 
-    def __mul__(self, other: "Poly2 | CoeffLike") -> "Poly2":
+    def __mul__(self, other: "Poly2 | int") -> "Poly2":
         if not isinstance(other, Poly2):
-            if isinstance(other, int) or _is_fraction(other):
+            if isinstance(other, int):
                 return Poly2.from_coeffs([c * other for c in self._terms])
             return NotImplemented
         a, b = self._terms, other._terms
@@ -195,7 +185,7 @@ class Poly2:
                     out[k] += x * y
         return Poly2.from_coeffs(out)
 
-    def __rmul__(self, other: CoeffLike) -> "Poly2":
+    def __rmul__(self, other: int) -> "Poly2":
         return self.__mul__(other)
 
     def deriv_t(self) -> "Poly2":
@@ -213,7 +203,7 @@ class Poly2:
         for (i, j), c in reversed(self.terms()):
             factors = []
             if c != 1 or (i, j) == (0, 0):
-                factors.append(format_rational(c))
+                factors.append(str(c))
             if i:
                 factors.append("a" if i == 1 else f"a^{i}")
             if j:
@@ -222,39 +212,14 @@ class Poly2:
         return " + ".join(parts)
 
     def to_records(self) -> list[dict[str, object]]:
-        """Serialize as sorted ``{"i", "j", "c"}`` records with rational strings."""
-        return [
-            {"i": i, "j": j, "c": format_rational(c)}
-            for (i, j), c in self.terms()
-        ]
+        """Serialize as sorted ``{"i", "j", "c"}`` records with decimal strings."""
+        return [{"i": i, "j": j, "c": str(c)} for (i, j), c in self.terms()]
 
 
-def _as_poly(value: "Poly2 | CoeffLike") -> Poly2:
+def _as_poly(value: "Poly2 | int") -> Poly2:
     if isinstance(value, Poly2):
         return value
     return Poly2.constant(value)
-
-
-def _is_fraction(value: object) -> bool:
-    """Whether value is a ``Fraction``, asked without importing ``fractions``.
-
-    No Fraction can exist before that module is imported, so an int-only
-    run never loads it (nor the ``decimal`` and ``numbers`` it pulls in).
-    """
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(value, fractions.Fraction)
-
-
-def format_rational(c: CoeffLike) -> str:
-    """Render exactly, as ``p`` for integers and ``p/q`` in lowest terms otherwise."""
-    if type(c) is int:
-        return str(c)
-    from fractions import Fraction
-
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
 
 
 def homogeneous_degree(p: Poly2) -> int:
@@ -288,7 +253,7 @@ class GammaVector(Record):
 
     __slots__ = ("n", "gammas")
 
-    def __init__(self, n: int, gammas: tuple[CoeffLike, ...]):
+    def __init__(self, n: int, gammas: tuple[int, ...]):
         expected = n // 2 + 1
         if n < 0:
             raise ValueError("negative degree")
@@ -298,11 +263,11 @@ class GammaVector(Record):
             )
         self._set(n, tuple(gammas))
 
-    def __iter__(self) -> Iterator[CoeffLike]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.gammas)
 
     def as_strings(self) -> list[str]:
-        return [format_rational(g) for g in self.gammas]
+        return [str(g) for g in self.gammas]
 
 
 def _gamma_basis(i: int, n: int) -> Poly2:

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .algebra import InhomogeneousError, Poly2, format_rational, h_from_f
+from .algebra import InhomogeneousError, Poly2, h_from_f
 from .buildingset import (
     Graph,
     GraphSpecError,
@@ -301,8 +301,7 @@ def _scan_graph_classes(args: SimpleNamespace) -> int:
         {
             "graph": spec,
             "condition": "gamma-nonnegativity",
-            "witness": f"gamma_{result.first_negative[0]} = "
-            f"{format_rational(result.first_negative[1])}",
+            "witness": "gamma_{} = {}".format(*result.first_negative),
         }
         for spec, _, result in results
         if not result.passed

@@ -4,8 +4,8 @@ For a simple polytope the h-polynomial is symmetric (Dehn-Sommerville), so
 it has a gamma vector; a polytope or series coefficient "passes" when every
 gamma entry is nonnegative.  ``gal_check_poly`` decides that for one
 polynomial, ``gal_check_series`` sweeps a family's h-series and aggregates
-violations of symmetry, homogeneity, the family grading, and gamma
-nonnegativity per index.
+violations of nonvanishing, symmetry, homogeneity and gamma nonnegativity
+per index.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from typing import Optional
 
 from ._record import Record
 from .algebra import (
-    CoeffLike,
     GammaVector,
     Poly2,
-    format_rational,
     gamma_from_h,
     h_from_f,
     homogeneous_degree,
@@ -73,7 +71,7 @@ class GalPolyResult(Record):
         self,
         passed: bool,
         gammas: GammaVector,
-        first_negative: Optional[tuple[int, CoeffLike]],
+        first_negative: Optional[tuple[int, int]],
     ):
         self._set(passed, gammas, first_negative)
 
@@ -112,22 +110,19 @@ class ScanViolation(Record):
 
 
 class SeriesScanReport(Record):
-    """The one mutable record: a scan fills it in as it goes."""
+    """One family's scan: its violations and the gamma vectors it read off."""
 
     __slots__ = ("family", "order", "checked", "violations", "gammas")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
         family: str,
         order: int,
         checked: int,
-        violations: list[ScanViolation],
-        gammas: dict[tuple[int, int], GammaVector] | None = None,
+        violations: tuple[ScanViolation, ...],
+        gammas: dict[tuple[int, int], GammaVector],
     ):
-        self._set(family, order, checked, violations, {} if gammas is None else gammas)
+        self._set(family, order, checked, tuple(violations), gammas)
 
     @property
     def passed(self) -> bool:
@@ -142,38 +137,31 @@ class SeriesScanReport(Record):
         }
 
 
-def gal_check_series(
-    series_h: Series2,
-    fam: "FamilySpec | str",
-    max_order: int | None = None,
-) -> SeriesScanReport:
-    """Sweep a family's h-series and collect per-index violations.
+def gal_check_series(series_h: Series2, fam: "FamilySpec | str") -> SeriesScanReport:
+    """Sweep a family's h-series up to its order and collect per-index violations.
 
-    At each family index (k, l) with k + l <= max_order the series' stored
-    coefficient, k! l! [x^k y^l], is checked for: being nonzero, symmetry,
-    the degree of the family dimension, the uniform grading degree
-    2*(k+l) - 2*(i+j) = 2*offset, and gamma nonnegativity.
+    At each family index (k, l) with k + l <= series_h.order the series'
+    stored coefficient, k! l! [x^k y^l], is checked for: being nonzero,
+    symmetry, the degree of the family dimension, and gamma
+    nonnegativity.  A ``Poly2`` is homogeneous, so the right degree is the
+    uniform grading 2*(k+l) - 2*(i+j) = 2*offset of every term.
     """
     spec = _family(fam)
-    bound = series_h.order if max_order is None else max_order
-    if bound > series_h.order:
-        raise ValueError(f"max order {bound} beyond truncation {series_h.order}")
-    report = SeriesScanReport(family=spec.id, order=bound, checked=0, violations=[])
-    for k, l in spec.indices(bound):
-        report.checked += 1
+    indices = spec.indices(series_h.order)
+    violations: list[ScanViolation] = []
+    gammas: dict[tuple[int, int], GammaVector] = {}
+    for k, l in indices:
         p = series_h.coeff(k, l)
         if p.is_zero():
-            report.violations.append(
-                ScanViolation((k, l), "nonzero", "coefficient is zero")
-            )
+            violations.append(ScanViolation((k, l), "nonzero", "coefficient is zero"))
             continue
         ok = True
         if not is_symmetric(p):
-            report.violations.append(ScanViolation((k, l), "symmetry", str(p)))
+            violations.append(ScanViolation((k, l), "symmetry", str(p)))
             ok = False
         degree = homogeneous_degree(p)
         if degree != spec.dim(k, l):
-            report.violations.append(
+            violations.append(
                 ScanViolation(
                     (k, l),
                     "homogeneity",
@@ -181,32 +169,14 @@ def gal_check_series(
                 )
             )
             ok = False
-        off_grading = [
-            (i, j)
-            for (i, j), _ in p.terms()
-            if 2 * (k + l) - 2 * (i + j) != 2 * spec.offset
-        ]
-        if off_grading:
-            report.violations.append(
-                ScanViolation(
-                    (k, l),
-                    "grading",
-                    f"terms {off_grading} break the 2q = {2 * spec.offset} grading",
-                )
-            )
-            ok = False
         if not ok:
             continue
         gv = gamma_from_h(p)
-        report.gammas[(k, l)] = gv
+        gammas[(k, l)] = gv
         for i, g in enumerate(gv.gammas):
             if g < 0:
-                report.violations.append(
-                    ScanViolation(
-                        (k, l),
-                        "gamma-nonnegativity",
-                        f"gamma_{i} = {format_rational(g)}",
-                    )
+                violations.append(
+                    ScanViolation((k, l), "gamma-nonnegativity", f"gamma_{i} = {g}")
                 )
                 break
-    return report
+    return SeriesScanReport(spec.id, series_h.order, len(indices), violations, gammas)

@@ -647,6 +647,14 @@ IDENTITY_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8")
 
 
 class IdentityResult(Record):
+    """One identity's outcome.
+
+    ``mismatch`` is ``first_mismatch``'s (k, l, difference): the difference
+    of the stored k! l! coefficients, an integer polynomial.  The JSON
+    reports the raw [x^k y^l] difference, that one divided by k! l!, with
+    each coefficient written ``p`` or ``p/q`` in lowest terms.
+    """
+
     __slots__ = ("name", "passed", "mismatch")
 
     def __init__(self, name: str, passed: bool, mismatch: Optional[tuple[int, int, Poly2]]):
@@ -655,8 +663,14 @@ class IdentityResult(Record):
     def to_json_obj(self) -> dict[str, object]:
         obj: dict[str, object] = {"identity": self.name, "passed": self.passed}
         if self.mismatch is not None:
+            from fractions import Fraction
+
             k, l, diff = self.mismatch
-            obj["mismatch"] = {"k": k, "l": l, "difference": diff.to_records()}
+            scale = factorial(k) * factorial(l)
+            records = [
+                {"i": i, "j": j, "c": str(Fraction(c, scale))} for (i, j), c in diff.terms()
+            ]
+            obj["mismatch"] = {"k": k, "l": l, "difference": records}
         return obj
 
 
@@ -698,7 +712,9 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
     I1-I4 differentiate in t and are compared at the full order; I5-I8
     differentiate in x or y, which costs one order of reliability, so they
     are compared at order - 1.  ``corrupt`` names a family whose face series
-    gets one term dropped first, for negative-control testing.
+    gets one term dropped first, for negative-control testing.  A failed
+    identity's result keeps the stored k! l! difference at its first
+    mismatch; only its JSON divides by k! l!.
     """
     if order < 2:
         raise ValueError("the identity suite needs truncation order >= 2")
@@ -748,11 +764,5 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
     results = []
     for name, lhs, rhs in checks:
         diff = first_mismatch(lhs, rhs)
-        if diff is not None:
-            # report the raw [x^k y^l] difference, not the stored k! l! multiple
-            from fractions import Fraction
-
-            k, l, p = diff
-            diff = (k, l, p * Fraction(1, factorial(k) * factorial(l)))
         results.append(IdentityResult(name=name, passed=diff is None, mismatch=diff))
     return IdentityReport(order=order, results=tuple(results))

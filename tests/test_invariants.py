@@ -28,7 +28,7 @@ from nestohedra.invariants import (
     hpoly,
 )
 from nestohedra.ringcalc import FPolyCache
-from nestohedra.series import FAMILIES, _drop_one_term, family_h
+from nestohedra.series import FAMILIES, Series2, _drop_one_term, family_h
 from witnesses import power
 
 A = Poly2.alpha()
@@ -109,9 +109,28 @@ def test_gal_check_series_flags_a_dropped_coefficient() -> None:
     assert violation.condition == "nonzero"
 
 
-def test_gal_check_series_respects_the_truncation() -> None:
-    with pytest.raises(ValueError):
-        gal_check_series(family_h("pe", 4), "pe", max_order=9)
+def _pe_h_with_hexagon(p: Poly2) -> Series2:
+    """The pe h-series at order 3 with p in place of the hexagon at (3, 0)."""
+    return Series2(3, {**dict(family_h("pe", 3).items()), (3, 0): p})
+
+
+@pytest.mark.parametrize(
+    "p, condition, witness",
+    [
+        (power(A, 2) + 4 * A * T + 2 * power(T, 2), "symmetry", "a^2 + 4*a*t + 2*t^2"),
+        (power(A + T, 3), "homogeneity", "degree 3, expected 2"),
+        (power(A, 2) + power(T, 2), "gamma-nonnegativity", "gamma_1 = -2"),
+    ],
+    ids=["asymmetric", "wrong-degree", "negative-gamma"],
+)
+def test_gal_check_series_reports_each_fault_once(p: Poly2, condition: str, witness: str) -> None:
+    report = gal_check_series(_pe_h_with_hexagon(p), "pe")
+    assert [v.to_json_obj() for v in report.violations] == [
+        {"k": 3, "l": 0, "condition": condition, "witness": witness}
+    ]
+    assert report.checked == 3 and not report.passed
+    # only a symmetric coefficient of the right degree has its gammas read off
+    assert ((3, 0) in report.gammas) == (condition == "gamma-nonnegativity")
 
 
 def test_gal_check_series_scans_every_family() -> None:

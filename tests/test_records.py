@@ -122,17 +122,18 @@ def test_gamma_vectors_validate_and_keep_a_tuple() -> None:
         GammaVector(-1, ())
 
 
-def test_scan_reports_are_mutable_with_their_own_gammas() -> None:
-    a = SeriesScanReport("pe", 3, 0, [])
-    b = SeriesScanReport(family="pe", order=3, checked=0, violations=[])
+def test_scan_reports_refuse_assignment() -> None:
+    gammas = {(1, 0): GammaVector(0, (1,))}
+    a = SeriesScanReport("pe", 1, 1, [], gammas)
+    b = SeriesScanReport(family="pe", order=1, checked=1, violations=(), gammas=dict(gammas))
     assert repr(a) == (
-        "SeriesScanReport(family='pe', order=3, checked=0, violations=[], gammas={})"
+        "SeriesScanReport(family='pe', order=1, checked=1, violations=(), "
+        "gammas={(1, 0): GammaVector(n=0, gammas=(1,))})"
     )
     assert a == b
-    assert a.gammas is not b.gammas
-    a.checked += 1
-    a.gammas[(1, 0)] = GammaVector(0, (1,))
-    assert (a.checked, b.checked, b.gammas) == (1, 0, {})
-    assert a != b
-    with pytest.raises(TypeError):
-        hash(a)
+    assert a != SeriesScanReport("pe", 1, 1, [ScanViolation((1, 0), "nonzero", "")], {})
+    with pytest.raises(AttributeError, match="cannot assign to field 'checked'"):
+        a.checked = 2
+    with pytest.raises(AttributeError, match="cannot delete field 'violations'"):
+        del a.violations
+    assert (a.checked, a.violations) == (1, ())

@@ -16,6 +16,7 @@ from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
     FAMILIES,
+    IdentityResult,
     NotInFamilyError,
     Series2,
     coeff_normalized,
@@ -566,6 +567,7 @@ def test_corrupted_series_fails_with_a_located_index() -> None:
     k, l, diff = failure.mismatch
     assert (k, l) == (2, 0)
     assert not diff.is_zero()
+    assert all(type(c) is int for c in diff.coeffs)
 
 
 def test_corrupting_an_unknown_family_raises() -> None:
@@ -588,6 +590,26 @@ def test_identity_report_serialization() -> None:
         "I7",
         "I8",
     ]
+
+
+def test_identity_result_reports_the_raw_difference() -> None:
+    # the stored k! l! difference at (2, 1), written divided by 2! 1! = 2
+    stored = Poly2.from_coeffs((4, 0, -3, 1))
+    result = IdentityResult("I5", False, (2, 1, stored))
+    assert result.mismatch == (2, 1, stored)
+    assert result.to_json_obj() == {
+        "identity": "I5",
+        "passed": False,
+        "mismatch": {
+            "k": 2,
+            "l": 1,
+            "difference": [
+                {"i": 0, "j": 3, "c": "2"},
+                {"i": 2, "j": 1, "c": "-3/2"},
+                {"i": 3, "j": 0, "c": "1/2"},
+            ],
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

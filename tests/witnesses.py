@@ -29,8 +29,8 @@ product slot as a list of coefficients, is the reference for the packed
 kernel of ``Series2`` products and inverses.
 
 The rest of the file is library surface only the tests use: powers,
-records and gamma expansions of ``Poly2``, rational parsing, graph
-components and the y = 0 slice of a series.
+records and gamma expansions of ``Poly2``, graph components and the
+y = 0 slice of a series.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from nestohedra.algebra import (
     GammaVector,
     Poly2,
     _gamma_basis,
-    format_rational,
     homogeneous_degree,
 )
 from nestohedra.buildingset import (
@@ -302,7 +301,7 @@ def exact_div(c, d: int):
     """c / d, raising ``ArithmeticError`` when d does not divide c exactly."""
     q, r = divmod(c, d)
     if r:
-        raise ArithmeticError(f"{format_rational(c)} is not divisible by {d}")
+        raise ArithmeticError(f"{c} is not divisible by {d}")
     return q
 
 
@@ -784,15 +783,9 @@ def power(p: Poly2, exponent: int) -> Poly2:
     return out
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def poly_from_records(records: Iterable[Mapping[str, object]]) -> Poly2:
     """Inverse of ``Poly2.to_records``."""
-    return Poly2(
-        {(int(r["i"]), int(r["j"])): parse_rational(str(r["c"])) for r in records}
-    )
+    return Poly2({(int(r["i"]), int(r["j"])): int(r["c"]) for r in records})
 
 
 def h_from_gamma(gv: GammaVector) -> Poly2:
