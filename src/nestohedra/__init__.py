@@ -33,8 +33,6 @@ from .buildingset import (
 )
 from .invariants import (
     GalPolyResult,
-    ScanViolation,
-    SeriesScanReport,
     dehn_sommerville,
     euler_relation_holds,
     fvector,

@@ -36,19 +36,12 @@ from .buildingset import (
     graph_spec,
     parse_graph_spec,
 )
-from .invariants import (
-    GalPolyResult,
-    SeriesScanReport,
-    gal_check_poly,
-    gal_check_series,
-    hpoly,
-)
+from .invariants import GalPolyResult, gal_check_poly, gal_check_series, hpoly
 from .ringcalc import FPolyCache, fpoly
 from .series import (
     DEFAULT_ORDER,
     FAMILIES,
     NotInFamilyError,
-    coeff_normalized,
     family_f,
     family_h,
     identity_suite,
@@ -156,7 +149,7 @@ def _verify_family(fam_id: str, max_order: int, cache: FPolyCache) -> dict[str, 
     indices = spec.indices(max_order)
     with _series_build(f"series of {fam_id}", max_order):
         series = family_f(fam_id, max_order)
-        coeffs = [coeff_normalized(fam_id, k, l, series=series) for k, l in indices]
+        coeffs = [series.coeff(k, l) for k, l in indices]
     mismatches = []
     for (k, l), expected in zip(indices, coeffs):
         actual = fpoly(spec.graph_at(k, l), cache)
@@ -236,6 +229,32 @@ def cmd_identities(args: SimpleNamespace) -> int:
 # gal-scan
 
 
+# a scanned item: where it sits ({"k": k, "l": l} or {"graph": spec}), its
+# dimension and its gal_check_poly result
+_ScanItem = tuple[dict[str, object], int, GalPolyResult]
+
+
+def _scan_json(items: Sequence[_ScanItem]) -> tuple[list[dict], list[dict]]:
+    """The ``violations`` and ``gammas`` JSON entries of scanned items."""
+    violations = [
+        {**where, "condition": "gamma-nonnegativity", "witness": result.witness}
+        for where, _, result in items
+        if not result.passed
+    ]
+    gammas = [
+        {**where, "dimension": dim, "gamma": result.gammas.as_strings()}
+        for where, dim, result in items
+    ]
+    return violations, gammas
+
+
+def _scan_row(item: _ScanItem) -> tuple[object, ...]:
+    """The CSV row of one scanned item: where, dimension, gamma and status."""
+    where, dim, result = item
+    status = "ok" if result.passed else "violation"
+    return (*where.values(), dim, ";".join(result.gammas.as_strings()), status)
+
+
 def _scan_families(args: SimpleNamespace) -> int:
     bound = args.bound if args.bound is not None else DEFAULT_ORDER
     if bound > MAX_ORDER:
@@ -243,45 +262,31 @@ def _scan_families(args: SimpleNamespace) -> int:
             f"bound {bound} exceeds the largest truncation order {MAX_ORDER}"
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
-    reports: list[SeriesScanReport] = []
+    scans: list[tuple[str, list[_ScanItem]]] = []
     for fam_id in fam_ids:
         with _series_build(f"series of {fam_id}", bound):
             series = family_h(fam_id, bound)
-        reports.append(gal_check_series(series, fam_id))
-    failed = any(report.violations for report in reports)
+        spec = FAMILIES[fam_id]
+        results = gal_check_series(series, spec)
+        items = [({"k": k, "l": l}, spec.dim(k, l), r) for (k, l), r in results.items()]
+        scans.append((fam_id, items))
+    failed = any(not result.passed for _, items in scans for _, _, result in items)
     if args.format == "json":
-        payload = []
-        for report in reports:
-            spec = FAMILIES[report.family]
-            obj = report.to_json_obj()
-            obj["gammas"] = [
+        reports = []
+        for fam_id, items in scans:
+            violations, gammas = _scan_json(items)
+            reports.append(
                 {
-                    "k": k,
-                    "l": l,
-                    "dimension": spec.dim(k, l),
-                    "gamma": gv.as_strings(),
+                    "family": fam_id,
+                    "order": bound,
+                    "checked": len(items),
+                    "violations": violations,
+                    "gammas": gammas,
                 }
-                for (k, l), gv in sorted(report.gammas.items(), key=lambda it: (sum(it[0]), it[0]))
-            ]
-            payload.append(obj)
-        _emit_json({"bound": bound, "passed": not failed, "reports": payload})
+            )
+        _emit_json({"bound": bound, "passed": not failed, "reports": reports})
     else:
-        rows = []
-        for report in reports:
-            spec = FAMILIES[report.family]
-            bad = {v.index for v in report.violations}
-            for k, l in spec.indices(bound):
-                gv = report.gammas.get((k, l))
-                rows.append(
-                    (
-                        report.family,
-                        k,
-                        l,
-                        spec.dim(k, l),
-                        "" if gv is None else ";".join(gv.as_strings()),
-                        "violation" if (k, l) in bad else "ok",
-                    )
-                )
+        rows = [(fam_id, *_scan_row(item)) for fam_id, items in scans for item in items]
         _emit_csv(("family", "k", "l", "dimension", "gamma", "status"), rows)
     return 1 if failed else 0
 
@@ -293,49 +298,26 @@ def _scan_graph_classes(args: SimpleNamespace) -> int:
         raise ValueError("graph-class scans cover 1..7 nodes")
     classes = [g for g in connected_graphs_upto_iso(args.nodes) if g.n == args.nodes]
     cache = FPolyCache()
-    results = [
-        (graph_spec(g), g.n - 1, _gal_check_recursion(g, hpoly(g, cache), g.n - 1))
+    items = [
+        ({"graph": graph_spec(g)}, g.n - 1, _gal_check_recursion(g, hpoly(g, cache), g.n - 1))
         for g in classes
     ]
-    violations = [
-        {
-            "graph": spec,
-            "condition": "gamma-nonnegativity",
-            "witness": "gamma_{} = {}".format(*result.first_negative),
-        }
-        for spec, _, result in results
-        if not result.passed
-    ]
+    failed = any(not result.passed for _, _, result in items)
     if args.format == "json":
+        violations, gammas = _scan_json(items)
         _emit_json(
             {
                 "graph_class": args.graph_class,
                 "nodes": args.nodes,
-                "checked": len(results),
-                "passed": not violations,
+                "checked": len(items),
+                "passed": not failed,
                 "violations": violations,
-                "gammas": [
-                    {
-                        "graph": spec,
-                        "dimension": dim,
-                        "gamma": result.gammas.as_strings(),
-                    }
-                    for spec, dim, result in results
-                ],
+                "gammas": gammas,
             }
         )
     else:
-        rows = [
-            (
-                spec,
-                dim,
-                ";".join(result.gammas.as_strings()),
-                "ok" if result.passed else "violation",
-            )
-            for spec, dim, result in results
-        ]
-        _emit_csv(("graph", "dimension", "gamma", "status"), rows)
-    return 1 if violations else 0
+        _emit_csv(("graph", "dimension", "gamma", "status"), [_scan_row(i) for i in items])
+    return 1 if failed else 0
 
 
 def cmd_gal_scan(args: SimpleNamespace) -> int:

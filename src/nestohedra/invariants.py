@@ -2,10 +2,11 @@
 
 For a simple polytope the h-polynomial is symmetric (Dehn-Sommerville), so
 it has a gamma vector; a polytope or series coefficient "passes" when every
-gamma entry is nonnegative.  ``gal_check_poly`` decides that for one
-polynomial, ``gal_check_series`` sweeps a family's h-series and aggregates
-violations of nonvanishing, symmetry, homogeneity and gamma nonnegativity
-per index.
+gamma entry is nonnegative.  ``gal_check_poly`` is the one check: it reads
+off the gamma vector of one polynomial and reports its first negative
+entry, and it raises on a polynomial that has no gamma vector.
+``gal_check_series`` runs it on every coefficient of a family's h-series.
+A negative entry is a finding; a missing gamma vector is a fault.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "euler_relation_holds",
     "GalPolyResult",
     "gal_check_poly",
-    "ScanViolation",
-    "SeriesScanReport",
     "gal_check_series",
 ]
 
@@ -65,118 +64,58 @@ def euler_relation_holds(face_counts: list[int]) -> bool:
 
 
 class GalPolyResult(Record):
-    __slots__ = ("passed", "gammas", "first_negative")
+    """The gamma vector of one h-polynomial and its first negative entry, if any."""
 
-    def __init__(
-        self,
-        passed: bool,
-        gammas: GammaVector,
-        first_negative: Optional[tuple[int, int]],
-    ):
-        self._set(passed, gammas, first_negative)
+    __slots__ = ("gammas", "first_negative")
+
+    def __init__(self, gammas: GammaVector, first_negative: Optional[tuple[int, int]]):
+        self._set(gammas, first_negative)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_negative is None
+
+    @property
+    def witness(self) -> Optional[str]:
+        """``gamma_i = g`` for the first negative entry, None when passed."""
+        if self.first_negative is None:
+            return None
+        return "gamma_{} = {}".format(*self.first_negative)
 
 
 def gal_check_poly(p: Poly2, n: int) -> GalPolyResult:
     """Gamma-nonnegativity of a symmetric homogeneous degree-n polynomial.
 
-    Asymmetric or wrong-degree input is a caller error and raises; a
-    negative gamma entry is a finding and is reported in the result.
+    A polynomial with no gamma vector (zero, of another degree, or not
+    symmetric) raises ``ValueError``, and a gamma extraction that leaves a
+    residual raises ``ArithmeticError``; a negative gamma entry is a
+    finding and is reported in the result.
     """
     degree = homogeneous_degree(p)
     if degree != n:
         raise ValueError(f"expected degree {n}, got {degree}")
-    if not is_symmetric(p):
-        raise ValueError(f"not symmetric in alpha and t: {p}")
     gv = gamma_from_h(p)
-    for i, g in enumerate(gv.gammas):
-        if g < 0:
-            return GalPolyResult(passed=False, gammas=gv, first_negative=(i, g))
-    return GalPolyResult(passed=True, gammas=gv, first_negative=None)
+    first_negative = next(((i, g) for i, g in enumerate(gv.gammas) if g < 0), None)
+    return GalPolyResult(gv, first_negative)
 
 
-class ScanViolation(Record):
-    __slots__ = ("index", "condition", "witness")
+def gal_check_series(
+    series_h: Series2, fam: "FamilySpec | str"
+) -> dict[tuple[int, int], GalPolyResult]:
+    """``gal_check_poly`` on each of a family's h-series coefficients.
 
-    def __init__(self, index: tuple[int, int], condition: str, witness: str):
-        self._set(index, condition, witness)
-
-    def to_json_obj(self) -> dict[str, object]:
-        return {
-            "k": self.index[0],
-            "l": self.index[1],
-            "condition": self.condition,
-            "witness": self.witness,
-        }
-
-
-class SeriesScanReport(Record):
-    """One family's scan: its violations and the gamma vectors it read off."""
-
-    __slots__ = ("family", "order", "checked", "violations", "gammas")
-
-    def __init__(
-        self,
-        family: str,
-        order: int,
-        checked: int,
-        violations: tuple[ScanViolation, ...],
-        gammas: dict[tuple[int, int], GammaVector],
-    ):
-        self._set(family, order, checked, tuple(violations), gammas)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_obj(self) -> dict[str, object]:
-        return {
-            "family": self.family,
-            "order": self.order,
-            "checked": self.checked,
-            "violations": [v.to_json_obj() for v in self.violations],
-        }
-
-
-def gal_check_series(series_h: Series2, fam: "FamilySpec | str") -> SeriesScanReport:
-    """Sweep a family's h-series up to its order and collect per-index violations.
-
-    At each family index (k, l) with k + l <= series_h.order the series'
-    stored coefficient, k! l! [x^k y^l], is checked for: being nonzero,
-    symmetry, the degree of the family dimension, and gamma
-    nonnegativity.  A ``Poly2`` is homogeneous, so the right degree is the
-    uniform grading 2*(k+l) - 2*(i+j) = 2*offset of every term.
+    Returns, for each family index (k, l) with k + l <= series_h.order in
+    index order, the check of the stored coefficient k! l! [x^k y^l]
+    against the family dimension.  Every coefficient of a family's
+    h-series has a gamma vector, so one without is the series' failure,
+    not bad input: it raises ``ArithmeticError`` naming the family and
+    index.
     """
     spec = _family(fam)
-    indices = spec.indices(series_h.order)
-    violations: list[ScanViolation] = []
-    gammas: dict[tuple[int, int], GammaVector] = {}
-    for k, l in indices:
-        p = series_h.coeff(k, l)
-        if p.is_zero():
-            violations.append(ScanViolation((k, l), "nonzero", "coefficient is zero"))
-            continue
-        ok = True
-        if not is_symmetric(p):
-            violations.append(ScanViolation((k, l), "symmetry", str(p)))
-            ok = False
-        degree = homogeneous_degree(p)
-        if degree != spec.dim(k, l):
-            violations.append(
-                ScanViolation(
-                    (k, l),
-                    "homogeneity",
-                    f"degree {degree}, expected {spec.dim(k, l)}",
-                )
-            )
-            ok = False
-        if not ok:
-            continue
-        gv = gamma_from_h(p)
-        gammas[(k, l)] = gv
-        for i, g in enumerate(gv.gammas):
-            if g < 0:
-                violations.append(
-                    ScanViolation((k, l), "gamma-nonnegativity", f"gamma_{i} = {g}")
-                )
-                break
-    return SeriesScanReport(spec.id, series_h.order, len(indices), violations, gammas)
+    results: dict[tuple[int, int], GalPolyResult] = {}
+    for k, l in spec.indices(series_h.order):
+        try:
+            results[(k, l)] = gal_check_poly(series_h.coeff(k, l), spec.dim(k, l))
+        except (ValueError, ArithmeticError) as exc:
+            raise ArithmeticError(f"h-series of {spec.id} at ({k}, {l}): {exc}") from exc
+    return results

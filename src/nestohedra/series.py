@@ -618,22 +618,19 @@ def coeff_normalized(
     l: int = 0,
     *,
     order: int | None = None,
-    series: Series2 | None = None,
 ) -> Poly2:
     """k! l! times the (k, l) coefficient of the family's face series.
 
     That is the coefficient a ``Series2`` stores, and it equals the face
     polynomial of the polytope the family places at x^k y^l.  Without
-    ``order`` or ``series`` the series is built at order k + l, the least
-    that holds the coefficient.  Raises ``NotInFamilyError`` for indices
-    outside the family and ``ValueError`` for indices beyond the truncation
-    order.
+    ``order`` the series is built at order k + l, the least that holds the
+    coefficient.  Raises ``NotInFamilyError`` for indices outside the
+    family and ``ValueError`` for indices beyond the truncation order.
     """
     spec = _family(fam)
     if not spec.contains(k, l):
         raise NotInFamilyError(f"({k}, {l}) carries no polytope of family {spec.id!r}")
-    if series is None:
-        series = family_f(spec, order if order is not None else k + l)
+    series = family_f(spec, order if order is not None else k + l)
     if k + l > series.order:
         raise ValueError(f"index ({k}, {l}) beyond truncation order {series.order}")
     return series.coeff(k, l)

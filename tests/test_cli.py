@@ -363,6 +363,41 @@ def test_gal_scan_usage_errors(capsys) -> None:
     )
 
 
+def _doctor_pe_h(monkeypatch, p: Poly2) -> None:
+    """Make the CLI's pe h-series carry p at (3, 0), the hexagon's index."""
+    plain = cli.family_h
+
+    def doctored(fam_id: str, order: int) -> series.Series2:
+        s = plain(fam_id, order)
+        if fam_id != "pe":
+            return s
+        return series.Series2(s.order, {**dict(s.items()), (3, 0): p})
+
+    monkeypatch.setattr(cli, "family_h", doctored)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly2.zero(),
+        power(Poly2.alpha(), 2) + 4 * Poly2.alpha() * Poly2.t() + 2 * power(Poly2.t(), 2),
+        power(Poly2.alpha() + Poly2.t(), 3),
+    ],
+    ids=["dropped", "asymmetric", "wrong-degree"],
+)
+def test_a_family_coefficient_with_no_gamma_vector_exits_one(
+    capsys, monkeypatch, p: Poly2
+) -> None:
+    # The series was built from valid arguments, so a coefficient with no
+    # gamma vector is its failure (1), named in one line by family and
+    # index, and nothing is written to stdout.
+    _doctor_pe_h(monkeypatch, p)
+    code, out, err = _run(capsys, ["gal-scan", "--family", "all", "--bound", "4"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: h-series of pe at (3, 0): ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -520,6 +555,59 @@ def test_negative_control_output_digest(capsys) -> None:
         hashlib.sha256(out.encode()).hexdigest()
         == "f0cc767571653bcb0b41bb4d4911796294968e7822871fc2a4b8892cc3cf888d"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["gal-scan", "--family", "all", "--bound", "12"],
+            "a4a1bd6bd28a5e62932b3e91b2be590ae023eb48828f17d9035cd4b07306a860",
+        ),
+        (
+            ["gal-scan", "--graph-class", "connected", "--nodes", "6"],
+            "963b3af2cb96d9dd62307a0ad6c621dfad77d05f65f7f3e8caeff7a0fdb6a09e",
+        ),
+    ],
+    ids=["family-all-12", "connected-6"],
+)
+def test_gal_scan_json_digests(capsys, argv: list[str], digest: str) -> None:
+    # sha256 of stdout, recorded while each scan wrote its own violation
+    # and gamma entries.
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_NON_GAL = power(Poly2.alpha(), 2) + power(Poly2.t(), 2)  # gammas 1, -2
+
+_GAL_SCAN_NEGATIVE_CONTROLS = {
+    ("family", "json"): "afe0509b40596fa9693b3afb64a3150ca9a8a7e3b1cdbb27dcefe80b86f0fc2f",
+    ("family", "csv"): "612ef4c2aadd6d2624d9e59d078da40d37772fc9f15e169d0f4c119ea5f23d2d",
+    ("class", "json"): "971ca09560ecd6331873095a290fcca8919ad77086c16517e2f54f9cb15d3ec1",
+    ("class", "csv"): "52c95cc7a24163f11082b0182b3dd0bff0f0162335a87620c0fd6d9de754593f",
+}
+
+
+@pytest.mark.parametrize("scan, fmt", list(_GAL_SCAN_NEGATIVE_CONTROLS))
+def test_gal_scan_negative_control_digests(capsys, monkeypatch, scan: str, fmt: str) -> None:
+    # sha256 of stdout, recorded while each scan wrote its own violation
+    # and gamma entries.  alpha^2 + t^2 takes the place of the hexagon at
+    # pe (3, 0), or of the triangle's h-polynomial: a negative gamma entry
+    # is a finding, written out with exit 1.
+    if scan == "family":
+        _doctor_pe_h(monkeypatch, _NON_GAL)
+        argv = ["gal-scan", "--family", "all", "--bound", "4"]
+    else:
+        plain, triangle = cli.hpoly, nestohedra.complete_graph(3)
+        monkeypatch.setattr(
+            cli, "hpoly", lambda g, cache=None: _NON_GAL if g == triangle else plain(g, cache)
+        )
+        argv = ["gal-scan", "--graph-class", "connected", "--nodes", "3"]
+    code, out, err = _run(capsys, argv + ["--format", fmt])
+    assert (code, err) == (1, "")
+    digest = _GAL_SCAN_NEGATIVE_CONTROLS[(scan, fmt)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_config_flag_is_refused(capsys, tmp_path: Path) -> None:

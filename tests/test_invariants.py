@@ -77,36 +77,41 @@ def test_gal_check_poly_accepts_the_hexagon() -> None:
     assert result.passed
     assert result.gammas == GammaVector(2, (Fraction(1), Fraction(2)))
     assert result.first_negative is None
+    assert result.witness is None
 
 
 def test_gal_check_poly_reports_the_negative_entry() -> None:
     result = gal_check_poly(power(A, 2) + power(T, 2), 2)
     assert not result.passed
     assert result.first_negative == (1, Fraction(-2))
+    assert result.witness == "gamma_1 = -2"
 
 
 def test_gal_check_poly_rejects_malformed_input() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected degree 3, got 2$"):
         gal_check_poly(power(A, 2) + power(T, 2), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not symmetric in alpha and t: a\\^2 \\+ a\\*t$"):
         gal_check_poly(power(A, 2) + A * T, 2)
+    with pytest.raises(ValueError, match="^zero polynomial has no homogeneous degree$"):
+        gal_check_poly(Poly2.zero(), 0)
 
 
 def test_gal_check_series_on_the_bipartite_family() -> None:
-    report = gal_check_series(family_h("because-because", 7), "because-because")
-    assert report.passed
-    assert report.checked == 23
-    assert report.gammas[(2, 2)].gammas == (Fraction(1), Fraction(6))
-    assert report.gammas[(1, 1)].gammas == (Fraction(1),)
+    results = gal_check_series(family_h("because-because", 7), "because-because")
+    assert all(result.passed for result in results.values())
+    assert list(results) == FAMILIES["because-because"].indices(7)
+    assert len(results) == 23
+    assert results[(2, 2)].gammas.gammas == (Fraction(1), Fraction(6))
+    assert results[(1, 1)].gammas.gammas == (Fraction(1),)
 
 
 def test_gal_check_series_flags_a_dropped_coefficient() -> None:
     broken = _drop_one_term(family_h("because-because", 4))
-    report = gal_check_series(broken, "because-because")
-    assert not report.passed
-    violation = report.violations[0]
-    assert violation.index == (1, 1)
-    assert violation.condition == "nonzero"
+    with pytest.raises(ArithmeticError) as excinfo:
+        gal_check_series(broken, "because-because")
+    assert str(excinfo.value) == (
+        "h-series of because-because at (1, 1): zero polynomial has no homogeneous degree"
+    )
 
 
 def _pe_h_with_hexagon(p: Poly2) -> Series2:
@@ -115,37 +120,45 @@ def _pe_h_with_hexagon(p: Poly2) -> Series2:
 
 
 @pytest.mark.parametrize(
-    "p, condition, witness",
+    "p, error",
     [
-        (power(A, 2) + 4 * A * T + 2 * power(T, 2), "symmetry", "a^2 + 4*a*t + 2*t^2"),
-        (power(A + T, 3), "homogeneity", "degree 3, expected 2"),
-        (power(A, 2) + power(T, 2), "gamma-nonnegativity", "gamma_1 = -2"),
+        (power(A, 2) + 4 * A * T + 2 * power(T, 2), "not symmetric in alpha and t: a^2 + 4*a*t + 2*t^2"),
+        (power(A + T, 3), "expected degree 2, got 3"),
+        (power(A, 2) + power(T, 2), None),
     ],
     ids=["asymmetric", "wrong-degree", "negative-gamma"],
 )
-def test_gal_check_series_reports_each_fault_once(p: Poly2, condition: str, witness: str) -> None:
-    report = gal_check_series(_pe_h_with_hexagon(p), "pe")
-    assert [v.to_json_obj() for v in report.violations] == [
-        {"k": 3, "l": 0, "condition": condition, "witness": witness}
+def test_gal_check_series_reports_each_fault_once(p: Poly2, error: str | None) -> None:
+    # A coefficient with no gamma vector is the series' fault and raises,
+    # naming the family and index; a negative gamma entry is a finding and
+    # is reported in that index's result.
+    series_h = _pe_h_with_hexagon(p)
+    if error is not None:
+        with pytest.raises(ArithmeticError) as excinfo:
+            gal_check_series(series_h, "pe")
+        assert str(excinfo.value) == "h-series of pe at (3, 0): " + error
+        return
+    results = gal_check_series(series_h, "pe")
+    assert [(index, r.witness) for index, r in results.items() if not r.passed] == [
+        ((3, 0), "gamma_1 = -2")
     ]
-    assert report.checked == 3 and not report.passed
-    # only a symmetric coefficient of the right degree has its gammas read off
-    assert ((3, 0) in report.gammas) == (condition == "gamma-nonnegativity")
+    assert len(results) == 3
+    assert results[(3, 0)].gammas == GammaVector(2, (1, -2))
 
 
 def test_gal_check_series_scans_every_family() -> None:
     for fam_id in FAMILIES:
-        report = gal_check_series(family_h(fam_id, 5), fam_id)
-        assert report.passed, (fam_id, report.violations)
+        results = gal_check_series(family_h(fam_id, 5), fam_id)
+        failed = {index: r.witness for index, r in results.items() if not r.passed}
+        assert not failed, (fam_id, failed)
 
 
 def test_scan_report_serialization() -> None:
-    report = gal_check_series(family_h("pe", 4), "pe")
-    obj = report.to_json_obj()
-    assert obj["family"] == "pe"
-    assert obj["order"] == 4
-    assert obj["checked"] == 4
-    assert obj["violations"] == []
+    results = gal_check_series(family_h("pe", 4), "pe")
+    assert list(results) == [(1, 0), (2, 0), (3, 0), (4, 0)]
+    assert [r.gammas.as_strings() for r in results.values()] == [
+        ["1"], ["1"], ["1", "2"], ["1", "8"]
+    ]
 
 
 def test_gamma_of_disconnected_graphs_uses_the_product() -> None:

@@ -481,8 +481,8 @@ def test_coeff_normalized_rejects_bad_indices() -> None:
         coeff_normalized("st", 1, 1, order=4)
     with pytest.raises(NotInFamilyError):
         coeff_normalized("because-because", 3, 0, order=4)
-    with pytest.raises(ValueError):
-        coeff_normalized("pe", 6, 0, series=family_f("pe", 4))
+    with pytest.raises(ValueError, match=r"^index \(6, 0\) beyond truncation order 4$"):
+        coeff_normalized("pe", 6, 0, order=4)
     with pytest.raises(NotInFamilyError):
         coeff_normalized("no-such-family", 1, 0, order=4)
 
