@@ -46,7 +46,6 @@ from .series import (
     DEFAULT_ORDER,
     FAMILIES,
     FamilySpec,
-    IdentityReport,
     IdentityResult,
     NotInFamilyError,
     Series2,

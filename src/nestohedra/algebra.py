@@ -21,7 +21,7 @@ packs k! l! times each coefficient of an exponential generating function,
 an integer face polynomial too, into one int and builds a ``Poly2`` only
 where one is read, so no step of the library divides.  The one rational
 any command prints, the [x^k y^l] difference a failed identity reports,
-is formed where it is written, by ``series.IdentityResult``.
+is formed where it is written, by the ``identities`` command in ``cli``.
 """
 
 from __future__ import annotations

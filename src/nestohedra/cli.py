@@ -4,8 +4,10 @@ Four subcommands: ``invariants`` prints face data for one graph's
 nestohedron, ``verify`` compares the nested-set recursion against the
 closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
-a polytope family or over all small connected graphs.  Output is JSON
-(sorted keys) or CSV; both are byte-deterministic for fixed inputs.
+a polytope family or over all small connected graphs.  Each command
+returns its report (exit code, JSON object, CSV header and rows) and
+``main`` alone writes it, as JSON (sorted keys) or CSV; both are
+byte-deterministic for fixed inputs.
 
 The subcommands and their flags live in one option table, ``_COMMANDS``.
 A well-formed argv (an exact subcommand, then exact ``--flag value``
@@ -25,23 +27,18 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from math import factorial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .algebra import InhomogeneousError, Poly2, h_from_f
-from .buildingset import (
-    Graph,
-    GraphSpecError,
-    connected_graphs_upto_iso,
-    graph_spec,
-    parse_graph_spec,
-)
+from .algebra import h_from_f
+from .buildingset import connected_graphs_upto_iso, graph_spec, parse_graph_spec
 from .invariants import GalPolyResult, gal_check_poly, gal_check_series, hpoly
 from .ringcalc import FPolyCache, fpoly
 from .series import (
     DEFAULT_ORDER,
     FAMILIES,
-    NotInFamilyError,
+    IDENTITY_FAMILIES,
     family_f,
     family_h,
     identity_suite,
@@ -54,9 +51,13 @@ __all__ = ["main", "entrypoint"]
 
 MAX_ORDER = 16
 
+# what a command returns: its exit code, its JSON object, and its CSV
+# header and rows; main writes one of the two
+_Report = tuple[int, dict[str, object], Sequence[str], Sequence[Sequence[object]]]
+
 
 # ---------------------------------------------------------------------------
-# output
+# output, and failures located by what failed
 
 
 def _emit_json(obj: object) -> None:
@@ -69,108 +70,59 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     writer.writerows(rows)
 
 
-# ---------------------------------------------------------------------------
-# series builds
-
-
 @contextmanager
-def _series_build(what: str, order: int) -> Iterator[None]:
-    """Re-raise a failed series build as ArithmeticError naming it.
+def _located(what: Callable[[], str]) -> Iterator[None]:
+    """Re-raise a failed computation as ArithmeticError naming what failed.
 
-    The arguments were validated before the build, so a slot that mixes
-    degrees, or coefficients that outgrow their packed fields, are the
-    series arithmetic's failure, not the input's: one line naming what was
-    built and at which order, exit 1, not 2.
+    The arguments were validated before the computation, so a series slot
+    that mixes degrees, coefficients that outgrow their packed fields, or
+    an h-polynomial the Gal check refuses are the computation's failure,
+    not the input's: one line naming it, exit 1, not 2.  ``what`` is
+    called only on failure, so the success path never formats a graph.
     """
     try:
         yield
-    except (InhomogeneousError, ArithmeticError) as exc:
-        raise ArithmeticError(f"{what} at order {order}: {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:
+        raise ArithmeticError(f"{what()}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
 
-def _gal_check_recursion(g: Graph, h: Poly2, n: int) -> GalPolyResult:
-    """``gal_check_poly`` on the h-polynomial the recursion gave for g.
-
-    g came from valid input, so an h-polynomial the check refuses (not
-    symmetric, or not of degree n) or whose gamma extraction leaves a
-    residual is the recursion's failure: it is raised as ArithmeticError
-    naming the graph, which exits 1, not 2.
-    """
-    try:
-        return gal_check_poly(h, n)
-    except (ValueError, ArithmeticError) as exc:
-        raise ArithmeticError(f"h-polynomial of {graph_spec(g)}: {exc}") from exc
-
-
-def cmd_invariants(args: SimpleNamespace) -> int:
+def cmd_invariants(args: SimpleNamespace) -> _Report:
     graph = parse_graph_spec(args.graph)
     f = fpoly(graph)
     fvec = list(f.coeffs)
     h = h_from_f(f)
     dim = len(fvec) - 1
-    gv = _gal_check_recursion(graph, h, dim).gammas
+    with _located(lambda: f"h-polynomial of {graph_spec(graph)}"):
+        gammas = gal_check_poly(h, dim).gammas.as_strings()
     facets = fvec[-2] if dim >= 1 else 0
-    if args.format == "json":
-        _emit_json(
-            {
-                "graph": args.graph.strip(),
-                "dimension": dim,
-                "facets": facets,
-                "f_vector": fvec,
-                "h_polynomial": h.to_records(),
-                "gamma": gv.as_strings(),
-            }
-        )
-    else:
-        _emit_csv(
-            ("quantity", "value"),
-            (
-                ("graph", args.graph.strip()),
-                ("dimension", dim),
-                ("facets", facets),
-                ("f_vector", ";".join(str(c) for c in fvec)),
-                ("h_polynomial", str(h)),
-                ("gamma", ";".join(gv.as_strings())),
-            ),
-        )
-    return 0
+    obj = {
+        "graph": args.graph.strip(),
+        "dimension": dim,
+        "facets": facets,
+        "f_vector": fvec,
+        "h_polynomial": h.to_records(),
+        "gamma": gammas,
+    }
+    rows = (
+        ("graph", args.graph.strip()),
+        ("dimension", dim),
+        ("facets", facets),
+        ("f_vector", ";".join(str(c) for c in fvec)),
+        ("h_polynomial", str(h)),
+        ("gamma", ";".join(gammas)),
+    )
+    return 0, obj, ("quantity", "value"), rows
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _verify_family(fam_id: str, max_order: int, cache: FPolyCache) -> dict[str, object]:
-    spec = FAMILIES[fam_id]
-    indices = spec.indices(max_order)
-    with _series_build(f"series of {fam_id}", max_order):
-        series = family_f(fam_id, max_order)
-        coeffs = [series.coeff(k, l) for k, l in indices]
-    mismatches = []
-    for (k, l), expected in zip(indices, coeffs):
-        actual = fpoly(spec.graph_at(k, l), cache)
-        if expected != actual:
-            mismatches.append(
-                {
-                    "k": k,
-                    "l": l,
-                    "series": expected.to_records(),
-                    "recursion": actual.to_records(),
-                }
-            )
-    return {
-        "family": fam_id,
-        "checked": len(indices),
-        "indices": indices,
-        "mismatches": mismatches,
-    }
-
-
-def cmd_verify(args: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> _Report:
     max_order = args.max_order
     if max_order < 0:
         raise ValueError("max order must be nonnegative")
@@ -180,49 +132,62 @@ def cmd_verify(args: SimpleNamespace) -> int:
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
     cache = FPolyCache()
-    reports = [_verify_family(fam_id, max_order, cache) for fam_id in fam_ids]
+    reports, rows = [], []
+    for fam_id in fam_ids:
+        spec = FAMILIES[fam_id]
+        indices = spec.indices(max_order)
+        with _located(lambda: f"series of {fam_id} at order {max_order}"):
+            series = family_f(fam_id, max_order)
+            coeffs = [series.coeff(k, l) for k, l in indices]
+        mismatches = []
+        for (k, l), expected in zip(indices, coeffs):
+            actual = fpoly(spec.graph_at(k, l), cache)
+            if expected != actual:
+                mismatches.append(
+                    {
+                        "k": k,
+                        "l": l,
+                        "series": expected.to_records(),
+                        "recursion": actual.to_records(),
+                    }
+                )
+            rows.append((fam_id, k, l, "ok" if expected == actual else "mismatch"))
+        reports.append({"family": fam_id, "checked": len(indices), "mismatches": mismatches})
     failed = any(report["mismatches"] for report in reports)
-    if args.format == "json":
-        _emit_json(
-            {
-                "max_order": max_order,
-                "passed": not failed,
-                "reports": [
-                    {key: report[key] for key in ("family", "checked", "mismatches")}
-                    for report in reports
-                ],
-            }
-        )
-    else:
-        rows = []
-        for report in reports:
-            bad = {(m["k"], m["l"]) for m in report["mismatches"]}
-            for k, l in report["indices"]:
-                status = "mismatch" if (k, l) in bad else "ok"
-                rows.append((report["family"], k, l, status))
-        _emit_csv(("family", "k", "l", "status"), rows)
-    return 1 if failed else 0
+    obj = {"max_order": max_order, "passed": not failed, "reports": reports}
+    return 1 if failed else 0, obj, ("family", "k", "l", "status"), rows
 
 
 # ---------------------------------------------------------------------------
 # identities
 
 
-def cmd_identities(args: SimpleNamespace) -> int:
+def cmd_identities(args: SimpleNamespace) -> _Report:
     order = args.order
     if not 2 <= order <= MAX_ORDER:
         raise ValueError(f"identity checks need a truncation order in 2..{MAX_ORDER}")
-    with _series_build("identities", order):
-        report = identity_suite(order, corrupt=args.corrupt)
-    if args.format == "json":
-        _emit_json(report.to_json_obj())
-    else:
-        rows = []
-        for result in report.results:
-            k, l = ("", "") if result.mismatch is None else result.mismatch[:2]
-            rows.append((result.name, str(result.passed).lower(), k, l))
-        _emit_csv(("identity", "passed", "mismatch_k", "mismatch_l"), rows)
-    return 0 if report.all_passed else 1
+    with _located(lambda: f"identities at order {order}"):
+        results = identity_suite(order, corrupt=args.corrupt)
+    entries, rows = [], []
+    for result in results:
+        entry: dict[str, object] = {"identity": result.name, "passed": result.passed}
+        k = l = ""
+        if result.mismatch is not None:
+            from fractions import Fraction
+
+            # the raw [x^k y^l] difference: the stored one over k! l!,
+            # each coefficient written p or p/q in lowest terms
+            k, l, diff = result.mismatch
+            scale = factorial(k) * factorial(l)
+            difference = [
+                {"i": i, "j": j, "c": str(Fraction(c, scale))} for (i, j), c in diff.terms()
+            ]
+            entry["mismatch"] = {"k": k, "l": l, "difference": difference}
+        entries.append(entry)
+        rows.append((result.name, str(result.passed).lower(), k, l))
+    passed = all(result.passed for result in results)
+    obj = {"order": order, "passed": passed, "results": entries}
+    return 0 if passed else 1, obj, ("identity", "passed", "mismatch_k", "mismatch_l"), rows
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +199,20 @@ def cmd_identities(args: SimpleNamespace) -> int:
 _ScanItem = tuple[dict[str, object], int, GalPolyResult]
 
 
-def _scan_json(items: Sequence[_ScanItem]) -> tuple[list[dict], list[dict]]:
-    """The ``violations`` and ``gammas`` JSON entries of scanned items."""
-    violations = [
-        {**where, "condition": "gamma-nonnegativity", "witness": result.witness}
-        for where, _, result in items
-        if not result.passed
-    ]
-    gammas = [
-        {**where, "dimension": dim, "gamma": result.gammas.as_strings()}
-        for where, dim, result in items
-    ]
-    return violations, gammas
+def _scan_json(items: Sequence[_ScanItem]) -> dict[str, object]:
+    """The ``checked``, ``violations`` and ``gammas`` JSON entries of scanned items."""
+    return {
+        "checked": len(items),
+        "violations": [
+            {**where, "condition": "gamma-nonnegativity", "witness": result.witness}
+            for where, _, result in items
+            if not result.passed
+        ],
+        "gammas": [
+            {**where, "dimension": dim, "gamma": result.gammas.as_strings()}
+            for where, dim, result in items
+        ],
+    }
 
 
 def _scan_row(item: _ScanItem) -> tuple[object, ...]:
@@ -255,72 +222,47 @@ def _scan_row(item: _ScanItem) -> tuple[object, ...]:
     return (*where.values(), dim, ";".join(result.gammas.as_strings()), status)
 
 
-def _scan_families(args: SimpleNamespace) -> int:
+def _scan_families(args: SimpleNamespace) -> _Report:
     bound = args.bound if args.bound is not None else DEFAULT_ORDER
     if bound > MAX_ORDER:
         raise ValueError(
             f"bound {bound} exceeds the largest truncation order {MAX_ORDER}"
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
-    scans: list[tuple[str, list[_ScanItem]]] = []
+    reports, rows = [], []
     for fam_id in fam_ids:
-        with _series_build(f"series of {fam_id}", bound):
+        with _located(lambda: f"series of {fam_id} at order {bound}"):
             series = family_h(fam_id, bound)
         spec = FAMILIES[fam_id]
         results = gal_check_series(series, spec)
         items = [({"k": k, "l": l}, spec.dim(k, l), r) for (k, l), r in results.items()]
-        scans.append((fam_id, items))
-    failed = any(not result.passed for _, items in scans for _, _, result in items)
-    if args.format == "json":
-        reports = []
-        for fam_id, items in scans:
-            violations, gammas = _scan_json(items)
-            reports.append(
-                {
-                    "family": fam_id,
-                    "order": bound,
-                    "checked": len(items),
-                    "violations": violations,
-                    "gammas": gammas,
-                }
-            )
-        _emit_json({"bound": bound, "passed": not failed, "reports": reports})
-    else:
-        rows = [(fam_id, *_scan_row(item)) for fam_id, items in scans for item in items]
-        _emit_csv(("family", "k", "l", "dimension", "gamma", "status"), rows)
-    return 1 if failed else 0
+        reports.append({"family": fam_id, "order": bound, **_scan_json(items)})
+        rows += [(fam_id, *_scan_row(item)) for item in items]
+    failed = any(report["violations"] for report in reports)
+    obj = {"bound": bound, "passed": not failed, "reports": reports}
+    return 1 if failed else 0, obj, ("family", "k", "l", "dimension", "gamma", "status"), rows
 
 
-def _scan_graph_classes(args: SimpleNamespace) -> int:
+def _scan_graph_classes(args: SimpleNamespace) -> _Report:
     if args.nodes is None:
         raise ValueError("--graph-class needs --nodes N")
     if not 1 <= args.nodes <= 7:
         raise ValueError("graph-class scans cover 1..7 nodes")
     classes = [g for g in connected_graphs_upto_iso(args.nodes) if g.n == args.nodes]
     cache = FPolyCache()
-    items = [
-        ({"graph": graph_spec(g)}, g.n - 1, _gal_check_recursion(g, hpoly(g, cache), g.n - 1))
-        for g in classes
-    ]
-    failed = any(not result.passed for _, _, result in items)
-    if args.format == "json":
-        violations, gammas = _scan_json(items)
-        _emit_json(
-            {
-                "graph_class": args.graph_class,
-                "nodes": args.nodes,
-                "checked": len(items),
-                "passed": not failed,
-                "violations": violations,
-                "gammas": gammas,
-            }
-        )
-    else:
-        _emit_csv(("graph", "dimension", "gamma", "status"), [_scan_row(i) for i in items])
-    return 1 if failed else 0
+    items = []
+    for g in classes:
+        spec, h = graph_spec(g), hpoly(g, cache)
+        with _located(lambda: f"h-polynomial of {spec}"):
+            items.append(({"graph": spec}, g.n - 1, gal_check_poly(h, g.n - 1)))
+    scan = _scan_json(items)
+    failed = bool(scan["violations"])
+    obj = {"graph_class": args.graph_class, "nodes": args.nodes, "passed": not failed, **scan}
+    header = ("graph", "dimension", "gamma", "status")
+    return 1 if failed else 0, obj, header, [_scan_row(item) for item in items]
 
 
-def cmd_gal_scan(args: SimpleNamespace) -> int:
+def cmd_gal_scan(args: SimpleNamespace) -> _Report:
     if args.bound is not None and args.bound < 1:
         raise ValueError("bound must be at least 1")
     if (args.family is None) == (args.graph_class is None):
@@ -350,7 +292,7 @@ _FORMAT = {
 
 # subcommand: (handler, help line, {flag: add_argument keywords}), in the
 # order of --help; a keyword left out takes add_argument's default
-_COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, dict[str, dict]]] = {
+_COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], _Report], str, dict[str, dict]]] = {
     "invariants": (
         cmd_invariants,
         "f-vector, h-polynomial, and gamma-vector of one graph",
@@ -393,7 +335,7 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, dict[str, dict
             ),
             "--corrupt": dict(
                 dest="corrupt",
-                choices=("pe", "st", "nabla-because", "because-because"),
+                choices=IDENTITY_FAMILIES,
                 metavar="FAMILY",
                 help="drop one series term first; the suite must then fail "
                 "(negative control)",
@@ -497,8 +439,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (GraphSpecError, NotInFamilyError, ValueError, OSError) as exc:
+        code, obj, header, rows = args.func(args)
+        if args.format == "json":
+            _emit_json(obj)
+        else:
+            _emit_csv(header, rows)
+        return code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

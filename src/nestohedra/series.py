@@ -47,7 +47,7 @@ check between the closed forms and the polytope recursion.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -84,9 +84,9 @@ __all__ = [
     "phi_h",
     "coeff_normalized",
     "IdentityResult",
-    "IdentityReport",
     "identity_suite",
     "IDENTITY_NAMES",
+    "IDENTITY_FAMILIES",
 ]
 
 DEFAULT_ORDER = 8
@@ -641,56 +641,27 @@ def coeff_normalized(
 
 
 IDENTITY_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8")
+# the families whose face series the identities relate, in the order
+# ``--corrupt`` lists them
+IDENTITY_FAMILIES = ("pe", "st", "nabla-because", "because-because")
 
 
 class IdentityResult(Record):
     """One identity's outcome.
 
-    ``mismatch`` is ``first_mismatch``'s (k, l, difference): the difference
-    of the stored k! l! coefficients, an integer polynomial.  The JSON
-    reports the raw [x^k y^l] difference, that one divided by k! l!, with
-    each coefficient written ``p`` or ``p/q`` in lowest terms.
+    ``mismatch`` is ``first_mismatch``'s (k, l, difference) at the first
+    index where the two sides differ, or None when they agree: the
+    difference of the stored k! l! coefficients, an integer polynomial.
     """
 
-    __slots__ = ("name", "passed", "mismatch")
+    __slots__ = ("name", "mismatch")
 
-    def __init__(self, name: str, passed: bool, mismatch: Optional[tuple[int, int, Poly2]]):
-        self._set(name, passed, mismatch)
-
-    def to_json_obj(self) -> dict[str, object]:
-        obj: dict[str, object] = {"identity": self.name, "passed": self.passed}
-        if self.mismatch is not None:
-            from fractions import Fraction
-
-            k, l, diff = self.mismatch
-            scale = factorial(k) * factorial(l)
-            records = [
-                {"i": i, "j": j, "c": str(Fraction(c, scale))} for (i, j), c in diff.terms()
-            ]
-            obj["mismatch"] = {"k": k, "l": l, "difference": records}
-        return obj
-
-
-class IdentityReport(Record):
-    __slots__ = ("order", "results")
-
-    def __init__(self, order: int, results: tuple[IdentityResult, ...]):
-        self._set(order, results)
+    def __init__(self, name: str, mismatch: Optional[tuple[int, int, Poly2]]):
+        self._set(name, mismatch)
 
     @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    @property
-    def first_failure(self) -> Optional[IdentityResult]:
-        return next((r for r in self.results if not r.passed), None)
-
-    def to_json_obj(self) -> dict[str, object]:
-        return {
-            "order": self.order,
-            "passed": self.all_passed,
-            "results": [r.to_json_obj() for r in self.results],
-        }
+    def passed(self) -> bool:
+        return self.mismatch is None
 
 
 def _drop_one_term(s: Series2) -> Series2:
@@ -703,19 +674,21 @@ def _drop_one_term(s: Series2) -> Series2:
     return Series2._built(s.order, kept, s._bounds, s._width)
 
 
-def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> IdentityReport:
+def identity_suite(
+    order: int = DEFAULT_ORDER, corrupt: str | None = None
+) -> tuple[IdentityResult, ...]:
     """Check the eight differential identities at a truncation order.
 
     I1-I4 differentiate in t and are compared at the full order; I5-I8
     differentiate in x or y, which costs one order of reliability, so they
     are compared at order - 1.  ``corrupt`` names a family whose face series
-    gets one term dropped first, for negative-control testing.  A failed
-    identity's result keeps the stored k! l! difference at its first
-    mismatch; only its JSON divides by k! l!.
+    gets one term dropped first, for negative-control testing.  Returns
+    one result per identity, in ``IDENTITY_NAMES`` order; a failed one
+    keeps the stored k! l! difference at its first mismatch.
     """
     if order < 2:
         raise ValueError("the identity suite needs truncation order >= 2")
-    series_f = {fam_id: family_f(fam_id, order) for fam_id in ("pe", "st", "nabla-because", "because-because")}
+    series_f = {fam_id: family_f(fam_id, order) for fam_id in IDENTITY_FAMILIES}
     if corrupt is not None:
         if corrupt not in series_f:
             raise NotInFamilyError(f"cannot corrupt unknown family {corrupt!r}")
@@ -758,8 +731,4 @@ def identity_suite(order: int = DEFAULT_ORDER, corrupt: str | None = None) -> Id
             + grow_phi,
         ),
     ]
-    results = []
-    for name, lhs, rhs in checks:
-        diff = first_mismatch(lhs, rhs)
-        results.append(IdentityResult(name=name, passed=diff is None, mismatch=diff))
-    return IdentityReport(order=order, results=tuple(results))
+    return tuple(IdentityResult(name, first_mismatch(lhs, rhs)) for name, lhs, rhs in checks)

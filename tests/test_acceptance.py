@@ -74,10 +74,10 @@ def test_1_recursion_equals_series_coefficients() -> None:
 
 def test_2_identities_at_order_eight() -> None:
     started = time.perf_counter()
-    report = identity_suite(8)
+    results = identity_suite(8)
     elapsed = time.perf_counter() - started
-    assert report.all_passed, report.first_failure
-    assert len(report.results) == 8
+    assert all(r.passed for r in results), next(r for r in results if not r.passed)
+    assert len(results) == 8
     assert elapsed < 30
     print(f"PASS identity suite at order 8: 8 identities, {elapsed:.2f}s")
 
@@ -198,8 +198,7 @@ def test_6_closed_form_boundary_formulas() -> None:
 
 def test_7_negative_controls(capsys) -> None:
     # A corrupted series must fail the first identity at a located index.
-    report = identity_suite(6, corrupt="pe")
-    failure = report.first_failure
+    failure = next((r for r in identity_suite(6, corrupt="pe") if not r.passed), None)
     assert failure is not None and failure.name == "I1"
     assert failure.mismatch[:2] == (2, 0)
 

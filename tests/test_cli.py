@@ -263,6 +263,34 @@ def test_verify_rejects_orders_beyond_the_truncation(capsys) -> None:
     assert "truncation" in err
 
 
+_VERIFY_NEGATIVE_CONTROL = {
+    "json": "106a9f31e9bfeb973d43c24b66da244b924ebe9d65e0bec1af0f722f8cdfaadb",
+    "csv": "ae828ee702cdf6fd230e4af38cd6c9cbae3364df7c0ae5be07295df205ad925e",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_VERIFY_NEGATIVE_CONTROL))
+def test_verify_negative_control_digests(capsys, monkeypatch, fmt: str) -> None:
+    # sha256 of stdout, recorded while verify still carried each family's
+    # indices to its CSV rows.  A wrong face polynomial for the triangle,
+    # pe at (3, 0), is a finding: a mismatch entry and a mismatch row,
+    # exit 1, and nothing on stderr.
+    plain, triangle = cli.fpoly, nestohedra.complete_graph(3)
+    monkeypatch.setattr(
+        cli,
+        "fpoly",
+        lambda g, cache=None: Poly2.from_coeffs((6, 6, 2)) if g == triangle else plain(g, cache),
+    )
+    argv = ["verify", "--family", "pe", "--max-order", "4", "--format", fmt]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        assert [(m["k"], m["l"]) for m in json.loads(out)["reports"][0]["mismatches"]] == [(3, 0)]
+    else:
+        assert "pe,3,0,mismatch" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_NEGATIVE_CONTROL[fmt]
+
+
 # ---------------------------------------------------------------------------
 # identities
 
@@ -408,6 +436,32 @@ def test_help_exits_zero(capsys) -> None:
 
 def test_unknown_command_exits_two(capsys) -> None:
     assert _run(capsys, ["frobnicate"])[0] == 2
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failed_write_exits_two(capsys, monkeypatch, fmt: str) -> None:
+    # main writes the report inside the try that turns an OSError into
+    # exit 2 and one error line.
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    code = main(["invariants", "--graph", "path:3", "--format", fmt])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_a_failed_series_build_exits_one(capsys, monkeypatch) -> None:
+    # Once the arguments are validated, any failure is the computation's:
+    # even a plain ValueError from the series build is exit 1, named by
+    # what was built.
+    def broken(fam_id: str, order: int) -> series.Series2:
+        raise ValueError("plain")
+
+    monkeypatch.setattr(cli, "family_h", broken)
+    code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])
+    assert (code, out, err) == (1, "", "error: series of pe at order 4: plain\n")
 
 
 def test_output_is_deterministic_across_runs_and_jobs(capsys) -> None:
@@ -578,6 +632,38 @@ def test_gal_scan_json_digests(capsys, argv: list[str], digest: str) -> None:
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (
+            ["invariants", "--graph", "join(star:4,empty:4)"],
+            0,
+            "4b7b3ec50fbd033aebb790a48da1528423828c6c50ccabb81b97c7e4f4e31bce",
+        ),
+        (
+            ["verify", "--family", "all", "--max-order", "8"],
+            0,
+            "1ca5d64c20ccfb3eb258bf2ac2abc28a46899cc8009bf90621193c0481f3c7f1",
+        ),
+        (
+            ["identities", "--order", "8"],
+            0,
+            "a094740a8d8aa7ed7d477e3a463d6614b7f7e309118d0cdb275f7febdbec3a26",
+        ),
+        (
+            ["identities", "--order", "6", "--corrupt", "because-because"],
+            1,
+            "ed8b64c31b2eb673fee42e6a88676e970b61229d9e8efe8f523b8fc1ee920a95",
+        ),
+    ],
+    ids=["invariants-join", "verify-all-8", "identities-8", "identities-6-corrupt"],
+)
+def test_csv_digests(capsys, argv: list[str], code: int, digest: str) -> None:
+    # sha256 of stdout, recorded while each command wrote its own CSV.
+    result, out, err = _run(capsys, argv + ["--format", "csv"])
+    assert (result, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 _NON_GAL = power(Poly2.alpha(), 2) + power(Poly2.t(), 2)  # gammas 1, -2
 

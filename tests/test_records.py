@@ -2,8 +2,9 @@
 
 The repr strings were recorded from the dataclasses these records were
 before they became slotted classes, so the public behaviour is pinned
-across that change.  ``GalPolyResult``'s repr has since lost ``passed``,
-which became a property of ``first_negative``.
+across that change.  The reprs of ``GalPolyResult`` and ``IdentityResult``
+have since lost ``passed``, which became a property of ``first_negative``
+and of ``mismatch``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from nestohedra import (
     GalPolyResult,
     GammaVector,
     Graph,
-    IdentityReport,
     IdentityResult,
     Poly2,
     path_graph,
@@ -37,16 +37,10 @@ FROZEN = {
         "GammaVector(n=2, gammas=(1, 2))",
     ),
     "IdentityResult": (
-        lambda: IdentityResult("I1", True, None),
-        lambda: IdentityResult(name="I2", passed=True, mismatch=None),
-        "passed",
-        "IdentityResult(name='I1', passed=True, mismatch=None)",
-    ),
-    "IdentityReport": (
-        lambda: IdentityReport(3, (IdentityResult("I1", True, None),)),
-        lambda: IdentityReport(order=3, results=()),
-        "results",
-        "IdentityReport(order=3, results=(IdentityResult(name='I1', passed=True, mismatch=None),))",
+        lambda: IdentityResult("I1", None),
+        lambda: IdentityResult(name="I2", mismatch=None),
+        "name",
+        "IdentityResult(name='I1', mismatch=None)",
     ),
     "GalPolyResult": (
         lambda: GalPolyResult(gammas=GammaVector(2, (1, -2)), first_negative=(1, -2)),
@@ -83,11 +77,12 @@ def test_frozen_records_are_values(name: str) -> None:
 
 
 def test_a_record_holding_a_polynomial_is_unhashable() -> None:
-    result = IdentityResult("I1", False, (1, 2, Poly2.from_coeffs((1, 2))))
+    result = IdentityResult("I1", (1, 2, Poly2.from_coeffs((1, 2))))
     assert repr(result) == (
-        "IdentityResult(name='I1', passed=False, mismatch=(1, 2, Poly2({(0, 1): 1, (1, 0): 2})))"
+        "IdentityResult(name='I1', mismatch=(1, 2, Poly2({(0, 1): 1, (1, 0): 2})))"
     )
-    assert result == IdentityResult("I1", False, (1, 2, Poly2.from_coeffs((1, 2))))
+    assert result == IdentityResult("I1", (1, 2, Poly2.from_coeffs((1, 2))))
+    assert not result.passed and IdentityResult("I1", None).passed
     with pytest.raises(TypeError):
         hash(result)
 

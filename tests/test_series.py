@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from math import comb
 
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestohedra import series
-from nestohedra.cli import MAX_ORDER
+from nestohedra import cli, series
+from nestohedra.cli import MAX_ORDER, main
 from nestohedra.algebra import InhomogeneousError, Poly2, homogeneous_degree
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
     FAMILIES,
+    IDENTITY_NAMES,
     IdentityResult,
     NotInFamilyError,
     Series2,
@@ -343,7 +345,7 @@ def test_the_fields_hold_every_coefficient_of_the_largest_order(
         built.append(self)
 
     monkeypatch.setattr(Series2, "_set", recorded)
-    assert identity_suite(MAX_ORDER).all_passed
+    assert all(r.passed for r in identity_suite(MAX_ORDER))
     for fam in FAMILIES:
         family_h(fam, MAX_ORDER)
     largest = [
@@ -410,7 +412,7 @@ def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_
         return inverses[-1]
 
     monkeypatch.setattr(series, "inv_series", counted)
-    assert identity_suite(8).all_passed
+    assert all(r.passed for r in identity_suite(8))
     assert len(inverses) == 2
     order = 6
     inverses.clear()
@@ -550,8 +552,9 @@ def test_phi_h_slices() -> None:
 
 @pytest.mark.parametrize("order", [2, 3, 4, 6, 8, 10])
 def test_identity_suite_passes(order: int) -> None:
-    report = identity_suite(order)
-    assert report.all_passed, report.first_failure
+    results = identity_suite(order)
+    assert [r.name for r in results] == list(IDENTITY_NAMES)
+    assert all(r.passed for r in results), next(r for r in results if not r.passed)
 
 
 def test_identity_suite_rejects_tiny_orders() -> None:
@@ -560,8 +563,7 @@ def test_identity_suite_rejects_tiny_orders() -> None:
 
 
 def test_corrupted_series_fails_with_a_located_index() -> None:
-    report = identity_suite(6, corrupt="pe")
-    failure = report.first_failure
+    failure = next((r for r in identity_suite(6, corrupt="pe") if not r.passed), None)
     assert failure is not None
     assert failure.name == "I1"
     k, l, diff = failure.mismatch
@@ -575,40 +577,40 @@ def test_corrupting_an_unknown_family_raises() -> None:
         identity_suite(4, corrupt="starmarked")
 
 
-def test_identity_report_serialization() -> None:
-    report = identity_suite(3)
-    obj = report.to_json_obj()
+def test_identity_report_serialization(capsys) -> None:
+    assert main(["identities", "--order", "3"]) == 0
+    obj = json.loads(capsys.readouterr().out)
     assert obj["order"] == 3
     assert obj["passed"] is True
-    assert [r["identity"] for r in obj["results"]] == [
-        "I1",
-        "I2",
-        "I3",
-        "I4",
-        "I5",
-        "I6",
-        "I7",
-        "I8",
-    ]
+    assert [r["identity"] for r in obj["results"]] == list(IDENTITY_NAMES)
+    assert all(r == {"identity": r["identity"], "passed": True} for r in obj["results"])
 
 
-def test_identity_result_reports_the_raw_difference() -> None:
+def test_identity_result_reports_the_raw_difference(capsys, monkeypatch) -> None:
     # the stored k! l! difference at (2, 1), written divided by 2! 1! = 2
     stored = Poly2.from_coeffs((4, 0, -3, 1))
-    result = IdentityResult("I5", False, (2, 1, stored))
-    assert result.mismatch == (2, 1, stored)
-    assert result.to_json_obj() == {
-        "identity": "I5",
+    result = IdentityResult("I5", (2, 1, stored))
+    assert result.mismatch == (2, 1, stored) and not result.passed
+    monkeypatch.setattr(cli, "identity_suite", lambda order, corrupt=None: (result,))
+    assert main(["identities", "--order", "3"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "order": 3,
         "passed": False,
-        "mismatch": {
-            "k": 2,
-            "l": 1,
-            "difference": [
-                {"i": 0, "j": 3, "c": "2"},
-                {"i": 2, "j": 1, "c": "-3/2"},
-                {"i": 3, "j": 0, "c": "1/2"},
-            ],
-        },
+        "results": [
+            {
+                "identity": "I5",
+                "passed": False,
+                "mismatch": {
+                    "k": 2,
+                    "l": 1,
+                    "difference": [
+                        {"i": 0, "j": 3, "c": "2"},
+                        {"i": 2, "j": 1, "c": "-3/2"},
+                        {"i": 3, "j": 0, "c": "1/2"},
+                    ],
+                },
+            }
+        ],
     }
 
 
