@@ -22,13 +22,15 @@ at most F = 5 E^3 R, and so are the h-series and phi_h (h-polynomials of
 simple polytopes are nonnegative and sum to the vertex count).  A d/dt, and
 every sum of products the identity suite forms, is at most 10 F^2, and W at
 order N is one bit above the N-th coefficient of 10 F^2 = 250 E^6 R^2.  A
-truncation or derivative keeps its operand's fields, and an operation on
-series of two widths repacks the narrower one.
+truncation, derivative or substitution keeps its operand's fields, and an
+operation on series of two widths repacks the narrower one.
 
-The five families are built from closed forms that avoid division by alpha
-by expanding eta(z) = (e^{alpha z} - 1)/alpha termwise.  Their other
-factors are exponentials of linear series, e^{a x + b y}, whose stored
-coefficient at (k, l) is just a^k b^l, so no step of the module divides:
+The five families are built from closed forms in series of x alone, with
+eta(x) = (e^{alpha x} - 1)/alpha expanded termwise and exponentials e^{p x},
+whose stored coefficient at (k, 0) is just p^k, so no step of the module
+divides.  A factor in y is the ``swap_xy`` of one in x, and a factor in
+x + y is a copy: (x + y)^n/n! = sum x^k y^l/(k! l!), so F(x + y) stores F's
+slot (n, 0) at every (k, l) with k + l = n.  Only 1 - t eta(x) is inverted:
 
 * pe:               eta(x) / (1 - t eta(x)), permutohedra at x^(n+1)/(n+1)!
 * st:               e^{(alpha+t)x} / (1 - t eta(x)), stellohedra at x^n/n!
@@ -366,29 +368,18 @@ def deriv_t(s: Series2) -> Series2:
     return Series2(s.order, {slot: s.coeff(*slot).deriv_t() for slot in s._coeffs})
 
 
-def exp_series(s: Series2) -> Series2:
-    """exp(a x + b y) for a linear series s = a x + b y, in closed form.
+def exp_series(p: Poly2 | int, order: int) -> Series2:
+    """e^{p x} for a polynomial p in alpha and t, in closed form.
 
-    The families exponentiate nothing else, and for a linear series the
-    stored coefficient k! l! [x^k y^l] is a^k b^l: two running power lists
-    give every slot, and nothing divides.  A series with a slot other than
-    (1, 0) and (0, 1), a constant one included, raises ValueError.
+    Its stored coefficient k! [x^k] is p^k, so nothing divides.  The
+    families' other exponentials are its ``swap_xy`` (e^{p y}) and its
+    products (e^{a x + b y} = e^{a x} e^{b y}).
     """
-    stray = sorted(s._coeffs.keys() - {(1, 0), (0, 1)})
-    if stray:
-        raise ValueError(f"exp needs a linear series a x + b y, not one with slot {stray[0]}")
-    xs, ys = (
-        [(base**d, d * (n - 1) + 1) for d in range(s.order + 1)]
-        for base, n in (s._coeffs.get(slot, (0, 1)) for slot in ((1, 0), (0, 1)))
-    )
-    coeffs = {
-        (k, l): (a * b, m + p - 1)
-        for k, (a, m) in enumerate(xs)
-        for l, (b, p) in enumerate(ys[: s.order + 1 - k])
-        if a and b
-    }
-    rate = max(sum(map(abs, s.coeff(*slot).coeffs)) for slot in ((1, 0), (0, 1)))
-    return Series2._built(s.order, coeffs, tuple(rate**d for d in range(s.order + 1)), s._width)
+    p = p if isinstance(p, Poly2) else Poly2.constant(p)
+    base, n = _pack(p.coeffs, _width(order)) if p else (0, 1)
+    coeffs = {(k, 0): (base**k, k * (n - 1) + 1) for k in range(order + 1 if p else 1)}
+    rate = sum(map(abs, p.coeffs))
+    return Series2._built(order, coeffs, tuple(rate**d for d in range(order + 1)))
 
 
 def inv_series(s: Series2) -> Series2:
@@ -413,26 +404,29 @@ def inv_series(s: Series2) -> Series2:
     return Series2._built(order, _slots(vals, lens, order), bounds, s._width)
 
 
-def eta_linear(u: int, v: int, order: int) -> Series2:
-    """eta(u x + v y) with eta(z) = sum_{d>=1} alpha^(d-1) z^d / d!.
+def eta_linear(order: int) -> Series2:
+    """eta(x) with eta(z) = sum_{d>=1} alpha^(d-1) z^d / d!.
 
     Built termwise, so nothing ever divides by alpha: the normalized
-    coefficient at (a, b) is alpha^(a+b-1) u^a v^b.
+    coefficient at (d, 0) is alpha^(d-1).  eta(y) is its ``swap_xy``.
     """
     width = _width(order)
-    coeffs = {}
-    for d in range(1, order + 1):
-        for a in range(d + 1):
-            scale = u**a * v ** (d - a)
-            if scale:
-                coeffs[(a, d - a)] = (scale << width * (d - 1), d)
-    rate = max(abs(u), abs(v))
-    return Series2._built(order, coeffs, (0,) + tuple(rate**d for d in range(1, order + 1)))
+    coeffs = {(d, 0): (1 << width * (d - 1), d) for d in range(1, order + 1)}
+    return Series2._built(order, coeffs, (0,) + (1,) * order)
+
+
+def _diagonal(s: Series2) -> Series2:
+    """s(x + y) for a series s in x alone: slot (k, l) is s's slot (k + l, 0).
+
+    The copy keeps s's per-degree bounds, which bound each slot of a degree.
+    """
+    coeffs = {(k, n - k): c for (n, _), c in s._coeffs.items() for k in range(n + 1)}
+    return Series2._built(s.order, coeffs, s._bounds, s._width)
 
 
 def subst_h_series(s: Series2) -> Series2:
-    """Apply the alpha -> alpha - t substitution to every coefficient."""
-    return Series2(s.order, {slot: h_from_f(s.coeff(*slot)) for slot in s._coeffs})
+    """Apply the alpha -> alpha - t substitution to every coefficient, in s's fields."""
+    return Series2(s.order, {slot: h_from_f(s.coeff(*slot)) for slot in s._coeffs})._at(s._width)
 
 
 def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
@@ -545,38 +539,27 @@ _T = Poly2.t()
 
 
 @lru_cache(maxsize=None)
-def _denominator(u: int, v: int, order: int) -> Series2:
-    """1 / (1 - t eta(u x + v y)), shared by every series built at this order."""
-    return inv_series(Series2.one(order) - eta_linear(u, v, order) * _T)
+def _denominator(order: int) -> Series2:
+    """1 / (1 - t eta(x)), shared by every series built at this order."""
+    return inv_series(Series2.one(order) - eta_linear(order) * _T)
 
 
 @lru_cache(maxsize=None)
 def _family_f_cached(fam_id: str, order: int) -> Series2:
-    eta_x = eta_linear(1, 0, order)
+    eta_x = eta_linear(order)
     if fam_id == "pe":
-        return eta_x * _denominator(1, 0, order)
+        return eta_x * _denominator(order)
     if fam_id == "st":
-        grow = exp_series(Series2.monomial(order, 1, 0, _A + _T))
-        return grow * _denominator(1, 0, order)
+        return exp_series(_A + _T, order) * _denominator(order)
     if fam_id == "starmarked":
         return _family_f_cached("st", order) * Series2.monomial(order, 0, 1)
-    denom = _denominator(1, 1, order)
+    denom = _diagonal(_denominator(order))
     if fam_id == "nabla-because":
-        grow_y = exp_series(Series2.monomial(order, 0, 1, _A + _T))
-        return grow_y * eta_x * denom
+        return swap_xy(exp_series(_A + _T, order)) * eta_x * denom
     if fam_id == "because-because":
-        eta_y = eta_linear(0, 1, order)
-        grow_x = exp_series(Series2.monomial(order, 1, 0, _A + _T))
-        grow_y = exp_series(Series2.monomial(order, 0, 1, _A + _T))
-        bare_x = exp_series(Series2.monomial(order, 1, 0, _A))
-        bare_y = exp_series(Series2.monomial(order, 0, 1, _A))
-        bracket = (
-            grow_x * eta_y
-            + grow_y * eta_x
-            + eta_x * eta_y * _A
-            - bare_x * eta_y
-            - bare_y * eta_x
-        )
+        # (e^{(alpha+t)x} - e^{alpha x}) eta(y), its mirror, and alpha eta(x) eta(y)
+        half = (exp_series(_A + _T, order) - exp_series(_A, order)) * swap_xy(eta_x)
+        bracket = half + swap_xy(half) + eta_x * swap_xy(eta_x) * _A
         return bracket * denom + Series2.monomial(order, 1, 0) + Series2.monomial(order, 0, 1)
     raise NotInFamilyError(f"unknown family {fam_id!r}")
 
@@ -593,7 +576,7 @@ def family_h(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
 
 def pe_f_xplusy(order: int = DEFAULT_ORDER) -> Series2:
     """The permutohedron series evaluated at x + y."""
-    return eta_linear(1, 1, order) * _denominator(1, 1, order)
+    return _diagonal(family_f("pe", order))
 
 
 def phi_h(order: int = DEFAULT_ORDER) -> Series2:
@@ -605,10 +588,9 @@ def phi_h(order: int = DEFAULT_ORDER) -> Series2:
     division by alpha.  Its constant coefficient is 1 and its y = 0 slice is
     1 + (alpha + t) Pe_h(x).
     """
-    eta_x = eta_linear(1, 0, order)
-    shrink_y = exp_series(Series2.monomial(order, 0, 1, -_T))
-    bare_x = exp_series(Series2.monomial(order, 1, 0, _A))
-    f_level = shrink_y * (bare_x + eta_x * _T) * _denominator(1, 1, order)
+    shrink_y = swap_xy(exp_series(-_T, order))
+    bare_x = exp_series(_A, order)
+    f_level = shrink_y * (bare_x + eta_linear(order) * _T) * _diagonal(_denominator(order))
     return subst_h_series(f_level)
 
 
@@ -696,20 +678,19 @@ def identity_suite(
     pe, st = series_f["pe"], series_f["st"]
     nb, bb = series_f["nabla-because"], series_f["because-because"]
     pe_sum = pe_f_xplusy(order)
-    pe_h, st_h = subst_h_series(pe), subst_h_series(st)
-    nb_h, bb_h = subst_h_series(nb), subst_h_series(bb)
-    pe_sum_h = subst_h_series(pe_sum)
+    st_h, nb_h, bb_h = subst_h_series(st), subst_h_series(nb), subst_h_series(bb)
     phi = phi_h(order)
-    grow_y = exp_series(Series2.monomial(order, 0, 1, _A + _T))
     x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
     at = _A * _T
     apt = _A + _T
     # d/dx and d/dy cost I5-I8 one order, so their right-hand sides are
-    # built from operands truncated to order - 1
+    # built from operands truncated to order - 1; pe at x + y is the
+    # uncorrupted pe's copy, as in I3 and I4
     low = order - 1
-    st_l, pe_l, nb_l, bb_l, sum_l, phi_l, grow_l = (
-        truncate(s, low) for s in (st_h, pe_h, nb_h, bb_h, pe_sum_h, phi, grow_y)
-    )
+    st_l, nb_l, bb_l, phi_l = (truncate(s, low) for s in (st_h, nb_h, bb_h, phi))
+    pe_l = subst_h_series(truncate(pe, low))
+    sum_l = _diagonal(subst_h_series(truncate(family_f("pe", order), low)))
+    grow_l = swap_xy(exp_series(apt, low))
     grow_phi = grow_l * phi_l
     x_l, y_l = Series2.monomial(low, 1, 0), Series2.monomial(low, 0, 1)
 

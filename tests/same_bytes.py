@@ -1,0 +1,64 @@
+"""Compare the command line's bytes between two source trees.
+
+    python3 tests/same_bytes.py PARENT_SRC CHANGE_SRC
+
+Each SRC is a directory that holds the ``nestohedra`` package (a tree's
+``src``).  A fixed set of argvs runs on both trees, in both output formats,
+through ``python -m nestohedra.cli``; the first argv whose stdout, stderr or
+exit code differs is printed, and the script exits 1.  With no difference
+it prints the number of runs compared and exits 0.  Standard library only;
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+CORRUPTIBLE = ("pe", "st", "nabla-because", "because-because")
+
+
+def argvs() -> list[list[str]]:
+    """The recorded argv set, without the format flag."""
+    out = [["identities", "--order", str(n)] for n in range(2, 17)]
+    out += [
+        ["identities", "--order", str(n), "--corrupt", fam]
+        for n in (8, 12, 16)
+        for fam in CORRUPTIBLE
+    ]
+    out += [["verify", "--family", "all", "--max-order", str(n)] for n in (0, 4, 8, 12, 16)]
+    out += [["gal-scan", "--family", "all", "--bound", str(n)] for n in (1, 4, 8, 12, 16)]
+    out += [["gal-scan", "--graph-class", "connected", "--nodes", str(n)] for n in range(1, 8)]
+    return out
+
+
+def run(src: str, argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-m", "nestohedra.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent, change = args
+    runs = 0
+    for argv in argvs():
+        for fmt in ("json", "csv"):
+            full = [*argv, "--format", fmt]
+            before, after = run(parent, full), run(change, full)
+            runs += 1
+            if before != after:
+                fields = [n for n, a, b in zip(("exit code", "stdout", "stderr"), before, after) if a != b]
+                print(f"differs in {', '.join(fields)}: {' '.join(full)}")
+                return 1
+    print(f"same bytes on {runs} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -87,6 +87,14 @@ def test_gal_check_poly_reports_the_negative_entry() -> None:
     assert result.witness == "gamma_1 = -2"
 
 
+def test_gal_check_poly_reports_a_gamma_entry_of_minus_one() -> None:
+    # (alpha + t)^2 - alpha t: the smallest negative entry, at the boundary
+    result = gal_check_poly(power(A, 2) + A * T + power(T, 2), 2)
+    assert not result.passed
+    assert result.first_negative == (1, -1)
+    assert result.witness == "gamma_1 = -1"
+
+
 def test_gal_check_poly_rejects_malformed_input() -> None:
     with pytest.raises(ValueError, match="^expected degree 3, got 2$"):
         gal_check_poly(power(A, 2) + power(T, 2), 3)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
-import re
 from math import comb
 
 import pytest
@@ -38,6 +38,7 @@ from nestohedra.series import (
     truncate,
 )
 from witnesses import (
+    eta_termwise,
     list_inv_series,
     list_product,
     power,
@@ -83,7 +84,7 @@ def test_mixed_orders_raise() -> None:
     with pytest.raises(ValueError, match="order mismatch: 3 vs 4"):
         Series2.one(3) * Series2.one(4)
     with pytest.raises(ValueError, match="order mismatch: 4 vs 3"):
-        eta_linear(1, 0, 4) * family_f("pe", 3)
+        eta_linear(4) * family_f("pe", 3)
     lowered = truncate(Series2.one(4), 3) + Series2.one(3)
     assert lowered.coeff(0, 0) == Poly2.constant(2)
     with pytest.raises(ValueError):
@@ -92,22 +93,24 @@ def test_mixed_orders_raise() -> None:
 
 def test_eta_linear_frozen_coefficients() -> None:
     # coefficients are stored as k! l! [x^k y^l]
-    eta = eta_linear(1, 0, 3)
+    eta = eta_linear(3)
     assert eta.coeff(1, 0) == Poly2.one()
     assert eta.coeff(2, 0) == A
     assert eta.coeff(3, 0) == power(A, 2)
+    assert eta == eta_termwise(1, 0, 3)
     # eta(x + y) weights x^a y^b by alpha^(a+b-1) binom(a+b, a) / (a+b)!,
     # which a! b! turns into alpha^(a+b-1).
-    eta_xy = eta_linear(1, 1, 2)
+    eta_xy = series._diagonal(eta_linear(2))
     assert eta_xy.coeff(1, 1) == A
+    assert eta_xy == eta_termwise(1, 1, 2)
 
 
 def test_exp_series_frozen_coefficients() -> None:
-    grow = exp_series(Series2.monomial(3, 1, 0, A + T))
+    grow = exp_series(A + T, 3)
     assert grow.coeff(0, 0) == Poly2.one()
     assert grow.coeff(2, 0) == power(A + T, 2)
-    with pytest.raises(ValueError):
-        exp_series(Series2.one(3))
+    assert [slot for slot, _ in grow.items()] == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert exp_series(-2, 3).coeff(3, 0) == Poly2.constant(-8)
 
 
 def _homogeneous(degree: int) -> st.SearchStrategy[Poly2]:
@@ -120,36 +123,19 @@ def _homogeneous(degree: int) -> st.SearchStrategy[Poly2]:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_exp_series_equals_the_power_sum_witness(data) -> None:
-    # exp(a x + b y) in closed form against the sum of (a x + b y)^m / m!,
-    # for a and b of equal or different degrees, either of them zero
+    # e^{a x} e^{b y}, each in closed form, against the sum of
+    # (a x + b y)^m / m!, for a and b of equal or different degrees,
+    # either of them zero
     order = data.draw(st.integers(0, 10))
     a = data.draw(st.integers(0, 3).flatmap(_homogeneous))
     b = data.draw(st.integers(0, 3).flatmap(_homogeneous))
     s = Series2.monomial(order, 1, 0, a) + Series2.monomial(order, 0, 1, b)
-    assert exp_series(s) == power_sum_exp(s)
-
-
-@pytest.mark.parametrize(
-    "slots",
-    [
-        {(0, 0): Poly2.one()},
-        {(2, 0): A},
-        {(0, 2): T},
-        {(1, 1): A + T},
-        {(3, 0): Poly2.one()},
-        {(1, 0): A, (2, 0): power(A, 2)},
-        {(1, 0): A, (0, 1): T, (0, 0): Poly2.one()},
-    ],
-)
-def test_exp_series_refuses_a_series_that_is_not_linear(slots) -> None:
-    stray = min(slot for slot in slots if slot not in ((1, 0), (0, 1)))
-    with pytest.raises(ValueError, match=re.escape(f"a x + b y, not one with slot {stray}")):
-        exp_series(Series2(3, slots))
+    assert exp_series(a, order) * swap_xy(exp_series(b, order)) == power_sum_exp(s)
 
 
 def test_inv_series_frozen_coefficients() -> None:
     order = 3
-    denom = Series2.one(order) - eta_linear(1, 0, order) * T
+    denom = Series2.one(order) - eta_linear(order) * T
     inv = inv_series(denom)
     assert inv.coeff(0, 0) == Poly2.one()
     assert inv.coeff(1, 0) == T
@@ -161,11 +147,22 @@ def test_inv_series_frozen_coefficients() -> None:
 
 @pytest.mark.parametrize("order", range(2, 11))
 def test_inv_series_inverts_every_family_denominator(order: int) -> None:
-    # 1 - t eta(x) (pe, st) and 1 - t eta(x + y) (the two-variable
-    # families, pe at x + y and phi_h)
-    for u, v in ((1, 0), (1, 1)):
-        denom = Series2.one(order) - eta_linear(u, v, order) * T
-        assert denom * inv_series(denom) == Series2.one(order)
+    # 1 - t eta(x) (pe, st), its mirror 1 - t eta(y), and its copy at
+    # x + y (the two-variable families, pe at x + y and phi_h)
+    denom = Series2.one(order) - eta_linear(order) * T
+    for s in (denom, swap_xy(denom), series._diagonal(denom)):
+        assert s * inv_series(s) == Series2.one(order)
+
+
+@pytest.mark.parametrize("order", range(17))
+def test_the_diagonal_denominator_equals_the_two_variable_inverse(order: int) -> None:
+    # 1 / (1 - t eta(x + y)) inverted in two variables from the termwise
+    # eta(x + y), against the copy of the one-variable inverse; and
+    # eta(x + y) over it is pe at x + y
+    eta_xy = eta_termwise(1, 1, order)
+    inverse = inv_series(Series2.one(order) - eta_xy * T)
+    assert inverse == series._diagonal(series._denominator(order))
+    assert eta_xy * inverse == pe_f_xplusy(order)
 
 
 @st.composite
@@ -397,29 +394,34 @@ def test_series_the_module_builds_hold_no_zero_slot() -> None:
     one = Series2.one(3)
     assert deriv_t(one) == Series2(3)
     assert deriv_t(one + Series2.monomial(3, 1, 0, A * T)).items() == [((1, 0), A)]
-    assert exp_series(Series2(3)) == one
-    assert truncate(eta_linear(1, 1, 3), 0) == Series2(0)
+    assert exp_series(0, 3) == one
+    assert truncate(series._diagonal(eta_linear(3)), 0) == Series2(0)
     assert deriv_x(Series2.monomial(3, 0, 2, A)) == Series2(2)
 
 
 def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_caches) -> None:
-    # 1/(1 - t eta(x)) and 1/(1 - t eta(x + y)) are each inverted once
-    inverses = []
+    # 1/(1 - t eta(x)) is the one inversion, of a series in x alone;
+    # y and x + y take its mirror and its copy
+    inverted, inverses = [], []
     plain = series.inv_series
 
     def counted(s: Series2) -> Series2:
+        inverted.append(s)
         inverses.append(plain(s))
         return inverses[-1]
 
     monkeypatch.setattr(series, "inv_series", counted)
     assert all(r.passed for r in identity_suite(8))
-    assert len(inverses) == 2
+    assert len(inverses) == 1
     order = 6
+    inverted.clear()
     inverses.clear()
     family_f("nabla-because", order)
     family_f("because-because", order)
+    phi_h(order)
     assert len(inverses) == 1
-    assert series._denominator(1, 1, order) is inverses[0]
+    assert series._denominator(order) is inverses[0]
+    assert all(l == 0 for _, l in inverted[0]._coeffs)
 
 
 def test_subst_h_series_matches_coefficientwise_substitution() -> None:
@@ -427,6 +429,10 @@ def test_subst_h_series_matches_coefficientwise_substitution() -> None:
     h = subst_h_series(s)
     assert h.coeff(1, 0) == power(A - T, 2)
     assert h.coeff(0, 1) == T
+    # a truncation keeps the wider fields of its order, and so does its
+    # substitution, so products with other truncations need no repacking
+    low = truncate(family_f("pe", 6), 4)
+    assert subst_h_series(low)._width == low._width == series._width(6) > series._width(4)
 
 
 def test_first_mismatch_reports_the_smallest_slot() -> None:
@@ -528,6 +534,39 @@ def test_because_because_series_is_symmetric_in_x_and_y() -> None:
     assert swap_xy(bb) == bb
     nb = family_f("nabla-because", 6)
     assert swap_xy(nb) != nb
+
+
+def _digest(s: Series2) -> str:
+    return hashlib.sha256(repr([(slot, p.coeffs) for slot, p in s.items()]).encode()).hexdigest()
+
+
+# sha256 of each series' slots at order 24, above the command line's
+# largest order, recorded while every two-variable factor was built and
+# inverted in two variables
+_ORDER_24_DIGESTS = {
+    "f:pe": "be613d5e2b76e1db365deb293e49c51e2cca6195fb36ead4c95c107a3b6a61c0",
+    "h:pe": "6d5bc7bcd254257d9fc366c4eff0f986867a8194354e7060a56c8a5b378994c7",
+    "f:st": "b2b33176827d08ced179e38775f183c39521e6d1a6e2983e9010ac07ea1384cf",
+    "h:st": "b8f64fa663caf815cff740d54d1427b81e4259c672bf899b3a927b5f79ff9cab",
+    "f:starmarked": "55bbd25128b692cc89f7b253bf702632553cdd6cb6687a33ca99226bf3893801",
+    "h:starmarked": "7e2f961c53d1dc3a13ac6ac0a82c4d06286fc586bc3a5be0b4095e1346329671",
+    "f:nabla-because": "22a1e8506a445e060b270332715c4c5199813ba3f70f5f35d602444cd8f1aced",
+    "h:nabla-because": "71a11a1abdac8a2cf206eb8fb741630c845c8d52c2dd55fc88444bb26951d9d1",
+    "f:because-because": "bd65170b22464f156e7802d873e1271fd198b1fa3fd0992425681793f5c3e0e4",
+    "h:because-because": "d4222e9733c0cd5a0df67dd30852f55449d57702574cfc239d8296f80d8ffab3",
+    "pe_f_xplusy": "23bc7bdf50a4cc0d66e5e417c3c4a0fc3fbb02cde341b492063ea372a88ff0aa",
+    "phi_h": "6ec4ec08f12709586b45e51b33ab37e571ed76013cac394dceaf38fa6cdfb1d8",
+}
+
+
+def test_series_digests_above_the_command_line_ceiling() -> None:
+    order = 24
+    assert order > MAX_ORDER
+    built = {"pe_f_xplusy": pe_f_xplusy(order), "phi_h": phi_h(order)}
+    for fam in FAMILIES:
+        built[f"f:{fam}"] = family_f(fam, order)
+        built[f"h:{fam}"] = family_h(fam, order)
+    assert {name: _digest(s) for name, s in built.items()} == _ORDER_24_DIGESTS
 
 
 def test_pe_f_xplusy_collapses_to_pe_on_y_0() -> None:

@@ -22,11 +22,12 @@ The sparse polynomial arithmetic at the end is the reference for the dense
 coefficients of alpha^i t^j, with no notion of degree.  On top of it, the
 raw series arithmetic is the reference for ``Series2``: it multiplies and
 inverts the plain coefficients [x^k y^l] as ordinary power series over
-``Fraction``, with no binomial weights and no notion of degree, and the
+``Fraction``, with no binomial weights and no notion of degree, the
 general power-sum exponential is the reference for the closed-form
-``exp_series`` of a linear series.  The list kernel, which accumulates each
-product slot as a list of coefficients, is the reference for the packed
-kernel of ``Series2`` products and inverses.
+``exp_series`` and its products, and eta(u x + v y) built termwise in two
+variables is the reference for the copies at x + y.  The list kernel,
+which accumulates each product slot as a list of coefficients, is the
+reference for the packed kernel of ``Series2`` products and inverses.
 
 The rest of the file is library surface only the tests use: powers,
 records and gamma expansions of ``Poly2``, graph components and the
@@ -691,6 +692,22 @@ def power_sum_exp(s: Series2) -> Series2:
         )
         acc = acc + term
     return acc
+
+
+def eta_termwise(u: int, v: int, order: int) -> Series2:
+    """eta(u x + v y) in two variables, slot by slot.
+
+    (u x + v y)^d / d! weights x^a y^b by u^a v^b / (a! b!), so the stored
+    coefficient at (a, b) is alpha^(a+b-1) u^a v^b.
+    """
+    return Series2(
+        order,
+        {
+            (a, d - a): Poly2.monomial(d - 1, 0, u**a * v ** (d - a))
+            for d in range(1, order + 1)
+            for a in range(d + 1)
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
