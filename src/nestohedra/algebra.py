@@ -270,30 +270,27 @@ class GammaVector(Record):
         return [str(g) for g in self.gammas]
 
 
-def _gamma_basis(i: int, n: int) -> Poly2:
-    """(alpha t)^i (alpha + t)^(n - 2i), expanded."""
-    m = n - 2 * i
-    return Poly2.from_coeffs((0,) * i + tuple(comb(m, k) for k in range(m + 1)) + (0,) * i)
-
-
 def gamma_from_h(p: Poly2) -> GammaVector:
     """Extract the gamma vector of a symmetric homogeneous polynomial.
 
     Peels basis elements off one by one: gamma_i is the coefficient of
-    alpha^(n-i) t^i left in the residual, which is then cleared.  A nonzero
-    residual after the last step would mean the symmetric basis failed, so
-    it is reported as an internal error rather than a bad input.
+    alpha^(n-i) t^i left in the residual, which is then cleared, binomial
+    by binomial.  A nonzero residual after the last step would mean the
+    symmetric basis failed, so it is reported as an internal error rather
+    than a bad input.
     """
     n = homogeneous_degree(p)
     if not is_symmetric(p):
         raise ValueError(f"not symmetric in alpha and t: {p}")
-    residual = p
+    residual = list(p.coeffs)
     gammas = []
     for i in range(n // 2 + 1):
-        g = residual.coeff(n - i, i)
+        g = residual[n - i]
         gammas.append(g)
         if g:
-            residual = residual - _gamma_basis(i, n) * g
-    if residual:
-        raise ArithmeticError(f"gamma extraction left a residual: {residual}")
+            m = n - 2 * i
+            for k in range(m + 1):
+                residual[i + k] -= g * comb(m, k)
+    if any(residual):
+        raise ArithmeticError(f"gamma extraction left a residual: {Poly2.from_coeffs(residual)}")
     return GammaVector(n, tuple(gammas))

@@ -75,7 +75,7 @@ def _located(what: Callable[[], str]) -> Iterator[None]:
     """Re-raise a failed computation as ArithmeticError naming what failed.
 
     The arguments were validated before the computation, so a series slot
-    that mixes degrees, coefficients that outgrow their packed fields, or
+    that does not decode, coefficients that outgrow their packed fields, or
     an h-polynomial the Gal check refuses are the computation's failure,
     not the input's: one line naming it, exit 1, not 2.  ``what`` is
     called only on failure, so the success path never formats a graph.

@@ -9,8 +9,9 @@ the families' coefficients are integer polynomials, and the product is the
 labelled (binomial) product of exponential generating functions.
 
 A slot holds its polynomial as one int, the value at alpha = 2^W and t = 1
-(Kronecker substitution, Harvey, arXiv:0712.4046), and its coefficient
-count, which gives back the degree.  Evaluation commutes with sums and
+(Kronecker substitution, Harvey, arXiv:0712.4046).  Every series is graded,
+slot (k, l) of degree k + l - offset with one offset per series, so a slot's
+digit count follows from its index.  Evaluation commutes with sums and
 products, so the kernel is int arithmetic; a slot is decoded, in balanced
 digits, only where it is read, substituted or differentiated in t, or
 differs from another.  Each series bounds, per total degree, its slots'
@@ -94,7 +95,7 @@ __all__ = [
 DEFAULT_ORDER = 8
 
 Slot = tuple[int, int]
-Packed = tuple[int, int]  # (value at alpha = 2^W and t = 1, coefficient count)
+Slots = dict[Slot, int]  # slot -> its polynomial's value at alpha = 2^W and t = 1
 Bounds = tuple[int, ...]  # per total degree, bounds on slots' absolute coefficient sums
 
 
@@ -118,18 +119,17 @@ def _width(order: int) -> int:
     return (250 * _egf_product(_egf_product(bell, bell), e6)[-1]).bit_length() + 1
 
 
-def _pack(coeffs: Sequence[int], width: int) -> Packed:
+def _pack(coeffs: Sequence[int], width: int) -> int:
     value = 0
     for c in reversed(coeffs):
         if type(c) is not int:
             raise TypeError(f"series coefficients are integers, not {c!r}")
         value = (value << width) + c
-    return value, len(coeffs)
+    return value
 
 
-def _unpack(packed: Packed, width: int, slot: Slot) -> Poly2:
-    """A packed slot's polynomial, read in balanced width-bit digits."""
-    value, count = packed
+def _unpack(value: int, count: int, width: int, slot: Slot) -> Poly2:
+    """The polynomial of count balanced width-bit digits packed in value."""
     half, mask = 1 << width - 1, (1 << width) - 1
     coeffs = []
     for _ in range(count):
@@ -140,18 +140,31 @@ def _unpack(packed: Packed, width: int, slot: Slot) -> Poly2:
     return Poly2.from_coeffs(coeffs)
 
 
+def _pack_slots(polys: Mapping[Slot, Poly2], order: int, width: int) -> tuple[Slots, Bounds]:
+    """The nonzero polynomials packed at a width, and their per-degree bounds."""
+    coeffs, bounds = {}, [0] * (order + 1)
+    for (k, l), p in polys.items():
+        if p:
+            coeffs[(k, l)] = _pack(p.coeffs, width)
+            bounds[k + l] = max(bounds[k + l], sum(map(abs, p.coeffs)))
+    return coeffs, tuple(bounds)
+
+
 class Series2:
     """Power series in x and y truncated at a total degree, Poly2 coefficients.
 
     The slot (k, l) holds k! l! [x^k y^l], the normalized coefficient of the
     exponential generating function, and ``coeff`` returns it as stored.
-    Coefficients are integers, packed as the module docstring describes.
-    Instances are treated as immutable.  Binary operations require equal
-    truncation orders; mixing orders silently would hide lost precision, so
-    it raises instead (use ``truncate`` first).
+    Coefficients are integers, packed as the module docstring describes,
+    and slot (k, l) has degree k + l - ``offset``.  The constructor reads
+    the offset off the first nonzero slot in (k + l, k) order and raises
+    ValueError naming a slot off that grading; the zero series matches any
+    grading.  Instances are treated as immutable.  Binary operations require
+    equal truncation orders; mixing orders silently would hide lost
+    precision, so it raises instead (use ``truncate`` first).
     """
 
-    __slots__ = ("order", "_coeffs", "_bounds", "_width")
+    __slots__ = ("order", "offset", "_coeffs", "_bounds", "_width")
 
     def __init__(self, order: int, coeffs: Mapping[Slot, Poly2] | Iterable[tuple[Slot, Poly2]] = ()):
         if order < 0:
@@ -165,46 +178,48 @@ class Series2:
                 raise ValueError(f"slot {(k, l)} beyond truncation order {order}")
             if p:
                 data[(k, l)] = data[(k, l)] + p if (k, l) in data else p
-        width, packed, bounds = _width(order), {}, [0] * (order + 1)
-        for (k, l), p in data.items():
-            if p:
-                packed[(k, l)] = _pack(p.coeffs, width)
-                bounds[k + l] = max(bounds[k + l], sum(map(abs, p.coeffs)))
-        self._set(order, packed, tuple(bounds), width)
+        slots = sorted((s for s, p in data.items() if p), key=lambda s: (sum(s), s))
+        offset = sum(slots[0]) - len(data[slots[0]].coeffs) + 1 if slots else 0
+        for s in slots:
+            degree = len(data[s].coeffs) - 1
+            if degree != sum(s) - offset:
+                raise ValueError(f"slot {s} of degree {degree} is off grading offset {offset}")
+        width = _width(order)
+        self._set(order, offset, *_pack_slots(data, order, width), width)
 
-    def _set(self, order: int, coeffs: dict[Slot, Packed], bounds: Bounds, width: int) -> None:
+    def _set(self, order: int, offset: int, coeffs: Slots, bounds: Bounds, width: int) -> None:
         """Take nonzero packed slots in range, refused where they may not decode."""
         if max(bounds) >> width - 1:
             raise ArithmeticError(f"coefficients outgrow the {width}-bit fields of order {order}")
-        self.order, self._coeffs, self._bounds, self._width = order, coeffs, bounds, width
+        self.order, self.offset, self._coeffs = order, offset, coeffs
+        self._bounds, self._width = bounds, width
 
     @classmethod
-    def _built(
-        cls, order: int, coeffs: dict[Slot, Packed], bounds: Bounds, width: int | None = None
-    ) -> "Series2":
-        """A series of packed slots, at the order's width unless ``width`` is given."""
+    def _built(cls, order: int, offset: int, coeffs: Slots, bounds: Bounds, width: int) -> "Series2":
+        """A series of packed slots, without the constructor's checks."""
         s = cls.__new__(cls)
-        s._set(order, coeffs, bounds, _width(order) if width is None else width)
+        s._set(order, offset, coeffs, bounds, width)
         return s
 
     @classmethod
     def one(cls, order: int) -> "Series2":
-        return cls._built(order, {(0, 0): (1, 1)}, (1,) + (0,) * order)
+        return cls._built(order, 0, {(0, 0): 1}, (1,) + (0,) * order, _width(order))
 
     @classmethod
     def monomial(cls, order: int, k: int, l: int, p: Poly2 | int = 1) -> "Series2":
         """The series whose only normalized coefficient is p, at (k, l).
 
-        A slot above the truncation order truncates to the zero series.
+        Its offset is k + l minus the degree of p.  A slot above the
+        truncation order truncates to the zero series of that offset.
         """
-        if k >= 0 and l >= 0 and k + l > order:
-            return cls(order)
         p = p if isinstance(p, Poly2) else Poly2.constant(p)
-        return cls(order, {(k, l): p})
+        if k < 0 or l < 0 or k + l <= order:
+            return cls(order, {(k, l): p})
+        return cls._built(order, k + l - len(p.coeffs) + 1, {}, (0,) * (order + 1), _width(order))
 
     def coeff(self, k: int, l: int) -> Poly2:
-        packed = self._coeffs.get((k, l))
-        return Poly2.zero() if packed is None else _unpack(packed, self._width, (k, l))
+        packed = self._coeffs.get((k, l), 0)
+        return _unpack(packed, k + l - self.offset + 1, self._width, (k, l))
 
     def items(self) -> list[tuple[Slot, Poly2]]:
         return [(s, self.coeff(*s)) for s in sorted(self._coeffs, key=lambda s: (sum(s), s))]
@@ -221,7 +236,7 @@ class Series2:
         if self.order != other.order:
             return False
         a, b = self._aligned(other)
-        return a._coeffs == b._coeffs
+        return a._coeffs == b._coeffs and (not a._coeffs or a.offset == b.offset)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -235,22 +250,19 @@ class Series2:
     def _at(self, width: int) -> "Series2":
         if width == self._width:
             return self
-        coeffs = {s: _pack(_unpack(c, self._width, s).coeffs, width) for s, c in self._coeffs.items()}
-        return Series2._built(self.order, coeffs, self._bounds, width)
+        coeffs = {s: _pack(self.coeff(*s).coeffs, width) for s in self._coeffs}
+        return Series2._built(self.order, self.offset, coeffs, self._bounds, width)
 
     def __add__(self, other: "Series2") -> "Series2":
         self, other = self._aligned(other)
+        if self and other and self.offset != other.offset:
+            raise ValueError(f"grading offsets {self.offset} and {other.offset} do not add")
         out = dict(self._coeffs)
-        for s, (q, m) in other._coeffs.items():
-            if s not in out:
-                out[s] = (q, m)
-            elif out[s][1] == m:
-                out[s] = (out[s][0] + q, m)
-            else:
-                # two nonzero slots of different degrees: Poly2 addition raises
-                self.coeff(*s) + other.coeff(*s)
+        for s, q in other._coeffs.items():
+            out[s] = out.get(s, 0) + q
         bounds = tuple(map(int.__add__, self._bounds, other._bounds))
-        return Series2._built(self.order, {s: c for s, c in out.items() if c[0]}, bounds, self._width)
+        out = {s: c for s, c in out.items() if c}
+        return Series2._built(self.order, (self or other).offset, out, bounds, self._width)
 
     def __sub__(self, other: "Series2") -> "Series2":
         return self + (other * -1)
@@ -260,25 +272,23 @@ class Series2:
         order = self.order
         if isinstance(other, Series2):
             self, other = self._aligned(other)
-            vals, lens = [0] * (order + 1) ** 2, [0] * (order + 1) ** 2
+            vals = [0] * (order + 1) ** 2
             right = _by_degree(other._coeffs, order)
-            for (k1, l1), (p, n) in self._coeffs.items():
-                _push(vals, lens, order, self._width, k1, l1, p, n, right)
+            for (k1, l1), p in self._coeffs.items():
+                _push(vals, order, k1, l1, p, right)
             bounds = _egf_product(self._bounds, other._bounds)
-            return Series2._built(order, _slots(vals, lens, order), bounds, self._width)
+            offset = self.offset + other.offset
+            return Series2._built(order, offset, _slots(vals, order), bounds, self._width)
         if isinstance(other, int):
             other = Poly2.constant(other)
         elif not isinstance(other, Poly2):
             return NotImplemented
         if not other:
             return Series2(order)
-        c, m = _pack(other.coeffs, self._width)
-        return Series2._built(
-            order,
-            {s: (p * c, n + m - 1) for s, (p, n) in self._coeffs.items()},
-            tuple(b * sum(map(abs, other.coeffs)) for b in self._bounds),
-            self._width,
-        )
+        c, rate = _pack(other.coeffs, self._width), sum(map(abs, other.coeffs))
+        out = {s: p * c for s, p in self._coeffs.items()}
+        bounds = tuple(b * rate for b in self._bounds)
+        return Series2._built(order, self.offset - len(other.coeffs) + 1, out, bounds, self._width)
 
     def __rmul__(self, other: "Poly2 | int") -> "Series2":
         return self.__mul__(other)
@@ -287,10 +297,10 @@ class Series2:
         return f"Series2(order={self.order}, slots={len(self._coeffs)})"
 
 
-def _by_degree(coeffs: dict[Slot, Packed], order: int) -> list[tuple]:
-    """(k + l, k, l, slot table index, value, count) per slot, by total degree."""
+def _by_degree(coeffs: Slots, order: int) -> list[tuple]:
+    """(k + l, k, l, slot table index, packed value) per slot, by total degree."""
     return sorted(
-        ((k + l, k, l, k * (order + 1) + l, v, n) for (k, l), (v, n) in coeffs.items()),
+        ((k + l, k, l, k * (order + 1) + l, v) for (k, l), v in coeffs.items()),
         key=itemgetter(0),
     )
 
@@ -301,40 +311,26 @@ def _binomials(i: int, order: int) -> tuple[int, ...]:
     return tuple(comb(i + j, i) for j in range(order + 1))
 
 
-def _push(
-    vals: list[int], lens: list[int], order: int, width: int,
-    k1: int, l1: int, p: int, n: int, right: list,
-) -> None:
-    """Add the left slot (k1, l1), packed p with n coefficients, times right.
+def _push(vals: list[int], order: int, k1: int, l1: int, p: int, right: list) -> None:
+    """Add the left slot (k1, l1), packed p, times right into a slot table.
 
-    The table holds slot (k, l)'s packed value and coefficient count (0 when
-    empty) at k (order + 1) + l, so a product, weighted, lands at the sum of
-    its factors' indices.  The right slots come by total degree, so the walk
-    stops at the first beyond the order.  A product of another degree than
-    the slot's running sum raises InhomogeneousError, unless that sum is 0.
+    The table holds slot (k, l)'s packed value at k (order + 1) + l, so a
+    product, weighted, lands at the sum of its factors' indices.  The right
+    slots come by total degree, so the walk stops at the first beyond the
+    order.
     """
     room = order - k1 - l1
     base = k1 * (order + 1) + l1
     over_k, over_l = _binomials(k1, order), _binomials(l1, order)
-    for degree, k2, l2, offset, q, m in right:
+    for degree, k2, l2, index, q in right:
         if degree > room:
             break
-        i = base + offset
-        count = n + m - 1
-        term = p * q * over_k[k2] * over_l[l2]
-        if lens[i] == count:
-            vals[i] += term
-        elif vals[i]:
-            # two degrees meet in a slot that has not cancelled: Poly2 addition raises
-            slot = divmod(i, order + 1)
-            _unpack((vals[i], lens[i]), width, slot) + _unpack((term, count), width, slot)
-        else:
-            vals[i], lens[i] = term, count
+        vals[base + index] += p * q * over_k[k2] * over_l[l2]
 
 
-def _slots(vals: list[int], lens: list[int], order: int) -> dict[Slot, Packed]:
+def _slots(vals: list[int], order: int) -> Slots:
     """The nonzero slots of a slot table."""
-    return {divmod(i, order + 1): (v, lens[i]) for i, v in enumerate(vals) if v}
+    return {divmod(i, order + 1): v for i, v in enumerate(vals) if v}
 
 
 def truncate(s: Series2, order: int) -> Series2:
@@ -342,11 +338,12 @@ def truncate(s: Series2, order: int) -> Series2:
     if order > s.order:
         raise ValueError("cannot raise the truncation order of a computed series")
     kept = {slot: c for slot, c in s._coeffs.items() if sum(slot) <= order}
-    return Series2._built(order, kept, s._bounds[: order + 1], s._width)
+    return Series2._built(order, s.offset, kept, s._bounds[: order + 1], s._width)
 
 
 def swap_xy(s: Series2) -> Series2:
-    return Series2._built(s.order, {(l, k): c for (k, l), c in s._coeffs.items()}, s._bounds, s._width)
+    swapped = {(l, k): c for (k, l), c in s._coeffs.items()}
+    return Series2._built(s.order, s.offset, swapped, s._bounds, s._width)
 
 
 def deriv_x(s: Series2) -> Series2:
@@ -354,7 +351,7 @@ def deriv_x(s: Series2) -> Series2:
     if s.order == 0:
         raise ValueError("cannot differentiate an order-0 truncation in x")
     shifted = {(k - 1, l): c for (k, l), c in s._coeffs.items() if k}
-    return Series2._built(s.order - 1, shifted, s._bounds[1:], s._width)
+    return Series2._built(s.order - 1, s.offset - 1, shifted, s._bounds[1:], s._width)
 
 
 def deriv_y(s: Series2) -> Series2:
@@ -365,54 +362,57 @@ def deriv_y(s: Series2) -> Series2:
 
 def deriv_t(s: Series2) -> Series2:
     """d/dt acts on coefficients and keeps the truncation order."""
-    return Series2(s.order, {slot: s.coeff(*slot).deriv_t() for slot in s._coeffs})
+    polys = {slot: s.coeff(*slot).deriv_t() for slot in s._coeffs}
+    return Series2._built(s.order, s.offset + 1, *_pack_slots(polys, s.order, s._width), s._width)
 
 
 def exp_series(p: Poly2 | int, order: int) -> Series2:
-    """e^{p x} for a polynomial p in alpha and t, in closed form.
+    """e^{p x} for p = 0 or p of degree 1 in alpha and t, in closed form.
 
-    Its stored coefficient k! [x^k] is p^k, so nothing divides.  The
-    families' other exponentials are its ``swap_xy`` (e^{p y}) and its
-    products (e^{a x + b y} = e^{a x} e^{b y}).
+    Its stored coefficient k! [x^k] is p^k, of degree k (offset 0), so
+    nothing divides.  The families' other exponentials are its ``swap_xy``
+    (e^{p y}) and its products (e^{a x + b y} = e^{a x} e^{b y}).
     """
     p = p if isinstance(p, Poly2) else Poly2.constant(p)
-    base, n = _pack(p.coeffs, _width(order)) if p else (0, 1)
-    coeffs = {(k, 0): (base**k, k * (n - 1) + 1) for k in range(order + 1 if p else 1)}
+    if p and len(p.coeffs) != 2:
+        raise ValueError(f"exp_series takes p = 0 or p of degree 1, not {p}")
+    base = _pack(p.coeffs, _width(order))
+    coeffs = {(k, 0): base**k for k in range(order + 1 if p else 1)}
     rate = sum(map(abs, p.coeffs))
-    return Series2._built(order, coeffs, tuple(rate**d for d in range(order + 1)))
+    return Series2._built(order, 0, coeffs, tuple(rate**d for d in range(order + 1)), _width(order))
 
 
 def inv_series(s: Series2) -> Series2:
-    """Multiplicative inverse of a series with constant coefficient 1.
+    """Multiplicative inverse of a series of offset 0 with constant coefficient 1.
 
     With r = 1 - s, which has no constant term, the inverse b solves
     b = 1 + r b: in order of total degree, each slot of b is complete when
     reached, and its products with r are added to the slots above it.
     """
-    if s._coeffs.get((0, 0)) != (1, 1):
+    if s.offset or s._coeffs.get((0, 0)) != 1:
         raise ValueError("inverse needs constant coefficient 1")
     order = s.order
-    right = _by_degree({slot: (-v, n) for slot, (v, n) in s._coeffs.items() if slot != (0, 0)}, order)
-    vals, lens = [0] * (order + 1) ** 2, [0] * (order + 1) ** 2
-    vals[0] = lens[0] = 1
+    right = _by_degree({slot: -v for slot, v in s._coeffs.items() if slot != (0, 0)}, order)
+    vals = [0] * (order + 1) ** 2
+    vals[0] = 1
     for degree in range(order + 1):
         for k in range(degree + 1):
             i = k * (order + 1) + degree - k
             if vals[i]:
-                _push(vals, lens, order, s._width, k, degree - k, vals[i], lens[i], right)
+                _push(vals, order, k, degree - k, vals[i], right)
     bounds = _egf_inverse((0,) + s._bounds[1:])
-    return Series2._built(order, _slots(vals, lens, order), bounds, s._width)
+    return Series2._built(order, 0, _slots(vals, order), bounds, s._width)
 
 
 def eta_linear(order: int) -> Series2:
     """eta(x) with eta(z) = sum_{d>=1} alpha^(d-1) z^d / d!.
 
     Built termwise, so nothing ever divides by alpha: the normalized
-    coefficient at (d, 0) is alpha^(d-1).  eta(y) is its ``swap_xy``.
+    coefficient at (d, 0) is alpha^(d-1), of offset 1.  eta(y) is its ``swap_xy``.
     """
     width = _width(order)
-    coeffs = {(d, 0): (1 << width * (d - 1), d) for d in range(1, order + 1)}
-    return Series2._built(order, coeffs, (0,) + (1,) * order)
+    coeffs = {(d, 0): 1 << width * (d - 1) for d in range(1, order + 1)}
+    return Series2._built(order, 1, coeffs, (0,) + (1,) * order, width)
 
 
 def _diagonal(s: Series2) -> Series2:
@@ -421,23 +421,25 @@ def _diagonal(s: Series2) -> Series2:
     The copy keeps s's per-degree bounds, which bound each slot of a degree.
     """
     coeffs = {(k, n - k): c for (n, _), c in s._coeffs.items() for k in range(n + 1)}
-    return Series2._built(s.order, coeffs, s._bounds, s._width)
+    return Series2._built(s.order, s.offset, coeffs, s._bounds, s._width)
 
 
 def subst_h_series(s: Series2) -> Series2:
     """Apply the alpha -> alpha - t substitution to every coefficient, in s's fields."""
-    return Series2(s.order, {slot: h_from_f(s.coeff(*slot)) for slot in s._coeffs})._at(s._width)
+    polys = {slot: h_from_f(s.coeff(*slot)) for slot in s._coeffs}
+    return Series2._built(s.order, s.offset, *_pack_slots(polys, s.order, s._width), s._width)
 
 
 def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
     """Smallest slot, in (k+l, k) order, where two series differ.
 
-    The difference returned is that of the stored k! l! coefficients.
+    The difference returned is that of the stored k! l! coefficients.  Two
+    series of different offsets differ at every slot either holds.
     """
     a, b = a._aligned(b)
     slots = sorted(set(a._coeffs) | set(b._coeffs), key=lambda s: (sum(s), s))
     for k, l in slots:
-        if a._coeffs.get((k, l)) != b._coeffs.get((k, l)):
+        if a._coeffs.get((k, l)) != b._coeffs.get((k, l)) or a.offset != b.offset:
             return (k, l, a.coeff(k, l) - b.coeff(k, l))
     return None
 
@@ -653,7 +655,7 @@ def _drop_one_term(s: Series2) -> Series2:
         raise ValueError("series has no slot of total degree >= 2 to drop")
     victim = min(slots, key=lambda slot: (sum(slot), slot))
     kept = {slot: c for slot, c in s._coeffs.items() if slot != victim}
-    return Series2._built(s.order, kept, s._bounds, s._width)
+    return Series2._built(s.order, s.offset, kept, s._bounds, s._width)
 
 
 def identity_suite(
@@ -690,9 +692,9 @@ def identity_suite(
     st_l, nb_l, bb_l, phi_l = (truncate(s, low) for s in (st_h, nb_h, bb_h, phi))
     pe_l = subst_h_series(truncate(pe, low))
     sum_l = _diagonal(subst_h_series(truncate(family_f("pe", order), low)))
-    grow_l = swap_xy(exp_series(apt, low))
+    grow_l = truncate(swap_xy(exp_series(apt, order)), low)
     grow_phi = grow_l * phi_l
-    x_l, y_l = Series2.monomial(low, 1, 0), Series2.monomial(low, 0, 1)
+    x_l, y_l = truncate(x, low), truncate(y, low)
 
     checks: list[tuple[str, Series2, Series2]] = [
         ("I1", deriv_t(pe), pe * pe),

@@ -17,6 +17,24 @@ import subprocess
 import sys
 
 CORRUPTIBLE = ("pe", "st", "nabla-because", "because-because")
+FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
+# the named shapes of the benchmark's single-graph workload, larger graphs,
+# a spec that does not parse and one over the 20-node limit (both exit 2)
+GRAPHS = (
+    "path:12",
+    "bipartite:4,4",
+    "complete:9",
+    "join(complete:4,empty:5)",
+    "star:9",
+    "join(star:3,empty:5)",
+    "join(star:4,empty:4)",
+    "bipartite:10,10",
+    "complete:13",
+    "star:12",
+    "cycle:20",
+    "bogus:3",
+    "path:21",
+)
 
 
 def argvs() -> list[list[str]]:
@@ -29,7 +47,9 @@ def argvs() -> list[list[str]]:
     ]
     out += [["verify", "--family", "all", "--max-order", str(n)] for n in (0, 4, 8, 12, 16)]
     out += [["gal-scan", "--family", "all", "--bound", str(n)] for n in (1, 4, 8, 12, 16)]
+    out += [["gal-scan", "--family", fam, "--bound", "8"] for fam in FAMILIES]
     out += [["gal-scan", "--graph-class", "connected", "--nodes", str(n)] for n in range(1, 8)]
+    out += [["invariants", "--graph", spec] for spec in GRAPHS]
     return out
 
 

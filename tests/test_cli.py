@@ -9,8 +9,9 @@ import json
 import os
 import subprocess
 import sys
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -154,10 +155,9 @@ def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
 
 
 def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:
-    # Doubling the gamma basis leaves a residual on any h-polynomial with
-    # a nonzero gamma_0, here the triangle's.
-    basis = algebra._gamma_basis
-    monkeypatch.setattr(algebra, "_gamma_basis", lambda i, n: basis(i, n) * 2)
+    # Doubling the binomials of the gamma basis leaves a residual on any
+    # h-polynomial with a nonzero gamma_0, here the triangle's.
+    monkeypatch.setattr(algebra, "comb", lambda m, k: 2 * comb(m, k))
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
     assert (code, out) == (1, "")
     assert err.startswith(
@@ -185,20 +185,21 @@ def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:
 def test_a_series_slot_of_the_wrong_length_exits_one(
     capsys, monkeypatch, cold_series_caches, argv: list[str], message: str
 ) -> None:
-    # A kernel that pads every slot by one coefficient after each row it
-    # adds leaves slots of two degrees meeting in one sum.  The arguments
-    # were valid, so that is the series arithmetic's failure (1), named in
-    # one line, not bad input (2).
+    # A kernel that adds a digit far above every slot's last after each row
+    # leaves slots that decode to more digits than their degree allows.
+    # The arguments were valid, so that is the series arithmetic's failure
+    # (1), named in one line, not bad input (2).
     plain = series._push
 
-    def padded(vals, lens, *row) -> None:
-        plain(vals, lens, *row)
-        lens[:] = [n + 1 if n else 0 for n in lens]
+    def padded(vals, *row) -> None:
+        plain(vals, *row)
+        vals[:] = [v + (1 << 4096) if v else 0 for v in vals]
 
     monkeypatch.setattr(series, "_push", padded)
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
-    assert err.startswith(message + "mixed total degrees ")
+    assert err.startswith(message + "slot (")
+    assert "-bit fields\n" in err
     assert err.count("\n") == 1
 
 
@@ -391,38 +392,48 @@ def test_gal_scan_usage_errors(capsys) -> None:
     )
 
 
-def _doctor_pe_h(monkeypatch, p: Poly2) -> None:
-    """Make the CLI's pe h-series carry p at (3, 0), the hexagon's index."""
+def _doctor_pe_h(monkeypatch, doctor: Callable[[series.Series2], series.Series2]) -> None:
+    """Make the CLI's pe h-series doctor(s) in place of s."""
     plain = cli.family_h
 
     def doctored(fam_id: str, order: int) -> series.Series2:
         s = plain(fam_id, order)
-        if fam_id != "pe":
-            return s
-        return series.Series2(s.order, {**dict(s.items()), (3, 0): p})
+        return doctor(s) if fam_id == "pe" else s
 
     monkeypatch.setattr(cli, "family_h", doctored)
 
 
+def _with_hexagon(p: Poly2) -> Callable[[series.Series2], series.Series2]:
+    """A doctor that puts p at (3, 0), the hexagon's index."""
+    return lambda s: series.Series2(s.order, {**dict(s.items()), (3, 0): p})
+
+
 @pytest.mark.parametrize(
-    "p",
+    "doctor, index",
     [
-        Poly2.zero(),
-        power(Poly2.alpha(), 2) + 4 * Poly2.alpha() * Poly2.t() + 2 * power(Poly2.t(), 2),
-        power(Poly2.alpha() + Poly2.t(), 3),
+        (_with_hexagon(Poly2.zero()), "(3, 0)"),
+        (
+            _with_hexagon(
+                power(Poly2.alpha(), 2) + 4 * Poly2.alpha() * Poly2.t() + 2 * power(Poly2.t(), 2)
+            ),
+            "(3, 0)",
+        ),
+        # a whole series of offset 0, one above pe's grading: its first
+        # coefficient, at (1, 0), has the wrong degree
+        (lambda s: s * (Poly2.alpha() + Poly2.t()), "(1, 0)"),
     ],
     ids=["dropped", "asymmetric", "wrong-degree"],
 )
 def test_a_family_coefficient_with_no_gamma_vector_exits_one(
-    capsys, monkeypatch, p: Poly2
+    capsys, monkeypatch, doctor: Callable[[series.Series2], series.Series2], index: str
 ) -> None:
     # The series was built from valid arguments, so a coefficient with no
     # gamma vector is its failure (1), named in one line by family and
     # index, and nothing is written to stdout.
-    _doctor_pe_h(monkeypatch, p)
+    _doctor_pe_h(monkeypatch, doctor)
     code, out, err = _run(capsys, ["gal-scan", "--family", "all", "--bound", "4"])
     assert (code, out) == (1, "")
-    assert err.startswith("error: h-series of pe at (3, 0): ")
+    assert err.startswith(f"error: h-series of pe at {index}: ")
     assert err.count("\n") == 1
 
 
@@ -682,7 +693,7 @@ def test_gal_scan_negative_control_digests(capsys, monkeypatch, scan: str, fmt: 
     # pe (3, 0), or of the triangle's h-polynomial: a negative gamma entry
     # is a finding, written out with exit 1.
     if scan == "family":
-        _doctor_pe_h(monkeypatch, _NON_GAL)
+        _doctor_pe_h(monkeypatch, _with_hexagon(_NON_GAL))
         argv = ["gal-scan", "--family", "all", "--bound", "4"]
     else:
         plain, triangle = cli.hpoly, nestohedra.complete_graph(3)

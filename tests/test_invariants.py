@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
 
 import pytest
 
@@ -128,23 +129,29 @@ def _pe_h_with_hexagon(p: Poly2) -> Series2:
 
 
 @pytest.mark.parametrize(
-    "p, error",
+    "doctored, error",
     [
-        (power(A, 2) + 4 * A * T + 2 * power(T, 2), "not symmetric in alpha and t: a^2 + 4*a*t + 2*t^2"),
-        (power(A + T, 3), "expected degree 2, got 3"),
-        (power(A, 2) + power(T, 2), None),
+        (
+            lambda: _pe_h_with_hexagon(power(A, 2) + 4 * A * T + 2 * power(T, 2)),
+            "(3, 0): not symmetric in alpha and t: a^2 + 4*a*t + 2*t^2",
+        ),
+        # offset 0, one above pe's grading: the first coefficient is off
+        (lambda: family_h("pe", 3) * (A + T), "(1, 0): expected degree 0, got 1"),
+        (lambda: _pe_h_with_hexagon(power(A, 2) + power(T, 2)), None),
     ],
     ids=["asymmetric", "wrong-degree", "negative-gamma"],
 )
-def test_gal_check_series_reports_each_fault_once(p: Poly2, error: str | None) -> None:
+def test_gal_check_series_reports_each_fault_once(
+    doctored: Callable[[], Series2], error: str | None
+) -> None:
     # A coefficient with no gamma vector is the series' fault and raises,
     # naming the family and index; a negative gamma entry is a finding and
     # is reported in that index's result.
-    series_h = _pe_h_with_hexagon(p)
+    series_h = doctored()
     if error is not None:
         with pytest.raises(ArithmeticError) as excinfo:
             gal_check_series(series_h, "pe")
-        assert str(excinfo.value) == "h-series of pe at (3, 0): " + error
+        assert str(excinfo.value) == "h-series of pe at " + error
         return
     results = gal_check_series(series_h, "pe")
     assert [(index, r.witness) for index, r in results.items() if not r.passed] == [

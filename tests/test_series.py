@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from math import comb
 
 import pytest
@@ -110,7 +111,14 @@ def test_exp_series_frozen_coefficients() -> None:
     assert grow.coeff(0, 0) == Poly2.one()
     assert grow.coeff(2, 0) == power(A + T, 2)
     assert [slot for slot, _ in grow.items()] == [(0, 0), (1, 0), (2, 0), (3, 0)]
-    assert exp_series(-2, 3).coeff(3, 0) == Poly2.constant(-8)
+    assert exp_series(-T, 3).coeff(3, 0) == -power(T, 3)
+    assert exp_series(0, 3) == Series2.one(3)
+    assert grow.offset == exp_series(0, 3).offset == 0
+    # a constant p != 0 puts degree 0 at every slot, off any grading
+    for p in (-2, Poly2.one(), A * T):
+        message = f"exp_series takes p = 0 or p of degree 1, not {p}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exp_series(p, 3)
 
 
 def _homogeneous(degree: int) -> st.SearchStrategy[Poly2]:
@@ -124,11 +132,10 @@ def _homogeneous(degree: int) -> st.SearchStrategy[Poly2]:
 @given(data=st.data())
 def test_exp_series_equals_the_power_sum_witness(data) -> None:
     # e^{a x} e^{b y}, each in closed form, against the sum of
-    # (a x + b y)^m / m!, for a and b of equal or different degrees,
-    # either of them zero
+    # (a x + b y)^m / m!, for a and b of degree 1, either of them zero
     order = data.draw(st.integers(0, 10))
-    a = data.draw(st.integers(0, 3).flatmap(_homogeneous))
-    b = data.draw(st.integers(0, 3).flatmap(_homogeneous))
+    a = data.draw(_homogeneous(1))
+    b = data.draw(_homogeneous(1))
     s = Series2.monomial(order, 1, 0, a) + Series2.monomial(order, 0, 1, b)
     assert exp_series(a, order) * swap_xy(exp_series(b, order)) == power_sum_exp(s)
 
@@ -143,6 +150,9 @@ def test_inv_series_frozen_coefficients() -> None:
     assert (inv * denom) == Series2.one(order)
     with pytest.raises(ValueError):
         inv_series(Series2.monomial(3, 1, 0))
+    # t at (0, 0) packs to 1 as the constant 1 does, but its offset is -1
+    with pytest.raises(ValueError, match="^inverse needs constant coefficient 1$"):
+        inv_series(Series2.monomial(3, 0, 0, T))
 
 
 @pytest.mark.parametrize("order", range(2, 11))
@@ -166,24 +176,22 @@ def test_the_diagonal_denominator_equals_the_two_variable_inverse(order: int) ->
 
 
 @st.composite
-def graded_series(
-    draw,
-    order: int,
-    grading: tuple[int, int],
-    base: int,
-    coefficients: st.SearchStrategy[int] = st.integers(-3, 3),
-) -> Series2:
-    """A random series whose slot (k, l) is homogeneous of degree base + a k + b l."""
-    a, b = grading
+def graded_series(draw, order: int, offset: int) -> Series2:
+    """A random series whose slot (k, l) is homogeneous of degree k + l - offset."""
     coeffs = {}
     for k in range(order + 1):
         for l in range(order + 1 - k):
-            if draw(st.booleans()):
-                n = base + a * k + b * l
+            n = k + l - offset
+            if n >= 0 and draw(st.booleans()):
                 coeffs[(k, l)] = Poly2.from_coeffs(
-                    draw(st.lists(coefficients, min_size=n + 1, max_size=n + 1))
+                    draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
                 )
-    return Series2(order, coeffs)
+    s = Series2(order, coeffs)
+    assert s.offset == (offset if s else 0)
+    return s
+
+
+_OFFSETS = st.integers(-2, 2)
 
 
 def _mirror_x(s: Series2) -> Series2:
@@ -196,20 +204,48 @@ def _unit(order: int, tail: Series2) -> Series2:
     return Series2(order, [(s, p) for s, p in tail.items() if s != (0, 0)] + [((0, 0), Poly2.one())])
 
 
+def _rogue_slot_is_refused(data, s: Series2, offset: int) -> None:
+    """s with one slot redrawn a degree above the grading of offset is refused.
+
+    The constructor reads the grading off the first slot in (k + l, k)
+    order, so it names the rogue slot, or the slot after it when the rogue
+    slot comes first; a rogue slot alone is a series of its own grading.
+    """
+    order = s.order
+    slots = [(k, l) for k in range(order + 1) for l in range(order + 1 - k) if k + l >= offset - 1]
+    if not slots:
+        return
+    k, l = data.draw(st.sampled_from(slots))
+    n = k + l - offset + 1
+    rogue = Poly2.from_coeffs(
+        data.draw(st.lists(st.integers(1, 3), min_size=n + 1, max_size=n + 1))
+    )
+    polys = {**dict(s.items()), (k, l): rogue}
+    first, *rest = sorted(polys, key=lambda slot: (sum(slot), slot))
+    if not rest:
+        assert Series2(s.order, polys).offset == offset - 1
+        return
+    named = rest[0] if first == (k, l) else (k, l)
+    with pytest.raises(ValueError, match=rf"^slot \({named[0]}, {named[1]}\) of degree "):
+        Series2(s.order, polys)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_product_and_inverse_agree_with_the_raw_series_witness(data) -> None:
     # The binomial product of the stored k! l! coefficients against the
     # plain product of [x^k y^l] over Fraction, and the same for the
-    # inverse.  s(x) s(-x) is even in x, so its odd slots cancel, and
-    # inverting an inverse cancels every slot the sparse unit lacks.
+    # inverse; the witness knows no degrees, so a slot decoded with a wrong
+    # digit count shows.  s(x) s(-x) is even in x, so its odd slots cancel,
+    # and inverting an inverse cancels every slot the sparse unit lacks.
     order = data.draw(st.integers(0, 4))
-    grading = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
-    left = data.draw(graded_series(order, grading, data.draw(st.integers(0, 2))))
-    right = data.draw(graded_series(order, grading, data.draw(st.integers(0, 2))))
+    left = data.draw(graded_series(order, data.draw(_OFFSETS)))
+    right = data.draw(graded_series(order, data.draw(_OFFSETS)))
     for a, b in ((left, right), (left, _mirror_x(left))):
-        assert raw_from_series(a * b) == raw_mul(raw_from_series(a), raw_from_series(b), order)
-    tail = data.draw(graded_series(order, grading, 0))
+        product = a * b
+        assert raw_from_series(product) == raw_mul(raw_from_series(a), raw_from_series(b), order)
+        assert product.offset == a.offset + b.offset
+    tail = data.draw(graded_series(order, 0))
     unit = _unit(order, tail)
     inverse = inv_series(unit)
     assert raw_from_series(inverse) == raw_inv(raw_from_series(unit), order)
@@ -235,96 +271,74 @@ def _all_pairs_product(a: Series2, b: Series2) -> dict:
 def test_slot_products_equal_the_all_pairs_product(data) -> None:
     # The product walks the right operand by total degree and stops each
     # left slot at the truncation order; the reference visits every pair.
-    # A rogue left slot one degree off makes each product slot it reaches
-    # mix degrees, which both must refuse; positive coefficients keep
-    # such a slot from cancelling to zero before the rogue term lands.
+    # A factor with a rogue slot one degree off its grading is refused
+    # where it is built, so no product ever sees it.
     order = data.draw(st.integers(0, 5))
-    grading = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
-    rogue = data.draw(st.booleans())
-    coefficients = st.integers(1, 3) if rogue else st.integers(-3, 3)
-    base = data.draw(st.integers(0, 2))
-    left = data.draw(graded_series(order, grading, base, coefficients))
-    right = data.draw(graded_series(order, grading, data.draw(st.integers(0, 2)), coefficients))
-    if rogue:
-        k = data.draw(st.integers(0, order))
-        l = data.draw(st.integers(0, order - k))
-        n = base + grading[0] * k + grading[1] * l + 1
-        slots = dict(left.items())
-        slots[(k, l)] = Poly2.from_coeffs(
-            data.draw(st.lists(coefficients, min_size=n + 1, max_size=n + 1))
-        )
-        left = Series2(order, slots)
-    try:
-        expected = _all_pairs_product(left, right)
-    except InhomogeneousError:
-        with pytest.raises(InhomogeneousError):
-            left * right
-        return
-    assert dict((left * right).items()) == expected
-
-
-def _with_rogue_slot(data, s: Series2, grading, base: int, coefficients) -> Series2:
-    """s with one slot off the constant one redrawn a degree above its grading."""
-    k = data.draw(st.integers(0, s.order))
-    l = data.draw(st.integers(0, s.order - k))
-    if (k, l) == (0, 0):
-        return s
-    n = base + grading[0] * k + grading[1] * l + 1
-    slots = dict(s.items())
-    slots[(k, l)] = Poly2.from_coeffs(
-        data.draw(st.lists(coefficients, min_size=n + 1, max_size=n + 1))
-    )
-    return Series2(s.order, slots)
-
-
-def _same_outcome(packed, listed, *args) -> None:
-    """Both kernels give the same series, or both refuse mixed degrees."""
-    try:
-        expected = listed(*args)
-    except InhomogeneousError:
-        with pytest.raises(InhomogeneousError, match=r"^mixed total degrees \["):
-            packed(*args)
-    else:
-        assert packed(*args) == expected
+    offset = data.draw(_OFFSETS)
+    left = data.draw(graded_series(order, offset))
+    right = data.draw(graded_series(order, data.draw(_OFFSETS)))
+    assert dict((left * right).items()) == _all_pairs_product(left, right)
+    _rogue_slot_is_refused(data, left, offset)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_the_packed_kernel_equals_the_list_kernel(data) -> None:
     # Products of random signed graded series, s(x) s(-x) among them, whose
-    # odd slots cancel, and inverses.  Then a rogue slot one degree off in
-    # a factor, or in the series inverted: its coefficients have one sign
-    # (negative in the inverted series, so that 1 - s is positive), which
-    # keeps any slot from cancelling before the rogue term lands, whatever
-    # order the kernels visit the terms in.
+    # odd slots cancel, and inverses.  A rogue slot one degree off the
+    # grading of a factor, or of the series inverted, is refused where the
+    # series is built.
     order = data.draw(st.integers(0, 4))
-    grading = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
-    base = data.draw(st.integers(0, 2))
-    left = data.draw(graded_series(order, grading, base))
-    right = data.draw(graded_series(order, grading, data.draw(st.integers(0, 2))))
+    offset = data.draw(_OFFSETS)
+    left = data.draw(graded_series(order, offset))
+    right = data.draw(graded_series(order, data.draw(_OFFSETS)))
     for a, b in ((left, right), (left, _mirror_x(left)), (right, left)):
         assert a * b == list_product(a, b)
-    unit = _unit(order, data.draw(graded_series(order, grading, 0)))
+    unit = _unit(order, data.draw(graded_series(order, 0)))
     assert inv_series(unit) == list_inv_series(unit)
-
-    positive = data.draw(graded_series(order, grading, base, st.integers(1, 3)))
-    rogue = _with_rogue_slot(data, positive, grading, base, st.integers(1, 3))
-    _same_outcome(Series2.__mul__, list_product, rogue, positive)
-    _same_outcome(Series2.__mul__, list_product, positive, rogue)
-    tail = data.draw(graded_series(order, grading, 0, st.integers(-3, -1)))
-    negative = _with_rogue_slot(data, tail, grading, 0, st.integers(-3, -1))
-    _same_outcome(inv_series, list_inv_series, _unit(order, negative))
+    _rogue_slot_is_refused(data, left, offset)
+    _rogue_slot_is_refused(data, unit, 0)
 
 
-def test_a_product_slot_that_mixes_degrees_raises() -> None:
-    # (1 + alpha x)(1 + x): the slot x gets alpha and 1
-    a = Series2(2, {(0, 0): Poly2.one(), (1, 0): A})
-    b = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one()})
+def test_series_off_one_grading_are_refused() -> None:
+    # 1 + x: the constant sets offset 0, so x of degree 0 is off it
+    with pytest.raises(ValueError, match=r"^slot \(1, 0\) of degree 0 is off grading offset 0$"):
+        Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one()})
+    # the first slot in (k + l, k) order sets the grading, in any input order
+    with pytest.raises(ValueError, match=r"^slot \(1, 1\) of degree 0 is off grading offset 0$"):
+        Series2(3, {(1, 1): Poly2.one(), (1, 0): A, (0, 1): T})
+    # nonzero series of two gradings do not add, nor compare slot by slot
+    with pytest.raises(ValueError, match="^grading offsets 1 and 0 do not add$"):
+        eta_linear(2) + Series2.one(2)
+    with pytest.raises(ValueError, match="^grading offsets 0 and 1 do not add$"):
+        Series2.one(2) - eta_linear(2)
+    # 1 and t pack alike at (0, 0); their offsets tell them apart
+    assert Series2.one(2) != Series2.monomial(2, 0, 0, T)
+    assert first_mismatch(eta_linear(2), Series2.one(2)) == (0, 0, -Poly2.one())
     with pytest.raises(InhomogeneousError, match=r"^mixed total degrees \[0, 1\]"):
-        a * b
-    # 1 / (1 - x - alpha x^2/2): the slot x^2 gets 2 (from x times x) and alpha
-    with pytest.raises(InhomogeneousError, match=r"^mixed total degrees \[0, 1\]"):
-        inv_series(Series2(2, {(0, 0): Poly2.one(), (1, 0): -Poly2.one(), (2, 0): -A}))
+        first_mismatch(Series2.one(2), Series2.monomial(2, 0, 0, T))
+    # the zero series matches any grading
+    assert (Series2(2) + eta_linear(2)).offset == (eta_linear(2) - Series2(2)).offset == 1
+    assert eta_linear(2) + Series2(2) == eta_linear(2)
+
+
+def test_each_operation_derives_its_offset() -> None:
+    # slot (k, l) has degree k + l - offset: a product adds offsets, a
+    # scalar of degree d subtracts d, d/dx subtracts 1, d/dt adds 1, and a
+    # monomial p at (k, l) has offset k + l - deg p
+    pe = family_f("pe", 4)
+    assert (pe * pe).offset == 2
+    assert (pe * (A * T)).offset == -1
+    assert (pe * 3).offset == 1
+    assert deriv_x(pe).offset == 0
+    assert series.deriv_y(swap_xy(pe)).offset == 0
+    assert deriv_t(pe).offset == 2
+    assert Series2.monomial(4, 2, 1, A * T).offset == 1
+    assert Series2.monomial(4, 5, 0, A).offset == 4
+    for same in (truncate(pe, 2), swap_xy(pe), series._diagonal(pe), subst_h_series(pe)):
+        assert same.offset == 1
+    assert series._drop_one_term(pe).offset == 1
+    assert inv_series(Series2.one(4) - eta_linear(4) * T).offset == 0
 
 
 def test_the_fields_hold_every_coefficient_of_the_largest_order(
@@ -363,29 +377,25 @@ def test_coefficients_that_outgrow_the_fields_raise() -> None:
         half * half
     # a packed slot with a digit beyond its count names itself on decoding
     s = Series2.monomial(4, 2, 1, A + T)
-    s._coeffs[(2, 1)] = (1 << 2 * series._width(4), 2)
+    s._coeffs[(2, 1)] = 1 << 2 * series._width(4)
     with pytest.raises(ArithmeticError, match=r"^slot \(2, 1\) does not fit"):
         s.coeff(2, 1)
 
 
 def test_a_slot_that_cancels_is_dropped() -> None:
-    # (1 + x)(1 - x) = 1 - x^2, stored as 1 - 2 x^2/2!
-    one_plus_x = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one()})
-    one_minus_x = Series2(2, {(0, 0): Poly2.one(), (1, 0): -Poly2.one()})
-    product = one_plus_x * one_minus_x
+    # (1 + t x)(1 - t x) = 1 - t^2 x^2, stored as 1 - 2 t^2 x^2/2!
+    one_plus = Series2(2, {(0, 0): Poly2.one(), (1, 0): T})
+    one_minus = Series2(2, {(0, 0): Poly2.one(), (1, 0): -T})
+    product = one_plus * one_minus
     assert [slot for slot, _ in product.items()] == [(0, 0), (2, 0)]
     assert product.coeff(1, 0) == Poly2.zero()
-    assert product.coeff(2, 0) == Poly2.constant(-2)
-    # 1 / (1 + x + x^2) = (1 - x) / (1 - x^3) = 1 - x + x^3 - ..., with no x^2
+    assert product.coeff(2, 0) == -2 * power(T, 2)
+    # 1 / (1 + z + z^2) = (1 - z) / (1 - z^3) = 1 - z + z^3 - ... at
+    # z = t x, with no x^2
     one = Poly2.one()
-    inv = inv_series(Series2(3, {(0, 0): one, (1, 0): one, (2, 0): Poly2.constant(2)}))
-    assert inv.items() == [((0, 0), one), ((1, 0), -one), ((3, 0), Poly2.constant(6))]
+    inv = inv_series(Series2(3, {(0, 0): one, (1, 0): T, (2, 0): 2 * power(T, 2)}))
+    assert inv.items() == [((0, 0), one), ((1, 0), -T), ((3, 0), 6 * power(T, 3))]
     assert inv.coeff(2, 0).is_zero()
-    # a slot that has cancelled to zero takes a product of any degree, as
-    # the zero Poly2 does: at x^2, -2 and 2 cancel before alpha lands
-    a = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one(), (2, 0): A})
-    b = Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.one(), (2, 0): Poly2.constant(-2)})
-    assert a * b == Series2(2, {(0, 0): Poly2.one(), (1, 0): Poly2.constant(2), (2, 0): A})
 
 
 def test_series_the_module_builds_hold_no_zero_slot() -> None:
@@ -393,7 +403,8 @@ def test_series_the_module_builds_hold_no_zero_slot() -> None:
     # whose coefficient is zero, so they compare equal to checked ones
     one = Series2.one(3)
     assert deriv_t(one) == Series2(3)
-    assert deriv_t(one + Series2.monomial(3, 1, 0, A * T)).items() == [((1, 0), A)]
+    alpha_plus = Series2.monomial(3, 0, 0, A) + Series2.monomial(3, 1, 0, A * T)
+    assert deriv_t(alpha_plus).items() == [((1, 0), A)]
     assert exp_series(0, 3) == one
     assert truncate(series._diagonal(eta_linear(3)), 0) == Series2(0)
     assert deriv_x(Series2.monomial(3, 0, 2, A)) == Series2(2)
@@ -424,11 +435,27 @@ def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_
     assert all(l == 0 for _, l in inverted[0]._coeffs)
 
 
+def test_the_identity_suite_repacks_no_operand(monkeypatch, cold_series_caches) -> None:
+    # every operand is a series of the suite's order or a truncation of
+    # one, so it keeps that order's fields and no sum or product repacks it
+    repacked = []
+    plain = Series2._at
+
+    def counted(self: Series2, width: int) -> Series2:
+        if width != self._width:
+            repacked.append((self.order, self._width, width))
+        return plain(self, width)
+
+    monkeypatch.setattr(Series2, "_at", counted)
+    assert all(r.passed for r in identity_suite(8))
+    assert repacked == []
+
+
 def test_subst_h_series_matches_coefficientwise_substitution() -> None:
-    s = Series2.monomial(2, 1, 0, power(A, 2)) + Series2.monomial(2, 0, 1, T)
+    s = Series2.monomial(2, 1, 0, power(A, 2)) + Series2.monomial(2, 0, 1, A * T)
     h = subst_h_series(s)
     assert h.coeff(1, 0) == power(A - T, 2)
-    assert h.coeff(0, 1) == T
+    assert h.coeff(0, 1) == (A - T) * T
     # a truncation keeps the wider fields of its order, and so does its
     # substitution, so products with other truncations need no repacking
     low = truncate(family_f("pe", 6), 4)
@@ -501,6 +528,15 @@ def test_family_coefficients_are_homogeneous_of_family_dimension() -> None:
         series = family_f(fam_id, order)
         for k, l in spec.indices(order):
             assert homogeneous_degree(series.coeff(k, l)) == spec.dim(k, l), (fam_id, k, l)
+
+
+@pytest.mark.parametrize("fam", list(FAMILIES))
+def test_family_series_are_graded_by_the_family_offset(fam: str) -> None:
+    # zero series included: family_f of pe at order 0 has no slot, yet the
+    # operations that build it give it the family's offset
+    for order in range(17):
+        offsets = (family_f(fam, order).offset, family_h(fam, order).offset)
+        assert offsets == (FAMILIES[fam].offset,) * 2, order
 
 
 def test_family_coefficients_are_ints() -> None:

@@ -45,12 +45,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from nestohedra.algebra import (
-    GammaVector,
-    Poly2,
-    _gamma_basis,
-    homogeneous_degree,
-)
+from nestohedra.algebra import GammaVector, Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
@@ -803,6 +798,12 @@ def power(p: Poly2, exponent: int) -> Poly2:
 def poly_from_records(records: Iterable[Mapping[str, object]]) -> Poly2:
     """Inverse of ``Poly2.to_records``."""
     return Poly2({(int(r["i"]), int(r["j"])): int(r["c"]) for r in records})
+
+
+def _gamma_basis(i: int, n: int) -> Poly2:
+    """(alpha t)^i (alpha + t)^(n - 2i), expanded."""
+    m = n - 2 * i
+    return Poly2.from_coeffs((0,) * i + tuple(comb(m, k) for k in range(m + 1)) + (0,) * i)
 
 
 def h_from_gamma(gv: GammaVector) -> Poly2:
