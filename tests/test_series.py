@@ -114,7 +114,7 @@ def test_exp_series_frozen_coefficients() -> None:
     assert exp_series(-T, 3).coeff(3, 0) == -power(T, 3)
     assert exp_series(0, 3) == Series2.one(3)
     assert grow.offset == exp_series(0, 3).offset == 0
-    # a constant p != 0 puts degree 0 at every slot, off any grading
+    # e^{p x} stores p^k at (k, 0): of degree k only when p has degree 1
     for p in (-2, Poly2.one(), A * T):
         message = f"exp_series takes p = 0 or p of degree 1, not {p}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
