@@ -6,7 +6,7 @@ so a segment is alpha + 2t and a hexagon is alpha^2 + 6 alpha t + 6 t^2.
 Every polynomial the library builds is homogeneous, so a ``Poly2`` is
 stored densely: a nonzero polynomial of degree n is the tuple of its n + 1
 coefficients, entry i being that of alpha^i t^(n-i), and the zero
-polynomial is the empty tuple.  Products are list convolutions, sums are
+polynomial is the empty tuple.  Products are packed (below), sums are
 elementwise, and mixing total degrees raises ``InhomogeneousError``.
 
 Two changes of basis matter downstream.  Substituting alpha -> alpha - t
@@ -17,18 +17,29 @@ polynomial of degree n can in turn be rewritten over the basis
 gamma vector, the object whose nonnegativity is checked elsewhere.
 
 Coefficients are ints.  Face counts are integers, and the series module
-packs k! l! times each coefficient of an exponential generating function,
-an integer face polynomial too, into one int and builds a ``Poly2`` only
-where one is read, so no step of the library divides.  The one rational
-any command prints, the [x^k y^l] difference a failed identity reports,
-is formed where it is written, by the ``identities`` command in ``cli``.
+stores k! l! times each coefficient of an exponential generating function,
+an integer face polynomial too, and builds a ``Poly2`` only where one is
+read, so no step of the library divides.  The one rational any command
+prints, the [x^k y^l] difference a failed identity reports, is formed
+where it is written, by the ``identities`` command in ``cli``.
+
+The recursion in ``ringcalc``, the series slots and ``Poly2`` products
+hold a polynomial as one int, its value at alpha = 2^W and t = 1
+(Kronecker substitution, Harvey, arXiv:0712.4046): the coefficient of
+alpha^i sits in bits [i W, (i + 1) W).  Evaluation commutes with sums and
+products, so a product of polynomials is one product of ints, and an
+inverse of exponential generating functions is one recurrence on ints.
+The coefficients are read back as balanced digits in [-2^(W-1), 2^(W-1)),
+exact while every coefficient's absolute value stays below 2^(W-1); each
+caller picks W from a bound on its coefficients.  ``_pack``, ``_digits``
+and ``_egf_inverse`` are that format, shared by the three callers.
 """
 
 from __future__ import annotations
 
 from math import comb
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
 
@@ -43,6 +54,39 @@ __all__ = [
 ]
 
 Exponents = tuple[int, int]
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The value at alpha = 2^width of the coefficients, lowest first."""
+    value = 0
+    for c in reversed(coeffs):
+        if type(c) is not int:
+            raise TypeError(f"packed coefficients are integers, not {c!r}")
+        value = (value << width) + c
+    return value
+
+
+def _digits(value: int, width: int) -> list[int]:
+    """The balanced width-bit digits of value, lowest first, up to the top nonzero one."""
+    half, mask = 1 << width - 1, (1 << width) - 1
+    out = []
+    while value:
+        out.append(((value + half) & mask) - half)
+        value = (value - out[-1]) >> width
+    return out
+
+
+def _egf_inverse(r: Sequence[int]) -> list[int]:
+    """The b that solves b = 1 + r b, for exponential generating functions.
+
+    Entry n of r and of b is n! times its coefficient of z^n, and r[0] is
+    taken as zero.  Entries may be packed polynomials, since the
+    recurrence only adds and multiplies.
+    """
+    b = [1]
+    for n in range(1, len(r)):
+        b.append(sum(comb(n, j) * r[j] * b[n - j] for j in range(1, n + 1)))
+    return b
 
 
 class InhomogeneousError(ValueError):
@@ -175,15 +219,10 @@ class Poly2:
         a, b = self._terms, other._terms
         if not a or not b:
             return Poly2.zero()
-        # the outer loop skips zeros, so run it over the sparser factor
-        if len(a) - a.count(0) > len(b) - b.count(0):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    out[k] += x * y
-        return Poly2.from_coeffs(out)
+        # no product coefficient exceeds the product of the absolute sums
+        width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
+        out = _digits(_pack(a, width) * _pack(b, width), width)
+        return Poly2.from_coeffs(out + [0] * (len(a) + len(b) - 1 - len(out)))
 
     def __rmul__(self, other: int) -> "Poly2":
         return self.__mul__(other)

@@ -24,14 +24,13 @@ class, and C is grown one class at a time through the class quotient,
 with counts chosen only inside classes of two or more nodes of W.  On a
 twin-free graph this is plain connected-set extension.
 
-Every face polynomial, product S(X) and partial sum is one packed int
-(Kronecker substitution, Harvey, arXiv:0712.4046): the coefficient of
-alpha^i sits in bits [i * _WIDTH, (i + 1) * _WIDTH).  Multiplying by
-(1 + alpha) or by alpha^k, adding and convolving are then single integer
-operations.  Every coefficient built is a partial sum of the face counts
-of a nestohedron on at most MAX_GROUND nodes, so it is at most the face
-count of the permutohedron, the ordered Bell number, and never carries
-into the next field.
+Every face polynomial, product S(X) and partial sum is one int, packed
+at W = _WIDTH as the ``algebra`` module docstring describes.  Multiplying
+by (1 + alpha) or by alpha^k, adding and convolving are then single
+integer operations.  Every coefficient built is a partial sum of the face
+counts of a nestohedron on at most MAX_GROUND nodes, so it is at most the
+face count of the permutohedron, the ordered Bell number, which stays
+below 2^(W-1) and never carries into the next field.
 
 ``FPolyCache`` shares results between graphs: each subproblem missed by
 the per-call mask memo is looked up, and stored, under the adjacency tuple
@@ -45,7 +44,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Optional
 
-from .algebra import Poly2
+from .algebra import Poly2, _digits, _egf_inverse
 from .buildingset import (
     MAX_GROUND,
     Graph,
@@ -59,27 +58,10 @@ from .buildingset import (
 __all__ = ["FPolyCache", "fpoly"]
 
 
-def _ordered_bell(n: int) -> int:
-    """Ordered set partitions of n items: the faces of the (n-1)-permutohedron."""
-    a = [1]
-    for m in range(1, n + 1):
-        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
-    return a[n]
-
-
-# bits per packed coefficient, one spare above the largest face count
-_WIDTH = _ordered_bell(MAX_GROUND).bit_length() + 1
-_FIELD = (1 << _WIDTH) - 1
+# bits per packed coefficient: the largest face count, the ordered Bell
+# number (1 / (2 - e^z), the permutohedron's), and a sign bit
+_WIDTH = _egf_inverse((0,) + (1,) * MAX_GROUND)[-1].bit_length() + 1
 _ONE_PLUS_ALPHA = 1 << _WIDTH | 1
-
-
-def _unpack(f: int) -> list[int]:
-    """The coefficients of a packed polynomial, up to its top nonzero one."""
-    out = []
-    while f:
-        out.append(f & _FIELD)
-        f >>= _WIDTH
-    return out
 
 
 class FPolyCache:
@@ -145,7 +127,7 @@ class _NestedSets:
             n = mask.bit_count()
             if f >> _WIDTH * (n - 1) != 1:
                 raise ArithmeticError(
-                    f"face counts of {graph_spec(Graph(key))} are {_unpack(f)}, "
+                    f"face counts of {graph_spec(Graph(key))} are {_digits(f, _WIDTH)}, "
                     f"not {n} entries ending in 1"
                 )
             self.cache.store(key, f)
@@ -254,4 +236,4 @@ def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
     f = 1
     for part in nested.components((1 << g.n) - 1):
         f *= nested.face_counts(part)
-    return Poly2.from_coeffs(_unpack(f))
+    return Poly2.from_coeffs(_digits(f, _WIDTH))

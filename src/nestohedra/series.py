@@ -8,12 +8,11 @@ polytope in a family; which (k, l) carries which polytope is recorded by a
 the families' coefficients are integer polynomials, and the product is the
 labelled (binomial) product of exponential generating functions.
 
-A slot holds its polynomial as one int, the value at alpha = 2^W and t = 1
-(Kronecker substitution, Harvey, arXiv:0712.4046).  Every series is graded,
-slot (k, l) of degree k + l - offset with one offset per series, so a slot's
-digit count follows from its index.  Evaluation commutes with sums and
-products, so the kernel is int arithmetic; a slot is decoded, in balanced
-digits, only where it is read, substituted or differentiated in t, or
+A slot holds its polynomial as one int, packed at a width W as the
+``algebra`` module docstring describes.  Every series is graded, slot
+(k, l) of degree k + l - offset with one offset per series, so a slot's
+digit count follows from its index.  The kernel is int arithmetic; a slot
+is decoded only where it is read, substituted or differentiated in t, or
 differs from another.  Each series bounds, per total degree, its slots'
 absolute coefficient sums and raises ArithmeticError where a bound reaches
 2^(W-1), beyond which decoding could be wrong.  Bounds multiply as
@@ -31,7 +30,8 @@ eta(x) = (e^{alpha x} - 1)/alpha expanded termwise and exponentials e^{p x},
 whose stored coefficient at (k, 0) is just p^k, so no step of the module
 divides.  A factor in y is the ``swap_xy`` of one in x, and a factor in
 x + y is a copy: (x + y)^n/n! = sum x^k y^l/(k! l!), so F(x + y) stores F's
-slot (n, 0) at every (k, l) with k + l = n.  Only 1 - t eta(x) is inverted:
+slot (n, 0) at every (k, l) with k + l = n.  Only 1 - t eta(x), a series
+in x alone, is inverted:
 
 * pe:               eta(x) / (1 - t eta(x)), permutohedra at x^(n+1)/(n+1)!
 * st:               e^{(alpha+t)x} / (1 - t eta(x)), stellohedra at x^n/n!
@@ -52,10 +52,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from ._record import Record
-from .algebra import Poly2, h_from_f
+from .algebra import Poly2, _digits, _egf_inverse, _pack, h_from_f
 from .buildingset import (
     Graph,
     bipartite_graph,
@@ -103,41 +103,12 @@ def _egf_product(p: Bounds, q: Bounds) -> Bounds:
     return tuple(sum(comb(n, j) * p[j] * q[n - j] for j in range(n + 1)) for n in range(len(p)))
 
 
-def _egf_inverse(r: Bounds) -> Bounds:
-    """1 / (1 - r) for r without constant term."""
-    b = [1]
-    for n in range(1, len(r)):
-        b.append(sum(comb(n, j) * r[j] * b[n - j] for j in range(1, n + 1)))
-    return tuple(b)
-
-
 @lru_cache(maxsize=None)
 def _width(order: int) -> int:
     """Bits per packed coefficient at a truncation order; see the module docstring."""
     bell = _egf_inverse((0,) + (1,) * order)
     e6 = tuple(6**m for m in range(order + 1))
     return (250 * _egf_product(_egf_product(bell, bell), e6)[-1]).bit_length() + 1
-
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        if type(c) is not int:
-            raise TypeError(f"series coefficients are integers, not {c!r}")
-        value = (value << width) + c
-    return value
-
-
-def _unpack(value: int, count: int, width: int, slot: Slot) -> Poly2:
-    """The polynomial of count balanced width-bit digits packed in value."""
-    half, mask = 1 << width - 1, (1 << width) - 1
-    coeffs = []
-    for _ in range(count):
-        coeffs.append(((value + half) & mask) - half)
-        value = (value - coeffs[-1]) >> width
-    if value:
-        raise ArithmeticError(f"slot {slot} does not fit {width}-bit fields")
-    return Poly2.from_coeffs(coeffs)
 
 
 def _pack_slots(polys: Mapping[Slot, Poly2], order: int, width: int) -> tuple[Slots, Bounds]:
@@ -218,8 +189,12 @@ class Series2:
         return cls._built(order, k + l - len(p.coeffs) + 1, {}, (0,) * (order + 1), _width(order))
 
     def coeff(self, k: int, l: int) -> Poly2:
-        packed = self._coeffs.get((k, l), 0)
-        return _unpack(packed, k + l - self.offset + 1, self._width, (k, l))
+        # an empty slot below the grading has no digits, and reads as zero
+        count = k + l - self.offset + 1
+        digits = _digits(self._coeffs.get((k, l), 0), self._width)
+        if len(digits) > max(count, 0):
+            raise ArithmeticError(f"slot {(k, l)} does not fit {self._width}-bit fields")
+        return Poly2.from_coeffs(digits + [0] * (count - len(digits)))
 
     def items(self) -> list[tuple[Slot, Poly2]]:
         return [(s, self.coeff(*s)) for s in sorted(self._coeffs, key=lambda s: (sum(s), s))]
@@ -383,25 +358,22 @@ def exp_series(p: Poly2 | int, order: int) -> Series2:
 
 
 def inv_series(s: Series2) -> Series2:
-    """Multiplicative inverse of a series of offset 0 with constant coefficient 1.
+    """Multiplicative inverse of a series in x alone, of offset 0 and constant coefficient 1.
 
-    With r = 1 - s, which has no constant term, the inverse b solves
-    b = 1 + r b: in order of total degree, each slot of b is complete when
-    reached, and its products with r are added to the slots above it.
+    With r = 1 - s, the inverse b solves b = 1 + r b, a recurrence that
+    runs on the packed slots (k, 0) as on the per-degree bounds.  A
+    constant coefficient other than 1, or a slot that holds y, raises
+    ValueError.
     """
     if s.offset or s._coeffs.get((0, 0)) != 1:
         raise ValueError("inverse needs constant coefficient 1")
-    order = s.order
-    right = _by_degree({slot: -v for slot, v in s._coeffs.items() if slot != (0, 0)}, order)
-    vals = [0] * (order + 1) ** 2
-    vals[0] = 1
-    for degree in range(order + 1):
-        for k in range(degree + 1):
-            i = k * (order + 1) + degree - k
-            if vals[i]:
-                _push(vals, order, k, degree - k, vals[i], right)
-    bounds = _egf_inverse((0,) + s._bounds[1:])
-    return Series2._built(order, 0, _slots(vals, order), bounds, s._width)
+    held = [slot for slot in s._coeffs if slot[1]]
+    if held:
+        raise ValueError(f"inverse needs a series in x alone, not one with slot {min(held)}")
+    r = [0] + [-s._coeffs.get((k, 0), 0) for k in range(1, s.order + 1)]
+    coeffs = {(k, 0): v for k, v in enumerate(_egf_inverse(r)) if v}
+    bounds = tuple(_egf_inverse(s._bounds))
+    return Series2._built(s.order, 0, coeffs, bounds, s._width)
 
 
 def eta_linear(order: int) -> Series2:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from nestohedra.algebra import (
     GammaVector,
     InhomogeneousError,
     Poly2,
+    _digits,
+    _pack,
     gamma_from_h,
     h_from_f,
     homogeneous_degree,
@@ -167,6 +169,37 @@ def test_arithmetic_agrees_with_the_sparse_witness(pair_p, pair_q) -> None:
     else:
         assert dict((p + q).terms()) == sparse_add(sp, sq)
         assert dict((p - q).terms()) == sparse_add(sp, sparse_neg(sq))
+
+
+# near +-2^200, and zero often
+HUGE = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3).map(lambda d: 2**200 - d),
+    st.integers(min_value=-3, max_value=3).map(lambda d: d - 2**200),
+)
+
+
+@example((Poly2.constant(2**200 - 1), {(0, 0): 2**200 - 1}), (T, {(0, 1): 1}))
+@example((A * -(2**200 + 3), {(1, 0): -(2**200 + 3)}), (T * (2**200 - 1), {(0, 1): 2**200 - 1}))
+@given(homogeneous(coefficients=HUGE), homogeneous(coefficients=HUGE))
+def test_products_of_huge_coefficients_agree_with_the_sparse_witness(pair_p, pair_q) -> None:
+    # a product is packed one bit above its coefficients' bound, which a
+    # monomial's product reaches
+    (p, sp), (q, sq) = pair_p, pair_q
+    assert dict((p * q).terms()) == sparse_mul(sp, sq)
+    assert dict((q * p).terms()) == sparse_mul(sp, sq)
+
+
+@given(data=st.data())
+def test_balanced_digits_invert_packing(data) -> None:
+    # signed coefficients that fit a width, some of them zero, trailing
+    # ones among them: the digits stop at the top nonzero coefficient
+    width = data.draw(st.integers(min_value=2, max_value=80))
+    fits = st.integers(min_value=-(2 ** (width - 1)), max_value=2 ** (width - 1) - 1)
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), fits), max_size=10))
+    coeffs += [0] * data.draw(st.integers(min_value=0, max_value=3))
+    top = max((i + 1 for i, c in enumerate(coeffs) if c), default=0)
+    assert _digits(_pack(coeffs, width), width) == coeffs[:top]
 
 
 @given(

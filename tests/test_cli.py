@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from math import comb, factorial
@@ -121,7 +122,7 @@ def test_face_counts_that_fail_the_check_exit_one(
         f = plain(self, mask)
         if mask.bit_count() != 4:
             return f
-        wrong = corrupt(tuple(ringcalc._unpack(f)))
+        wrong = corrupt(tuple(algebra._digits(f, ringcalc._WIDTH)))
         return sum(c << ringcalc._WIDTH * i for i, c in enumerate(wrong))
 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
@@ -129,6 +130,40 @@ def test_face_counts_that_fail_the_check_exit_one(
     assert (code, out) == (1, "")
     assert err == (
         "error: face counts of edges:4:0-1,0-2,0-3,1-2,1-3,2-3 are " + message + "\n"
+    )
+
+
+def test_negative_face_counts_exit_one_within_seconds() -> None:
+    # Face counts of a four-node subproblem negated: the check names them
+    # in balanced digits.  An unsigned decode of a negative int never ends
+    # and its digit list grows, so the run goes in a subprocess with a
+    # timeout and a cap on its address space.
+    script = """
+import sys
+from nestohedra import ringcalc
+from nestohedra.cli import main
+
+plain = ringcalc._NestedSets.expand
+
+def negated(self, mask):
+    f = plain(self, mask)
+    return -f if mask.bit_count() == 4 else f
+
+ringcalc._NestedSets.expand = negated
+sys.exit(main(["invariants", "--graph", "complete:4"]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        "error: face counts of edges:4:0-1,0-2,0-3,1-2,1-3,2-3 are [-24, -36, -14, -1], "
+        "not 4 entries ending in 1\n"
     )
 
 

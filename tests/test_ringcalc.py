@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestohedra import ringcalc
+from nestohedra import algebra, ringcalc
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     MAX_GROUND,
@@ -282,7 +282,7 @@ def test_fpoly_names_the_subgraph_whose_face_counts_fail_the_check(monkeypatch) 
         f = plain(self, mask)
         if mask.bit_count() != 3:
             return f
-        wrong = ringcalc._unpack(f)[:-1]
+        wrong = algebra._digits(f, ringcalc._WIDTH)[:-1]
         return sum(c << ringcalc._WIDTH * i for i, c in enumerate(wrong))
 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
@@ -397,15 +397,18 @@ def test_a_class_scan_shares_subproblems_across_its_graphs(monkeypatch, capsys) 
 def test_the_packed_field_width_holds_the_permutohedron_face_count() -> None:
     # No coefficient the recursion builds exceeds the face count of the
     # permutohedron on MAX_GROUND nodes, the ordered Bell number
-    # sum_k k! S(n, k); the width leaves a spare bit above it.
+    # sum_k k! S(n, k); the width leaves a sign bit above it.
     stirling = [1]
     for n in range(1, MAX_GROUND + 1):
         prev = stirling + [0]
         stirling = [0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)]
     ordered_bell = sum(factorial(k) * s for k, s in enumerate(stirling))
-    assert ringcalc._WIDTH > ordered_bell.bit_length()
-    assert ringcalc._unpack(ordered_bell << ringcalc._WIDTH | ringcalc._FIELD) == [
-        ringcalc._FIELD,
+    # decoded in balanced digits, a field holds it with either sign
+    width = ringcalc._WIDTH
+    assert width > ordered_bell.bit_length()
+    assert algebra._digits(ordered_bell << width | ordered_bell, width) == [ordered_bell] * 2
+    assert algebra._digits((ordered_bell << width) - ordered_bell, width) == [
+        -ordered_bell,
         ordered_bell,
     ]
 

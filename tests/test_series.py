@@ -157,11 +157,16 @@ def test_inv_series_frozen_coefficients() -> None:
 
 @pytest.mark.parametrize("order", range(2, 11))
 def test_inv_series_inverts_every_family_denominator(order: int) -> None:
-    # 1 - t eta(x) (pe, st), its mirror 1 - t eta(y), and its copy at
-    # x + y (the two-variable families, pe at x + y and phi_h)
+    # 1 - t eta(x) (pe, st) by the library; its mirror 1 - t eta(y) and
+    # its copy at x + y (the two-variable families, pe at x + y and
+    # phi_h) by the list kernel, as the library refuses a slot in y
     denom = Series2.one(order) - eta_linear(order) * T
-    for s in (denom, swap_xy(denom), series._diagonal(denom)):
-        assert s * inv_series(s) == Series2.one(order)
+    assert denom * inv_series(denom) == Series2.one(order)
+    for s in (swap_xy(denom), series._diagonal(denom)):
+        assert s * list_inv_series(s) == Series2.one(order)
+        refused = r"^inverse needs a series in x alone, not one with slot \(0, 1\)$"
+        with pytest.raises(ValueError, match=refused):
+            inv_series(s)
 
 
 @pytest.mark.parametrize("order", range(17))
@@ -170,7 +175,7 @@ def test_the_diagonal_denominator_equals_the_two_variable_inverse(order: int) ->
     # eta(x + y), against the copy of the one-variable inverse; and
     # eta(x + y) over it is pe at x + y
     eta_xy = eta_termwise(1, 1, order)
-    inverse = inv_series(Series2.one(order) - eta_xy * T)
+    inverse = list_inv_series(Series2.one(order) - eta_xy * T)
     assert inverse == series._diagonal(series._denominator(order))
     assert eta_xy * inverse == pe_f_xplusy(order)
 
@@ -245,12 +250,13 @@ def test_product_and_inverse_agree_with_the_raw_series_witness(data) -> None:
         product = a * b
         assert raw_from_series(product) == raw_mul(raw_from_series(a), raw_from_series(b), order)
         assert product.offset == a.offset + b.offset
-    tail = data.draw(graded_series(order, 0))
-    unit = _unit(order, tail)
-    inverse = inv_series(unit)
-    assert raw_from_series(inverse) == raw_inv(raw_from_series(unit), order)
-    assert raw_from_series(inv_series(inverse)) == raw_inv(raw_from_series(inverse), order)
-    assert inv_series(inverse) == unit
+    # the library inverts a unit in x alone, the list kernel one in x and y
+    unit = _unit(order, data.draw(graded_series(order, 0)))
+    for invert, s in ((inv_series, restrict_y0(unit)), (list_inv_series, unit)):
+        inverse = invert(s)
+        assert raw_from_series(inverse) == raw_inv(raw_from_series(s), order)
+        assert raw_from_series(invert(inverse)) == raw_inv(raw_from_series(inverse), order)
+        assert invert(inverse) == s
 
 
 def _all_pairs_product(a: Series2, b: Series2) -> dict:
@@ -285,9 +291,11 @@ def test_slot_products_equal_the_all_pairs_product(data) -> None:
 @given(data=st.data())
 def test_the_packed_kernel_equals_the_list_kernel(data) -> None:
     # Products of random signed graded series, s(x) s(-x) among them, whose
-    # odd slots cancel, and inverses.  A rogue slot one degree off the
-    # grading of a factor, or of the series inverted, is refused where the
-    # series is built.
+    # odd slots cancel, and inverses: of a unit in x alone against the
+    # list kernel, and of one in x and y by the list kernel against the
+    # raw witness, so that the two references check each other.  A rogue
+    # slot one degree off the grading of a factor, or of the series
+    # inverted, is refused where the series is built.
     order = data.draw(st.integers(0, 4))
     offset = data.draw(_OFFSETS)
     left = data.draw(graded_series(order, offset))
@@ -295,7 +303,8 @@ def test_the_packed_kernel_equals_the_list_kernel(data) -> None:
     for a, b in ((left, right), (left, _mirror_x(left)), (right, left)):
         assert a * b == list_product(a, b)
     unit = _unit(order, data.draw(graded_series(order, 0)))
-    assert inv_series(unit) == list_inv_series(unit)
+    assert inv_series(restrict_y0(unit)) == list_inv_series(restrict_y0(unit))
+    assert raw_from_series(list_inv_series(unit)) == raw_inv(raw_from_series(unit), order)
     _rogue_slot_is_refused(data, left, offset)
     _rogue_slot_is_refused(data, unit, 0)
 

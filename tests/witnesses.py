@@ -715,16 +715,14 @@ def _accumulate(acc: list | None, p: tuple, q: tuple, weight: int) -> list:
     """acc + weight * p * q, for the dense coefficient tuples of two nonzero Poly2s.
 
     acc is a slot's running coefficient list, or None for a slot nothing has
-    landed in yet; it is updated in place and returned.  A product of
-    another degree goes through Poly2 addition, which raises
-    InhomogeneousError unless the slot has cancelled to zero.
+    landed in yet; it is updated in place and returned.  Every slot of a
+    graded series has one degree, so a product of another degree is a
+    fault of the kernel.
     """
     n = len(p) + len(q) - 1
     if acc is None:
         acc = [0] * n
-    elif len(acc) != n:
-        product = Poly2.from_coeffs(p) * Poly2.from_coeffs(q) * weight
-        return list((Poly2.from_coeffs(acc) + product).coeffs)
+    assert len(acc) == n, f"a product of degree {n - 1} lands in a slot of degree {len(acc) - 1}"
     for i, x in enumerate(p):
         if x:
             x *= weight
