@@ -3,65 +3,24 @@
 The package computes face, h- and gamma-polynomials of nestohedra built
 from graphical building sets, both by the nested-set recursion and from
 closed-form generating functions, and cross-checks the two routes
-against each other.
+against each other.  The root re-exports each library layer's public
+names; the command line, ``nestohedra.cli``, is left out so that the
+library does not load its output modules.
 """
 
-from .algebra import (
-    GammaVector,
-    InhomogeneousError,
-    Poly2,
-    gamma_from_h,
-    h_from_f,
-    homogeneous_degree,
-    is_symmetric,
-)
-from .buildingset import (
-    Graph,
-    GraphSpecError,
-    bipartite_graph,
-    complete_graph,
-    connected_graphs_upto_iso,
-    cycle_graph,
-    empty_graph,
-    graph_from_edges,
-    graph_spec,
-    induced_subgraph,
-    join_graphs,
-    parse_graph_spec,
-    path_graph,
-    star_graph,
-)
-from .invariants import (
-    GalPolyResult,
-    dehn_sommerville,
-    euler_relation_holds,
-    fvector,
-    gal_check_poly,
-    gal_check_series,
-    gamma,
-    hpoly,
-)
-from .ringcalc import FPolyCache, fpoly
-from .series import (
-    DEFAULT_ORDER,
-    FAMILIES,
-    FamilySpec,
-    IdentityResult,
-    NotInFamilyError,
-    Series2,
-    coeff_normalized,
-    eta_linear,
-    exp_series,
-    family_f,
-    family_h,
-    first_mismatch,
-    identity_suite,
-    inv_series,
-    pe_f_xplusy,
-    phi_h,
-    subst_h_series,
-    swap_xy,
-    truncate,
-)
+from . import algebra, buildingset, invariants, ringcalc, series
+from .algebra import *  # noqa: F401,F403
+from .buildingset import *  # noqa: F401,F403
+from .invariants import *  # noqa: F401,F403
+from .ringcalc import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+
+__all__ = [
+    *algebra.__all__,
+    *buildingset.__all__,
+    *invariants.__all__,
+    *ringcalc.__all__,
+    *series.__all__,
+]
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from math import comb
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import Record
 
@@ -304,6 +304,16 @@ class GammaVector(Record):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.gammas)
+
+    @property
+    def first_negative(self) -> Optional[tuple[int, int]]:
+        """``(i, gamma_i)`` of the first negative entry, None when there is none."""
+        return next(((i, g) for i, g in enumerate(self.gammas) if g < 0), None)
+
+    @property
+    def passed(self) -> bool:
+        """Gamma-nonnegativity: no entry is negative."""
+        return self.first_negative is None
 
     def as_strings(self) -> list[str]:
         return [str(g) for g in self.gammas]

@@ -31,9 +31,9 @@ from math import factorial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .algebra import h_from_f
+from .algebra import GammaVector, h_from_f
 from .buildingset import connected_graphs_upto_iso, graph_spec, parse_graph_spec
-from .invariants import GalPolyResult, gal_check_poly, gal_check_series, hpoly
+from .invariants import gal_check_poly, gal_check_series, hpoly
 from .ringcalc import FPolyCache, fpoly
 from .series import (
     DEFAULT_ORDER,
@@ -97,7 +97,7 @@ def cmd_invariants(args: SimpleNamespace) -> _Report:
     h = h_from_f(f)
     dim = len(fvec) - 1
     with _located(lambda: f"h-polynomial of {graph_spec(graph)}"):
-        gammas = gal_check_poly(h, dim).gammas.as_strings()
+        gammas = gal_check_poly(h, dim).as_strings()
     facets = fvec[-2] if dim >= 1 else 0
     obj = {
         "graph": args.graph.strip(),
@@ -194,9 +194,9 @@ def cmd_identities(args: SimpleNamespace) -> _Report:
 # gal-scan
 
 
-# a scanned item: where it sits ({"k": k, "l": l} or {"graph": spec}), its
-# dimension and its gal_check_poly result
-_ScanItem = tuple[dict[str, object], int, GalPolyResult]
+# a scanned item: where it sits ({"k": k, "l": l} or {"graph": spec}) and
+# its gamma vector, from gal_check_poly
+_ScanItem = tuple[dict[str, object], GammaVector]
 
 
 def _scan_json(items: Sequence[_ScanItem]) -> dict[str, object]:
@@ -204,22 +204,25 @@ def _scan_json(items: Sequence[_ScanItem]) -> dict[str, object]:
     return {
         "checked": len(items),
         "violations": [
-            {**where, "condition": "gamma-nonnegativity", "witness": result.witness}
-            for where, _, result in items
-            if not result.passed
+            {
+                **where,
+                "condition": "gamma-nonnegativity",
+                "witness": "gamma_{} = {}".format(*gv.first_negative),
+            }
+            for where, gv in items
+            if not gv.passed
         ],
         "gammas": [
-            {**where, "dimension": dim, "gamma": result.gammas.as_strings()}
-            for where, dim, result in items
+            {**where, "dimension": gv.n, "gamma": gv.as_strings()} for where, gv in items
         ],
     }
 
 
 def _scan_row(item: _ScanItem) -> tuple[object, ...]:
     """The CSV row of one scanned item: where, dimension, gamma and status."""
-    where, dim, result = item
-    status = "ok" if result.passed else "violation"
-    return (*where.values(), dim, ";".join(result.gammas.as_strings()), status)
+    where, gv = item
+    status = "ok" if gv.passed else "violation"
+    return (*where.values(), gv.n, ";".join(gv.as_strings()), status)
 
 
 def _scan_families(args: SimpleNamespace) -> _Report:
@@ -235,7 +238,7 @@ def _scan_families(args: SimpleNamespace) -> _Report:
             series = family_h(fam_id, bound)
         spec = FAMILIES[fam_id]
         results = gal_check_series(series, spec)
-        items = [({"k": k, "l": l}, spec.dim(k, l), r) for (k, l), r in results.items()]
+        items = [({"k": k, "l": l}, gv) for (k, l), gv in results.items()]
         reports.append({"family": fam_id, "order": bound, **_scan_json(items)})
         rows += [(fam_id, *_scan_row(item)) for item in items]
     failed = any(report["violations"] for report in reports)
@@ -254,7 +257,7 @@ def _scan_graph_classes(args: SimpleNamespace) -> _Report:
     for g in classes:
         spec, h = graph_spec(g), hpoly(g, cache)
         with _located(lambda: f"h-polynomial of {spec}"):
-            items.append(({"graph": spec}, g.n - 1, gal_check_poly(h, g.n - 1)))
+            items.append(({"graph": spec}, gal_check_poly(h, g.n - 1)))
     scan = _scan_json(items)
     failed = bool(scan["violations"])
     obj = {"graph_class": args.graph_class, "nodes": args.nodes, "passed": not failed, **scan}

@@ -2,18 +2,15 @@
 
 For a simple polytope the h-polynomial is symmetric (Dehn-Sommerville), so
 it has a gamma vector; a polytope or series coefficient "passes" when every
-gamma entry is nonnegative.  ``gal_check_poly`` is the one check: it reads
-off the gamma vector of one polynomial and reports its first negative
-entry, and it raises on a polynomial that has no gamma vector.
+gamma entry is nonnegative.  ``gal_check_poly`` is the one check: it
+returns the gamma vector of one polynomial, which reports its own first
+negative entry, and it raises on a polynomial that has no gamma vector.
 ``gal_check_series`` runs it on every coefficient of a family's h-series.
 A negative entry is a finding; a missing gamma vector is a fault.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ._record import Record
 from .algebra import (
     GammaVector,
     Poly2,
@@ -32,7 +29,6 @@ __all__ = [
     "gamma",
     "dehn_sommerville",
     "euler_relation_holds",
-    "GalPolyResult",
     "gal_check_poly",
     "gal_check_series",
 ]
@@ -63,56 +59,34 @@ def euler_relation_holds(face_counts: list[int]) -> bool:
     return total == (-1) ** n
 
 
-class GalPolyResult(Record):
-    """The gamma vector of one h-polynomial and its first negative entry, if any."""
-
-    __slots__ = ("gammas", "first_negative")
-
-    def __init__(self, gammas: GammaVector, first_negative: Optional[tuple[int, int]]):
-        self._set(gammas, first_negative)
-
-    @property
-    def passed(self) -> bool:
-        return self.first_negative is None
-
-    @property
-    def witness(self) -> Optional[str]:
-        """``gamma_i = g`` for the first negative entry, None when passed."""
-        if self.first_negative is None:
-            return None
-        return "gamma_{} = {}".format(*self.first_negative)
-
-
-def gal_check_poly(p: Poly2, n: int) -> GalPolyResult:
-    """Gamma-nonnegativity of a symmetric homogeneous degree-n polynomial.
+def gal_check_poly(p: Poly2, n: int) -> GammaVector:
+    """The gamma vector of a symmetric homogeneous degree-n polynomial.
 
     A polynomial with no gamma vector (zero, of another degree, or not
     symmetric) raises ``ValueError``, and a gamma extraction that leaves a
     residual raises ``ArithmeticError``; a negative gamma entry is a
-    finding and is reported in the result.
+    finding, which the vector reports as its ``first_negative``.
     """
     degree = homogeneous_degree(p)
     if degree != n:
         raise ValueError(f"expected degree {n}, got {degree}")
-    gv = gamma_from_h(p)
-    first_negative = next(((i, g) for i, g in enumerate(gv.gammas) if g < 0), None)
-    return GalPolyResult(gv, first_negative)
+    return gamma_from_h(p)
 
 
 def gal_check_series(
     series_h: Series2, fam: "FamilySpec | str"
-) -> dict[tuple[int, int], GalPolyResult]:
+) -> dict[tuple[int, int], GammaVector]:
     """``gal_check_poly`` on each of a family's h-series coefficients.
 
     Returns, for each family index (k, l) with k + l <= series_h.order in
-    index order, the check of the stored coefficient k! l! [x^k y^l]
-    against the family dimension.  Every coefficient of a family's
+    index order, the gamma vector of the stored coefficient k! l! [x^k y^l],
+    checked against the family dimension.  Every coefficient of a family's
     h-series has a gamma vector, so one without is the series' failure,
     not bad input: it raises ``ArithmeticError`` naming the family and
     index.
     """
     spec = _family(fam)
-    results: dict[tuple[int, int], GalPolyResult] = {}
+    results: dict[tuple[int, int], GammaVector] = {}
     for k, l in spec.indices(series_h.order):
         try:
             results[(k, l)] = gal_check_poly(series_h.coeff(k, l), spec.dim(k, l))

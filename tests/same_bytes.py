@@ -19,7 +19,8 @@ import sys
 CORRUPTIBLE = ("pe", "st", "nabla-because", "because-because")
 FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
 # the named shapes of the benchmark's single-graph workload, larger graphs,
-# a spec that does not parse and one over the 20-node limit (both exit 2)
+# zero-dimensional, disconnected and 6-dimensional Gal checks, a spec that
+# does not parse and one over the 20-node limit (both exit 2)
 GRAPHS = (
     "path:12",
     "bipartite:4,4",
@@ -32,6 +33,9 @@ GRAPHS = (
     "complete:13",
     "star:12",
     "cycle:20",
+    "empty:3",
+    "edges:5:0-1,2-3",
+    "join(path:3,cycle:4)",
     "bogus:3",
     "path:21",
 )

@@ -93,7 +93,7 @@ def test_3_gamma_nonnegativity_scan() -> None:
     assert set(permutohedra) == {(k, 0) for k in range(1, 9)}
     stellohedra = gal_check_series(family_h("st", 7), "st")
     for results in (bipartite, permutohedra, stellohedra):
-        failed = {index: r.witness for index, r in results.items() if not r.passed}
+        failed = {index: gv.first_negative for index, gv in results.items() if not gv.passed}
         assert not failed, failed
     elapsed = time.perf_counter() - started
     assert elapsed < 60

@@ -472,6 +472,23 @@ def test_a_family_coefficient_with_no_gamma_vector_exits_one(
     assert err.count("\n") == 1
 
 
+def test_a_negative_gamma_entry_is_a_located_violation(capsys, monkeypatch) -> None:
+    # (alpha + t)^2 - alpha t at pe (3, 0) has gamma = (1, -1): a finding,
+    # written as the one violation, with its witness, and exit 1
+    a, t = Poly2.alpha(), Poly2.t()
+    _doctor_pe_h(monkeypatch, _with_hexagon(power(a, 2) + a * t + power(t, 2)))
+    code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])
+    assert (code, err) == (1, "")
+    report = json.loads(out)["reports"][0]
+    assert report["violations"] == [
+        {"k": 3, "l": 0, "condition": "gamma-nonnegativity", "witness": "gamma_1 = -1"}
+    ]
+    assert report["gammas"][2] == {"k": 3, "l": 0, "dimension": 2, "gamma": ["1", "-1"]}
+    code, out, _ = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4", "--format", "csv"])
+    assert code == 1
+    assert out.splitlines()[3] == "pe,3,0,2,1;-1,violation"
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 

@@ -30,7 +30,7 @@ from nestohedra.invariants import (
 )
 from nestohedra.ringcalc import FPolyCache
 from nestohedra.series import FAMILIES, Series2, _drop_one_term, family_h
-from witnesses import power
+from witnesses import permutohedron_gammas, power
 
 A = Poly2.alpha()
 T = Poly2.t()
@@ -76,24 +76,31 @@ def test_euler_relation() -> None:
 def test_gal_check_poly_accepts_the_hexagon() -> None:
     result = gal_check_poly(power(A, 2) + 4 * A * T + power(T, 2), 2)
     assert result.passed
-    assert result.gammas == GammaVector(2, (Fraction(1), Fraction(2)))
+    assert result == GammaVector(2, (Fraction(1), Fraction(2)))
     assert result.first_negative is None
-    assert result.witness is None
+
+
+def test_gal_check_poly_accepts_a_zero_gamma_entry() -> None:
+    # (alpha + t)^2, the square: gamma = (1, 0), nonnegative at the boundary
+    result = gal_check_poly(power(A, 2) + 2 * A * T + power(T, 2), 2)
+    assert result == GammaVector(2, (1, 0))
+    assert result.passed
+    assert result.first_negative is None
 
 
 def test_gal_check_poly_reports_the_negative_entry() -> None:
     result = gal_check_poly(power(A, 2) + power(T, 2), 2)
     assert not result.passed
+    assert result == GammaVector(2, (1, -2))
     assert result.first_negative == (1, Fraction(-2))
-    assert result.witness == "gamma_1 = -2"
 
 
 def test_gal_check_poly_reports_a_gamma_entry_of_minus_one() -> None:
     # (alpha + t)^2 - alpha t: the smallest negative entry, at the boundary
     result = gal_check_poly(power(A, 2) + A * T + power(T, 2), 2)
     assert not result.passed
+    assert result == GammaVector(2, (1, -1))
     assert result.first_negative == (1, -1)
-    assert result.witness == "gamma_1 = -1"
 
 
 def test_gal_check_poly_rejects_malformed_input() -> None:
@@ -110,8 +117,8 @@ def test_gal_check_series_on_the_bipartite_family() -> None:
     assert all(result.passed for result in results.values())
     assert list(results) == FAMILIES["because-because"].indices(7)
     assert len(results) == 23
-    assert results[(2, 2)].gammas.gammas == (Fraction(1), Fraction(6))
-    assert results[(1, 1)].gammas.gammas == (Fraction(1),)
+    assert results[(2, 2)] == GammaVector(3, (Fraction(1), Fraction(6)))
+    assert results[(1, 1)] == GammaVector(1, (Fraction(1),))
 
 
 def test_gal_check_series_flags_a_dropped_coefficient() -> None:
@@ -154,26 +161,27 @@ def test_gal_check_series_reports_each_fault_once(
         assert str(excinfo.value) == "h-series of pe at " + error
         return
     results = gal_check_series(series_h, "pe")
-    assert [(index, r.witness) for index, r in results.items() if not r.passed] == [
-        ((3, 0), "gamma_1 = -2")
+    assert [(index, gv.first_negative) for index, gv in results.items() if not gv.passed] == [
+        ((3, 0), (1, -2))
     ]
     assert len(results) == 3
-    assert results[(3, 0)].gammas == GammaVector(2, (1, -2))
+    assert results[(3, 0)] == GammaVector(2, (1, -2))
 
 
 def test_gal_check_series_scans_every_family() -> None:
     for fam_id in FAMILIES:
         results = gal_check_series(family_h(fam_id, 5), fam_id)
-        failed = {index: r.witness for index, r in results.items() if not r.passed}
+        failed = {index: gv.first_negative for index, gv in results.items() if not gv.passed}
         assert not failed, (fam_id, failed)
 
 
 def test_scan_report_serialization() -> None:
     results = gal_check_series(family_h("pe", 4), "pe")
     assert list(results) == [(1, 0), (2, 0), (3, 0), (4, 0)]
-    assert [r.gammas.as_strings() for r in results.values()] == [
+    assert [gv.as_strings() for gv in results.values()] == [
         ["1"], ["1"], ["1", "2"], ["1", "8"]
     ]
+    assert [gv.n for gv in results.values()] == [0, 1, 2, 3]
 
 
 def test_gamma_of_disconnected_graphs_uses_the_product() -> None:
@@ -209,6 +217,14 @@ def test_complete_fvectors_are_ordered_set_partitions() -> None:
     for n in range(1, MAX_GROUND + 1):
         expected = [factorial(n - k) * stirling[n][n - k] for k in range(n)]
         assert fvector(complete_graph(n), cache) == expected, n
+
+
+def test_permutohedron_gammas_count_permutations_without_double_descents() -> None:
+    # The pe scan against Foata-Strehl counting (permutohedron_gammas): a
+    # witness that neither the recursion nor the series supplies.
+    results = gal_check_series(family_h("pe", 8), "pe")
+    assert results == {(n, 0): permutohedron_gammas(n) for n in range(1, 9)}
+    assert results[(8, 0)] == GammaVector(7, (1, 240, 3072, 3968))
 
 
 def test_cycle_gammas_are_the_cyclohedron_closed_form() -> None:

@@ -2,9 +2,10 @@
 
 The repr strings were recorded from the dataclasses these records were
 before they became slotted classes, so the public behaviour is pinned
-across that change.  The reprs of ``GalPolyResult`` and ``IdentityResult``
-have since lost ``passed``, which became a property of ``first_negative``
-and of ``mismatch``.
+across that change.  The repr of ``IdentityResult`` has since lost
+``passed``, which became a property of ``mismatch``; ``GammaVector``
+derives ``first_negative`` and ``passed`` from its entries, so neither is
+a field or part of its repr.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import pytest
 
 from nestohedra import (
     FamilySpec,
-    GalPolyResult,
     GammaVector,
     Graph,
     IdentityResult,
@@ -41,12 +41,6 @@ FROZEN = {
         lambda: IdentityResult(name="I2", mismatch=None),
         "name",
         "IdentityResult(name='I1', mismatch=None)",
-    ),
-    "GalPolyResult": (
-        lambda: GalPolyResult(gammas=GammaVector(2, (1, -2)), first_negative=(1, -2)),
-        lambda: GalPolyResult(GammaVector(2, (1, 2)), None),
-        "first_negative",
-        "GalPolyResult(gammas=GammaVector(n=2, gammas=(1, -2)), first_negative=(1, -2))",
     ),
     "FamilySpec": (
         lambda: FamilySpec("demo", 1, "a family", max, min),
@@ -96,6 +90,19 @@ def test_graphs_order_by_their_masks() -> None:
         low < low.adj  # noqa: B015
     assert Graph(low.adj) == low and hash(Graph(low.adj)) == hash(low)
     assert low != low.adj
+
+
+def test_gamma_vectors_report_their_first_negative_entry() -> None:
+    make, make_other, _, _ = FROZEN["GammaVector"]
+    nonnegative, negative = make(), make_other()
+    assert nonnegative.first_negative is None and nonnegative.passed
+    assert negative.first_negative == (1, -2) and not negative.passed
+    assert GammaVector(4, (1, 0, -1)).first_negative == (2, -1)
+    assert GammaVector(4, (-1, -3, -5)).first_negative == (0, -1)
+    with pytest.raises(AttributeError):
+        negative.first_negative = None
+    with pytest.raises(AttributeError):
+        negative.passed = True
 
 
 def test_gamma_vectors_validate_and_keep_a_tuple() -> None:

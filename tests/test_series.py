@@ -656,6 +656,23 @@ def test_corrupted_series_fails_with_a_located_index() -> None:
     assert all(type(c) is int for c in diff.coeffs)
 
 
+# the identities that read each family's series, and so fail once one term
+# of that series is dropped; I7 reads none of them
+CORRUPTED_FAILURES = {
+    "pe": ["I1", "I2", "I5"],
+    "st": ["I2", "I5"],
+    "nabla-because": ["I3", "I4", "I6", "I8"],
+    "because-because": ["I4", "I8"],
+}
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+@pytest.mark.parametrize("family", CORRUPTED_FAILURES)
+def test_each_corruption_fails_exactly_its_identities(family: str, order: int) -> None:
+    results = identity_suite(order, corrupt=family)
+    assert [r.name for r in results if not r.passed] == CORRUPTED_FAILURES[family]
+
+
 def test_corrupting_an_unknown_family_raises() -> None:
     with pytest.raises(NotInFamilyError):
         identity_suite(4, corrupt="starmarked")

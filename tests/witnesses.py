@@ -29,6 +29,9 @@ variables is the reference for the copies at x + y.  The list kernel,
 which accumulates each product slot as a list of coefficients, is the
 reference for the packed kernel of ``Series2`` products and inverses.
 
+The permutohedron's gamma vectors are counted over permutations, a
+witness that needs neither the recursion nor the series.
+
 The rest of the file is library surface only the tests use: powers,
 records and gamma expansions of ``Poly2``, graph components and the
 y = 0 slice of a series.
@@ -778,6 +781,28 @@ def list_inv_series(s: Series2) -> Series2:
             if acc is not None and any(acc):
                 inv[(k, l)] = tuple(acc)
     return Series2(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
+
+
+# ---------------------------------------------------------------------------
+# permutohedron gamma vectors by counting permutations
+
+
+def permutohedron_gammas(n: int) -> GammaVector:
+    """The gamma vector of the permutohedron of complete:n, by enumeration.
+
+    Postnikov-Reiner-Williams (arXiv:math/0609184, section 11, after
+    Foata-Strehl): pad a permutation w of [n] with w_0 = w_(n+1) = infinity;
+    then gamma_i counts the permutations with i descents w_j > w_(j+1),
+    1 <= j < n, and no double descent w_(j-1) > w_j > w_(j+1), 1 <= j <= n.
+    """
+    inf = n + 1
+    gammas = [0] * ((n - 1) // 2 + 1)
+    for w in permutations(range(n)):
+        padded = (inf, *w, inf)
+        if any(padded[j - 1] > padded[j] > padded[j + 1] for j in range(1, n + 1)):
+            continue
+        gammas[sum(w[j] > w[j + 1] for j in range(n - 1))] += 1
+    return GammaVector(n - 1, tuple(gammas))
 
 
 # ---------------------------------------------------------------------------
