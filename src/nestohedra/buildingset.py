@@ -43,7 +43,7 @@ __all__ = [
 # Grounds are bitmasks in a Python int, so the cap is soft.  It is not a
 # cost bound: the nested-set recursion visits every connected node set of
 # a twin-free graph, about 3 to 3.5 times more per node (a random 14-node
-# one takes 3.7-5 s, so one near 20 nodes would take hours), while
+# one takes 2.9-3.9 s, so one near 20 nodes would take hours), while
 # twin-rich and sparse graphs at 20 nodes take under 0.1 s (2 shared
 # cores, CPython 3.11).
 MAX_GROUND = 20
@@ -63,28 +63,6 @@ def _mask_nodes(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _compress(masks: Iterable[int], within: int) -> tuple[int, ...]:
-    """Re-index the bits of each mask against the bits set in ``within``.
-
-    Bits outside ``within`` drop out; each run of its set bits is one shift.
-    """
-    runs = []
-    p = 0
-    while within:
-        low = within & -within
-        run = within & ~(within + low)
-        runs.append((run, low.bit_length() - 1 - p))
-        p += run.bit_count()
-        within ^= run
-    out = []
-    for m in masks:
-        packed = 0
-        for run, shift in runs:
-            packed |= (m & run) >> shift
-        out.append(packed)
-    return tuple(out)
 
 
 @total_ordering
@@ -218,8 +196,37 @@ def connected_submask(adj: Sequence[int], mask: int) -> bool:
 
 
 def _induced_adj(adj: Sequence[int], mask: int) -> tuple[int, ...]:
-    """``induced_subgraph``'s masks, which also key the shared memo."""
-    return _compress([adj[v] for v in _mask_nodes(mask)], mask)
+    """``induced_subgraph``'s masks, which also key the shared memo.
+
+    One pass over the runs of set bits in mask lists its nodes and the
+    shift that packs each run down onto the runs below it; a mask of one
+    run is a single shift.
+    """
+    low = mask & -mask
+    lo = low.bit_length() - 1
+    if not mask & (mask + low):
+        return tuple([(adj[v] & mask) >> lo for v in range(lo, lo + mask.bit_count())])
+    runs = []
+    nodes: list[int] = []
+    p = 0
+    left = mask
+    while left:
+        low = left & -left
+        run = left & ~(left + low)
+        lo = low.bit_length() - 1
+        k = run.bit_count()
+        runs.append((run, lo - p))
+        nodes += range(lo, lo + k)
+        p += k
+        left ^= run
+    out = []
+    for v in nodes:
+        m = adj[v]
+        packed = 0
+        for run, shift in runs:
+            packed |= (m & run) >> shift
+        out.append(packed)
+    return tuple(out)
 
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:

@@ -20,9 +20,12 @@ node masks of the one graph, and every term is a nonnegative integer.
 Twin nodes of a graph (``twin_classes``) stay twins in every induced
 subgraph, so F_W depends only on how many nodes W takes from each class.
 The memo is keyed on the twin-canonical mask, the first nodes of each
-class, and C is grown one class at a time through the class quotient,
-with counts chosen only inside classes of two or more nodes of W.  On a
-twin-free graph this is plain connected-set extension.
+class.  A class is named by its first node, so v is the first node of
+its class and the classes W meets are W's first nodes.  ``expand`` walks
+the C inline, one class at a time through the class quotient, and
+chooses counts only inside classes whose second node is in W.  On a
+twin-free graph this is plain connected-set extension, with one memo
+read and one addition per C.
 
 Every face polynomial, product S(X) and partial sum is one int, packed
 at W = _WIDTH as the ``algebra`` module docstring describes.  Multiplying
@@ -90,26 +93,31 @@ class _NestedSets:
     class.  The masks built below all are, and so are their components: a
     component holds every masked node of each class it meets, unless the
     class is independent and its node is on its own, which is one node.
+    So a class is named by its first node, the lowest node of a mask is
+    the first node of its class, and a class has several nodes in a mask
+    exactly when its second node is in it.
     """
 
     def __init__(self, g: Graph, cache: FPolyCache):
         self.adj, self.cache = g.adj, cache
         classes = twin_classes(g)
-        self.node_class = [0] * g.n
-        # prefix[i][c]: the first c nodes of class i
-        self.prefix: list[list[int]] = []
-        for i, nodes in enumerate(classes):
+        self.reps = sum(1 << c[0] for c in classes)
+        self.seconds = sum(1 << c[1] for c in classes if len(c) > 1)
+        # per node, of its class: prefix[v][c], the first c nodes; clique[v];
+        # reach[v], the nodes outside it joined to it; quotient[v], their
+        # classes' first nodes
+        self.prefix: list[list[int]] = [[]] * g.n
+        self.clique = [False] * g.n
+        self.reach = [0] * g.n
+        for nodes in classes:
             masks = [0]
             for v in nodes:
                 masks.append(masks[-1] | 1 << v)
-                self.node_class[v] = i
-            self.prefix.append(masks)
-        self.clique = [len(c) > 1 and g.adj[c[0]] >> c[1] & 1 for c in classes]
-        # reach[i]: the nodes outside class i joined to it; quotient[i]: their classes
-        self.reach = [g.adj[c[0]] & ~p[-1] for c, p in zip(classes, self.prefix)]
-        self.quotient = [
-            sum(1 << i for i, p in enumerate(self.prefix) if r & p[1]) for r in self.reach
-        ]
+            clique = len(nodes) > 1 and g.adj[nodes[0]] >> nodes[1] & 1
+            for v in nodes:
+                self.prefix[v], self.clique[v] = masks, clique
+                self.reach[v] = g.adj[v] & ~masks[-1]
+        self.quotient = [r & self.reps for r in self.reach]
         self.memo: dict[int, int] = {}
         self.products: dict[int, int] = {}
 
@@ -152,72 +160,77 @@ class _NestedSets:
         return out
 
     def expand(self, mask: int) -> int:
-        """The formula for packed F_W, W = mask, before any check."""
-        prefix = self.prefix
-        counts = [(mask & p[-1]).bit_count() for p in prefix]
-        first = self.node_class[(mask & -mask).bit_length() - 1]
-        w0 = counts[first]
+        """The formula for packed F_W, W = mask, before any check.
+
+        Walks the connected C that hold v = the lowest node of W, one class
+        at a time: C grows by one quotient neighbour of its classes, and the
+        neighbours tried before it are banned from that branch, so each set
+        of classes comes once.  C takes the masked nodes of every class it
+        meets; counts are chosen only in classes with several nodes of W.
+        """
+        prefix, reach, quotient, seconds = self.prefix, self.reach, self.quotient, self.seconds
+        memo, face_counts = self.memo, self.face_counts
+        v = (mask & -mask).bit_length() - 1
         # S(W - v): v is the first node of its class, so drop the class's last
-        out = self.components_product(mask ^ prefix[first][w0] ^ prefix[first][w0 - 1])
-        support = sum(1 << i for i, w in enumerate(counts) if w)
-        multi = sum(1 << i for i, w in enumerate(counts) if w > 1)
+        own = prefix[v]
+        w0 = (mask & own[-1]).bit_count()
+        out = self.components_product(mask ^ own[w0] ^ own[w0 - 1])
+        support = mask & self.reps
         # per remainder X: the sum of weight * F_C * alpha^(|N_W(C)| - 1)
         sums: dict[int, int] = {}
-        for classes, nodes, reach in self.supports(first, support):
-            # classes outside the support go whole to N_W(C) (rim, counted)
-            # or to X (rest); C takes the one node of each class holding one
-            outside = mask & ~nodes
-            rim, rest = (outside & reach).bit_count(), outside & ~reach
-            # partial terms (C's nodes, the ways to pick them with v among
-            # them, |N_W(C)|, X), one per count c in each class of several
-            # nodes met so far
-            terms = [(mask & nodes, 1, rim, rest)]
-            for i in _mask_nodes(classes & multi):
-                w = counts[i]
-                # the class's nodes left out of C are joined to C, unless the
-                # class is independent and C lies inside it (then C is one node)
-                to_rim = self.clique[i] or classes != 1 << i
-                terms = [
-                    (
-                        part ^ prefix[i][w] ^ prefix[i][c],
-                        weight * (comb(w - 1, c - 1) if i == first else comb(w, c)),
-                        size + w - c if to_rim else size,
-                        left if to_rim else left | prefix[i][w - c],
-                    )
-                    for part, weight, size, left in terms
-                    for c in range(1, w + 1 if to_rim else 2)
-                ]
-            for part, weight, size, left in terms:
-                if part != mask:
-                    sums[left] = sums.get(left, 0) + (
-                        weight * self.face_counts(part) << _WIDTH * (size - 1)
-                    )
-        for left, acc in sums.items():
-            out += acc * self.components_product(left)
-        return out
-
-    def supports(self, first: int, allowed: int):
-        """The connected class sets inside ``allowed`` that hold ``first``, once each.
-
-        Yields each with its nodes and the nodes outside it joined to it.
-        Extension search: a set grows by one quotient neighbour at a time,
-        and the neighbours tried before it are banned from that branch.
-        """
-        quotient, reach = self.quotient, self.reach
-        stack = [(1 << first, quotient[first] & allowed, 0, self.prefix[first][-1], reach[first])]
+        # C's masked nodes, the classes left to try, the banned ones, and
+        # the nodes joined to C's classes
+        stack = [(mask & own[-1], quotient[v] & support, 0, reach[v])]
         while stack:
-            grown, frontier, banned, nodes, joined = stack.pop()
-            yield grown, nodes, joined
+            part, frontier, banned, joined = stack.pop()
+            # classes outside C go whole to N_W(C) (rim, counted) or to X (rest)
+            rim = (mask & joined & ~part).bit_count()
+            rest = mask & ~(part | joined)
+            twins = part & seconds
+            if not twins:
+                if part != mask:
+                    # a packed F is never 0, so `or` falls through only on a memo miss
+                    f = memo.get(part) or face_counts(part)
+                    sums[rest] = sums.get(rest, 0) + (f << _WIDTH * (rim - 1))
+            else:
+                # partial terms (C's nodes, the ways to pick them with v among
+                # them, |N_W(C)|, X), one per count c in each class of several
+                # nodes met so far; C takes the one masked node of each other class
+                terms = [(part, 1, rim, rest)]
+                while twins:
+                    second = twins & -twins
+                    twins ^= second
+                    i = second.bit_length() - 1
+                    masks = prefix[i]
+                    w = (mask & masks[-1]).bit_count()
+                    # the class's nodes left out of C are joined to C, unless the
+                    # class is independent and C lies inside it (then C is one node)
+                    to_rim = self.clique[i] or part & support != masks[1]
+                    terms = [
+                        (
+                            c_part ^ masks[w] ^ masks[c],
+                            weight * (comb(w - 1, c - 1) if masks is own else comb(w, c)),
+                            size + w - c if to_rim else size,
+                            left if to_rim else left | masks[w - c],
+                        )
+                        for c_part, weight, size, left in terms
+                        for c in range(1, w + 1 if to_rim else 2)
+                    ]
+                for c_part, weight, size, left in terms:
+                    if c_part != mask:
+                        f = memo.get(c_part) or face_counts(c_part)
+                        sums[left] = sums.get(left, 0) + (weight * f << _WIDTH * (size - 1))
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
                 i = low.bit_length() - 1
-                new = quotient[i] & allowed & ~grown & ~banned & ~low
-                stack.append((
-                    grown | low, frontier | new, banned,
-                    nodes | self.prefix[i][-1], joined | reach[i],
-                ))
+                grown = part | mask & prefix[i][-1]
+                new = quotient[i] & support & ~grown & ~banned
+                stack.append((grown, frontier | new, banned, joined | reach[i]))
                 banned |= low
+        for left, acc in sums.items():
+            out += acc * self.components_product(left)
+        return out
 
 
 def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:

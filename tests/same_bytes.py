@@ -19,8 +19,10 @@ import sys
 CORRUPTIBLE = ("pe", "st", "nabla-because", "because-because")
 FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
 # the named shapes of the benchmark's single-graph workload, larger graphs,
-# zero-dimensional, disconnected and 6-dimensional Gal checks, a spec that
-# does not parse and one over the 20-node limit (both exit 2)
+# zero-dimensional, disconnected and 6-dimensional Gal checks, twin-free
+# graphs on 7 and 8 nodes, twin classes with interleaved labels ({0, 3, 6}
+# and {2, 5, 7} cliques, {1, 4} independent), a spec that does not parse
+# and one over the 20-node limit (both exit 2)
 GRAPHS = (
     "path:12",
     "bipartite:4,4",
@@ -36,6 +38,9 @@ GRAPHS = (
     "empty:3",
     "edges:5:0-1,2-3",
     "join(path:3,cycle:4)",
+    "edges:7:0-1,0-4,0-5,0-6,1-4,1-5,2-3,2-5,2-6,3-5,4-6,5-6",
+    "edges:8:0-1,0-2,0-3,0-4,1-2,2-4,2-7,3-6,4-5,5-7",
+    "edges:8:0-1,0-3,0-4,0-6,1-2,1-3,1-5,1-6,1-7,2-4,2-5,2-7,3-4,3-6,4-5,4-6,4-7,5-7",
     "bogus:3",
     "path:21",
 )

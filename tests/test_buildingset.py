@@ -127,6 +127,17 @@ def test_is_connected_graph() -> None:
 def test_induced_subgraph_relabels_compactly() -> None:
     sub = induced_subgraph(path_graph(4), 0b1110)
     assert sub == path_graph(3)
+    # Masks of one run of nodes take a single shift, the rest one shift per
+    # run; both must give the subgraph on the masked nodes in label order.
+    rng = random.Random(4)
+    n = 9
+    g = graph_from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5])
+    edges = g.edges
+    for mask in range(1 << n):
+        nodes = [v for v in range(n) if mask >> v & 1]
+        pairs = combinations(enumerate(nodes), 2)
+        expected = graph_from_edges(len(nodes), [(i, j) for (i, u), (j, v) in pairs if (u, v) in edges])
+        assert induced_subgraph(g, mask) == expected, bin(mask)
 
 
 def test_contraction_connects_through_the_removed_set() -> None:

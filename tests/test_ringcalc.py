@@ -258,6 +258,27 @@ def test_fpoly_equals_the_facet_recursion_on_twin_blow_ups(g: Graph) -> None:
     assert fpoly(g) == facet_fpoly(g), graph_spec(g)
 
 
+@st.composite
+def relabelled_blow_ups(draw) -> tuple[Graph, Graph]:
+    """A twin blow-up and its copy under a drawn permutation of the labels.
+
+    The blow-up's classes hold consecutive labels; the copy's classes are
+    interleaved, so a class's nodes sit among other classes' nodes.
+    """
+    g = draw(blow_ups())
+    perm = draw(st.permutations(range(g.n)))
+    return g, graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_blow_ups())
+def test_fpoly_of_a_blow_up_with_interleaved_twin_classes(pair: tuple[Graph, Graph]) -> None:
+    # The recursion names each twin class by its lowest node, so classes
+    # whose labels interleave must give what consecutive ones give.
+    g, relabelled = pair
+    assert fpoly(relabelled) == facet_fpoly(relabelled) == fpoly(g), graph_spec(relabelled)
+
+
 def test_fpoly_names_the_graph_whose_boundary_does_not_integrate() -> None:
     # The witness recursion checks its own integrals: a path on three nodes
     # as the whole boundary of a four-node graph has 5 alpha t and 5 t^2,
@@ -339,12 +360,18 @@ def test_fpoly_of_disconnected_graphs_satisfies_leibniz() -> None:
 
 
 def test_relabelled_graphs_give_identical_fpoly() -> None:
-    # Each flipped copy starts from an empty memo, so its recursion runs on
-    # its own labelling and must still give the same answer.
+    # Each relabelled copy starts from an empty memo, so its recursion runs
+    # on its own labelling and must still give the same answer: the classes
+    # up to five nodes flipped, those on six and seven nodes under seeded
+    # permutations, which interleave their twin classes' labels.
     shared = FPolyCache()
-    for g in connected_graphs_upto_iso(5):
-        flipped = graph_from_edges(g.n, ((g.n - 1 - u, g.n - 1 - v) for u, v in g.edges))
-        assert fpoly(flipped, FPolyCache()) == fpoly(g, shared)
+    rng = random.Random(11)
+    for g in connected_graphs_upto_iso(7):
+        perm = list(range(g.n))[::-1]
+        if g.n > 5:
+            rng.shuffle(perm)
+        relabelled = graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+        assert fpoly(relabelled, FPolyCache()) == fpoly(g, shared), graph_spec(relabelled)
 
 
 def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() -> None:

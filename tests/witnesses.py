@@ -53,7 +53,6 @@ from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
     _closure,
-    _compress,
     _mask_nodes,
     connected_submask,
     graph_from_edges,
@@ -65,6 +64,28 @@ from nestohedra.series import Series2
 
 # ---------------------------------------------------------------------------
 # graph operations of the facet recursion
+
+
+def _compress(masks: Iterable[int], within: int) -> tuple[int, ...]:
+    """Re-index the bits of each mask against the bits set in ``within``.
+
+    Bits outside ``within`` drop out; each run of its set bits is one shift.
+    """
+    runs = []
+    p = 0
+    while within:
+        low = within & -within
+        run = within & ~(within + low)
+        runs.append((run, low.bit_length() - 1 - p))
+        p += run.bit_count()
+        within ^= run
+    out = []
+    for m in masks:
+        packed = 0
+        for run, shift in runs:
+            packed |= (m & run) >> shift
+        out.append(packed)
+    return tuple(out)
 
 
 def contraction(g: Graph, removed: int) -> Graph:
