@@ -47,8 +47,8 @@ __all__ = [
 # twin-rich and sparse graphs at 20 nodes take under 0.1 s (2 shared
 # cores, CPython 3.11).
 MAX_GROUND = 20
-# Deepest parenthesis nesting parse_graph_spec accepts; far above any spec
-# within MAX_GROUND nodes that does not join empty graphs.
+# Deepest join nesting parse_graph_spec accepts; far above any spec within
+# MAX_GROUND nodes that does not join empty graphs.
 _MAX_SPEC_NESTING = 32
 
 
@@ -240,43 +240,49 @@ def graph_spec(g: Graph) -> str:
     return f"edges:{g.n}:{body}"
 
 
-def _split_top_level(text: str) -> list[str]:
+def _split_top_level(text: str, spec: str) -> list[str]:
+    """A join's inner text cut at its top-level commas.
+
+    The join's one scan of its parentheses, which refuses nesting past
+    _MAX_SPEC_NESTING, its own parenthesis counted, before any recursion.
+    """
     parts = []
-    depth = 0
-    current = []
-    for ch in text:
+    depth = start = 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
+            if depth >= _MAX_SPEC_NESTING:
+                raise GraphSpecError(f"graph spec nested more than {_MAX_SPEC_NESTING} deep")
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise GraphSpecError(f"unbalanced parentheses in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
+                break
+        elif ch == "," and not depth:
+            parts.append(text[start:i])
+            start = i + 1
     if depth:
-        raise GraphSpecError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(current))
+        raise GraphSpecError(f"unbalanced parentheses in {spec!r}")
+    parts.append(text[start:])
     return parts
 
 
-def _parse_size(text: str, spec: str) -> int:
+def _size(text: str, spec: str, extra: int = 0) -> int:
+    """A size or label: ASCII digits, spaces around them ignored, and with
+    the extra nodes spec adds (a star's centre, a first part) at most MAX_GROUND."""
+    digits = text.strip()
     try:
-        n = int(text)
-    except ValueError:
-        raise GraphSpecError(f"bad size {text!r} in {spec!r}") from None
-    if n < 0:
-        raise GraphSpecError(f"negative size in {spec!r}")
+        n = int(digits) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        n = None
+    if n is None:
+        raise GraphSpecError(f"bad size {text!r} in {spec!r}")
+    if n + extra > MAX_GROUND:
+        raise GraphSpecError(f"{spec!r} has {n + extra} nodes, more than {MAX_GROUND}")
     return n
 
 
-def _node_count(n: int, spec: str) -> int:
-    """n itself, once it is known to be within MAX_GROUND."""
-    if n > MAX_GROUND:
-        raise GraphSpecError(f"{spec!r} has {n} nodes, more than {MAX_GROUND}")
-    return n
+_SHAPES = {"complete": (complete_graph, 0), "empty": (empty_graph, 0),
+           "path": (path_graph, 0), "star": (star_graph, 1)}
 
 
 def parse_graph_spec(spec: str) -> Graph:
@@ -284,45 +290,26 @@ def parse_graph_spec(spec: str) -> Graph:
 
     Accepted forms: ``complete:N``, ``empty:N``, ``star:N``, ``path:N``,
     ``cycle:N`` (N >= 3), ``bipartite:M,N``, ``edges:N:0-1,1-2,...``
-    (0-based labels, possibly no edges) and ``join(SPEC,SPEC)``.  Node
-    counts above MAX_GROUND are rejected before any edge is built, and so
-    is nesting deeper than _MAX_SPEC_NESTING parentheses.
+    (0-based labels, possibly no edges) and ``join(SPEC,SPEC)``.  Sizes
+    and labels are ASCII digits; spaces around them and around a join's
+    arguments are ignored.  Node counts above MAX_GROUND are rejected
+    before any edge is built, and nesting past _MAX_SPEC_NESTING too.
     """
-    depth = 0
-    for ch in spec:
-        if ch == "(":
-            depth += 1
-            if depth > _MAX_SPEC_NESTING:
-                raise GraphSpecError(
-                    f"graph spec nested more than {_MAX_SPEC_NESTING} deep"
-                )
-        elif ch == ")":
-            depth -= 1
-    return _parse_spec(spec)
-
-
-def _parse_spec(spec: str) -> Graph:
     spec = spec.strip()
     if spec.startswith("join(") and spec.endswith(")"):
-        inner = _split_top_level(spec[len("join(") : -1])
-        if len(inner) != 2:
+        parts = _split_top_level(spec[len("join(") : -1], spec)
+        if len(parts) != 2:
             raise GraphSpecError(f"join takes two arguments: {spec!r}")
-        a, b = _parse_spec(inner[0]), _parse_spec(inner[1])
-        _node_count(a.n + b.n, spec)
+        a, b = map(parse_graph_spec, parts)
+        if a.n + b.n > MAX_GROUND:
+            raise GraphSpecError(f"{spec!r} has {a.n + b.n} nodes, more than {MAX_GROUND}")
         return join_graphs(a, b)
     head, _, rest = spec.partition(":")
-    if head == "complete":
-        return complete_graph(_node_count(_parse_size(rest, spec), spec))
-    if head == "empty":
-        return empty_graph(_node_count(_parse_size(rest, spec), spec))
-    if head == "star":
-        leaves = _parse_size(rest, spec)
-        _node_count(leaves + 1, spec)
-        return star_graph(leaves)
-    if head == "path":
-        return path_graph(_node_count(_parse_size(rest, spec), spec))
+    if head in _SHAPES:
+        build, extra = _SHAPES[head]
+        return build(_size(rest, spec, extra))
     if head == "cycle":
-        n = _node_count(_parse_size(rest, spec), spec)
+        n = _size(rest, spec)
         if n < 3:
             raise GraphSpecError(f"a cycle needs at least 3 nodes: {spec!r}")
         return cycle_graph(n)
@@ -330,21 +317,17 @@ def _parse_spec(spec: str) -> Graph:
         sizes = rest.split(",")
         if len(sizes) != 2:
             raise GraphSpecError(f"bipartite takes two sizes: {spec!r}")
-        m, n = _parse_size(sizes[0], spec), _parse_size(sizes[1], spec)
-        _node_count(m + n, spec)
-        return bipartite_graph(m, n)
+        m = _size(sizes[0], spec)
+        return bipartite_graph(m, _size(sizes[1], spec, m))
     if head == "edges":
         count, _, body = rest.partition(":")
-        n = _node_count(_parse_size(count, spec), spec)
+        n = _size(count, spec)
         pairs = []
-        for item in body.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in filter(None, map(str.strip, body.split(","))):
             ends = item.split("-")
             if len(ends) != 2:
                 raise GraphSpecError(f"bad edge {item!r} in {spec!r}")
-            pairs.append((_parse_size(ends[0], spec), _parse_size(ends[1], spec)))
+            pairs.append((_size(ends[0], spec), _size(ends[1], spec)))
         try:
             return graph_from_edges(n, pairs)
         except ValueError as exc:

@@ -45,7 +45,7 @@ scope.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .algebra import Poly2, _digits, _egf_inverse
 from .buildingset import (
@@ -53,7 +53,6 @@ from .buildingset import (
     Graph,
     _closure,
     _induced_adj,
-    _mask_nodes,
     graph_spec,
     twin_classes,
 )
@@ -67,23 +66,14 @@ _WIDTH = _egf_inverse((0,) + (1,) * MAX_GROUND)[-1].bit_length() + 1
 _ONE_PLUS_ALPHA = 1 << _WIDTH | 1
 
 
-class FPolyCache:
+class FPolyCache(dict):
     """Packed face counts keyed on labelled graphs' adjacency tuples.
 
     Shared across ``fpoly`` calls; ``Graph(key)`` is the graph of a key.
     """
 
-    def __init__(self) -> None:
-        self._polys: dict[tuple[int, ...], int] = {}
-
-    def lookup(self, key: tuple[int, ...]) -> Optional[int]:
-        return self._polys.get(key)
-
-    def store(self, key: tuple[int, ...], value: int) -> None:
-        self._polys[key] = value
-
-    def __len__(self) -> int:
-        return len(self._polys)
+    lookup = dict.get
+    store = dict.__setitem__
 
 
 class _NestedSets:

@@ -106,6 +106,8 @@ def _egf_product(p: Bounds, q: Bounds) -> Bounds:
 @lru_cache(maxsize=None)
 def _width(order: int) -> int:
     """Bits per packed coefficient at a truncation order; see the module docstring."""
+    if order < 0:
+        raise ValueError("negative truncation order")
     bell = _egf_inverse((0,) + (1,) * order)
     e6 = tuple(6**m for m in range(order + 1))
     return (250 * _egf_product(_egf_product(bell, bell), e6)[-1]).bit_length() + 1
@@ -138,8 +140,7 @@ class Series2:
     __slots__ = ("order", "offset", "_coeffs", "_bounds", "_width")
 
     def __init__(self, order: int, coeffs: Mapping[Slot, Poly2] | Iterable[tuple[Slot, Poly2]] = ()):
-        if order < 0:
-            raise ValueError("negative truncation order")
+        width = _width(order)  # refuses a negative order before any slot is read
         data: dict[Slot, Poly2] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for (k, l), p in items:
@@ -155,7 +156,6 @@ class Series2:
             degree = len(data[s].coeffs) - 1
             if degree != sum(s) - offset:
                 raise ValueError(f"slot {s} of degree {degree} is off grading offset {offset}")
-        width = _width(order)
         self._set(order, offset, *_pack_slots(data, order, width), width)
 
     def _set(self, order: int, offset: int, coeffs: Slots, bounds: Bounds, width: int) -> None:
@@ -310,6 +310,8 @@ def _slots(vals: list[int], order: int) -> Slots:
 
 def truncate(s: Series2, order: int) -> Series2:
     """Drop coefficients above a lower truncation order."""
+    if order < 0:
+        raise ValueError("negative truncation order")
     if order > s.order:
         raise ValueError("cannot raise the truncation order of a computed series")
     kept = {slot: c for slot, c in s._coeffs.items() if sum(slot) <= order}

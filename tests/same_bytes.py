@@ -22,7 +22,10 @@ FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
 # zero-dimensional, disconnected and 6-dimensional Gal checks, twin-free
 # graphs on 7 and 8 nodes, twin classes with interleaved labels ({0, 3, 6}
 # and {2, 5, 7} cliques, {1, 4} independent), a spec that does not parse
-# and one over the 20-node limit (both exit 2)
+# and one over the 20-node limit (both exit 2), then the spec parser's
+# boundaries: spaces around sizes and arguments, the node cap with a
+# star's centre and a first part counted, a short cycle, an out-of-range
+# label, a one-argument join and a join nested 33 deep
 GRAPHS = (
     "path:12",
     "bipartite:4,4",
@@ -43,6 +46,14 @@ GRAPHS = (
     "edges:8:0-1,0-3,0-4,0-6,1-2,1-3,1-5,1-6,1-7,2-4,2-5,2-7,3-4,3-6,4-5,4-6,4-7,5-7",
     "bogus:3",
     "path:21",
+    "join( complete:2 , empty:1 )",
+    "edges:4: 0 - 1 , 2-3",
+    "star:20",
+    "bipartite:10,11",
+    "cycle:2",
+    "edges:3:0-5",
+    "join(complete:2)",
+    "join(empty:0," * 33 + "empty:0" + ")" * 33,
 )
 
 

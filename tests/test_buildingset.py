@@ -343,6 +343,11 @@ def test_parse_graph_spec() -> None:
     assert parse_graph_spec(
         "join(empty:1,join(empty:1,empty:1))"
     ) == complete_graph(3)
+    # spaces around sizes, labels and a join's arguments are ignored
+    assert parse_graph_spec("complete: 3") == complete_graph(3)
+    assert parse_graph_spec("bipartite:2, 3") == bipartite_graph(2, 3)
+    assert parse_graph_spec("join( complete:2 , empty:1 )") == complete_graph(3)
+    assert parse_graph_spec("edges:3: 0 - 1 , 1-2") == path_graph(3)
 
 
 @pytest.mark.parametrize(
@@ -361,6 +366,14 @@ def test_parse_graph_spec() -> None:
         "cycle:0",
         "cycle:21",
         "",
+        # sizes and labels are ASCII digits only, not whatever int() reads
+        "complete:1_0",
+        "complete:+3",
+        "complete:\u0663",
+        "bipartite:1,-0",
+        "edges:3:0-1_0",
+        "join(complete:2,empty:1))",
+        pytest.param("complete:" + "9" * 5000, id="more-digits-than-int-converts"),
     ],
 )
 def test_parse_graph_spec_rejects(bad: str) -> None:

@@ -67,11 +67,14 @@ def test_invariants_json_for_an_edge(capsys) -> None:
 
 def test_invariants_rejects_a_bad_graph_spec(capsys) -> None:
     deep = "join(empty:0," * 2000 + "empty:0" + ")" * 2000
-    for spec in ("nonsense:4", "complete:1500", "join(complete:15,complete:15)", deep):
+    # sizes are ASCII digits only, not whatever int() reads
+    malformed = ("complete:1_0", "complete:+3", "complete:\u0663", "bipartite:1,-0")
+    malformed += ("edges:3:0-1_0", "join(complete:2,empty:1))", "complete:" + "9" * 5000)
+    for spec in ("nonsense:4", "complete:1500", "join(complete:15,complete:15)", deep, *malformed):
         code, out, err = _run(capsys, ["invariants", "--graph", spec])
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1, spec[:40]
 
 
 def test_invariants_of_cycles_are_the_cyclohedron_closed_form(capsys) -> None:

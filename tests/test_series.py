@@ -92,6 +92,31 @@ def test_mixed_orders_raise() -> None:
         truncate(Series2.one(3), 5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Series2(-1),
+        lambda: Series2(-1, {(0, 0): Poly2.one()}),
+        lambda: Series2.one(-1),
+        lambda: Series2.monomial(-1, 0, 0),
+        lambda: Series2.monomial(-1, 1, 0),
+        lambda: exp_series(A + T, -1),
+        lambda: eta_linear(-1),
+        lambda: family_f("pe", -1),
+        lambda: pe_f_xplusy(-1),
+        lambda: coeff_normalized("pe", 1, order=-1),
+        lambda: truncate(Series2.one(3), -1),
+    ],
+    ids=[
+        "Series2", "Series2-with-slot", "one", "monomial-in-range", "monomial-above",
+        "exp_series", "eta_linear", "family_f", "pe_f_xplusy", "coeff_normalized", "truncate",
+    ],
+)
+def test_a_negative_truncation_order_is_refused(build) -> None:
+    with pytest.raises(ValueError, match="negative truncation order"):
+        build()
+
+
 def test_eta_linear_frozen_coefficients() -> None:
     # coefficients are stored as k! l! [x^k y^l]
     eta = eta_linear(3)
