@@ -283,6 +283,15 @@ def cmd_gal_scan(args: SimpleNamespace) -> _Report:
 # the option table, its two readers, and dispatch
 
 
+def _int_flag(text: str) -> int:
+    """An int flag's value: ASCII digits after at most one minus sign."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_int_flag.__name__ = "int"  # argparse names the type in its "invalid int value" message
 _FAMILY_CHOICES = ("all", *FAMILIES)
 _FORMAT = {
     "--format": dict(
@@ -316,7 +325,7 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], _Report], str, dict[str, 
             "--family": dict(dest="family", choices=_FAMILY_CHOICES, default="all"),
             "--max-order": dict(
                 dest="max_order",
-                type=int,
+                type=_int_flag,
                 default=DEFAULT_ORDER,
                 metavar="M",
                 help=f"largest total index k+l to check, 0..{MAX_ORDER} "
@@ -331,7 +340,7 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], _Report], str, dict[str, 
         {
             "--order": dict(
                 dest="order",
-                type=int,
+                type=_int_flag,
                 default=DEFAULT_ORDER,
                 metavar="N",
                 help=f"truncation order, 2..{MAX_ORDER} (default {DEFAULT_ORDER})",
@@ -353,7 +362,7 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], _Report], str, dict[str, 
             "--family": dict(dest="family", choices=_FAMILY_CHOICES),
             "--bound": dict(
                 dest="bound",
-                type=int,
+                type=_int_flag,
                 metavar="B",
                 help=f"largest total index k+l to scan, 1..{MAX_ORDER} (family mode, "
                 f"default {DEFAULT_ORDER})",
@@ -364,7 +373,7 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], _Report], str, dict[str, 
                 help="scan every isomorphism class of this kind instead of a family",
             ),
             "--nodes": dict(
-                dest="nodes", type=int, metavar="N", help="node count for --graph-class (1..7)"
+                dest="nodes", type=_int_flag, metavar="N", help="node count for --graph-class (1..7)"
             ),
             **_FORMAT,
         },
@@ -395,7 +404,7 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 
     Well-formed is an exact subcommand name followed by exact ``--flag
     value`` pairs: each flag of that subcommand at most once, no value
-    starting with ``-``, int values through ``int()``, choices checked and
+    starting with ``-``, int values through ``_int_flag``, choices checked and
     required flags present.  On such an argv argparse builds the same
     namespace.  Anything else gives None, so help, abbreviations,
     ``--flag=value``, repeated flags, ``--`` and every usage error are left

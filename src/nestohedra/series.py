@@ -18,9 +18,12 @@ absolute coefficient sums and raises ArithmeticError where a bound reaches
 2^(W-1), beyond which decoding could be wrong.  Bounds multiply as
 exponential generating functions in z = x + y.  With E = e^z and
 R = 1 / (2 - E) (ordered Bell numbers), every face series of a family is
-at most F = 5 E^3 R, and so are the h-series and phi_h (h-polynomials of
-simple polytopes are nonnegative and sum to the vertex count).  A d/dt, and
-every sum of products the identity suite forms, is at most 10 F^2, and W at
+at most F = 5 E^3 R, and so are the h-series, phi_h (h-polynomials of
+simple polytopes are nonnegative and sum to the vertex count) and its face
+series.  A d/dt, and every sum of products the identity suite forms, is at
+most 10 F^2: as F <= F^2 / 5, z <= F, e^{(alpha + 2t) y} <= E^3 <= F / 5
+and the scalars alpha + 2t and (alpha + t) t have absolute sums 3 and 2,
+the largest, I8's right-hand side, is at most 7.4 F^2.  W at
 order N is one bit above the N-th coefficient of 10 F^2 = 250 E^6 R^2.  A
 truncation, derivative or substitution keeps its operand's fields, and an
 operation on series of two widths repacks the narrower one.
@@ -42,9 +45,10 @@ in x alone, is inverted:
                     point terms x and y added separately
 
 ``identity_suite`` checks the eight exact differential identities these
-series satisfy, in both the face and h normalizations; they are the
-series-level image of the facet decomposition and double as a deep consistency
-check between the closed forms and the polytope recursion.
+series satisfy, I5-I8 between h-series, compared through alpha -> alpha - t
+between face series; they are the series-level image of the facet
+decomposition and double as a deep consistency check between the closed
+forms and the polytope recursion.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._record import Record
 from .algebra import Poly2, _digits, _egf_inverse, _pack, h_from_f
@@ -100,7 +104,12 @@ Bounds = tuple[int, ...]  # per total degree, bounds on slots' absolute coeffici
 
 
 def _egf_product(p: Bounds, q: Bounds) -> Bounds:
-    return tuple(sum(comb(n, j) * p[j] * q[n - j] for j in range(n + 1)) for n in range(len(p)))
+    """The binomial product of two bounds, over p's degrees; a zero degree of p adds nothing."""
+    out = [0] * len(p)
+    for j in filter(p.__getitem__, range(len(p))):
+        for m, over_j in enumerate(_binomials(j, len(p) - 1)[: len(p) - j]):
+            out[j + m] += over_j * p[j] * q[m]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -113,13 +122,13 @@ def _width(order: int) -> int:
     return (250 * _egf_product(_egf_product(bell, bell), e6)[-1]).bit_length() + 1
 
 
-def _pack_slots(polys: Mapping[Slot, Poly2], order: int, width: int) -> tuple[Slots, Bounds]:
-    """The nonzero polynomials packed at a width, and their per-degree bounds."""
+def _pack_slots(polys: Mapping[Slot, Sequence[int]], order: int, width: int) -> tuple[Slots, Bounds]:
+    """The nonzero coefficient lists packed at a width, and their per-degree bounds."""
     coeffs, bounds = {}, [0] * (order + 1)
     for (k, l), p in polys.items():
-        if p:
-            coeffs[(k, l)] = _pack(p.coeffs, width)
-            bounds[k + l] = max(bounds[k + l], sum(map(abs, p.coeffs)))
+        if any(p):
+            coeffs[(k, l)] = _pack(p, width)
+            bounds[k + l] = max(bounds[k + l], sum(map(abs, p)))
     return coeffs, tuple(bounds)
 
 
@@ -156,7 +165,8 @@ class Series2:
             degree = len(data[s].coeffs) - 1
             if degree != sum(s) - offset:
                 raise ValueError(f"slot {s} of degree {degree} is off grading offset {offset}")
-        self._set(order, offset, *_pack_slots(data, order, width), width)
+        packed = _pack_slots({s: p.coeffs for s, p in data.items()}, order, width)
+        self._set(order, offset, *packed, width)
 
     def _set(self, order: int, offset: int, coeffs: Slots, bounds: Bounds, width: int) -> None:
         """Take nonzero packed slots in range, refused where they may not decode."""
@@ -189,12 +199,16 @@ class Series2:
         return cls._built(order, k + l - len(p.coeffs) + 1, {}, (0,) * (order + 1), _width(order))
 
     def coeff(self, k: int, l: int) -> Poly2:
+        return Poly2.from_coeffs(self._slot_digits(k, l))
+
+    def _slot_digits(self, k: int, l: int) -> list[int]:
+        """Slot (k, l)'s coefficients, k + l - offset + 1 of them, lowest alpha power first."""
         # an empty slot below the grading has no digits, and reads as zero
         count = k + l - self.offset + 1
         digits = _digits(self._coeffs.get((k, l), 0), self._width)
         if len(digits) > max(count, 0):
             raise ArithmeticError(f"slot {(k, l)} does not fit {self._width}-bit fields")
-        return Poly2.from_coeffs(digits + [0] * (count - len(digits)))
+        return digits + [0] * (count - len(digits))
 
     def items(self) -> list[tuple[Slot, Poly2]]:
         return [(s, self.coeff(*s)) for s in sorted(self._coeffs, key=lambda s: (sum(s), s))]
@@ -338,9 +352,12 @@ def deriv_y(s: Series2) -> Series2:
 
 
 def deriv_t(s: Series2) -> Series2:
-    """d/dt acts on coefficients and keeps the truncation order."""
-    polys = {slot: s.coeff(*slot).deriv_t() for slot in s._coeffs}
-    return Series2._built(s.order, s.offset + 1, *_pack_slots(polys, s.order, s._width), s._width)
+    """d/dt acts on each slot's digits in one pass and keeps the truncation order."""
+    dt = {}
+    for k, l in s._coeffs:
+        digits = s._slot_digits(k, l)
+        dt[(k, l)] = [c * (len(digits) - 1 - i) for i, c in enumerate(digits[:-1])]
+    return Series2._built(s.order, s.offset + 1, *_pack_slots(dt, s.order, s._width), s._width)
 
 
 def exp_series(p: Poly2 | int, order: int) -> Series2:
@@ -400,7 +417,7 @@ def _diagonal(s: Series2) -> Series2:
 
 def subst_h_series(s: Series2) -> Series2:
     """Apply the alpha -> alpha - t substitution to every coefficient, in s's fields."""
-    polys = {slot: h_from_f(s.coeff(*slot)) for slot in s._coeffs}
+    polys = {slot: h_from_f(s.coeff(*slot)).coeffs for slot in s._coeffs}
     return Series2._built(s.order, s.offset, *_pack_slots(polys, s.order, s._width), s._width)
 
 
@@ -555,19 +572,21 @@ def pe_f_xplusy(order: int = DEFAULT_ORDER) -> Series2:
     return _diagonal(family_f("pe", order))
 
 
+def _phi_f(order: int) -> Series2:
+    """phi_h before its substitution: exp(-t y) (exp(alpha x) + t eta(x)) / (1 - t eta(x+y))."""
+    shrink_y = swap_xy(exp_series(-_T, order))
+    bare_x = exp_series(_A, order)
+    return shrink_y * (bare_x + eta_linear(order) * _T) * _diagonal(_denominator(order))
+
+
 def phi_h(order: int = DEFAULT_ORDER) -> Series2:
     """The h-level two-variable kernel appearing in the x-derivatives.
 
-    Computed at the face level as
-    exp(-t y) (exp(alpha x) + t eta(x)) / (1 - t eta(x+y)) and then pushed
-    through alpha -> alpha - t, which keeps every intermediate free of
-    division by alpha.  Its constant coefficient is 1 and its y = 0 slice is
-    1 + (alpha + t) Pe_h(x).
+    ``_phi_f`` pushed through alpha -> alpha - t, which keeps every
+    intermediate free of division by alpha.  Its constant coefficient is 1
+    and its y = 0 slice is 1 + (alpha + t) Pe_h(x).
     """
-    shrink_y = swap_xy(exp_series(-_T, order))
-    bare_x = exp_series(_A, order)
-    f_level = shrink_y * (bare_x + eta_linear(order) * _T) * _diagonal(_denominator(order))
-    return subst_h_series(f_level)
+    return subst_h_series(_phi_f(order))
 
 
 def coeff_normalized(
@@ -643,6 +662,11 @@ def identity_suite(
     gets one term dropped first, for negative-control testing.  Returns
     one result per identity, in ``IDENTITY_NAMES`` order; a failed one
     keeps the stored k! l! difference at its first mismatch.
+
+    I5-I8 relate h-series; as alpha -> alpha - t is a ring automorphism
+    acting on each slot alone, they are compared between face series with
+    alpha + t for alpha in their scalars, and only a reported difference is
+    substituted.
     """
     if order < 2:
         raise ValueError("the identity suite needs truncation order >= 2")
@@ -651,36 +675,31 @@ def identity_suite(
         if corrupt not in series_f:
             raise NotInFamilyError(f"cannot corrupt unknown family {corrupt!r}")
         series_f[corrupt] = _drop_one_term(series_f[corrupt])
-    pe, st = series_f["pe"], series_f["st"]
-    nb, bb = series_f["nabla-because"], series_f["because-because"]
+    pe, st, nb, bb = (series_f[fam_id] for fam_id in IDENTITY_FAMILIES)
     pe_sum = pe_f_xplusy(order)
-    st_h, nb_h, bb_h = subst_h_series(st), subst_h_series(nb), subst_h_series(bb)
-    phi = phi_h(order)
+    phi = _phi_f(order)
     x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
-    at = _A * _T
-    apt = _A + _T
+    at, apt = (_A + _T) * _T, _A + 2 * _T  # alpha t and alpha + t at the h level
     # d/dx and d/dy cost I5-I8 one order, so their right-hand sides are
     # built from operands truncated to order - 1; pe at x + y is the
     # uncorrupted pe's copy, as in I3 and I4
     low = order - 1
-    st_l, nb_l, bb_l, phi_l = (truncate(s, low) for s in (st_h, nb_h, bb_h, phi))
-    pe_l = subst_h_series(truncate(pe, low))
-    sum_l = _diagonal(subst_h_series(truncate(family_f("pe", order), low)))
-    grow_l = truncate(swap_xy(exp_series(apt, order)), low)
-    grow_phi = grow_l * phi_l
-    x_l, y_l = truncate(x, low), truncate(y, low)
+    st_l, nb_l, bb_l, phi_l, pe_l, sum_l, x_l, y_l = (
+        truncate(s, low) for s in (st, nb, bb, phi, pe, pe_sum, x, y)
+    )
+    grow_phi = truncate(swap_xy(exp_series(apt, order)), low) * phi_l
 
     checks: list[tuple[str, Series2, Series2]] = [
         ("I1", deriv_t(pe), pe * pe),
         ("I2", deriv_t(st), (x + pe) * st),
         ("I3", deriv_t(nb), nb * (y + pe_sum)),
         ("I4", deriv_t(bb), x * swap_xy(nb) + y * nb + bb * pe_sum - (x + y) * pe_sum),
-        ("I5", deriv_x(st_h), st_l * apt + pe_l * st_l * at),
-        ("I6", deriv_x(nb_h), grow_phi + nb_l * sum_l * at),
+        ("I5", deriv_x(st), st_l * apt + pe_l * st_l * at),
+        ("I6", deriv_x(nb), grow_phi + nb_l * sum_l * at),
         ("I7", deriv_y(phi), sum_l * phi_l * at),
         (
             "I8",
-            deriv_x(bb_h),
+            deriv_x(bb),
             bb_l * sum_l * at
             + swap_xy(nb_l) * apt
             - sum_l * apt
@@ -688,4 +707,6 @@ def identity_suite(
             + grow_phi,
         ),
     ]
-    return tuple(IdentityResult(name, first_mismatch(lhs, rhs)) for name, lhs, rhs in checks)
+    found = [first_mismatch(lhs, rhs) for _, lhs, rhs in checks]
+    found[4:] = [m and (m[0], m[1], h_from_f(m[2])) for m in found[4:]]  # I5-I8's at the h level
+    return tuple(IdentityResult(name, m) for (name, _, _), m in zip(checks, found))

@@ -353,6 +353,28 @@ def test_identities_reject_orders_beyond_the_ceiling(capsys) -> None:
     assert code == 2
 
 
+_INT_FLAG_ARGVS = (
+    ["identities", "--order"],
+    ["verify", "--max-order"],
+    ["gal-scan", "--family", "pe", "--bound"],
+    ["gal-scan", "--graph-class", "connected", "--nodes"],
+)
+
+
+@pytest.mark.parametrize("text", ["0_3", "+3", " 3 ", "\u0663"])
+def test_int_flags_take_ascii_digits_only(capsys, text: str) -> None:
+    # int() reads each of these as 3; an int flag refuses them
+    for argv in _INT_FLAG_ARGVS:
+        code, out, err = _run(capsys, [*argv, text])
+        assert (code, out) == (2, ""), argv
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(f"error: argument {argv[-1]}: invalid int value: {text!r}")
+    # a minus sign still reaches the command's own range check
+    assert _run(capsys, ["identities", "--order", "-1"]) == (
+        2, "", "error: identity checks need a truncation order in 2..16\n"
+    )
+
+
 def test_corrupted_identities_fail_with_a_named_identity(capsys) -> None:
     code, out, _ = _run(
         capsys,
@@ -928,7 +950,7 @@ def test_the_reader_leaves_other_argvs_to_argparse(argv: list[str]) -> None:
 
 
 def test_the_reader_reads_ints_and_defaults_as_argparse_does() -> None:
-    args = cli._read_argv(["gal-scan", "--nodes", "\u0663", "--graph-class", "connected"])
+    args = cli._read_argv(["gal-scan", "--nodes", "3", "--graph-class", "connected"])
     assert vars(args) == {
         "command": "gal-scan",
         "func": cli.cmd_gal_scan,
@@ -938,8 +960,11 @@ def test_the_reader_reads_ints_and_defaults_as_argparse_does() -> None:
         "nodes": 3,
         "format": "json",
     }
-    for text in ("+3", "0_3", " 3 ", "3"):
+    for text in ("3", "03"):
         assert cli._read_argv(["verify", "--max-order", text]).max_order == 3
+    # what int() takes beyond ASCII digits is argparse's usage error
+    for text in ("+3", "0_3", " 3 ", "\u0663"):
+        assert cli._read_argv(["verify", "--max-order", text]) is None
 
 
 # ---------------------------------------------------------------------------

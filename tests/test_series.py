@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from nestohedra import cli, series
 from nestohedra.cli import MAX_ORDER, main
-from nestohedra.algebra import InhomogeneousError, Poly2, homogeneous_degree
+from nestohedra.algebra import InhomogeneousError, Poly2, _egf_inverse, homogeneous_degree
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
     FAMILIES,
+    IDENTITY_FAMILIES,
     IDENTITY_NAMES,
     IdentityResult,
     NotInFamilyError,
@@ -40,6 +41,7 @@ from nestohedra.series import (
 )
 from witnesses import (
     eta_termwise,
+    h_level_identities,
     list_inv_series,
     list_product,
     power,
@@ -402,6 +404,25 @@ def test_the_fields_hold_every_coefficient_of_the_largest_order(
     assert min(width - 1 - bits for width, bits in largest) == 14
 
 
+def _dense_egf_product(p: tuple, q: tuple) -> tuple:
+    return tuple(sum(comb(n, j) * p[j] * q[n - j] for j in range(n + 1)) for n in range(len(p)))
+
+
+def test_the_bound_product_matches_the_dense_sum() -> None:
+    # zero degrees are skipped and binomials read from rows: the same tuples
+    for order in range(17):
+        bounds = [family_f(fam, order)._bounds for fam in FAMILIES]
+        bounds += [eta_linear(order)._bounds, Series2.monomial(order, 1, 0)._bounds]
+        for p in bounds:
+            for q in bounds:
+                assert series._egf_product(p, q) == _dense_egf_product(p, q)
+    for order in range(33):
+        bell = _egf_inverse((0,) + (1,) * order)
+        e6 = tuple(6**m for m in range(order + 1))
+        dense = _dense_egf_product(_dense_egf_product(bell, bell), e6)[-1]
+        assert series._width(order) == (250 * dense).bit_length() + 1
+
+
 def test_coefficients_that_outgrow_the_fields_raise() -> None:
     width = series._width(2)
     with pytest.raises(ArithmeticError, match=f"^coefficients outgrow the {width}-bit fields of order 2"):
@@ -664,6 +685,37 @@ def test_identity_suite_passes(order: int) -> None:
     results = identity_suite(order)
     assert [r.name for r in results] == list(IDENTITY_NAMES)
     assert all(r.passed for r in results), next(r for r in results if not r.passed)
+
+
+@pytest.mark.parametrize("corrupt", [None, *IDENTITY_FAMILIES])
+def test_i5_to_i8_between_face_series_match_them_between_h_series(corrupt) -> None:
+    # alpha -> alpha - t is a ring automorphism acting on each slot alone,
+    # so the suite's face-level check reports what the h-level one does
+    for order in range(2, 11):
+        assert identity_suite(order, corrupt)[4:] == h_level_identities(order, corrupt)
+
+
+def test_a_passing_suite_substitutes_nothing(monkeypatch, cold_series_caches) -> None:
+    # I5-I8 are compared between face series; only the difference of a
+    # failed one is pushed through alpha -> alpha - t
+    calls = []
+
+    def counted(name: str):
+        plain = getattr(series, name)
+
+        def call(arg):
+            calls.append(name)
+            return plain(arg)
+
+        monkeypatch.setattr(series, name, call)
+
+    counted("subst_h_series")
+    counted("h_from_f")
+    assert all(r.passed for r in identity_suite(8))
+    assert calls == []
+    results = identity_suite(6, corrupt="pe")
+    assert [r.name for r in results[4:] if not r.passed] == ["I5"]
+    assert calls == ["h_from_f"]
 
 
 def test_identity_suite_rejects_tiny_orders() -> None:

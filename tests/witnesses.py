@@ -28,6 +28,9 @@ general power-sum exponential is the reference for the closed-form
 variables is the reference for the copies at x + y.  The list kernel,
 which accumulates each product slot as a list of coefficients, is the
 reference for the packed kernel of ``Series2`` products and inverses.
+The h-level identities check I5-I8 between the h-series themselves, with
+the scalars alpha + t and alpha t, the reference for the suite's check of
+them between face series through alpha -> alpha - t.
 
 The permutohedron's gamma vectors are counted over permutations, a
 witness that needs neither the recursion nor the series.
@@ -60,7 +63,22 @@ from nestohedra.buildingset import (
     induced_subgraph,
     twin_classes,
 )
-from nestohedra.series import Series2
+from nestohedra.series import (
+    IDENTITY_FAMILIES,
+    IdentityResult,
+    Series2,
+    _diagonal,
+    _drop_one_term,
+    deriv_x,
+    deriv_y,
+    exp_series,
+    family_f,
+    first_mismatch,
+    phi_h,
+    subst_h_series,
+    swap_xy,
+    truncate,
+)
 
 # ---------------------------------------------------------------------------
 # graph operations of the facet recursion
@@ -802,6 +820,50 @@ def list_inv_series(s: Series2) -> Series2:
             if acc is not None and any(acc):
                 inv[(k, l)] = tuple(acc)
     return Series2(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
+
+
+# ---------------------------------------------------------------------------
+# the identities I5-I8 between h-series
+
+
+def h_level_identities(order: int, corrupt: str | None = None) -> tuple[IdentityResult, ...]:
+    """I5-I8 of ``identity_suite``, each side pushed through alpha -> alpha - t.
+
+    The operands are the h-series of pe, st, nabla-because and
+    because-because (one term dropped from ``corrupt``'s face series
+    first, as the suite does), phi_h, and pe_h at x + y, with the
+    scalars alpha + t and alpha t and the factor e^{(alpha + t) y}.
+    """
+    series_f = {fam_id: family_f(fam_id, order) for fam_id in IDENTITY_FAMILIES}
+    if corrupt is not None:
+        series_f[corrupt] = _drop_one_term(series_f[corrupt])
+    st_h, nb_h, bb_h = (
+        subst_h_series(series_f[fam_id]) for fam_id in ("st", "nabla-because", "because-because")
+    )
+    phi = phi_h(order)
+    a, t = Poly2.alpha(), Poly2.t()
+    at, apt = a * t, a + t
+    low = order - 1
+    st_l, nb_l, bb_l, phi_l = (truncate(s, low) for s in (st_h, nb_h, bb_h, phi))
+    pe_l = subst_h_series(truncate(series_f["pe"], low))
+    sum_l = _diagonal(subst_h_series(truncate(family_f("pe", order), low)))
+    grow_phi = truncate(swap_xy(exp_series(apt, order)), low) * phi_l
+    x_l, y_l = (truncate(Series2.monomial(order, *xy), low) for xy in ((1, 0), (0, 1)))
+    checks = [
+        ("I5", deriv_x(st_h), st_l * apt + pe_l * st_l * at),
+        ("I6", deriv_x(nb_h), grow_phi + nb_l * sum_l * at),
+        ("I7", deriv_y(phi), sum_l * phi_l * at),
+        (
+            "I8",
+            deriv_x(bb_h),
+            bb_l * sum_l * at
+            + swap_xy(nb_l) * apt
+            - sum_l * apt
+            - (x_l + y_l) * sum_l * at
+            + grow_phi,
+        ),
+    ]
+    return tuple(IdentityResult(name, first_mismatch(lhs, rhs)) for name, lhs, rhs in checks)
 
 
 # ---------------------------------------------------------------------------
