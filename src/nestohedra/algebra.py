@@ -227,11 +227,6 @@ class Poly2:
     def __rmul__(self, other: int) -> "Poly2":
         return self.__mul__(other)
 
-    def deriv_t(self) -> "Poly2":
-        """Formal d/dt."""
-        n = len(self._terms) - 1
-        return Poly2.from_coeffs(c * (n - i) for i, c in enumerate(self._terms[:-1]))
-
     def __repr__(self) -> str:
         return f"Poly2({dict(self.terms())!r})"
 

@@ -40,7 +40,6 @@ from .series import (
     FAMILIES,
     IDENTITY_FAMILIES,
     family_f,
-    family_h,
     identity_suite,
 )
 
@@ -235,7 +234,7 @@ def _scan_families(args: SimpleNamespace) -> _Report:
     reports, rows = [], []
     for fam_id in fam_ids:
         with _located(lambda: f"series of {fam_id} at order {bound}"):
-            series = family_h(fam_id, bound)
+            series = family_f(fam_id, bound)
         spec = FAMILIES[fam_id]
         results = gal_check_series(series, spec)
         items = [({"k": k, "l": l}, gv) for (k, l), gv in results.items()]

@@ -5,7 +5,8 @@ it has a gamma vector; a polytope or series coefficient "passes" when every
 gamma entry is nonnegative.  ``gal_check_poly`` is the one check: it
 returns the gamma vector of one polynomial, which reports its own first
 negative entry, and it raises on a polynomial that has no gamma vector.
-``gal_check_series`` runs it on every coefficient of a family's h-series.
+``gal_check_series`` runs it on the h-polynomial of every coefficient of a
+family's face series.
 A negative entry is a finding; a missing gamma vector is a fault.
 """
 
@@ -74,22 +75,23 @@ def gal_check_poly(p: Poly2, n: int) -> GammaVector:
 
 
 def gal_check_series(
-    series_h: Series2, fam: "FamilySpec | str"
+    series_f: Series2, fam: "FamilySpec | str"
 ) -> dict[tuple[int, int], GammaVector]:
-    """``gal_check_poly`` on each of a family's h-series coefficients.
+    """``gal_check_poly`` on the h-polynomial of each family coefficient of a face series.
 
-    Returns, for each family index (k, l) with k + l <= series_h.order in
-    index order, the gamma vector of the stored coefficient k! l! [x^k y^l],
-    checked against the family dimension.  Every coefficient of a family's
-    h-series has a gamma vector, so one without is the series' failure,
-    not bad input: it raises ``ArithmeticError`` naming the family and
-    index.
+    Returns, for each family index (k, l) with k + l <= series_f.order in
+    index order, the gamma vector of h_from_f of the stored coefficient
+    k! l! [x^k y^l], checked against the family dimension.  Only those
+    slots are decoded, each once.  Every coefficient of a family's
+    h-series has a gamma vector, so one without, or a slot that does not
+    decode, is the series' failure, not bad input: it raises
+    ``ArithmeticError`` naming the family and index.
     """
     spec = _family(fam)
     results: dict[tuple[int, int], GammaVector] = {}
-    for k, l in spec.indices(series_h.order):
+    for k, l in spec.indices(series_f.order):
         try:
-            results[(k, l)] = gal_check_poly(series_h.coeff(k, l), spec.dim(k, l))
+            results[(k, l)] = gal_check_poly(h_from_f(series_f.coeff(k, l)), spec.dim(k, l))
         except (ValueError, ArithmeticError) as exc:
             raise ArithmeticError(f"h-series of {spec.id} at ({k}, {l}): {exc}") from exc
     return results

@@ -12,21 +12,22 @@ A slot holds its polynomial as one int, packed at a width W as the
 ``algebra`` module docstring describes.  Every series is graded, slot
 (k, l) of degree k + l - offset with one offset per series, so a slot's
 digit count follows from its index.  The kernel is int arithmetic; a slot
-is decoded only where it is read, substituted or differentiated in t, or
-differs from another.  Each series bounds, per total degree, its slots'
-absolute coefficient sums and raises ArithmeticError where a bound reaches
+is decoded only where it is read or differentiated in t, or differs from
+another.  Each series bounds, per total degree, its slots' absolute
+coefficient sums and raises ArithmeticError where a bound reaches
 2^(W-1), beyond which decoding could be wrong.  Bounds multiply as
 exponential generating functions in z = x + y.  With E = e^z and
 R = 1 / (2 - E) (ordered Bell numbers), every face series of a family is
-at most F = 5 E^3 R, and so are the h-series, phi_h (h-polynomials of
-simple polytopes are nonnegative and sum to the vertex count) and its face
-series.  A d/dt, and every sum of products the identity suite forms, is at
-most 10 F^2: as F <= F^2 / 5, z <= F, e^{(alpha + 2t) y} <= E^3 <= F / 5
-and the scalars alpha + 2t and (alpha + t) t have absolute sums 3 and 2,
-the largest, I8's right-hand side, is at most 7.4 F^2.  W at
-order N is one bit above the N-th coefficient of 10 F^2 = 250 E^6 R^2.  A
-truncation, derivative or substitution keeps its operand's fields, and an
-operation on series of two widths repacks the narrower one.
+at most F = 5 E^3 R, and so is phi's face series, at most 2 E^2 R (as
+e^{-t y} <= E and e^{alpha x} + t eta(x) <= 2 E).  A d/dt, and every sum
+of products the identity suite forms, is at most 10 F^2: as F <= F^2 / 5,
+z <= F, e^{(alpha + 2t) y} <= E^3 <= F / 5 and the scalars alpha + 2t
+and (alpha + t) t have absolute sums 3 and 2, the largest, I8's
+right-hand side, is at most 7.4 F^2.  W at order N is one bit above the
+N-th coefficient of 10 F^2 = 250 E^6 R^2.  A truncation or derivative
+keeps its operand's fields, and an operation on series of two widths
+repacks the narrower one.  h-polynomials are read one coefficient at a
+time, through ``h_from_f``, and never packed.
 
 The five families are built from closed forms in series of x alone, with
 eta(x) = (e^{alpha x} - 1)/alpha expanded termwise and exponentials e^{p x},
@@ -80,15 +81,12 @@ __all__ = [
     "deriv_t",
     "swap_xy",
     "truncate",
-    "subst_h_series",
     "first_mismatch",
     "FamilySpec",
     "FAMILIES",
     "NotInFamilyError",
     "family_f",
-    "family_h",
     "pe_f_xplusy",
-    "phi_h",
     "coeff_normalized",
     "IdentityResult",
     "identity_suite",
@@ -415,12 +413,6 @@ def _diagonal(s: Series2) -> Series2:
     return Series2._built(s.order, s.offset, coeffs, s._bounds, s._width)
 
 
-def subst_h_series(s: Series2) -> Series2:
-    """Apply the alpha -> alpha - t substitution to every coefficient, in s's fields."""
-    polys = {slot: h_from_f(s.coeff(*slot)).coeffs for slot in s._coeffs}
-    return Series2._built(s.order, s.offset, *_pack_slots(polys, s.order, s._width), s._width)
-
-
 def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
     """Smallest slot, in (k+l, k) order, where two series differ.
 
@@ -562,31 +554,16 @@ def family_f(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
     return _family_f_cached(_family(fam).id, order)
 
 
-def family_h(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
-    """h-polynomial generating function: the face series under alpha -> alpha - t."""
-    return subst_h_series(family_f(fam, order))
-
-
 def pe_f_xplusy(order: int = DEFAULT_ORDER) -> Series2:
     """The permutohedron series evaluated at x + y."""
     return _diagonal(family_f("pe", order))
 
 
 def _phi_f(order: int) -> Series2:
-    """phi_h before its substitution: exp(-t y) (exp(alpha x) + t eta(x)) / (1 - t eta(x+y))."""
+    """phi, the kernel of I6-I8: exp(-t y) (exp(alpha x) + t eta(x)) / (1 - t eta(x+y))."""
     shrink_y = swap_xy(exp_series(-_T, order))
     bare_x = exp_series(_A, order)
     return shrink_y * (bare_x + eta_linear(order) * _T) * _diagonal(_denominator(order))
-
-
-def phi_h(order: int = DEFAULT_ORDER) -> Series2:
-    """The h-level two-variable kernel appearing in the x-derivatives.
-
-    ``_phi_f`` pushed through alpha -> alpha - t, which keeps every
-    intermediate free of division by alpha.  Its constant coefficient is 1
-    and its y = 0 slice is 1 + (alpha + t) Pe_h(x).
-    """
-    return subst_h_series(_phi_f(order))
 
 
 def coeff_normalized(

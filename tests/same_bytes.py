@@ -67,7 +67,9 @@ def argvs() -> list[list[str]]:
     ]
     out += [["verify", "--family", "all", "--max-order", str(n)] for n in (0, 4, 8, 12, 16)]
     out += [["gal-scan", "--family", "all", "--bound", str(n)] for n in (1, 4, 8, 12, 16)]
-    out += [["gal-scan", "--family", fam, "--bound", "8"] for fam in FAMILIES]
+    out += [
+        ["gal-scan", "--family", fam, "--bound", str(n)] for fam in FAMILIES for n in (1, 2, 3, 8, 16)
+    ]
     out += [["gal-scan", "--graph-class", "connected", "--nodes", str(n)] for n in range(1, 8)]
     out += [["invariants", "--graph", spec] for spec in GRAPHS]
     return out

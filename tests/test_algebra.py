@@ -17,8 +17,10 @@ from nestohedra.algebra import (
     is_symmetric,
 )
 from witnesses import (
+    f_from_h,
     h_from_gamma,
     integrate_t,
+    poly_deriv_t,
     poly_from_records,
     power,
     sparse_add,
@@ -62,9 +64,9 @@ def test_ring_arithmetic_basics() -> None:
 
 def test_deriv_t() -> None:
     p = power(A, 2) * power(T, 3) + 2 * power(A, 4) * T
-    assert p.deriv_t() == 3 * power(A, 2) * power(T, 2) + 2 * power(A, 4)
-    assert power(A, 3).deriv_t().is_zero()
-    assert Poly2.constant(5).deriv_t().is_zero()
+    assert poly_deriv_t(p) == 3 * power(A, 2) * power(T, 2) + 2 * power(A, 4)
+    assert poly_deriv_t(power(A, 3)).is_zero()
+    assert poly_deriv_t(Poly2.constant(5)).is_zero()
 
 
 def test_records_round_trip() -> None:
@@ -105,6 +107,15 @@ def test_h_from_f_hexagon() -> None:
     # The hexagon has 6 vertices, 6 edges, and itself.
     f = 6 * power(T, 2) + 6 * A * T + power(A, 2)
     assert h_from_f(f) == power(A, 2) + 4 * A * T + power(T, 2)
+    assert f_from_h(power(A, 2) + 4 * A * T + power(T, 2)) == f
+
+
+@given(homogeneous())
+def test_f_from_h_inverts_h_from_f(pair) -> None:
+    # alpha -> alpha + t undoes alpha -> alpha - t, both ways round
+    p, _ = pair
+    assert h_from_f(f_from_h(p)) == p
+    assert f_from_h(h_from_f(p)) == p
 
 
 def test_h_from_f_is_a_ring_homomorphism() -> None:
@@ -159,7 +170,7 @@ def test_arithmetic_agrees_with_the_sparse_witness(pair_p, pair_q) -> None:
     assert dict(p.terms()) == sp
     assert dict((p * q).terms()) == sparse_mul(sp, sq)
     assert dict((-p).terms()) == sparse_neg(sp)
-    assert dict(p.deriv_t().terms()) == sparse_deriv_t(sp)
+    assert dict(poly_deriv_t(p).terms()) == sparse_deriv_t(sp)
     assert dict(h_from_f(p).terms()) == sparse_h_from_f(sp)
     if p and q and homogeneous_degree(p) != homogeneous_degree(q):
         with pytest.raises(InhomogeneousError):

@@ -23,7 +23,7 @@ from nestohedra import algebra, cli, ringcalc, series
 from nestohedra.algebra import Poly2
 from nestohedra.cli import main
 from nestohedra.series import FAMILIES
-from witnesses import power
+from witnesses import f_from_h, power
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -215,8 +215,9 @@ def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:
         (["identities", "--order", "4"], "error: identities at order 4: "),
         (["verify", "--family", "st", "--max-order", "4"], "error: series of st at order 4: "),
         (["verify", "--max-order", "3"], "error: series of pe at order 3: "),
+        # a family scan decodes a slot where it takes h, at a family index
         (["gal-scan", "--family", "because-because", "--bound", "5"],
-         "error: series of because-because at order 5: "),
+         "error: h-series of because-because at (1, 1): "),
     ],
     ids=["identities", "verify-st", "verify-all", "gal-scan"],
 )
@@ -452,20 +453,20 @@ def test_gal_scan_usage_errors(capsys) -> None:
     )
 
 
-def _doctor_pe_h(monkeypatch, doctor: Callable[[series.Series2], series.Series2]) -> None:
-    """Make the CLI's pe h-series doctor(s) in place of s."""
-    plain = cli.family_h
+def _doctor_pe_f(monkeypatch, doctor: Callable[[series.Series2], series.Series2]) -> None:
+    """Make the CLI's pe face series doctor(s) in place of s."""
+    plain = cli.family_f
 
     def doctored(fam_id: str, order: int) -> series.Series2:
         s = plain(fam_id, order)
         return doctor(s) if fam_id == "pe" else s
 
-    monkeypatch.setattr(cli, "family_h", doctored)
+    monkeypatch.setattr(cli, "family_f", doctored)
 
 
 def _with_hexagon(p: Poly2) -> Callable[[series.Series2], series.Series2]:
-    """A doctor that puts p at (3, 0), the hexagon's index."""
-    return lambda s: series.Series2(s.order, {**dict(s.items()), (3, 0): p})
+    """A doctor that puts h-polynomial p at (3, 0), the hexagon's index."""
+    return lambda s: series.Series2(s.order, {**dict(s.items()), (3, 0): f_from_h(p)})
 
 
 @pytest.mark.parametrize(
@@ -480,7 +481,7 @@ def _with_hexagon(p: Poly2) -> Callable[[series.Series2], series.Series2]:
         ),
         # a whole series of offset 0, one above pe's grading: its first
         # coefficient, at (1, 0), has the wrong degree
-        (lambda s: s * (Poly2.alpha() + Poly2.t()), "(1, 0)"),
+        (lambda s: s * f_from_h(Poly2.alpha() + Poly2.t()), "(1, 0)"),
     ],
     ids=["dropped", "asymmetric", "wrong-degree"],
 )
@@ -490,18 +491,47 @@ def test_a_family_coefficient_with_no_gamma_vector_exits_one(
     # The series was built from valid arguments, so a coefficient with no
     # gamma vector is its failure (1), named in one line by family and
     # index, and nothing is written to stdout.
-    _doctor_pe_h(monkeypatch, doctor)
+    _doctor_pe_f(monkeypatch, doctor)
     code, out, err = _run(capsys, ["gal-scan", "--family", "all", "--bound", "4"])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: h-series of pe at {index}: ")
     assert err.count("\n") == 1
 
 
+def test_an_undecodable_family_slot_exits_one(capsys, monkeypatch) -> None:
+    # A slot at a family index whose digits outgrow its fields is found
+    # where the scan decodes it, and named by family and index.
+    def overflowing(s: series.Series2) -> series.Series2:
+        coeffs = {**s._coeffs, (3, 0): 1 << s._width * 5}
+        return series.Series2._built(s.order, s.offset, coeffs, s._bounds, s._width)
+
+    _doctor_pe_f(monkeypatch, overflowing)
+    code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: h-series of pe at (3, 0): slot (3, 0) does not fit ")
+    assert err.count("\n") == 1
+
+
+def test_a_family_scan_decodes_each_family_index_once(capsys, monkeypatch) -> None:
+    # the face series' slots are read where the scan takes h, and only at
+    # the family's own indices
+    decoded = []
+    plain = series.Series2._slot_digits
+
+    def counted(self: series.Series2, k: int, l: int) -> list[int]:
+        decoded.append((k, l))
+        return plain(self, k, l)
+
+    monkeypatch.setattr(series.Series2, "_slot_digits", counted)
+    assert _run(capsys, ["gal-scan", "--family", "all", "--bound", "6"])[0] == 0
+    assert len(decoded) == sum(len(spec.indices(6)) for spec in FAMILIES.values())
+
+
 def test_a_negative_gamma_entry_is_a_located_violation(capsys, monkeypatch) -> None:
     # (alpha + t)^2 - alpha t at pe (3, 0) has gamma = (1, -1): a finding,
     # written as the one violation, with its witness, and exit 1
     a, t = Poly2.alpha(), Poly2.t()
-    _doctor_pe_h(monkeypatch, _with_hexagon(power(a, 2) + a * t + power(t, 2)))
+    _doctor_pe_f(monkeypatch, _with_hexagon(power(a, 2) + a * t + power(t, 2)))
     code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])
     assert (code, err) == (1, "")
     report = json.loads(out)["reports"][0]
@@ -547,7 +577,7 @@ def test_a_failed_series_build_exits_one(capsys, monkeypatch) -> None:
     def broken(fam_id: str, order: int) -> series.Series2:
         raise ValueError("plain")
 
-    monkeypatch.setattr(cli, "family_h", broken)
+    monkeypatch.setattr(cli, "family_f", broken)
     code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])
     assert (code, out, err) == (1, "", "error: series of pe at order 4: plain\n")
 
@@ -770,7 +800,7 @@ def test_gal_scan_negative_control_digests(capsys, monkeypatch, scan: str, fmt: 
     # pe (3, 0), or of the triangle's h-polynomial: a negative gamma entry
     # is a finding, written out with exit 1.
     if scan == "family":
-        _doctor_pe_h(monkeypatch, _with_hexagon(_NON_GAL))
+        _doctor_pe_f(monkeypatch, _with_hexagon(_NON_GAL))
         argv = ["gal-scan", "--family", "all", "--bound", "4"]
     else:
         plain, triangle = cli.hpoly, nestohedra.complete_graph(3)

@@ -29,8 +29,8 @@ from nestohedra.invariants import (
     hpoly,
 )
 from nestohedra.ringcalc import FPolyCache
-from nestohedra.series import FAMILIES, Series2, _drop_one_term, family_h
-from witnesses import permutohedron_gammas, power
+from nestohedra.series import FAMILIES, Series2, _drop_one_term, family_f
+from witnesses import f_from_h, permutohedron_gammas, power
 
 A = Poly2.alpha()
 T = Poly2.t()
@@ -113,7 +113,7 @@ def test_gal_check_poly_rejects_malformed_input() -> None:
 
 
 def test_gal_check_series_on_the_bipartite_family() -> None:
-    results = gal_check_series(family_h("because-because", 7), "because-because")
+    results = gal_check_series(family_f("because-because", 7), "because-because")
     assert all(result.passed for result in results.values())
     assert list(results) == FAMILIES["because-because"].indices(7)
     assert len(results) == 23
@@ -122,7 +122,7 @@ def test_gal_check_series_on_the_bipartite_family() -> None:
 
 
 def test_gal_check_series_flags_a_dropped_coefficient() -> None:
-    broken = _drop_one_term(family_h("because-because", 4))
+    broken = _drop_one_term(family_f("because-because", 4))
     with pytest.raises(ArithmeticError) as excinfo:
         gal_check_series(broken, "because-because")
     assert str(excinfo.value) == (
@@ -130,21 +130,21 @@ def test_gal_check_series_flags_a_dropped_coefficient() -> None:
     )
 
 
-def _pe_h_with_hexagon(p: Poly2) -> Series2:
-    """The pe h-series at order 3 with p in place of the hexagon at (3, 0)."""
-    return Series2(3, {**dict(family_h("pe", 3).items()), (3, 0): p})
+def _pe_f_with_hexagon(p: Poly2) -> Series2:
+    """The pe face series at order 3 with h-polynomial p in place of the hexagon's at (3, 0)."""
+    return Series2(3, {**dict(family_f("pe", 3).items()), (3, 0): f_from_h(p)})
 
 
 @pytest.mark.parametrize(
     "doctored, error",
     [
         (
-            lambda: _pe_h_with_hexagon(power(A, 2) + 4 * A * T + 2 * power(T, 2)),
+            lambda: _pe_f_with_hexagon(power(A, 2) + 4 * A * T + 2 * power(T, 2)),
             "(3, 0): not symmetric in alpha and t: a^2 + 4*a*t + 2*t^2",
         ),
         # offset 0, one above pe's grading: the first coefficient is off
-        (lambda: family_h("pe", 3) * (A + T), "(1, 0): expected degree 0, got 1"),
-        (lambda: _pe_h_with_hexagon(power(A, 2) + power(T, 2)), None),
+        (lambda: family_f("pe", 3) * f_from_h(A + T), "(1, 0): expected degree 0, got 1"),
+        (lambda: _pe_f_with_hexagon(power(A, 2) + power(T, 2)), None),
     ],
     ids=["asymmetric", "wrong-degree", "negative-gamma"],
 )
@@ -154,13 +154,13 @@ def test_gal_check_series_reports_each_fault_once(
     # A coefficient with no gamma vector is the series' fault and raises,
     # naming the family and index; a negative gamma entry is a finding and
     # is reported in that index's result.
-    series_h = doctored()
+    series_f = doctored()
     if error is not None:
         with pytest.raises(ArithmeticError) as excinfo:
-            gal_check_series(series_h, "pe")
+            gal_check_series(series_f, "pe")
         assert str(excinfo.value) == "h-series of pe at " + error
         return
-    results = gal_check_series(series_h, "pe")
+    results = gal_check_series(series_f, "pe")
     assert [(index, gv.first_negative) for index, gv in results.items() if not gv.passed] == [
         ((3, 0), (1, -2))
     ]
@@ -170,13 +170,13 @@ def test_gal_check_series_reports_each_fault_once(
 
 def test_gal_check_series_scans_every_family() -> None:
     for fam_id in FAMILIES:
-        results = gal_check_series(family_h(fam_id, 5), fam_id)
+        results = gal_check_series(family_f(fam_id, 5), fam_id)
         failed = {index: gv.first_negative for index, gv in results.items() if not gv.passed}
         assert not failed, (fam_id, failed)
 
 
 def test_scan_report_serialization() -> None:
-    results = gal_check_series(family_h("pe", 4), "pe")
+    results = gal_check_series(family_f("pe", 4), "pe")
     assert list(results) == [(1, 0), (2, 0), (3, 0), (4, 0)]
     assert [gv.as_strings() for gv in results.values()] == [
         ["1"], ["1"], ["1", "2"], ["1", "8"]
@@ -222,7 +222,7 @@ def test_complete_fvectors_are_ordered_set_partitions() -> None:
 def test_permutohedron_gammas_count_permutations_without_double_descents() -> None:
     # The pe scan against Foata-Strehl counting (permutohedron_gammas): a
     # witness that neither the recursion nor the series supplies.
-    results = gal_check_series(family_h("pe", 8), "pe")
+    results = gal_check_series(family_f("pe", 8), "pe")
     assert results == {(n, 0): permutohedron_gammas(n) for n in range(1, 9)}
     assert results[(8, 0)] == GammaVector(7, (1, 240, 3072, 3968))
 

@@ -28,15 +28,18 @@ general power-sum exponential is the reference for the closed-form
 variables is the reference for the copies at x + y.  The list kernel,
 which accumulates each product slot as a list of coefficients, is the
 reference for the packed kernel of ``Series2`` products and inverses.
-The h-level identities check I5-I8 between the h-series themselves, with
-the scalars alpha + t and alpha t, the reference for the suite's check of
+The h-level series push every slot of a face series through
+alpha -> alpha - t (``subst_h_series``, ``family_h``, ``phi_h``), and
+``f_from_h`` is the inverse substitution, alpha -> alpha + t.  On them the
+h-level identities check I5-I8 between the h-series themselves, with the
+scalars alpha + t and alpha t, the reference for the suite's check of
 them between face series through alpha -> alpha - t.
 
 The permutohedron's gamma vectors are counted over permutations, a
 witness that needs neither the recursion nor the series.
 
 The rest of the file is library surface only the tests use: powers,
-records and gamma expansions of ``Poly2``, graph components and the
+records, d/dt and gamma expansions of ``Poly2``, graph components and the
 y = 0 slice of a series.
 """
 
@@ -51,7 +54,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from nestohedra.algebra import GammaVector, Poly2, homogeneous_degree
+from nestohedra.algebra import GammaVector, Poly2, h_from_f, homogeneous_degree
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
@@ -64,18 +67,20 @@ from nestohedra.buildingset import (
     twin_classes,
 )
 from nestohedra.series import (
+    DEFAULT_ORDER,
     IDENTITY_FAMILIES,
+    FamilySpec,
     IdentityResult,
     Series2,
     _diagonal,
     _drop_one_term,
+    _pack_slots,
+    _phi_f,
     deriv_x,
     deriv_y,
     exp_series,
     family_f,
     first_mismatch,
-    phi_h,
-    subst_h_series,
     swap_xy,
     truncate,
 )
@@ -823,7 +828,40 @@ def list_inv_series(s: Series2) -> Series2:
 
 
 # ---------------------------------------------------------------------------
-# the identities I5-I8 between h-series
+# h-level series, and the identities I5-I8 between them
+
+
+def f_from_h(p: Poly2) -> Poly2:
+    """Substitute alpha -> alpha + t, the inverse of ``h_from_f``.
+
+    With t = 1 this is the Taylor shift h(alpha) -> h(alpha + 1), by
+    repeated synthetic division.
+    """
+    f = list(p.coeffs)
+    n = len(f) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            f[k] += f[k + 1]
+    return Poly2.from_coeffs(f)
+
+
+def subst_h_series(s: Series2) -> Series2:
+    """Apply the alpha -> alpha - t substitution to every coefficient, in s's fields."""
+    polys = {slot: h_from_f(s.coeff(*slot)).coeffs for slot in s._coeffs}
+    return Series2._built(s.order, s.offset, *_pack_slots(polys, s.order, s._width), s._width)
+
+
+def family_h(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
+    """h-polynomial generating function: the face series under alpha -> alpha - t."""
+    return subst_h_series(family_f(fam, order))
+
+
+def phi_h(order: int = DEFAULT_ORDER) -> Series2:
+    """phi, the kernel of I6-I8, under alpha -> alpha - t.
+
+    Its constant coefficient is 1 and its y = 0 slice is 1 + (alpha + t) Pe_h(x).
+    """
+    return subst_h_series(_phi_f(order))
 
 
 def h_level_identities(order: int, corrupt: str | None = None) -> tuple[IdentityResult, ...]:
@@ -899,6 +937,12 @@ def power(p: Poly2, exponent: int) -> Poly2:
     for _ in range(exponent):
         out = out * p
     return out
+
+
+def poly_deriv_t(p: Poly2) -> Poly2:
+    """Formal d/dt."""
+    n = len(p.coeffs) - 1
+    return Poly2.from_coeffs(c * (n - i) for i, c in enumerate(p.coeffs[:-1]))
 
 
 def poly_from_records(records: Iterable[Mapping[str, object]]) -> Poly2:
