@@ -6,9 +6,9 @@ edge u-v), which every operation reads and the shared memo uses as key.
 
 The connected induced subgraphs of a graph are its building set, and the
 nested-set recursion (``ringcalc``) reads them straight off node masks:
-``connected_submask`` tests a mask, ``induced_subgraph`` relabels one
-compactly, and ``twin_classes`` groups the nodes that every induced
-subgraph treats alike.  The building-set definitions themselves
+``_closure`` grows a connected part within a mask, ``_induced_adj``
+relabels one compactly, and ``twin_classes`` groups the nodes that every
+induced subgraph treats alike.  The building-set definitions themselves
 (restriction, removal, validation) are kept in the tests as the witness
 these graph operations are checked against.
 """
@@ -56,15 +56,6 @@ class GraphSpecError(ValueError):
     """Malformed graph description."""
 
 
-def _mask_nodes(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 @total_ordering
 class Graph(Record):
     """Simple undirected graph on nodes 0..n-1, as adjacency masks.
@@ -94,7 +85,7 @@ class Graph(Record):
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as sorted pairs (u, v), u < v."""
         return frozenset(
-            (u, v) for u, m in enumerate(self.adj) for v in _mask_nodes(m) if u < v
+            (u, v) for u, m in enumerate(self.adj) for v in range(u + 1, self.n) if m >> v & 1
         )
 
 

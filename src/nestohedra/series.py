@@ -26,8 +26,8 @@ and (alpha + t) t have absolute sums 3 and 2, the largest, I8's
 right-hand side, is at most 7.4 F^2.  W at order N is one bit above the
 N-th coefficient of 10 F^2 = 250 E^6 R^2.  A truncation or derivative
 keeps its operand's fields, and an operation on series of two widths
-repacks the narrower one.  h-polynomials are read one coefficient at a
-time, through ``h_from_f``, and never packed.
+raises ValueError.  h-polynomials are read one coefficient at a time,
+through ``h_from_f``, and never packed.
 
 The five families are built from closed forms in series of x alone, with
 eta(x) = (e^{alpha x} - 1)/alpha expanded termwise and exponentials e^{p x},
@@ -60,7 +60,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._record import Record
-from .algebra import Poly2, _digits, _egf_inverse, _pack, h_from_f
+from .algebra import Poly2, _as_poly, _digits, _egf_inverse, _pack, h_from_f
 from .buildingset import (
     Graph,
     bipartite_graph,
@@ -139,9 +139,10 @@ class Series2:
     and slot (k, l) has degree k + l - ``offset``.  The constructor reads
     the offset off the first nonzero slot in (k + l, k) order and raises
     ValueError naming a slot off that grading; the zero series matches any
-    grading.  Instances are treated as immutable.  Binary operations require
-    equal truncation orders; mixing orders silently would hide lost
-    precision, so it raises instead (use ``truncate`` first).
+    grading.  Instances are treated as immutable.  Binary operations raise
+    ValueError on two truncation orders, which would hide lost precision,
+    or on two packings (truncate both from one order); sums and
+    ``first_mismatch`` also refuse nonzero series of two offsets.
     """
 
     __slots__ = ("order", "offset", "_coeffs", "_bounds", "_width")
@@ -155,6 +156,7 @@ class Series2:
                 raise ValueError(f"negative exponent pair {(k, l)}")
             if k + l > order:
                 raise ValueError(f"slot {(k, l)} beyond truncation order {order}")
+            p = _as_poly(p)
             if p:
                 data[(k, l)] = data[(k, l)] + p if (k, l) in data else p
         slots = sorted((s for s, p in data.items() if p), key=lambda s: (sum(s), s))
@@ -191,7 +193,7 @@ class Series2:
         Its offset is k + l minus the degree of p.  A slot above the
         truncation order truncates to the zero series of that offset.
         """
-        p = p if isinstance(p, Poly2) else Poly2.constant(p)
+        p = _as_poly(p)
         if k < 0 or l < 0 or k + l <= order:
             return cls(order, {(k, l): p})
         return cls._built(order, k + l - len(p.coeffs) + 1, {}, (0,) * (order + 1), _width(order))
@@ -220,36 +222,32 @@ class Series2:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series2):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        a, b = self._aligned(other)
-        return a._coeffs == b._coeffs and (not a._coeffs or a.offset == b.offset)
+        return self.order == other.order and self.items() == other.items()
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _aligned(self, other: "Series2") -> tuple["Series2", "Series2"]:
-        """Both series at the wider of their widths; their orders must agree."""
+    def _aligned(self, other: "Series2") -> None:
+        """Refuse an operand of another order or packed at another width."""
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        width = max(self._width, other._width)
-        return self._at(width), other._at(width)
+        if self._width != other._width:
+            raise ValueError(f"packing mismatch: {self._width}-bit vs {other._width}-bit fields")
 
-    def _at(self, width: int) -> "Series2":
-        if width == self._width:
-            return self
-        coeffs = {s: _pack(self.coeff(*s).coeffs, width) for s in self._coeffs}
-        return Series2._built(self.order, self.offset, coeffs, self._bounds, width)
-
-    def __add__(self, other: "Series2") -> "Series2":
-        self, other = self._aligned(other)
+    def _graded_with(self, other: "Series2") -> int:
+        """The offset of self + other; nonzero series of two gradings are refused."""
+        self._aligned(other)
         if self and other and self.offset != other.offset:
             raise ValueError(f"grading offsets {self.offset} and {other.offset} do not add")
+        return (self or other).offset
+
+    def __add__(self, other: "Series2") -> "Series2":
+        offset = self._graded_with(other)
         out = dict(self._coeffs)
         for s, q in other._coeffs.items():
             out[s] = out.get(s, 0) + q
         bounds = tuple(map(int.__add__, self._bounds, other._bounds))
         out = {s: c for s, c in out.items() if c}
-        return Series2._built(self.order, (self or other).offset, out, bounds, self._width)
+        return Series2._built(self.order, offset, out, bounds, self._width)
 
     def __sub__(self, other: "Series2") -> "Series2":
         return self + (other * -1)
@@ -258,7 +256,7 @@ class Series2:
         """Coefficientwise by a scalar or Poly2; the binomial product by a series."""
         order = self.order
         if isinstance(other, Series2):
-            self, other = self._aligned(other)
+            self._aligned(other)
             vals = [0] * (order + 1) ** 2
             right = _by_degree(other._coeffs, order)
             for (k1, l1), p in self._coeffs.items():
@@ -365,7 +363,7 @@ def exp_series(p: Poly2 | int, order: int) -> Series2:
     nothing divides.  The families' other exponentials are its ``swap_xy``
     (e^{p y}) and its products (e^{a x + b y} = e^{a x} e^{b y}).
     """
-    p = p if isinstance(p, Poly2) else Poly2.constant(p)
+    p = _as_poly(p)
     if p and len(p.coeffs) != 2:
         raise ValueError(f"exp_series takes p = 0 or p of degree 1, not {p}")
     base = _pack(p.coeffs, _width(order))
@@ -416,13 +414,13 @@ def _diagonal(s: Series2) -> Series2:
 def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
     """Smallest slot, in (k+l, k) order, where two series differ.
 
-    The difference returned is that of the stored k! l! coefficients.  Two
-    series of different offsets differ at every slot either holds.
+    The difference returned is that of the stored k! l! coefficients.  Like
+    a sum, it refuses two nonzero series of different offsets.
     """
-    a, b = a._aligned(b)
+    a._graded_with(b)
     slots = sorted(set(a._coeffs) | set(b._coeffs), key=lambda s: (sum(s), s))
     for k, l in slots:
-        if a._coeffs.get((k, l)) != b._coeffs.get((k, l)) or a.offset != b.offset:
+        if a._coeffs.get((k, l)) != b._coeffs.get((k, l)):
             return (k, l, a.coeff(k, l) - b.coeff(k, l))
     return None
 

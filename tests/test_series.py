@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nestohedra import cli, series
 from nestohedra.cli import MAX_ORDER, main
-from nestohedra.algebra import InhomogeneousError, Poly2, _egf_inverse, homogeneous_degree
+from nestohedra.algebra import Poly2, _egf_inverse, homogeneous_degree
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
@@ -88,10 +88,18 @@ def test_mixed_orders_raise() -> None:
         Series2.one(3) * Series2.one(4)
     with pytest.raises(ValueError, match="order mismatch: 4 vs 3"):
         eta_linear(4) * family_f("pe", 3)
-    lowered = truncate(Series2.one(4), 3) + Series2.one(3)
-    assert lowered.coeff(0, 0) == Poly2.constant(2)
+    # a truncation keeps its order's fields, so it does not add to a
+    # series built at the lower order
+    widths = f"{series._width(4)}-bit vs {series._width(3)}-bit"
+    with pytest.raises(ValueError, match=f"^packing mismatch: {widths} fields$"):
+        truncate(Series2.one(4), 3) + Series2.one(3)
     with pytest.raises(ValueError):
         truncate(Series2.one(3), 5)
+
+
+def test_the_constructor_takes_int_coefficients() -> None:
+    assert Series2(2, {(0, 0): 5}) == Series2.monomial(2, 0, 0, 5)
+    assert Series2(2, [((1, 0), 2), ((1, 0), -2)]).is_zero()
 
 
 @pytest.mark.parametrize(
@@ -348,11 +356,15 @@ def test_series_off_one_grading_are_refused() -> None:
         eta_linear(2) + Series2.one(2)
     with pytest.raises(ValueError, match="^grading offsets 0 and 1 do not add$"):
         Series2.one(2) - eta_linear(2)
-    # 1 and t pack alike at (0, 0); their offsets tell them apart
+    # 1 and t pack alike at (0, 0); their offsets tell them apart, and
+    # first_mismatch refuses them as a sum does
     assert Series2.one(2) != Series2.monomial(2, 0, 0, T)
-    assert first_mismatch(eta_linear(2), Series2.one(2)) == (0, 0, -Poly2.one())
-    with pytest.raises(InhomogeneousError, match=r"^mixed total degrees \[0, 1\]"):
+    with pytest.raises(ValueError, match="^grading offsets 1 and 0 do not add$"):
+        first_mismatch(eta_linear(2), Series2.one(2))
+    with pytest.raises(ValueError, match="^grading offsets 0 and -1 do not add$"):
         first_mismatch(Series2.one(2), Series2.monomial(2, 0, 0, T))
+    with pytest.raises(ValueError, match="^grading offsets 0 and -1 do not add$"):
+        first_mismatch(Series2.monomial(3, 1, 0, A), Series2.monomial(3, 1, 0, A * T))
     # the zero series matches any grading
     assert (Series2(2) + eta_linear(2)).offset == (eta_linear(2) - Series2(2)).offset == 1
     assert eta_linear(2) + Series2(2) == eta_linear(2)
@@ -490,20 +502,17 @@ def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_
     assert all(l == 0 for _, l in inverted[0]._coeffs)
 
 
-def test_the_identity_suite_repacks_no_operand(monkeypatch, cold_series_caches) -> None:
-    # every operand is a series of the suite's order or a truncation of
-    # one, so it keeps that order's fields and no sum or product repacks it
-    repacked = []
-    plain = Series2._at
-
-    def counted(self: Series2, width: int) -> Series2:
-        if width != self._width:
-            repacked.append((self.order, self._width, width))
-        return plain(self, width)
-
-    monkeypatch.setattr(Series2, "_at", counted)
+def test_operands_of_two_packings_raise(cold_series_caches) -> None:
+    # a truncation keeps its order's fields, so it is refused beside a
+    # series built at the lower order; the identity suite truncates every
+    # low-order operand from its own order, so it never meets two packings
+    low, built = truncate(family_f("pe", 6), 4), family_f("pe", 4)
+    widths = f"{series._width(6)}-bit vs {series._width(4)}-bit"
+    for op in (Series2.__add__, Series2.__sub__, Series2.__mul__, first_mismatch):
+        with pytest.raises(ValueError, match=f"^packing mismatch: {widths} fields$"):
+            op(low, built)
+    assert low == built
     assert all(r.passed for r in identity_suite(8))
-    assert repacked == []
 
 
 def test_subst_h_series_matches_coefficientwise_substitution() -> None:
@@ -512,7 +521,7 @@ def test_subst_h_series_matches_coefficientwise_substitution() -> None:
     assert h.coeff(1, 0) == power(A - T, 2)
     assert h.coeff(0, 1) == (A - T) * T
     # a truncation keeps the wider fields of its order, and so does its
-    # substitution, so products with other truncations need no repacking
+    # substitution, so it meets other truncations of that order
     low = truncate(family_f("pe", 6), 4)
     assert subst_h_series(low)._width == low._width == series._width(6) > series._width(4)
 
@@ -524,6 +533,35 @@ def test_first_mismatch_reports_the_smallest_slot() -> None:
     assert (k, l) == (2, 1)
     assert diff == A - T
     assert first_mismatch(a, a) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_equality_holds_exactly_where_first_mismatch_finds_none(data) -> None:
+    # b is a, a one-slot change of it, the zero series or a fresh draw at
+    # a's grading; == reads decoded coefficients, first_mismatch packed ones
+    order = data.draw(st.integers(0, 4))
+    offset = data.draw(_OFFSETS)
+    a = data.draw(graded_series(order, offset))
+    slots = [(k, l) for k in range(order + 1) for l in range(order + 1 - k) if k + l >= offset]
+    k, l = data.draw(st.sampled_from(slots)) if slots else (0, 0)
+    changed = dict(a.items())
+    changed[(k, l)] = data.draw(_homogeneous(k + l - offset)) if slots else Poly2.zero()
+    b = data.draw(
+        st.sampled_from(
+            [a, Series2(order, changed), Series2(order), data.draw(graded_series(order, offset))]
+        )
+    )
+    assert (a == b) == (first_mismatch(a, b) is None) == (b == a)
+    found = first_mismatch(a, b)
+    if found is not None:
+        assert found[2] == a.coeff(*found[:2]) - b.coeff(*found[:2]) != Poly2.zero()
+
+
+@pytest.mark.parametrize("fam", list(FAMILIES))
+@pytest.mark.parametrize("n", range(7))
+def test_a_truncation_equals_the_series_built_at_its_order(fam: str, n: int) -> None:
+    assert truncate(family_f(fam, n + 2), n) == family_f(fam, n)
 
 
 # ---------------------------------------------------------------------------

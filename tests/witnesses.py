@@ -59,7 +59,6 @@ from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
     _closure,
-    _mask_nodes,
     connected_submask,
     graph_from_edges,
     graph_spec,
@@ -87,6 +86,16 @@ from nestohedra.series import (
 
 # ---------------------------------------------------------------------------
 # graph operations of the facet recursion
+
+
+def _mask_nodes(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _compress(masks: Iterable[int], within: int) -> tuple[int, ...]:
