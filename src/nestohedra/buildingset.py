@@ -227,8 +227,9 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
 
 def graph_spec(g: Graph) -> str:
     """Canonical ``edges:N:...`` description; inverse of parse_graph_spec."""
-    body = ",".join(f"{u}-{v}" for u, v in sorted(g.edges))
-    return f"edges:{g.n}:{body}"
+    adj, n = g.adj, g.n
+    body = ",".join([f"{u}-{v}" for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1])
+    return f"edges:{n}:{body}"
 
 
 def _split_top_level(text: str, spec: str) -> list[str]:

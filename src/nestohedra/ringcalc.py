@@ -36,10 +36,12 @@ face count of the permutohedron, the ordered Bell number, which stays
 below 2^(W-1) and never carries into the next field.
 
 ``FPolyCache`` shares results between graphs: each subproblem missed by
-the per-call mask memo is looked up, and stored, under the adjacency tuple
-of its labelled induced subgraph.  The recursion takes graphs only:
-nestohedra of building sets that do not come from a graph are out of
-scope.
+the per-call mask memo is looked up, and stored, under a key of its induced
+subgraph.  Up to five nodes the key is the int ``_shape``, which names the
+isomorphism class, so isomorphic subgraphs share whatever their labels;
+above five it is the adjacency tuple of the labelled induced subgraph.  The
+recursion takes graphs only: nestohedra of building sets that do not come
+from a graph are out of scope.
 """
 
 from __future__ import annotations
@@ -67,13 +69,45 @@ _ONE_PLUS_ALPHA = 1 << _WIDTH | 1
 
 
 class FPolyCache(dict):
-    """Packed face counts keyed on labelled graphs' adjacency tuples.
+    """Packed face counts of connected graphs, under two kinds of key.
 
-    Shared across ``fpoly`` calls; ``Graph(key)`` is the graph of a key.
+    An int key is the ``_shape`` of a graph on 2-5 nodes, one per
+    isomorphism class; a tuple key is the adjacency tuple of a labelled
+    graph on six or more, and ``Graph(key)`` is that graph.  Shared across
+    ``fpoly`` calls.
     """
 
     lookup = dict.get
     store = dict.__setitem__
+
+
+def _shape(adj: tuple[int, ...], mask: int) -> int:
+    """The isomorphism class of the connected induced subgraph on mask, 2-5 nodes.
+
+    Each node of degree d in it adds 1 << 4 * d, a histogram of degrees
+    with a 4-bit count each; on five nodes the sum over nodes v and their
+    neighbours u of |N(u) & N(v)|, six times the triangle count, goes above
+    it at bit 24.  The degrees tell apart the connected graphs on 2-4
+    nodes; on five nodes two pairs share degrees, a triangle with a
+    two-edge tail and a 4-cycle with a pendant, and the house and K_{2,3},
+    and the triangles tell each pair apart.  So the 771 labelled connected
+    graphs on 2-5 nodes take 30 shapes, one per class, which the tests
+    check against a canonical form.
+    """
+    five = mask.bit_count() == 5
+    shape, left = 0, mask
+    while left:
+        low = left & -left
+        left ^= low
+        row = adj[low.bit_length() - 1] & mask
+        shape += 1 << 4 * row.bit_count()
+        if five:
+            rest = row
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                shape += (adj[u.bit_length() - 1] & row).bit_count() << 24
+    return shape
 
 
 class _NestedSets:
@@ -118,14 +152,15 @@ class _NestedSets:
             return f
         if not mask & (mask - 1):
             return 1
-        key = _induced_adj(self.adj, mask)
+        n = mask.bit_count()
+        key = _shape(self.adj, mask) if n <= 5 else _induced_adj(self.adj, mask)
         f = self.cache.lookup(key)
         if f is None:
             f = self.expand(mask)
-            n = mask.bit_count()
             if f >> _WIDTH * (n - 1) != 1:
+                labelled = Graph(_induced_adj(self.adj, mask))
                 raise ArithmeticError(
-                    f"face counts of {graph_spec(Graph(key))} are {_digits(f, _WIDTH)}, "
+                    f"face counts of {graph_spec(labelled)} are {_digits(f, _WIDTH)}, "
                     f"not {n} entries ending in 1"
                 )
             self.cache.store(key, f)

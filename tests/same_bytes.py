@@ -25,7 +25,10 @@ FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
 # and one over the 20-node limit (both exit 2), then the spec parser's
 # boundaries: spaces around sizes and arguments, the node cap with a
 # star's centre and a first part counted, a short cycle, an out-of-range
-# label, a one-argument join and a join nested 33 deep
+# label, a one-argument join and a join nested 33 deep; last the two pairs
+# of 5-node classes that share degrees (a triangle with a two-edge tail and
+# a 4-cycle with a pendant, the house and K_{2,3}) and a 7-node graph that
+# holds all four as induced subgraphs
 GRAPHS = (
     "path:12",
     "bipartite:4,4",
@@ -54,6 +57,11 @@ GRAPHS = (
     "edges:3:0-5",
     "join(complete:2)",
     "join(empty:0," * 33 + "empty:0" + ")" * 33,
+    "edges:5:0-4,1-2,1-3,2-3,3-4",
+    "edges:5:0-1,1-3,1-4,2-3,2-4",
+    "edges:5:0-1,0-3,0-4,1-2,2-3,3-4",
+    "bipartite:2,3",
+    "edges:7:0-4,1-2,1-4,1-6,2-5,3-5,3-6,4-5,5-6",
 )
 
 

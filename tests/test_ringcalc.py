@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -33,6 +34,7 @@ from witnesses import (
     PolyExpr,
     boundary,
     building_set_from_graph,
+    canonical_graph,
     dimension,
     facet_fpoly,
     facets_from_building_set,
@@ -387,10 +389,10 @@ def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() ->
 
 
 def test_a_class_scan_stores_each_labelled_induced_subgraph_once(monkeypatch, capsys) -> None:
-    stored: list[tuple[int, ...]] = []
+    stored: list[int | tuple[int, ...]] = []
     plain = FPolyCache.store
 
-    def counted(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
+    def counted(cache: FPolyCache, key: int | tuple[int, ...], value: int) -> None:
         stored.append(key)
         plain(cache, key, value)
 
@@ -398,17 +400,25 @@ def test_a_class_scan_stores_each_labelled_induced_subgraph_once(monkeypatch, ca
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
     capsys.readouterr()
     assert len(stored) == len(set(stored))
-    # every scanned class is stored under its own labelling, and every
-    # entry is a connected graph the scan's subproblems reached
+    # subproblems of up to five nodes are stored under their shape, one per
+    # connected class on 2-5 nodes; larger ones under their labelled
+    # induced subgraph, a connected graph the scan's subproblems reached,
+    # and every six-node class under its own labelling
+    shapes = {
+        ringcalc._shape(g.adj, (1 << g.n) - 1) for g in connected_graphs_upto_iso(5) if g.n > 1
+    }
+    assert {key for key in stored if type(key) is int} == shapes
+    labelled = [key for key in stored if type(key) is tuple]
+    assert all(len(key) >= 6 and is_connected_graph(Graph(key)) for key in labelled)
     scanned = {g.adj for g in connected_graphs_upto_iso(6) if g.n == 6}
-    assert scanned <= set(stored)
-    assert all(is_connected_graph(Graph(key)) for key in stored)
+    assert scanned <= set(labelled)
 
 
 def test_a_class_scan_shares_subproblems_across_its_graphs(monkeypatch, capsys) -> None:
-    # The six-node scan makes 2297 keyed lookups, and only 411 of them
-    # miss and run the formula.  A cache key that stopped matching equal
-    # labelled subgraphs across graphs would run it more often.
+    # The six-node scan makes 1942 keyed lookups, and only 142 of them
+    # miss and run the formula, one per connected class on 2-6 nodes.  A
+    # cache key that stopped matching isomorphic subgraphs of up to five
+    # nodes, or equal labelled ones above, would run it more often.
     expanded = []
     plain = ringcalc._NestedSets.expand
 
@@ -419,7 +429,58 @@ def test_a_class_scan_shares_subproblems_across_its_graphs(monkeypatch, capsys) 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", counted)
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
     capsys.readouterr()
-    assert len(expanded) == 411
+    assert len(expanded) == 142
+
+
+def _labelled_connected_graphs(n: int) -> list[Graph]:
+    """Every connected graph on the nodes 0..n-1, each labelling once."""
+    pairs = list(combinations(range(n), 2))
+    graphs = (
+        graph_from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        for bits in range(1 << len(pairs))
+    )
+    return [g for g in graphs if is_connected_graph(g)]
+
+
+def test_the_shape_takes_one_value_per_class_up_to_five_nodes() -> None:
+    # The shared cache keys subproblems of up to five nodes by their shape,
+    # so the shape must name one isomorphism class whatever the labels:
+    # 771 labelled connected graphs on 2-5 nodes, 30 classes.  The classes
+    # come from the witness canonical form and the face polynomials from
+    # the facet recursion, so the recursion never grades its own key.
+    graphs = [g for n in range(2, 6) for g in _labelled_connected_graphs(n)]
+    assert len(graphs) == 771
+    classes: dict[int, set[Graph]] = {}
+    cache, memo = FPolyCache(), {}
+    for g in graphs:
+        shape = ringcalc._shape(g.adj, (1 << g.n) - 1)
+        classes.setdefault(shape, set()).add(canonical_graph(g))
+        # the first labelling of a shape stores its face counts under it,
+        # and every later one reads them back
+        assert fpoly(g, cache) == facet_fpoly(g, memo), graph_spec(g)
+    assert len(classes) == 30
+    assert all(len(canonical) == 1 for canonical in classes.values())
+    assert set(cache) == set(classes)
+
+
+def test_the_shape_splits_the_five_node_classes_that_share_degrees() -> None:
+    # The triangle with a two-edge tail and the 4-cycle with a pendant share
+    # degrees, and so do the house and K_{2,3}; only their triangles differ.
+    # Each graph with its face counts by dimension:
+    faces = {
+        "edges:5:0-4,1-2,1-3,2-3,3-4": (56, 112, 73, 17, 1),
+        "edges:5:0-1,1-3,1-4,2-3,2-4": (69, 138, 89, 20, 1),
+        "edges:5:0-1,0-3,0-4,1-2,2-3,3-4": (84, 168, 107, 23, 1),
+        "bipartite:2,3": (92, 184, 117, 25, 1),
+    }
+    for spec, f in faces.items():
+        g = parse_graph_spec(spec)
+        assert facet_fpoly(g).coeffs == fpoly(g).coeffs == f, spec
+    specs = list(faces)
+    for a, b in (specs[:2], specs[2:]):
+        g, h = parse_graph_spec(a), parse_graph_spec(b)
+        assert sorted(map(int.bit_count, g.adj)) == sorted(map(int.bit_count, h.adj))
+        assert ringcalc._shape(g.adj, 31) != ringcalc._shape(h.adj, 31)
 
 
 def test_the_packed_field_width_holds_the_permutohedron_face_count() -> None:
