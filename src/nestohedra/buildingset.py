@@ -81,13 +81,6 @@ class Graph(Record):
     def n(self) -> int:
         return len(self.adj)
 
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as sorted pairs (u, v), u < v."""
-        return frozenset(
-            (u, v) for u, m in enumerate(self.adj) for v in range(u + 1, self.n) if m >> v & 1
-        )
-
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     if n < 0:

@@ -7,7 +7,7 @@ sets of their own (Postnikov, arXiv:math/0507163, section 7; Carr and
 Devadoss, arXiv:math/0407229).  So, with F_W the sum of alpha^dim over the
 faces, (1 + alpha) F_W is the sum over every U inside W of
 alpha^|W - U| times the F of each component of U.  Splitting on whether U
-holds the lowest node v of W, and on the component C of v in U, gives
+holds a node v of W, and on the component C of v in U, gives
 
     F_W = S(W - v) + sum over C of F_C alpha^(|N_W(C)| - 1) S(W - C - N_W(C))
 
@@ -20,12 +20,14 @@ node masks of the one graph, and every term is a nonnegative integer.
 Twin nodes of a graph (``twin_classes``) stay twins in every induced
 subgraph, so F_W depends only on how many nodes W takes from each class.
 The memo is keyed on the twin-canonical mask, the first nodes of each
-class.  A class is named by its first node, so v is the first node of
-its class and the classes W meets are W's first nodes.  ``expand`` walks
-the C inline, one class at a time through the class quotient, and
-chooses counts only inside classes whose second node is in W.  On a
-twin-free graph this is plain connected-set extension, with one memo
-read and one addition per C.
+class.  A class is named by its first node, and the classes W meets are
+W's first nodes.  ``expand`` takes for v the first node of a class with
+the fewest neighbouring classes in W, the lowest of those, since a class
+with few neighbouring classes tends to lie in few connected C; W - v is
+then W less the last masked node of v's class.  It walks the C inline, one class
+at a time through the class quotient, and chooses counts only inside
+classes whose second node is in W.  On a twin-free graph this is plain
+connected-set extension, with one memo read and one addition per C.
 
 Every face polynomial, product S(X) and partial sum is one int, packed
 at W = _WIDTH as the ``algebra`` module docstring describes.  Multiplying
@@ -35,13 +37,13 @@ counts of a nestohedron on at most MAX_GROUND nodes, so it is at most the
 face count of the permutohedron, the ordered Bell number, which stays
 below 2^(W-1) and never carries into the next field.
 
-``FPolyCache`` shares results between graphs: each subproblem missed by
-the per-call mask memo is looked up, and stored, under a key of its induced
-subgraph.  Up to five nodes the key is the int ``_shape``, which names the
-isomorphism class, so isomorphic subgraphs share whatever their labels;
-above five it is the adjacency tuple of the labelled induced subgraph.  The
-recursion takes graphs only: nestohedra of building sets that do not come
-from a graph are out of scope.
+A subproblem of 2-5 nodes is read from the committed table ``_SMALL`` by
+its ``_shape``, which names its isomorphism class, so the formula runs only
+on six or more nodes.  There ``FPolyCache`` shares results between graphs:
+each subproblem missed by the per-call mask memo is looked up, and stored,
+under the adjacency tuple of its labelled induced subgraph.  The recursion
+takes graphs only: nestohedra of building sets that do not come from a
+graph are out of scope.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
-from .algebra import Poly2, _digits, _egf_inverse
+from .algebra import Poly2, _digits, _egf_inverse, _pack
 from .buildingset import (
     MAX_GROUND,
     Graph,
@@ -69,11 +71,10 @@ _ONE_PLUS_ALPHA = 1 << _WIDTH | 1
 
 
 class FPolyCache(dict):
-    """Packed face counts of connected graphs, under two kinds of key.
+    """Packed face counts of connected graphs on six or more nodes.
 
-    An int key is the ``_shape`` of a graph on 2-5 nodes, one per
-    isomorphism class; a tuple key is the adjacency tuple of a labelled
-    graph on six or more, and ``Graph(key)`` is that graph.  Shared across
+    A key is the adjacency tuple of a labelled graph, and ``Graph(key)`` is
+    that graph; smaller graphs are read from ``_SMALL``.  Shared across
     ``fpoly`` calls.
     """
 
@@ -85,29 +86,71 @@ def _shape(adj: tuple[int, ...], mask: int) -> int:
     """The isomorphism class of the connected induced subgraph on mask, 2-5 nodes.
 
     Each node of degree d in it adds 1 << 4 * d, a histogram of degrees
-    with a 4-bit count each; on five nodes the sum over nodes v and their
-    neighbours u of |N(u) & N(v)|, six times the triangle count, goes above
-    it at bit 24.  The degrees tell apart the connected graphs on 2-4
-    nodes; on five nodes two pairs share degrees, a triangle with a
-    two-edge tail and a 4-cycle with a pendant, and the house and K_{2,3},
-    and the triangles tell each pair apart.  So the 771 labelled connected
-    graphs on 2-5 nodes take 30 shapes, one per class, which the tests
-    check against a canonical form.
+    with a 4-bit count each.  The degrees tell apart the connected graphs
+    on 2-5 nodes but two pairs on five: degrees (1,2,2,2,3), a triangle
+    with a two-edge tail and a 4-cycle with a pendant, and (2,2,2,3,3),
+    the house and K_{2,3}.  On those two histograms only, the sum over
+    nodes v and their neighbours u of |N(u) & N(v)|, six times the
+    triangle count, goes above it at bit 24 and tells each pair apart.  So
+    the 771 labelled connected graphs on 2-5 nodes take 30 shapes, one per
+    class, which the tests check against a canonical form.
     """
-    five = mask.bit_count() == 5
     shape, left = 0, mask
     while left:
         low = left & -left
         left ^= low
-        row = adj[low.bit_length() - 1] & mask
-        shape += 1 << 4 * row.bit_count()
-        if five:
-            rest = row
+        shape += 1 << 4 * (adj[low.bit_length() - 1] & mask).bit_count()
+    if shape == 0x1310 or shape == 0x2300:
+        left = mask
+        while left:
+            low = left & -left
+            left ^= low
+            row = rest = adj[low.bit_length() - 1] & mask
             while rest:
                 u = rest & -rest
                 rest ^= u
                 shape += (adj[u.bit_length() - 1] & row).bit_count() << 24
     return shape
+
+
+# face counts (f_0, ..., f_{n-1} = 1) of each connected class on 2-5 nodes,
+# by its _shape; made once by the recursion over connected_graphs_upto_iso(5)
+# and checked against the facet recursion in the tests
+_SMALL = {
+    shape: _pack(f, _WIDTH)
+    for shape, f in {
+        0x20: (2, 1),  # edge
+        0x120: (5, 5, 1),  # path
+        0x300: (6, 6, 1),  # triangle
+        0x1030: (16, 24, 10, 1),  # K_{1,3}
+        0x220: (14, 21, 9, 1),  # path
+        0x1210: (18, 27, 11, 1),  # triangle with a pendant
+        0x400: (20, 30, 12, 1),  # 4-cycle
+        0x2200: (22, 33, 13, 1),  # K_4 less an edge
+        0x4000: (24, 36, 14, 1),  # K_4
+        0x10040: (65, 130, 84, 19, 1),  # K_{1,4}
+        0x1130: (51, 102, 67, 16, 1),  # K_{1,3} with one edge subdivided
+        0x320: (42, 84, 56, 14, 1),  # path
+        0x10220: (70, 140, 90, 20, 1),  # triangle with two pendants at one node
+        0x2120: (60, 120, 78, 18, 1),  # triangle with pendants at two nodes
+        0x6001310: (56, 112, 73, 17, 1),  # triangle with a two-edge tail
+        0x1310: (69, 138, 89, 20, 1),  # 4-cycle with a pendant
+        0x500: (70, 140, 90, 20, 1),  # 5-cycle
+        0x11210: (79, 158, 101, 22, 1),  # K_4 less an edge, pendant at a degree-3 node
+        0x3110: (74, 148, 95, 21, 1),  # K_4 less an edge, pendant at a degree-2 node
+        0x10400: (76, 152, 97, 21, 1),  # two triangles sharing a node
+        0x6002300: (84, 168, 107, 23, 1),  # house
+        0x2300: (92, 184, 117, 25, 1),  # K_{2,3}
+        0x13010: (84, 168, 107, 23, 1),  # K_4 with a pendant
+        0x20300: (98, 196, 124, 26, 1),  # K_{2,3} with an edge in the part of two
+        0x12200: (94, 188, 119, 25, 1),  # a node joined to a 4-node path
+        0x4100: (98, 196, 124, 26, 1),  # K_{2,3} with an edge in the part of three
+        0x22100: (104, 208, 131, 27, 1),  # K_5 less a two-edge path
+        0x14000: (108, 216, 136, 28, 1),  # K_5 less two disjoint edges
+        0x32000: (114, 228, 143, 29, 1),  # K_5 less an edge
+        0x50000: (120, 240, 150, 30, 1),  # K_5
+    }.items()
+}
 
 
 class _NestedSets:
@@ -146,24 +189,26 @@ class _NestedSets:
         self.products: dict[int, int] = {}
 
     def face_counts(self, mask: int) -> int:
-        """Packed F of a connected twin-canonical mask: memo, shared cache, formula."""
+        """Packed F of a connected twin-canonical mask: memo, table, shared cache, formula."""
         f = self.memo.get(mask)
         if f is not None:
             return f
         if not mask & (mask - 1):
             return 1
         n = mask.bit_count()
-        key = _shape(self.adj, mask) if n <= 5 else _induced_adj(self.adj, mask)
-        f = self.cache.lookup(key)
-        if f is None:
-            f = self.expand(mask)
-            if f >> _WIDTH * (n - 1) != 1:
-                labelled = Graph(_induced_adj(self.adj, mask))
-                raise ArithmeticError(
-                    f"face counts of {graph_spec(labelled)} are {_digits(f, _WIDTH)}, "
-                    f"not {n} entries ending in 1"
-                )
-            self.cache.store(key, f)
+        if n <= 5:
+            f = _SMALL[_shape(self.adj, mask)]
+        else:
+            key = _induced_adj(self.adj, mask)
+            f = self.cache.lookup(key)
+            if f is None:
+                f = self.expand(mask)
+                if f >> _WIDTH * (n - 1) != 1:
+                    raise ArithmeticError(
+                        f"face counts of {graph_spec(Graph(key))} are {_digits(f, _WIDTH)}, "
+                        f"not {n} entries ending in 1"
+                    )
+                self.cache.store(key, f)
         self.memo[mask] = f
         return f
 
@@ -187,7 +232,8 @@ class _NestedSets:
     def expand(self, mask: int) -> int:
         """The formula for packed F_W, W = mask, before any check.
 
-        Walks the connected C that hold v = the lowest node of W, one class
+        v is the first node of a class with the fewest neighbouring classes
+        in W, the lowest such.  Walks the connected C that hold v, one class
         at a time: C grows by one quotient neighbour of its classes, and the
         neighbours tried before it are banned from that branch, so each set
         of classes comes once.  C takes the masked nodes of every class it
@@ -195,12 +241,21 @@ class _NestedSets:
         """
         prefix, reach, quotient, seconds = self.prefix, self.reach, self.quotient, self.seconds
         memo, face_counts = self.memo, self.face_counts
-        v = (mask & -mask).bit_length() - 1
+        support = mask & self.reps
+        # v: the lowest first node of a class with the fewest neighbouring
+        # classes, which are fewer than W's classes
+        v, fewest, left = 0, support.bit_count(), support
+        while left:
+            low = left & -left
+            left ^= low
+            i = low.bit_length() - 1
+            k = (quotient[i] & support).bit_count()
+            if k < fewest:
+                v, fewest = i, k
         # S(W - v): v is the first node of its class, so drop the class's last
         own = prefix[v]
         w0 = (mask & own[-1]).bit_count()
         out = self.components_product(mask ^ own[w0] ^ own[w0 - 1])
-        support = mask & self.reps
         # per remainder X: the sum of weight * F_C * alpha^(|N_W(C)| - 1)
         sums: dict[int, int] = {}
         # C's masked nodes, the classes left to try, the banned ones, and

@@ -1,20 +1,29 @@
-"""Compare the command line's bytes between two source trees.
+"""Compare the command line's bytes between two source trees, or record them.
 
     python3 tests/same_bytes.py PARENT_SRC CHANGE_SRC
+    python3 tests/same_bytes.py --write SRC
 
 Each SRC is a directory that holds the ``nestohedra`` package (a tree's
-``src``).  A fixed set of argvs runs on both trees, in both output formats,
-through ``python -m nestohedra.cli``; the first argv whose stdout, stderr or
-exit code differs is printed, and the script exits 1.  With no difference
-it prints the number of runs compared and exits 0.  Standard library only;
-pytest does not collect this file.
+``src``).  A fixed set of argvs runs in both output formats through
+``python -m nestohedra.cli``, with ``COLUMNS=80``.  With two trees it runs
+on both; the first argv whose stdout, stderr or exit code differs is
+printed, and the script exits 1.  With no difference it prints the number
+of runs compared and exits 0.  With ``--write`` it runs on one tree and
+rewrites ``tests/golden.json``: per run, its argv, exit code and the
+SHA-256 digests of its stdout and stderr, which a tier-1 test compares
+with the same runs in process.  Standard library only; pytest does not
+collect this file.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
 CORRUPTIBLE = ("pe", "st", "nabla-because", "because-because")
 FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
@@ -83,30 +92,45 @@ def argvs() -> list[list[str]]:
     return out
 
 
-def run(src: str, argv: list[str]) -> tuple[int, str, str]:
+def runs() -> list[list[str]]:
+    """The recorded argv set, each argv in both formats."""
+    return [[*argv, "--format", fmt] for argv in argvs() for fmt in ("json", "csv")]
+
+
+def run(src: str, argv: list[str]) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
-    done = subprocess.run(
-        [sys.executable, "-m", "nestohedra.cli", *argv], capture_output=True, text=True, env=env
-    )
+    done = subprocess.run([sys.executable, "-m", "nestohedra.cli", *argv], capture_output=True, env=env)
     return done.returncode, done.stdout, done.stderr
 
 
+def digests(argv: list[str], code: int, out: bytes, err: bytes) -> dict:
+    """One record of tests/golden.json."""
+    out, err = hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()
+    return {"argv": argv, "exit": code, "stdout": out, "stderr": err}
+
+
+def write(src: str) -> int:
+    records = [digests(argv, *run(src, argv)) for argv in runs()]
+    with open(GOLDEN, "w", encoding="utf-8") as f:
+        f.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"wrote {len(records)} runs to {os.path.relpath(GOLDEN)}")
+    return 0
+
+
 def main(args: list[str]) -> int:
-    if len(args) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+    if len(args) == 2 and args[0] == "--write":
+        return write(args[1])
+    if len(args) != 2 or args[0].startswith("-"):
+        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     parent, change = args
-    runs = 0
-    for argv in argvs():
-        for fmt in ("json", "csv"):
-            full = [*argv, "--format", fmt]
-            before, after = run(parent, full), run(change, full)
-            runs += 1
-            if before != after:
-                fields = [n for n, a, b in zip(("exit code", "stdout", "stderr"), before, after) if a != b]
-                print(f"differs in {', '.join(fields)}: {' '.join(full)}")
-                return 1
-    print(f"same bytes on {runs} runs")
+    for count, argv in enumerate(runs(), 1):
+        before, after = run(parent, argv), run(change, argv)
+        if before != after:
+            fields = [n for n, a, b in zip(("exit code", "stdout", "stderr"), before, after) if a != b]
+            print(f"differs in {', '.join(fields)}: {' '.join(argv)}")
+            return 1
+    print(f"same bytes on {count} runs")
     return 0
 
 

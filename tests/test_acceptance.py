@@ -39,6 +39,7 @@ from witnesses import (
     PolyExpr,
     boundary,
     building_set_from_graph,
+    edges,
     facets_from_building_set,
     power,
     term_of,
@@ -115,7 +116,7 @@ def test_4_spot_values() -> None:
 
     # Facets of the K_{2,2} nestohedron: one per proper connected subset.
     g = bipartite_graph(2, 2)
-    edges = set(g.edges)
+    pairs = edges(g)
     connected_subsets = 0
     for size in range(1, 5):
         for subset in combinations(range(4), size):
@@ -125,7 +126,7 @@ def test_4_spot_values() -> None:
                     v
                     for v in subset
                     if v in reached
-                    or any(tuple(sorted((u, v))) in edges for u in reached)
+                    or any(tuple(sorted((u, v))) in pairs for u in reached)
                 }
                 if grown == reached:
                     break

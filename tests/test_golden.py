@@ -1,0 +1,61 @@
+"""The recorded argv set against its committed digests, in tests/golden.json.
+
+``python3 tests/same_bytes.py --write SRC`` writes the file from
+``python -m nestohedra.cli`` runs; a change that means to change some
+output rewrites it, and the file's diff names the argvs whose bytes moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+import nestohedra
+from nestohedra import cli, series
+from same_bytes import GOLDEN, digests, run, runs
+
+
+def _in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of cli.main, with series' caches as a fresh process finds them."""
+    for cache in (v for v in vars(series).values() if hasattr(v, "cache_clear")):
+        cache.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+@pytest.fixture
+def columns_80(monkeypatch, cold_series_caches):
+    # argparse wraps usage and help at COLUMNS, as the recorded runs had it
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_every_recorded_argv_gives_its_committed_digests(columns_80) -> None:
+    golden = json.loads(Path(GOLDEN).read_text(encoding="utf-8"))
+    assert [record["argv"] for record in golden] == runs()
+    for record in golden:
+        argv = record["argv"]
+        assert digests(argv, *_in_process(argv)) == record
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--order", "5", "--corrupt", "st", "--format", "csv"],
+        ["verify", "--family", "all", "--max-order", "4", "--format", "json"],
+        ["gal-scan", "--graph-class", "connected", "--nodes", "4", "--format", "csv"],
+        ["invariants", "--graph", "bogus:3", "--format", "json"],
+        ["invariants", "--bogus"],
+    ],
+)
+def test_the_in_process_bytes_are_those_of_the_module_entry_point(columns_80, argv) -> None:
+    # The digests are written from python -m nestohedra.cli and checked in
+    # process; one run per command, an error line and a usage error show
+    # that the two give the same bytes.
+    src = Path(nestohedra.__file__).resolve().parents[1]
+    assert _in_process(argv) == run(str(src), argv)

@@ -32,10 +32,12 @@ from nestohedra.cli import main
 from nestohedra.ringcalc import FPolyCache, fpoly
 from witnesses import (
     PolyExpr,
+    bipartite_face_counts,
     boundary,
     building_set_from_graph,
     canonical_graph,
     dimension,
+    edges,
     facet_fpoly,
     facets_from_building_set,
     integrate_t,
@@ -191,6 +193,16 @@ def test_fpoly_over_the_atlas_equals_the_all_subsets_recursion() -> None:
         assert fpoly(g, cache) == facet_fpoly(g, memo, plain_boundary), graph_spec(g)
 
 
+def test_fpoly_of_complete_bipartite_graphs_equals_the_denominator_sum() -> None:
+    # The paper's graphs: K_{m,n} for every pair with m + n <= 20, each with
+    # its own cache, against a sum over the series denominator that shares
+    # nothing with the recursion.
+    pairs = [(m, n) for m in range(1, 20) for n in range(1, 21 - m)]
+    assert len(pairs) == 190
+    for m, n in pairs:
+        assert list(fpoly(bipartite_graph(m, n)).coeffs) == bipartite_face_counts(m, n), (m, n)
+
+
 def _random_twin_free(n: int, rng: random.Random) -> Graph:
     """A connected twin-free graph on n nodes, edges drawn with probability 1/2."""
     while True:
@@ -270,7 +282,7 @@ def relabelled_blow_ups(draw) -> tuple[Graph, Graph]:
     """
     g = draw(blow_ups())
     perm = draw(st.permutations(range(g.n)))
-    return g, graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+    return g, graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in edges(g)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,22 +310,28 @@ def test_fpoly_names_the_graph_whose_boundary_does_not_integrate() -> None:
 
 
 def test_fpoly_names_the_subgraph_whose_face_counts_fail_the_check(monkeypatch) -> None:
-    # Every subproblem is checked for one count per node ending in the top
-    # face; a failure names the induced subgraph, labelled compactly.
+    # Every subproblem the formula runs on, six nodes or more, is checked
+    # for one count per node ending in the top face; a failure names the
+    # induced subgraph, labelled compactly.
     plain = ringcalc._NestedSets.expand
 
     def broken(self, mask: int) -> int:
         f = plain(self, mask)
-        if mask.bit_count() != 3:
+        if mask.bit_count() != 6:
             return f
         wrong = algebra._digits(f, ringcalc._WIDTH)[:-1]
         return sum(c << ringcalc._WIDTH * i for i, c in enumerate(wrong))
 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
-    with pytest.raises(ArithmeticError, match=r"^face counts of edges:3:0-1,1-2 are \[5, 5\]"):
-        fpoly(path_graph(5))
-    with pytest.raises(ArithmeticError, match=r"edges:3:0-1,0-2,1-2 are \[6, 6\]"):
-        fpoly(complete_graph(6))
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^face counts of edges:6:0-1,1-2,2-3,3-4,4-5 are \[132, 330, 300, 120, 20\]",
+    ):
+        fpoly(path_graph(8))
+    with pytest.raises(
+        ArithmeticError, match=r"edges:6:0-1,0-2,.*,3-5,4-5 are \[720, 1800, 1560, 540, 62\]"
+    ):
+        fpoly(complete_graph(7))
 
 
 def test_fpoly_rejects_graphs_above_the_ground_cap() -> None:
@@ -355,7 +373,7 @@ def test_fpoly_of_disconnected_graphs_satisfies_leibniz() -> None:
     ]
     for g, h in pairs:
         union = graph_from_edges(
-            g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)]
+            g.n + h.n, [*edges(g), *((u + g.n, v + g.n) for u, v in edges(h))]
         )
         times_h = PolyExpr({p + (h,): c for p, c in boundary(g).terms()})
         times_g = PolyExpr({p + (g,): c for p, c in boundary(h).terms()})
@@ -373,7 +391,7 @@ def test_relabelled_graphs_give_identical_fpoly() -> None:
         perm = list(range(g.n))[::-1]
         if g.n > 5:
             rng.shuffle(perm)
-        relabelled = graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+        relabelled = graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in edges(g)))
         assert fpoly(relabelled, FPolyCache()) == fpoly(g, shared), graph_spec(relabelled)
 
 
@@ -389,10 +407,10 @@ def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() ->
 
 
 def test_a_class_scan_stores_each_labelled_induced_subgraph_once(monkeypatch, capsys) -> None:
-    stored: list[int | tuple[int, ...]] = []
+    stored: list[tuple[int, ...]] = []
     plain = FPolyCache.store
 
-    def counted(cache: FPolyCache, key: int | tuple[int, ...], value: int) -> None:
+    def counted(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
         stored.append(key)
         plain(cache, key, value)
 
@@ -400,25 +418,22 @@ def test_a_class_scan_stores_each_labelled_induced_subgraph_once(monkeypatch, ca
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
     capsys.readouterr()
     assert len(stored) == len(set(stored))
-    # subproblems of up to five nodes are stored under their shape, one per
-    # connected class on 2-5 nodes; larger ones under their labelled
-    # induced subgraph, a connected graph the scan's subproblems reached,
-    # and every six-node class under its own labelling
-    shapes = {
-        ringcalc._shape(g.adj, (1 << g.n) - 1) for g in connected_graphs_upto_iso(5) if g.n > 1
-    }
-    assert {key for key in stored if type(key) is int} == shapes
-    labelled = [key for key in stored if type(key) is tuple]
-    assert all(len(key) >= 6 and is_connected_graph(Graph(key)) for key in labelled)
+    # subproblems of up to five nodes come from the table and are not
+    # stored; larger ones are stored under their labelled induced subgraph,
+    # a connected graph the scan's subproblems reached, and every six-node
+    # class under its own labelling
+    assert all(type(key) is tuple for key in stored)
+    assert all(len(key) >= 6 and is_connected_graph(Graph(key)) for key in stored)
     scanned = {g.adj for g in connected_graphs_upto_iso(6) if g.n == 6}
-    assert scanned <= set(labelled)
+    assert scanned <= set(stored)
 
 
 def test_a_class_scan_shares_subproblems_across_its_graphs(monkeypatch, capsys) -> None:
-    # The six-node scan makes 1942 keyed lookups, and only 142 of them
-    # miss and run the formula, one per connected class on 2-6 nodes.  A
-    # cache key that stopped matching isomorphic subgraphs of up to five
-    # nodes, or equal labelled ones above, would run it more often.
+    # The six-node scan runs the formula 112 times, once per connected
+    # class on six nodes: smaller subproblems come from the table.  A
+    # subproblem of up to five nodes sent to the formula, or a cache key
+    # that stopped matching equal labelled subgraphs above, would run it
+    # more often.
     expanded = []
     plain = ringcalc._NestedSets.expand
 
@@ -429,7 +444,8 @@ def test_a_class_scan_shares_subproblems_across_its_graphs(monkeypatch, capsys) 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", counted)
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
     capsys.readouterr()
-    assert len(expanded) == 142
+    assert len(expanded) == 112
+    assert min(mask.bit_count() for mask in expanded) == 6
 
 
 def _labelled_connected_graphs(n: int) -> list[Graph]:
@@ -443,24 +459,28 @@ def _labelled_connected_graphs(n: int) -> list[Graph]:
 
 
 def test_the_shape_takes_one_value_per_class_up_to_five_nodes() -> None:
-    # The shared cache keys subproblems of up to five nodes by their shape,
+    # Subproblems of up to five nodes are read from a table by their shape,
     # so the shape must name one isomorphism class whatever the labels:
     # 771 labelled connected graphs on 2-5 nodes, 30 classes.  The classes
     # come from the witness canonical form and the face polynomials from
-    # the facet recursion, so the recursion never grades its own key.
+    # the facet recursion, so the recursion never grades its own table.
     graphs = [g for n in range(2, 6) for g in _labelled_connected_graphs(n)]
     assert len(graphs) == 771
     classes: dict[int, set[Graph]] = {}
-    cache, memo = FPolyCache(), {}
+    memo: dict = {}
     for g in graphs:
         shape = ringcalc._shape(g.adj, (1 << g.n) - 1)
         classes.setdefault(shape, set()).add(canonical_graph(g))
-        # the first labelling of a shape stores its face counts under it,
-        # and every later one reads them back
-        assert fpoly(g, cache) == facet_fpoly(g, memo), graph_spec(g)
+        f = algebra._digits(ringcalc._SMALL[shape], ringcalc._WIDTH)
+        assert tuple(f) == facet_fpoly(g, memo).coeffs, graph_spec(g)
     assert len(classes) == 30
     assert all(len(canonical) == 1 for canonical in classes.values())
-    assert set(cache) == set(classes)
+    assert set(ringcalc._SMALL) == set(classes)
+    # the formula itself, on each class's whole mask, gives its entry
+    for (g,) in classes.values():
+        full = (1 << g.n) - 1
+        nested = ringcalc._NestedSets(g, FPolyCache())
+        assert nested.expand(full) == ringcalc._SMALL[ringcalc._shape(g.adj, full)], graph_spec(g)
 
 
 def test_the_shape_splits_the_five_node_classes_that_share_degrees() -> None:

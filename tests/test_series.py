@@ -37,6 +37,7 @@ from nestohedra.series import (
     truncate,
 )
 from witnesses import (
+    bipartite_face_counts,
     eta_termwise,
     family_h,
     h_level_identities,
@@ -713,6 +714,16 @@ def test_phi_h_slices() -> None:
     assert phi.coeff(0, 1).is_zero()
     pe_h = family_h("pe", order)
     assert restrict_y0(phi) == Series2.one(order) + pe_h * (A + T)
+
+
+def test_because_because_coefficients_equal_the_denominator_sum(cold_series_caches) -> None:
+    # Every index k, l >= 1 of the K_{m,n} family at order 16, against a sum
+    # over the denominator in plain int lists: no packing, width, bound,
+    # inverse or diagonal copy is shared with the series.
+    f = family_f("because-because", 16)
+    for k in range(1, 16):
+        for l in range(1, 17 - k):
+            assert list(f.coeff(k, l).coeffs) == bipartite_face_counts(k, l), (k, l)
 
 
 # ---------------------------------------------------------------------------

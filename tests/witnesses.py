@@ -36,11 +36,13 @@ scalars alpha + t and alpha t, the reference for the suite's check of
 them between face series through alpha -> alpha - t.
 
 The permutohedron's gamma vectors are counted over permutations, a
-witness that needs neither the recursion nor the series.
+witness that needs neither the recursion nor the series, and the face
+counts of K_{m,n} are one sum over the because-because denominator in
+plain int lists, which shares no kernel, width or bound with either.
 
 The rest of the file is library surface only the tests use: powers,
-records, d/dt and gamma expansions of ``Poly2``, graph components and the
-y = 0 slice of a series.
+records, d/dt and gamma expansions of ``Poly2``, a graph's edge set and
+components, and the y = 0 slice of a series.
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ from nestohedra.series import (
 
 # ---------------------------------------------------------------------------
 # graph operations of the facet recursion
+
+
+def edges(g: Graph) -> frozenset[tuple[int, int]]:
+    """The edges as sorted pairs (u, v), u < v."""
+    return frozenset((u, v) for u, m in enumerate(g.adj) for v in range(u + 1, g.n) if m >> v & 1)
 
 
 def _mask_nodes(mask: int) -> list[int]:
@@ -428,7 +435,7 @@ def term_of(graphs: list[Graph], c: int = 1) -> PolyExpr:
 def canonical(g: Graph) -> Graph:
     """Least relabelled copy of g over every node permutation: one per class."""
     return min(
-        graph_from_edges(g.n, ((p[u], p[v]) for u, v in g.edges))
+        graph_from_edges(g.n, ((p[u], p[v]) for u, v in edges(g)))
         for p in permutations(range(g.n))
     )
 
@@ -577,12 +584,12 @@ def canonical_key(b: BuildingSet) -> bytes:
 
 def graph_of(b: BuildingSet) -> Graph:
     """The graph a graphical building set comes from: its 2-element members."""
-    edges = []
+    pairs = []
     for m in b.sets:
         if bin(m).count("1") == 2:
             low = m & -m
-            edges.append((low.bit_length() - 1, (m ^ low).bit_length() - 1))
-    return graph_from_edges(len(b.ground), edges)
+            pairs.append((low.bit_length() - 1, (m ^ low).bit_length() - 1))
+    return graph_from_edges(len(b.ground), pairs)
 
 
 def facets_from_building_set(b: BuildingSet) -> PolyExpr:
@@ -933,6 +940,48 @@ def permutohedron_gammas(n: int) -> GammaVector:
             continue
         gammas[sum(w[j] > w[j + 1] for j in range(n - 1))] += 1
     return GammaVector(n - 1, tuple(gammas))
+
+
+# ---------------------------------------------------------------------------
+# K_{m,n} face counts as one sum over the denominator
+
+
+def bipartite_face_counts(m: int, n: int) -> list[int]:
+    """Face counts of the K_{m,n} nestohedron, m, n >= 1, lowest dimension first.
+
+    The because-because series is a numerator times 1/(1 - t eta(x + y)),
+    and its stored coefficient at (m, n) is the face polynomial of K_{m,n}.
+    At t = 1, with polynomials in alpha as int lists, lowest power first:
+    the denominator's stored coefficient D_N has D_0 = 1 and
+    D_N = sum over d = 1..N of C(N, d) alpha^(d-1) D_(N-d), and the
+    numerator's B(a, b), for a, b >= 1, is
+    ((alpha + 1)^a - alpha^a) alpha^(b-1), plus its mirror, plus
+    alpha^(a+b-1).  The point terms x and y are added after the product, so
+    they are not in B.  Then the coefficient is the sum over a <= m and
+    b <= n of C(m, a) C(n, b) B(a, b) D_(m+n-a-b).  No packing, width,
+    bound or series product is shared with the library.
+    """
+    dens = [[1]]
+    for size in range(1, m + n - 1):
+        acc = [0] * size
+        for d in range(1, size + 1):
+            for i, c in enumerate(dens[size - d]):
+                acc[d - 1 + i] += comb(size, d) * c
+        dens.append(acc)
+    out = [0] * (m + n)
+    for a in range(1, m + 1):
+        for b in range(1, n + 1):
+            numerator = [0] * (a + b)
+            for i in range(a):
+                numerator[b - 1 + i] += comb(a, i)
+            for i in range(b):
+                numerator[a - 1 + i] += comb(b, i)
+            numerator[a + b - 1] += 1
+            weight = comb(m, a) * comb(n, b)
+            for i, c in enumerate(numerator):
+                for j, d in enumerate(dens[m + n - a - b]):
+                    out[i + j] += weight * c * d
+    return out
 
 
 # ---------------------------------------------------------------------------
