@@ -33,8 +33,6 @@ __all__ = [
     "join_graphs",
     "graph_from_edges",
     "twin_classes",
-    "connected_submask",
-    "induced_subgraph",
     "parse_graph_spec",
     "graph_spec",
     "connected_graphs_upto_iso",
@@ -172,19 +170,13 @@ def _closure(adj: Sequence[int], seed: int, mask: int) -> int:
     return seen
 
 
-def connected_submask(adj: Sequence[int], mask: int) -> bool:
-    """Whether the induced subgraph on the masked nodes is connected."""
-    if mask == 0:
-        return False
-    return _closure(adj, mask & -mask, mask) == mask
-
-
 def _induced_adj(adj: Sequence[int], mask: int) -> tuple[int, ...]:
-    """``induced_subgraph``'s masks, which also key the shared memo.
+    """Adjacency masks of the subgraph on the masked nodes, renumbered in order.
 
-    One pass over the runs of set bits in mask lists its nodes and the
-    shift that packs each run down onto the runs below it; a mask of one
-    run is a single shift.
+    They key the shared memo of the nested-set recursion.  One pass over
+    the runs of set bits in mask lists its nodes and the shift that packs
+    each run down onto the runs below it; a mask of one run is a single
+    shift.
     """
     low = mask & -mask
     lo = low.bit_length() - 1
@@ -211,11 +203,6 @@ def _induced_adj(adj: Sequence[int], mask: int) -> tuple[int, ...]:
             packed |= (m & run) >> shift
         out.append(packed)
     return tuple(out)
-
-
-def induced_subgraph(g: Graph, mask: int) -> Graph:
-    """Subgraph on the masked nodes, relabeled compactly in label order."""
-    return Graph(_induced_adj(g.adj, mask))
 
 
 def graph_spec(g: Graph) -> str:

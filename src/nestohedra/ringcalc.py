@@ -37,11 +37,12 @@ counts of a nestohedron on at most MAX_GROUND nodes, so it is at most the
 face count of the permutohedron, the ordered Bell number, which stays
 below 2^(W-1) and never carries into the next field.
 
-A subproblem of 2-5 nodes is read from the committed table ``_SMALL`` by
-its ``_shape``, which names its isomorphism class, so the formula runs only
-on six or more nodes.  There ``FPolyCache`` shares results between graphs:
-each subproblem missed by the per-call mask memo is looked up, and stored,
-under the adjacency tuple of its labelled induced subgraph.  The recursion
+A subproblem of 2-6 nodes is read from the committed table ``_SMALL`` by
+an int that names its isomorphism class, ``_shape`` on 2-5 nodes and
+``_six_shape`` on six, so the formula runs only on seven or more nodes.
+There ``FPolyCache`` shares results between graphs: each subproblem missed
+by the per-call mask memo is looked up, and stored, under the adjacency
+tuple of its labelled induced subgraph.  The recursion
 takes graphs only: nestohedra of building sets that do not come from a
 graph are out of scope.
 """
@@ -71,10 +72,10 @@ _ONE_PLUS_ALPHA = 1 << _WIDTH | 1
 
 
 class FPolyCache(dict):
-    """Packed face counts of connected graphs on six or more nodes.
+    """Packed face counts of connected graphs on seven or more nodes.
 
     A key is the adjacency tuple of a labelled graph, and ``Graph(key)`` is
-    that graph; smaller graphs are read from ``_SMALL``.  Shared across
+    that graph; graphs of 2-6 nodes are read from ``_SMALL``.  Shared across
     ``fpoly`` calls.
     """
 
@@ -93,7 +94,8 @@ def _shape(adj: tuple[int, ...], mask: int) -> int:
     nodes v and their neighbours u of |N(u) & N(v)|, six times the
     triangle count, goes above it at bit 24 and tells each pair apart.  So
     the 771 labelled connected graphs on 2-5 nodes take 30 shapes, one per
-    class, which the tests check against a canonical form.
+    class, which the tests check against a canonical form.  Six-node
+    subproblems take ``_six_shape``, which costs about four times as much.
     """
     shape, left = 0, mask
     while left:
@@ -110,6 +112,42 @@ def _shape(adj: tuple[int, ...], mask: int) -> int:
                 u = rest & -rest
                 rest ^= u
                 shape += (adj[u.bit_length() - 1] & row).bit_count() << 24
+    return shape
+
+
+def _six_shape(adj: tuple[int, ...], mask: int) -> int:
+    """The isomorphism class of the connected induced subgraph on mask, 6 nodes.
+
+    Each node v gives the code (d * 21 + t) * 26 + s, with d its degree, t
+    the sum over its neighbours u of |N(u) & N(v)|, twice its triangles,
+    and s the sum of its neighbours' degrees; d <= 5, t <= 20 and s <= 25,
+    so a code fits 12 bits.  The sorted codes, packed 12 bits each, take
+    one value on each of the 112 classes: all 26,704 labelled connected
+    graphs on six nodes take 112 shapes, which the tests check against a
+    canonical form.  A code of d >= 1 and s >= 1 is at least 547, so a
+    shape is at least 547 << 60 and above every ``_shape``.
+    """
+    rows = {}
+    left = mask
+    while left:
+        low = left & -left
+        left ^= low
+        rows[low] = adj[low.bit_length() - 1] & mask
+    codes = []
+    for row in rows.values():
+        t = s = 0
+        rest = row
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            r = rows[u]
+            t += (r & row).bit_count()
+            s += r.bit_count()
+        codes.append((row.bit_count() * 21 + t) * 26 + s)
+    codes.sort()
+    shape = 0
+    for code in codes:
+        shape = shape << 12 | code
     return shape
 
 
@@ -151,6 +189,72 @@ _SMALL = {
         0x50000: (120, 240, 150, 30, 1),  # K_5
     }.items()
 }
+# face counts of each connected class on six nodes, by its _six_shape: int
+# literals, f_0 ... f_5 in 16-bit fields, lowest first, so that importing
+# builds no tuple per entry; made once by the recursion's fpoly over
+# connected_graphs_upto_iso(6) and checked against the facet recursion in
+# the tests
+_SMALL.update(
+    (shape, _pack([f >> 16 * i & 0xFFFF for i in range(6)], _WIDTH))
+    for shape, f in {
+        0x22422422544844866b: 0x10018009a018c01b800b0, 0x224224447447448448: 0x100140078012c014a0084,
+        0x22422522544744966a: 0x1001700920176019f00a6, 0x22422544847e6a06a1: 0x1001a00ac01c001f400c8,
+        0x22422622622644988d: 0x1001d00c7020e024e00ec, 0x22422644947e47e8c3: 0x1001e00d1022c027100fa,
+        0x22444744947d47d6a0: 0x10018009c019401c200b4, 0x22444844844944966c: 0x1001d00c6020a024900ea,
+        0x22444847e6a26d66d6: 0x1001e00d00228026c00f8, 0x22444947f47f6d68f9: 0x1002000e3026002ad0112,
+        0x22444970c70c70c92f: 0x1002100ed027e02d00120, 0x22522522522566b66b: 0x1001b00b601de021700d6,
+        0x2252252256a16a16a1: 0x1001c00bd01f0022b00de, 0x22522544944966c66c: 0x1002000e00254029e010c,
+        0x22522544a44a66b66b: 0x1001f00d60236027b00fe, 0x22522547d47d66b6a1: 0x1001c00c10200023f00e6,
+        0x2252256a16a16d76d7: 0x1002000e00254029e010c, 0x22522622647f6a18c3: 0x1001f00da0246028f0106,
+        0x22522647f6a26d78f9: 0x1002200f4029002e40128, 0x22544844844944966b: 0x1002000e1025802a3010e,
+        0x2254494496a16a26a2: 0x1002300fd02aa03020134, 0x22544a44a66d66d66d: 0x10027011f030a03700160,
+        0x22544a47e66c6a16a2: 0x10024010602c403200140, 0x22547e47e47f6a18f9: 0x1002000e6026c02bc0118,
+        0x22547f6a26d76d892f: 0x10026011a03000366015c, 0x2254804806a392f92f: 0x10028012b0330039d0172,
+        0x22566d6a36a36d76d7: 0x10028012b0330039d0172, 0x2256a370d70d965965: 0x100290137035603ca0184,
+        0x22622644844a44a88e: 0x1002300fe02ae03070136, 0x22622647e6d76d78c4: 0x10024010902d0032f0146,
+        0x2262264804808f98f9: 0x1002300fe02ae03070136, 0x22622670d70d92f92f: 0x10024010802cc032a0144,
+        0x22644944a47f6a28c4: 0x10026011a03000366015c, 0x22644a6a36a36d88fa: 0x100290136035203c50182,
+        0x22644b44b44b66c88f: 0x100290133034603b6017c, 0x22644b6a26d86d88c5: 0x1002a013f036c03e3018e,
+        0x22647f4806d88fa92f: 0x10028012e033c03ac0178, 0x22648070e930965965: 0x1002a0142037803f20194,
+        0x2266d86d96d98fb965: 0x1002c015303a8042901aa, 0x22670e93199b99b99b: 0x1002d015f03ce045601bc,
+        0x227227227227227aaf: 0x10024010902d0032f0146, 0x22722722747f47fae5: 0x10025011402f203570156,
+        0x2272274804806d7b1b: 0x100270127032a03980170, 0x22722770d70d70db51: 0x100280132034c03c00180,
+        0x22747f47f47f47fb1b: 0x100260120031803840168, 0x2274804806d86d8b51: 0x1002a0143037c03f70196,
+        0x22748148148192fb51: 0x1002b014b0392041001a0, 0x22748170e70e965b87: 0x1002c015703b8043d01b2,
+        0x2276d96d96d96d9b87: 0x1002d015f03ce045601bc, 0x22770f70f99b99bbbd: 0x1002e016b03f4048301ce,
+        0x2279d19d19d19d1bf3: 0x1002f0177041a04b001e0, 0x448448448448448448: 0x1001e00d20230027600fc,
+        0x44844944947e6a16a1: 0x10024010902d0032f0146, 0x44844a44a47e47e8c4: 0x10024010b02d80339014a,
+        0x44944944944966d66d: 0x100270123031a03840168, 0x44944944a44a66c66c: 0x100290133034603b6017c,
+        0x4494496a26a26d76d7: 0x1002a0140037003e80190, 0x44944a47f6a36d78fa: 0x1002a0142037803f20194,
+        0x44a44a4804808fa8fa: 0x1002c015403ac042e01ac, 0x44a44a66d6a26a26a3: 0x1002d015b03be044201b4,
+        0x44a44a66e66e66e66e: 0x1002f016d03f2047e01cc, 0x44a44a70d70d930930: 0x1002d016103d6046001c0,
+        0x44a47f47f6a26a28fa: 0x1002a0143037c03f70196, 0x44a4806a46a4930930: 0x10030017b042004b501e2,
+        0x44a6a36a36d86d8930: 0x10030017a041c04b001e0, 0x44b44b47f66d6a38c5: 0x1002e016503dc046501c2,
+        0x44b4806a36d98fb930: 0x10030017c042404ba01e4, 0x44b66e6a46a46d88fb: 0x10032018d045404f101fa,
+        0x44b6a470e931966966: 0x10033019b048205280210, 0x44c44c44c44c890890: 0x100320189044404dd01f2,
+        0x44c44c6d96d98c68c6: 0x100330197047205140208, 0x44c6da6da8fc8fc966: 0x1003501ae04ba0569022a,
+        0x44c93293299c99c99c: 0x1003601bc04e805a00240, 0x47d47d47d47d6a16a1: 0x1001d00cd0226026c00f8,
+        0x47e47e47e6d76d78fa: 0x10025011702fe0366015c, 0x47e47e6a26a26a26a2: 0x100290139035e03d40188,
+        0x47f47f4804806d7b51: 0x100280135035803cf0186, 0x47f47f6d86d8930930: 0x1002d016103d6046001c0,
+        0x47f47f70d70d70db87: 0x100290141037e03fc0198, 0x47f6a36a36d86d88fb: 0x1002f0173040a049c01d8,
+        0x480480480930930930: 0x1002e016b03f4048301ce, 0x4804806d86d86d9b87: 0x1002e016c03f8048801d0,
+        0x480480966966966966: 0x100310189044e04ec01f8, 0x4804814816d9930b87: 0x10030017d042804bf01e6,
+        0x4806d96d9931931966: 0x10033019b048205280210, 0x4806d970e70e966bbd: 0x10031018b045604f601fc,
+        0x48148170f966966bbd: 0x100320194047005140208, 0x4816d96da6da931bbd: 0x1003401a504a0054b021e,
+        0x48170f96799c99cbf3: 0x1003501b304ce05820234, 0x482482482482b87b87: 0x10033019804760519020a,
+        0x48248270f70fbbdbbd: 0x1003401a604a405500220, 0x48271071099cbf3bf3: 0x1003601bd04ec05a50242,
+        0x4829d29d29d2c29c29: 0x1003701cb051a05dc0258, 0x66f66f66f66f66f66f: 0x1003601b004b805640228,
+        0x66f6a56a56a5931931: 0x1003701bf04ea05a00240, 0x6a36a36a36a36a36a3: 0x10032018c045004ec01f8,
+        0x6a46a46d96d9931931: 0x1003501ad04b605640228, 0x6a56a5967967967967: 0x1003801ce051c05dc0258,
+        0x6d96d96d96d96d9bbd: 0x1003401a4049c0546021c, 0x6d96d96d96d98fc8fc: 0x1003401a604a405500220,
+        0x6da6da70f967967bf3: 0x1003701c5050205be024c, 0x6da6da932932967967: 0x1003801ce051c05dc0258,
+        0x6db6db6db932932bf3: 0x1003901d7053605fa0264, 0x6db96896899d99dc29: 0x1003a01e605680636027c,
+        0x70f70f70f70fbf3bf3: 0x1003501b504d6058c0238, 0x71071099d99dc29c29: 0x1003901dd054e06180270,
+        0x711711711c29c29c29: 0x1003a01e605680636027c, 0x7119d39d3c5fc5fc5f: 0x1003b01f5059a06720294,
+        0x968968968968968968: 0x1003b01ef058206540288, 0x99e99e99e99ec5fc5f: 0x1003c01fe05b4069002a0,
+        0x9d49d4c95c95c95c95: 0x1003d020d05e606cc02b8, 0xccbccbccbccbccbccb: 0x1003e021c0618070802d0,
+    }.items()
+)
 
 
 class _NestedSets:
@@ -198,6 +302,8 @@ class _NestedSets:
         n = mask.bit_count()
         if n <= 5:
             f = _SMALL[_shape(self.adj, mask)]
+        elif n == 6:
+            f = _SMALL[_six_shape(self.adj, mask)]
         else:
             key = _induced_adj(self.adj, mask)
             f = self.cache.lookup(key)

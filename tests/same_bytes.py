@@ -36,8 +36,9 @@ FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
 # star's centre and a first part counted, a short cycle, an out-of-range
 # label, a one-argument join and a join nested 33 deep; last the two pairs
 # of 5-node classes that share degrees (a triangle with a two-edge tail and
-# a 4-cycle with a pendant, the house and K_{2,3}) and a 7-node graph that
-# holds all four as induced subgraphs
+# a 4-cycle with a pendant, the house and K_{2,3}), a 7-node graph that
+# holds all four as induced subgraphs, and the four pairs of 6-node classes
+# that share every node's degree and triangle count
 GRAPHS = (
     "path:12",
     "bipartite:4,4",
@@ -71,6 +72,14 @@ GRAPHS = (
     "edges:5:0-1,0-3,0-4,1-2,2-3,3-4",
     "bipartite:2,3",
     "edges:7:0-4,1-2,1-4,1-6,2-5,3-5,3-6,4-5,5-6",
+    "edges:6:0-1,1-2,1-3,2-4,3-5",
+    "edges:6:0-4,0-5,1-3,2-3,3-4",
+    "edges:6:0-2,0-3,0-4,1-2,1-3,3-5",
+    "edges:6:0-2,1-3,2-4,2-5,3-4,3-5",
+    "edges:6:0-4,0-5,1-3,1-4,2-3,2-4",
+    "edges:6:0-1,0-4,1-2,1-5,2-3,3-4",
+    "edges:6:0-1,0-3,0-5,1-2,2-3,3-4,4-5",
+    "edges:6:0-1,0-4,0-5,1-2,2-3,3-4,3-5",
 )
 
 

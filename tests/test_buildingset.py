@@ -21,7 +21,6 @@ from nestohedra.buildingset import (
     empty_graph,
     graph_from_edges,
     graph_spec,
-    induced_subgraph,
     join_graphs,
     parse_graph_spec,
     path_graph,
@@ -41,6 +40,7 @@ from witnesses import (
     dimension,
     edges,
     graph_components,
+    induced_subgraph,
     is_connected_graph,
     is_valid,
     removal,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 from itertools import combinations
 from math import comb, factorial
@@ -310,14 +312,14 @@ def test_fpoly_names_the_graph_whose_boundary_does_not_integrate() -> None:
 
 
 def test_fpoly_names_the_subgraph_whose_face_counts_fail_the_check(monkeypatch) -> None:
-    # Every subproblem the formula runs on, six nodes or more, is checked
+    # Every subproblem the formula runs on, seven nodes or more, is checked
     # for one count per node ending in the top face; a failure names the
     # induced subgraph, labelled compactly.
     plain = ringcalc._NestedSets.expand
 
     def broken(self, mask: int) -> int:
         f = plain(self, mask)
-        if mask.bit_count() != 6:
+        if mask.bit_count() != 7:
             return f
         wrong = algebra._digits(f, ringcalc._WIDTH)[:-1]
         return sum(c << ringcalc._WIDTH * i for i, c in enumerate(wrong))
@@ -325,13 +327,15 @@ def test_fpoly_names_the_subgraph_whose_face_counts_fail_the_check(monkeypatch) 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
     with pytest.raises(
         ArithmeticError,
-        match=r"^face counts of edges:6:0-1,1-2,2-3,3-4,4-5 are \[132, 330, 300, 120, 20\]",
+        match=r"^face counts of edges:7:0-1,1-2,2-3,3-4,4-5,5-6 are "
+        r"\[429, 1287, 1485, 825, 225, 27\]",
     ):
-        fpoly(path_graph(8))
+        fpoly(path_graph(9))
     with pytest.raises(
-        ArithmeticError, match=r"edges:6:0-1,0-2,.*,3-5,4-5 are \[720, 1800, 1560, 540, 62\]"
+        ArithmeticError,
+        match=r"edges:7:0-1,0-2,.*,4-6,5-6 are \[5040, 15120, 16800, 8400, 1806, 126\]",
     ):
-        fpoly(complete_graph(7))
+        fpoly(complete_graph(8))
 
 
 def test_fpoly_rejects_graphs_above_the_ground_cap() -> None:
@@ -406,46 +410,63 @@ def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() ->
     assert len(cache) == size
 
 
-def test_a_class_scan_stores_each_labelled_induced_subgraph_once(monkeypatch, capsys) -> None:
+@pytest.fixture(scope="module")
+def seven_node_scan() -> tuple[list[tuple[int, ...]], list[int]]:
+    """The keys the 7-node class scan stores in its cache, and the masks it expands."""
     stored: list[tuple[int, ...]] = []
-    plain = FPolyCache.store
+    expanded: list[int] = []
+    store, expand = FPolyCache.store, ringcalc._NestedSets.expand
 
-    def counted(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
+    def counted_store(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
         stored.append(key)
-        plain(cache, key, value)
+        store(cache, key, value)
 
-    monkeypatch.setattr(FPolyCache, "store", counted)
-    assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
-    capsys.readouterr()
+    def counted_expand(self, mask: int) -> int:
+        expanded.append(mask)
+        return expand(self, mask)
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(FPolyCache, "store", counted_store)
+        patch.setattr(ringcalc._NestedSets, "expand", counted_expand)
+        assert main(["gal-scan", "--graph-class", "connected", "--nodes", "7"]) == 0
+    return stored, expanded
+
+
+def test_a_class_scan_stores_each_labelled_induced_subgraph_once(seven_node_scan) -> None:
+    stored, _ = seven_node_scan
     assert len(stored) == len(set(stored))
-    # subproblems of up to five nodes come from the table and are not
+    # subproblems of up to six nodes come from the table and are not
     # stored; larger ones are stored under their labelled induced subgraph,
-    # a connected graph the scan's subproblems reached, and every six-node
+    # a connected graph the scan's subproblems reached, and every seven-node
     # class under its own labelling
     assert all(type(key) is tuple for key in stored)
-    assert all(len(key) >= 6 and is_connected_graph(Graph(key)) for key in stored)
-    scanned = {g.adj for g in connected_graphs_upto_iso(6) if g.n == 6}
+    assert all(len(key) >= 7 and is_connected_graph(Graph(key)) for key in stored)
+    scanned = {g.adj for g in connected_graphs_upto_iso(7) if g.n == 7}
+    assert len(scanned) == 853
     assert scanned <= set(stored)
 
 
-def test_a_class_scan_shares_subproblems_across_its_graphs(monkeypatch, capsys) -> None:
-    # The six-node scan runs the formula 112 times, once per connected
-    # class on six nodes: smaller subproblems come from the table.  A
-    # subproblem of up to five nodes sent to the formula, or a cache key
+def test_a_class_scan_shares_subproblems_across_its_graphs(seven_node_scan) -> None:
+    # The seven-node scan runs the formula 853 times, once per connected
+    # class on seven nodes: smaller subproblems come from the table.  A
+    # subproblem of up to six nodes sent to the formula, or a cache key
     # that stopped matching equal labelled subgraphs above, would run it
     # more often.
-    expanded = []
-    plain = ringcalc._NestedSets.expand
+    _, expanded = seven_node_scan
+    assert len(expanded) == 853
+    assert min(mask.bit_count() for mask in expanded) == 7
 
-    def counted(self, mask: int) -> int:
-        expanded.append(mask)
-        return plain(self, mask)
 
-    monkeypatch.setattr(ringcalc._NestedSets, "expand", counted)
+def test_the_six_node_scan_runs_no_formula_and_stores_nothing(monkeypatch, capsys) -> None:
+    # Every subproblem of the six-node scan, whole graphs included, comes
+    # from the table.
+    def refused(*args) -> None:
+        raise AssertionError(args)
+
+    monkeypatch.setattr(ringcalc._NestedSets, "expand", refused)
+    monkeypatch.setattr(FPolyCache, "store", refused)
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
     capsys.readouterr()
-    assert len(expanded) == 112
-    assert min(mask.bit_count() for mask in expanded) == 6
 
 
 def _labelled_connected_graphs(n: int) -> list[Graph]:
@@ -475,12 +496,67 @@ def test_the_shape_takes_one_value_per_class_up_to_five_nodes() -> None:
         assert tuple(f) == facet_fpoly(g, memo).coeffs, graph_spec(g)
     assert len(classes) == 30
     assert all(len(canonical) == 1 for canonical in classes.values())
-    assert set(ringcalc._SMALL) == set(classes)
+    # six-node shapes are at least 547 << 60, above these
+    assert {shape for shape in ringcalc._SMALL if shape < 547 << 60} == set(classes)
     # the formula itself, on each class's whole mask, gives its entry
     for (g,) in classes.values():
         full = (1 << g.n) - 1
         nested = ringcalc._NestedSets(g, FPolyCache())
         assert nested.expand(full) == ringcalc._SMALL[ringcalc._shape(g.adj, full)], graph_spec(g)
+
+
+def test_the_six_node_shape_takes_one_value_per_class() -> None:
+    # Subproblems of six nodes are read from the same table by their
+    # _six_shape: 26,704 labelled connected graphs on six nodes, 112
+    # classes.  As above, the classes come from the witness canonical form
+    # and each entry is checked against the facet recursion, once per class.
+    graphs = _labelled_connected_graphs(6)
+    assert len(graphs) == 26704
+    classes: dict[int, set[Graph]] = {}
+    for g in graphs:
+        classes.setdefault(ringcalc._six_shape(g.adj, 63), set()).add(canonical_graph(g))
+    assert len(classes) == 112
+    assert all(len(canonical) == 1 for canonical in classes.values())
+    assert {shape for shape in ringcalc._SMALL if shape >= 547 << 60} == set(classes)
+    memo: dict = {}
+    for shape, (g,) in classes.items():
+        f = algebra._digits(ringcalc._SMALL[shape], ringcalc._WIDTH)
+        assert tuple(f) == facet_fpoly(g, memo).coeffs, graph_spec(g)
+        # the formula itself, on the class's whole mask, gives its entry
+        nested = ringcalc._NestedSets(g, FPolyCache())
+        assert nested.expand(63) == ringcalc._SMALL[shape], graph_spec(g)
+
+
+def test_the_six_node_shape_splits_the_classes_that_share_degrees_and_triangles() -> None:
+    # In each pair every node's degree and triangle count match those of a
+    # node of the other graph; only the sums of neighbours' degrees differ.
+    # Each graph with its face counts by dimension:
+    faces = {
+        "edges:6:0-1,1-2,1-3,2-4,3-5": (176, 440, 396, 154, 24, 1),
+        "edges:6:0-4,0-5,1-3,2-3,3-4": (166, 415, 374, 146, 23, 1),
+        "edges:6:0-2,0-3,0-4,1-2,1-3,3-5": (268, 670, 596, 224, 32, 1),
+        "edges:6:0-2,1-3,2-4,2-5,3-4,3-5": (254, 635, 566, 214, 31, 1),
+        "edges:6:0-4,0-5,1-3,1-4,2-3,2-4": (234, 585, 522, 198, 29, 1),
+        "edges:6:0-1,0-4,1-2,1-5,2-3,3-4": (270, 675, 600, 225, 32, 1),
+        "edges:6:0-1,0-3,0-5,1-2,2-3,3-4,4-5": (360, 900, 794, 291, 39, 1),
+        "edges:6:0-1,0-4,0-5,1-2,2-3,3-4,3-5": (380, 950, 838, 307, 41, 1),
+    }
+    for spec, f in faces.items():
+        g = parse_graph_spec(spec)
+        assert facet_fpoly(g).coeffs == fpoly(g).coeffs == f, spec
+    specs = list(faces)
+    for a, b in zip(specs[::2], specs[1::2]):
+        g, h = parse_graph_spec(a), parse_graph_spec(b)
+        assert _degrees_and_triangles(g) == _degrees_and_triangles(h), (a, b)
+        assert ringcalc._six_shape(g.adj, 63) != ringcalc._six_shape(h.adj, 63), (a, b)
+
+
+def _degrees_and_triangles(g: Graph) -> list[tuple[int, int]]:
+    """Each node's degree and twice its number of triangles, sorted."""
+    return sorted(
+        (row.bit_count(), sum((g.adj[u] & row).bit_count() for u in range(g.n) if row >> u & 1))
+        for row in g.adj
+    )
 
 
 def test_the_shape_splits_the_five_node_classes_that_share_degrees() -> None:

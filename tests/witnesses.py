@@ -41,8 +41,9 @@ counts of K_{m,n} are one sum over the because-because denominator in
 plain int lists, which shares no kernel, width or bound with either.
 
 The rest of the file is library surface only the tests use: powers,
-records, d/dt and gamma expansions of ``Poly2``, a graph's edge set and
-components, and the y = 0 slice of a series.
+records, d/dt and gamma expansions of ``Poly2``, a graph's edge set,
+components, connectedness and induced subgraphs, and the y = 0 slice of a
+series.
 """
 
 from __future__ import annotations
@@ -61,10 +62,9 @@ from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
     _closure,
-    connected_submask,
+    _induced_adj,
     graph_from_edges,
     graph_spec,
-    induced_subgraph,
     twin_classes,
 )
 from nestohedra.series import (
@@ -93,6 +93,18 @@ from nestohedra.series import (
 def edges(g: Graph) -> frozenset[tuple[int, int]]:
     """The edges as sorted pairs (u, v), u < v."""
     return frozenset((u, v) for u, m in enumerate(g.adj) for v in range(u + 1, g.n) if m >> v & 1)
+
+
+def connected_submask(adj: Sequence[int], mask: int) -> bool:
+    """Whether the induced subgraph on the masked nodes is connected."""
+    if mask == 0:
+        return False
+    return _closure(adj, mask & -mask, mask) == mask
+
+
+def induced_subgraph(g: Graph, mask: int) -> Graph:
+    """Subgraph on the masked nodes, relabelled compactly in label order."""
+    return Graph(_induced_adj(g.adj, mask))
 
 
 def _mask_nodes(mask: int) -> list[int]:
