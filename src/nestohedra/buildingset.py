@@ -307,26 +307,37 @@ def parse_graph_spec(spec: str) -> Graph:
     raise GraphSpecError(f"unknown graph spec {spec!r}")
 
 
-def connected_graphs_upto_iso(max_nodes: int) -> list[Graph]:
-    """All connected graphs with 1..max_nodes nodes, one per isomorphism class.
+def _atlas_row(n: int) -> list[Graph]:
+    """The connected classes on n nodes, 1 <= n <= 7, in atlas order.
+
+    Decodes ``_atlas.CONNECTED[n]`` only: each set bit of a token's edge
+    mask is the edge of its node pair.
+    """
+    from ._atlas import CONNECTED
+
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    out = []
+    for token in CONNECTED[n].split():
+        mask = int(token, 36)
+        adj = [0] * n
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = pairs[low.bit_length() - 1]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        out.append(Graph(tuple(adj)))
+    return out
+
+
+def connected_graphs_upto_iso(max_nodes: int, min_nodes: int = 1) -> list[Graph]:
+    """All connected graphs with min_nodes..max_nodes nodes, one per isomorphism class.
 
     In the order and labelling of Read and Wilson's graph atlas, which
     covers every graph on up to seven nodes.  The classes come from a
-    table committed in ``_atlas``; only node counts up to max_nodes are
-    decoded.
+    table committed in ``_atlas``, and ``_atlas_row`` decodes only the
+    node counts asked for: a class scan asks for its own count alone.
     """
-    if not 1 <= max_nodes <= 7:
+    if not 1 <= min_nodes <= max_nodes <= 7:
         raise ValueError("the atlas covers 1..7 nodes")
-    from ._atlas import CONNECTED
-
-    out = []
-    for n in range(1, max_nodes + 1):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for token in CONNECTED[n].split():
-            mask = int(token, 36)
-            adj = [0] * n
-            for u, v in (p for i, p in enumerate(pairs) if mask >> i & 1):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            out.append(Graph(tuple(adj)))
-    return out
+    return [g for n in range(min_nodes, max_nodes + 1) for g in _atlas_row(n)]

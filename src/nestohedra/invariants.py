@@ -18,7 +18,6 @@ from .algebra import (
     gamma_from_h,
     h_from_f,
     homogeneous_degree,
-    is_symmetric,
 )
 from .buildingset import Graph
 from .ringcalc import FPolyCache, fpoly
@@ -28,8 +27,6 @@ __all__ = [
     "fvector",
     "hpoly",
     "gamma",
-    "dehn_sommerville",
-    "euler_relation_holds",
     "gal_check_poly",
     "gal_check_series",
 ]
@@ -46,18 +43,6 @@ def hpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
 
 def gamma(g: Graph, cache: FPolyCache | None = None) -> GammaVector:
     return gamma_from_h(hpoly(g, cache))
-
-
-def dehn_sommerville(g: Graph, cache: FPolyCache | None = None) -> bool:
-    """Symmetry of the h-polynomial."""
-    return is_symmetric(hpoly(g, cache))
-
-
-def euler_relation_holds(face_counts: list[int]) -> bool:
-    """Alternating codimension sum: sum_i (-1)^(n-i) f_i = (-1)^n."""
-    n = len(face_counts) - 1
-    total = sum((-1) ** (n - i) * f for i, f in enumerate(face_counts))
-    return total == (-1) ** n
 
 
 def gal_check_poly(p: Poly2, n: int) -> GammaVector:

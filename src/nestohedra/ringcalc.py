@@ -39,7 +39,8 @@ below 2^(W-1) and never carries into the next field.
 
 A subproblem of 2-6 nodes is read from the committed table ``_SMALL`` by
 an int that names its isomorphism class, ``_shape`` on 2-5 nodes and
-``_six_shape`` on six, so the formula runs only on seven or more nodes.
+``_six_shape`` on six, so the formula runs only on seven or more nodes,
+and a graph takes its twin classes only once the formula runs on it.
 There ``FPolyCache`` shares results between graphs: each subproblem missed
 by the per-call mask memo is looked up, and stored, under the adjacency
 tuple of its labelled induced subgraph.  The recursion
@@ -267,10 +268,22 @@ class _NestedSets:
     So a class is named by its first node, the lowest node of a mask is
     the first node of its class, and a class has several nodes in a mask
     exactly when its second node is in it.
+
+    Only ``expand`` reads the twin classes, so they and the per-node tables
+    built from them wait for its first call.  A graph whose components
+    all have at most six nodes is read from ``_SMALL`` whole and never
+    builds them.
     """
 
     def __init__(self, g: Graph, cache: FPolyCache):
-        self.adj, self.cache = g.adj, cache
+        self.g, self.adj, self.cache = g, g.adj, cache
+        self.quotient: list[int] | None = None
+        self.memo: dict[int, int] = {}
+        self.products: dict[int, int] = {}
+
+    def _twin_tables(self) -> None:
+        """The twin classes' first and second nodes, and the per-node tables of ``expand``."""
+        g = self.g
         classes = twin_classes(g)
         self.reps = sum(1 << c[0] for c in classes)
         self.seconds = sum(1 << c[1] for c in classes if len(c) > 1)
@@ -289,8 +302,6 @@ class _NestedSets:
                 self.prefix[v], self.clique[v] = masks, clique
                 self.reach[v] = g.adj[v] & ~masks[-1]
         self.quotient = [r & self.reps for r in self.reach]
-        self.memo: dict[int, int] = {}
-        self.products: dict[int, int] = {}
 
     def face_counts(self, mask: int) -> int:
         """Packed F of a connected twin-canonical mask: memo, table, shared cache, formula."""
@@ -345,6 +356,8 @@ class _NestedSets:
         of classes comes once.  C takes the masked nodes of every class it
         meets; counts are chosen only in classes with several nodes of W.
         """
+        if self.quotient is None:
+            self._twin_tables()
         prefix, reach, quotient, seconds = self.prefix, self.reach, self.quotient, self.seconds
         memo, face_counts = self.memo, self.face_counts
         support = mask & self.reps

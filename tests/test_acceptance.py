@@ -26,8 +26,6 @@ from nestohedra.buildingset import (
 )
 from nestohedra.cli import main
 from nestohedra.invariants import (
-    dehn_sommerville,
-    euler_relation_holds,
     fvector,
     gal_check_poly,
     gal_check_series,
@@ -39,7 +37,9 @@ from witnesses import (
     PolyExpr,
     boundary,
     building_set_from_graph,
+    dehn_sommerville,
     edges,
+    euler_relation_holds,
     facets_from_building_set,
     power,
     term_of,

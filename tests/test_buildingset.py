@@ -438,9 +438,16 @@ def test_connected_graphs_upto_iso_match_the_networkx_atlas() -> None:
     for max_nodes in range(1, 8):
         expected = [g for g in atlas if g.n <= max_nodes]
         assert connected_graphs_upto_iso(max_nodes) == expected, max_nodes
+        # a class scan decodes its own node count alone
+        for min_nodes in range(1, max_nodes + 1):
+            expected = [g for g in atlas if min_nodes <= g.n <= max_nodes]
+            assert connected_graphs_upto_iso(max_nodes, min_nodes) == expected
     for bad in (0, 8):
         with pytest.raises(ValueError):
             connected_graphs_upto_iso(bad)
+    for bad_max, bad_min in ((7, 0), (3, 4), (8, 8)):
+        with pytest.raises(ValueError):
+            connected_graphs_upto_iso(bad_max, bad_min)
 
 
 # ---------------------------------------------------------------------------

@@ -551,6 +551,58 @@ def test_a_negative_gamma_entry_is_a_located_violation(capsys, monkeypatch) -> N
 
 
 # ---------------------------------------------------------------------------
+# the JSON writer
+
+# strings with quotes, backslashes, control characters, non-ASCII text
+# (astral plane included) and lone surrogates
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\U0001f600'),
+        st.characters(max_codepoint=0x7F),
+        st.characters(min_codepoint=0x80, max_codepoint=0x10FFFF),
+    ),
+    max_size=12,
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_TEXT,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.dictionaries(_JSON_TEXT, inner, max_size=5)
+    ),
+    max_leaves=20,
+)
+
+
+def _written(obj: object) -> str:
+    parts: list[str] = []
+    cli._json_parts(obj, "", parts)
+    return "".join(parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=_JSON_VALUES)
+def test_the_json_writer_writes_the_bytes_of_json_dumps(obj: object) -> None:
+    assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_the_json_writer_writes_empty_containers_and_extremes() -> None:
+    for obj in ({}, [], {"": []}, [{}], {"a": {"b": {}}, "A": [[], [[]]]}, -(2**64) - 1, True, None):
+        assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "x"}, {"a": [b"x"]}, {"a": {1, 2}}])
+def test_the_json_writer_refuses_other_types(obj: object) -> None:
+    with pytest.raises(TypeError):
+        _written(obj)
+
+
+# ---------------------------------------------------------------------------
 # shared plumbing
 
 

@@ -20,8 +20,6 @@ from nestohedra.buildingset import (
     star_graph,
 )
 from nestohedra.invariants import (
-    dehn_sommerville,
-    euler_relation_holds,
     fvector,
     gal_check_poly,
     gal_check_series,
@@ -30,7 +28,13 @@ from nestohedra.invariants import (
 )
 from nestohedra.ringcalc import FPolyCache
 from nestohedra.series import FAMILIES, Series2, _drop_one_term, family_f
-from witnesses import f_from_h, permutohedron_gammas, power
+from witnesses import (
+    dehn_sommerville,
+    euler_relation_holds,
+    f_from_h,
+    permutohedron_gammas,
+    power,
+)
 
 A = Poly2.alpha()
 T = Poly2.t()

@@ -411,29 +411,45 @@ def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() ->
 
 
 @pytest.fixture(scope="module")
-def seven_node_scan() -> tuple[list[tuple[int, ...]], list[int]]:
-    """The keys the 7-node class scan stores in its cache, and the masks it expands."""
+def seven_node_scan() -> tuple[list[tuple[int, ...]], list[int], int]:
+    """The keys the 7-node class scan stores in its cache, the masks it
+    expands, and how many graphs' twin classes it takes."""
     stored: list[tuple[int, ...]] = []
     expanded: list[int] = []
-    store, expand = FPolyCache.store, ringcalc._NestedSets.expand
+    with _counted_twin_classes() as twins:
+        store, expand = FPolyCache.store, ringcalc._NestedSets.expand
 
-    def counted_store(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
-        stored.append(key)
-        store(cache, key, value)
+        def counted_store(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
+            stored.append(key)
+            store(cache, key, value)
 
-    def counted_expand(self, mask: int) -> int:
-        expanded.append(mask)
-        return expand(self, mask)
+        def counted_expand(self, mask: int) -> int:
+            expanded.append(mask)
+            return expand(self, mask)
 
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
-        patch.setattr(FPolyCache, "store", counted_store)
-        patch.setattr(ringcalc._NestedSets, "expand", counted_expand)
-        assert main(["gal-scan", "--graph-class", "connected", "--nodes", "7"]) == 0
-    return stored, expanded
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+            patch.setattr(FPolyCache, "store", counted_store)
+            patch.setattr(ringcalc._NestedSets, "expand", counted_expand)
+            assert main(["gal-scan", "--graph-class", "connected", "--nodes", "7"]) == 0
+    return stored, expanded, len(twins)
+
+
+@contextlib.contextmanager
+def _counted_twin_classes():
+    """The graphs ``ringcalc`` takes the twin classes of, while the block runs."""
+    graphs: list[Graph] = []
+
+    def counted(g: Graph) -> list[list[int]]:
+        graphs.append(g)
+        return twin_classes(g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ringcalc, "twin_classes", counted)
+        yield graphs
 
 
 def test_a_class_scan_stores_each_labelled_induced_subgraph_once(seven_node_scan) -> None:
-    stored, _ = seven_node_scan
+    stored, _, _ = seven_node_scan
     assert len(stored) == len(set(stored))
     # subproblems of up to six nodes come from the table and are not
     # stored; larger ones are stored under their labelled induced subgraph,
@@ -452,20 +468,37 @@ def test_a_class_scan_shares_subproblems_across_its_graphs(seven_node_scan) -> N
     # subproblem of up to six nodes sent to the formula, or a cache key
     # that stopped matching equal labelled subgraphs above, would run it
     # more often.
-    _, expanded = seven_node_scan
+    _, expanded, _ = seven_node_scan
     assert len(expanded) == 853
     assert min(mask.bit_count() for mask in expanded) == 7
 
 
-def test_the_six_node_scan_runs_no_formula_and_stores_nothing(monkeypatch, capsys) -> None:
-    # Every subproblem of the six-node scan, whole graphs included, comes
-    # from the table.
+def test_twin_classes_are_taken_only_where_the_formula_runs(seven_node_scan, capsys) -> None:
+    # Only the formula reads the twin classes, so a graph takes them once,
+    # on its first expansion, and a graph read whole from the table or the
+    # shared cache never does.  verify at order 8 checks 91 graphs, and 25
+    # of them run the formula; the seven-node scan runs it on each of its
+    # 853 graphs.
+    with _counted_twin_classes() as twins:
+        assert main(["verify", "--family", "all", "--max-order", "8"]) == 0
+    capsys.readouterr()
+    assert len(twins) == 25
+    assert len(set(twins)) == 25
+    assert min(g.n for g in twins) == 7
+    assert seven_node_scan[2] == 853
+
+
+@pytest.mark.parametrize("nodes", ["5", "6"])
+def test_the_small_scans_run_no_formula_and_store_nothing(nodes, monkeypatch, capsys) -> None:
+    # Every subproblem of the five- and six-node scans, whole graphs
+    # included, comes from the table, so no graph takes its twin classes.
     def refused(*args) -> None:
         raise AssertionError(args)
 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", refused)
     monkeypatch.setattr(FPolyCache, "store", refused)
-    assert main(["gal-scan", "--graph-class", "connected", "--nodes", "6"]) == 0
+    monkeypatch.setattr(ringcalc, "twin_classes", refused)
+    assert main(["gal-scan", "--graph-class", "connected", "--nodes", nodes]) == 0
     capsys.readouterr()
 
 

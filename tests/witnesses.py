@@ -42,8 +42,9 @@ plain int lists, which shares no kernel, width or bound with either.
 
 The rest of the file is library surface only the tests use: powers,
 records, d/dt and gamma expansions of ``Poly2``, a graph's edge set,
-components, connectedness and induced subgraphs, and the y = 0 slice of a
-series.
+components, connectedness and induced subgraphs, the Dehn-Sommerville
+symmetry and Euler relation checks of a face vector, and the y = 0 slice
+of a series.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from nestohedra.algebra import GammaVector, Poly2, h_from_f, homogeneous_degree
+from nestohedra.algebra import GammaVector, Poly2, h_from_f, homogeneous_degree, is_symmetric
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
@@ -67,6 +68,8 @@ from nestohedra.buildingset import (
     graph_spec,
     twin_classes,
 )
+from nestohedra.invariants import hpoly
+from nestohedra.ringcalc import FPolyCache
 from nestohedra.series import (
     DEFAULT_ORDER,
     IDENTITY_FAMILIES,
@@ -1033,6 +1036,18 @@ def h_from_gamma(gv: GammaVector) -> Poly2:
         if g:
             out = out + _gamma_basis(i, gv.n) * g
     return out
+
+
+def dehn_sommerville(g: Graph, cache: FPolyCache | None = None) -> bool:
+    """Symmetry of the h-polynomial."""
+    return is_symmetric(hpoly(g, cache))
+
+
+def euler_relation_holds(face_counts: list[int]) -> bool:
+    """Alternating codimension sum: sum_i (-1)^(n-i) f_i = (-1)^n."""
+    n = len(face_counts) - 1
+    total = sum((-1) ** (n - i) * f for i, f in enumerate(face_counts))
+    return total == (-1) ** n
 
 
 def restrict_y0(s: Series2) -> Series2:
