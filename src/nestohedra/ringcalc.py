@@ -38,9 +38,9 @@ face count of the permutohedron, the ordered Bell number, which stays
 below 2^(W-1) and never carries into the next field.
 
 A subproblem of 2-6 nodes is read from the committed table ``_SMALL`` by
-an int that names its isomorphism class, ``_shape`` on 2-5 nodes and
-``_six_shape`` on six, so the formula runs only on seven or more nodes,
-and a graph takes its twin classes only once the formula runs on it.
+``_shape``, an int that names its isomorphism class, so the formula runs
+only on seven or more nodes, and a graph takes its twin classes only once
+the formula runs on it.
 There ``FPolyCache`` shares results between graphs: each subproblem missed
 by the per-call mask memo is looked up, and stored, under the adjacency
 tuple of its labelled induced subgraph.  The recursion
@@ -85,177 +85,121 @@ class FPolyCache(dict):
 
 
 def _shape(adj: tuple[int, ...], mask: int) -> int:
-    """The isomorphism class of the connected induced subgraph on mask, 2-5 nodes.
+    """The isomorphism class of the connected induced subgraph on mask, 2-6 nodes.
 
     Each node of degree d in it adds 1 << 4 * d, a histogram of degrees
-    with a 4-bit count each.  The degrees tell apart the connected graphs
-    on 2-5 nodes but two pairs on five: degrees (1,2,2,2,3), a triangle
-    with a two-edge tail and a 4-cycle with a pendant, and (2,2,2,3,3),
-    the house and K_{2,3}.  On those two histograms only, the sum over
-    nodes v and their neighbours u of |N(u) & N(v)|, six times the
-    triangle count, goes above it at bit 24 and tells each pair apart.  So
-    the 771 labelled connected graphs on 2-5 nodes take 30 shapes, one per
-    class, which the tests check against a canonical form.  Six-node
-    subproblems take ``_six_shape``, which costs about four times as much.
+    with a 4-bit count each, and that is the shape when it is a key of
+    ``_SMALL``.  Two histograms on five nodes and 23 on six belong to more
+    than one class, and are no keys.  On those only, two sums over the
+    nodes v and their neighbours u go above it: |N(u) & N(v)|, six times
+    the triangle count, at bit 24, and deg(v) * deg(u), at least 1, at bit
+    32.  So the 27,475 labelled connected graphs on 2-6 nodes take 142
+    shapes, one per class, which the tests check against a canonical form.
     """
     shape, left = 0, mask
     while left:
         low = left & -left
         left ^= low
         shape += 1 << 4 * (adj[low.bit_length() - 1] & mask).bit_count()
-    if shape == 0x1310 or shape == 0x2300:
-        left = mask
-        while left:
-            low = left & -left
-            left ^= low
-            row = rest = adj[low.bit_length() - 1] & mask
-            while rest:
-                u = rest & -rest
-                rest ^= u
-                shape += (adj[u.bit_length() - 1] & row).bit_count() << 24
-    return shape
-
-
-def _six_shape(adj: tuple[int, ...], mask: int) -> int:
-    """The isomorphism class of the connected induced subgraph on mask, 6 nodes.
-
-    Each node v gives the code (d * 21 + t) * 26 + s, with d its degree, t
-    the sum over its neighbours u of |N(u) & N(v)|, twice its triangles,
-    and s the sum of its neighbours' degrees; d <= 5, t <= 20 and s <= 25,
-    so a code fits 12 bits.  The sorted codes, packed 12 bits each, take
-    one value on each of the 112 classes: all 26,704 labelled connected
-    graphs on six nodes take 112 shapes, which the tests check against a
-    canonical form.  A code of d >= 1 and s >= 1 is at least 547, so a
-    shape is at least 547 << 60 and above every ``_shape``.
-    """
-    rows = {}
+    if shape in _SMALL:
+        return shape
     left = mask
     while left:
         low = left & -left
         left ^= low
-        rows[low] = adj[low.bit_length() - 1] & mask
-    codes = []
-    for row in rows.values():
+        row = rest = adj[low.bit_length() - 1] & mask
         t = s = 0
-        rest = row
         while rest:
             u = rest & -rest
             rest ^= u
-            r = rows[u]
+            r = adj[u.bit_length() - 1] & mask
             t += (r & row).bit_count()
             s += r.bit_count()
-        codes.append((row.bit_count() * 21 + t) * 26 + s)
-    codes.sort()
-    shape = 0
-    for code in codes:
-        shape = shape << 12 | code
+        shape += t << 24 | row.bit_count() * s << 32
     return shape
 
 
-# face counts (f_0, ..., f_{n-1} = 1) of each connected class on 2-5 nodes,
-# by its _shape; made once by the recursion over connected_graphs_upto_iso(5)
-# and checked against the facet recursion in the tests
+# face counts of each connected class on 2-6 nodes, by its _shape: int
+# literals, f_0 ... f_(n-1) = 1 in 16-bit fields, lowest first, so that
+# importing builds no tuple per entry; made once by the recursion's fpoly
+# over connected_graphs_upto_iso(6) and checked against the facet recursion
+# in the tests
 _SMALL = {
-    shape: _pack(f, _WIDTH)
+    shape: _pack([f >> 16 * i & 0xFFFF for i in range(6)], _WIDTH)
     for shape, f in {
-        0x20: (2, 1),  # edge
-        0x120: (5, 5, 1),  # path
-        0x300: (6, 6, 1),  # triangle
-        0x1030: (16, 24, 10, 1),  # K_{1,3}
-        0x220: (14, 21, 9, 1),  # path
-        0x1210: (18, 27, 11, 1),  # triangle with a pendant
-        0x400: (20, 30, 12, 1),  # 4-cycle
-        0x2200: (22, 33, 13, 1),  # K_4 less an edge
-        0x4000: (24, 36, 14, 1),  # K_4
-        0x10040: (65, 130, 84, 19, 1),  # K_{1,4}
-        0x1130: (51, 102, 67, 16, 1),  # K_{1,3} with one edge subdivided
-        0x320: (42, 84, 56, 14, 1),  # path
-        0x10220: (70, 140, 90, 20, 1),  # triangle with two pendants at one node
-        0x2120: (60, 120, 78, 18, 1),  # triangle with pendants at two nodes
-        0x6001310: (56, 112, 73, 17, 1),  # triangle with a two-edge tail
-        0x1310: (69, 138, 89, 20, 1),  # 4-cycle with a pendant
-        0x500: (70, 140, 90, 20, 1),  # 5-cycle
-        0x11210: (79, 158, 101, 22, 1),  # K_4 less an edge, pendant at a degree-3 node
-        0x3110: (74, 148, 95, 21, 1),  # K_4 less an edge, pendant at a degree-2 node
-        0x10400: (76, 152, 97, 21, 1),  # two triangles sharing a node
-        0x6002300: (84, 168, 107, 23, 1),  # house
-        0x2300: (92, 184, 117, 25, 1),  # K_{2,3}
-        0x13010: (84, 168, 107, 23, 1),  # K_4 with a pendant
-        0x20300: (98, 196, 124, 26, 1),  # K_{2,3} with an edge in the part of two
-        0x12200: (94, 188, 119, 25, 1),  # a node joined to a 4-node path
-        0x4100: (98, 196, 124, 26, 1),  # K_{2,3} with an edge in the part of three
-        0x22100: (104, 208, 131, 27, 1),  # K_5 less a two-edge path
-        0x14000: (108, 216, 136, 28, 1),  # K_5 less two disjoint edges
-        0x32000: (114, 228, 143, 29, 1),  # K_5 less an edge
-        0x50000: (120, 240, 150, 30, 1),  # K_5
+        0x20: 0x10002, 0x120: 0x100050005,
+        0x300: 0x100060006, 0x220: 0x100090015000e,
+        0x400: 0x1000c001e0014, 0x1030: 0x1000a00180010,
+        0x1210: 0x1000b001b0012, 0x2200: 0x1000d00210016,
+        0x4000: 0x1000e00240018, 0x320: 0x1000e00380054002a,
+        0x500: 0x10014005a008c0046, 0x1130: 0x10010004300660033,
+        0x2120: 0x10012004e0078003c, 0x3110: 0x10015005f0094004a,
+        0x4100: 0x1001a007c00c40062, 0x10040: 0x10013005400820041,
+        0x10220: 0x10014005a008c0046, 0x10400: 0x1001500610098004c,
+        0x11210: 0x100160065009e004f, 0x12200: 0x10019007700bc005e,
+        0x13010: 0x10017006b00a80054, 0x14000: 0x1001c008800d8006c,
+        0x20300: 0x1001a007c00c40062, 0x22100: 0x1001b008300d00068,
+        0x32000: 0x1001d008f00e40072, 0x50000: 0x1001e009600f00078,
+        0x2e00001310: 0x100140059008a0045, 0x3006001310: 0x10011004900700038,
+        0x4800002300: 0x10019007500b8005c, 0x4a06002300: 0x10017006b00a80054,
+        0x420: 0x100140078012c014a0084, 0x600: 0x1001e00d20230027600fc,
+        0x2040: 0x1001b00b601de021700d6, 0x3030: 0x1001c00bd01f0022b00de,
+        0x4020: 0x1002000e00254029e010c, 0x5010: 0x10028012b0330039d0172,
+        0x10140: 0x1001d00c7020e024e00ec, 0x10500: 0x10024010b02d80339014a,
+        0x11130: 0x1001f00da0246028f0106, 0x20220: 0x1002300fe02ae03070136,
+        0x22020: 0x10024010802cc032a0144, 0x30300: 0x1002e016b03f4048301ce,
+        0x31110: 0x1002a0142037803f20194, 0x40200: 0x100310189044e04ec01f8,
+        0x41010: 0x1002d015f03ce045601bc, 0x50100: 0x1003601bc04e805a00240,
+        0x60000: 0x1003b01ef058206540288, 0x100050: 0x10024010902d0032f0146,
+        0x100230: 0x10025011402f203570156, 0x100410: 0x100260120031803840168,
+        0x101220: 0x100270127032a03980170, 0x101400: 0x100280135035803cf0186,
+        0x102210: 0x1002a0143037c03f70196, 0x103020: 0x100280132034c03c00180,
+        0x104010: 0x1002d015f03ce045601bc, 0x105000: 0x1003401a4049c0546021c,
+        0x110310: 0x1002b014b0392041001a0, 0x111300: 0x10030017d042804bf01e6,
+        0x112110: 0x1002c015703b8043d01b2, 0x121200: 0x100320194047005140208,
+        0x122010: 0x1002e016b03f4048301ce, 0x131100: 0x1003501b304ce05820234,
+        0x140010: 0x1002f0177041a04b001e0, 0x141000: 0x1003a01e605680636027c,
+        0x200400: 0x10033019804760519020a, 0x202200: 0x1003401a604a405500220,
+        0x204000: 0x1003501b504d6058c0238, 0x212100: 0x1003601bd04ec05a50242,
+        0x222000: 0x1003901dd054e06180270, 0x230100: 0x1003701cb051a05dc0258,
+        0x240000: 0x1003c01fe05b4069002a0, 0x303000: 0x1003a01e605680636027c,
+        0x321000: 0x1003b01f5059a06720294, 0x420000: 0x1003d020d05e606cc02b8,
+        0x600000: 0x1003e021c0618070802d0, 0x2400001230: 0x1001700920176019f00a6,
+        0x2600001230: 0x10018009a018c01b800b0, 0x3600001410: 0x1002000e1025802a3010e,
+        0x3800001410: 0x1001d00c6020a024900ea, 0x3806001410: 0x10018009c019401c200b4,
+        0x3c00002220: 0x1001f00d60236027b00fe, 0x3e00002220: 0x1002000e00254029e010c,
+        0x3e06002220: 0x1001c00c10200023f00e6, 0x4000010320: 0x1002300fe02ae03070136,
+        0x4006002220: 0x1001a00ac01c001f400c8, 0x4406010320: 0x1001e00d1022c027100fa,
+        0x5000002400: 0x100290133034603b6017c, 0x5200002400: 0x100270123031a03840168,
+        0x5206002400: 0x10024010902d0032f0146, 0x520c002400: 0x1001d00cd0226026c00f8,
+        0x5a00003210: 0x10027011f030a03700160, 0x5a06003210: 0x10024010602c403200140,
+        0x5c00011310: 0x100290133034603b6017c, 0x5c06003210: 0x1002300fd02aa03020134,
+        0x5e0c003210: 0x1001e00d00228026c00f8, 0x6006011310: 0x10026011a03000366015c,
+        0x620c011310: 0x1002000e6026c02bc0118, 0x640c011310: 0x1002000e3026002ad0112,
+        0x6a0c012120: 0x10024010902d0032f0146, 0x6c0c012120: 0x1002200f4029002e40128,
+        0x7800004200: 0x1002f016d03f2047e01cc, 0x7806004200: 0x1002d015b03be044201b4,
+        0x780c004200: 0x100290139035e03d40188, 0x7a0c004200: 0x1002a0140037003e80190,
+        0x7e06012300: 0x1002e016503dc046501c2, 0x8000020400: 0x100320189044404dd01f2,
+        0x800c012300: 0x1002a0143037c03f70196, 0x820c012300: 0x1002a0142037803f20194,
+        0x8212012300: 0x10025011702fe0366015c, 0x880c020400: 0x1002c015403ac042e01ac,
+        0x8a0c013110: 0x1002a013f036c03e3018e, 0x8c0c013110: 0x100290136035203c50182,
+        0x8e12013110: 0x10026011a03000366015c, 0x9218013110: 0x1002100ed027e02d00120,
+        0x9412021210: 0x10028012e033c03ac0178, 0x9612021210: 0x10028012b0330039d0172,
+        0xa200006000: 0x1003601b004b805640228, 0xa20c006000: 0x10032018c045004ec01f8,
+        0xac0c014100: 0x10032018d045404f101fa, 0xac12014100: 0x1002f0173040a049c01d8,
+        0xae12014100: 0x10030017a041c04b001e0, 0xb20c022200: 0x100330197047205140208,
+        0xb612022200: 0x10030017c042404ba01e4, 0xb812022200: 0x10030017b042004b501e2,
+        0xb818022200: 0x1002d016103d6046001c0, 0xba18022200: 0x1002d016103d6046001c0,
+        0xbe18103200: 0x1002e016c03f8048801d0, 0xc01e103200: 0x100290141037e03fc0198,
+        0xc418023010: 0x1002c015303a8042901aa, 0xc81e023010: 0x100290137035603ca0184,
+        0xe418024000: 0x1003401a604a405500220, 0xe612024000: 0x1003701bf04ea05a00240,
+        0xe618024000: 0x1003501ad04b605640228, 0xf018032100: 0x1003501ae04ba0569022a,
+        0xf21e032100: 0x10033019b048205280210, 0xf41e032100: 0x10033019b048205280210,
+        0xfa1e113100: 0x1003401a504a0054b021e, 0xfc24113100: 0x10031018b045604f601fc,
+        0x13024042000: 0x1003801ce051c05dc0258, 0x13224042000: 0x1003801ce051c05dc0258,
+        0x13a24123000: 0x1003901d7053605fa0264, 0x13c2a123000: 0x1003701c5050205be024c,
     }.items()
 }
-# face counts of each connected class on six nodes, by its _six_shape: int
-# literals, f_0 ... f_5 in 16-bit fields, lowest first, so that importing
-# builds no tuple per entry; made once by the recursion's fpoly over
-# connected_graphs_upto_iso(6) and checked against the facet recursion in
-# the tests
-_SMALL.update(
-    (shape, _pack([f >> 16 * i & 0xFFFF for i in range(6)], _WIDTH))
-    for shape, f in {
-        0x22422422544844866b: 0x10018009a018c01b800b0, 0x224224447447448448: 0x100140078012c014a0084,
-        0x22422522544744966a: 0x1001700920176019f00a6, 0x22422544847e6a06a1: 0x1001a00ac01c001f400c8,
-        0x22422622622644988d: 0x1001d00c7020e024e00ec, 0x22422644947e47e8c3: 0x1001e00d1022c027100fa,
-        0x22444744947d47d6a0: 0x10018009c019401c200b4, 0x22444844844944966c: 0x1001d00c6020a024900ea,
-        0x22444847e6a26d66d6: 0x1001e00d00228026c00f8, 0x22444947f47f6d68f9: 0x1002000e3026002ad0112,
-        0x22444970c70c70c92f: 0x1002100ed027e02d00120, 0x22522522522566b66b: 0x1001b00b601de021700d6,
-        0x2252252256a16a16a1: 0x1001c00bd01f0022b00de, 0x22522544944966c66c: 0x1002000e00254029e010c,
-        0x22522544a44a66b66b: 0x1001f00d60236027b00fe, 0x22522547d47d66b6a1: 0x1001c00c10200023f00e6,
-        0x2252256a16a16d76d7: 0x1002000e00254029e010c, 0x22522622647f6a18c3: 0x1001f00da0246028f0106,
-        0x22522647f6a26d78f9: 0x1002200f4029002e40128, 0x22544844844944966b: 0x1002000e1025802a3010e,
-        0x2254494496a16a26a2: 0x1002300fd02aa03020134, 0x22544a44a66d66d66d: 0x10027011f030a03700160,
-        0x22544a47e66c6a16a2: 0x10024010602c403200140, 0x22547e47e47f6a18f9: 0x1002000e6026c02bc0118,
-        0x22547f6a26d76d892f: 0x10026011a03000366015c, 0x2254804806a392f92f: 0x10028012b0330039d0172,
-        0x22566d6a36a36d76d7: 0x10028012b0330039d0172, 0x2256a370d70d965965: 0x100290137035603ca0184,
-        0x22622644844a44a88e: 0x1002300fe02ae03070136, 0x22622647e6d76d78c4: 0x10024010902d0032f0146,
-        0x2262264804808f98f9: 0x1002300fe02ae03070136, 0x22622670d70d92f92f: 0x10024010802cc032a0144,
-        0x22644944a47f6a28c4: 0x10026011a03000366015c, 0x22644a6a36a36d88fa: 0x100290136035203c50182,
-        0x22644b44b44b66c88f: 0x100290133034603b6017c, 0x22644b6a26d86d88c5: 0x1002a013f036c03e3018e,
-        0x22647f4806d88fa92f: 0x10028012e033c03ac0178, 0x22648070e930965965: 0x1002a0142037803f20194,
-        0x2266d86d96d98fb965: 0x1002c015303a8042901aa, 0x22670e93199b99b99b: 0x1002d015f03ce045601bc,
-        0x227227227227227aaf: 0x10024010902d0032f0146, 0x22722722747f47fae5: 0x10025011402f203570156,
-        0x2272274804806d7b1b: 0x100270127032a03980170, 0x22722770d70d70db51: 0x100280132034c03c00180,
-        0x22747f47f47f47fb1b: 0x100260120031803840168, 0x2274804806d86d8b51: 0x1002a0143037c03f70196,
-        0x22748148148192fb51: 0x1002b014b0392041001a0, 0x22748170e70e965b87: 0x1002c015703b8043d01b2,
-        0x2276d96d96d96d9b87: 0x1002d015f03ce045601bc, 0x22770f70f99b99bbbd: 0x1002e016b03f4048301ce,
-        0x2279d19d19d19d1bf3: 0x1002f0177041a04b001e0, 0x448448448448448448: 0x1001e00d20230027600fc,
-        0x44844944947e6a16a1: 0x10024010902d0032f0146, 0x44844a44a47e47e8c4: 0x10024010b02d80339014a,
-        0x44944944944966d66d: 0x100270123031a03840168, 0x44944944a44a66c66c: 0x100290133034603b6017c,
-        0x4494496a26a26d76d7: 0x1002a0140037003e80190, 0x44944a47f6a36d78fa: 0x1002a0142037803f20194,
-        0x44a44a4804808fa8fa: 0x1002c015403ac042e01ac, 0x44a44a66d6a26a26a3: 0x1002d015b03be044201b4,
-        0x44a44a66e66e66e66e: 0x1002f016d03f2047e01cc, 0x44a44a70d70d930930: 0x1002d016103d6046001c0,
-        0x44a47f47f6a26a28fa: 0x1002a0143037c03f70196, 0x44a4806a46a4930930: 0x10030017b042004b501e2,
-        0x44a6a36a36d86d8930: 0x10030017a041c04b001e0, 0x44b44b47f66d6a38c5: 0x1002e016503dc046501c2,
-        0x44b4806a36d98fb930: 0x10030017c042404ba01e4, 0x44b66e6a46a46d88fb: 0x10032018d045404f101fa,
-        0x44b6a470e931966966: 0x10033019b048205280210, 0x44c44c44c44c890890: 0x100320189044404dd01f2,
-        0x44c44c6d96d98c68c6: 0x100330197047205140208, 0x44c6da6da8fc8fc966: 0x1003501ae04ba0569022a,
-        0x44c93293299c99c99c: 0x1003601bc04e805a00240, 0x47d47d47d47d6a16a1: 0x1001d00cd0226026c00f8,
-        0x47e47e47e6d76d78fa: 0x10025011702fe0366015c, 0x47e47e6a26a26a26a2: 0x100290139035e03d40188,
-        0x47f47f4804806d7b51: 0x100280135035803cf0186, 0x47f47f6d86d8930930: 0x1002d016103d6046001c0,
-        0x47f47f70d70d70db87: 0x100290141037e03fc0198, 0x47f6a36a36d86d88fb: 0x1002f0173040a049c01d8,
-        0x480480480930930930: 0x1002e016b03f4048301ce, 0x4804806d86d86d9b87: 0x1002e016c03f8048801d0,
-        0x480480966966966966: 0x100310189044e04ec01f8, 0x4804814816d9930b87: 0x10030017d042804bf01e6,
-        0x4806d96d9931931966: 0x10033019b048205280210, 0x4806d970e70e966bbd: 0x10031018b045604f601fc,
-        0x48148170f966966bbd: 0x100320194047005140208, 0x4816d96da6da931bbd: 0x1003401a504a0054b021e,
-        0x48170f96799c99cbf3: 0x1003501b304ce05820234, 0x482482482482b87b87: 0x10033019804760519020a,
-        0x48248270f70fbbdbbd: 0x1003401a604a405500220, 0x48271071099cbf3bf3: 0x1003601bd04ec05a50242,
-        0x4829d29d29d2c29c29: 0x1003701cb051a05dc0258, 0x66f66f66f66f66f66f: 0x1003601b004b805640228,
-        0x66f6a56a56a5931931: 0x1003701bf04ea05a00240, 0x6a36a36a36a36a36a3: 0x10032018c045004ec01f8,
-        0x6a46a46d96d9931931: 0x1003501ad04b605640228, 0x6a56a5967967967967: 0x1003801ce051c05dc0258,
-        0x6d96d96d96d96d9bbd: 0x1003401a4049c0546021c, 0x6d96d96d96d98fc8fc: 0x1003401a604a405500220,
-        0x6da6da70f967967bf3: 0x1003701c5050205be024c, 0x6da6da932932967967: 0x1003801ce051c05dc0258,
-        0x6db6db6db932932bf3: 0x1003901d7053605fa0264, 0x6db96896899d99dc29: 0x1003a01e605680636027c,
-        0x70f70f70f70fbf3bf3: 0x1003501b504d6058c0238, 0x71071099d99dc29c29: 0x1003901dd054e06180270,
-        0x711711711c29c29c29: 0x1003a01e605680636027c, 0x7119d39d3c5fc5fc5f: 0x1003b01f5059a06720294,
-        0x968968968968968968: 0x1003b01ef058206540288, 0x99e99e99e99ec5fc5f: 0x1003c01fe05b4069002a0,
-        0x9d49d4c95c95c95c95: 0x1003d020d05e606cc02b8, 0xccbccbccbccbccbccb: 0x1003e021c0618070802d0,
-    }.items()
-)
 
 
 class _NestedSets:
@@ -311,10 +255,8 @@ class _NestedSets:
         if not mask & (mask - 1):
             return 1
         n = mask.bit_count()
-        if n <= 5:
+        if n <= 6:
             f = _SMALL[_shape(self.adj, mask)]
-        elif n == 6:
-            f = _SMALL[_six_shape(self.adj, mask)]
         else:
             key = _induced_adj(self.adj, mask)
             f = self.cache.lookup(key)

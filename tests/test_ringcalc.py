@@ -512,6 +512,11 @@ def _labelled_connected_graphs(n: int) -> list[Graph]:
     return [g for g in graphs if is_connected_graph(g)]
 
 
+def _nodes(shape: int) -> int:
+    """The node count of a shape: the sum of the 4-bit counts of its degree histogram."""
+    return sum(shape >> 4 * d & 15 for d in range(6))
+
+
 def test_the_shape_takes_one_value_per_class_up_to_five_nodes() -> None:
     # Subproblems of up to five nodes are read from a table by their shape,
     # so the shape must name one isomorphism class whatever the labels:
@@ -529,8 +534,7 @@ def test_the_shape_takes_one_value_per_class_up_to_five_nodes() -> None:
         assert tuple(f) == facet_fpoly(g, memo).coeffs, graph_spec(g)
     assert len(classes) == 30
     assert all(len(canonical) == 1 for canonical in classes.values())
-    # six-node shapes are at least 547 << 60, above these
-    assert {shape for shape in ringcalc._SMALL if shape < 547 << 60} == set(classes)
+    assert {shape for shape in ringcalc._SMALL if _nodes(shape) < 6} == set(classes)
     # the formula itself, on each class's whole mask, gives its entry
     for (g,) in classes.values():
         full = (1 << g.n) - 1
@@ -539,18 +543,18 @@ def test_the_shape_takes_one_value_per_class_up_to_five_nodes() -> None:
 
 
 def test_the_six_node_shape_takes_one_value_per_class() -> None:
-    # Subproblems of six nodes are read from the same table by their
-    # _six_shape: 26,704 labelled connected graphs on six nodes, 112
-    # classes.  As above, the classes come from the witness canonical form
-    # and each entry is checked against the facet recursion, once per class.
+    # Subproblems of six nodes are read from the same table by the same
+    # shape: 26,704 labelled connected graphs on six nodes, 112 classes.
+    # As above, the classes come from the witness canonical form and each
+    # entry is checked against the facet recursion, once per class.
     graphs = _labelled_connected_graphs(6)
     assert len(graphs) == 26704
     classes: dict[int, set[Graph]] = {}
     for g in graphs:
-        classes.setdefault(ringcalc._six_shape(g.adj, 63), set()).add(canonical_graph(g))
+        classes.setdefault(ringcalc._shape(g.adj, 63), set()).add(canonical_graph(g))
     assert len(classes) == 112
     assert all(len(canonical) == 1 for canonical in classes.values())
-    assert {shape for shape in ringcalc._SMALL if shape >= 547 << 60} == set(classes)
+    assert {shape for shape in ringcalc._SMALL if _nodes(shape) == 6} == set(classes)
     memo: dict = {}
     for shape, (g,) in classes.items():
         f = algebra._digits(ringcalc._SMALL[shape], ringcalc._WIDTH)
@@ -581,7 +585,27 @@ def test_the_six_node_shape_splits_the_classes_that_share_degrees_and_triangles(
     for a, b in zip(specs[::2], specs[1::2]):
         g, h = parse_graph_spec(a), parse_graph_spec(b)
         assert _degrees_and_triangles(g) == _degrees_and_triangles(h), (a, b)
-        assert ringcalc._six_shape(g.adj, 63) != ringcalc._six_shape(h.adj, 63), (a, b)
+        assert ringcalc._shape(g.adj, 63) != ringcalc._shape(h.adj, 63), (a, b)
+
+
+def test_the_shape_adds_its_sums_only_where_classes_share_degrees() -> None:
+    # The shape is the degree histogram alone unless another class shares
+    # it; then sums over the edges go above bit 24, and the shared histogram
+    # is no key of the table, so no class is read by it.
+    classes = {
+        g: sum(1 << 4 * row.bit_count() for row in g.adj)
+        for g in connected_graphs_upto_iso(6)
+        if g.n >= 2
+    }
+    assert len(classes) == len(ringcalc._SMALL) == 142
+    histograms = list(classes.values())
+    shared = {histogram for histogram in histograms if histograms.count(histogram) > 1}
+    assert sorted(_nodes(histogram) for histogram in shared) == [5] * 2 + [6] * 23
+    assert not shared & set(ringcalc._SMALL)
+    for g, histogram in classes.items():
+        shape = ringcalc._shape(g.adj, (1 << g.n) - 1)
+        assert (shape < 1 << 24) == (histogram not in shared), graph_spec(g)
+        assert shape % (1 << 24) == histogram, graph_spec(g)
 
 
 def _degrees_and_triangles(g: Graph) -> list[tuple[int, int]]:
