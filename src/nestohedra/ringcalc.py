@@ -38,9 +38,10 @@ face count of the permutohedron, the ordered Bell number, which stays
 below 2^(W-1) and never carries into the next field.
 
 A subproblem of 2-6 nodes is read from the committed table ``_SMALL`` by
-``_shape``, an int that names its isomorphism class, so the formula runs
-only on seven or more nodes, and a graph takes its twin classes only once
-the formula runs on it.
+``_shape``, and one of seven nodes from the committed table ``SEVEN`` by
+``_seven_key``: each is an int that names its isomorphism class.  So the
+formula runs only on eight or more nodes, and a graph takes its twin
+classes only once the formula runs on it.
 There ``FPolyCache`` shares results between graphs: each subproblem missed
 by the per-call mask memo is looked up, and stored, under the adjacency
 tuple of its labelled induced subgraph.  The recursion
@@ -53,6 +54,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator
 
+from ._seven import SEVEN
 from .algebra import Poly2, _digits, _egf_inverse, _pack
 from .buildingset import (
     MAX_GROUND,
@@ -73,11 +75,11 @@ _ONE_PLUS_ALPHA = 1 << _WIDTH | 1
 
 
 class FPolyCache(dict):
-    """Packed face counts of connected graphs on seven or more nodes.
+    """Packed face counts of connected graphs on eight or more nodes.
 
     A key is the adjacency tuple of a labelled graph, and ``Graph(key)`` is
-    that graph; graphs of 2-6 nodes are read from ``_SMALL``.  Shared across
-    ``fpoly`` calls.
+    that graph; graphs of 2-6 nodes are read from ``_SMALL`` and graphs of
+    seven from ``SEVEN``.  Shared across ``fpoly`` calls.
     """
 
     lookup = dict.get
@@ -202,6 +204,36 @@ _SMALL = {
 }
 
 
+def _seven_key(adj: tuple[int, ...], mask: int) -> int:
+    """The isomorphism class of the connected induced subgraph on mask, 7 nodes.
+
+    Each node v of it has the code deg(v) << 11 | t << 6 | s, where t sums
+    |N(u) & N(v)| over the neighbours u of v, twice the triangles at v, and
+    s sums deg(u) over them, all inside mask; t is at most 30 and s at most
+    36, so the fields never overlap.  The key is the sorted codes, 14 bits
+    each, the largest lowest.  A sorted multiset of node invariants is the
+    same for every labelling, and the 853 connected classes on seven nodes
+    take 853 keys, which the tests check.
+    """
+    codes, left = [], mask
+    while left:
+        low = left & -left
+        left ^= low
+        row = rest = adj[low.bit_length() - 1] & mask
+        t = s = 0
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            r = adj[u.bit_length() - 1] & mask
+            t += (r & row).bit_count()
+            s += r.bit_count()
+        codes.append(row.bit_count() << 11 | t << 6 | s)
+    key = 0
+    for code in sorted(codes):
+        key = key << 14 | code
+    return key
+
+
 class _NestedSets:
     """The recursion on the twin-canonical node masks of one graph.
 
@@ -215,8 +247,8 @@ class _NestedSets:
 
     Only ``expand`` reads the twin classes, so they and the per-node tables
     built from them wait for its first call.  A graph whose components
-    all have at most six nodes is read from ``_SMALL`` whole and never
-    builds them.
+    all have at most seven nodes is read from ``_SMALL`` and ``SEVEN``
+    whole and never builds them.
     """
 
     def __init__(self, g: Graph, cache: FPolyCache):
@@ -248,7 +280,7 @@ class _NestedSets:
         self.quotient = [r & self.reps for r in self.reach]
 
     def face_counts(self, mask: int) -> int:
-        """Packed F of a connected twin-canonical mask: memo, table, shared cache, formula."""
+        """Packed F of a connected twin-canonical mask: memo, tables, shared cache, formula."""
         f = self.memo.get(mask)
         if f is not None:
             return f
@@ -257,6 +289,9 @@ class _NestedSets:
         n = mask.bit_count()
         if n <= 6:
             f = _SMALL[_shape(self.adj, mask)]
+        elif n == 7:
+            counts = SEVEN[_seven_key(self.adj, mask)]
+            f = _pack([counts >> 16 * i & 0xFFFF for i in range(7)], _WIDTH)
         else:
             key = _induced_adj(self.adj, mask)
             f = self.cache.lookup(key)

@@ -38,7 +38,9 @@ FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
 # of 5-node classes that share degrees (a triangle with a two-edge tail and
 # a 4-cycle with a pendant, the house and K_{2,3}), a 7-node graph that
 # holds all four as induced subgraphs, and the four pairs of 6-node classes
-# that share every node's degree and triangle count
+# that share every node's degree and triangle count; last, graphs whose
+# seven-node subproblems are masks inside larger graphs: seeded twin-free
+# graphs on 12 and 10 nodes (edge probability 1/2) and a twin-rich join
 GRAPHS = (
     "path:12",
     "bipartite:4,4",
@@ -80,6 +82,11 @@ GRAPHS = (
     "edges:6:0-1,0-4,1-2,1-5,2-3,3-4",
     "edges:6:0-1,0-3,0-5,1-2,2-3,3-4,4-5",
     "edges:6:0-1,0-4,0-5,1-2,2-3,3-4,3-5",
+    "edges:12:0-1,0-4,0-5,0-6,0-9,0-10,1-2,1-4,1-5,1-7,1-10,1-11,2-5,2-6,2-7,2-8,2-9,"
+    "2-10,2-11,3-4,3-5,3-6,3-7,3-8,3-9,4-6,4-9,4-10,5-8,5-11,7-8,7-9,7-11,8-9,9-11,10-11",
+    "edges:10:0-1,0-4,0-5,0-6,0-9,1-2,1-4,1-6,1-7,1-9,2-5,2-6,2-9,3-4,3-5,3-6,3-7,3-8,3-9,"
+    "4-5,4-6,4-7,4-8,4-9,5-6,6-7,7-8,7-9",
+    "join(star:3,empty:4)",
 )
 
 

@@ -101,21 +101,24 @@ def test_invariants_rejects_short_cycles(capsys) -> None:
         assert err.startswith("error:")
 
 
-K7 = (
-    "edges:7:0-1,0-2,0-3,0-4,0-5,0-6,1-2,1-3,1-4,1-5,1-6,"
-    "2-3,2-4,2-5,2-6,3-4,3-5,3-6,4-5,4-6,5-6"
+K8 = (
+    "edges:8:0-1,0-2,0-3,0-4,0-5,0-6,0-7,1-2,1-3,1-4,1-5,1-6,1-7,"
+    "2-3,2-4,2-5,2-6,2-7,3-4,3-5,3-6,3-7,4-5,4-6,4-7,5-6,5-7,6-7"
 )
-K7_FACES = "5040, 15120, 16800, 8400, 1806, 126"
+K8_FACES = "40320, 141120, 191520, 126000, 40824, 5796, 254"
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda f: f[:-1] + (2,), f"[{K7_FACES}, 2], not 7 entries ending in 1"),
+        (lambda f: f[:-1] + (2,), f"[{K8_FACES}, 2], not 8 entries ending in 1"),
         # a packed int holds no zero field past its top one, so the extra
         # entry is a 1
-        (lambda f: f + (1,), f"[{K7_FACES}, 1, 1], not 7 entries ending in 1"),
-        (lambda f: f[1:], "[15120, 16800, 8400, 1806, 126, 1], not 7 entries ending in 1"),
+        (lambda f: f + (1,), f"[{K8_FACES}, 1, 1], not 8 entries ending in 1"),
+        (
+            lambda f: f[1:],
+            "[141120, 191520, 126000, 40824, 5796, 254, 1], not 8 entries ending in 1",
+        ),
     ],
     ids=["top-face-not-one", "one-entry-long", "one-entry-short"],
 )
@@ -123,27 +126,27 @@ def test_face_counts_that_fail_the_check_exit_one(
     capsys, monkeypatch, corrupt, message: str
 ) -> None:
     # Valid input, but the face counts the recursion computes for a
-    # seven-node subproblem fail its own check: a failed check (1) with one
+    # eight-node subproblem fail its own check: a failed check (1) with one
     # error line naming the graph, not a usage error (2).  The face counts
     # are unpacked, corrupted and packed again.  Smaller subproblems are
-    # read from a table, so the formula runs on seven nodes or more.
+    # read from tables, so the formula runs on eight nodes or more.
     plain = ringcalc._NestedSets.expand
 
     def broken(self, mask: int) -> int:
         f = plain(self, mask)
-        if mask.bit_count() != 7:
+        if mask.bit_count() != 8:
             return f
         wrong = corrupt(tuple(algebra._digits(f, ringcalc._WIDTH)))
         return sum(c << ringcalc._WIDTH * i for i, c in enumerate(wrong))
 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
-    code, out, err = _run(capsys, ["invariants", "--graph", "complete:7"])
+    code, out, err = _run(capsys, ["invariants", "--graph", "complete:8"])
     assert (code, out) == (1, "")
-    assert err == "error: face counts of " + K7 + " are " + message + "\n"
+    assert err == "error: face counts of " + K8 + " are " + message + "\n"
 
 
 def test_negative_face_counts_exit_one_within_seconds() -> None:
-    # Face counts of a seven-node subproblem negated: the check names them
+    # Face counts of an eight-node subproblem negated: the check names them
     # in balanced digits.  An unsigned decode of a negative int never ends
     # and its digit list grows, so the run goes in a subprocess with a
     # timeout and a cap on its address space.
@@ -156,10 +159,10 @@ plain = ringcalc._NestedSets.expand
 
 def negated(self, mask):
     f = plain(self, mask)
-    return -f if mask.bit_count() == 7 else f
+    return -f if mask.bit_count() == 8 else f
 
 ringcalc._NestedSets.expand = negated
-sys.exit(main(["invariants", "--graph", "complete:7"]))
+sys.exit(main(["invariants", "--graph", "complete:8"]))
 """
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -171,8 +174,9 @@ sys.exit(main(["invariants", "--graph", "complete:7"]))
     )
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (
-        f"error: face counts of {K7} are [-5040, -15120, -16800, -8400, -1806, -126, -1], "
-        "not 7 entries ending in 1\n"
+        f"error: face counts of {K8} are "
+        "[-40320, -141120, -191520, -126000, -40824, -5796, -254, -1], "
+        "not 8 entries ending in 1\n"
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestohedra import algebra, ringcalc
+from nestohedra import algebra, cli, ringcalc
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     MAX_GROUND,
@@ -184,15 +184,22 @@ def test_fpoly_graph_convenience() -> None:
     assert fpoly(complete_graph(3), FPolyCache()) == triangle
 
 
-def test_fpoly_over_the_atlas_equals_the_all_subsets_recursion() -> None:
+@pytest.fixture(scope="module")
+def atlas_facet_fpolys() -> dict[Graph, Poly2]:
+    """The facet recursion over all 2^n node subsets on every connected
+    class up to seven nodes, with one memo of its own."""
+    memo: dict = {}
+    return {g: facet_fpoly(g, memo, plain_boundary) for g in connected_graphs_upto_iso(7)}
+
+
+def test_fpoly_over_the_atlas_equals_the_all_subsets_recursion(atlas_facet_fpolys) -> None:
     # Every connected class on up to seven nodes, once through the
     # nested-set recursion and once through the facet recursion over all
     # 2^n node subsets, each with its own memo.
-    graphs = connected_graphs_upto_iso(7)
-    assert len(graphs) == 996
-    cache, memo = FPolyCache(), {}
-    for g in graphs:
-        assert fpoly(g, cache) == facet_fpoly(g, memo, plain_boundary), graph_spec(g)
+    assert len(atlas_facet_fpolys) == 996
+    cache = FPolyCache()
+    for g, f in atlas_facet_fpolys.items():
+        assert fpoly(g, cache) == f, graph_spec(g)
 
 
 def test_fpoly_of_complete_bipartite_graphs_equals_the_denominator_sum() -> None:
@@ -312,14 +319,14 @@ def test_fpoly_names_the_graph_whose_boundary_does_not_integrate() -> None:
 
 
 def test_fpoly_names_the_subgraph_whose_face_counts_fail_the_check(monkeypatch) -> None:
-    # Every subproblem the formula runs on, seven nodes or more, is checked
+    # Every subproblem the formula runs on, eight nodes or more, is checked
     # for one count per node ending in the top face; a failure names the
     # induced subgraph, labelled compactly.
     plain = ringcalc._NestedSets.expand
 
     def broken(self, mask: int) -> int:
         f = plain(self, mask)
-        if mask.bit_count() != 7:
+        if mask.bit_count() != 8:
             return f
         wrong = algebra._digits(f, ringcalc._WIDTH)[:-1]
         return sum(c << ringcalc._WIDTH * i for i, c in enumerate(wrong))
@@ -327,15 +334,16 @@ def test_fpoly_names_the_subgraph_whose_face_counts_fail_the_check(monkeypatch) 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", broken)
     with pytest.raises(
         ArithmeticError,
-        match=r"^face counts of edges:7:0-1,1-2,2-3,3-4,4-5,5-6 are "
-        r"\[429, 1287, 1485, 825, 225, 27\]",
+        match=r"^face counts of edges:8:0-1,1-2,2-3,3-4,4-5,5-6,6-7 are "
+        r"\[1430, 5005, 7007, 5005, 1925, 385, 35\]",
     ):
-        fpoly(path_graph(9))
+        fpoly(path_graph(10))
     with pytest.raises(
         ArithmeticError,
-        match=r"edges:7:0-1,0-2,.*,4-6,5-6 are \[5040, 15120, 16800, 8400, 1806, 126\]",
+        match=r"edges:8:0-1,0-2,.*,5-7,6-7 are "
+        r"\[40320, 141120, 191520, 126000, 40824, 5796, 254\]",
     ):
-        fpoly(complete_graph(8))
+        fpoly(complete_graph(9))
 
 
 def test_fpoly_rejects_graphs_above_the_ground_cap() -> None:
@@ -411,13 +419,19 @@ def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() ->
 
 
 @pytest.fixture(scope="module")
-def seven_node_scan() -> tuple[list[tuple[int, ...]], list[int], int]:
-    """The keys the 7-node class scan stores in its cache, the masks it
-    expands, and how many graphs' twin classes it takes."""
+def family_run() -> tuple[list[Graph], list[tuple[int, ...]], list[int], list[Graph]]:
+    """What ``verify --family all --max-order 10`` does through its one
+    cache: the graphs it asks for, the keys it stores, the masks it expands
+    and the graphs whose twin classes it takes."""
+    asked: list[Graph] = []
     stored: list[tuple[int, ...]] = []
     expanded: list[int] = []
     with _counted_twin_classes() as twins:
         store, expand = FPolyCache.store, ringcalc._NestedSets.expand
+
+        def counted_fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
+            asked.append(g)
+            return fpoly(g, cache)
 
         def counted_store(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
             stored.append(key)
@@ -428,10 +442,11 @@ def seven_node_scan() -> tuple[list[tuple[int, ...]], list[int], int]:
             return expand(self, mask)
 
         with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+            patch.setattr(cli, "fpoly", counted_fpoly)
             patch.setattr(FPolyCache, "store", counted_store)
             patch.setattr(ringcalc._NestedSets, "expand", counted_expand)
-            assert main(["gal-scan", "--graph-class", "connected", "--nodes", "7"]) == 0
-    return stored, expanded, len(twins)
+            assert main(["verify", "--family", "all", "--max-order", "10"]) == 0
+    return asked, stored, expanded, list(twins)
 
 
 @contextlib.contextmanager
@@ -448,50 +463,53 @@ def _counted_twin_classes():
         yield graphs
 
 
-def test_a_class_scan_stores_each_labelled_induced_subgraph_once(seven_node_scan) -> None:
-    stored, _, _ = seven_node_scan
+def test_a_class_scan_stores_each_labelled_induced_subgraph_once(family_run) -> None:
+    # verify checks the families' graphs through one cache, the complete
+    # bipartite graphs among them induced subgraphs of the larger ones on
+    # their first nodes.
+    asked, stored, _, _ = family_run
     assert len(stored) == len(set(stored))
-    # subproblems of up to six nodes come from the table and are not
+    # subproblems of up to seven nodes come from the tables and are not
     # stored; larger ones are stored under their labelled induced subgraph,
-    # a connected graph the scan's subproblems reached, and every seven-node
-    # class under its own labelling
+    # a connected graph the run's subproblems reached, and every connected
+    # graph of eight or more nodes that verify asks for under its own
+    # labelling
     assert all(type(key) is tuple for key in stored)
-    assert all(len(key) >= 7 and is_connected_graph(Graph(key)) for key in stored)
-    scanned = {g.adj for g in connected_graphs_upto_iso(7) if g.n == 7}
-    assert len(scanned) == 853
-    assert scanned <= set(stored)
+    assert all(len(key) >= 8 and is_connected_graph(Graph(key)) for key in stored)
+    large = {g.adj for g in asked if g.n >= 8 and is_connected_graph(g)}
+    assert len(large) == 46
+    assert large <= set(stored)
 
 
-def test_a_class_scan_shares_subproblems_across_its_graphs(seven_node_scan) -> None:
-    # The seven-node scan runs the formula 853 times, once per connected
-    # class on seven nodes: smaller subproblems come from the table.  A
-    # subproblem of up to six nodes sent to the formula, or a cache key
-    # that stopped matching equal labelled subgraphs above, would run it
-    # more often.
-    _, expanded, _ = seven_node_scan
-    assert len(expanded) == 853
-    assert min(mask.bit_count() for mask in expanded) == 7
+def test_a_class_scan_shares_subproblems_across_its_graphs(family_run) -> None:
+    # The run expands 46 masks, each a labelled induced subgraph of eight
+    # or more nodes met for the first time; with a cache per graph it would
+    # expand 179.  A subproblem of up to seven nodes sent to the formula, or
+    # a cache key that stopped matching equal labelled subgraphs above, would
+    # run it more often.
+    _, stored, expanded, _ = family_run
+    assert len(expanded) == len(stored) == 46
+    assert min(mask.bit_count() for mask in expanded) == 8
 
 
-def test_twin_classes_are_taken_only_where_the_formula_runs(seven_node_scan, capsys) -> None:
+def test_twin_classes_are_taken_only_where_the_formula_runs(family_run, capsys) -> None:
     # Only the formula reads the twin classes, so a graph takes them once,
-    # on its first expansion, and a graph read whole from the table or the
-    # shared cache never does.  verify at order 8 checks 91 graphs, and 25
-    # of them run the formula; the seven-node scan runs it on each of its
-    # 853 graphs.
+    # on its first expansion, and a graph read whole from the tables or the
+    # shared cache never does.  verify at order 8 checks 91 graphs, and 14
+    # of them run the formula; at order 10, 46 of them do.
     with _counted_twin_classes() as twins:
         assert main(["verify", "--family", "all", "--max-order", "8"]) == 0
     capsys.readouterr()
-    assert len(twins) == 25
-    assert len(set(twins)) == 25
-    assert min(g.n for g in twins) == 7
-    assert seven_node_scan[2] == 853
+    assert len(twins) == 14
+    assert len(set(twins)) == 14
+    assert min(g.n for g in twins) == 8
+    assert len(family_run[3]) == len(set(family_run[3])) == 46
 
 
-@pytest.mark.parametrize("nodes", ["5", "6"])
+@pytest.mark.parametrize("nodes", ["5", "6", "7"])
 def test_the_small_scans_run_no_formula_and_store_nothing(nodes, monkeypatch, capsys) -> None:
-    # Every subproblem of the five- and six-node scans, whole graphs
-    # included, comes from the table, so no graph takes its twin classes.
+    # Every subproblem of the five-, six- and seven-node scans, whole graphs
+    # included, comes from the tables, so no graph takes its twin classes.
     def refused(*args) -> None:
         raise AssertionError(args)
 
@@ -634,6 +652,43 @@ def test_the_shape_splits_the_five_node_classes_that_share_degrees() -> None:
         g, h = parse_graph_spec(a), parse_graph_spec(b)
         assert sorted(map(int.bit_count, g.adj)) == sorted(map(int.bit_count, h.adj))
         assert ringcalc._shape(g.adj, 31) != ringcalc._shape(h.adj, 31)
+
+
+def test_the_seven_node_key_takes_one_value_per_class(atlas_facet_fpolys) -> None:
+    # Subproblems of seven nodes are read from their own table by
+    # _seven_key, the sorted per-node codes.  Those are the same for every
+    # labelling, so one key per class covers every labelled graph: the 853
+    # connected classes on seven nodes take 853 keys, the table's.  Each
+    # entry, as a subproblem reads it, equals the facet recursion, so the
+    # recursion never grades its own table, and the formula on the class's
+    # whole mask, which keeps the formula tested on seven nodes.
+    classes = {g: ringcalc._seven_key(g.adj, 127) for g in atlas_facet_fpolys if g.n == 7}
+    assert len(classes) == len(set(classes.values())) == 853
+    assert set(classes.values()) == set(ringcalc.SEVEN)
+    for g, facet in atlas_facet_fpolys.items():
+        if g.n == 7:
+            f = ringcalc._NestedSets(g, FPolyCache()).face_counts(127)
+            assert tuple(algebra._digits(f, ringcalc._WIDTH)) == facet.coeffs, graph_spec(g)
+            assert ringcalc._NestedSets(g, FPolyCache()).expand(127) == f, graph_spec(g)
+
+
+def test_the_seven_node_key_ignores_labels_and_the_nodes_outside_its_mask() -> None:
+    # Five seeded relabellings of each class keep its key, and so does the
+    # class as a seven-node mask of a 12-node graph, its nodes scattered and
+    # the other five joined to every node with probability 1/2: a key that
+    # read a degree or a common neighbour outside the mask would change.
+    rng = random.Random(7)
+    for g in connected_graphs_upto_iso(7, 7):
+        key = ringcalc._seven_key(g.adj, 127)
+        for _ in range(5):
+            perm = rng.sample(range(7), 7)
+            relabelled = graph_from_edges(7, ((perm[u], perm[v]) for u, v in edges(g)))
+            assert ringcalc._seven_key(relabelled.adj, 127) == key, graph_spec(relabelled)
+        perm = rng.sample(range(12), 12)
+        outside = [(u, v) for u in range(7, 12) for v in range(u) if rng.random() < 0.5]
+        larger = graph_from_edges(12, ((perm[u], perm[v]) for u, v in [*edges(g), *outside]))
+        mask = sum(1 << perm[v] for v in range(7))
+        assert ringcalc._seven_key(larger.adj, mask) == key, graph_spec(larger)
 
 
 def test_the_packed_field_width_holds_the_permutohedron_face_count() -> None:
