@@ -89,6 +89,16 @@ GRAPHS = (
     "join(star:3,empty:4)",
 )
 
+# argvs that only the argparse parser reads: an unknown flag, a flag with no
+# value, a --flag=value pair, and help at the top level and per command
+USAGE = [
+    ["invariants", "--graph", "path:3", "--bogus", "1"],
+    ["identities", "--order"],
+    ["identities", "--order=3"],
+    ["--help"],
+    *([command, "--help"] for command in ("invariants", "verify", "identities", "gal-scan")),
+]
+
 
 def argvs() -> list[list[str]]:
     """The recorded argv set, without the format flag."""
@@ -105,6 +115,7 @@ def argvs() -> list[list[str]]:
     ]
     out += [["gal-scan", "--graph-class", "connected", "--nodes", str(n)] for n in range(1, 8)]
     out += [["invariants", "--graph", spec] for spec in GRAPHS]
+    out += USAGE
     return out
 
 

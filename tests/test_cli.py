@@ -183,13 +183,10 @@ sys.exit(main(["invariants", "--graph", "complete:8"]))
 def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
     # An h-polynomial that breaks Dehn-Sommerville came from a faulty
     # recursion on a valid spec: a failed check (1), not bad input (2).
-    # invariants derives h from its one face polynomial, and gal-scan asks
-    # for h graph by graph.
-    plain_h_from_f, plain_hpoly = cli.h_from_f, cli.hpoly
+    # invariants derives h from its one face polynomial, and gal-scan from
+    # each class's face counts, both through h_from_f.
+    plain_h_from_f = cli.h_from_f
     monkeypatch.setattr(cli, "h_from_f", lambda f: plain_h_from_f(f) + power(Poly2.alpha(), 2))
-    monkeypatch.setattr(
-        cli, "hpoly", lambda g, cache=None: plain_hpoly(g, cache) + power(Poly2.alpha(), 2)
-    )
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
     assert (code, out) == (1, "")
     assert err == (
@@ -865,10 +862,8 @@ def test_gal_scan_negative_control_digests(capsys, monkeypatch, scan: str, fmt: 
         _doctor_pe_f(monkeypatch, _with_hexagon(_NON_GAL))
         argv = ["gal-scan", "--family", "all", "--bound", "4"]
     else:
-        plain, triangle = cli.hpoly, nestohedra.complete_graph(3)
-        monkeypatch.setattr(
-            cli, "hpoly", lambda g, cache=None: _NON_GAL if g == triangle else plain(g, cache)
-        )
+        plain, triangle = cli.h_from_f, nestohedra.fpoly(nestohedra.complete_graph(3))
+        monkeypatch.setattr(cli, "h_from_f", lambda f: _NON_GAL if f == triangle else plain(f))
         argv = ["gal-scan", "--graph-class", "connected", "--nodes", "3"]
     code, out, err = _run(capsys, argv + ["--format", fmt])
     assert (code, err) == (1, "")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestohedra import algebra, cli, ringcalc
+from nestohedra import algebra, cli, invariants, ringcalc
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     MAX_GROUND,
@@ -508,14 +508,19 @@ def test_twin_classes_are_taken_only_where_the_formula_runs(family_run, capsys) 
 
 @pytest.mark.parametrize("nodes", ["5", "6", "7"])
 def test_the_small_scans_run_no_formula_and_store_nothing(nodes, monkeypatch, capsys) -> None:
-    # Every subproblem of the five-, six- and seven-node scans, whole graphs
-    # included, comes from the tables, so no graph takes its twin classes.
+    # The five-, six- and seven-node scans read each class's face counts by
+    # its atlas position, so no class runs fpoly, takes its twin classes or
+    # computes a key.
     def refused(*args) -> None:
         raise AssertionError(args)
 
     monkeypatch.setattr(ringcalc._NestedSets, "expand", refused)
     monkeypatch.setattr(FPolyCache, "store", refused)
     monkeypatch.setattr(ringcalc, "twin_classes", refused)
+    monkeypatch.setattr(ringcalc, "_shape", refused)
+    monkeypatch.setattr(ringcalc, "_seven_key", refused)
+    monkeypatch.setattr(cli, "fpoly", refused)
+    monkeypatch.setattr(invariants, "fpoly", refused)
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", nodes]) == 0
     capsys.readouterr()
 
@@ -670,6 +675,25 @@ def test_the_seven_node_key_takes_one_value_per_class(atlas_facet_fpolys) -> Non
             f = ringcalc._NestedSets(g, FPolyCache()).face_counts(127)
             assert tuple(algebra._digits(f, ringcalc._WIDTH)) == facet.coeffs, graph_spec(g)
             assert ringcalc._NestedSets(g, FPolyCache()).expand(127) == f, graph_spec(g)
+
+
+def test_the_tables_list_each_node_count_in_atlas_order(atlas_facet_fpolys) -> None:
+    # A class scan reads its face counts by atlas position, so the i-th key
+    # of each node count in _SMALL and SEVEN is the key of atlas class i on
+    # its full mask, and class_face_counts gives each class its face
+    # polynomial, as the facet recursion and fpoly compute it.
+    for n in range(2, 8):
+        classes = connected_graphs_upto_iso(n, n)
+        full = (1 << n) - 1
+        if n < 7:
+            keys = [shape for shape in ringcalc._SMALL if _nodes(shape) == n]
+            assert keys == [ringcalc._shape(g.adj, full) for g in classes], n
+        else:
+            assert list(ringcalc.SEVEN) == [ringcalc._seven_key(g.adj, full) for g in classes]
+    for n in range(1, 8):
+        classes = connected_graphs_upto_iso(n, n)
+        for g, f in zip(classes, ringcalc.class_face_counts(n), strict=True):
+            assert tuple(f) == fpoly(g).coeffs == atlas_facet_fpolys[g].coeffs, graph_spec(g)
 
 
 def test_the_seven_node_key_ignores_labels_and_the_nodes_outside_its_mask() -> None:
