@@ -6,8 +6,9 @@ automorphisms) and with its node labels.  ``CONNECTED[n]`` lists the
 connected classes on n nodes in that order, one whitespace-separated token
 each.  A token is the base-36 edge mask over the node pairs of 0..n-1 in
 lexicographic order: bit i is set when the i-th pair (0-1, 0-2, ...,
-0-(n-1), 1-2, ...) is an edge.  ``buildingset.connected_graphs_upto_iso``
-decodes them.
+0-(n-1), 1-2, ...) is an edge.  ``buildingset._atlas_edges`` alone
+decodes them, for ``connected_graphs_upto_iso`` and the class scans; the
+rows of ``_classes.CLASSES`` follow the same order.
 """
 
 CONNECTED: dict[int, str] = {

@@ -307,26 +307,24 @@ def parse_graph_spec(spec: str) -> Graph:
     raise GraphSpecError(f"unknown graph spec {spec!r}")
 
 
-def _atlas_row(n: int) -> list[Graph]:
-    """The connected classes on n nodes, 1 <= n <= 7, in atlas order.
+def _atlas_edges(n: int) -> list[list[tuple[int, int]]]:
+    """The edges of each connected class on n nodes, 1 <= n <= 7, in atlas order.
 
     Decodes ``_atlas.CONNECTED[n]`` only: each set bit of a token's edge
-    mask is the edge of its node pair.
+    mask is the edge of its node pair, and the edges come in the order of
+    their bits, the lexicographic order of ``graph_spec``.
     """
     from ._atlas import CONNECTED
 
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out = []
     for token in CONNECTED[n].split():
-        mask = int(token, 36)
-        adj = [0] * n
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        out.append(Graph(tuple(adj)))
+        bits, edges = int(token, 36), []
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            edges.append(pairs[low.bit_length() - 1])
+        out.append(edges)
     return out
 
 
@@ -335,9 +333,13 @@ def connected_graphs_upto_iso(max_nodes: int, min_nodes: int = 1) -> list[Graph]
 
     In the order and labelling of Read and Wilson's graph atlas, which
     covers every graph on up to seven nodes.  The classes come from a
-    table committed in ``_atlas``, and ``_atlas_row`` decodes only the
-    node counts asked for: a class scan asks for its own count alone.
+    table committed in ``_atlas``, and ``_atlas_edges`` decodes only the
+    node counts asked for.
     """
     if not 1 <= min_nodes <= max_nodes <= 7:
         raise ValueError("the atlas covers 1..7 nodes")
-    return [g for n in range(min_nodes, max_nodes + 1) for g in _atlas_row(n)]
+    return [
+        graph_from_edges(n, edges)
+        for n in range(min_nodes, max_nodes + 1)
+        for edges in _atlas_edges(n)
+    ]

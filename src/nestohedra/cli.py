@@ -5,11 +5,12 @@ nestohedron, ``verify`` compares the nested-set recursion against the
 closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
 a polytope family or over all small connected graphs.  A graph-class
-scan builds no graph: it writes each class's spec from its atlas token
-and reads its face counts by the same atlas position
-(``ringcalc.class_face_counts``).  Each command returns its report (exit
-code, JSON object, CSV header and rows) and ``main`` alone writes it, as
-JSON (sorted keys) or CSV; both are byte-deterministic for fixed inputs.
+scan builds no graph: it writes each class's spec from its atlas edges
+(``buildingset._atlas_edges``) and reads its face counts by the same
+atlas position (``ringcalc.class_face_counts``).  Each command returns
+its report (exit code, JSON object, CSV header and rows) and ``main``
+alone writes it, as JSON (sorted keys) or CSV; both are
+byte-deterministic for fixed inputs.
 
 The subcommands and their flags live in one option table, ``_COMMANDS``.
 A well-formed argv (an exact subcommand, then exact ``--flag value``
@@ -34,7 +35,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .algebra import GammaVector, Poly2, h_from_f
-from .buildingset import graph_spec, parse_graph_spec
+from .buildingset import _atlas_edges, graph_spec, parse_graph_spec
 from .invariants import gal_check_poly, gal_check_series
 from .ringcalc import FPolyCache, class_face_counts, fpoly
 from .series import (
@@ -301,17 +302,14 @@ def _scan_graph_classes(args: SimpleNamespace) -> _Report:
         raise ValueError("--graph-class needs --nodes N")
     if not 1 <= args.nodes <= 7:
         raise ValueError("graph-class scans cover 1..7 nodes")
-    from ._atlas import CONNECTED
-
-    # a class's edges: spec comes from its atlas token's edge bits, which
-    # follow graph_spec's order of node pairs; its face counts sit at the
-    # same position
+    # a class's edges: spec comes from its atlas edges, which follow
+    # graph_spec's order of node pairs; its face counts sit at the same
+    # position
     n = args.nodes
-    pairs = [f"{u}-{v}" for u in range(n) for v in range(u + 1, n)]
+    label = {(u, v): f"{u}-{v}" for u in range(n) for v in range(u + 1, n)}
     items = []
-    for token, counts in zip(CONNECTED[n].split(), class_face_counts(n), strict=True):
-        edges = int(token, 36)
-        spec = f"edges:{n}:" + ",".join([pair for i, pair in enumerate(pairs) if edges >> i & 1])
+    for edges, counts in zip(_atlas_edges(n), class_face_counts(n), strict=True):
+        spec = f"edges:{n}:" + ",".join([label[pair] for pair in edges])
         h = h_from_f(Poly2.from_coeffs(counts))
         with _located(lambda: f"h-polynomial of {spec}"):
             items.append(({"graph": spec}, gal_check_poly(h, n - 1)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 
@@ -517,8 +518,7 @@ def test_the_small_scans_run_no_formula_and_store_nothing(nodes, monkeypatch, ca
     monkeypatch.setattr(ringcalc._NestedSets, "expand", refused)
     monkeypatch.setattr(FPolyCache, "store", refused)
     monkeypatch.setattr(ringcalc, "twin_classes", refused)
-    monkeypatch.setattr(ringcalc, "_shape", refused)
-    monkeypatch.setattr(ringcalc, "_seven_key", refused)
+    monkeypatch.setattr(ringcalc, "_key", refused)
     monkeypatch.setattr(cli, "fpoly", refused)
     monkeypatch.setattr(invariants, "fpoly", refused)
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", nodes]) == 0
@@ -535,62 +535,39 @@ def _labelled_connected_graphs(n: int) -> list[Graph]:
     return [g for g in graphs if is_connected_graph(g)]
 
 
-def _nodes(shape: int) -> int:
-    """The node count of a shape: the sum of the 4-bit counts of its degree histogram."""
-    return sum(shape >> 4 * d & 15 for d in range(6))
-
-
-def test_the_shape_takes_one_value_per_class_up_to_five_nodes() -> None:
-    # Subproblems of up to five nodes are read from a table by their shape,
-    # so the shape must name one isomorphism class whatever the labels:
-    # 771 labelled connected graphs on 2-5 nodes, 30 classes.  The classes
-    # come from the witness canonical form and the face polynomials from
-    # the facet recursion, so the recursion never grades its own table.
-    graphs = [g for n in range(2, 6) for g in _labelled_connected_graphs(n)]
-    assert len(graphs) == 771
-    classes: dict[int, set[Graph]] = {}
-    memo: dict = {}
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_key_takes_one_value_per_class(n, atlas_facet_fpolys) -> None:
+    # Subproblems of up to seven nodes are read from one table by _key, so
+    # the key must name one isomorphism class whatever the labels.  Up to
+    # six nodes every labelled connected graph is keyed (1, 4, 38, 728 and
+    # 26,704 of them), its class taken from the witness canonical form; on
+    # seven, the 853 atlas classes take 853 keys, and the relabelling test
+    # below covers their labels.  The table holds exactly these keys.
+    full = (1 << n) - 1
+    atlas = [g for g in atlas_facet_fpolys if g.n == n]
+    graphs = _labelled_connected_graphs(n) if n < 7 else atlas
+    assert len(graphs) == {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 853}[n]
+    keyed: dict[int, set[Graph]] = {}
     for g in graphs:
-        shape = ringcalc._shape(g.adj, (1 << g.n) - 1)
-        classes.setdefault(shape, set()).add(canonical_graph(g))
-        f = algebra._digits(ringcalc._SMALL[shape], ringcalc._WIDTH)
-        assert tuple(f) == facet_fpoly(g, memo).coeffs, graph_spec(g)
-    assert len(classes) == 30
-    assert all(len(canonical) == 1 for canonical in classes.values())
-    assert {shape for shape in ringcalc._SMALL if _nodes(shape) < 6} == set(classes)
-    # the formula itself, on each class's whole mask, gives its entry
-    for (g,) in classes.values():
-        full = (1 << g.n) - 1
-        nested = ringcalc._NestedSets(g, FPolyCache())
-        assert nested.expand(full) == ringcalc._SMALL[ringcalc._shape(g.adj, full)], graph_spec(g)
-
-
-def test_the_six_node_shape_takes_one_value_per_class() -> None:
-    # Subproblems of six nodes are read from the same table by the same
-    # shape: 26,704 labelled connected graphs on six nodes, 112 classes.
-    # As above, the classes come from the witness canonical form and each
-    # entry is checked against the facet recursion, once per class.
-    graphs = _labelled_connected_graphs(6)
-    assert len(graphs) == 26704
-    classes: dict[int, set[Graph]] = {}
-    for g in graphs:
-        classes.setdefault(ringcalc._shape(g.adj, 63), set()).add(canonical_graph(g))
-    assert len(classes) == 112
-    assert all(len(canonical) == 1 for canonical in classes.values())
-    assert {shape for shape in ringcalc._SMALL if _nodes(shape) == 6} == set(classes)
-    memo: dict = {}
-    for shape, (g,) in classes.items():
-        f = algebra._digits(ringcalc._SMALL[shape], ringcalc._WIDTH)
-        assert tuple(f) == facet_fpoly(g, memo).coeffs, graph_spec(g)
-        # the formula itself, on the class's whole mask, gives its entry
-        nested = ringcalc._NestedSets(g, FPolyCache())
-        assert nested.expand(63) == ringcalc._SMALL[shape], graph_spec(g)
+        keyed.setdefault(ringcalc._key(g.adj, full), set()).add(canonical_graph(g))
+    assert len(keyed) == len(atlas) == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}[n]
+    assert all(len(canonical) == 1 for canonical in keyed.values())
+    assert set(keyed) == set(ringcalc.CLASSES[n])
+    # each entry, as a subproblem reads it, equals the facet recursion, so
+    # the recursion never grades its own table, and the formula on the
+    # class's whole mask, which keeps the formula tested on 2-7 nodes
+    for g in atlas:
+        f = ringcalc._NestedSets(g, FPolyCache()).face_counts(full)
+        assert f == ringcalc._TABLE[ringcalc._key(g.adj, full)], graph_spec(g)
+        facet = atlas_facet_fpolys[g].coeffs
+        assert tuple(algebra._digits(f, ringcalc._WIDTH)) == facet, graph_spec(g)
+        assert ringcalc._NestedSets(g, FPolyCache()).expand(full) == f, graph_spec(g)
 
 
 def test_the_six_node_shape_splits_the_classes_that_share_degrees_and_triangles() -> None:
     # In each pair every node's degree and triangle count match those of a
-    # node of the other graph; only the sums of neighbours' degrees differ.
-    # Each graph with its face counts by dimension:
+    # node of the other graph; only the sums of neighbours' degrees differ,
+    # and _key reads them.  Each graph with its face counts by dimension:
     faces = {
         "edges:6:0-1,1-2,1-3,2-4,3-5": (176, 440, 396, 154, 24, 1),
         "edges:6:0-4,0-5,1-3,2-3,3-4": (166, 415, 374, 146, 23, 1),
@@ -608,27 +585,31 @@ def test_the_six_node_shape_splits_the_classes_that_share_degrees_and_triangles(
     for a, b in zip(specs[::2], specs[1::2]):
         g, h = parse_graph_spec(a), parse_graph_spec(b)
         assert _degrees_and_triangles(g) == _degrees_and_triangles(h), (a, b)
-        assert ringcalc._shape(g.adj, 63) != ringcalc._shape(h.adj, 63), (a, b)
+        assert ringcalc._key(g.adj, 63) != ringcalc._key(h.adj, 63), (a, b)
 
 
 def test_the_shape_adds_its_sums_only_where_classes_share_degrees() -> None:
-    # The shape is the degree histogram alone unless another class shares
-    # it; then sums over the edges go above bit 24, and the shared histogram
-    # is no key of the table, so no class is read by it.
+    # The key is the degree histogram alone unless another class of its
+    # node count shares it; then it is the sorted per-node codes, sums over
+    # each node's neighbours, at or above 2^67, where no histogram reaches,
+    # and the shared histogram is no key of the table, so no class is read
+    # by it.  Two histograms on five nodes, 23 on six and 137 on seven are
+    # shared: 71 classes on 5-6 nodes take codes, and 99 of the 853 on
+    # seven have a histogram of their own.
     classes = {
-        g: sum(1 << 4 * row.bit_count() for row in g.adj)
-        for g in connected_graphs_upto_iso(6)
-        if g.n >= 2
+        g: sum(1 << 4 * row.bit_count() for row in g.adj) for g in connected_graphs_upto_iso(7)
     }
-    assert len(classes) == len(ringcalc._SMALL) == 142
+    assert len(classes) == len(ringcalc._TABLE) == 996
     histograms = list(classes.values())
     shared = {histogram for histogram in histograms if histograms.count(histogram) > 1}
-    assert sorted(_nodes(histogram) for histogram in shared) == [5] * 2 + [6] * 23
-    assert not shared & set(ringcalc._SMALL)
+    assert Counter(sum(h >> 4 * d & 15 for d in range(7)) for h in shared) == {5: 2, 6: 23, 7: 137}
+    assert Counter(g.n for g, h in classes.items() if h in shared) == {5: 4, 6: 67, 7: 853 - 99}
+    assert not shared & set(ringcalc._TABLE)
+    assert max(histograms) < 1 << 28
     for g, histogram in classes.items():
-        shape = ringcalc._shape(g.adj, (1 << g.n) - 1)
-        assert (shape < 1 << 24) == (histogram not in shared), graph_spec(g)
-        assert shape % (1 << 24) == histogram, graph_spec(g)
+        key = ringcalc._key(g.adj, (1 << g.n) - 1)
+        assert (key == histogram) == (histogram not in shared), graph_spec(g)
+        assert (key >= 1 << 67) == (histogram in shared), graph_spec(g)
 
 
 def _degrees_and_triangles(g: Graph) -> list[tuple[int, int]]:
@@ -641,8 +622,8 @@ def _degrees_and_triangles(g: Graph) -> list[tuple[int, int]]:
 
 def test_the_shape_splits_the_five_node_classes_that_share_degrees() -> None:
     # The triangle with a two-edge tail and the 4-cycle with a pendant share
-    # degrees, and so do the house and K_{2,3}; only their triangles differ.
-    # Each graph with its face counts by dimension:
+    # degrees, and so do the house and K_{2,3}; only their triangles differ,
+    # and _key reads them.  Each graph with its face counts by dimension:
     faces = {
         "edges:5:0-4,1-2,1-3,2-3,3-4": (56, 112, 73, 17, 1),
         "edges:5:0-1,1-3,1-4,2-3,2-4": (69, 138, 89, 20, 1),
@@ -656,63 +637,45 @@ def test_the_shape_splits_the_five_node_classes_that_share_degrees() -> None:
     for a, b in (specs[:2], specs[2:]):
         g, h = parse_graph_spec(a), parse_graph_spec(b)
         assert sorted(map(int.bit_count, g.adj)) == sorted(map(int.bit_count, h.adj))
-        assert ringcalc._shape(g.adj, 31) != ringcalc._shape(h.adj, 31)
-
-
-def test_the_seven_node_key_takes_one_value_per_class(atlas_facet_fpolys) -> None:
-    # Subproblems of seven nodes are read from their own table by
-    # _seven_key, the sorted per-node codes.  Those are the same for every
-    # labelling, so one key per class covers every labelled graph: the 853
-    # connected classes on seven nodes take 853 keys, the table's.  Each
-    # entry, as a subproblem reads it, equals the facet recursion, so the
-    # recursion never grades its own table, and the formula on the class's
-    # whole mask, which keeps the formula tested on seven nodes.
-    classes = {g: ringcalc._seven_key(g.adj, 127) for g in atlas_facet_fpolys if g.n == 7}
-    assert len(classes) == len(set(classes.values())) == 853
-    assert set(classes.values()) == set(ringcalc.SEVEN)
-    for g, facet in atlas_facet_fpolys.items():
-        if g.n == 7:
-            f = ringcalc._NestedSets(g, FPolyCache()).face_counts(127)
-            assert tuple(algebra._digits(f, ringcalc._WIDTH)) == facet.coeffs, graph_spec(g)
-            assert ringcalc._NestedSets(g, FPolyCache()).expand(127) == f, graph_spec(g)
+        assert ringcalc._key(g.adj, 31) != ringcalc._key(h.adj, 31)
 
 
 def test_the_tables_list_each_node_count_in_atlas_order(atlas_facet_fpolys) -> None:
     # A class scan reads its face counts by atlas position, so the i-th key
-    # of each node count in _SMALL and SEVEN is the key of atlas class i on
-    # its full mask, and class_face_counts gives each class its face
-    # polynomial, as the facet recursion and fpoly compute it.
-    for n in range(2, 8):
-        classes = connected_graphs_upto_iso(n, n)
-        full = (1 << n) - 1
-        if n < 7:
-            keys = [shape for shape in ringcalc._SMALL if _nodes(shape) == n]
-            assert keys == [ringcalc._shape(g.adj, full) for g in classes], n
-        else:
-            assert list(ringcalc.SEVEN) == [ringcalc._seven_key(g.adj, full) for g in classes]
+    # of each row of CLASSES is the key of atlas class i on its full mask,
+    # and class_face_counts gives each class its face polynomial, as the
+    # facet recursion and fpoly compute it.
+    assert list(ringcalc.CLASSES) == list(range(1, 8))
     for n in range(1, 8):
         classes = connected_graphs_upto_iso(n, n)
+        full = (1 << n) - 1
+        assert list(ringcalc.CLASSES[n]) == [ringcalc._key(g.adj, full) for g in classes], n
         for g, f in zip(classes, ringcalc.class_face_counts(n), strict=True):
             assert tuple(f) == fpoly(g).coeffs == atlas_facet_fpolys[g].coeffs, graph_spec(g)
 
 
-def test_the_seven_node_key_ignores_labels_and_the_nodes_outside_its_mask() -> None:
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_key_ignores_labels_and_the_nodes_outside_its_mask(n) -> None:
     # Five seeded relabellings of each class keep its key, and so does the
-    # class as a seven-node mask of a 12-node graph, its nodes scattered and
-    # the other five joined to every node with probability 1/2: a key that
-    # read a degree or a common neighbour outside the mask would change.
+    # class as an n-node mask of a 12-node graph, its nodes scattered and
+    # the other nodes joined to every node with probability 1/2: a key that
+    # read a degree or a common neighbour outside the mask would change, and
+    # the subproblem on that mask reads the class's entry.
     rng = random.Random(7)
-    for g in connected_graphs_upto_iso(7, 7):
-        key = ringcalc._seven_key(g.adj, 127)
+    full = (1 << n) - 1
+    for g in connected_graphs_upto_iso(n, n):
+        key = ringcalc._key(g.adj, full)
         for _ in range(5):
-            perm = rng.sample(range(7), 7)
-            relabelled = graph_from_edges(7, ((perm[u], perm[v]) for u, v in edges(g)))
-            assert ringcalc._seven_key(relabelled.adj, 127) == key, graph_spec(relabelled)
+            perm = rng.sample(range(n), n)
+            relabelled = graph_from_edges(n, ((perm[u], perm[v]) for u, v in edges(g)))
+            assert ringcalc._key(relabelled.adj, full) == key, graph_spec(relabelled)
         perm = rng.sample(range(12), 12)
-        outside = [(u, v) for u in range(7, 12) for v in range(u) if rng.random() < 0.5]
+        outside = [(u, v) for u in range(n, 12) for v in range(u) if rng.random() < 0.5]
         larger = graph_from_edges(12, ((perm[u], perm[v]) for u, v in [*edges(g), *outside]))
-        mask = sum(1 << perm[v] for v in range(7))
-        assert ringcalc._seven_key(larger.adj, mask) == key, graph_spec(larger)
+        mask = sum(1 << perm[v] for v in range(n))
+        assert ringcalc._key(larger.adj, mask) == key, graph_spec(larger)
+        nested = ringcalc._NestedSets(larger, FPolyCache())
+        assert nested.face_counts(mask) == ringcalc._TABLE[key], graph_spec(larger)
 
 
 def test_the_packed_field_width_holds_the_permutohedron_face_count() -> None:
