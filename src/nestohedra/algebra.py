@@ -6,8 +6,10 @@ so a segment is alpha + 2t and a hexagon is alpha^2 + 6 alpha t + 6 t^2.
 Every polynomial the library builds is homogeneous, so a ``Poly2`` is
 stored densely: a nonzero polynomial of degree n is the tuple of its n + 1
 coefficients, entry i being that of alpha^i t^(n-i), and the zero
-polynomial is the empty tuple.  Products are packed (below), sums are
-elementwise, and mixing total degrees raises ``InhomogeneousError``.
+polynomial is the empty tuple.  ``Poly2.from_coeffs`` builds one from that
+tuple, and alpha is ``Poly2.from_coeffs((0, 1))``.  Products are packed
+(below), sums are elementwise, and mixing total degrees raises
+``InhomogeneousError``.
 
 Two changes of basis matter downstream.  Substituting alpha -> alpha - t
 turns a face polynomial into the corresponding h-polynomial, which is
@@ -102,24 +104,16 @@ class InhomogeneousError(ValueError):
 class Poly2:
     """Homogeneous polynomial in alpha and t with int coefficients.
 
-    ``coeffs`` holds the n + 1 coefficients of a degree-n polynomial, entry
-    i being that of alpha^i t^(n-i); the zero polynomial has no entries and
-    adds to a polynomial of any degree.  The constructor sums terms given
-    as a dict or an iterable of ((i, j), c) pairs.  Adding or subtracting
-    nonzero polynomials of different degrees, in the constructor too,
-    raises ``InhomogeneousError``.  Instances are treated as immutable.
+    ``Poly2.from_coeffs`` is the one constructor.  ``coeffs`` holds the
+    n + 1 coefficients of a degree-n polynomial, entry i being that of
+    alpha^i t^(n-i); the zero polynomial has no entries and adds to a
+    polynomial of any degree.  Sums, differences and comparisons take two
+    ``Poly2``s, and adding nonzero polynomials of different degrees raises
+    ``InhomogeneousError``; only a product also takes an int.  Instances
+    are treated as immutable.
     """
 
     __slots__ = ("_terms",)
-
-    def __init__(
-        self,
-        terms: dict[Exponents, int] | Iterable[tuple[Exponents, int]] = (),
-    ):
-        p = Poly2.zero()
-        for (i, j), c in terms.items() if isinstance(terms, dict) else terms:
-            p = p + Poly2.monomial(i, j, c)
-        self._terms = p._terms
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "Poly2":
@@ -132,63 +126,28 @@ class Poly2:
         p._terms = coeffs if any(coeffs) else ()
         return p
 
-    @classmethod
-    def zero(cls) -> "Poly2":
-        return cls.from_coeffs(())
-
-    @classmethod
-    def constant(cls, c: int) -> "Poly2":
-        return cls.from_coeffs((c,))
-
-    @classmethod
-    def one(cls) -> "Poly2":
-        return cls.from_coeffs((1,))
-
-    @classmethod
-    def alpha(cls) -> "Poly2":
-        return cls.from_coeffs((0, 1))
-
-    @classmethod
-    def t(cls) -> "Poly2":
-        return cls.from_coeffs((1, 0))
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: int = 1) -> "Poly2":
-        if i < 0 or j < 0:
-            raise ValueError(f"negative exponent pair {(i, j)}")
-        return cls.from_coeffs((0,) * i + (c,) + (0,) * j)
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._terms
-
-    def coeff(self, i: int, j: int) -> int:
-        if i < 0 or j < 0 or i + j + 1 != len(self._terms):
-            return 0
-        return self._terms[i]
 
     def terms(self) -> list[tuple[Exponents, int]]:
         """Nonzero terms sorted by exponent pair, for deterministic iteration."""
         n = len(self._terms) - 1
         return [((i, n - i), c) for i, c in enumerate(self._terms) if c]
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly2):
-            return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == Poly2.constant(other)._terms
-        return NotImplemented
+        if not isinstance(other, Poly2):
+            return NotImplemented
+        return self._terms == other._terms
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: "Poly2 | int") -> "Poly2":
-        other = _as_poly(other)
+    def __add__(self, other: "Poly2") -> "Poly2":
+        if not isinstance(other, Poly2):
+            return NotImplemented
         if not other._terms:
             return self
         if not self._terms:
@@ -199,14 +158,10 @@ class Poly2:
             )
         return Poly2.from_coeffs(map(add, self._terms, other._terms))
 
-    def __radd__(self, other: int) -> "Poly2":
-        return self.__add__(other)
-
-    def __sub__(self, other: "Poly2 | int") -> "Poly2":
-        return self.__add__(-_as_poly(other))
-
-    def __rsub__(self, other: int) -> "Poly2":
-        return _as_poly(other).__sub__(self)
+    def __sub__(self, other: "Poly2") -> "Poly2":
+        if not isinstance(other, Poly2):
+            return NotImplemented
+        return self + -other
 
     def __neg__(self) -> "Poly2":
         return Poly2.from_coeffs(-c for c in self._terms)
@@ -217,8 +172,6 @@ class Poly2:
                 return Poly2.from_coeffs([c * other for c in self._terms])
             return NotImplemented
         a, b = self._terms, other._terms
-        if not a or not b:
-            return Poly2.zero()
         # no product coefficient exceeds the product of the absolute sums
         width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
         out = _digits(_pack(a, width) * _pack(b, width), width)
@@ -228,11 +181,9 @@ class Poly2:
         return self.__mul__(other)
 
     def __repr__(self) -> str:
-        return f"Poly2({dict(self.terms())!r})"
+        return f"Poly2.from_coeffs({self._terms!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for (i, j), c in reversed(self.terms()):
             factors = []
@@ -243,22 +194,16 @@ class Poly2:
             if j:
                 factors.append("t" if j == 1 else f"t^{j}")
             parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def to_records(self) -> list[dict[str, object]]:
         """Serialize as sorted ``{"i", "j", "c"}`` records with decimal strings."""
         return [{"i": i, "j": j, "c": str(c)} for (i, j), c in self.terms()]
 
 
-def _as_poly(value: "Poly2 | int") -> Poly2:
-    if isinstance(value, Poly2):
-        return value
-    return Poly2.constant(value)
-
-
 def homogeneous_degree(p: Poly2) -> int:
     """Total degree of a polynomial; ``ValueError`` on the zero polynomial."""
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial has no homogeneous degree")
     return len(p.coeffs) - 1
 

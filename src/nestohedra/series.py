@@ -60,7 +60,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._record import Record
-from .algebra import Poly2, _as_poly, _digits, _egf_inverse, _pack, h_from_f
+from .algebra import Poly2, _digits, _egf_inverse, _pack, h_from_f
 from .buildingset import (
     Graph,
     bipartite_graph,
@@ -99,6 +99,11 @@ DEFAULT_ORDER = 8
 Slot = tuple[int, int]
 Slots = dict[Slot, int]  # slot -> its polynomial's value at alpha = 2^W and t = 1
 Bounds = tuple[int, ...]  # per total degree, bounds on slots' absolute coefficient sums
+
+
+def _poly(p: Poly2 | int) -> Poly2:
+    """p, with an int read as a constant polynomial."""
+    return p if isinstance(p, Poly2) else Poly2.from_coeffs((p,))
 
 
 def _egf_product(p: Bounds, q: Bounds) -> Bounds:
@@ -156,7 +161,7 @@ class Series2:
                 raise ValueError(f"negative exponent pair {(k, l)}")
             if k + l > order:
                 raise ValueError(f"slot {(k, l)} beyond truncation order {order}")
-            p = _as_poly(p)
+            p = _poly(p)
             if p:
                 data[(k, l)] = data[(k, l)] + p if (k, l) in data else p
         slots = sorted((s for s, p in data.items() if p), key=lambda s: (sum(s), s))
@@ -193,7 +198,7 @@ class Series2:
         Its offset is k + l minus the degree of p.  A slot above the
         truncation order truncates to the zero series of that offset.
         """
-        p = _as_poly(p)
+        p = _poly(p)
         if k < 0 or l < 0 or k + l <= order:
             return cls(order, {(k, l): p})
         return cls._built(order, k + l - len(p.coeffs) + 1, {}, (0,) * (order + 1), _width(order))
@@ -264,10 +269,9 @@ class Series2:
             bounds = _egf_product(self._bounds, other._bounds)
             offset = self.offset + other.offset
             return Series2._built(order, offset, _slots(vals, order), bounds, self._width)
-        if isinstance(other, int):
-            other = Poly2.constant(other)
-        elif not isinstance(other, Poly2):
+        if not isinstance(other, (Poly2, int)):
             return NotImplemented
+        other = _poly(other)
         if not other:
             return Series2(order)
         c, rate = _pack(other.coeffs, self._width), sum(map(abs, other.coeffs))
@@ -363,7 +367,7 @@ def exp_series(p: Poly2 | int, order: int) -> Series2:
     nothing divides.  The families' other exponentials are its ``swap_xy``
     (e^{p y}) and its products (e^{a x + b y} = e^{a x} e^{b y}).
     """
-    p = _as_poly(p)
+    p = _poly(p)
     if p and len(p.coeffs) != 2:
         raise ValueError(f"exp_series takes p = 0 or p of degree 1, not {p}")
     base = _pack(p.coeffs, _width(order))
@@ -517,8 +521,8 @@ def _family(fam: "FamilySpec | str") -> FamilySpec:
         raise NotInFamilyError(f"unknown family {fam!r}") from None
 
 
-_A = Poly2.alpha()
-_T = Poly2.t()
+_A = Poly2.from_coeffs((0, 1))
+_T = Poly2.from_coeffs((1, 0))
 
 
 @lru_cache(maxsize=None)

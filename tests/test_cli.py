@@ -25,6 +25,9 @@ from nestohedra.cli import main
 from nestohedra.series import FAMILIES
 from witnesses import f_from_h, power
 
+A = Poly2.from_coeffs((0, 1))
+T = Poly2.from_coeffs((1, 0))
+
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
     code = main(argv)
@@ -186,7 +189,7 @@ def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
     # invariants derives h from its one face polynomial, and gal-scan from
     # each class's face counts, both through h_from_f.
     plain_h_from_f = cli.h_from_f
-    monkeypatch.setattr(cli, "h_from_f", lambda f: plain_h_from_f(f) + power(Poly2.alpha(), 2))
+    monkeypatch.setattr(cli, "h_from_f", lambda f: plain_h_from_f(f) + power(A, 2))
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
     assert (code, out) == (1, "")
     assert err == (
@@ -479,16 +482,11 @@ def _with_hexagon(p: Poly2) -> Callable[[series.Series2], series.Series2]:
 @pytest.mark.parametrize(
     "doctor, index",
     [
-        (_with_hexagon(Poly2.zero()), "(3, 0)"),
-        (
-            _with_hexagon(
-                power(Poly2.alpha(), 2) + 4 * Poly2.alpha() * Poly2.t() + 2 * power(Poly2.t(), 2)
-            ),
-            "(3, 0)",
-        ),
+        (_with_hexagon(Poly2.from_coeffs(())), "(3, 0)"),
+        (_with_hexagon(power(A, 2) + 4 * A * T + 2 * power(T, 2)), "(3, 0)"),
         # a whole series of offset 0, one above pe's grading: its first
         # coefficient, at (1, 0), has the wrong degree
-        (lambda s: s * f_from_h(Poly2.alpha() + Poly2.t()), "(1, 0)"),
+        (lambda s: s * f_from_h(A + T), "(1, 0)"),
     ],
     ids=["dropped", "asymmetric", "wrong-degree"],
 )
@@ -537,8 +535,7 @@ def test_a_family_scan_decodes_each_family_index_once(capsys, monkeypatch) -> No
 def test_a_negative_gamma_entry_is_a_located_violation(capsys, monkeypatch) -> None:
     # (alpha + t)^2 - alpha t at pe (3, 0) has gamma = (1, -1): a finding,
     # written as the one violation, with its witness, and exit 1
-    a, t = Poly2.alpha(), Poly2.t()
-    _doctor_pe_f(monkeypatch, _with_hexagon(power(a, 2) + a * t + power(t, 2)))
+    _doctor_pe_f(monkeypatch, _with_hexagon(power(A, 2) + A * T + power(T, 2)))
     code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])
     assert (code, err) == (1, "")
     report = json.loads(out)["reports"][0]
@@ -842,7 +839,7 @@ def test_csv_digests(capsys, argv: list[str], code: int, digest: str) -> None:
     assert (result, err) == (code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-_NON_GAL = power(Poly2.alpha(), 2) + power(Poly2.t(), 2)  # gammas 1, -2
+_NON_GAL = power(A, 2) + power(T, 2)  # gammas 1, -2
 
 _GAL_SCAN_NEGATIVE_CONTROLS = {
     ("family", "json"): "afe0509b40596fa9693b3afb64a3150ca9a8a7e3b1cdbb27dcefe80b86f0fc2f",

@@ -36,8 +36,8 @@ from witnesses import (
     power,
 )
 
-A = Poly2.alpha()
-T = Poly2.t()
+A = Poly2.from_coeffs((0, 1))
+T = Poly2.from_coeffs((1, 0))
 
 
 def test_fvector_frozen_values() -> None:
@@ -113,7 +113,7 @@ def test_gal_check_poly_rejects_malformed_input() -> None:
     with pytest.raises(ValueError, match="^not symmetric in alpha and t: a\\^2 \\+ a\\*t$"):
         gal_check_poly(power(A, 2) + A * T, 2)
     with pytest.raises(ValueError, match="^zero polynomial has no homogeneous degree$"):
-        gal_check_poly(Poly2.zero(), 0)
+        gal_check_poly(Poly2.from_coeffs(()), 0)
 
 
 def test_gal_check_series_on_the_bipartite_family() -> None:

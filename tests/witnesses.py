@@ -36,9 +36,10 @@ scalars alpha + t and alpha t, the reference for the suite's check of
 them between face series through alpha -> alpha - t.
 
 The permutohedron's gamma vectors are counted over permutations, a
-witness that needs neither the recursion nor the series, and the face
-counts of K_{m,n} are one sum over the because-because denominator in
-plain int lists, which shares no kernel, width or bound with either.
+witness that needs neither the recursion nor the series, and every
+family coefficient, the face counts of K_{m,n} among them, is one sum
+over its denominator in plain int lists, which shares no kernel, width
+or bound with either.
 
 The rest of the file is library surface only the tests use: powers,
 records, d/dt and gamma expansions of ``Poly2``, a graph's edge set,
@@ -388,9 +389,9 @@ def integrate_t(g: Poly2, n: int) -> Poly2:
     """
     if n < 0:
         raise ValueError("negative dimension")
-    if g.is_zero():
+    if not g:
         if n == 0:
-            return Poly2.one()
+            return Poly2.from_coeffs((1,))
         raise ValueError(f"zero boundary polynomial for dimension {n}")
     degree = homogeneous_degree(g)
     if degree != n - 1:
@@ -418,22 +419,22 @@ def facet_fpoly(
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
     memo = {} if memo is None else memo
     if not is_connected_graph(g):
-        out = Poly2.one()
+        out = Poly2.from_coeffs((1,))
         for part in graph_components(g):
             out = out * facet_fpoly(part, memo, facets)
         return out
     if g.n == 1:
-        return Poly2.one()
+        return Poly2.from_coeffs((1,))
     key = canonical_graph(g)
     if key not in memo:
         terms = []
         for product, c in facets(g).terms():
-            term = Poly2.constant(c)
+            term = Poly2.from_coeffs((c,))
             for factor in product:
                 term = term * facet_fpoly(factor, memo, facets)
             terms.append(term)
         try:
-            memo[key] = integrate_t(sum(terms, Poly2.zero()), g.n - 1)
+            memo[key] = integrate_t(sum(terms, Poly2.from_coeffs(())), g.n - 1)
         except (ArithmeticError, ValueError) as exc:
             raise ArithmeticError(
                 f"integrating the boundary of {graph_spec(g)}: {exc}"
@@ -776,7 +777,7 @@ def eta_termwise(u: int, v: int, order: int) -> Series2:
     return Series2(
         order,
         {
-            (a, d - a): Poly2.monomial(d - 1, 0, u**a * v ** (d - a))
+            (a, d - a): Poly2.from_coeffs((0,) * (d - 1) + (u**a * v ** (d - a),))
             for d in range(1, order + 1)
             for a in range(d + 1)
         },
@@ -842,7 +843,7 @@ def list_inv_series(s: Series2) -> Series2:
     b[k,l] = [k=l=0] - sum C(k,k1) C(l,l1) s[k1,l1] b[k-k1,l-l1] over the
     slots of s off the constant one, in order of total degree.
     """
-    assert s.coeff(0, 0) == Poly2.one()
+    assert s.coeff(0, 0).coeffs == (1,)
     r = [(k1, l1, p.coeffs) for (k1, l1), p in s.items() if (k1, l1) != (0, 0)]
     inv: dict[Slot, tuple] = {(0, 0): (1,)}
     for degree in range(1, s.order + 1):
@@ -910,7 +911,7 @@ def h_level_identities(order: int, corrupt: str | None = None) -> tuple[Identity
         subst_h_series(series_f[fam_id]) for fam_id in ("st", "nabla-because", "because-because")
     )
     phi = phi_h(order)
-    a, t = Poly2.alpha(), Poly2.t()
+    a, t = Poly2.from_coeffs((0, 1)), Poly2.from_coeffs((1, 0))
     at, apt = a * t, a + t
     low = order - 1
     st_l, nb_l, bb_l, phi_l = (truncate(s, low) for s in (st_h, nb_h, bb_h, phi))
@@ -958,43 +959,82 @@ def permutohedron_gammas(n: int) -> GammaVector:
 
 
 # ---------------------------------------------------------------------------
-# K_{m,n} face counts as one sum over the denominator
+# family coefficients as one sum over the denominator
 
 
-def bipartite_face_counts(m: int, n: int) -> list[int]:
-    """Face counts of the K_{m,n} nestohedron, m, n >= 1, lowest dimension first.
+@lru_cache(maxsize=None)
+def _denominator(n: int) -> tuple[int, ...]:
+    """D_n of 1/(1 - t eta) at t = 1, lowest alpha power first.
 
-    The because-because series is a numerator times 1/(1 - t eta(x + y)),
-    and its stored coefficient at (m, n) is the face polynomial of K_{m,n}.
-    At t = 1, with polynomials in alpha as int lists, lowest power first:
-    the denominator's stored coefficient D_N has D_0 = 1 and
-    D_N = sum over d = 1..N of C(N, d) alpha^(d-1) D_(N-d), and the
-    numerator's B(a, b), for a, b >= 1, is
-    ((alpha + 1)^a - alpha^a) alpha^(b-1), plus its mirror, plus
-    alpha^(a+b-1).  The point terms x and y are added after the product, so
-    they are not in B.  Then the coefficient is the sum over a <= m and
-    b <= n of C(m, a) C(n, b) B(a, b) D_(m+n-a-b).  No packing, width,
-    bound or series product is shared with the library.
+    D_0 = 1 and D_n = sum over d = 1..n of C(n, d) alpha^(d-1) t D_(n-d).
+    D_n is homogeneous of degree n, so it keeps n + 1 entries; past n = 0
+    the top one, alpha^n's, is zero, as every term holds t.
     """
-    dens = [[1]]
-    for size in range(1, m + n - 1):
-        acc = [0] * size
-        for d in range(1, size + 1):
-            for i, c in enumerate(dens[size - d]):
-                acc[d - 1 + i] += comb(size, d) * c
-        dens.append(acc)
-    out = [0] * (m + n)
-    for a in range(1, m + 1):
-        for b in range(1, n + 1):
-            numerator = [0] * (a + b)
-            for i in range(a):
-                numerator[b - 1 + i] += comb(a, i)
-            for i in range(b):
-                numerator[a - 1 + i] += comb(b, i)
-            numerator[a + b - 1] += 1
-            weight = comb(m, a) * comb(n, b)
+    if n == 0:
+        return (1,)
+    acc = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for i, c in enumerate(_denominator(n - d)):
+            acc[d - 1 + i] += comb(n, d) * c
+    return tuple(acc)
+
+
+def _numerator(fam: str, a: int, b: int) -> list[int]:
+    """B(a, b), the numerator's stored coefficient, at t = 1; empty where it is zero."""
+    if fam == "pe":
+        return [0] * (a - 1) + [1] if a and not b else []
+    if fam in ("st", "starmarked"):
+        return [comb(a, i) for i in range(a + 1)] if b == (1 if fam == "starmarked" else 0) else []
+    if fam == "nabla-because":
+        return [0] * (a - 1) + [comb(b, i) for i in range(b + 1)] if a else []
+    if fam == "because-because":
+        if not (a and b):
+            return []
+        out = [0] * (a + b)
+        for i in range(a):
+            out[b - 1 + i] += comb(a, i)
+        for i in range(b):
+            out[a - 1 + i] += comb(b, i)
+        out[a + b - 1] += 1
+        return out
+    raise ValueError(f"unknown family {fam!r}")
+
+
+def family_face_counts(fam: str, k: int, l: int) -> list[int]:
+    """A family's stored coefficient at (k, l), lowest alpha power first.
+
+    Every family series is a numerator times the denominator
+    1/(1 - t eta), of x alone (pe, st, starmarked) or of x + y
+    (nabla-because, because-because); both store D_N at every slot of
+    total degree N.  So the stored coefficient at (k, l) is the sum over
+    a <= k and b <= l of C(k, a) C(l, b) B(a, b) D_(k+l-a-b), where B is
+    the numerator's:
+
+    * pe:               alpha^(a-1) for a >= 1, b = 0
+    * st:               (alpha + t)^a for b = 0
+    * starmarked:       (alpha + t)^a for b = 1 (y times st)
+    * nabla-because:    alpha^(a-1) (alpha + t)^b for a >= 1
+    * because-because:  ((alpha + t)^a - alpha^a) alpha^(b-1), its mirror
+                        and alpha^(a+b-1), for a, b >= 1
+
+    The point terms x and y of because-because are added after the
+    product, so they are not in B.  Every polynomial is homogeneous, so it
+    is held at t = 1 as an int list in alpha with its degree's length, and
+    no packing, width, bound or series product is shared with the library.
+    At (m, n) with m, n >= 1 the because-because sum is the face counts of
+    K_{m,n}.
+    """
+    out = [1] if fam == "because-because" and k + l == 1 else []
+    for a in range(k + 1):
+        for b in range(l + 1):
+            numerator = _numerator(fam, a, b)
+            if not numerator:
+                continue
+            den = _denominator(k + l - a - b)
+            out = out or [0] * (len(numerator) + len(den) - 1)
+            weight = comb(k, a) * comb(l, b)
             for i, c in enumerate(numerator):
-                for j, d in enumerate(dens[m + n - a - b]):
+                for j, d in enumerate(den):
                     out[i + j] += weight * c * d
     return out
 
@@ -1006,7 +1046,7 @@ def bipartite_face_counts(m: int, n: int) -> list[int]:
 def power(p: Poly2, exponent: int) -> Poly2:
     if exponent < 0:
         raise ValueError("negative power of a polynomial")
-    out = Poly2.one()
+    out = Poly2.from_coeffs((1,))
     for _ in range(exponent):
         out = out * p
     return out
@@ -1019,8 +1059,12 @@ def poly_deriv_t(p: Poly2) -> Poly2:
 
 
 def poly_from_records(records: Iterable[Mapping[str, object]]) -> Poly2:
-    """Inverse of ``Poly2.to_records``."""
-    return Poly2({(int(r["i"]), int(r["j"])): int(r["c"]) for r in records})
+    """Inverse of ``Poly2.to_records``; records of two degrees raise ``InhomogeneousError``."""
+    out = Poly2.from_coeffs(())
+    for r in records:
+        i, j = int(r["i"]), int(r["j"])
+        out = out + Poly2.from_coeffs((0,) * i + (int(r["c"]),) + (0,) * j)
+    return out
 
 
 def _gamma_basis(i: int, n: int) -> Poly2:
@@ -1031,7 +1075,7 @@ def _gamma_basis(i: int, n: int) -> Poly2:
 
 def h_from_gamma(gv: GammaVector) -> Poly2:
     """Inverse of gamma_from_h: expand the gamma vector back to a polynomial."""
-    out = Poly2.zero()
+    out = Poly2.from_coeffs(())
     for i, g in enumerate(gv.gammas):
         if g:
             out = out + _gamma_basis(i, gv.n) * g
