@@ -69,7 +69,13 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
 
 
 def _digits(value: int, width: int) -> list[int]:
-    """The balanced width-bit digits of value, lowest first, up to the top nonzero one."""
+    """The balanced width-bit digits of value, lowest first, up to the top nonzero one.
+
+    A width below 2 raises ``ValueError``: a 1-bit field holds only the
+    digits -1 and 0, so the remainder of a positive value never shrinks.
+    """
+    if width < 2:
+        raise ValueError(f"balanced digits need fields of at least 2 bits, not {width}")
     half, mask = 1 << width - 1, (1 << width) - 1
     out = []
     while value:
@@ -172,8 +178,9 @@ class Poly2:
                 return Poly2.from_coeffs([c * other for c in self._terms])
             return NotImplemented
         a, b = self._terms, other._terms
-        # no product coefficient exceeds the product of the absolute sums
-        width = (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1
+        # no product coefficient exceeds the product of the absolute sums;
+        # balanced digits need two bits even when that is 0
+        width = max(2, (sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1)
         out = _digits(_pack(a, width) * _pack(b, width), width)
         return Poly2.from_coeffs(out + [0] * (len(a) + len(b) - 1 - len(out)))
 

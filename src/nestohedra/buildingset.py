@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable, Sequence
 
+from ._classes import CONNECTED
 from ._record import Record
 
 __all__ = [
@@ -310,12 +311,10 @@ def parse_graph_spec(spec: str) -> Graph:
 def _atlas_edges(n: int) -> list[list[tuple[int, int]]]:
     """The edges of each connected class on n nodes, 1 <= n <= 7, in atlas order.
 
-    Decodes ``_atlas.CONNECTED[n]`` only: each set bit of a token's edge
+    Decodes ``_classes.CONNECTED[n]`` only: each set bit of a token's edge
     mask is the edge of its node pair, and the edges come in the order of
     their bits, the lexicographic order of ``graph_spec``.
     """
-    from ._atlas import CONNECTED
-
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out = []
     for token in CONNECTED[n].split():
@@ -333,7 +332,7 @@ def connected_graphs_upto_iso(max_nodes: int, min_nodes: int = 1) -> list[Graph]
 
     In the order and labelling of Read and Wilson's graph atlas, which
     covers every graph on up to seven nodes.  The classes come from a
-    table committed in ``_atlas``, and ``_atlas_edges`` decodes only the
+    table committed in ``_classes``, and ``_atlas_edges`` decodes only the
     node counts asked for.
     """
     if not 1 <= min_nodes <= max_nodes <= 7:

@@ -7,7 +7,9 @@ differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
 a polytope family or over all small connected graphs.  A graph-class
 scan builds no graph: it writes each class's spec from its atlas edges
 (``buildingset._atlas_edges``) and reads its face counts by the same
-atlas position (``ringcalc.class_face_counts``).  Each command returns
+atlas position (``ringcalc.class_face_counts``), and it Gal-checks the
+whole row of classes at once, one class per 64-bit field of each
+coefficient (``_packed_gammas``).  Each command returns
 its report (exit code, JSON object, CSV header and rows) and ``main``
 alone writes it, as JSON (sorted keys) or CSV; both are
 byte-deterministic for fixed inputs.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import csv
 import sys
 from contextlib import contextmanager
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import factorial
 from types import SimpleNamespace
@@ -297,6 +300,71 @@ def _scan_families(args: SimpleNamespace) -> _Report:
     return 1 if failed else 0, obj, ("family", "k", "l", "dimension", "gamma", "status"), rows
 
 
+def _packed_gammas(rows: Sequence[Sequence[int]], dim: int) -> list[GammaVector]:
+    """The gamma vectors of a row of classes' face counts, by one Gal check of the row.
+
+    Coefficient i of one ``Poly2`` holds f_i of every class, class c in
+    the 64-bit field at bit 64 c (the packed format of ``algebra``, at
+    W = 64), so one ``h_from_f`` and one ``gal_check_poly`` run on the
+    whole row; each gamma column is then read back as signed 64-bit
+    fields, biased by 2^63 so that they carry nothing into each other.
+
+    Exact while every field stays below 2^63 in absolute value.  The
+    counts are 16-bit, which ``int.to_bytes`` checks, and dim <= 6.  The
+    Taylor shift of ``h_from_f`` takes its largest values when the counts
+    alternate in sign, where each step adds two magnitudes, and they stay
+    below 2^25.  Peel step i of ``gamma_from_h``, at most 4 of them,
+    subtracts gamma_i C(m, k), m = dim - 2i, from values bounded as
+    gamma_i is, so it multiplies the bound by at most 1 + 2^m:
+    (1 + 2^6)(1 + 2^4)(1 + 2^2)(1 + 2^0) = 11050 in all.  So every field
+    compared or decoded stays below 2^40: ``is_symmetric`` and
+    ``any(residual)`` read the fields exactly, and the row raises
+    whenever one class's own check would.  So does a row with a class
+    that has no nonzero count, and hence no degree, a row of unequal
+    lengths, and a row past seven nodes.  The 64-bit width is fixed by
+    that bound, not chosen.
+    """
+    if dim > 6 or not all(map(any, rows)):
+        raise ValueError("a class row needs 1-7 nodes and nonzero face counts")
+    # the counts column by column, 16 bits each, then each widened to 64 bits
+    narrow = b"".join(
+        map(int.to_bytes, chain.from_iterable(zip(*rows, strict=True)), repeat(2), repeat("little"))
+    )
+    wide = bytearray(4 * len(narrow))
+    wide[0::8], wide[1::8] = narrow[0::2], narrow[1::2]
+    size = 8 * len(rows)
+    f = Poly2.from_coeffs(
+        int.from_bytes(wide[i : i + size], "little") for i in range(0, len(wide), size)
+    )
+    # 2^63 in each field, which moves its signed range onto the unsigned one
+    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * len(rows), "little")
+    columns = []
+    for g in gal_check_poly(h_from_f(f), dim):
+        fields = memoryview(((g + bias) ^ bias).to_bytes(size, sys.byteorder)).cast("q")
+        columns.append(fields.tolist() if sys.byteorder == "little" else fields.tolist()[::-1])
+    return [GammaVector(dim, gammas) for gammas in zip(*columns)]
+
+
+def _class_gammas(
+    specs: Sequence[str], rows: Sequence[Sequence[int]], dim: int
+) -> list[GammaVector]:
+    """The gamma vector of each class of a row, named by its spec, from its face counts.
+
+    The whole row at once by ``_packed_gammas``; if that raises, one
+    class at a time, so that the first class that fails raises, named.
+    """
+    try:
+        return _packed_gammas(rows, dim)
+    except (ValueError, ArithmeticError):
+        pass
+    gammas = []
+    for spec, counts in zip(specs, rows, strict=True):
+        h = h_from_f(Poly2.from_coeffs(counts))
+        with _located(lambda: f"h-polynomial of {spec}"):
+            gammas.append(gal_check_poly(h, dim))
+    return gammas
+
+
 def _scan_graph_classes(args: SimpleNamespace) -> _Report:
     if args.nodes is None:
         raise ValueError("--graph-class needs --nodes N")
@@ -307,12 +375,11 @@ def _scan_graph_classes(args: SimpleNamespace) -> _Report:
     # position
     n = args.nodes
     label = {(u, v): f"{u}-{v}" for u in range(n) for v in range(u + 1, n)}
-    items = []
-    for edges, counts in zip(_atlas_edges(n), class_face_counts(n), strict=True):
-        spec = f"edges:{n}:" + ",".join([label[pair] for pair in edges])
-        h = h_from_f(Poly2.from_coeffs(counts))
-        with _located(lambda: f"h-polynomial of {spec}"):
-            items.append(({"graph": spec}, gal_check_poly(h, n - 1)))
+    specs = [
+        f"edges:{n}:" + ",".join([label[pair] for pair in edges]) for edges in _atlas_edges(n)
+    ]
+    gammas = _class_gammas(specs, class_face_counts(n), n - 1)
+    items = [({"graph": spec}, gv) for spec, gv in zip(specs, gammas, strict=True)]
     scan = _scan_json(items)
     failed = bool(scan["violations"])
     obj = {"graph_class": args.graph_class, "nodes": args.nodes, "passed": not failed, **scan}

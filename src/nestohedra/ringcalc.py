@@ -57,7 +57,7 @@ from math import comb
 from typing import Iterator
 
 from ._classes import CLASSES
-from .algebra import Poly2, _digits, _egf_inverse, _pack
+from .algebra import Poly2, _digits, _egf_inverse
 from .buildingset import (
     MAX_GROUND,
     Graph,
@@ -86,14 +86,22 @@ def class_face_counts(n: int) -> list[list[int]]:
     return [[f >> 16 * i & 0xFFFF for i in range(n)] for f in CLASSES[n].values()]
 
 
-# every entry of CLASSES by its _key, repacked at _WIDTH once, here, so
-# that a subproblem reads its packed face counts with one lookup; entry by
-# entry, so that no row's lists are built at once
-_TABLE = {
-    key: _pack([f >> 16 * i & 0xFFFF for i in range(n)], _WIDTH)
-    for n, row in CLASSES.items()
-    for key, f in row.items()
-}
+def _repacked() -> dict[int, int]:
+    """Every entry of CLASSES by its _key, its 16-bit fields moved to _WIDTH-bit ones."""
+    table = {}
+    for n, row in CLASSES.items():
+        shifts = [(16 * i, _WIDTH * i) for i in range(n)]
+        for key, f in row.items():
+            packed = 0
+            for src, dst in shifts:
+                packed |= (f >> src & 0xFFFF) << dst
+            table[key] = packed
+    return table
+
+
+# repacked once, here, so that a subproblem reads its packed face counts
+# with one lookup
+_TABLE = _repacked()
 
 
 class FPolyCache(dict):

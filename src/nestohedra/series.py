@@ -218,9 +218,6 @@ class Series2:
     def items(self) -> list[tuple[Slot, Poly2]]:
         return [(s, self.coeff(*s)) for s in sorted(self._coeffs, key=lambda s: (sum(s), s))]
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import nestohedra
 from nestohedra.algebra import (
     GammaVector,
     InhomogeneousError,
@@ -220,6 +227,37 @@ def test_balanced_digits_invert_packing(data) -> None:
     coeffs += [0] * data.draw(st.integers(min_value=0, max_value=3))
     top = max((i + 1 for i, c in enumerate(coeffs) if c), default=0)
     assert _digits(_pack(coeffs, width), width) == coeffs[:top]
+
+
+def test_balanced_digits_refuse_fields_under_two_bits() -> None:
+    # A 1-bit field holds only the digits -1 and 0, so the remainder of a
+    # positive value would never shrink and the digit list would grow until
+    # memory ran out.  The refusals run in a child process under a memory
+    # cap and a timeout, so that such a loop fails this test and no more.
+    script = (
+        "from nestohedra.algebra import _digits\n"
+        "for width in (1, 0, -1):\n"
+        "    try:\n"
+        "        _digits(1, width)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(nestohedra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "".join(
+        f"balanced digits need fields of at least 2 bits, not {width}\n" for width in (1, 0, -1)
+    )
+    assert _digits(-1, 2) == [-1]
 
 
 @given(

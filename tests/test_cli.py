@@ -10,20 +10,20 @@ import os
 import resource
 import subprocess
 import sys
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 from typing import Callable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nestohedra
-from nestohedra import algebra, cli, ringcalc, series
+from nestohedra import algebra, cli, invariants, ringcalc, series
 from nestohedra.algebra import Poly2
 from nestohedra.cli import main
 from nestohedra.series import FAMILIES
-from witnesses import f_from_h, power
+from witnesses import f_from_h, h_from_gamma, power
 
 A = Poly2.from_coeffs((0, 1))
 T = Poly2.from_coeffs((1, 0))
@@ -187,7 +187,9 @@ def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
     # An h-polynomial that breaks Dehn-Sommerville came from a faulty
     # recursion on a valid spec: a failed check (1), not bad input (2).
     # invariants derives h from its one face polynomial, and gal-scan from
-    # each class's face counts, both through h_from_f.
+    # a row's packed face counts, both through h_from_f; the row then fails
+    # its check and is run again one class at a time, and the first class
+    # is named.
     plain_h_from_f = cli.h_from_f
     monkeypatch.setattr(cli, "h_from_f", lambda f: plain_h_from_f(f) + power(A, 2))
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
@@ -440,6 +442,91 @@ def test_gal_scan_connected_graph_classes(capsys) -> None:
     assert lines[0] == "graph,dimension,gamma,status"
     assert len(lines) == 7
     assert all(line.endswith(",ok") for line in lines[1:])
+
+
+def _one_class_at_a_time(
+    specs: list[str], rows: list[list[int]], dim: int
+) -> list[algebra.GammaVector]:
+    """The class scan's gamma vectors, each class's own h checked on its own."""
+    gammas = []
+    for spec, counts in zip(specs, rows, strict=True):
+        h = algebra.h_from_f(Poly2.from_coeffs(counts))
+        try:
+            gammas.append(invariants.gal_check_poly(h, dim))
+        except (ValueError, ArithmeticError) as exc:
+            raise ArithmeticError(f"h-polynomial of {spec}: {exc}") from exc
+    return gammas
+
+
+@st.composite
+def _class_counts(draw, n: int, symmetric: bool) -> list[int]:
+    """Face counts of n 16-bit entries: a table class's, a gamma vector's, or any."""
+    kind = draw(st.sampled_from(["table", "gamma"] if symmetric else ["table", "gamma", "any"]))
+    if kind == "table":
+        return draw(st.sampled_from(ringcalc.class_face_counts(n)))
+    if kind == "any":
+        entry = st.one_of(st.just(0), st.just(2**16 - 1), st.integers(0, 2**16 - 1))
+        return draw(st.lists(entry, min_size=n, max_size=n))
+    # gamma_0 > 0 and the others of either sign, kept when every face count
+    # is a 16-bit entry
+    dim = n - 1
+    gammas = (draw(st.integers(1, 60)), *(draw(st.integers(-60, 60)) for _ in range(dim // 2)))
+    f = list(f_from_h(h_from_gamma(algebra.GammaVector(dim, gammas))).coeffs)
+    assume(all(0 <= c < 2**16 for c in f))
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_packed_class_row_agrees_with_one_class_at_a_time(data) -> None:
+    # Rows of 16-bit face counts on 1-7 nodes, some of them symmetric with
+    # negative gamma entries, some asymmetric or all zero: the packed row
+    # gives every class's gamma vector, and raises exactly when a class's
+    # own check would, in which case the row raises that class's message.
+    n = data.draw(st.integers(1, 7), label="n")
+    symmetric = data.draw(st.booleans(), label="symmetric")
+    rows = data.draw(st.lists(_class_counts(n, symmetric), min_size=1, max_size=12), label="rows")
+    specs = [f"class {c}" for c in range(len(rows))]
+    try:
+        expected = _one_class_at_a_time(specs, rows, n - 1)
+    except ArithmeticError as exc:
+        with pytest.raises((ValueError, ArithmeticError)):
+            cli._packed_gammas(rows, n - 1)
+        with pytest.raises(ArithmeticError) as raised:
+            cli._class_gammas(specs, rows, n - 1)
+        assert str(raised.value) == str(exc)
+    else:
+        assert cli._packed_gammas(rows, n - 1) == expected
+        assert cli._class_gammas(specs, rows, n - 1) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_packed_class_row_stays_inside_its_fields(n: int) -> None:
+    # Counts of alternating sign are where the Taylor shift of h_from_f
+    # only adds magnitudes, so with 16-bit ones it reaches its largest
+    # values, and they stay below 2^25.  Each peel step of the gamma
+    # extraction multiplies the bound by at most 1 + 2^m, 11050 in all on
+    # seven nodes, so every packed field stays below 2^40 < 2^63.
+    dim = n - 1
+    worst = algebra.h_from_f(Poly2.from_coeffs((-1) ** i * (2**16 - 1) for i in range(n)))
+    shift = max(map(abs, worst.coeffs))
+    assert shift < 2**25
+    growth = prod(1 + 2 ** (dim - 2 * i) for i in range(dim // 2 + 1))
+    assert growth <= 11050
+    assert shift * growth < 2**40
+    # past seven nodes the bound is not claimed, and the row raises
+    with pytest.raises(ValueError):
+        cli._packed_gammas([[1] * 8], 7)
+
+
+def test_a_class_scan_checks_each_row_once(capsys, monkeypatch) -> None:
+    # Every atlas row passes its packed check: one h_from_f per scan.
+    plain, calls = cli.h_from_f, []
+    monkeypatch.setattr(cli, "h_from_f", lambda f: calls.append(f) or plain(f))
+    for n in range(1, 8):
+        calls.clear()
+        code, _, err = _run(capsys, ["gal-scan", "--graph-class", "connected", "--nodes", str(n)])
+        assert (code, err, len(calls)) == (0, "", 1), n
 
 
 def test_gal_scan_usage_errors(capsys) -> None:
@@ -853,14 +940,20 @@ _GAL_SCAN_NEGATIVE_CONTROLS = {
 def test_gal_scan_negative_control_digests(capsys, monkeypatch, scan: str, fmt: str) -> None:
     # sha256 of stdout, recorded while each scan wrote its own violation
     # and gamma entries.  alpha^2 + t^2 takes the place of the hexagon at
-    # pe (3, 0), or of the triangle's h-polynomial: a negative gamma entry
-    # is a finding, written out with exit 1.
+    # pe (3, 0), or of the triangle's h-polynomial, through its face
+    # counts 2 + 2 alpha + alpha^2 in place of 6 + 6 alpha + alpha^2: a
+    # negative gamma entry is a finding, written out with exit 1.
     if scan == "family":
         _doctor_pe_f(monkeypatch, _with_hexagon(_NON_GAL))
         argv = ["gal-scan", "--family", "all", "--bound", "4"]
     else:
-        plain, triangle = cli.h_from_f, nestohedra.fpoly(nestohedra.complete_graph(3))
-        monkeypatch.setattr(cli, "h_from_f", lambda f: _NON_GAL if f == triangle else plain(f))
+        assert cli.h_from_f(Poly2.from_coeffs((2, 2, 1))) == _NON_GAL
+        plain = cli.class_face_counts
+        monkeypatch.setattr(
+            cli,
+            "class_face_counts",
+            lambda n: [[2, 2, 1] if f == [6, 6, 1] else f for f in plain(n)],
+        )
         argv = ["gal-scan", "--graph-class", "connected", "--nodes", "3"]
     code, out, err = _run(capsys, argv + ["--format", fmt])
     assert (code, err) == (1, "")
@@ -921,6 +1014,32 @@ def _src_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
+
+
+def test_a_class_scan_imports_no_module() -> None:
+    # The atlas tokens sit in the class table, which the package imports,
+    # and the packed row is read back with builtins: no class scan loads
+    # a module, in either format.
+    script = """
+import contextlib, io, json, sys
+from nestohedra.cli import main
+before = set(sys.modules)
+codes = []
+for n in range(1, 8):
+    for fmt in ("json", "csv"):
+        argv = ["gal-scan", "--graph-class", "connected", "--nodes", str(n), "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(argv))
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - before)}))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        check=True,
+    )
+    assert json.loads(done.stdout) == {"codes": [0] * 14, "loaded": []}
 
 
 def test_no_subcommand_imports_networkx() -> None:
