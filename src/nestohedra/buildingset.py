@@ -308,37 +308,37 @@ def parse_graph_spec(spec: str) -> Graph:
     raise GraphSpecError(f"unknown graph spec {spec!r}")
 
 
-def _atlas_edges(n: int) -> list[list[tuple[int, int]]]:
-    """The edges of each connected class on n nodes, 1 <= n <= 7, in atlas order.
+def _atlas_specs(n: int) -> list[str]:
+    """The ``graph_spec`` of each connected class on n nodes, 1 <= n <= 7, in atlas order.
 
     Decodes ``_classes.CONNECTED[n]`` only: each set bit of a token's edge
-    mask is the edge of its node pair, and the edges come in the order of
-    their bits, the lexicographic order of ``graph_spec``.
+    mask picks the ``u-v`` label of its node pair, and the labels come in
+    the order of their bits, the lexicographic order of ``graph_spec``.
     """
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    out = []
+    labels = [f"{u}-{v}" for u in range(n) for v in range(u + 1, n)]
+    specs = []
     for token in CONNECTED[n].split():
         bits, edges = int(token, 36), []
         while bits:
             low = bits & -bits
             bits ^= low
-            edges.append(pairs[low.bit_length() - 1])
-        out.append(edges)
-    return out
+            edges.append(labels[low.bit_length() - 1])
+        specs.append(f"edges:{n}:" + ",".join(edges))
+    return specs
 
 
 def connected_graphs_upto_iso(max_nodes: int, min_nodes: int = 1) -> list[Graph]:
     """All connected graphs with min_nodes..max_nodes nodes, one per isomorphism class.
 
     In the order and labelling of Read and Wilson's graph atlas, which
-    covers every graph on up to seven nodes.  The classes come from a
-    table committed in ``_classes``, and ``_atlas_edges`` decodes only the
-    node counts asked for.
+    covers every graph on up to seven nodes.  ``_atlas_specs`` decodes the
+    table committed in ``_classes`` at the node counts asked for only, and
+    ``parse_graph_spec`` builds each class from its spec.
     """
     if not 1 <= min_nodes <= max_nodes <= 7:
         raise ValueError("the atlas covers 1..7 nodes")
     return [
-        graph_from_edges(n, edges)
+        parse_graph_spec(spec)
         for n in range(min_nodes, max_nodes + 1)
-        for edges in _atlas_edges(n)
+        for spec in _atlas_specs(n)
     ]

@@ -5,14 +5,14 @@ nestohedron, ``verify`` compares the nested-set recursion against the
 closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
 a polytope family or over all small connected graphs.  A graph-class
-scan builds no graph: it writes each class's spec from its atlas edges
-(``buildingset._atlas_edges``) and reads its face counts by the same
+scan builds no graph: it takes each class's spec from the atlas decoder
+(``buildingset._atlas_specs``) and reads its face counts by the same
 atlas position (``ringcalc.class_face_counts``), and it Gal-checks the
 whole row of classes at once, one class per 64-bit field of each
-coefficient (``_packed_gammas``).  Each command returns
-its report (exit code, JSON object, CSV header and rows) and ``main``
-alone writes it, as JSON (sorted keys) or CSV; both are
-byte-deterministic for fixed inputs.
+coefficient, packed and read back by ``struct`` (``_packed_gammas``).
+Each command returns its report (exit code, JSON object, CSV header and
+rows) and ``main`` alone writes it, as JSON (sorted keys) or CSV; both
+are byte-deterministic for fixed inputs.
 
 The subcommands and their flags live in one option table, ``_COMMANDS``.
 A well-formed argv (an exact subcommand, then exact ``--flag value``
@@ -31,14 +31,14 @@ from __future__ import annotations
 import csv
 import sys
 from contextlib import contextmanager
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import factorial
+from struct import pack, unpack
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import GammaVector, Poly2, h_from_f
-from .buildingset import _atlas_edges, graph_spec, parse_graph_spec
+from .buildingset import _atlas_specs, graph_spec, parse_graph_spec
 from .invariants import gal_check_poly, gal_check_series
 from .ringcalc import FPolyCache, class_face_counts, fpoly
 from .series import (
@@ -57,8 +57,8 @@ __all__ = ["main", "entrypoint"]
 MAX_ORDER = 16
 
 # what a command returns: its exit code, its JSON object, and its CSV
-# header and rows; main writes one of the two
-_Report = tuple[int, dict[str, object], Sequence[str], Sequence[Sequence[object]]]
+# header and rows; main writes one of the two, reading rows only for CSV
+_Report = tuple[int, dict[str, object], Sequence[str], Iterable[Sequence[object]]]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def _emit_json(obj: object) -> None:
     sys.stdout.write("".join(out))
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _emit_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -310,38 +310,34 @@ def _packed_gammas(rows: Sequence[Sequence[int]], dim: int) -> list[GammaVector]
     fields, biased by 2^63 so that they carry nothing into each other.
 
     Exact while every field stays below 2^63 in absolute value.  The
-    counts are 16-bit, which ``int.to_bytes`` checks, and dim <= 6.  The
-    Taylor shift of ``h_from_f`` takes its largest values when the counts
-    alternate in sign, where each step adds two magnitudes, and they stay
-    below 2^25.  Peel step i of ``gamma_from_h``, at most 4 of them,
-    subtracts gamma_i C(m, k), m = dim - 2i, from values bounded as
+    counts are 16-bit, which the row checks before it packs, and dim <= 6.
+    The Taylor shift of ``h_from_f`` takes its largest values when the
+    counts alternate in sign, where each step adds two magnitudes, and
+    they stay below 2^25.  Peel step i of ``gamma_from_h``, at most 4 of
+    them, subtracts gamma_i C(m, k), m = dim - 2i, from values bounded as
     gamma_i is, so it multiplies the bound by at most 1 + 2^m:
     (1 + 2^6)(1 + 2^4)(1 + 2^2)(1 + 2^0) = 11050 in all.  So every field
     compared or decoded stays below 2^40: ``is_symmetric`` and
     ``any(residual)`` read the fields exactly, and the row raises
-    whenever one class's own check would.  So does a row with a class
-    that has no nonzero count, and hence no degree, a row of unequal
-    lengths, and a row past seven nodes.  The 64-bit width is fixed by
-    that bound, not chosen.
+    whenever one class's own check would.  So does a row with a count
+    outside [0, 2^16) or a class with no nonzero count, and hence no
+    degree, a row of unequal lengths, and a row past seven nodes.  The
+    64-bit width is fixed by that bound, not chosen.
     """
     if dim > 6 or not all(map(any, rows)):
         raise ValueError("a class row needs 1-7 nodes and nonzero face counts")
-    # the counts column by column, 16 bits each, then each widened to 64 bits
-    narrow = b"".join(
-        map(int.to_bytes, chain.from_iterable(zip(*rows, strict=True)), repeat(2), repeat("little"))
-    )
-    wide = bytearray(4 * len(narrow))
-    wide[0::8], wide[1::8] = narrow[0::2], narrow[1::2]
-    size = 8 * len(rows)
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= 1 << 16:
+        raise ValueError("a class row needs 16-bit face counts")
+    fields = f"<{len(rows)}q"
     f = Poly2.from_coeffs(
-        int.from_bytes(wide[i : i + size], "little") for i in range(0, len(wide), size)
+        int.from_bytes(pack(fields, *column), "little") for column in zip(*rows, strict=True)
     )
     # 2^63 in each field, which moves its signed range onto the unsigned one
     bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * len(rows), "little")
-    columns = []
-    for g in gal_check_poly(h_from_f(f), dim):
-        fields = memoryview(((g + bias) ^ bias).to_bytes(size, sys.byteorder)).cast("q")
-        columns.append(fields.tolist() if sys.byteorder == "little" else fields.tolist()[::-1])
+    columns = [
+        unpack(fields, ((g + bias) ^ bias).to_bytes(8 * len(rows), "little"))
+        for g in gal_check_poly(h_from_f(f), dim)
+    ]
     return [GammaVector(dim, gammas) for gammas in zip(*columns)]
 
 
@@ -370,21 +366,14 @@ def _scan_graph_classes(args: SimpleNamespace) -> _Report:
         raise ValueError("--graph-class needs --nodes N")
     if not 1 <= args.nodes <= 7:
         raise ValueError("graph-class scans cover 1..7 nodes")
-    # a class's edges: spec comes from its atlas edges, which follow
-    # graph_spec's order of node pairs; its face counts sit at the same
-    # position
-    n = args.nodes
-    label = {(u, v): f"{u}-{v}" for u in range(n) for v in range(u + 1, n)}
-    specs = [
-        f"edges:{n}:" + ",".join([label[pair] for pair in edges]) for edges in _atlas_edges(n)
-    ]
-    gammas = _class_gammas(specs, class_face_counts(n), n - 1)
+    specs = _atlas_specs(args.nodes)
+    gammas = _class_gammas(specs, class_face_counts(args.nodes), args.nodes - 1)
     items = [({"graph": spec}, gv) for spec, gv in zip(specs, gammas, strict=True)]
     scan = _scan_json(items)
     failed = bool(scan["violations"])
     obj = {"graph_class": args.graph_class, "nodes": args.nodes, "passed": not failed, **scan}
     header = ("graph", "dimension", "gamma", "status")
-    return 1 if failed else 0, obj, header, [_scan_row(item) for item in items]
+    return 1 if failed else 0, obj, header, map(_scan_row, items)
 
 
 def cmd_gal_scan(args: SimpleNamespace) -> _Report:

@@ -426,6 +426,16 @@ def test_connected_graphs_upto_iso_counts() -> None:
     assert len(connected_graphs_upto_iso(6)) == 143
 
 
+def test_the_atlas_specs_are_canonical() -> None:
+    # The decoder writes each class's spec as graph_spec writes it, so a
+    # class scan prints it as it comes.
+    for n, count in zip(range(1, 8), (1, 1, 2, 6, 21, 112, 853)):
+        specs = buildingset._atlas_specs(n)
+        assert len(specs) == count, n
+        for spec in specs:
+            assert graph_spec(parse_graph_spec(spec)) == spec
+
+
 def test_connected_graphs_upto_iso_match_the_networkx_atlas() -> None:
     # The committed table against the atlas it was taken from: same
     # classes, same order, same node labels.

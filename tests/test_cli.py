@@ -460,33 +460,53 @@ def _one_class_at_a_time(
 
 @st.composite
 def _class_counts(draw, n: int, symmetric: bool) -> list[int]:
-    """Face counts of n 16-bit entries: a table class's, a gamma vector's, or any."""
-    kind = draw(st.sampled_from(["table", "gamma"] if symmetric else ["table", "gamma", "any"]))
+    """Face counts of n entries: a table class's, a gamma vector's, or any.
+
+    The wide kinds hold counts outside [0, 2^16), which the packed row
+    refuses: -1, 2^16 and values up to 2^64 either way, or the counts of
+    a gamma vector near 2^50, symmetric and checked without error one
+    class at a time.
+    """
+    kinds = ["table", "gamma", "wide gamma"] + ([] if symmetric else ["any", "wide"])
+    kind = draw(st.sampled_from(kinds))
     if kind == "table":
         return draw(st.sampled_from(ringcalc.class_face_counts(n)))
-    if kind == "any":
+    if kind in ("any", "wide"):
         entry = st.one_of(st.just(0), st.just(2**16 - 1), st.integers(0, 2**16 - 1))
+        if kind == "wide":
+            outside = st.sampled_from([-1, 2**16, 2**63, 2**64])
+            entry = st.one_of(entry, outside, st.integers(-(2**64), 2**64))
         return draw(st.lists(entry, min_size=n, max_size=n))
     # gamma_0 > 0 and the others of either sign, kept when every face count
-    # is a 16-bit entry
+    # is a 16-bit entry, or all near 2^50
     dim = n - 1
-    gammas = (draw(st.integers(1, 60)), *(draw(st.integers(-60, 60)) for _ in range(dim // 2)))
+    if kind == "wide gamma":
+        top, rest = st.integers(2**50 - 2**20, 2**50), st.integers(-(2**50), 2**50)
+    else:
+        top, rest = st.integers(1, 60), st.integers(-60, 60)
+    gammas = (draw(top), *(draw(rest) for _ in range(dim // 2)))
     f = list(f_from_h(h_from_gamma(algebra.GammaVector(dim, gammas))).coeffs)
-    assume(all(0 <= c < 2**16 for c in f))
+    assume(kind == "wide gamma" or all(0 <= c < 2**16 for c in f))
     return f
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_a_packed_class_row_agrees_with_one_class_at_a_time(data) -> None:
-    # Rows of 16-bit face counts on 1-7 nodes, some of them symmetric with
+    # Rows of face counts on 1-7 nodes, some of them symmetric with
     # negative gamma entries, some asymmetric or all zero: the packed row
     # gives every class's gamma vector, and raises exactly when a class's
     # own check would, in which case the row raises that class's message.
+    # A row with a count outside 16 bits, past its bound's premise, raises
+    # ValueError, and the scan checks its classes one at a time.
     n = data.draw(st.integers(1, 7), label="n")
     symmetric = data.draw(st.booleans(), label="symmetric")
     rows = data.draw(st.lists(_class_counts(n, symmetric), min_size=1, max_size=12), label="rows")
     specs = [f"class {c}" for c in range(len(rows))]
+    wide = not all(0 <= c < 2**16 for counts in rows for c in counts)
+    if wide:
+        with pytest.raises(ValueError):
+            cli._packed_gammas(rows, n - 1)
     try:
         expected = _one_class_at_a_time(specs, rows, n - 1)
     except ArithmeticError as exc:
@@ -496,7 +516,8 @@ def test_a_packed_class_row_agrees_with_one_class_at_a_time(data) -> None:
             cli._class_gammas(specs, rows, n - 1)
         assert str(raised.value) == str(exc)
     else:
-        assert cli._packed_gammas(rows, n - 1) == expected
+        if not wide:
+            assert cli._packed_gammas(rows, n - 1) == expected
         assert cli._class_gammas(specs, rows, n - 1) == expected
 
 
@@ -519,6 +540,22 @@ def test_a_packed_class_row_stays_inside_its_fields(n: int) -> None:
         cli._packed_gammas([[1] * 8], 7)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [[2**16], [2**16, 2**15], [2**16, 2**16, 1], [-1], [2**63], [2**64], [-(2**64)]],
+    ids=["2^16", "2^16,2^15", "2^16,2^16,1", "-1", "2^63", "2^64", "-2^64"],
+)
+def test_a_class_row_refuses_counts_outside_16_bits(counts: list[int]) -> None:
+    # Each row is symmetric, so its class checks without error on its own,
+    # and a count of 2^16 would still fit the fields' bound: the row's own
+    # range check alone refuses it, and the scan checks the class on its own.
+    dim = len(counts) - 1
+    with pytest.raises(ValueError, match="16-bit"):
+        cli._packed_gammas([counts], dim)
+    expected = _one_class_at_a_time(["class 0"], [counts], dim)
+    assert cli._class_gammas(["class 0"], [counts], dim) == expected
+
+
 def test_a_class_scan_checks_each_row_once(capsys, monkeypatch) -> None:
     # Every atlas row passes its packed check: one h_from_f per scan.
     plain, calls = cli.h_from_f, []
@@ -527,6 +564,18 @@ def test_a_class_scan_checks_each_row_once(capsys, monkeypatch) -> None:
         calls.clear()
         code, _, err = _run(capsys, ["gal-scan", "--graph-class", "connected", "--nodes", str(n)])
         assert (code, err, len(calls)) == (0, "", 1), n
+
+
+def test_a_json_class_scan_builds_no_csv_row(capsys, monkeypatch) -> None:
+    # main reads a report's rows only to write CSV, so a JSON scan formats
+    # none of them.
+    plain, calls = cli._scan_row, []
+    monkeypatch.setattr(cli, "_scan_row", lambda item: calls.append(item) or plain(item))
+    for fmt, count in (("json", 0), ("csv", 853)):
+        calls.clear()
+        argv = ["gal-scan", "--graph-class", "connected", "--nodes", "7", "--format", fmt]
+        code, _, err = _run(capsys, argv)
+        assert (code, err, len(calls)) == (0, "", count), fmt
 
 
 def test_gal_scan_usage_errors(capsys) -> None:
