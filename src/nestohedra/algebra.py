@@ -259,8 +259,8 @@ class GammaVector(Record):
 
     @property
     def passed(self) -> bool:
-        """Gamma-nonnegativity: no entry is negative."""
-        return self.first_negative is None
+        """Gamma-nonnegativity: no entry is negative (there is always one entry)."""
+        return min(self.gammas) >= 0
 
     def as_strings(self) -> list[str]:
         return [str(g) for g in self.gammas]

@@ -96,7 +96,11 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return graph_from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    """K_n, from its masks: node v is joined to every node but itself."""
+    if n < 0:
+        raise ValueError("negative node count")
+    full = (1 << n) - 1
+    return Graph(tuple(full ^ 1 << v for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:

@@ -10,9 +10,10 @@ scan builds no graph: it takes each class's spec from the atlas decoder
 atlas position (``ringcalc.class_face_counts``), and it Gal-checks the
 whole row of classes at once, one class per 64-bit field of each
 coefficient, packed and read back by ``struct`` (``_packed_gammas``).
-Each command returns its report (exit code, JSON object, CSV header and
-rows) and ``main`` alone writes it, as JSON (sorted keys) or CSV; both
-are byte-deterministic for fixed inputs.
+Each command returns its report (exit code, a call that builds its JSON
+object, CSV header and rows) and ``main`` alone writes it, as JSON
+(sorted keys) or CSV, building only the one it writes; both are
+byte-deterministic for fixed inputs.
 
 The subcommands and their flags live in one option table, ``_COMMANDS``.
 A well-formed argv (an exact subcommand, then exact ``--flag value``
@@ -56,9 +57,10 @@ __all__ = ["main", "entrypoint"]
 
 MAX_ORDER = 16
 
-# what a command returns: its exit code, its JSON object, and its CSV
-# header and rows; main writes one of the two, reading rows only for CSV
-_Report = tuple[int, dict[str, object], Sequence[str], Iterable[Sequence[object]]]
+# what a command returns: its exit code, a call that builds its JSON
+# object, and its CSV header and rows; main builds the object only for
+# JSON and reads the rows only for CSV
+_Report = tuple[int, Callable[[], dict[str, object]], Sequence[str], Iterable[Sequence[object]]]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def cmd_invariants(args: SimpleNamespace) -> _Report:
         ("h_polynomial", str(h)),
         ("gamma", ";".join(gammas)),
     )
-    return 0, obj, ("quantity", "value"), rows
+    return 0, lambda: obj, ("quantity", "value"), rows
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ def cmd_verify(args: SimpleNamespace) -> _Report:
         reports.append({"family": fam_id, "checked": len(indices), "mismatches": mismatches})
     failed = any(report["mismatches"] for report in reports)
     obj = {"max_order": max_order, "passed": not failed, "reports": reports}
-    return 1 if failed else 0, obj, ("family", "k", "l", "status"), rows
+    return 1 if failed else 0, lambda: obj, ("family", "k", "l", "status"), rows
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +243,7 @@ def cmd_identities(args: SimpleNamespace) -> _Report:
         rows.append((result.name, str(result.passed).lower(), k, l))
     passed = all(result.passed for result in results)
     obj = {"order": order, "passed": passed, "results": entries}
-    return 0 if passed else 1, obj, ("identity", "passed", "mismatch_k", "mismatch_l"), rows
+    return 0 if passed else 1, lambda: obj, ("identity", "passed", "mismatch_k", "mismatch_l"), rows
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +288,19 @@ def _scan_families(args: SimpleNamespace) -> _Report:
             f"bound {bound} exceeds the largest truncation order {MAX_ORDER}"
         )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
-    reports, rows = [], []
+    scanned = []
     for fam_id in fam_ids:
         with _located(lambda: f"series of {fam_id} at order {bound}"):
             series = family_f(fam_id, bound)
-        spec = FAMILIES[fam_id]
-        results = gal_check_series(series, spec)
-        items = [({"k": k, "l": l}, gv) for (k, l), gv in results.items()]
-        reports.append({"family": fam_id, "order": bound, **_scan_json(items)})
-        rows += [(fam_id, *_scan_row(item)) for item in items]
-    failed = any(report["violations"] for report in reports)
-    obj = {"bound": bound, "passed": not failed, "reports": reports}
+        results = gal_check_series(series, FAMILIES[fam_id])
+        scanned.append((fam_id, [({"k": k, "l": l}, gv) for (k, l), gv in results.items()]))
+    failed = not all(gv.passed for _, items in scanned for _, gv in items)
+
+    def obj() -> dict[str, object]:
+        reports = [{"family": f, "order": bound, **_scan_json(items)} for f, items in scanned]
+        return {"bound": bound, "passed": not failed, "reports": reports}
+
+    rows = ((fam_id, *_scan_row(item)) for fam_id, items in scanned for item in items)
     return 1 if failed else 0, obj, ("family", "k", "l", "dimension", "gamma", "status"), rows
 
 
@@ -369,9 +373,12 @@ def _scan_graph_classes(args: SimpleNamespace) -> _Report:
     specs = _atlas_specs(args.nodes)
     gammas = _class_gammas(specs, class_face_counts(args.nodes), args.nodes - 1)
     items = [({"graph": spec}, gv) for spec, gv in zip(specs, gammas, strict=True)]
-    scan = _scan_json(items)
-    failed = bool(scan["violations"])
-    obj = {"graph_class": args.graph_class, "nodes": args.nodes, "passed": not failed, **scan}
+    failed = not all(gv.passed for gv in gammas)
+
+    def obj() -> dict[str, object]:
+        head = {"graph_class": args.graph_class, "nodes": args.nodes, "passed": not failed}
+        return {**head, **_scan_json(items)}
+
     header = ("graph", "dimension", "gamma", "status")
     return 1 if failed else 0, obj, header, map(_scan_row, items)
 
@@ -564,7 +571,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code, obj, header, rows = args.func(args)
         if args.format == "json":
-            _emit_json(obj)
+            _emit_json(obj())
         else:
             _emit_csv(header, rows)
         return code

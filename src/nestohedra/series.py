@@ -9,7 +9,16 @@ the families' coefficients are integer polynomials, and the product is the
 labelled (binomial) product of exponential generating functions.
 
 A slot holds its polynomial as one int, packed at a width W as the
-``algebra`` module docstring describes.  Every series is graded, slot
+``algebra`` module docstring describes, and a series holds its slots in
+one list: slot (k, l) at d (d + 1)/2 + k with d = k + l, so the list runs
+by total degree and then by k, the order slots are compared in, and a
+zero slot holds 0.  A truncation is a prefix of the list, ``swap_xy``
+a permutation of it, d/dx and d/dy are per-degree slices, sums are
+elementwise, and d/dt scales each slot's digits in one pass.  A product
+runs the operand with fewer nonzero slots outside and the other's nonzero
+slots inside, by degree, and adds each weighted product into a flat
+(N + 1)^2 table at k (N + 1) + l, where the indices of two factors add;
+the table is read back into a list once.  Every series is graded, slot
 (k, l) of degree k + l - offset with one offset per series, so a slot's
 digit count follows from its index.  The kernel is int arithmetic; a slot
 is decoded only where it is read or differentiated in t, or differs from
@@ -56,7 +65,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import itemgetter
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._record import Record
@@ -97,7 +106,7 @@ __all__ = [
 DEFAULT_ORDER = 8
 
 Slot = tuple[int, int]
-Slots = dict[Slot, int]  # slot -> its polynomial's value at alpha = 2^W and t = 1
+Slots = list[int]  # slot (k, l) at _index(k, l): its polynomial's value at alpha = 2^W and t = 1
 Bounds = tuple[int, ...]  # per total degree, bounds on slots' absolute coefficient sums
 
 
@@ -106,12 +115,34 @@ def _poly(p: Poly2 | int) -> Poly2:
     return p if isinstance(p, Poly2) else Poly2.from_coeffs((p,))
 
 
+def _index(k: int, l: int) -> int:
+    """Where slot (k, l) sits in a series' list; slot (0, d) opens degree d."""
+    d = k + l
+    return d * (d + 1) // 2 + k
+
+
+@lru_cache(maxsize=None)
+def _layout(order: int) -> tuple[Slot, ...]:
+    """The slots up to a truncation order in list order: by total degree, then by k."""
+    return tuple((k, d - k) for d in range(order + 1) for k in range(d + 1))
+
+
+@lru_cache(maxsize=None)
+def _binomial_rows(order: int) -> tuple[tuple[int, ...], ...]:
+    """Row i is C(i + j, i) for j up to order - i."""
+    return tuple(tuple(comb(i + j, i) for j in range(order + 1 - i)) for i in range(order + 1))
+
+
 def _egf_product(p: Bounds, q: Bounds) -> Bounds:
-    """The binomial product of two bounds, over p's degrees; a zero degree of p adds nothing."""
+    """The binomial product of two bounds, over the sparser one's nonzero degrees."""
+    if p.count(0) < q.count(0):
+        p, q = q, p
     out = [0] * len(p)
+    rows = _binomial_rows(len(p) - 1)
     for j in filter(p.__getitem__, range(len(p))):
-        for m, over_j in enumerate(_binomials(j, len(p) - 1)[: len(p) - j]):
-            out[j + m] += over_j * p[j] * q[m]
+        pj = p[j]
+        for m, over_j in enumerate(rows[j]):
+            out[j + m] += over_j * pj * q[m]
     return tuple(out)
 
 
@@ -126,13 +157,21 @@ def _width(order: int) -> int:
 
 
 def _pack_slots(polys: Mapping[Slot, Sequence[int]], order: int, width: int) -> tuple[Slots, Bounds]:
-    """The nonzero coefficient lists packed at a width, and their per-degree bounds."""
-    coeffs, bounds = {}, [0] * (order + 1)
+    """The coefficient lists packed at a width into a series' list, and their per-degree bounds."""
+    coeffs, bounds = [0] * _index(0, order + 1), [0] * (order + 1)
     for (k, l), p in polys.items():
         if any(p):
-            coeffs[(k, l)] = _pack(p, width)
+            coeffs[_index(k, l)] = _pack(p, width)
             bounds[k + l] = max(bounds[k + l], sum(map(abs, p)))
     return coeffs, tuple(bounds)
+
+
+def _in_x(order: int, values: Iterable[int]) -> Slots:
+    """The list of a series in x alone whose slot (k, 0) holds values[k]."""
+    coeffs = [0] * _index(0, order + 1)
+    for k, v in enumerate(values):
+        coeffs[_index(k, 0)] = v
+    return coeffs
 
 
 class Series2:
@@ -141,13 +180,14 @@ class Series2:
     The slot (k, l) holds k! l! [x^k y^l], the normalized coefficient of the
     exponential generating function, and ``coeff`` returns it as stored.
     Coefficients are integers, packed as the module docstring describes,
-    and slot (k, l) has degree k + l - ``offset``.  The constructor reads
-    the offset off the first nonzero slot in (k + l, k) order and raises
-    ValueError naming a slot off that grading; the zero series matches any
-    grading.  Instances are treated as immutable.  Binary operations raise
-    ValueError on two truncation orders, which would hide lost precision,
-    or on two packings (truncate both from one order); sums and
-    ``first_mismatch`` also refuse nonzero series of two offsets.
+    and slot (k, l) has degree k + l - ``offset``.  The slots sit in one
+    list, by total degree and then by k, with 0 for a zero slot.  The
+    constructor reads the offset off the first nonzero slot in that order
+    and raises ValueError naming a slot off that grading; the zero series
+    matches any grading.  Instances are treated as immutable.  Binary
+    operations raise ValueError on two truncation orders, which would hide
+    lost precision, or on two packings (truncate both from one order);
+    sums and ``first_mismatch`` also refuse nonzero series of two offsets.
     """
 
     __slots__ = ("order", "offset", "_coeffs", "_bounds", "_width")
@@ -174,7 +214,7 @@ class Series2:
         self._set(order, offset, *packed, width)
 
     def _set(self, order: int, offset: int, coeffs: Slots, bounds: Bounds, width: int) -> None:
-        """Take nonzero packed slots in range, refused where they may not decode."""
+        """Take the packed slots of an order, refused where they may not decode."""
         if max(bounds) >> width - 1:
             raise ArithmeticError(f"coefficients outgrow the {width}-bit fields of order {order}")
         self.order, self.offset, self._coeffs = order, offset, coeffs
@@ -189,7 +229,8 @@ class Series2:
 
     @classmethod
     def one(cls, order: int) -> "Series2":
-        return cls._built(order, 0, {(0, 0): 1}, (1,) + (0,) * order, _width(order))
+        width = _width(order)  # refuses a negative order before the list is built
+        return cls._built(order, 0, _in_x(order, (1,)), (1,) + (0,) * order, width)
 
     @classmethod
     def monomial(cls, order: int, k: int, l: int, p: Poly2 | int = 1) -> "Series2":
@@ -198,10 +239,13 @@ class Series2:
         Its offset is k + l minus the degree of p.  A slot above the
         truncation order truncates to the zero series of that offset.
         """
+        width = _width(order)
+        if k < 0 or l < 0:
+            raise ValueError(f"negative exponent pair {(k, l)}")
         p = _poly(p)
-        if k < 0 or l < 0 or k + l <= order:
-            return cls(order, {(k, l): p})
-        return cls._built(order, k + l - len(p.coeffs) + 1, {}, (0,) * (order + 1), _width(order))
+        held = {(k, l): p.coeffs} if k + l <= order else {}
+        offset = k + l - len(p.coeffs) + 1 if p or k + l > order else 0
+        return cls._built(order, offset, *_pack_slots(held, order, width), width)
 
     def coeff(self, k: int, l: int) -> Poly2:
         return Poly2.from_coeffs(self._slot_digits(k, l))
@@ -210,16 +254,17 @@ class Series2:
         """Slot (k, l)'s coefficients, k + l - offset + 1 of them, lowest alpha power first."""
         # an empty slot below the grading has no digits, and reads as zero
         count = k + l - self.offset + 1
-        digits = _digits(self._coeffs.get((k, l), 0), self._width)
+        held = min(k, l) >= 0 and k + l <= self.order
+        digits = _digits(self._coeffs[_index(k, l)] if held else 0, self._width)
         if len(digits) > max(count, 0):
             raise ArithmeticError(f"slot {(k, l)} does not fit {self._width}-bit fields")
         return digits + [0] * (count - len(digits))
 
     def items(self) -> list[tuple[Slot, Poly2]]:
-        return [(s, self.coeff(*s)) for s in sorted(self._coeffs, key=lambda s: (sum(s), s))]
+        return [(s, self.coeff(*s)) for s, v in zip(_layout(self.order), self._coeffs) if v]
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return any(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series2):
@@ -242,119 +287,143 @@ class Series2:
             raise ValueError(f"grading offsets {self.offset} and {other.offset} do not add")
         return (self or other).offset
 
-    def __add__(self, other: "Series2") -> "Series2":
+    def _slotwise(self, other: "Series2", op: Callable[[int, int], int]) -> "Series2":
+        """self + other or self - other, slot by slot; the bounds add either way."""
         offset = self._graded_with(other)
-        out = dict(self._coeffs)
-        for s, q in other._coeffs.items():
-            out[s] = out.get(s, 0) + q
-        bounds = tuple(map(int.__add__, self._bounds, other._bounds))
-        out = {s: c for s, c in out.items() if c}
-        return Series2._built(self.order, offset, out, bounds, self._width)
+        coeffs = list(map(op, self._coeffs, other._coeffs))
+        bounds = tuple(map(add, self._bounds, other._bounds))
+        return Series2._built(self.order, offset, coeffs, bounds, self._width)
+
+    def __add__(self, other: "Series2") -> "Series2":
+        return self._slotwise(other, add)
 
     def __sub__(self, other: "Series2") -> "Series2":
-        return self + (other * -1)
+        return self._slotwise(other, sub)
 
     def __mul__(self, other: "Series2 | Poly2 | int") -> "Series2":
         """Coefficientwise by a scalar or Poly2; the binomial product by a series."""
         order = self.order
         if isinstance(other, Series2):
             self._aligned(other)
-            vals = [0] * (order + 1) ** 2
-            right = _by_degree(other._coeffs, order)
-            for (k1, l1), p in self._coeffs.items():
-                _push(vals, order, k1, l1, p, right)
+            coeffs = _product(self._coeffs, other._coeffs, order)
             bounds = _egf_product(self._bounds, other._bounds)
             offset = self.offset + other.offset
-            return Series2._built(order, offset, _slots(vals, order), bounds, self._width)
+            return Series2._built(order, offset, coeffs, bounds, self._width)
         if not isinstance(other, (Poly2, int)):
             return NotImplemented
         other = _poly(other)
         if not other:
             return Series2(order)
         c, rate = _pack(other.coeffs, self._width), sum(map(abs, other.coeffs))
-        out = {s: p * c for s, p in self._coeffs.items()}
+        coeffs = [v * c for v in self._coeffs]
         bounds = tuple(b * rate for b in self._bounds)
-        return Series2._built(order, self.offset - len(other.coeffs) + 1, out, bounds, self._width)
+        return Series2._built(order, self.offset - len(other.coeffs) + 1, coeffs, bounds, self._width)
 
     def __rmul__(self, other: "Poly2 | int") -> "Series2":
         return self.__mul__(other)
 
     def __repr__(self) -> str:
-        return f"Series2(order={self.order}, slots={len(self._coeffs)})"
-
-
-def _by_degree(coeffs: Slots, order: int) -> list[tuple]:
-    """(k + l, k, l, slot table index, packed value) per slot, by total degree."""
-    return sorted(
-        ((k + l, k, l, k * (order + 1) + l, v) for (k, l), v in coeffs.items()),
-        key=itemgetter(0),
-    )
+        return f"Series2(order={self.order}, slots={len(self._coeffs) - self._coeffs.count(0)})"
 
 
 @lru_cache(maxsize=None)
-def _binomials(i: int, order: int) -> tuple[int, ...]:
-    """C(i + j, i) for j up to the order."""
-    return tuple(comb(i + j, i) for j in range(order + 1))
+def _cells(order: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(k + l, k, l, k (order + 1) + l) per slot up to an order, in list order."""
+    return tuple((k + l, k, l, k * (order + 1) + l) for k, l in _layout(order))
 
 
-def _push(vals: list[int], order: int, k1: int, l1: int, p: int, right: list) -> None:
-    """Add the left slot (k1, l1), packed p, times right into a slot table.
+def _product(a: Slots, b: Slots, order: int) -> Slots:
+    """The binomial product of two series' lists at a truncation order.
 
-    The table holds slot (k, l)'s packed value at k (order + 1) + l, so a
-    product, weighted, lands at the sum of its factors' indices.  The right
-    slots come by total degree, so the walk stops at the first beyond the
-    order.
+    The list with fewer nonzero slots runs outside.  The other's nonzero
+    slots come in list order, by total degree, so each outer slot stops at
+    the first one beyond the order.  A product, weighted, lands in a table
+    that holds slot (k, l) at k (order + 1) + l, the sum of its factors'
+    table indices, and the table is read back into list order once.
     """
-    room = order - k1 - l1
-    base = k1 * (order + 1) + l1
-    over_k, over_l = _binomials(k1, order), _binomials(l1, order)
-    for degree, k2, l2, index, q in right:
-        if degree > room:
-            break
-        vals[base + index] += p * q * over_k[k2] * over_l[l2]
-
-
-def _slots(vals: list[int], order: int) -> Slots:
-    """The nonzero slots of a slot table."""
-    return {divmod(i, order + 1): v for i, v in enumerate(vals) if v}
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    cells, rows = _cells(order), _binomial_rows(order)
+    inner = [cell + (q,) for cell, q in zip(cells, b) if q]
+    vals = [0] * (order + 1) ** 2
+    for (d1, k1, l1, base), p in zip(cells, a):
+        if p:
+            room, over_k, over_l = order - d1, rows[k1], rows[l1]
+            for d2, k2, l2, index, q in inner:
+                if d2 > room:
+                    break
+                vals[base + index] += p * q * over_k[k2] * over_l[l2]
+    return [vals[cell[3]] for cell in cells]
 
 
 def truncate(s: Series2, order: int) -> Series2:
-    """Drop coefficients above a lower truncation order."""
+    """Drop coefficients above a lower truncation order: a prefix of the list."""
     if order < 0:
         raise ValueError("negative truncation order")
     if order > s.order:
         raise ValueError("cannot raise the truncation order of a computed series")
-    kept = {slot: c for slot, c in s._coeffs.items() if sum(slot) <= order}
+    kept = s._coeffs[: _index(0, order + 1)]
     return Series2._built(order, s.offset, kept, s._bounds[: order + 1], s._width)
 
 
+@lru_cache(maxsize=None)
+def _mirror(order: int) -> tuple[int, ...]:
+    """Per slot (k, l) up to an order, in list order, the index of slot (l, k)."""
+    return tuple(_index(l, k) for k, l in _layout(order))
+
+
 def swap_xy(s: Series2) -> Series2:
-    swapped = {(l, k): c for (k, l), c in s._coeffs.items()}
+    """s(y, x): the list read through its order's mirror permutation."""
+    swapped = [s._coeffs[i] for i in _mirror(s.order)]
     return Series2._built(s.order, s.offset, swapped, s._bounds, s._width)
+
+
+def _shifted(s: Series2, first: int, variable: str) -> Series2:
+    """d/dx (first = 1) or d/dy (first = 0): d of the d + 1 slots of each degree d >= 1."""
+    if s.order == 0:
+        raise ValueError(f"cannot differentiate an order-0 truncation in {variable}")
+    shifted: Slots = []
+    for d in range(1, s.order + 1):
+        start = _index(0, d) + first
+        shifted += s._coeffs[start : start + d]
+    return Series2._built(s.order - 1, s.offset - 1, shifted, s._bounds[1:], s._width)
 
 
 def deriv_x(s: Series2) -> Series2:
     """d/dx, a shift of normalized coefficients; reliable only one order lower."""
-    if s.order == 0:
-        raise ValueError("cannot differentiate an order-0 truncation in x")
-    shifted = {(k - 1, l): c for (k, l), c in s._coeffs.items() if k}
-    return Series2._built(s.order - 1, s.offset - 1, shifted, s._bounds[1:], s._width)
+    return _shifted(s, 1, "x")
 
 
 def deriv_y(s: Series2) -> Series2:
-    if s.order == 0:
-        raise ValueError("cannot differentiate an order-0 truncation in y")
-    return swap_xy(deriv_x(swap_xy(s)))
+    return _shifted(s, 0, "y")
 
 
 def deriv_t(s: Series2) -> Series2:
-    """d/dt acts on each slot's digits in one pass and keeps the truncation order."""
-    dt = {}
-    for k, l in s._coeffs:
-        digits = s._slot_digits(k, l)
-        dt[(k, l)] = [c * (len(digits) - 1 - i) for i, c in enumerate(digits[:-1])]
-    return Series2._built(s.order, s.offset + 1, *_pack_slots(dt, s.order, s._width), s._width)
+    """d/dt in one pass over each slot's digits; keeps the truncation order.
+
+    Digit i of a slot of degree n, the coefficient of alpha^i t^(n - i), is
+    peeled, scaled by n - i and packed back in place.  A digit past i = n
+    is refused, as decoding the slot would refuse it.
+    """
+    width, offset = s._width, s.offset
+    half, mask = 1 << width - 1, (1 << width) - 1
+    coeffs, bounds = [], [0] * (s.order + 1)
+    for (k, l), value in zip(_layout(s.order), s._coeffs):
+        scale = k + l - offset
+        packed = total = shift = 0
+        while value:
+            if scale < 0:
+                raise ArithmeticError(f"slot {(k, l)} does not fit {width}-bit fields")
+            digit = ((value + half) & mask) - half
+            value = (value - digit) >> width
+            packed += digit * scale << shift
+            total += abs(digit) * scale
+            shift += width
+            scale -= 1
+        coeffs.append(packed)
+        if total > bounds[k + l]:
+            bounds[k + l] = total
+    return Series2._built(s.order, offset + 1, coeffs, tuple(bounds), width)
 
 
 def exp_series(p: Poly2 | int, order: int) -> Series2:
@@ -367,10 +436,11 @@ def exp_series(p: Poly2 | int, order: int) -> Series2:
     p = _poly(p)
     if p and len(p.coeffs) != 2:
         raise ValueError(f"exp_series takes p = 0 or p of degree 1, not {p}")
-    base = _pack(p.coeffs, _width(order))
-    coeffs = {(k, 0): base**k for k in range(order + 1 if p else 1)}
+    width = _width(order)
+    base = _pack(p.coeffs, width)
+    coeffs = _in_x(order, (base**k for k in range(order + 1 if p else 1)))
     rate = sum(map(abs, p.coeffs))
-    return Series2._built(order, 0, coeffs, tuple(rate**d for d in range(order + 1)), _width(order))
+    return Series2._built(order, 0, coeffs, tuple(rate**d for d in range(order + 1)), width)
 
 
 def inv_series(s: Series2) -> Series2:
@@ -381,15 +451,14 @@ def inv_series(s: Series2) -> Series2:
     constant coefficient other than 1, or a slot that holds y, raises
     ValueError.
     """
-    if s.offset or s._coeffs.get((0, 0)) != 1:
+    if s.offset or s._coeffs[0] != 1:
         raise ValueError("inverse needs constant coefficient 1")
-    held = [slot for slot in s._coeffs if slot[1]]
+    held = [slot for slot, v in zip(_layout(s.order), s._coeffs) if v and slot[1]]
     if held:
         raise ValueError(f"inverse needs a series in x alone, not one with slot {min(held)}")
-    r = [0] + [-s._coeffs.get((k, 0), 0) for k in range(1, s.order + 1)]
-    coeffs = {(k, 0): v for k, v in enumerate(_egf_inverse(r)) if v}
+    r = [0] + [-s._coeffs[_index(k, 0)] for k in range(1, s.order + 1)]
     bounds = tuple(_egf_inverse(s._bounds))
-    return Series2._built(s.order, 0, coeffs, bounds, s._width)
+    return Series2._built(s.order, 0, _in_x(s.order, _egf_inverse(r)), bounds, s._width)
 
 
 def eta_linear(order: int) -> Series2:
@@ -399,7 +468,7 @@ def eta_linear(order: int) -> Series2:
     coefficient at (d, 0) is alpha^(d-1), of offset 1.  eta(y) is its ``swap_xy``.
     """
     width = _width(order)
-    coeffs = {(d, 0): 1 << width * (d - 1) for d in range(1, order + 1)}
+    coeffs = _in_x(order, [0] + [1 << width * (d - 1) for d in range(1, order + 1)])
     return Series2._built(order, 1, coeffs, (0,) + (1,) * order, width)
 
 
@@ -408,7 +477,9 @@ def _diagonal(s: Series2) -> Series2:
 
     The copy keeps s's per-degree bounds, which bound each slot of a degree.
     """
-    coeffs = {(k, n - k): c for (n, _), c in s._coeffs.items() for k in range(n + 1)}
+    coeffs: Slots = []
+    for d in range(s.order + 1):
+        coeffs += [s._coeffs[_index(d, 0)]] * (d + 1)
     return Series2._built(s.order, s.offset, coeffs, s._bounds, s._width)
 
 
@@ -416,14 +487,14 @@ def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
     """Smallest slot, in (k+l, k) order, where two series differ.
 
     The difference returned is that of the stored k! l! coefficients.  Like
-    a sum, it refuses two nonzero series of different offsets.
+    a sum, it refuses two nonzero series of different offsets.  Lists run
+    in that order, so the first entry where they differ is the slot.
     """
     a._graded_with(b)
-    slots = sorted(set(a._coeffs) | set(b._coeffs), key=lambda s: (sum(s), s))
-    for k, l in slots:
-        if a._coeffs.get((k, l)) != b._coeffs.get((k, l)):
-            return (k, l, a.coeff(k, l) - b.coeff(k, l))
-    return None
+    if a._coeffs == b._coeffs:
+        return None
+    k, l = next(s for s, p, q in zip(_layout(a.order), a._coeffs, b._coeffs) if p != q)
+    return (k, l, a.coeff(k, l) - b.coeff(k, l))
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +690,11 @@ class IdentityResult(Record):
 
 def _drop_one_term(s: Series2) -> Series2:
     """Remove the smallest slot of total degree >= 2; a test corruption."""
-    slots = [slot for slot in s._coeffs if sum(slot) >= 2]
-    if not slots:
+    victim = next((i for i in range(_index(0, 2), len(s._coeffs)) if s._coeffs[i]), None)
+    if victim is None:
         raise ValueError("series has no slot of total degree >= 2 to drop")
-    victim = min(slots, key=lambda slot: (sum(slot), slot))
-    kept = {slot: c for slot, c in s._coeffs.items() if slot != victim}
+    kept = s._coeffs.copy()
+    kept[victim] = 0
     return Series2._built(s.order, s.offset, kept, s._bounds, s._width)
 
 

@@ -156,6 +156,11 @@ def test_gamma_from_h_hexagon() -> None:
 def test_gamma_detects_negative_entries() -> None:
     gv = gamma_from_h(power(A, 2) + power(T, 2))
     assert gv.gammas == (1, -2)
+    assert (gv.passed, gv.first_negative) == (False, (1, -2))
+    # passed reads the least entry; first_negative names the first below 0
+    for n, gammas in ((0, (0,)), (0, (-1,)), (2, (3, 0)), (4, (-1, 2, 0)), (5, (1, 0, -4))):
+        gv = GammaVector(n, gammas)
+        assert gv.passed == (gv.first_negative is None) == (min(gammas) >= 0)
 
 
 def test_gamma_rejects_asymmetric_input() -> None:

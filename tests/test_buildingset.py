@@ -84,6 +84,15 @@ def test_graph_constructors() -> None:
     )
 
 
+def test_complete_graphs_from_masks_equal_their_edge_lists() -> None:
+    # complete_graph writes its masks directly; graph_from_edges, the
+    # validating constructor, builds the same graph from all n(n-1)/2 pairs
+    for n in range(21):
+        assert complete_graph(n) == graph_from_edges(n, combinations(range(n), 2))
+    with pytest.raises(ValueError, match="^negative node count$"):
+        complete_graph(-1)
+
+
 def test_cycle_graph() -> None:
     assert edges(cycle_graph(4)) == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
     assert cycle_graph(3) == complete_graph(3)

@@ -236,17 +236,16 @@ def test_a_gamma_extraction_residual_exits_one(capsys, monkeypatch) -> None:
 def test_a_series_slot_of_the_wrong_length_exits_one(
     capsys, monkeypatch, cold_series_caches, argv: list[str], message: str
 ) -> None:
-    # A kernel that adds a digit far above every slot's last after each row
-    # leaves slots that decode to more digits than their degree allows.
-    # The arguments were valid, so that is the series arithmetic's failure
-    # (1), named in one line, not bad input (2).
-    plain = series._push
+    # A kernel that adds a digit far above every slot's last to its
+    # product leaves slots that decode to more digits than their degree
+    # allows.  The arguments were valid, so that is the series arithmetic's
+    # failure (1), named in one line, not bad input (2).
+    plain = series._product
 
-    def padded(vals, *row) -> None:
-        plain(vals, *row)
-        vals[:] = [v + (1 << 4096) if v else 0 for v in vals]
+    def padded(*operands) -> list[int]:
+        return [v + (1 << 4096) if v else 0 for v in plain(*operands)]
 
-    monkeypatch.setattr(series, "_push", padded)
+    monkeypatch.setattr(series, "_product", padded)
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
     assert err.startswith(message + "slot (")
@@ -567,15 +566,31 @@ def test_a_class_scan_checks_each_row_once(capsys, monkeypatch) -> None:
 
 
 def test_a_json_class_scan_builds_no_csv_row(capsys, monkeypatch) -> None:
-    # main reads a report's rows only to write CSV, so a JSON scan formats
-    # none of them.
-    plain, calls = cli._scan_row, []
-    monkeypatch.setattr(cli, "_scan_row", lambda item: calls.append(item) or plain(item))
-    for fmt, count in (("json", 0), ("csv", 853)):
-        calls.clear()
-        argv = ["gal-scan", "--graph-class", "connected", "--nodes", "7", "--format", fmt]
-        code, _, err = _run(capsys, argv)
-        assert (code, err, len(calls)) == (0, "", count), fmt
+    # main builds a report's JSON object only to write JSON and reads its
+    # rows only to write CSV, so a scan formats only the output it writes:
+    # one _scan_json per class scan or per family, one _scan_row per item.
+    made = {"_scan_json": 0, "_scan_row": 0}
+
+    def counting(name: str) -> Callable:
+        plain = getattr(cli, name)
+
+        def counted(arg):
+            made[name] += 1
+            return plain(arg)
+
+        return counted
+
+    for name in made:
+        monkeypatch.setattr(cli, name, counting(name))
+    family_rows = sum(len(spec.indices(6)) for spec in FAMILIES.values())
+    for scan, entries, rows in (
+        (["--graph-class", "connected", "--nodes", "7"], 1, 853),
+        (["--family", "all", "--bound", "6"], len(FAMILIES), family_rows),
+    ):
+        for fmt, count in (("json", (entries, 0)), ("csv", (0, rows))):
+            made.update(_scan_json=0, _scan_row=0)
+            code, _, err = _run(capsys, ["gal-scan", *scan, "--format", fmt])
+            assert (code, err, tuple(made.values())) == (0, "", count), (scan, fmt)
 
 
 def test_gal_scan_usage_errors(capsys) -> None:
@@ -643,7 +658,8 @@ def test_an_undecodable_family_slot_exits_one(capsys, monkeypatch) -> None:
     # A slot at a family index whose digits outgrow its fields is found
     # where the scan decodes it, and named by family and index.
     def overflowing(s: series.Series2) -> series.Series2:
-        coeffs = {**s._coeffs, (3, 0): 1 << s._width * 5}
+        coeffs = s._coeffs.copy()
+        coeffs[series._index(3, 0)] = 1 << s._width * 5
         return series.Series2._built(s.order, s.offset, coeffs, s._bounds, s._width)
 
     _doctor_pe_f(monkeypatch, overflowing)

@@ -44,6 +44,7 @@ from witnesses import (
     list_inv_series,
     list_product,
     phi_h,
+    poly_deriv_t,
     power,
     power_sum_exp,
     raw_from_series,
@@ -311,8 +312,8 @@ def _all_pairs_product(a: Series2, b: Series2) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_slot_products_equal_the_all_pairs_product(data) -> None:
-    # The product walks the right operand by total degree and stops each
-    # left slot at the truncation order; the reference visits every pair.
+    # The product walks the denser operand by total degree and stops each
+    # outer slot at the truncation order; the reference visits every pair.
     # A factor with a rogue slot one degree off its grading is refused
     # where it is built, so no product ever sees it.
     order = data.draw(st.integers(0, 5))
@@ -440,12 +441,14 @@ def test_coefficients_that_outgrow_the_fields_raise() -> None:
     width = series._width(2)
     with pytest.raises(ArithmeticError, match=f"^coefficients outgrow the {width}-bit fields of order 2"):
         Series2(2, {(0, 0): 1 << width - 1})
+    with pytest.raises(ArithmeticError, match=f"^coefficients outgrow the {width}-bit fields of order 2"):
+        Series2.monomial(2, 1, 0, 1 << width - 1)
     half = Series2(2, {(1, 0): 1 << width // 2})
     with pytest.raises(ArithmeticError, match="outgrow"):
         half * half
     # a packed slot with a digit beyond its count names itself on decoding
     s = Series2.monomial(4, 2, 1, A + T)
-    s._coeffs[(2, 1)] = 1 << 2 * series._width(4)
+    s._coeffs[series._index(2, 1)] = 1 << 2 * series._width(4)
     with pytest.raises(ArithmeticError, match=r"^slot \(2, 1\) does not fit"):
         s.coeff(2, 1)
 
@@ -500,7 +503,7 @@ def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_
     series._phi_f(order)
     assert len(inverses) == 1
     assert series._denominator(order) is inverses[0]
-    assert all(l == 0 for _, l in inverted[0]._coeffs)
+    assert all(l == 0 for (_, l), _ in inverted[0].items())
 
 
 def test_operands_of_two_packings_raise(cold_series_caches) -> None:
@@ -558,6 +561,85 @@ def test_equality_holds_exactly_where_first_mismatch_finds_none(data) -> None:
     if found is not None:
         assert found[2] == a.coeff(*found[:2]) - b.coeff(*found[:2])
         assert found[2]
+
+
+def _same(s: Series2, order: int, polys: dict, offset: int) -> None:
+    """s holds exactly polys, at an order and, where nonzero, an offset."""
+    assert s == Series2(order, polys)
+    assert s.order == order
+    assert s.offset == offset or not s
+    assert len(s._coeffs) == (order + 1) * (order + 2) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_list_operations_equal_slot_by_slot_references(data) -> None:
+    # Each operation on the list, against the same operation written over
+    # items(): a prefix, a reversal per degree, per-degree slices, digits
+    # scaled in place, a copy per degree, elementwise differences and one
+    # placed slot.
+    order = data.draw(st.integers(0, 6))
+    offset = data.draw(_OFFSETS)
+    s = data.draw(graded_series(order, offset))
+    polys = dict(s.items())
+    low = data.draw(st.integers(0, order))
+    _same(truncate(s, low), low, {sl: p for sl, p in polys.items() if sum(sl) <= low}, offset)
+    _same(swap_xy(s), order, {(l, k): p for (k, l), p in polys.items()}, offset)
+    if order:
+        shifted_x = {(k - 1, l): p for (k, l), p in polys.items() if k}
+        shifted_y = {(k, l - 1): p for (k, l), p in polys.items() if l}
+        _same(deriv_x(s), order - 1, shifted_x, offset - 1)
+        _same(series.deriv_y(s), order - 1, shifted_y, offset - 1)
+    dt = {sl: poly_deriv_t(p) for sl, p in polys.items()}
+    _same(deriv_t(s), order, dt, offset + 1)
+    assert deriv_t(s)._bounds == Series2(order, dt)._bounds  # exact, as the constructor's
+    in_x = restrict_y0(s)
+    copies = {(k, n - k): p for (n, _), p in in_x.items() for k in range(n + 1)}
+    _same(series._diagonal(in_x), order, copies, in_x.offset)
+    other = data.draw(graded_series(order, offset))
+    differences = dict(polys)
+    for sl, p in other.items():
+        differences[sl] = differences[sl] - p if sl in differences else -p
+    _same(s - other, order, differences, offset)
+    k, l = data.draw(st.integers(0, order + 2)), data.draw(st.integers(0, order + 2))
+    p = data.draw(_homogeneous(data.draw(st.integers(0, 3))))
+    held = {(k, l): p} if k + l <= order else {}
+    placed = Series2.monomial(order, k, l, p)
+    _same(placed, order, held, k + l - len(p.coeffs) + 1)
+    assert placed.offset == (k + l - len(p.coeffs) + 1 if p or k + l > order else 0)
+    assert placed._bounds == Series2(order, held)._bounds
+    # a slot outside the triangle reads as zero, never as another slot
+    for outside in ((-1, 1), (1, -1), (order + 1, 0), (0, order + 1)):
+        assert not s.coeff(*outside)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_products_commute_whichever_operand_is_sparser(data) -> None:
+    # the kernel runs the operand with fewer nonzero slots outside, so
+    # either order of the operands walks the same pairs
+    order = data.draw(st.integers(0, 6))
+    a = data.draw(graded_series(order, data.draw(_OFFSETS)))
+    b = data.draw(graded_series(order, data.draw(_OFFSETS)))
+    ab, ba = a * b, b * a
+    assert (ab._coeffs, ab._bounds, ab.offset) == (ba._coeffs, ba._bounds, ba.offset)
+    assert ab == ba == list_product(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_deriv_t_refuses_an_overlong_slot(data) -> None:
+    # a digit one field above a slot's k + l - offset + 1 (any digit, for
+    # a slot below the grading) is refused with the decoder's message
+    order = data.draw(st.integers(0, 6))
+    s = data.draw(graded_series(order, data.draw(_OFFSETS)))
+    k, l = data.draw(st.sampled_from(series._layout(order)))
+    count = k + l - s.offset + 1
+    s._coeffs[series._index(k, l)] += 1 << s._width * max(count, 0)
+    message = rf"^slot \({k}, {l}\) does not fit {s._width}-bit fields$"
+    for read in (deriv_t, lambda s: s.coeff(k, l)):
+        with pytest.raises(ArithmeticError, match=message):
+            read(s)
 
 
 @pytest.mark.parametrize("fam", list(FAMILIES))

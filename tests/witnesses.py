@@ -879,7 +879,7 @@ def f_from_h(p: Poly2) -> Poly2:
 
 def subst_h_series(s: Series2) -> Series2:
     """Apply the alpha -> alpha - t substitution to every coefficient, in s's fields."""
-    polys = {slot: h_from_f(s.coeff(*slot)).coeffs for slot in s._coeffs}
+    polys = {slot: h_from_f(p).coeffs for slot, p in s.items()}
     return Series2._built(s.order, s.offset, *_pack_slots(polys, s.order, s._width), s._width)
 
 
