@@ -29,10 +29,10 @@ usage or input.
 
 from __future__ import annotations
 
-import csv
 import sys
+from _csv import writer
+from _json import encode_basestring_ascii
 from contextlib import contextmanager
-from json.encoder import encode_basestring_ascii
 from math import factorial
 from struct import pack, unpack
 from types import SimpleNamespace
@@ -72,8 +72,9 @@ def _json_parts(obj: object, indent: str, out: list[str]) -> None:
 
     Dicts with str keys, lists, str, int, bool and None; any other type
     raises TypeError.  An indent sends ``json.dumps`` to its pure-Python
-    encoder, so this writer, with the C string escaper that encoder uses,
-    does the same work in fewer calls.
+    encoder, so this writer, with the C string escaper that encoder uses
+    (taken from ``_json``, so ``json`` stays unloaded), does the same work
+    in fewer calls.
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -121,9 +122,10 @@ def _emit_json(obj: object) -> None:
 
 
 def _emit_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    # ``csv.writer`` is this C writer, and its default dialect is csv's "excel"
+    out = writer(sys.stdout, lineterminator="\n")
+    out.writerow(header)
+    out.writerows(rows)
 
 
 @contextmanager

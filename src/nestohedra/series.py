@@ -15,32 +15,36 @@ by total degree and then by k, the order slots are compared in, and a
 zero slot holds 0.  A truncation is a prefix of the list, ``swap_xy``
 a permutation of it, d/dx and d/dy are per-degree slices, sums are
 elementwise, and d/dt scales each slot's digits in one pass.  A product
-runs the operand with fewer nonzero slots outside and the other's nonzero
-slots inside, by degree, and adds each weighted product into a flat
-(N + 1)^2 table at k (N + 1) + l, where the indices of two factors add;
-the table is read back into a list once.  Every series is graded, slot
-(k, l) of degree k + l - offset with one offset per series, so a slot's
-digit count follows from its index.  The kernel is int arithmetic; a slot
+at order N works in divided powers: it scales each nonzero slot (k, l) of
+both operands by N!/(k! l!), runs the operand with fewer nonzero slots
+outside and the other's inside, by degree, adds each plain product into a
+flat (N + 1)^2 table at k (N + 1) + l, where the indices of two factors
+add, and reads the table back into a list once, each slot divided exactly
+by N!^2/(k! l!).  Every series is graded, slot (k, l) of degree
+k + l - offset with one offset per series, so a slot's digit count follows
+from its index.  The kernel is int arithmetic, whose scaled slots and sums
+may leave their fields, as evaluation at alpha = 2^W is a ring map; a slot
 is decoded only where it is read or differentiated in t, or differs from
 another.  Each series bounds, per total degree, its slots' absolute
 coefficient sums and raises ArithmeticError where a bound reaches
 2^(W-1), beyond which decoding could be wrong.  Bounds multiply as
-exponential generating functions in z = x + y.  With E = e^z and
-R = 1 / (2 - E) (ordered Bell numbers), every face series of a family is
-at most F = 5 E^3 R, and so is phi's face series, at most 2 E^2 R (as
-e^{-t y} <= E and e^{alpha x} + t eta(x) <= 2 E).  A d/dt, and every sum
-of products the identity suite forms, is at most 10 F^2: as F <= F^2 / 5,
-z <= F, e^{(alpha + 2t) y} <= E^3 <= F / 5 and the scalars alpha + 2t
-and (alpha + t) t have absolute sums 3 and 2, the largest, I8's
-right-hand side, is at most 7.4 F^2.  W at order N is one bit above the
-N-th coefficient of 10 F^2 = 250 E^6 R^2.  A truncation or derivative
-keeps its operand's fields, and an operation on series of two widths
-raises ValueError.  h-polynomials are read one coefficient at a time,
-through ``h_from_f``, and never packed.
+exponential generating functions in z = x + y, in one product of packed
+ints.  With E = e^z and R = 1 / (2 - E) (ordered Bell numbers a(n)), every
+face series of a family is at most F = 5 E^3 R, and so is phi's face
+series, at most 2 E^2 R (as e^{-t y} <= E and e^{alpha x} + t eta(x) <=
+2 E).  A d/dt, and every sum of products the identity suite forms, is at
+most 10 F^2: as F <= F^2 / 5, z <= F, e^{(alpha + 2t) y} <= E^3 <= F / 5
+and the scalars alpha + 2t and (alpha + t) t have absolute sums 3 and 2,
+the largest, I8's right-hand side, is at most 7.4 F^2.  W at order N is
+one bit above the N-th coefficient of 10 F^2 = 250 E^5 R' (R' = E R^2),
+250 sum_j C(N, j) 5^(N-j) a(j + 1).  A truncation or derivative keeps its
+operand's fields, and an operation on series of two widths raises
+ValueError.  h-polynomials are read one coefficient at a time, through
+``h_from_f``, and never packed.
 
 The five families are built from closed forms in series of x alone, with
 eta(x) = (e^{alpha x} - 1)/alpha expanded termwise and exponentials e^{p x},
-whose stored coefficient at (k, 0) is just p^k, so no step of the module
+whose stored coefficient at (k, 0) is just p^k, so no closed form
 divides.  A factor in y is the ``swap_xy`` of one in x, and a factor in
 x + y is a copy: (x + y)^n/n! = sum x^k y^l/(k! l!), so F(x + y) stores F's
 slot (n, 0) at every (k, l) with k + l = n.  Only 1 - t eta(x), a series
@@ -64,7 +68,7 @@ forms and the polytope recursion.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from operator import add, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -128,22 +132,28 @@ def _layout(order: int) -> tuple[Slot, ...]:
 
 
 @lru_cache(maxsize=None)
-def _binomial_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row i is C(i + j, i) for j up to order - i."""
-    return tuple(tuple(comb(i + j, i) for j in range(order + 1 - i)) for i in range(order + 1))
+def _scales(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """N!/(k! l!) and N!^2/(k! l!) at k (N + 1) + l for k, l <= N; k + l > N is never read."""
+    top, facts = factorial(order), [factorial(i) for i in range(order + 1)]
+    up = tuple([top // (k_fact * l_fact) for k_fact in facts for l_fact in facts])
+    return up, tuple([top * scale for scale in up])
 
 
 def _egf_product(p: Bounds, q: Bounds) -> Bounds:
-    """The binomial product of two bounds, over the sparser one's nonzero degrees."""
-    if p.count(0) < q.count(0):
-        p, q = q, p
-    out = [0] * len(p)
-    rows = _binomial_rows(len(p) - 1)
-    for j in filter(p.__getitem__, range(len(p))):
-        pj = p[j]
-        for m, over_j in enumerate(rows[j]):
-            out[j + m] += over_j * pj * q[m]
-    return tuple(out)
+    """The binomial product of two nonnegative bounds, as one product of packed ints.
+
+    Operand field j holds entry j times N!/j!, so product field d <= N is N!^2/d!
+    times entry d, at most 2 N!^2 max(p) max(q); carries only run up from it.
+    """
+    order = len(p) - 1
+    up, down = _scales(order)
+    width = max(p).bit_length() + max(q).bit_length() + (2 * down[0]).bit_length()
+    packed_p = packed_q = 0
+    for j in range(order, -1, -1):
+        packed_p = (packed_p << width) + p[j] * up[j]
+        packed_q = (packed_q << width) + q[j] * up[j]
+    product, mask = packed_p * packed_q, (1 << width) - 1
+    return tuple([(product >> width * d & mask) // down[d] for d in range(order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -151,9 +161,9 @@ def _width(order: int) -> int:
     """Bits per packed coefficient at a truncation order; see the module docstring."""
     if order < 0:
         raise ValueError("negative truncation order")
-    bell = _egf_inverse((0,) + (1,) * order)
-    e6 = tuple(6**m for m in range(order + 1))
-    return (250 * _egf_product(_egf_product(bell, bell), e6)[-1]).bit_length() + 1
+    bell = _egf_inverse((0,) + (1,) * (order + 1))
+    top = sum(comb(order, j) * 5 ** (order - j) * bell[j + 1] for j in range(order + 1))
+    return (250 * top).bit_length() + 1
 
 
 def _pack_slots(polys: Mapping[Slot, Sequence[int]], order: int, width: int) -> tuple[Slots, Bounds]:
@@ -327,33 +337,34 @@ class Series2:
 
 
 @lru_cache(maxsize=None)
-def _cells(order: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(k + l, k, l, k (order + 1) + l) per slot up to an order, in list order."""
-    return tuple((k + l, k, l, k * (order + 1) + l) for k, l in _layout(order))
+def _cells(order: int) -> tuple[tuple[int, int], ...]:
+    """(k + l, k (order + 1) + l) per slot up to an order, in list order."""
+    return tuple((k + l, k * (order + 1) + l) for k, l in _layout(order))
 
 
 def _product(a: Slots, b: Slots, order: int) -> Slots:
-    """The binomial product of two series' lists at a truncation order.
+    """The binomial product of two series' lists at a truncation order N, in divided powers.
 
-    The list with fewer nonzero slots runs outside.  The other's nonzero
-    slots come in list order, by total degree, so each outer slot stops at
-    the first one beyond the order.  A product, weighted, lands in a table
-    that holds slot (k, l) at k (order + 1) + l, the sum of its factors'
-    table indices, and the table is read back into list order once.
+    With each nonzero slot (k, l) of both lists scaled by N!/(k! l!), the
+    products that land in slot (k, l) sum to N!^2/(k! l!) times it, one
+    exact division.  The list with fewer nonzero slots runs outside; the
+    other's nonzero slots come by total degree, so each outer slot stops at
+    the first one beyond the order.  Slot (k, l) sums in a table at
+    k (N + 1) + l, the sum of its factors' table indices, read back once.
     """
     if a.count(0) < b.count(0):
         a, b = b, a
-    cells, rows = _cells(order), _binomial_rows(order)
-    inner = [cell + (q,) for cell, q in zip(cells, b) if q]
+    cells, (up, down) = _cells(order), _scales(order)
+    inner = [(d, index, q * up[index]) for (d, index), q in zip(cells, b) if q]
     vals = [0] * (order + 1) ** 2
-    for (d1, k1, l1, base), p in zip(cells, a):
+    for (d1, base), p in zip(cells, a):
         if p:
-            room, over_k, over_l = order - d1, rows[k1], rows[l1]
-            for d2, k2, l2, index, q in inner:
+            room, p = order - d1, p * up[base]
+            for d2, index, q in inner:
                 if d2 > room:
                     break
-                vals[base + index] += p * q * over_k[k2] * over_l[l2]
-    return [vals[cell[3]] for cell in cells]
+                vals[base + index] += p * q
+    return [vals[index] // down[index] for _, index in cells]
 
 
 def truncate(s: Series2, order: int) -> Series2:
@@ -740,17 +751,15 @@ def identity_suite(
         ("I1", deriv_t(pe), pe * pe),
         ("I2", deriv_t(st), (x + pe) * st),
         ("I3", deriv_t(nb), nb * (y + pe_sum)),
-        ("I4", deriv_t(bb), x * swap_xy(nb) + y * nb + bb * pe_sum - (x + y) * pe_sum),
+        ("I4", deriv_t(bb), x * swap_xy(nb) + y * nb + (bb - x - y) * pe_sum),
         ("I5", deriv_x(st), st_l * apt + pe_l * st_l * at),
         ("I6", deriv_x(nb), grow_phi + nb_l * sum_l * at),
         ("I7", deriv_y(phi), sum_l * phi_l * at),
         (
             "I8",
             deriv_x(bb),
-            bb_l * sum_l * at
+            sum_l * ((bb_l - x_l - y_l) * at - truncate(Series2.one(order), low) * apt)
             + swap_xy(nb_l) * apt
-            - sum_l * apt
-            - (x_l + y_l) * sum_l * at
             + grow_phi,
         ),
     ]

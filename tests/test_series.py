@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from nestohedra import cli, series
 from nestohedra.cli import MAX_ORDER, main
-from nestohedra.algebra import Poly2, _egf_inverse, homogeneous_degree
+from nestohedra.algebra import Poly2, _egf_inverse, _pack, h_from_f, homogeneous_degree
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
@@ -43,6 +44,7 @@ from witnesses import (
     h_level_identities,
     list_inv_series,
     list_product,
+    list_slot_products,
     phi_h,
     poly_deriv_t,
     power,
@@ -346,6 +348,51 @@ def test_the_packed_kernel_equals_the_list_kernel(data) -> None:
     _rogue_slot_is_refused(data, unit, 0)
 
 
+@st.composite
+def wide_slots(draw, order: int, offset: int) -> dict:
+    """Up to 8 slots graded by offset, as coefficient tuples that may outgrow the fields.
+
+    Coefficients are small and signed, zero, or up to 2^(W+8) in size, so a
+    slot may be all zeros or carry digits no field of width W holds.
+    """
+    wide = 1 << series._width(order) + 8
+    coeff = st.one_of(st.integers(-3, 3), st.just(0), st.integers(-wide, wide))
+    graded = [(k, l) for k, l in series._layout(order) if k + l >= offset]
+    chosen = draw(st.lists(st.sampled_from(graded), max_size=8, unique=True)) if graded else []
+    counts = {(k, l): k + l - offset + 1 for k, l in chosen}
+    return {sl: tuple(draw(st.lists(coeff, min_size=n, max_size=n))) for sl, n in counts.items()}
+
+
+def _as_series(order: int, held: dict) -> SimpleNamespace:
+    """What the list kernel reads of a series: its order and nonzero slots, of any size."""
+    items = [(sl, Poly2.from_coeffs(c)) for sl, c in held.items() if any(c)]
+    return SimpleNamespace(order=order, items=lambda: items)
+
+
+@pytest.mark.parametrize("order", range(17))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_divided_power_kernel_equals_the_list_kernel(order: int, data) -> None:
+    # Orders 13 and above scale by N!^2 past 2^64.  Slots may be negative,
+    # zero or wider than their fields: evaluation at alpha = 2^W is a ring
+    # map, so the packed product is the list product packed, whatever the
+    # digits.  Monomials and the zero series are among the operands.
+    width = series._width(order)
+    a, b = (data.draw(wide_slots(order, data.draw(_OFFSETS))) for _ in range(2))
+    if data.draw(st.booleans()):
+        b = dict(list(b.items())[:1])  # a monomial, or the zero series
+    packed = [[_pack(held.get(sl, ()), width) for sl in series._layout(order)] for held in (a, b)]
+    products = list_slot_products(_as_series(order, a), _as_series(order, b))
+    expected = [_pack(products.get(sl, ()), width) for sl in series._layout(order)]
+    assert series._product(*packed, order) == series._product(*packed[::-1], order) == expected
+    # within the fields, the series product decodes to the list kernel's
+    left, right = (
+        Series2(order, {sl: Poly2.from_coeffs(c) for sl, c in held.items() if max(map(abs, c)) < 4})
+        for held in (a, b)
+    )
+    assert left * right == list_product(left, right)
+
+
 def test_series_off_one_grading_are_refused() -> None:
     # 1 + x: the constant sets offset 0, so x of degree 0 is off it
     with pytest.raises(ValueError, match=r"^slot \(1, 0\) of degree 0 is off grading offset 0$"):
@@ -423,18 +470,35 @@ def _dense_egf_product(p: tuple, q: tuple) -> tuple:
 
 
 def test_the_bound_product_matches_the_dense_sum() -> None:
-    # zero degrees are skipped and binomials read from rows: the same tuples
+    # one packed product gives the dense sum's tuples, on the bounds the
+    # library forms and on entries that fill each field to its N term:
+    # with every entry 2^b - 1, field 1 of the product is 2 N!^2 (2^b - 1)^2
     for order in range(17):
         bounds = [family_f(fam, order)._bounds for fam in FAMILIES]
         bounds += [eta_linear(order)._bounds, Series2.monomial(order, 1, 0)._bounds]
         for p in bounds:
             for q in bounds:
                 assert series._egf_product(p, q) == _dense_egf_product(p, q)
-    for order in range(33):
+        for bits in (1, 5, 13, series._width(order) + 3):
+            full = ((1 << bits) - 1,) * (order + 1)
+            assert series._egf_product(full, full) == _dense_egf_product(full, full)
+    # E^6 R^2 as E^5 R', one sum over the ordered Bell numbers
+    for order in range(41):
         bell = _egf_inverse((0,) + (1,) * order)
         e6 = tuple(6**m for m in range(order + 1))
         dense = _dense_egf_product(_dense_egf_product(bell, bell), e6)[-1]
         assert series._width(order) == (250 * dense).bit_length() + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_packed_bound_product_matches_the_dense_sum(data) -> None:
+    # zero entries, order 0, and entries at and above 2^W
+    order = data.draw(st.integers(0, 16))
+    wide = 1 << series._width(order) + 4
+    entry = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, wide), st.just(wide - 1))
+    p, q = (tuple(data.draw(st.lists(entry, min_size=order + 1, max_size=order + 1))) for _ in "pq")
+    assert series._egf_product(p, q) == series._egf_product(q, p) == _dense_egf_product(p, q)
 
 
 def test_coefficients_that_outgrow_the_fields_raise() -> None:
@@ -881,6 +945,44 @@ CORRUPTED_FAILURES = {
 def test_each_corruption_fails_exactly_its_identities(family: str, order: int) -> None:
     results = identity_suite(order, corrupt=family)
     assert [r.name for r in results if not r.passed] == CORRUPTED_FAILURES[family]
+
+
+def _term_by_term_i4_i8(order: int, corrupt: str | None) -> list[tuple[Series2, Series2]]:
+    """I4's and I8's two sides, each right-hand term its own product."""
+    fams = {fam: family_f(fam, order) for fam in IDENTITY_FAMILIES}
+    if corrupt is not None:
+        fams[corrupt] = series._drop_one_term(fams[corrupt])
+    nb, bb, pe_sum = fams["nabla-because"], fams["because-because"], pe_f_xplusy(order)
+    x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
+    at, apt, low = (A + T) * T, A + 2 * T, order - 1
+    nb_l, bb_l, sum_l, x_l, y_l, phi_l = (
+        truncate(s, low) for s in (nb, bb, pe_sum, x, y, series._phi_f(order))
+    )
+    grow_phi = truncate(swap_xy(exp_series(apt, order)), low) * phi_l
+    i4 = x * swap_xy(nb) + y * nb + bb * pe_sum - (x + y) * pe_sum
+    i8 = bb_l * sum_l * at + swap_xy(nb_l) * apt - sum_l * apt - (x_l + y_l) * sum_l * at
+    return [(deriv_t(bb), i4), (deriv_x(bb), i8 + grow_phi)]
+
+
+@pytest.mark.parametrize("corrupt", [None, *IDENTITY_FAMILIES])
+def test_the_factored_right_hand_sides_equal_the_term_by_term_ones(monkeypatch, corrupt) -> None:
+    # I4 and I8 gather their products by pe at x + y (the product is
+    # bilinear): the same slots, the same bounds, and the same first
+    # mismatch under every corruption
+    compared = []
+    plain = series.first_mismatch
+    monkeypatch.setattr(series, "first_mismatch", lambda a, b: compared.append(b) or plain(a, b))
+    for order in range(2, 13):
+        compared.clear()
+        results = identity_suite(order, corrupt)
+        for i, (lhs, rhs) in zip((3, 7), _term_by_term_i4_i8(order, corrupt)):
+            factored = compared[i]
+            assert (factored._coeffs, factored._bounds) == (rhs._coeffs, rhs._bounds)
+            assert factored.offset == rhs.offset
+            found = plain(lhs, rhs)
+            if found is not None and i == 7:  # I5-I8 report their difference at the h level
+                found = (found[0], found[1], h_from_f(found[2]))
+            assert results[i].mismatch == found
 
 
 def test_corrupting_an_unknown_family_raises() -> None:
