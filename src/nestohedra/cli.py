@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from .algebra import GammaVector, Poly2, h_from_f
 from .buildingset import _atlas_specs, graph_spec, parse_graph_spec
 from .invariants import gal_check_poly, gal_check_series
-from .ringcalc import FPolyCache, class_face_counts, fpoly
+from .ringcalc import FPolyCache, class_face_counts, fpoly, induced_fpolys
 from .series import (
     DEFAULT_ORDER,
     FAMILIES,
@@ -197,9 +197,12 @@ def cmd_verify(args: SimpleNamespace) -> _Report:
         with _located(lambda: f"series of {fam_id} at order {max_order}"):
             series = family_f(fam_id, max_order)
             coeffs = [series.coeff(k, l) for k, l in indices]
+        # every member is a node mask of the family's largest graph, and one
+        # recursion on that graph reads them all
+        masks = [spec.nodes_at(k, l, max_order) for k, l in indices]
+        actuals = induced_fpolys(spec.graph_at(max_order, max_order), masks, cache)
         mismatches = []
-        for (k, l), expected in zip(indices, coeffs):
-            actual = fpoly(spec.graph_at(k, l), cache)
+        for (k, l), expected, actual in zip(indices, coeffs, actuals):
             if expected != actual:
                 mismatches.append(
                     {

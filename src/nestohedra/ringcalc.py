@@ -35,7 +35,12 @@ by (1 + alpha) or by alpha^k, adding and convolving are then single
 integer operations.  Every coefficient built is a partial sum of the face
 counts of a nestohedron on at most MAX_GROUND nodes, so it is at most the
 face count of the permutohedron, the ordered Bell number, which stays
-below 2^(W-1) and never carries into the next field.
+below 2^(W-1) and never carries into the next field.  That bound is about
+the subproblems, not the graph they sit in: ``induced_fpolys`` reads many
+node masks of one graph through one memo, and refuses a mask of more than
+MAX_GROUND nodes before it allocates anything, while the graph itself may
+be larger: at order 16 ``verify`` reads K_{16,16}, of 32 nodes, and every
+mask it reads has at most 17.
 
 A subproblem of at most seven nodes is read from one committed table,
 ``_classes.CLASSES``, repacked at import as ``_TABLE``, by ``_key``, an
@@ -67,7 +72,7 @@ from .buildingset import (
     twin_classes,
 )
 
-__all__ = ["FPolyCache", "class_face_counts", "fpoly"]
+__all__ = ["FPolyCache", "class_face_counts", "fpoly", "induced_fpolys"]
 
 
 # bits per packed coefficient: the largest face count, the ordered Bell
@@ -109,7 +114,7 @@ class FPolyCache(dict):
 
     A key is the adjacency tuple of a labelled graph, and ``Graph(key)`` is
     that graph; graphs of at most seven nodes are read from ``_TABLE``.
-    Shared across ``fpoly`` calls.
+    Shared across ``induced_fpolys`` calls, and so across graphs.
     """
 
     lookup = dict.get
@@ -162,12 +167,14 @@ class _NestedSets:
     """The recursion on the twin-canonical node masks of one graph.
 
     A mask is twin-canonical when it holds the first nodes of each twin
-    class.  The masks built below all are, and so are their components: a
-    component holds every masked node of each class it meets, unless the
-    class is independent and its node is on its own, which is one node.
-    So a class is named by its first node, the lowest node of a mask is
-    the first node of its class, and a class has several nodes in a mask
-    exactly when its second node is in it.
+    class.  ``expand`` first moves each class's masked nodes onto its
+    first ones, which keeps the induced subgraph's class, so the masks it
+    builds all are, and so are their components: a component holds every
+    masked node of each class it meets, unless the class is independent
+    and its node is on its own, which is one node.  So a class is named by
+    its first node, the lowest node of a mask is the first node of its
+    class, and a class has several nodes in a mask exactly when its second
+    node is in it.  The masks asked for from outside may be any.
 
     Only ``expand`` reads the twin classes, so they and the per-node tables
     built from them wait for its first call.  A graph whose components
@@ -193,10 +200,14 @@ class _NestedSets:
         self.prefix: list[list[int]] = [[]] * g.n
         self.clique = [False] * g.n
         self.reach = [0] * g.n
+        # the prefix lists of the classes of several nodes, for the moves
+        self.several: list[list[int]] = []
         for nodes in classes:
             masks = [0]
             for v in nodes:
                 masks.append(masks[-1] | 1 << v)
+            if len(nodes) > 1:
+                self.several.append(masks)
             clique = len(nodes) > 1 and g.adj[nodes[0]] >> nodes[1] & 1
             for v in nodes:
                 self.prefix[v], self.clique[v] = masks, clique
@@ -204,7 +215,7 @@ class _NestedSets:
         self.quotient = [r & self.reps for r in self.reach]
 
     def face_counts(self, mask: int) -> int:
-        """Packed F of a connected twin-canonical mask: memo, tables, shared cache, formula."""
+        """Packed F of a connected mask: memo, tables, shared cache, formula."""
         f = self.memo.get(mask)
         if f is not None:
             return f
@@ -245,6 +256,9 @@ class _NestedSets:
     def expand(self, mask: int) -> int:
         """The formula for packed F_W, W = mask, before any check.
 
+        W is first made twin-canonical, each class's masked nodes moved
+        onto its first ones, which an automorphism does.
+
         v is the first node of a class with the fewest neighbouring classes
         in W, the lowest such.  Walks the connected C that hold v, one class
         at a time: C grows by one quotient neighbour of its classes, and the
@@ -254,6 +268,8 @@ class _NestedSets:
         """
         if self.quotient is None:
             self._twin_tables()
+        for masks in self.several:
+            mask = mask & ~masks[-1] | masks[(mask & masks[-1]).bit_count()]
         prefix, reach, quotient, seconds = self.prefix, self.reach, self.quotient, self.seconds
         memo, face_counts = self.memo, self.face_counts
         support = mask & self.reps
@@ -328,20 +344,31 @@ class _NestedSets:
         return out
 
 
-def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
-    """Face polynomial of the nestohedron of a graph's building set.
+def induced_fpolys(g: Graph, masks: list[int], cache: FPolyCache | None = None) -> list[Poly2]:
+    """Face polynomials of the induced subgraphs of g on the given node masks.
 
-    The product over the components of the nested-set recursion's face
-    counts; without a caller's cache the shared memo lives for this call
-    only.  Graphs with more than MAX_GROUND nodes raise ValueError.  A
-    subproblem whose face counts do not have one entry per node, ending in
-    the single top face, is the recursion's fault, not the input's, and
-    raises ArithmeticError naming that induced subgraph.
+    Each is the product over its mask's components of the nested-set
+    recursion's face counts, and every mask runs through one memo, so a
+    subproblem that several masks share is solved and keyed once.  Without
+    a caller's cache the shared one lives for this call only.  A mask of
+    more than MAX_GROUND nodes raises ValueError before anything is built;
+    g itself may have more.  A subproblem whose face counts do not have
+    one entry per node, ending in the single top face, is the recursion's
+    fault, not the input's, and raises ArithmeticError naming that induced
+    subgraph.
     """
-    if g.n > MAX_GROUND:
+    if any(mask.bit_count() > MAX_GROUND for mask in masks):
         raise ValueError(f"graph larger than {MAX_GROUND} nodes")
     nested = _NestedSets(g, cache if cache is not None else FPolyCache())
-    f = 1
-    for part in nested.components((1 << g.n) - 1):
-        f *= nested.face_counts(part)
-    return Poly2.from_coeffs(_digits(f, _WIDTH))
+    out = []
+    for mask in masks:
+        f = 1
+        for part in nested.components(mask):
+            f *= nested.face_counts(part)
+        out.append(Poly2.from_coeffs(_digits(f, _WIDTH)))
+    return out
+
+
+def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
+    """Face polynomial of the nestohedron of g's building set: ``induced_fpolys`` on all of g."""
+    return induced_fpolys(g, [(1 << g.n) - 1], cache)[0]

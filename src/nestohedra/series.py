@@ -522,10 +522,13 @@ class FamilySpec(Record):
     ``member`` decides which monomials x^k y^l carry a polytope, ``graph_at``
     builds that polytope's graph, and the dimension at (k, l) is always
     k + l - offset, so the grading degree 2(k+l) - 2(deg alpha + deg t) is
-    the constant 2*offset across the whole series.
+    the constant 2*offset across the whole series.  ``nodes_at(k, l, n)``
+    is the node mask, inside ``graph_at(n, n)``, whose induced subgraph is
+    ``graph_at(k, l)`` with its labels, for k + l <= n: so one recursion
+    on the family's largest graph serves every member up to order n.
     """
 
-    __slots__ = ("id", "offset", "description", "member", "graph_at")
+    __slots__ = ("id", "offset", "description", "member", "graph_at", "nodes_at")
 
     def __init__(
         self,
@@ -534,8 +537,9 @@ class FamilySpec(Record):
         description: str,
         member: Callable[[int, int], bool],
         graph_at: Callable[[int, int], Graph],
+        nodes_at: Callable[[int, int, int], int],
     ):
-        self._set(id, offset, description, member, graph_at)
+        self._set(id, offset, description, member, graph_at, nodes_at)
 
     def contains(self, k: int, l: int) -> bool:
         return k >= 0 and l >= 0 and self.member(k, l)
@@ -558,6 +562,7 @@ FAMILIES: dict[str, FamilySpec] = {
             description="permutohedra; x^(n+1) carries the complete graph on n+1 nodes",
             member=lambda k, l: k >= 1 and l == 0,
             graph_at=lambda k, l: complete_graph(k),
+            nodes_at=lambda k, l, n: (1 << k) - 1,
         ),
         FamilySpec(
             id="st",
@@ -565,6 +570,7 @@ FAMILIES: dict[str, FamilySpec] = {
             description="stellohedra; x^n carries the star with n leaves",
             member=lambda k, l: l == 0,
             graph_at=lambda k, l: star_graph(k),
+            nodes_at=lambda k, l, n: (1 << k + 1) - 1,
         ),
         FamilySpec(
             id="starmarked",
@@ -572,6 +578,7 @@ FAMILIES: dict[str, FamilySpec] = {
             description="stellohedra with a marking variable; x^n y carries the star with n leaves",
             member=lambda k, l: l == 1,
             graph_at=lambda k, l: star_graph(k),
+            nodes_at=lambda k, l, n: (1 << k + 1) - 1,
         ),
         FamilySpec(
             id="nabla-because",
@@ -579,6 +586,7 @@ FAMILIES: dict[str, FamilySpec] = {
             description="complete graph on k nodes joined to l isolated nodes",
             member=lambda k, l: k >= 1,
             graph_at=lambda k, l: join_graphs(complete_graph(k), empty_graph(l)),
+            nodes_at=lambda k, l, n: (1 << k) - 1 | ((1 << l) - 1) << n,
         ),
         FamilySpec(
             id="because-because",
@@ -586,6 +594,7 @@ FAMILIES: dict[str, FamilySpec] = {
             description="complete bipartite graphs, plus the two single-node terms",
             member=lambda k, l: (k >= 1 and l >= 1) or (k, l) in ((1, 0), (0, 1)),
             graph_at=lambda k, l: bipartite_graph(k, l),
+            nodes_at=lambda k, l, n: (1 << k) - 1 | ((1 << l) - 1) << n,
         ),
     )
 }

@@ -109,6 +109,9 @@ def argvs() -> list[list[str]]:
         for fam in CORRUPTIBLE
     ]
     out += [["verify", "--family", "all", "--max-order", str(n)] for n in (0, 4, 8, 12, 16)]
+    out += [
+        ["verify", "--family", fam, "--max-order", str(n)] for fam in FAMILIES for n in (1, 2, 3, 8, 16)
+    ]
     out += [["gal-scan", "--family", "all", "--bound", str(n)] for n in (1, 4, 8, 12, 16)]
     out += [
         ["gal-scan", "--family", fam, "--bound", str(n)] for fam in FAMILIES for n in (1, 2, 3, 8, 16)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import nestohedra
 from nestohedra import algebra, cli, invariants, ringcalc, series
 from nestohedra.algebra import Poly2
+from nestohedra.buildingset import Graph, _induced_adj
 from nestohedra.cli import main
 from nestohedra.series import FAMILIES
 from witnesses import f_from_h, h_from_gamma, power
@@ -325,13 +326,18 @@ def test_verify_negative_control_digests(capsys, monkeypatch, fmt: str) -> None:
     # sha256 of stdout, recorded while verify still carried each family's
     # indices to its CSV rows.  A wrong face polynomial for the triangle,
     # pe at (3, 0), is a finding: a mismatch entry and a mismatch row,
-    # exit 1, and nothing on stderr.
-    plain, triangle = cli.fpoly, nestohedra.complete_graph(3)
-    monkeypatch.setattr(
-        cli,
-        "fpoly",
-        lambda g, cache=None: Poly2.from_coeffs((6, 6, 2)) if g == triangle else plain(g, cache),
-    )
+    # exit 1, and nothing on stderr.  verify reads each member as a node
+    # mask of the family's largest graph, so the triangle is the mask
+    # whose induced subgraph it is.
+    plain, triangle = cli.induced_fpolys, nestohedra.complete_graph(3)
+
+    def corrupted(g: Graph, masks: list[int], cache=None) -> list[Poly2]:
+        return [
+            Poly2.from_coeffs((6, 6, 2)) if Graph(_induced_adj(g.adj, mask)) == triangle else f
+            for mask, f in zip(masks, plain(g, masks, cache))
+        ]
+
+    monkeypatch.setattr(cli, "induced_fpolys", corrupted)
     argv = ["verify", "--family", "pe", "--max-order", "4", "--format", fmt]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (1, "")

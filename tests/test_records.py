@@ -43,11 +43,14 @@ FROZEN = {
         "IdentityResult(name='I1', mismatch=None)",
     ),
     "FamilySpec": (
-        lambda: FamilySpec("demo", 1, "a family", max, min),
-        lambda: FamilySpec(id="demo", offset=1, description="a family", member=max, graph_at=max),
+        lambda: FamilySpec("demo", 1, "a family", max, min, pow),
+        lambda: FamilySpec(
+            id="demo", offset=1, description="a family", member=max, graph_at=max, nodes_at=pow
+        ),
         "offset",
         "FamilySpec(id='demo', offset=1, description='a family', "
-        "member=<built-in function max>, graph_at=<built-in function min>)",
+        "member=<built-in function max>, graph_at=<built-in function min>, "
+        "nodes_at=<built-in function pow>)",
     ),
 }
 

@@ -29,10 +29,12 @@ from nestohedra.buildingset import (
     parse_graph_spec,
     path_graph,
     star_graph,
+    _induced_adj,
     twin_classes,
 )
 from nestohedra.cli import main
-from nestohedra.ringcalc import FPolyCache, fpoly
+from nestohedra.ringcalc import FPolyCache, fpoly, induced_fpolys
+from nestohedra.series import FAMILIES
 from witnesses import (
     PolyExpr,
     boundary,
@@ -305,6 +307,67 @@ def test_fpoly_of_a_blow_up_with_interleaved_twin_classes(pair: tuple[Graph, Gra
     assert fpoly(relabelled) == facet_fpoly(relabelled) == fpoly(g), graph_spec(relabelled)
 
 
+@st.composite
+def graphs_and_masks(draw) -> tuple[Graph, list[int]]:
+    """A graph, a twin blow-up with interleaved classes or one drawn edge by
+    edge, and node masks of it in a drawn order: any subsets, the whole
+    graph less a few nodes, which leaves a class's masked nodes other than
+    its first ones, the empty mask and single nodes."""
+    if draw(st.booleans()):
+        g = draw(relabelled_blow_ups())[1]
+    else:
+        n = draw(st.integers(0, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = graph_from_edges(n, [p for p in pairs if draw(st.booleans())])
+    full = (1 << g.n) - 1
+    nodes = st.lists(st.integers(0, max(g.n - 1, 0)), max_size=3) if g.n else st.just([])
+    masks = draw(st.lists(st.integers(0, full), max_size=4))
+    masks += [full & ~sum(1 << v for v in set(draw(nodes))) for _ in range(2)]
+    masks += [0, *(1 << v for v in set(draw(nodes)))]
+    return g, draw(st.permutations(masks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_and_masks())
+def test_induced_fpolys_equals_fpoly_of_each_induced_subgraph(case) -> None:
+    # One memo serves every mask, so a subproblem met under one mask is read
+    # back under another; each answer must still be its own subgraph's.
+    g, masks = case
+    expected = [fpoly(Graph(_induced_adj(g.adj, mask))) for mask in masks]
+    assert induced_fpolys(g, masks) == expected, (graph_spec(g), masks)
+
+
+def test_a_mask_above_the_ground_cap_is_refused_before_any_memo(monkeypatch) -> None:
+    # The width bound is about the subproblems, so the guard reads each
+    # mask, all of them before the memo or a cache is built.
+    def refused(*args) -> None:
+        raise AssertionError(args)
+
+    monkeypatch.setattr(ringcalc, "_NestedSets", refused)
+    monkeypatch.setattr(ringcalc, "FPolyCache", refused)
+    g = bipartite_graph(16, 16)
+    with pytest.raises(ValueError, match=rf"^graph larger than {MAX_GROUND} nodes$"):
+        induced_fpolys(g, [0b111, (1 << 21) - 1])
+    with pytest.raises(ValueError, match=rf"^graph larger than {MAX_GROUND} nodes$"):
+        induced_fpolys(empty_graph(21), [(1 << 21) - 1], FPolyCache())
+
+
+def test_a_universe_above_the_ground_cap_takes_masks_up_to_it() -> None:
+    # K_{16,16} has 32 nodes; verify's masks in it have at most 16, and
+    # masks of 17 and of the cap's 20 nodes are as welcome.  The odd nodes
+    # of each part are a mask that is not twin-canonical: each part is one
+    # class, and the mask leaves out its first node.  It comes first, so
+    # the formula runs on it rather than reading K_{8,8} from the cache.
+    def parts(a: int, b: int) -> int:
+        return a | b << 16
+
+    odd = 0xAAAA
+    masks = [parts(odd, odd), parts(0x1FF, 0xFF), parts(0x3FF, 0x3FF), parts(0xFFFF, 0)]
+    assert [mask.bit_count() for mask in masks] == [16, 17, 20, 16]
+    expected = [bipartite_graph(8, 8), bipartite_graph(9, 8), bipartite_graph(10, 10), empty_graph(16)]
+    assert induced_fpolys(bipartite_graph(16, 16), masks) == [fpoly(g) for g in expected]
+
+
 def test_fpoly_names_the_graph_whose_boundary_does_not_integrate() -> None:
     # The witness recursion checks its own integrals: a path on three nodes
     # as the whole boundary of a four-node graph has 5 alpha t and 5 t^2,
@@ -423,17 +486,18 @@ def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() ->
 @pytest.fixture(scope="module")
 def family_run() -> tuple[list[Graph], list[tuple[int, ...]], list[int], list[Graph]]:
     """What ``verify --family all --max-order 10`` does through its one
-    cache: the graphs it asks for, the keys it stores, the masks it expands
-    and the graphs whose twin classes it takes."""
+    cache: the graphs it asks for (each member, the induced subgraph of its
+    node mask in the family's largest graph), the keys it stores, the masks
+    it expands and the graphs whose twin classes it takes."""
     asked: list[Graph] = []
     stored: list[tuple[int, ...]] = []
     expanded: list[int] = []
     with _counted_twin_classes() as twins:
         store, expand = FPolyCache.store, ringcalc._NestedSets.expand
 
-        def counted_fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
-            asked.append(g)
-            return fpoly(g, cache)
+        def counted_fpolys(g: Graph, masks: list[int], cache: FPolyCache) -> list[Poly2]:
+            asked.extend(Graph(_induced_adj(g.adj, mask)) for mask in masks)
+            return induced_fpolys(g, masks, cache)
 
         def counted_store(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
             stored.append(key)
@@ -444,7 +508,7 @@ def family_run() -> tuple[list[Graph], list[tuple[int, ...]], list[int], list[Gr
             return expand(self, mask)
 
         with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
-            patch.setattr(cli, "fpoly", counted_fpoly)
+            patch.setattr(cli, "induced_fpolys", counted_fpolys)
             patch.setattr(FPolyCache, "store", counted_store)
             patch.setattr(ringcalc._NestedSets, "expand", counted_expand)
             assert main(["verify", "--family", "all", "--max-order", "10"]) == 0
@@ -497,15 +561,18 @@ def test_a_class_scan_shares_subproblems_across_its_graphs(family_run) -> None:
 def test_twin_classes_are_taken_only_where_the_formula_runs(family_run, capsys) -> None:
     # Only the formula reads the twin classes, so a graph takes them once,
     # on its first expansion, and a graph read whole from the tables or the
-    # shared cache never does.  verify at order 8 checks 91 graphs, and 14
-    # of them run the formula; at order 10, 46 of them do.
+    # shared cache never does.  verify reads each family's members as masks
+    # of one graph, the family's largest, through one memo, so each family
+    # whose members run the formula takes them once, on that graph, however
+    # many members expand: at order 8 four do (starmarked's stars are all
+    # in the shared cache from st's run), and at order 10 the same four,
+    # though 14 and 46 members run the formula.
+    expanding = ("pe", "st", "nabla-because", "because-because")
     with _counted_twin_classes() as twins:
         assert main(["verify", "--family", "all", "--max-order", "8"]) == 0
     capsys.readouterr()
-    assert len(twins) == 14
-    assert len(set(twins)) == 14
-    assert min(g.n for g in twins) == 8
-    assert len(family_run[3]) == len(set(family_run[3])) == 46
+    assert twins == [FAMILIES[fam].graph_at(8, 8) for fam in expanding]
+    assert family_run[3] == [FAMILIES[fam].graph_at(10, 10) for fam in expanding]
 
 
 @pytest.mark.parametrize("nodes", ["5", "6", "7"])

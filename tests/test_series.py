@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from nestohedra import cli, series
 from nestohedra.cli import MAX_ORDER, main
 from nestohedra.algebra import Poly2, _egf_inverse, _pack, h_from_f, homogeneous_degree
+from nestohedra.buildingset import Graph, _induced_adj
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
@@ -714,6 +715,19 @@ def test_a_truncation_equals_the_series_built_at_its_order(fam: str, n: int) -> 
 
 # ---------------------------------------------------------------------------
 # families
+
+
+@pytest.mark.parametrize("fam", list(FAMILIES))
+def test_each_member_is_the_induced_subgraph_of_its_mask_in_the_largest_graph(fam: str) -> None:
+    # verify reads member (k, l) as the node mask nodes_at(k, l, n) of
+    # graph_at(n, n), so that mask's induced subgraph, renumbered in node
+    # order, must be graph_at(k, l) with its own labels: the shared cache
+    # then keys each member as fpoly would key the member itself.
+    spec = FAMILIES[fam]
+    for n in range(MAX_ORDER + 1):
+        adj = spec.graph_at(n, n).adj
+        for k, l in spec.indices(n):
+            assert Graph(_induced_adj(adj, spec.nodes_at(k, l, n))) == spec.graph_at(k, l), (n, k, l)
 
 
 def test_pe_series_coefficients_are_permutohedra() -> None:
