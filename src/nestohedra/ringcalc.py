@@ -200,7 +200,8 @@ class _NestedSets:
         self.prefix: list[list[int]] = [[]] * g.n
         self.clique = [False] * g.n
         self.reach = [0] * g.n
-        # the prefix lists of the classes of several nodes, for the moves
+        # the prefix lists of the classes of several nodes, for expand's
+        # move of a mask onto each class's first nodes
         self.several: list[list[int]] = []
         for nodes in classes:
             masks = [0]

@@ -18,6 +18,7 @@ from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
+    _induced_adj,
     bipartite_graph,
     complete_graph,
     connected_graphs_upto_iso,
@@ -29,7 +30,6 @@ from nestohedra.buildingset import (
     parse_graph_spec,
     path_graph,
     star_graph,
-    _induced_adj,
     twin_classes,
 )
 from nestohedra.cli import main
@@ -564,9 +564,9 @@ def test_twin_classes_are_taken_only_where_the_formula_runs(family_run, capsys) 
     # shared cache never does.  verify reads each family's members as masks
     # of one graph, the family's largest, through one memo, so each family
     # whose members run the formula takes them once, on that graph, however
-    # many members expand: at order 8 four do (starmarked's stars are all
-    # in the shared cache from st's run), and at order 10 the same four,
-    # though 14 and 46 members run the formula.
+    # many members expand: four families do at order 8 (starmarked's stars
+    # are all in the shared cache from st's run), and the same four at
+    # order 10, though 14 and 46 members run the formula.
     expanding = ("pe", "st", "nabla-because", "because-because")
     with _counted_twin_classes() as twins:
         assert main(["verify", "--family", "all", "--max-order", "8"]) == 0
