@@ -157,23 +157,27 @@ def cmd_invariants(args: SimpleNamespace) -> _Report:
     with _located(lambda: f"h-polynomial of {graph_spec(graph)}"):
         gammas = gal_check_poly(h, dim).as_strings()
     facets = fvec[-2] if dim >= 1 else 0
-    obj = {
-        "graph": args.graph.strip(),
-        "dimension": dim,
-        "facets": facets,
-        "f_vector": fvec,
-        "h_polynomial": h.to_records(),
-        "gamma": gammas,
-    }
-    rows = (
-        ("graph", args.graph.strip()),
-        ("dimension", dim),
-        ("facets", facets),
-        ("f_vector", ";".join(str(c) for c in fvec)),
-        ("h_polynomial", str(h)),
-        ("gamma", ";".join(gammas)),
-    )
-    return 0, lambda: obj, ("quantity", "value"), rows
+    spec = args.graph.strip()
+
+    def obj() -> dict[str, object]:
+        return {
+            "graph": spec,
+            "dimension": dim,
+            "facets": facets,
+            "f_vector": fvec,
+            "h_polynomial": h.to_records(),
+            "gamma": gammas,
+        }
+
+    def rows() -> Iterator[tuple[str, object]]:
+        yield "graph", spec
+        yield "dimension", dim
+        yield "facets", facets
+        yield "f_vector", ";".join(str(c) for c in fvec)
+        yield "h_polynomial", str(h)
+        yield "gamma", ";".join(gammas)
+
+    return 0, obj, ("quantity", "value"), rows()
 
 
 # ---------------------------------------------------------------------------

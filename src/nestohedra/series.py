@@ -62,7 +62,15 @@ in x alone, is inverted:
 series satisfy, I5-I8 between h-series, compared through alpha -> alpha - t
 between face series; they are the series-level image of the facet
 decomposition and double as a deep consistency check between the closed
-forms and the polytope recursion.
+forms and the polytope recursion.  The suite forms each product once and
+multiplies the sparsest factors first: nabla-because and phi multiply
+their factor in x by the denominator at x + y before the factor in y,
+and I5, I6 and I8 read truncations of products I2, I3 and I4 form at the
+full order.  Products of exact slots are associative and bilinear,
+``swap_xy`` is a ring map, a truncated product is the product of the
+truncations, and the bounds' binomial product is exact, so every series
+the suite compares holds the same slots, bounds and offset in any
+association, and its reports do not depend on the order chosen.
 """
 
 from __future__ import annotations
@@ -549,8 +557,7 @@ class FamilySpec(Record):
 
     def indices(self, bound: int) -> list[tuple[int, int]]:
         """Family indices with k + l <= bound, in (k+l, k) order."""
-        out = [(k, l) for k in range(bound + 1) for l in range(bound + 1 - k) if self.contains(k, l)]
-        return sorted(out, key=lambda s: (sum(s), s))
+        return [(k, d - k) for d in range(bound + 1) for k in range(d + 1) if self.contains(k, d - k)]
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -630,7 +637,7 @@ def _family_f_cached(fam_id: str, order: int) -> Series2:
         return _family_f_cached("st", order) * Series2.monomial(order, 0, 1)
     denom = _diagonal(_denominator(order))
     if fam_id == "nabla-because":
-        return swap_xy(exp_series(_A + _T, order)) * eta_x * denom
+        return swap_xy(exp_series(_A + _T, order)) * (eta_x * denom)
     if fam_id == "because-because":
         # (e^{(alpha+t)x} - e^{alpha x}) eta(y), its mirror, and alpha eta(x) eta(y)
         half = (exp_series(_A + _T, order) - exp_series(_A, order)) * swap_xy(eta_x)
@@ -653,7 +660,7 @@ def _phi_f(order: int) -> Series2:
     """phi, the kernel of I6-I8: exp(-t y) (exp(alpha x) + t eta(x)) / (1 - t eta(x+y))."""
     shrink_y = swap_xy(exp_series(-_T, order))
     bare_x = exp_series(_A, order)
-    return shrink_y * (bare_x + eta_linear(order) * _T) * _diagonal(_denominator(order))
+    return shrink_y * ((bare_x + eta_linear(order) * _T) * _diagonal(_denominator(order)))
 
 
 def coeff_normalized(
@@ -734,6 +741,15 @@ def identity_suite(
     acting on each slot alone, they are compared between face series with
     alpha + t for alpha in their scalars, and only a reported difference is
     substituted.
+
+    Eight products form the right-hand sides: pe pe, x st, pe st,
+    y nb, nb pe(x + y), (bb - x - y) pe(x + y), I7's pe(x + y) phi and
+    the e^{(alpha + 2t) y} phi that I6 and I8 share (nb and bb the
+    nabla-because and because-because series).  I3 and I4 share y nb,
+    whose mirror is I4's x nb(y, x), and I5, I6 and I8 truncate pe st,
+    nb pe(x + y) and (bb - x - y) pe(x + y) to order - 1 and scale them,
+    so no series is multiplied twice.  The module docstring says why the
+    reports equal those of each term multiplied on its own.
     """
     if order < 2:
         raise ValueError("the identity suite needs truncation order >= 2")
@@ -747,28 +763,30 @@ def identity_suite(
     phi = _phi_f(order)
     x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
     at, apt = (_A + _T) * _T, _A + 2 * _T  # alpha t and alpha + t at the h level
+    # each product is formed once (pe at x + y is the uncorrupted pe's
+    # copy): I3 and I4 share y nb, and I4's x nb(y, x) is its mirror
+    nb_sum, bb_sum, pe_st, y_nb = nb * pe_sum, (bb - x - y) * pe_sum, pe * st, y * nb
     # d/dx and d/dy cost I5-I8 one order, so their right-hand sides are
-    # built from operands truncated to order - 1; pe at x + y is the
-    # uncorrupted pe's copy, as in I3 and I4
+    # compared at order - 1, where I5, I6 and I8 read truncations of the
+    # products above: a truncated product is the product of the truncations
     low = order - 1
-    st_l, nb_l, bb_l, phi_l, pe_l, sum_l, x_l, y_l = (
-        truncate(s, low) for s in (st, nb, bb, phi, pe, pe_sum, x, y)
-    )
+    st_l, phi_l, sum_l = (truncate(s, low) for s in (st, phi, pe_sum))
     grow_phi = truncate(swap_xy(exp_series(apt, order)), low) * phi_l
 
     checks: list[tuple[str, Series2, Series2]] = [
         ("I1", deriv_t(pe), pe * pe),
-        ("I2", deriv_t(st), (x + pe) * st),
-        ("I3", deriv_t(nb), nb * (y + pe_sum)),
-        ("I4", deriv_t(bb), x * swap_xy(nb) + y * nb + (bb - x - y) * pe_sum),
-        ("I5", deriv_x(st), st_l * apt + pe_l * st_l * at),
-        ("I6", deriv_x(nb), grow_phi + nb_l * sum_l * at),
+        ("I2", deriv_t(st), x * st + pe_st),
+        ("I3", deriv_t(nb), y_nb + nb_sum),
+        ("I4", deriv_t(bb), swap_xy(y_nb) + y_nb + bb_sum),
+        ("I5", deriv_x(st), st_l * apt + truncate(pe_st, low) * at),
+        ("I6", deriv_x(nb), grow_phi + truncate(nb_sum, low) * at),
         ("I7", deriv_y(phi), sum_l * phi_l * at),
         (
             "I8",
             deriv_x(bb),
-            sum_l * ((bb_l - x_l - y_l) * at - truncate(Series2.one(order), low) * apt)
-            + swap_xy(nb_l) * apt
+            truncate(bb_sum, low) * at
+            - sum_l * apt
+            + truncate(swap_xy(nb), low) * apt
             + grow_phi,
         ),
     ]

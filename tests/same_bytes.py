@@ -105,7 +105,7 @@ def argvs() -> list[list[str]]:
     out = [["identities", "--order", str(n)] for n in range(2, 17)]
     out += [
         ["identities", "--order", str(n), "--corrupt", fam]
-        for n in (2, 3, 5, 8, 12, 16)
+        for n in (2, 3, 4, 5, 6, 7, 8, 12, 16)
         for fam in CORRUPTIBLE
     ]
     out += [["verify", "--family", "all", "--max-order", str(n)] for n in (0, 4, 8, 12, 16)]

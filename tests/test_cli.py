@@ -599,6 +599,29 @@ def test_a_json_class_scan_builds_no_csv_row(capsys, monkeypatch) -> None:
             assert (code, err, tuple(made.values())) == (0, "", count), (scan, fmt)
 
 
+def test_invariants_builds_only_the_output_it_writes(capsys, monkeypatch) -> None:
+    # the h-polynomial is written by to_records in JSON and by str in CSV;
+    # each format formats it once and never the other way
+    made = {"__str__": 0, "to_records": 0}
+
+    def counting(name: str) -> Callable:
+        plain = getattr(Poly2, name)
+
+        def counted(self):
+            made[name] += 1
+            return plain(self)
+
+        return counted
+
+    for name in made:
+        monkeypatch.setattr(Poly2, name, counting(name))
+    for spec in ("path:5", "bipartite:3,4", "edges:8:0-1,0-2,0-3,0-4,1-2,2-4,2-7,3-6,4-5,5-7"):
+        for fmt, count in (("json", (0, 1)), ("csv", (1, 0))):
+            made.update({"__str__": 0, "to_records": 0})
+            code, _, err = _run(capsys, ["invariants", "--graph", spec, "--format", fmt])
+            assert (code, err, tuple(made.values())) == (0, "", count), (spec, fmt)
+
+
 def test_gal_scan_usage_errors(capsys) -> None:
     assert _run(capsys, ["gal-scan", "--bound", "0"])[0] == 2
     assert _run(capsys, ["gal-scan"])[0] == 2

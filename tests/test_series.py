@@ -730,6 +730,16 @@ def test_each_member_is_the_induced_subgraph_of_its_mask_in_the_largest_graph(fa
             assert Graph(_induced_adj(adj, spec.nodes_at(k, l, n))) == spec.graph_at(k, l), (n, k, l)
 
 
+@pytest.mark.parametrize("fam", list(FAMILIES))
+def test_indices_run_in_total_degree_then_k_order(fam: str) -> None:
+    # the family's members in the order a series' slots are compared:
+    # every (k, l) with k + l <= bound, sorted by (k + l, k)
+    spec = FAMILIES[fam]
+    for bound in range(MAX_ORDER + 1):
+        grid = [(k, l) for k in range(bound + 1) for l in range(bound + 1 - k) if spec.contains(k, l)]
+        assert spec.indices(bound) == sorted(grid, key=lambda s: (sum(s), s)), bound
+
+
 def test_pe_series_coefficients_are_permutohedra() -> None:
     pe = family_f("pe", 4)
     assert pe.coeff(1, 0).coeffs == (1,)
@@ -961,42 +971,87 @@ def test_each_corruption_fails_exactly_its_identities(family: str, order: int) -
     assert [r.name for r in results if not r.passed] == CORRUPTED_FAILURES[family]
 
 
-def _term_by_term_i4_i8(order: int, corrupt: str | None) -> list[tuple[Series2, Series2]]:
-    """I4's and I8's two sides, each right-hand term its own product."""
+def _term_by_term_sides(order: int, corrupt: str | None) -> list[tuple[Series2, Series2]]:
+    """The eight identities' two sides, each right-hand term its own product.
+
+    nabla-because and phi are built in their first association, the dense
+    two-variable product times the diagonal denominator, and every term of
+    I5-I8 is a product of operands truncated to order - 1.
+    """
     fams = {fam: family_f(fam, order) for fam in IDENTITY_FAMILIES}
+    denom = series._diagonal(series._denominator(order))
+    eta = eta_linear(order)
+    fams["nabla-because"] = swap_xy(exp_series(A + T, order)) * eta * denom
+    phi = swap_xy(exp_series(-T, order)) * (exp_series(A, order) + eta * T) * denom
     if corrupt is not None:
         fams[corrupt] = series._drop_one_term(fams[corrupt])
-    nb, bb, pe_sum = fams["nabla-because"], fams["because-because"], pe_f_xplusy(order)
+    pe, st, nb, bb = (fams[fam] for fam in IDENTITY_FAMILIES)
+    pe_sum = pe_f_xplusy(order)
     x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
     at, apt, low = (A + T) * T, A + 2 * T, order - 1
-    nb_l, bb_l, sum_l, x_l, y_l, phi_l = (
-        truncate(s, low) for s in (nb, bb, pe_sum, x, y, series._phi_f(order))
+    pe_l, st_l, nb_l, bb_l, sum_l, x_l, y_l, phi_l = (
+        truncate(s, low) for s in (pe, st, nb, bb, pe_sum, x, y, phi)
     )
     grow_phi = truncate(swap_xy(exp_series(apt, order)), low) * phi_l
     i4 = x * swap_xy(nb) + y * nb + bb * pe_sum - (x + y) * pe_sum
     i8 = bb_l * sum_l * at + swap_xy(nb_l) * apt - sum_l * apt - (x_l + y_l) * sum_l * at
-    return [(deriv_t(bb), i4), (deriv_x(bb), i8 + grow_phi)]
+    return [
+        (deriv_t(pe), pe * pe),
+        (deriv_t(st), x * st + pe * st),
+        (deriv_t(nb), nb * y + nb * pe_sum),
+        (deriv_t(bb), i4),
+        (deriv_x(st), st_l * apt + pe_l * st_l * at),
+        (deriv_x(nb), grow_phi + nb_l * sum_l * at),
+        (series.deriv_y(phi), sum_l * phi_l * at),
+        (deriv_x(bb), i8 + grow_phi),
+    ]
 
 
 @pytest.mark.parametrize("corrupt", [None, *IDENTITY_FAMILIES])
 def test_the_factored_right_hand_sides_equal_the_term_by_term_ones(monkeypatch, corrupt) -> None:
-    # I4 and I8 gather their products by pe at x + y (the product is
-    # bilinear): the same slots, the same bounds, and the same first
-    # mismatch under every corruption
+    # the suite shares its products, gathers them by pe at x + y (the
+    # product is bilinear), reads I5, I6 and I8 off truncations of I2's,
+    # I3's and I4's, and builds nabla-because and phi by their one-variable
+    # factors first (the product is associative): both sides hold the same
+    # slots, bounds and offset, and the first mismatch is the same under
+    # every corruption
     compared = []
     plain = series.first_mismatch
-    monkeypatch.setattr(series, "first_mismatch", lambda a, b: compared.append(b) or plain(a, b))
+    monkeypatch.setattr(series, "first_mismatch", lambda a, b: compared.append((a, b)) or plain(a, b))
     for order in range(2, 13):
         compared.clear()
         results = identity_suite(order, corrupt)
-        for i, (lhs, rhs) in zip((3, 7), _term_by_term_i4_i8(order, corrupt)):
-            factored = compared[i]
-            assert (factored._coeffs, factored._bounds) == (rhs._coeffs, rhs._bounds)
-            assert factored.offset == rhs.offset
-            found = plain(lhs, rhs)
-            if found is not None and i == 7:  # I5-I8 report their difference at the h level
+        for i, sides in enumerate(_term_by_term_sides(order, corrupt)):
+            for held, expected in zip(compared[i], sides):
+                assert (held._coeffs, held._bounds) == (expected._coeffs, expected._bounds), (order, i)
+                assert held.offset == expected.offset, (order, i)
+            found = plain(*sides)
+            if found is not None and i >= 4:  # I5-I8 report their difference at the h level
                 found = (found[0], found[1], h_from_f(found[2]))
-            assert results[i].mismatch == found
+            assert results[i].mismatch == found, (order, i)
+
+
+@pytest.mark.parametrize(("order", "pairs"), [(6, 788), (8, 1873), (16, 18653)])
+def test_the_suite_forms_each_product_once(monkeypatch, cold_series_caches, order, pairs) -> None:
+    # 17 products from cold caches: 9 build the family series and phi, 8
+    # the right-hand sides.  A pair is two nonzero slots whose degrees add
+    # to at most the order, one multiplication of the kernel's inner loop.
+    counts = [0, 0]
+    plain = series._product
+
+    def counted(a: list, b: list, at: int) -> list:
+        degrees = [[k + l for (k, l), v in zip(series._layout(at), s) if v] for s in (a, b)]
+        counts[0] += 1
+        counts[1] += sum(d1 + d2 <= at for d1 in degrees[0] for d2 in degrees[1])
+        return plain(a, b, at)
+
+    monkeypatch.setattr(series, "_product", counted)
+    assert all(r.passed for r in identity_suite(order))
+    assert counts == [17, pairs]
+    # I8 mirrors nabla-because at the full order, so no order - 1 mirror is built
+    assert series._mirror.cache_info().currsize == 1
+    series._mirror(order)
+    assert series._mirror.cache_info().currsize == 1
 
 
 def test_corrupting_an_unknown_family_raises() -> None:
