@@ -3,6 +3,8 @@
 A ``Graph`` is its tuple of adjacency masks (bit v of ``adj[u]`` marks the
 edge u-v), which every operation reads and the shared memo uses as key.
 ``graph_from_edges`` is the validating constructor for outside edge lists.
+``connected_graphs_upto_iso`` parses the atlas classes from the specs
+that ``_classes.CONNECTED`` commits, as ``graph_spec`` writes them.
 
 The connected induced subgraphs of a graph are its building set, and the
 nested-set recursion (``ringcalc``) reads them straight off node masks:
@@ -312,37 +314,18 @@ def parse_graph_spec(spec: str) -> Graph:
     raise GraphSpecError(f"unknown graph spec {spec!r}")
 
 
-def _atlas_specs(n: int) -> list[str]:
-    """The ``graph_spec`` of each connected class on n nodes, 1 <= n <= 7, in atlas order.
-
-    Decodes ``_classes.CONNECTED[n]`` only: each set bit of a token's edge
-    mask picks the ``u-v`` label of its node pair, and the labels come in
-    the order of their bits, the lexicographic order of ``graph_spec``.
-    """
-    labels = [f"{u}-{v}" for u in range(n) for v in range(u + 1, n)]
-    specs = []
-    for token in CONNECTED[n].split():
-        bits, edges = int(token, 36), []
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            edges.append(labels[low.bit_length() - 1])
-        specs.append(f"edges:{n}:" + ",".join(edges))
-    return specs
-
-
 def connected_graphs_upto_iso(max_nodes: int, min_nodes: int = 1) -> list[Graph]:
     """All connected graphs with min_nodes..max_nodes nodes, one per isomorphism class.
 
     In the order and labelling of Read and Wilson's graph atlas, which
-    covers every graph on up to seven nodes.  ``_atlas_specs`` decodes the
-    table committed in ``_classes`` at the node counts asked for only, and
-    ``parse_graph_spec`` builds each class from its spec.
+    covers every graph on up to seven nodes.  ``parse_graph_spec`` builds
+    each class from its spec in ``_classes.CONNECTED``, at the node counts
+    asked for only.
     """
     if not 1 <= min_nodes <= max_nodes <= 7:
         raise ValueError("the atlas covers 1..7 nodes")
     return [
         parse_graph_spec(spec)
         for n in range(min_nodes, max_nodes + 1)
-        for spec in _atlas_specs(n)
+        for spec in CONNECTED[n]
     ]

@@ -5,10 +5,10 @@ nestohedron, ``verify`` compares the nested-set recursion against the
 closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
 a polytope family or over all small connected graphs.  A graph-class
-scan builds no graph: it takes each class's spec from the atlas decoder
-(``buildingset._atlas_specs``) and reads its face counts by the same
-atlas position (``ringcalc.class_face_counts``), and it Gal-checks the
-whole row of classes at once, one class per 64-bit field of each
+scan builds no graph: it prints each class's spec as the atlas table
+commits it (``_classes.CONNECTED``) and reads its face counts by the
+same atlas position (``ringcalc.class_face_counts``), and it Gal-checks
+the whole row of classes at once, one class per 64-bit field of each
 coefficient, packed and read back by ``struct`` (``_packed_gammas``).
 Each command returns its report (exit code, a call that builds its JSON
 object, CSV header and rows) and ``main`` alone writes it, as JSON
@@ -38,8 +38,9 @@ from struct import pack, unpack
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
+from ._classes import CONNECTED
 from .algebra import GammaVector, Poly2, h_from_f
-from .buildingset import _atlas_specs, graph_spec, parse_graph_spec
+from .buildingset import graph_spec, parse_graph_spec
 from .invariants import gal_check_poly, gal_check_series
 from .ringcalc import FPolyCache, class_face_counts, fpoly, induced_fpolys
 from .series import (
@@ -379,7 +380,7 @@ def _scan_graph_classes(args: SimpleNamespace) -> _Report:
         raise ValueError("--graph-class needs --nodes N")
     if not 1 <= args.nodes <= 7:
         raise ValueError("graph-class scans cover 1..7 nodes")
-    specs = _atlas_specs(args.nodes)
+    specs = CONNECTED[args.nodes]
     gammas = _class_gammas(specs, class_face_counts(args.nodes), args.nodes - 1)
     items = [({"graph": spec}, gv) for spec, gv in zip(specs, gammas, strict=True)]
     failed = not all(gv.passed for gv in gammas)

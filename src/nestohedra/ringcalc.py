@@ -43,17 +43,18 @@ be larger: at order 16 ``verify`` reads K_{16,16}, of 32 nodes, and every
 mask it reads has at most 17.
 
 A subproblem of at most seven nodes is read from one committed table,
-``_classes.CLASSES``, repacked at import as ``_TABLE``, by ``_key``, an
-int that names its isomorphism class.  So the formula runs only on eight
-or more nodes, and a graph takes its twin classes only once the formula
-runs on it.  The table lists the classes of each node count in atlas
-order, so ``class_face_counts`` reads a whole class scan's face counts by
-position, with no graph built and no key.  On eight or more nodes
-``FPolyCache`` shares results between graphs: each subproblem missed by
-the per-call mask memo is looked up, and stored, under the adjacency
-tuple of its labelled induced subgraph.  The recursion takes graphs only:
-nestohedra of building sets that do not come from a graph are out of
-scope.
+``_classes.CLASSES``, by ``_key``, an int that names its isomorphism
+class.  The table is committed packed at W = _WIDTH, so ``_TABLE``
+merges its rows as they stand and nothing is converted at import.  So
+the formula runs only on eight or more nodes, and a graph takes its twin
+classes only once the formula runs on it.  The table lists the classes
+of each node count in atlas order, so ``class_face_counts`` reads a
+whole class scan's face counts by position, with no graph built and no
+key.  On eight or more nodes ``FPolyCache`` shares results between
+graphs: each subproblem missed by the per-call mask memo is looked up,
+and stored, under the adjacency tuple of its labelled induced subgraph.
+The recursion takes graphs only: nestohedra of building sets that do not
+come from a graph are out of scope.
 """
 
 from __future__ import annotations
@@ -86,27 +87,17 @@ def class_face_counts(n: int) -> list[list[int]]:
 
     One list per class, in the atlas order of
     ``connected_graphs_upto_iso(n, n)``, which ``CLASSES[n]`` keeps: read
-    by position, with no key.
+    by position, with no key, one _WIDTH-bit field per count.
     """
-    return [[f >> 16 * i & 0xFFFF for i in range(n)] for f in CLASSES[n].values()]
+    if not 1 <= n <= 7:
+        raise ValueError("the atlas covers 1..7 nodes")
+    shifts, field = range(0, _WIDTH * n, _WIDTH), (1 << _WIDTH) - 1
+    return [[f >> shift & field for shift in shifts] for f in CLASSES[n].values()]
 
 
-def _repacked() -> dict[int, int]:
-    """Every entry of CLASSES by its _key, its 16-bit fields moved to _WIDTH-bit ones."""
-    table = {}
-    for n, row in CLASSES.items():
-        shifts = [(16 * i, _WIDTH * i) for i in range(n)]
-        for key, f in row.items():
-            packed = 0
-            for src, dst in shifts:
-                packed |= (f >> src & 0xFFFF) << dst
-            table[key] = packed
-    return table
-
-
-# repacked once, here, so that a subproblem reads its packed face counts
-# with one lookup
-_TABLE = _repacked()
+# every entry of CLASSES by its _key, the same ints, so that a subproblem
+# reads its packed face counts with one lookup
+_TABLE = {key: f for row in CLASSES.values() for key, f in row.items()}
 
 
 class FPolyCache(dict):

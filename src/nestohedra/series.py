@@ -331,7 +331,8 @@ class Series2:
             return NotImplemented
         other = _poly(other)
         if not other:
-            return Series2(order)
+            # the zero series at self's packing, which a truncation keeps from its parent order
+            return Series2._built(order, 0, [0] * len(self._coeffs), (0,) * (order + 1), self._width)
         c, rate = _pack(other.coeffs, self._width), sum(map(abs, other.coeffs))
         coeffs = [v * c for v in self._coeffs]
         bounds = tuple(b * rate for b in self._bounds)

@@ -3,22 +3,26 @@
     python3 tests/reach.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the ``nestohedra`` package (a tree's
-``src``).  Each run is a fresh interpreter that imports ``nestohedra.cli``
-from one tree and times ``cli.main(argv)`` around the call, as
-``bench/worker.py`` does, so the ``series`` caches start empty and
-interpreter start and import are left out.  The runs alternate between
-the trees, parent first in odd rounds and change first in even ones, RUNS
-rounds per op.  Where an argv is recorded in ``tests/golden.json``, every
-run's exit code and stdout digest must equal the recorded ones, so no
-timing comes from wrong bytes; any other failed op stops the script with
-exit 1.  It prints one JSON object: per op, its argv, and per tree the
-median and interquartile range of the op times in seconds, plus the rounds
-where the change was faster.  Standard library only; pytest does not
-collect this file.
+``src``).  Both trees are byte-compiled first, as the benchmark does.
+Each run is a fresh interpreter that imports ``nestohedra.cli`` from one
+tree and times ``cli.main(argv)`` around the call, as ``bench/worker.py``
+does, so the ``series`` caches start empty and interpreter start and
+import are left out of the op time; the import is timed on its own.  The
+runs alternate between the trees, parent first in odd rounds and change
+first in even ones, RUNS rounds per op.  Where an argv is recorded in
+``tests/golden.json``, every run's exit code and stdout digest must equal
+the recorded ones, so no timing comes from wrong bytes; any other failed
+op stops the script with exit 1.  It prints one JSON object: per op, its
+argv, and per tree the median and interquartile range of the op times in
+seconds, plus the rounds where the change was faster; and under
+``import``, the same for the time ``import nestohedra.cli`` took in every
+run of every op.  Standard library only; pytest does not collect this
+file.
 """
 
 from __future__ import annotations
 
+import compileall
 import json
 import os
 import random
@@ -34,7 +38,9 @@ WORKER = """
 import contextlib, hashlib, io, json, os, sys, time
 src, argv = sys.argv[1], json.loads(sys.argv[2])
 sys.path.insert(0, src)
+start = time.perf_counter()
 import nestohedra.cli
+import_s = time.perf_counter() - start
 if not os.path.abspath(nestohedra.cli.__file__).startswith(os.path.abspath(src) + os.sep):
     sys.exit(f"imported nestohedra from {nestohedra.cli.__file__}, not from {src}")
 out, err = io.StringIO(), io.StringIO()
@@ -43,7 +49,7 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = nestohedra.cli.main(argv)
     op_s = time.perf_counter() - start
 digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-print(json.dumps({"op_s": op_s, "exit": code, "stdout": digest}))
+print(json.dumps({"op_s": op_s, "import_s": import_s, "exit": code, "stdout": digest}))
 """
 
 
@@ -107,6 +113,15 @@ def spread(times: list[float]) -> dict:
     return {"median_s": median, "iqr_s": q3 - q1}
 
 
+def compared(times: dict[str, list[float]]) -> dict:
+    """Each tree's spread of paired times, and the rounds where the change was faster."""
+    return {
+        "parent": spread(times["parent"]),
+        "change": spread(times["change"]),
+        "rounds_change_faster": sum(map(float.__lt__, times["change"], times["parent"])),
+    }
+
+
 def main(args: list[str]) -> int:
     if len(args) != 2 or args[0].startswith("-"):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -114,7 +129,10 @@ def main(args: list[str]) -> int:
     trees = dict(zip(("parent", "change"), args))
     with open(GOLDEN, encoding="utf-8") as f:
         golden = {tuple(r["argv"]): r for r in json.load(f)}
+    for src in args:
+        compileall.compile_dir(os.path.join(src, "nestohedra"), quiet=1)
     report = []
+    imports: dict[str, list[float]] = {"parent": [], "change": []}
     for op in OPS:
         argv = [*op, "--format", "json"]
         recorded = golden.get(tuple(argv))
@@ -128,18 +146,13 @@ def main(args: list[str]) -> int:
                     print(f"{side} gives other bytes on {' '.join(argv)}", file=sys.stderr)
                     return 1
                 times[side].append(result["op_s"])
+                imports[side].append(result["import_s"])
         report.append(
-            {
-                "argv": argv,
-                "digest_checked": recorded is not None,
-                "runs": RUNS,
-                "parent": spread(times["parent"]),
-                "change": spread(times["change"]),
-                "rounds_change_faster": sum(map(float.__lt__, times["change"], times["parent"])),
-            }
+            {"argv": argv, "digest_checked": recorded is not None, "runs": RUNS, **compared(times)}
         )
         print(f"{' '.join(op)[:60]}: done", file=sys.stderr)
-    print(json.dumps({"ops": report}, indent=1))
+    imported = {"runs": len(imports["parent"]), **compared(imports)}
+    print(json.dumps({"ops": report, "import": imported}, indent=1))
     return 0
 
 

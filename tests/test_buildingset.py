@@ -10,6 +10,7 @@ import networkx as nx
 import pytest
 
 import nestohedra.buildingset as buildingset
+from nestohedra._classes import CONNECTED
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
@@ -436,11 +437,12 @@ def test_connected_graphs_upto_iso_counts() -> None:
 
 
 def test_the_atlas_specs_are_canonical() -> None:
-    # The decoder writes each class's spec as graph_spec writes it, so a
-    # class scan prints it as it comes.
+    # The table holds each class's spec as graph_spec writes it, so a class
+    # scan prints it as it stands.
+    assert list(CONNECTED) == list(range(1, 8))
     for n, count in zip(range(1, 8), (1, 1, 2, 6, 21, 112, 853)):
-        specs = buildingset._atlas_specs(n)
-        assert len(specs) == count, n
+        specs = CONNECTED[n]
+        assert type(specs) is tuple and len(specs) == count, n
         for spec in specs:
             assert graph_spec(parse_graph_spec(spec)) == spec
 

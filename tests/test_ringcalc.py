@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import random
 from collections import Counter
@@ -720,6 +721,48 @@ def test_the_tables_list_each_node_count_in_atlas_order(atlas_facet_fpolys) -> N
         assert list(ringcalc.CLASSES[n]) == [ringcalc._key(g.adj, full) for g in classes], n
         for g, f in zip(classes, ringcalc.class_face_counts(n), strict=True):
             assert tuple(f) == fpoly(g).coeffs == atlas_facet_fpolys[g].coeffs, graph_spec(g)
+
+
+def test_the_table_is_committed_at_the_recursions_width() -> None:
+    # Each entry is packed as the recursion reads it: n fields of _WIDTH
+    # bits, the top one the single top face, every field a positive count
+    # below 2^16, as cli._packed_gammas needs.  The literals are written at
+    # 73 bits, so a change of MAX_GROUND, and with it of _WIDTH, fails here
+    # until they are rewritten.  _TABLE holds the very same ints.
+    width = ringcalc._WIDTH
+    field = (1 << width) - 1
+    for n, row in ringcalc.CLASSES.items():
+        for key, f in row.items():
+            assert f >> width * (n - 1) == 1, (n, hex(key))
+            counts = [f >> width * i & field for i in range(n)]
+            assert all(0 < c < 1 << 16 for c in counts), (n, hex(key))
+            assert ringcalc._TABLE[key] is f
+    assert len(ringcalc._TABLE) == sum(map(len, ringcalc.CLASSES.values())) == 996
+
+
+# sha256 of repr(class_face_counts(n)), written from the tree whose table had
+# 16-bit fields, so that rewriting the literals changed no count
+FACE_COUNT_DIGESTS = {
+    1: "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
+    2: "ea9610e84656457b8984fb4f10806a7046e6a685dd6ca9f80baa8decfeec15fd",
+    3: "361ac60567a18903e91b45c86ab775f156bc71b62b45d30f585de82cc8c43a27",
+    4: "c0d8f39a6693f750d46e2ed8dbec837ee103e973420f44188786b53e109cfaf9",
+    5: "58d3040e56dfa6a0e4732bf136fb2fcbf687a2bee5066aedf87f5ce332935044",
+    6: "db14fd74628ed834dc61ee667d609758583c63d5f6a35258713336e202558977",
+    7: "4515a8e0b9784e04ea50c2fbd3a1d3112f46c3d292d30cddd5c1307be5e3c3be",
+}
+
+
+def test_the_class_face_counts_keep_their_digests() -> None:
+    for n, digest in FACE_COUNT_DIGESTS.items():
+        counts = ringcalc.class_face_counts(n)
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest, n
+
+
+def test_class_face_counts_refuse_node_counts_outside_the_atlas() -> None:
+    for bad in (0, -1, 8, 20):
+        with pytest.raises(ValueError, match="^the atlas covers 1..7 nodes$"):
+            ringcalc.class_face_counts(bad)
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -584,6 +584,19 @@ def test_operands_of_two_packings_raise(cold_series_caches) -> None:
     assert all(r.passed for r in identity_suite(8))
 
 
+def test_a_zero_scalar_keeps_the_operands_packing() -> None:
+    # a truncation keeps its parent order's fields, and so does its product
+    # with a zero scalar, so the product adds back onto it
+    for parent, order in ((8, 5), (8, 0), (6, 4), (10, 7), (5, 5)):
+        t = truncate(family_f("pe", parent), order)
+        for zero in (0, Poly2.from_coeffs(())):
+            product = t * zero
+            assert not product and product._width == t._width == series._width(parent)
+            assert product.order == order
+            assert t * zero + t == t
+            assert t - zero * t == t
+
+
 def test_subst_h_series_matches_coefficientwise_substitution() -> None:
     s = Series2.monomial(2, 1, 0, power(A, 2)) + Series2.monomial(2, 0, 1, A * T)
     h = subst_h_series(s)
