@@ -2,8 +2,8 @@
 
 A ``Graph`` is its tuple of adjacency masks (bit v of ``adj[u]`` marks the
 edge u-v), which every operation reads and the shared memo uses as key.
-``graph_from_edges`` is the validating constructor for outside edge lists.
-``connected_graphs_upto_iso`` parses the atlas classes from the specs
+``graph_from_edges`` is the validating constructor for outside edge lists,
+and ``parse_graph_spec`` reads the ``edges:`` specs of the atlas classes
 that ``_classes.CONNECTED`` commits, as ``graph_spec`` writes them.
 
 The connected induced subgraphs of a graph are its building set, and the
@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable, Sequence
 
-from ._classes import CONNECTED
 from ._record import Record
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "twin_classes",
     "parse_graph_spec",
     "graph_spec",
-    "connected_graphs_upto_iso",
 ]
 
 # Grounds are bitmasks in a Python int, so the cap is soft.  It is not a
@@ -312,20 +310,3 @@ def parse_graph_spec(spec: str) -> Graph:
         except ValueError as exc:
             raise GraphSpecError(f"{exc} in {spec!r}") from None
     raise GraphSpecError(f"unknown graph spec {spec!r}")
-
-
-def connected_graphs_upto_iso(max_nodes: int, min_nodes: int = 1) -> list[Graph]:
-    """All connected graphs with min_nodes..max_nodes nodes, one per isomorphism class.
-
-    In the order and labelling of Read and Wilson's graph atlas, which
-    covers every graph on up to seven nodes.  ``parse_graph_spec`` builds
-    each class from its spec in ``_classes.CONNECTED``, at the node counts
-    asked for only.
-    """
-    if not 1 <= min_nodes <= max_nodes <= 7:
-        raise ValueError("the atlas covers 1..7 nodes")
-    return [
-        parse_graph_spec(spec)
-        for n in range(min_nodes, max_nodes + 1)
-        for spec in CONNECTED[n]
-    ]

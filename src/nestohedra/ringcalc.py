@@ -85,9 +85,9 @@ _ONE_PLUS_ALPHA = 1 << _WIDTH | 1
 def class_face_counts(n: int) -> list[list[int]]:
     """Face counts f_0 ... f_(n-1) = 1 of the connected classes on n nodes, 1 <= n <= 7.
 
-    One list per class, in the atlas order of
-    ``connected_graphs_upto_iso(n, n)``, which ``CLASSES[n]`` keeps: read
-    by position, with no key, one _WIDTH-bit field per count.
+    One list per class, in the atlas order of ``_classes.CONNECTED[n]``,
+    which ``CLASSES[n]`` keeps: read by position, with no key, one
+    _WIDTH-bit field per count.
     """
     if not 1 <= n <= 7:
         raise ValueError("the atlas covers 1..7 nodes")
@@ -342,15 +342,18 @@ def induced_fpolys(g: Graph, masks: list[int], cache: FPolyCache | None = None) 
     Each is the product over its mask's components of the nested-set
     recursion's face counts, and every mask runs through one memo, so a
     subproblem that several masks share is solved and keyed once.  Without
-    a caller's cache the shared one lives for this call only.  A mask of
-    more than MAX_GROUND nodes raises ValueError before anything is built;
-    g itself may have more.  A subproblem whose face counts do not have
-    one entry per node, ending in the single top face, is the recursion's
-    fault, not the input's, and raises ArithmeticError naming that induced
-    subgraph.
+    a caller's cache the shared one lives for this call only.  A mask that
+    holds a node outside g, or more than MAX_GROUND nodes, raises
+    ValueError before anything is built; g itself may have more.  A
+    subproblem whose face counts do not have one entry per node, ending in
+    the single top face, is the recursion's fault, not the input's, and
+    raises ArithmeticError naming that induced subgraph.
     """
-    if any(mask.bit_count() > MAX_GROUND for mask in masks):
-        raise ValueError(f"graph larger than {MAX_GROUND} nodes")
+    for mask in masks:
+        if mask >> g.n:  # a negative mask too: its sign bits run past every node
+            raise ValueError(f"mask {mask} holds a node outside the {g.n}-node graph")
+        if mask.bit_count() > MAX_GROUND:
+            raise ValueError(f"graph larger than {MAX_GROUND} nodes")
     nested = _NestedSets(g, cache if cache is not None else FPolyCache())
     out = []
     for mask in masks:

@@ -12,12 +12,14 @@ A slot holds its polynomial as one int, packed at a width W as the
 ``algebra`` module docstring describes, and a series holds its slots in
 one list: slot (k, l) at d (d + 1)/2 + k with d = k + l, so the list runs
 by total degree and then by k, the order slots are compared in, and a
-zero slot holds 0.  A truncation is a prefix of the list, ``swap_xy``
-a permutation of it, d/dx and d/dy are per-degree slices, sums are
-elementwise, and d/dt scales each slot's digits in one pass.  A product
-at order N works in divided powers: it scales each nonzero slot (k, l) of
-both operands by N!/(k! l!), runs the operand with fewer nonzero slots
-outside and the other's inside, by degree, adds each plain product into a
+zero slot holds 0.  The constructor takes such a list as it stands.  A
+truncation is a prefix of the list, ``swap_xy`` a permutation of it, d/dx
+and d/dy are per-degree slices, sums are elementwise, a ``Poly2`` scalar
+multiplies each slot by its value at alpha = 2^W, and d/dt scales each
+slot's digits in one pass.  A product at order N works in divided
+powers: it scales each nonzero slot (k, l) of both operands by
+N!/(k! l!), runs the operand with fewer nonzero slots outside and the
+other's inside, by degree, adds each plain product into a
 flat (N + 1)^2 table at k (N + 1) + l, where the indices of two factors
 add, and reads the table back into a list once, each slot divided exactly
 by N!^2/(k! l!).  Every series is graded, slot (k, l) of degree
@@ -75,10 +77,10 @@ association, and its reports do not depend on the order chosen.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 from math import comb, factorial
 from operator import add, sub
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from ._record import Record
 from .algebra import Poly2, _digits, _egf_inverse, _pack, h_from_f
@@ -120,11 +122,6 @@ DEFAULT_ORDER = 8
 Slot = tuple[int, int]
 Slots = list[int]  # slot (k, l) at _index(k, l): its polynomial's value at alpha = 2^W and t = 1
 Bounds = tuple[int, ...]  # per total degree, bounds on slots' absolute coefficient sums
-
-
-def _poly(p: Poly2 | int) -> Poly2:
-    """p, with an int read as a constant polynomial."""
-    return p if isinstance(p, Poly2) else Poly2.from_coeffs((p,))
 
 
 def _index(k: int, l: int) -> int:
@@ -174,16 +171,6 @@ def _width(order: int) -> int:
     return (250 * top).bit_length() + 1
 
 
-def _pack_slots(polys: Mapping[Slot, Sequence[int]], order: int, width: int) -> tuple[Slots, Bounds]:
-    """The coefficient lists packed at a width into a series' list, and their per-degree bounds."""
-    coeffs, bounds = [0] * _index(0, order + 1), [0] * (order + 1)
-    for (k, l), p in polys.items():
-        if any(p):
-            coeffs[_index(k, l)] = _pack(p, width)
-            bounds[k + l] = max(bounds[k + l], sum(map(abs, p)))
-    return coeffs, tuple(bounds)
-
-
 def _in_x(order: int, values: Iterable[int]) -> Slots:
     """The list of a series in x alone whose slot (k, 0) holds values[k]."""
     coeffs = [0] * _index(0, order + 1)
@@ -199,39 +186,21 @@ class Series2:
     exponential generating function, and ``coeff`` returns it as stored.
     Coefficients are integers, packed as the module docstring describes,
     and slot (k, l) has degree k + l - ``offset``.  The slots sit in one
-    list, by total degree and then by k, with 0 for a zero slot.  The
-    constructor reads the offset off the first nonzero slot in that order
-    and raises ValueError naming a slot off that grading; the zero series
-    matches any grading.  Instances are treated as immutable.  Binary
-    operations raise ValueError on two truncation orders, which would hide
-    lost precision, or on two packings (truncate both from one order);
-    sums and ``first_mismatch`` also refuse nonzero series of two offsets.
+    list, by total degree and then by k, with 0 for a zero slot.  The one
+    constructor takes that list as it stands, with the offset, the
+    per-degree bounds and the width W it was packed at, and raises
+    ArithmeticError where a bound reaches 2^(W-1); ``monomial`` and ``one``
+    build x^k y^l/(k! l!) and 1 through it, and every other series comes
+    from operations on those and the closed forms.  Instances are treated
+    as immutable.  Binary operations raise ValueError on two truncation
+    orders, which would hide lost precision, or on two packings (truncate
+    both from one order); sums and ``first_mismatch`` also refuse nonzero
+    series of two offsets.  A scalar factor is a ``Poly2``.
     """
 
     __slots__ = ("order", "offset", "_coeffs", "_bounds", "_width")
 
-    def __init__(self, order: int, coeffs: Mapping[Slot, Poly2] | Iterable[tuple[Slot, Poly2]] = ()):
-        width = _width(order)  # refuses a negative order before any slot is read
-        data: dict[Slot, Poly2] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for (k, l), p in items:
-            if k < 0 or l < 0:
-                raise ValueError(f"negative exponent pair {(k, l)}")
-            if k + l > order:
-                raise ValueError(f"slot {(k, l)} beyond truncation order {order}")
-            p = _poly(p)
-            if p:
-                data[(k, l)] = data[(k, l)] + p if (k, l) in data else p
-        slots = sorted((s for s, p in data.items() if p), key=lambda s: (sum(s), s))
-        offset = sum(slots[0]) - len(data[slots[0]].coeffs) + 1 if slots else 0
-        for s in slots:
-            degree = len(data[s].coeffs) - 1
-            if degree != sum(s) - offset:
-                raise ValueError(f"slot {s} of degree {degree} is off grading offset {offset}")
-        packed = _pack_slots({s: p.coeffs for s, p in data.items()}, order, width)
-        self._set(order, offset, *packed, width)
-
-    def _set(self, order: int, offset: int, coeffs: Slots, bounds: Bounds, width: int) -> None:
+    def __init__(self, order: int, offset: int, coeffs: Slots, bounds: Bounds, width: int):
         """Take the packed slots of an order, refused where they may not decode."""
         if max(bounds) >> width - 1:
             raise ArithmeticError(f"coefficients outgrow the {width}-bit fields of order {order}")
@@ -239,31 +208,21 @@ class Series2:
         self._bounds, self._width = bounds, width
 
     @classmethod
-    def _built(cls, order: int, offset: int, coeffs: Slots, bounds: Bounds, width: int) -> "Series2":
-        """A series of packed slots, without the constructor's checks."""
-        s = cls.__new__(cls)
-        s._set(order, offset, coeffs, bounds, width)
-        return s
+    def monomial(cls, order: int, k: int, l: int) -> "Series2":
+        """x^k y^l/(k! l!): normalized coefficient 1 at (k, l), and offset k + l.
 
-    @classmethod
-    def one(cls, order: int) -> "Series2":
-        width = _width(order)  # refuses a negative order before the list is built
-        return cls._built(order, 0, _in_x(order, (1,)), (1,) + (0,) * order, width)
-
-    @classmethod
-    def monomial(cls, order: int, k: int, l: int, p: Poly2 | int = 1) -> "Series2":
-        """The series whose only normalized coefficient is p, at (k, l).
-
-        Its offset is k + l minus the degree of p.  A slot above the
-        truncation order truncates to the zero series of that offset.
+        A slot above the truncation order truncates to the zero series of
+        that offset.
         """
-        width = _width(order)
+        width = _width(order)  # refuses a negative order before the list is built
         if k < 0 or l < 0:
             raise ValueError(f"negative exponent pair {(k, l)}")
-        p = _poly(p)
-        held = {(k, l): p.coeffs} if k + l <= order else {}
-        offset = k + l - len(p.coeffs) + 1 if p or k + l > order else 0
-        return cls._built(order, offset, *_pack_slots(held, order, width), width)
+        coeffs, bounds = [0] * _index(0, order + 1), [0] * (order + 1)
+        if k + l <= order:
+            coeffs[_index(k, l)] = bounds[k + l] = 1
+        return cls(order, k + l, coeffs, tuple(bounds), width)
+
+    one = partialmethod(monomial, k=0, l=0)
 
     def coeff(self, k: int, l: int) -> Poly2:
         return Poly2.from_coeffs(self._slot_digits(k, l))
@@ -310,7 +269,7 @@ class Series2:
         offset = self._graded_with(other)
         coeffs = list(map(op, self._coeffs, other._coeffs))
         bounds = tuple(map(add, self._bounds, other._bounds))
-        return Series2._built(self.order, offset, coeffs, bounds, self._width)
+        return Series2(self.order, offset, coeffs, bounds, self._width)
 
     def __add__(self, other: "Series2") -> "Series2":
         return self._slotwise(other, add)
@@ -318,28 +277,21 @@ class Series2:
     def __sub__(self, other: "Series2") -> "Series2":
         return self._slotwise(other, sub)
 
-    def __mul__(self, other: "Series2 | Poly2 | int") -> "Series2":
-        """Coefficientwise by a scalar or Poly2; the binomial product by a series."""
+    def __mul__(self, other: "Series2 | Poly2") -> "Series2":
+        """Coefficientwise by a Poly2, zero included; the binomial product by a series."""
         order = self.order
         if isinstance(other, Series2):
             self._aligned(other)
             coeffs = _product(self._coeffs, other._coeffs, order)
             bounds = _egf_product(self._bounds, other._bounds)
             offset = self.offset + other.offset
-            return Series2._built(order, offset, coeffs, bounds, self._width)
-        if not isinstance(other, (Poly2, int)):
+            return Series2(order, offset, coeffs, bounds, self._width)
+        if not isinstance(other, Poly2):
             return NotImplemented
-        other = _poly(other)
-        if not other:
-            # the zero series at self's packing, which a truncation keeps from its parent order
-            return Series2._built(order, 0, [0] * len(self._coeffs), (0,) * (order + 1), self._width)
         c, rate = _pack(other.coeffs, self._width), sum(map(abs, other.coeffs))
         coeffs = [v * c for v in self._coeffs]
         bounds = tuple(b * rate for b in self._bounds)
-        return Series2._built(order, self.offset - len(other.coeffs) + 1, coeffs, bounds, self._width)
-
-    def __rmul__(self, other: "Poly2 | int") -> "Series2":
-        return self.__mul__(other)
+        return Series2(order, self.offset - len(other.coeffs) + 1, coeffs, bounds, self._width)
 
     def __repr__(self) -> str:
         return f"Series2(order={self.order}, slots={len(self._coeffs) - self._coeffs.count(0)})"
@@ -383,7 +335,7 @@ def truncate(s: Series2, order: int) -> Series2:
     if order > s.order:
         raise ValueError("cannot raise the truncation order of a computed series")
     kept = s._coeffs[: _index(0, order + 1)]
-    return Series2._built(order, s.offset, kept, s._bounds[: order + 1], s._width)
+    return Series2(order, s.offset, kept, s._bounds[: order + 1], s._width)
 
 
 @lru_cache(maxsize=None)
@@ -395,7 +347,7 @@ def _mirror(order: int) -> tuple[int, ...]:
 def swap_xy(s: Series2) -> Series2:
     """s(y, x): the list read through its order's mirror permutation."""
     swapped = [s._coeffs[i] for i in _mirror(s.order)]
-    return Series2._built(s.order, s.offset, swapped, s._bounds, s._width)
+    return Series2(s.order, s.offset, swapped, s._bounds, s._width)
 
 
 def _shifted(s: Series2, first: int, variable: str) -> Series2:
@@ -406,7 +358,7 @@ def _shifted(s: Series2, first: int, variable: str) -> Series2:
     for d in range(1, s.order + 1):
         start = _index(0, d) + first
         shifted += s._coeffs[start : start + d]
-    return Series2._built(s.order - 1, s.offset - 1, shifted, s._bounds[1:], s._width)
+    return Series2(s.order - 1, s.offset - 1, shifted, s._bounds[1:], s._width)
 
 
 def deriv_x(s: Series2) -> Series2:
@@ -443,24 +395,25 @@ def deriv_t(s: Series2) -> Series2:
         coeffs.append(packed)
         if total > bounds[k + l]:
             bounds[k + l] = total
-    return Series2._built(s.order, offset + 1, coeffs, tuple(bounds), width)
+    return Series2(s.order, offset + 1, coeffs, tuple(bounds), width)
 
 
-def exp_series(p: Poly2 | int, order: int) -> Series2:
-    """e^{p x} for p = 0 or p of degree 1 in alpha and t, in closed form.
+def exp_series(p: Poly2, order: int) -> Series2:
+    """e^{p x} for a Poly2 p, zero or of degree 1 in alpha and t, in closed form.
 
     Its stored coefficient k! [x^k] is p^k, of degree k (offset 0), so
     nothing divides.  The families' other exponentials are its ``swap_xy``
     (e^{p y}) and its products (e^{a x + b y} = e^{a x} e^{b y}).
     """
-    p = _poly(p)
+    if not isinstance(p, Poly2):
+        raise TypeError(f"exp_series takes a Poly2, not {p!r}")
     if p and len(p.coeffs) != 2:
         raise ValueError(f"exp_series takes p = 0 or p of degree 1, not {p}")
     width = _width(order)
     base = _pack(p.coeffs, width)
     coeffs = _in_x(order, (base**k for k in range(order + 1 if p else 1)))
     rate = sum(map(abs, p.coeffs))
-    return Series2._built(order, 0, coeffs, tuple(rate**d for d in range(order + 1)), width)
+    return Series2(order, 0, coeffs, tuple(rate**d for d in range(order + 1)), width)
 
 
 def inv_series(s: Series2) -> Series2:
@@ -478,7 +431,7 @@ def inv_series(s: Series2) -> Series2:
         raise ValueError(f"inverse needs a series in x alone, not one with slot {min(held)}")
     r = [0] + [-s._coeffs[_index(k, 0)] for k in range(1, s.order + 1)]
     bounds = tuple(_egf_inverse(s._bounds))
-    return Series2._built(s.order, 0, _in_x(s.order, _egf_inverse(r)), bounds, s._width)
+    return Series2(s.order, 0, _in_x(s.order, _egf_inverse(r)), bounds, s._width)
 
 
 def eta_linear(order: int) -> Series2:
@@ -489,7 +442,7 @@ def eta_linear(order: int) -> Series2:
     """
     width = _width(order)
     coeffs = _in_x(order, [0] + [1 << width * (d - 1) for d in range(1, order + 1)])
-    return Series2._built(order, 1, coeffs, (0,) + (1,) * order, width)
+    return Series2(order, 1, coeffs, (0,) + (1,) * order, width)
 
 
 def _diagonal(s: Series2) -> Series2:
@@ -500,7 +453,7 @@ def _diagonal(s: Series2) -> Series2:
     coeffs: Slots = []
     for d in range(s.order + 1):
         coeffs += [s._coeffs[_index(d, 0)]] * (d + 1)
-    return Series2._built(s.order, s.offset, coeffs, s._bounds, s._width)
+    return Series2(s.order, s.offset, coeffs, s._bounds, s._width)
 
 
 def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
@@ -537,18 +490,17 @@ class FamilySpec(Record):
     on the family's largest graph serves every member up to order n.
     """
 
-    __slots__ = ("id", "offset", "description", "member", "graph_at", "nodes_at")
+    __slots__ = ("id", "offset", "member", "graph_at", "nodes_at")
 
     def __init__(
         self,
         id: str,
         offset: int,
-        description: str,
         member: Callable[[int, int], bool],
         graph_at: Callable[[int, int], Graph],
         nodes_at: Callable[[int, int, int], int],
     ):
-        self._set(id, offset, description, member, graph_at, nodes_at)
+        self._set(id, offset, member, graph_at, nodes_at)
 
     def contains(self, k: int, l: int) -> bool:
         return k >= 0 and l >= 0 and self.member(k, l)
@@ -567,7 +519,6 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec(
             id="pe",
             offset=1,
-            description="permutohedra; x^(n+1) carries the complete graph on n+1 nodes",
             member=lambda k, l: k >= 1 and l == 0,
             graph_at=lambda k, l: complete_graph(k),
             nodes_at=lambda k, l, n: (1 << k) - 1,
@@ -575,7 +526,6 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec(
             id="st",
             offset=0,
-            description="stellohedra; x^n carries the star with n leaves",
             member=lambda k, l: l == 0,
             graph_at=lambda k, l: star_graph(k),
             nodes_at=lambda k, l, n: (1 << k + 1) - 1,
@@ -583,7 +533,6 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec(
             id="starmarked",
             offset=1,
-            description="stellohedra with a marking variable; x^n y carries the star with n leaves",
             member=lambda k, l: l == 1,
             graph_at=lambda k, l: star_graph(k),
             nodes_at=lambda k, l, n: (1 << k + 1) - 1,
@@ -591,7 +540,6 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec(
             id="nabla-because",
             offset=1,
-            description="complete graph on k nodes joined to l isolated nodes",
             member=lambda k, l: k >= 1,
             graph_at=lambda k, l: join_graphs(complete_graph(k), empty_graph(l)),
             nodes_at=lambda k, l, n: (1 << k) - 1 | ((1 << l) - 1) << n,
@@ -599,7 +547,6 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec(
             id="because-because",
             offset=1,
-            description="complete bipartite graphs, plus the two single-node terms",
             member=lambda k, l: (k >= 1 and l >= 1) or (k, l) in ((1, 0), (0, 1)),
             graph_at=lambda k, l: bipartite_graph(k, l),
             nodes_at=lambda k, l, n: (1 << k) - 1 | ((1 << l) - 1) << n,
@@ -723,7 +670,7 @@ def _drop_one_term(s: Series2) -> Series2:
         raise ValueError("series has no slot of total degree >= 2 to drop")
     kept = s._coeffs.copy()
     kept[victim] = 0
-    return Series2._built(s.order, s.offset, kept, s._bounds, s._width)
+    return Series2(s.order, s.offset, kept, s._bounds, s._width)
 
 
 def identity_suite(

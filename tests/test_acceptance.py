@@ -18,7 +18,6 @@ from nestohedra.algebra import Poly2
 from nestohedra.buildingset import (
     bipartite_graph,
     complete_graph,
-    connected_graphs_upto_iso,
     empty_graph,
     join_graphs,
     path_graph,
@@ -37,6 +36,7 @@ from witnesses import (
     PolyExpr,
     boundary,
     building_set_from_graph,
+    connected_graphs_upto_iso,
     dehn_sommerville,
     edges,
     euler_relation_holds,

@@ -17,7 +17,6 @@ from nestohedra.buildingset import (
     GraphSpecError,
     bipartite_graph,
     complete_graph,
-    connected_graphs_upto_iso,
     cycle_graph,
     empty_graph,
     graph_from_edges,
@@ -36,6 +35,7 @@ from witnesses import (
     canonical_graph,
     canonical_key,
     components,
+    connected_graphs_upto_iso,
     connected_subset_orbits,
     contraction,
     dimension,

@@ -24,7 +24,7 @@ from nestohedra.algebra import Poly2
 from nestohedra.buildingset import Graph, _induced_adj
 from nestohedra.cli import main
 from nestohedra.series import FAMILIES
-from witnesses import f_from_h, h_from_gamma, power
+from witnesses import f_from_h, h_from_gamma, power, series_of
 
 A = Poly2.from_coeffs((0, 1))
 T = Poly2.from_coeffs((1, 0))
@@ -656,7 +656,7 @@ def _doctor_pe_f(monkeypatch, doctor: Callable[[series.Series2], series.Series2]
 
 def _with_hexagon(p: Poly2) -> Callable[[series.Series2], series.Series2]:
     """A doctor that puts h-polynomial p at (3, 0), the hexagon's index."""
-    return lambda s: series.Series2(s.order, {**dict(s.items()), (3, 0): f_from_h(p)})
+    return lambda s: series_of(s.order, {**dict(s.items()), (3, 0): f_from_h(p)})
 
 
 @pytest.mark.parametrize(
@@ -689,7 +689,7 @@ def test_an_undecodable_family_slot_exits_one(capsys, monkeypatch) -> None:
     def overflowing(s: series.Series2) -> series.Series2:
         coeffs = s._coeffs.copy()
         coeffs[series._index(3, 0)] = 1 << s._width * 5
-        return series.Series2._built(s.order, s.offset, coeffs, s._bounds, s._width)
+        return series.Series2(s.order, s.offset, coeffs, s._bounds, s._width)
 
     _doctor_pe_f(monkeypatch, overflowing)
     code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])

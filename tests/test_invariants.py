@@ -13,7 +13,6 @@ from nestohedra.buildingset import (
     MAX_GROUND,
     bipartite_graph,
     complete_graph,
-    connected_graphs_upto_iso,
     graph_from_edges,
     parse_graph_spec,
     path_graph,
@@ -29,11 +28,13 @@ from nestohedra.invariants import (
 from nestohedra.ringcalc import FPolyCache
 from nestohedra.series import FAMILIES, Series2, _drop_one_term, family_f
 from witnesses import (
+    connected_graphs_upto_iso,
     dehn_sommerville,
     euler_relation_holds,
     f_from_h,
     permutohedron_gammas,
     power,
+    series_of,
 )
 
 A = Poly2.from_coeffs((0, 1))
@@ -136,7 +137,7 @@ def test_gal_check_series_flags_a_dropped_coefficient() -> None:
 
 def _pe_f_with_hexagon(p: Poly2) -> Series2:
     """The pe face series at order 3 with h-polynomial p in place of the hexagon's at (3, 0)."""
-    return Series2(3, {**dict(family_f("pe", 3).items()), (3, 0): f_from_h(p)})
+    return series_of(3, {**dict(family_f("pe", 3).items()), (3, 0): f_from_h(p)})
 
 
 @pytest.mark.parametrize(

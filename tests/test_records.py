@@ -43,12 +43,10 @@ FROZEN = {
         "IdentityResult(name='I1', mismatch=None)",
     ),
     "FamilySpec": (
-        lambda: FamilySpec("demo", 1, "a family", max, min, pow),
-        lambda: FamilySpec(
-            id="demo", offset=1, description="a family", member=max, graph_at=max, nodes_at=pow
-        ),
+        lambda: FamilySpec("demo", 1, max, min, pow),
+        lambda: FamilySpec(id="demo", offset=1, member=max, graph_at=max, nodes_at=pow),
         "offset",
-        "FamilySpec(id='demo', offset=1, description='a family', "
+        "FamilySpec(id='demo', offset=1, "
         "member=<built-in function max>, graph_at=<built-in function min>, "
         "nodes_at=<built-in function pow>)",
     ),

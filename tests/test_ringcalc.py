@@ -22,7 +22,6 @@ from nestohedra.buildingset import (
     _induced_adj,
     bipartite_graph,
     complete_graph,
-    connected_graphs_upto_iso,
     cycle_graph,
     empty_graph,
     graph_from_edges,
@@ -41,6 +40,7 @@ from witnesses import (
     boundary,
     building_set_from_graph,
     canonical_graph,
+    connected_graphs_upto_iso,
     dimension,
     edges,
     facet_fpoly,
@@ -351,6 +351,19 @@ def test_a_mask_above_the_ground_cap_is_refused_before_any_memo(monkeypatch) -> 
         induced_fpolys(g, [0b111, (1 << 21) - 1])
     with pytest.raises(ValueError, match=rf"^graph larger than {MAX_GROUND} nodes$"):
         induced_fpolys(empty_graph(21), [(1 << 21) - 1], FPolyCache())
+
+
+@pytest.mark.parametrize("mask", [8, -1, 0b1011])
+def test_a_mask_outside_the_graph_is_refused_before_any_memo(monkeypatch, mask: int) -> None:
+    # a node past the triangle's three, or a negative mask, whose sign
+    # bits hold every node, is named in the same pass as the cap
+    def refused(*args) -> None:
+        raise AssertionError(args)
+
+    monkeypatch.setattr(ringcalc, "_NestedSets", refused)
+    message = rf"^mask {mask} holds a node outside the 3-node graph$"
+    with pytest.raises(ValueError, match=message):
+        induced_fpolys(complete_graph(3), [0b111, mask])
 
 
 def test_a_universe_above_the_ground_cap_takes_masks_up_to_it() -> None:

@@ -54,11 +54,18 @@ from witnesses import (
     raw_inv,
     raw_mul,
     restrict_y0,
+    series_of,
     subst_h_series,
 )
 
 A = Poly2.from_coeffs((0, 1))
 T = Poly2.from_coeffs((1, 0))
+ZERO = Poly2.from_coeffs(())
+
+
+def _const(c: int) -> Poly2:
+    """The constant polynomial c."""
+    return Poly2.from_coeffs((c,))
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +73,17 @@ T = Poly2.from_coeffs((1, 0))
 
 
 def test_monomial_and_coeff() -> None:
-    s = Series2.monomial(4, 1, 2, A)
+    s = Series2.monomial(4, 1, 2) * A
     assert s.coeff(1, 2) == A
     assert not s.coeff(0, 0)
 
 
 def test_monomial_above_the_order_truncates_to_zero() -> None:
-    assert Series2.monomial(0, 1, 0, A + T) == Series2(0)
+    assert Series2.monomial(0, 1, 0) * (A + T) == series_of(0)
     assert not Series2.monomial(2, 2, 1)
+    assert Series2.monomial(2, 2, 1).offset == 3
     with pytest.raises(ValueError):
-        Series2(2, {(2, 1): 1})
+        series_of(2, {(2, 1): _const(1)})
     with pytest.raises(ValueError):
         Series2.monomial(2, -1, 0)
 
@@ -102,16 +110,29 @@ def test_mixed_orders_raise() -> None:
         truncate(Series2.one(3), 5)
 
 
-def test_the_constructor_takes_int_coefficients() -> None:
-    assert Series2(2, {(0, 0): 5}) == Series2.monomial(2, 0, 0, 5)
-    assert not Series2(2, [((1, 0), 2), ((1, 0), -2)])
+def test_scalars_are_poly2s_and_the_constructor_takes_packed_slots() -> None:
+    # a constant scalar is a constant Poly2, and series_of sums the
+    # polynomials given for one slot
+    assert series_of(2, {(0, 0): _const(5)}) == Series2.one(2) * _const(5)
+    assert not series_of(2, [((1, 0), _const(2)), ((1, 0), _const(-2))])
+    # an int scalar, on either side, and the mapping form are refused
+    pe = family_f("pe", 4)
+    for refused in (
+        lambda: pe * 2,
+        lambda: 2 * pe,
+        lambda: A * pe,
+        lambda: exp_series(0, 3),
+        lambda: Series2(2, {(0, 0): _const(1)}),
+    ):
+        with pytest.raises(TypeError):
+            refused()
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Series2(-1),
-        lambda: Series2(-1, {(0, 0): 1}),
+        lambda: series_of(-1),
+        lambda: series_of(-1, {(0, 0): _const(1)}),
         lambda: Series2.one(-1),
         lambda: Series2.monomial(-1, 0, 0),
         lambda: Series2.monomial(-1, 1, 0),
@@ -152,10 +173,10 @@ def test_exp_series_frozen_coefficients() -> None:
     assert grow.coeff(2, 0) == power(A + T, 2)
     assert [slot for slot, _ in grow.items()] == [(0, 0), (1, 0), (2, 0), (3, 0)]
     assert exp_series(-T, 3).coeff(3, 0) == -power(T, 3)
-    assert exp_series(0, 3) == Series2.one(3)
-    assert grow.offset == exp_series(0, 3).offset == 0
+    assert exp_series(ZERO, 3) == Series2.one(3)
+    assert grow.offset == exp_series(ZERO, 3).offset == 0
     # e^{p x} stores p^k at (k, 0): of degree k only when p has degree 1
-    for p in (-2, Poly2.from_coeffs((1,)), A * T):
+    for p in (_const(-2), _const(1), A * T):
         message = f"exp_series takes p = 0 or p of degree 1, not {p}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             exp_series(p, 3)
@@ -176,7 +197,7 @@ def test_exp_series_equals_the_power_sum_witness(data) -> None:
     order = data.draw(st.integers(0, 10))
     a = data.draw(_homogeneous(1))
     b = data.draw(_homogeneous(1))
-    s = Series2.monomial(order, 1, 0, a) + Series2.monomial(order, 0, 1, b)
+    s = Series2.monomial(order, 1, 0) * a + Series2.monomial(order, 0, 1) * b
     assert exp_series(a, order) * swap_xy(exp_series(b, order)) == power_sum_exp(s)
 
 
@@ -192,7 +213,7 @@ def test_inv_series_frozen_coefficients() -> None:
         inv_series(Series2.monomial(3, 1, 0))
     # t at (0, 0) packs to 1 as the constant 1 does, but its offset is -1
     with pytest.raises(ValueError, match="^inverse needs constant coefficient 1$"):
-        inv_series(Series2.monomial(3, 0, 0, T))
+        inv_series(Series2.one(3) * T)
 
 
 @pytest.mark.parametrize("order", range(2, 11))
@@ -231,7 +252,7 @@ def graded_series(draw, order: int, offset: int) -> Series2:
                 coeffs[(k, l)] = Poly2.from_coeffs(
                     draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
                 )
-    s = Series2(order, coeffs)
+    s = series_of(order, coeffs)
     assert s.offset == (offset if s else 0)
     return s
 
@@ -241,18 +262,18 @@ _OFFSETS = st.integers(-2, 2)
 
 def _mirror_x(s: Series2) -> Series2:
     """s(-x, y): odd powers of x change sign."""
-    return Series2(s.order, {(k, l): p * (-1) ** k for (k, l), p in s.items()})
+    return series_of(s.order, {(k, l): p * (-1) ** k for (k, l), p in s.items()})
 
 
 def _unit(order: int, tail: Series2) -> Series2:
     """tail with its constant slot set to 1."""
-    return Series2(order, [(s, p) for s, p in tail.items() if s != (0, 0)] + [((0, 0), 1)])
+    return series_of(order, {**dict(tail.items()), (0, 0): _const(1)})
 
 
 def _rogue_slot_is_refused(data, s: Series2, offset: int) -> None:
     """s with one slot redrawn a degree above the grading of offset is refused.
 
-    The constructor reads the grading off the first slot in (k + l, k)
+    ``series_of`` reads the grading off the first slot in (k + l, k)
     order, so it names the rogue slot, or the slot after it when the rogue
     slot comes first; a rogue slot alone is a series of its own grading.
     """
@@ -268,11 +289,11 @@ def _rogue_slot_is_refused(data, s: Series2, offset: int) -> None:
     polys = {**dict(s.items()), (k, l): rogue}
     first, *rest = sorted(polys, key=lambda slot: (sum(slot), slot))
     if not rest:
-        assert Series2(s.order, polys).offset == offset - 1
+        assert series_of(s.order, polys).offset == offset - 1
         return
     named = rest[0] if first == (k, l) else (k, l)
     with pytest.raises(ValueError, match=rf"^slot \({named[0]}, {named[1]}\) of degree "):
-        Series2(s.order, polys)
+        series_of(s.order, polys)
 
 
 @settings(max_examples=200, deadline=None)
@@ -388,7 +409,7 @@ def test_the_divided_power_kernel_equals_the_list_kernel(order: int, data) -> No
     assert series._product(*packed, order) == series._product(*packed[::-1], order) == expected
     # within the fields, the series product decodes to the list kernel's
     left, right = (
-        Series2(order, {sl: Poly2.from_coeffs(c) for sl, c in held.items() if max(map(abs, c)) < 4})
+        series_of(order, {sl: Poly2.from_coeffs(c) for sl, c in held.items() if max(map(abs, c)) < 4})
         for held in (a, b)
     )
     assert left * right == list_product(left, right)
@@ -397,10 +418,10 @@ def test_the_divided_power_kernel_equals_the_list_kernel(order: int, data) -> No
 def test_series_off_one_grading_are_refused() -> None:
     # 1 + x: the constant sets offset 0, so x of degree 0 is off it
     with pytest.raises(ValueError, match=r"^slot \(1, 0\) of degree 0 is off grading offset 0$"):
-        Series2(2, {(0, 0): 1, (1, 0): 1})
+        series_of(2, {(0, 0): _const(1), (1, 0): _const(1)})
     # the first slot in (k + l, k) order sets the grading, in any input order
     with pytest.raises(ValueError, match=r"^slot \(1, 1\) of degree 0 is off grading offset 0$"):
-        Series2(3, {(1, 1): 1, (1, 0): A, (0, 1): T})
+        series_of(3, {(1, 1): _const(1), (1, 0): A, (0, 1): T})
     # nonzero series of two gradings do not add, nor compare slot by slot
     with pytest.raises(ValueError, match="^grading offsets 1 and 0 do not add$"):
         eta_linear(2) + Series2.one(2)
@@ -408,31 +429,34 @@ def test_series_off_one_grading_are_refused() -> None:
         Series2.one(2) - eta_linear(2)
     # 1 and t pack alike at (0, 0); their offsets tell them apart, and
     # first_mismatch refuses them as a sum does
-    assert Series2.one(2) != Series2.monomial(2, 0, 0, T)
+    assert Series2.one(2) != Series2.one(2) * T
     with pytest.raises(ValueError, match="^grading offsets 1 and 0 do not add$"):
         first_mismatch(eta_linear(2), Series2.one(2))
     with pytest.raises(ValueError, match="^grading offsets 0 and -1 do not add$"):
-        first_mismatch(Series2.one(2), Series2.monomial(2, 0, 0, T))
+        first_mismatch(Series2.one(2), Series2.one(2) * T)
     with pytest.raises(ValueError, match="^grading offsets 0 and -1 do not add$"):
-        first_mismatch(Series2.monomial(3, 1, 0, A), Series2.monomial(3, 1, 0, A * T))
+        first_mismatch(Series2.monomial(3, 1, 0) * A, Series2.monomial(3, 1, 0) * (A * T))
     # the zero series matches any grading
-    assert (Series2(2) + eta_linear(2)).offset == (eta_linear(2) - Series2(2)).offset == 1
-    assert eta_linear(2) + Series2(2) == eta_linear(2)
+    assert (series_of(2) + eta_linear(2)).offset == (eta_linear(2) - series_of(2)).offset == 1
+    assert eta_linear(2) + series_of(2) == eta_linear(2)
 
 
 def test_each_operation_derives_its_offset() -> None:
     # slot (k, l) has degree k + l - offset: a product adds offsets, a
-    # scalar of degree d subtracts d, d/dx subtracts 1, d/dt adds 1, and a
-    # monomial p at (k, l) has offset k + l - deg p
+    # scalar of degree d subtracts d (the zero polynomial, of no entries,
+    # adds 1), d/dx subtracts 1, d/dt adds 1, and the monomial at (k, l)
+    # has offset k + l
     pe = family_f("pe", 4)
     assert (pe * pe).offset == 2
     assert (pe * (A * T)).offset == -1
-    assert (pe * 3).offset == 1
+    assert (pe * _const(3)).offset == 1
+    assert (pe * ZERO).offset == 2
     assert deriv_x(pe).offset == 0
     assert series.deriv_y(swap_xy(pe)).offset == 0
     assert deriv_t(pe).offset == 2
-    assert Series2.monomial(4, 2, 1, A * T).offset == 1
-    assert Series2.monomial(4, 5, 0, A).offset == 4
+    assert Series2.monomial(4, 2, 1).offset == 3
+    assert (Series2.monomial(4, 2, 1) * (A * T)).offset == 1
+    assert (Series2.monomial(4, 5, 0) * A).offset == 4
     for same in (truncate(pe, 2), swap_xy(pe), series._diagonal(pe), subst_h_series(pe)):
         assert same.offset == 1
     assert series._drop_one_term(pe).offset == 1
@@ -446,17 +470,23 @@ def test_the_fields_hold_every_coefficient_of_the_largest_order(
     # the command line's largest order, decoded: the largest coefficient
     # has 56 bits (a slot of d/dt of the st series), and each series keeps
     # at least 14 bits between its largest coefficient and its fields.
-    built = []
-    plain = Series2._set
+    # Each passes through the one constructor, the two sides of every
+    # identity and the family series among them.
+    built, compared = [], []
+    plain, plain_mismatch = Series2.__init__, series.first_mismatch
 
     def recorded(self, *args) -> None:
         plain(self, *args)
         built.append(self)
 
-    monkeypatch.setattr(Series2, "_set", recorded)
+    monkeypatch.setattr(Series2, "__init__", recorded)
+    monkeypatch.setattr(
+        series, "first_mismatch", lambda a, b: compared.extend((a, b)) or plain_mismatch(a, b)
+    )
     assert all(r.passed for r in identity_suite(MAX_ORDER))
-    for fam in FAMILIES:
-        family_f(fam, MAX_ORDER)
+    families = [family_f(fam, MAX_ORDER) for fam in FAMILIES]
+    assert len(compared) == 2 * len(IDENTITY_NAMES)
+    assert {id(s) for s in compared + families} <= {id(s) for s in built}
     largest = [
         (s._width, max(abs(c) for _, p in s.items() for c in p.coeffs).bit_length())
         for s in built
@@ -505,14 +535,14 @@ def test_the_packed_bound_product_matches_the_dense_sum(data) -> None:
 def test_coefficients_that_outgrow_the_fields_raise() -> None:
     width = series._width(2)
     with pytest.raises(ArithmeticError, match=f"^coefficients outgrow the {width}-bit fields of order 2"):
-        Series2(2, {(0, 0): 1 << width - 1})
+        series_of(2, {(0, 0): _const(1 << width - 1)})
     with pytest.raises(ArithmeticError, match=f"^coefficients outgrow the {width}-bit fields of order 2"):
-        Series2.monomial(2, 1, 0, 1 << width - 1)
-    half = Series2(2, {(1, 0): 1 << width // 2})
+        Series2.monomial(2, 1, 0) * _const(1 << width - 1)
+    half = series_of(2, {(1, 0): _const(1 << width // 2)})
     with pytest.raises(ArithmeticError, match="outgrow"):
         half * half
     # a packed slot with a digit beyond its count names itself on decoding
-    s = Series2.monomial(4, 2, 1, A + T)
+    s = Series2.monomial(4, 2, 1) * (A + T)
     s._coeffs[series._index(2, 1)] = 1 << 2 * series._width(4)
     with pytest.raises(ArithmeticError, match=r"^slot \(2, 1\) does not fit"):
         s.coeff(2, 1)
@@ -520,8 +550,8 @@ def test_coefficients_that_outgrow_the_fields_raise() -> None:
 
 def test_a_slot_that_cancels_is_dropped() -> None:
     # (1 + t x)(1 - t x) = 1 - t^2 x^2, stored as 1 - 2 t^2 x^2/2!
-    one_plus = Series2(2, {(0, 0): 1, (1, 0): T})
-    one_minus = Series2(2, {(0, 0): 1, (1, 0): -T})
+    one_plus = series_of(2, {(0, 0): _const(1), (1, 0): T})
+    one_minus = series_of(2, {(0, 0): _const(1), (1, 0): -T})
     product = one_plus * one_minus
     assert [slot for slot, _ in product.items()] == [(0, 0), (2, 0)]
     assert not product.coeff(1, 0)
@@ -529,21 +559,21 @@ def test_a_slot_that_cancels_is_dropped() -> None:
     # 1 / (1 + z + z^2) = (1 - z) / (1 - z^3) = 1 - z + z^3 - ... at
     # z = t x, with no x^2
     one = Poly2.from_coeffs((1,))
-    inv = inv_series(Series2(3, {(0, 0): one, (1, 0): T, (2, 0): 2 * power(T, 2)}))
+    inv = inv_series(series_of(3, {(0, 0): one, (1, 0): T, (2, 0): 2 * power(T, 2)}))
     assert inv.items() == [((0, 0), one), ((1, 0), -T), ((3, 0), 6 * power(T, 3))]
     assert not inv.coeff(2, 0)
 
 
 def test_series_the_module_builds_hold_no_zero_slot() -> None:
-    # results built without the constructor's checks still drop a slot
-    # whose coefficient is zero, so they compare equal to checked ones
+    # results of the module's operations still drop a slot whose
+    # coefficient is zero, so they compare equal to series_of's
     one = Series2.one(3)
-    assert deriv_t(one) == Series2(3)
-    alpha_plus = Series2.monomial(3, 0, 0, A) + Series2.monomial(3, 1, 0, A * T)
+    assert deriv_t(one) == series_of(3)
+    alpha_plus = Series2.one(3) * A + Series2.monomial(3, 1, 0) * (A * T)
     assert deriv_t(alpha_plus).items() == [((1, 0), A)]
-    assert exp_series(0, 3) == one
-    assert truncate(series._diagonal(eta_linear(3)), 0) == Series2(0)
-    assert deriv_x(Series2.monomial(3, 0, 2, A)) == Series2(2)
+    assert exp_series(ZERO, 3) == one
+    assert truncate(series._diagonal(eta_linear(3)), 0) == series_of(0)
+    assert deriv_x(Series2.monomial(3, 0, 2) * A) == series_of(2)
 
 
 def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_caches) -> None:
@@ -586,19 +616,18 @@ def test_operands_of_two_packings_raise(cold_series_caches) -> None:
 
 def test_a_zero_scalar_keeps_the_operands_packing() -> None:
     # a truncation keeps its parent order's fields, and so does its product
-    # with a zero scalar, so the product adds back onto it
+    # with the zero polynomial, so the product adds back onto it
     for parent, order in ((8, 5), (8, 0), (6, 4), (10, 7), (5, 5)):
         t = truncate(family_f("pe", parent), order)
-        for zero in (0, Poly2.from_coeffs(())):
-            product = t * zero
-            assert not product and product._width == t._width == series._width(parent)
-            assert product.order == order
-            assert t * zero + t == t
-            assert t - zero * t == t
+        product = t * ZERO
+        assert not product and product._width == t._width == series._width(parent)
+        assert product.order == order
+        assert t * ZERO + t == t
+        assert t - t * ZERO == t
 
 
 def test_subst_h_series_matches_coefficientwise_substitution() -> None:
-    s = Series2.monomial(2, 1, 0, power(A, 2)) + Series2.monomial(2, 0, 1, A * T)
+    s = Series2.monomial(2, 1, 0) * power(A, 2) + Series2.monomial(2, 0, 1) * (A * T)
     h = subst_h_series(s)
     assert h.coeff(1, 0) == power(A - T, 2)
     assert h.coeff(0, 1) == (A - T) * T
@@ -609,8 +638,8 @@ def test_subst_h_series_matches_coefficientwise_substitution() -> None:
 
 
 def test_first_mismatch_reports_the_smallest_slot() -> None:
-    a = Series2.monomial(3, 2, 1, A)
-    b = Series2.monomial(3, 2, 1, T)
+    a = Series2.monomial(3, 2, 1) * A
+    b = Series2.monomial(3, 2, 1) * T
     k, l, diff = first_mismatch(a, b)
     assert (k, l) == (2, 1)
     assert diff == A - T
@@ -631,7 +660,7 @@ def test_equality_holds_exactly_where_first_mismatch_finds_none(data) -> None:
     changed[(k, l)] = data.draw(_homogeneous(k + l - offset)) if slots else Poly2.from_coeffs(())
     b = data.draw(
         st.sampled_from(
-            [a, Series2(order, changed), Series2(order), data.draw(graded_series(order, offset))]
+            [a, series_of(order, changed), series_of(order), data.draw(graded_series(order, offset))]
         )
     )
     assert (a == b) == (first_mismatch(a, b) is None) == (b == a)
@@ -643,7 +672,7 @@ def test_equality_holds_exactly_where_first_mismatch_finds_none(data) -> None:
 
 def _same(s: Series2, order: int, polys: dict, offset: int) -> None:
     """s holds exactly polys, at an order and, where nonzero, an offset."""
-    assert s == Series2(order, polys)
+    assert s == series_of(order, polys)
     assert s.order == order
     assert s.offset == offset or not s
     assert len(s._coeffs) == (order + 1) * (order + 2) // 2
@@ -670,7 +699,7 @@ def test_list_operations_equal_slot_by_slot_references(data) -> None:
         _same(series.deriv_y(s), order - 1, shifted_y, offset - 1)
     dt = {sl: poly_deriv_t(p) for sl, p in polys.items()}
     _same(deriv_t(s), order, dt, offset + 1)
-    assert deriv_t(s)._bounds == Series2(order, dt)._bounds  # exact, as the constructor's
+    assert deriv_t(s)._bounds == series_of(order, dt)._bounds  # exact, as series_of's
     in_x = restrict_y0(s)
     copies = {(k, n - k): p for (n, _), p in in_x.items() for k in range(n + 1)}
     _same(series._diagonal(in_x), order, copies, in_x.offset)
@@ -682,10 +711,10 @@ def test_list_operations_equal_slot_by_slot_references(data) -> None:
     k, l = data.draw(st.integers(0, order + 2)), data.draw(st.integers(0, order + 2))
     p = data.draw(_homogeneous(data.draw(st.integers(0, 3))))
     held = {(k, l): p} if k + l <= order else {}
-    placed = Series2.monomial(order, k, l, p)
+    placed = Series2.monomial(order, k, l) * p
     _same(placed, order, held, k + l - len(p.coeffs) + 1)
-    assert placed.offset == (k + l - len(p.coeffs) + 1 if p or k + l > order else 0)
-    assert placed._bounds == Series2(order, held)._bounds
+    assert placed.offset == k + l - len(p.coeffs) + 1
+    assert placed._bounds == series_of(order, held)._bounds
     # a slot outside the triangle reads as zero, never as another slot
     for outside in ((-1, 1), (1, -1), (order + 1, 0), (0, order + 1)):
         assert not s.coeff(*outside)

@@ -8,14 +8,18 @@ formats through ``nestohedra.cli.main``, in one process under
 ``sys.settrace``, with the ``series`` module's ``lru_cache``s emptied
 before each run as a fresh process would find them.  For each module of
 the package it then prints the lines that hold code but never ran, as
-``module.py: 12-14, 40``, or ``module.py: every code line ran``.
-Standard library only; pytest does not collect this file.
+``module.py: 12-14, 40``, or ``module.py: every code line ran``, and,
+where there are any, the functions and methods none of whose lines ran,
+by dotted name, as ``module.py unrun: Graph.copy, _helper``; a nested
+function is named only where the function around it ran.  Standard
+library only; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import pkgutil
@@ -25,13 +29,39 @@ from types import CodeType
 from same_bytes import argvs
 
 
+def own_lines(code: CodeType) -> set[int]:
+    """The lines that hold an instruction of a code object itself."""
+    return {line for _, _, line in code.co_lines() if line is not None}
+
+
 def code_lines(code: CodeType) -> set[int]:
     """The lines that hold an instruction of a code object or of one nested in it."""
-    lines = {line for _, _, line in code.co_lines() if line is not None}
+    lines = own_lines(code)
     for const in code.co_consts:
         if isinstance(const, CodeType):
             lines |= code_lines(const)
     return lines
+
+
+def unrun_functions(code: CodeType, ran: set[int], prefix: str = "") -> list[str]:
+    """Dotted names of the functions nested in code none of whose lines ran.
+
+    A function's lines are those of its body and of the code nested in it,
+    less the lines its parent runs to define it (the ``def`` and decorator
+    lines).  Comprehensions and lambdas count as part of their function,
+    and a class body, which runs at import, only as the methods in it.
+    """
+    out, defining = [], own_lines(code)
+    for const in code.co_consts:
+        if not isinstance(const, CodeType) or const.co_name.startswith("<"):
+            continue
+        name = prefix + const.co_name
+        body = code_lines(const) - defining
+        if const.co_flags & inspect.CO_NEWLOCALS and body and not body & ran:
+            out.append(name)
+        else:
+            out += unrun_functions(const, ran, name + ".")
+    return out
 
 
 def spans(lines: list[int]) -> str:
@@ -91,7 +121,11 @@ def main(args: list[str]) -> int:
         with open(path, encoding="utf-8") as f:
             code = compile(f.read(), path, "exec")
         missed = sorted(code_lines(code) - ran[path])
-        print(f"{os.path.basename(path)}: {spans(missed) if missed else 'every code line ran'}")
+        name = os.path.basename(path)
+        print(f"{name}: {spans(missed) if missed else 'every code line ran'}")
+        unrun = unrun_functions(code, ran[path])
+        if unrun:
+            print(f"{name} unrun: {', '.join(unrun)}")
     return 0
 
 

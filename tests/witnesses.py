@@ -9,9 +9,10 @@ contraction through S, and integrating the boundary's face polynomial in t
 recovers the polytope's.  Its graph operations (``contraction``, the twin
 orbits ``connected_subset_orbits`` and the canonical relabelling
 ``canonical_graph`` that shares its memo between isomorphic graphs) live
-here with it, and so does the paper's definition of building sets
-(``BuildingSet`` with ``restriction``, ``removal`` and the rest), which the
-graph operations are checked against.
+here with it, beside ``connected_graphs_upto_iso``, which parses the atlas
+classes that ``_classes.CONNECTED`` commits, and so does the paper's
+definition of building sets (``BuildingSet`` with ``restriction``,
+``removal`` and the rest), which the graph operations are checked against.
 
 A facet product is a tuple of graphs.  Sums of them are compared factor by
 isomorphism class, under a canonical form found by trying every
@@ -19,7 +20,10 @@ relabelling (fine for the <= 7-node factors the tests use).
 
 The sparse polynomial arithmetic at the end is the reference for the dense
 ``Poly2``: a polynomial is a dict from exponent pairs (i, j) to nonzero
-coefficients of alpha^i t^j, with no notion of degree.  On top of it, the
+coefficients of alpha^i t^j, with no notion of degree.  ``series_of``
+builds a ``Series2`` from a mapping of slots to ``Poly2``s, reading its
+grading off the slots and refusing a slot off it, and ``packed_series``
+packs given coefficients at a given offset and width.  On top of them, the
 raw series arithmetic is the reference for ``Series2``: it multiplies and
 inverts the plain coefficients [x^k y^l] as ordinary power series over
 ``Fraction``, with no binomial weights and no notion of degree, the
@@ -59,7 +63,8 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from nestohedra.algebra import GammaVector, Poly2, h_from_f, homogeneous_degree, is_symmetric
+from nestohedra._classes import CONNECTED
+from nestohedra.algebra import GammaVector, Poly2, _pack, h_from_f, homogeneous_degree, is_symmetric
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
@@ -67,6 +72,7 @@ from nestohedra.buildingset import (
     _induced_adj,
     graph_from_edges,
     graph_spec,
+    parse_graph_spec,
     twin_classes,
 )
 from nestohedra.invariants import hpoly
@@ -79,8 +85,9 @@ from nestohedra.series import (
     Series2,
     _diagonal,
     _drop_one_term,
-    _pack_slots,
+    _index,
     _phi_f,
+    _width,
     deriv_x,
     deriv_y,
     exp_series,
@@ -282,6 +289,23 @@ def canonical_graph(g: Graph) -> Graph:
             individualized = [1 << v, cell & ~(1 << v)]
             stack.append(_refine(adj, cells[:split] + individualized + cells[split + 1 :]))
     return Graph(best)
+
+
+def connected_graphs_upto_iso(max_nodes: int, min_nodes: int = 1) -> list[Graph]:
+    """All connected graphs with min_nodes..max_nodes nodes, one per isomorphism class.
+
+    In the order and labelling of Read and Wilson's graph atlas, which
+    covers every graph on up to seven nodes.  ``parse_graph_spec`` builds
+    each class from its spec in ``_classes.CONNECTED``, at the node counts
+    asked for only.
+    """
+    if not 1 <= min_nodes <= max_nodes <= 7:
+        raise ValueError("the atlas covers 1..7 nodes")
+    return [
+        parse_graph_spec(spec)
+        for n in range(min_nodes, max_nodes + 1)
+        for spec in CONNECTED[n]
+    ]
 
 
 def is_connected_graph(g: Graph) -> bool:
@@ -706,6 +730,51 @@ def sparse_gamma_from_h(p: Sparse, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# series built slot by slot
+
+Slot = tuple[int, int]
+
+
+def packed_series(order: int, offset: int, polys: Mapping[Slot, Sequence[int]], width: int) -> Series2:
+    """The series whose slot (k, l) holds the coefficients polys[(k, l)], packed at a width.
+
+    The offset is taken as given, and each degree's bound is the largest
+    absolute coefficient sum of its slots.
+    """
+    coeffs, bounds = [0] * _index(0, order + 1), [0] * (order + 1)
+    for (k, l), p in polys.items():
+        if any(p):
+            coeffs[_index(k, l)] = _pack(p, width)
+            bounds[k + l] = max(bounds[k + l], sum(map(abs, p)))
+    return Series2(order, offset, coeffs, tuple(bounds), width)
+
+
+def series_of(order: int, polys: Mapping[Slot, Poly2] | Iterable[tuple[Slot, Poly2]] = ()) -> Series2:
+    """The series of an order whose slot (k, l) holds the sum of the Poly2s given for it.
+
+    Packed at the order's width.  The offset is read off the first nonzero
+    slot in (k + l, k) order, and a slot off that grading raises
+    ValueError naming it; the zero series has offset 0.  A slot with a
+    negative exponent or beyond the order raises ValueError too.
+    """
+    width = _width(order)  # refuses a negative order before any slot is read
+    data: dict[Slot, Poly2] = {}
+    for (k, l), p in polys.items() if isinstance(polys, Mapping) else polys:
+        if k < 0 or l < 0:
+            raise ValueError(f"negative exponent pair {(k, l)}")
+        if k + l > order:
+            raise ValueError(f"slot {(k, l)} beyond truncation order {order}")
+        data[(k, l)] = data[(k, l)] + p if (k, l) in data else p
+    slots = sorted((s for s, p in data.items() if p), key=lambda s: (sum(s), s))
+    offset = sum(slots[0]) - len(data[slots[0]].coeffs) + 1 if slots else 0
+    for s in slots:
+        degree = len(data[s].coeffs) - 1
+        if degree != sum(s) - offset:
+            raise ValueError(f"slot {s} of degree {degree} is off grading offset {offset}")
+    return packed_series(order, offset, {s: p.coeffs for s, p in data.items()}, width)
+
+
+# ---------------------------------------------------------------------------
 # raw series arithmetic
 
 Raw = dict  # (k, l) -> nonzero sparse polynomial, the plain [x^k y^l]
@@ -757,7 +826,7 @@ def power_sum_exp(s: Series2) -> Series2:
         raise ValueError("exp needs a zero constant coefficient")
     term = acc = Series2.one(s.order)
     for m in range(1, s.order + 1):
-        term = Series2(
+        term = series_of(
             s.order,
             {
                 slot: Poly2.from_coeffs(exact_div(c, m) for c in p.coeffs)
@@ -774,7 +843,7 @@ def eta_termwise(u: int, v: int, order: int) -> Series2:
     (u x + v y)^d / d! weights x^a y^b by u^a v^b / (a! b!), so the stored
     coefficient at (a, b) is alpha^(a+b-1) u^a v^b.
     """
-    return Series2(
+    return series_of(
         order,
         {
             (a, d - a): Poly2.from_coeffs((0,) * (d - 1) + (u**a * v ** (d - a),))
@@ -786,8 +855,6 @@ def eta_termwise(u: int, v: int, order: int) -> Series2:
 
 # ---------------------------------------------------------------------------
 # the list series kernel
-
-Slot = tuple[int, int]
 
 
 def _accumulate(acc: list | None, p: tuple, q: tuple, weight: int) -> list:
@@ -834,7 +901,7 @@ def list_slot_products(a: Series2, b: Series2) -> dict[Slot, list]:
 
 def list_product(a: Series2, b: Series2) -> Series2:
     products = list_slot_products(a, b)
-    return Series2(a.order, {slot: Poly2.from_coeffs(c) for slot, c in products.items()})
+    return series_of(a.order, {slot: Poly2.from_coeffs(c) for slot, c in products.items()})
 
 
 def list_inv_series(s: Series2) -> Series2:
@@ -856,7 +923,7 @@ def list_inv_series(s: Series2) -> Series2:
                     acc = _accumulate(acc, p, rest, -comb(k, k1) * comb(l, l1))
             if acc is not None and any(acc):
                 inv[(k, l)] = tuple(acc)
-    return Series2(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
+    return series_of(s.order, {slot: Poly2.from_coeffs(c) for slot, c in inv.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +947,7 @@ def f_from_h(p: Poly2) -> Poly2:
 def subst_h_series(s: Series2) -> Series2:
     """Apply the alpha -> alpha - t substitution to every coefficient, in s's fields."""
     polys = {slot: h_from_f(p).coeffs for slot, p in s.items()}
-    return Series2._built(s.order, s.offset, *_pack_slots(polys, s.order, s._width), s._width)
+    return packed_series(s.order, s.offset, polys, s._width)
 
 
 def family_h(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
@@ -1096,4 +1163,4 @@ def euler_relation_holds(face_counts: list[int]) -> bool:
 
 def restrict_y0(s: Series2) -> Series2:
     """The y = 0 slice, kept as a series in x."""
-    return Series2(s.order, {slot: p for slot, p in s.items() if slot[1] == 0})
+    return series_of(s.order, {slot: p for slot, p in s.items() if slot[1] == 0})
