@@ -4,16 +4,15 @@ Four subcommands: ``invariants`` prints face data for one graph's
 nestohedron, ``verify`` compares the nested-set recursion against the
 closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
-a polytope family or over all small connected graphs.  A graph-class
-scan builds no graph: it prints each class's spec as the atlas table
-commits it (``_classes.CONNECTED``) and reads its face counts by the
-same atlas position (``ringcalc.class_face_counts``), and it Gal-checks
-the whole row of classes at once, one class per 64-bit field of each
-coefficient, packed and read back by ``struct`` (``_packed_gammas``).
-Each command returns its report (exit code, a call that builds its JSON
-object, CSV header and rows) and ``main`` alone writes it, as JSON
-(sorted keys) or CSV, building only the one it writes; both are
-byte-deterministic for fixed inputs.
+a polytope family or over all small connected graphs.  Each scan is one
+``invariants`` call keyed by what the command names: a family scan
+passes the family's id to ``gal_check_series``, and a graph-class scan
+passes the node count to ``gal_check_classes``, which builds no graph
+and keys each class's gamma vector by the spec it prints.  Each command
+returns its report (exit code, a call that builds its JSON object, CSV
+header and rows) and ``main`` alone writes it, as JSON (sorted keys) or
+CSV, building only the one it writes; both are byte-deterministic for
+fixed inputs.
 
 The subcommands and their flags live in one option table, ``_COMMANDS``.
 A well-formed argv (an exact subcommand, then exact ``--flag value``
@@ -34,15 +33,13 @@ from _csv import writer
 from _json import encode_basestring_ascii
 from contextlib import contextmanager
 from math import factorial
-from struct import pack, unpack
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from ._classes import CONNECTED
-from .algebra import GammaVector, Poly2, h_from_f
+from .algebra import GammaVector, h_from_f
 from .buildingset import graph_spec, parse_graph_spec
-from .invariants import gal_check_poly, gal_check_series
-from .ringcalc import FPolyCache, class_face_counts, fpoly, induced_fpolys
+from .invariants import gal_check_classes, gal_check_poly, gal_check_series
+from .ringcalc import FPolyCache, fpoly, induced_fpolys
 from .series import (
     DEFAULT_ORDER,
     FAMILIES,
@@ -302,7 +299,7 @@ def _scan_families(args: SimpleNamespace) -> _Report:
     for fam_id in fam_ids:
         with _located(lambda: f"series of {fam_id} at order {bound}"):
             series = family_f(fam_id, bound)
-        results = gal_check_series(series, FAMILIES[fam_id])
+        results = gal_check_series(series, fam_id)
         scanned.append((fam_id, [({"k": k, "l": l}, gv) for (k, l), gv in results.items()]))
     failed = not all(gv.passed for _, items in scanned for _, gv in items)
 
@@ -314,76 +311,14 @@ def _scan_families(args: SimpleNamespace) -> _Report:
     return 1 if failed else 0, obj, ("family", "k", "l", "dimension", "gamma", "status"), rows
 
 
-def _packed_gammas(rows: Sequence[Sequence[int]], dim: int) -> list[GammaVector]:
-    """The gamma vectors of a row of classes' face counts, by one Gal check of the row.
-
-    Coefficient i of one ``Poly2`` holds f_i of every class, class c in
-    the 64-bit field at bit 64 c (the packed format of ``algebra``, at
-    W = 64), so one ``h_from_f`` and one ``gal_check_poly`` run on the
-    whole row; each gamma column is then read back as signed 64-bit
-    fields, biased by 2^63 so that they carry nothing into each other.
-
-    Exact while every field stays below 2^63 in absolute value.  The
-    counts are 16-bit, which the row checks before it packs, and dim <= 6.
-    The Taylor shift of ``h_from_f`` takes its largest values when the
-    counts alternate in sign, where each step adds two magnitudes, and
-    they stay below 2^25.  Peel step i of ``gamma_from_h``, at most 4 of
-    them, subtracts gamma_i C(m, k), m = dim - 2i, from values bounded as
-    gamma_i is, so it multiplies the bound by at most 1 + 2^m:
-    (1 + 2^6)(1 + 2^4)(1 + 2^2)(1 + 2^0) = 11050 in all.  So every field
-    compared or decoded stays below 2^40: ``is_symmetric`` and
-    ``any(residual)`` read the fields exactly, and the row raises
-    whenever one class's own check would.  So does a row with a count
-    outside [0, 2^16) or a class with no nonzero count, and hence no
-    degree, a row of unequal lengths, and a row past seven nodes.  The
-    64-bit width is fixed by that bound, not chosen.
-    """
-    if dim > 6 or not all(map(any, rows)):
-        raise ValueError("a class row needs 1-7 nodes and nonzero face counts")
-    if min(map(min, rows)) < 0 or max(map(max, rows)) >= 1 << 16:
-        raise ValueError("a class row needs 16-bit face counts")
-    fields = f"<{len(rows)}q"
-    f = Poly2.from_coeffs(
-        int.from_bytes(pack(fields, *column), "little") for column in zip(*rows, strict=True)
-    )
-    # 2^63 in each field, which moves its signed range onto the unsigned one
-    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * len(rows), "little")
-    columns = [
-        unpack(fields, ((g + bias) ^ bias).to_bytes(8 * len(rows), "little"))
-        for g in gal_check_poly(h_from_f(f), dim)
-    ]
-    return [GammaVector(dim, gammas) for gammas in zip(*columns)]
-
-
-def _class_gammas(
-    specs: Sequence[str], rows: Sequence[Sequence[int]], dim: int
-) -> list[GammaVector]:
-    """The gamma vector of each class of a row, named by its spec, from its face counts.
-
-    The whole row at once by ``_packed_gammas``; if that raises, one
-    class at a time, so that the first class that fails raises, named.
-    """
-    try:
-        return _packed_gammas(rows, dim)
-    except (ValueError, ArithmeticError):
-        pass
-    gammas = []
-    for spec, counts in zip(specs, rows, strict=True):
-        h = h_from_f(Poly2.from_coeffs(counts))
-        with _located(lambda: f"h-polynomial of {spec}"):
-            gammas.append(gal_check_poly(h, dim))
-    return gammas
-
-
 def _scan_graph_classes(args: SimpleNamespace) -> _Report:
     if args.nodes is None:
         raise ValueError("--graph-class needs --nodes N")
     if not 1 <= args.nodes <= 7:
         raise ValueError("graph-class scans cover 1..7 nodes")
-    specs = CONNECTED[args.nodes]
-    gammas = _class_gammas(specs, class_face_counts(args.nodes), args.nodes - 1)
-    items = [({"graph": spec}, gv) for spec, gv in zip(specs, gammas, strict=True)]
-    failed = not all(gv.passed for gv in gammas)
+    results = gal_check_classes(args.nodes)
+    items = [({"graph": spec}, gv) for spec, gv in results.items()]
+    failed = not all(gv.passed for gv in results.values())
 
     def obj() -> dict[str, object]:
         head = {"graph_class": args.graph_class, "nodes": args.nodes, "passed": not failed}

@@ -5,13 +5,19 @@ it has a gamma vector; a polytope or series coefficient "passes" when every
 gamma entry is nonnegative.  ``gal_check_poly`` is the one check: it
 returns the gamma vector of one polynomial, which reports its own first
 negative entry, and it raises on a polynomial that has no gamma vector.
-``gal_check_series`` runs it on the h-polynomial of every coefficient of a
-family's face series.
+The two scans run it on a batch: ``gal_check_series`` on the h-polynomial
+of every coefficient of a family's face series, keyed by index, and
+``gal_check_classes`` on that of every connected class of an atlas row,
+keyed by spec.  Each names the first item that fails.
 A negative entry is a finding; a missing gamma vector is a fault.
 """
 
 from __future__ import annotations
 
+from struct import pack, unpack
+from typing import Sequence
+
+from ._classes import CONNECTED
 from .algebra import (
     GammaVector,
     Poly2,
@@ -20,8 +26,8 @@ from .algebra import (
     homogeneous_degree,
 )
 from .buildingset import Graph
-from .ringcalc import FPolyCache, fpoly
-from .series import FamilySpec, Series2, _family
+from .ringcalc import class_face_counts, fpoly
+from .series import Series2, _family
 
 __all__ = [
     "fvector",
@@ -29,20 +35,21 @@ __all__ = [
     "gamma",
     "gal_check_poly",
     "gal_check_series",
+    "gal_check_classes",
 ]
 
 
-def fvector(g: Graph, cache: FPolyCache | None = None) -> list[int]:
+def fvector(g: Graph) -> list[int]:
     """Face counts by dimension; the last entry (the polytope itself) is 1."""
-    return list(fpoly(g, cache).coeffs)
+    return list(fpoly(g).coeffs)
 
 
-def hpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
-    return h_from_f(fpoly(g, cache))
+def hpoly(g: Graph) -> Poly2:
+    return h_from_f(fpoly(g))
 
 
-def gamma(g: Graph, cache: FPolyCache | None = None) -> GammaVector:
-    return gamma_from_h(hpoly(g, cache))
+def gamma(g: Graph) -> GammaVector:
+    return gamma_from_h(hpoly(g))
 
 
 def gal_check_poly(p: Poly2, n: int) -> GammaVector:
@@ -59,18 +66,16 @@ def gal_check_poly(p: Poly2, n: int) -> GammaVector:
     return gamma_from_h(p)
 
 
-def gal_check_series(
-    series_f: Series2, fam: "FamilySpec | str"
-) -> dict[tuple[int, int], GammaVector]:
-    """``gal_check_poly`` on the h-polynomial of each family coefficient of a face series.
+def gal_check_series(series_f: Series2, fam: str) -> dict[tuple[int, int], GammaVector]:
+    """``gal_check_poly`` on the h-polynomial of each coefficient of a family's face series.
 
-    Returns, for each family index (k, l) with k + l <= series_f.order in
-    index order, the gamma vector of h_from_f of the stored coefficient
-    k! l! [x^k y^l], checked against the family dimension.  Only those
-    slots are decoded, each once.  Every coefficient of a family's
-    h-series has a gamma vector, so one without, or a slot that does not
-    decode, is the series' failure, not bad input: it raises
-    ``ArithmeticError`` naming the family and index.
+    ``fam`` is the family's id.  Returns, for each family index (k, l)
+    with k + l <= series_f.order in index order, the gamma vector of
+    h_from_f of the stored coefficient k! l! [x^k y^l], checked against
+    the family dimension.  Only those slots are decoded, each once.  Every
+    coefficient of a family's h-series has a gamma vector, so one without,
+    or a slot that does not decode, is the series' failure, not bad input:
+    it raises ``ArithmeticError`` naming the family and index.
     """
     spec = _family(fam)
     results: dict[tuple[int, int], GammaVector] = {}
@@ -80,3 +85,70 @@ def gal_check_series(
         except (ValueError, ArithmeticError) as exc:
             raise ArithmeticError(f"h-series of {spec.id} at ({k}, {l}): {exc}") from exc
     return results
+
+
+def gal_check_classes(n: int) -> dict[str, GammaVector]:
+    """``gal_check_poly`` on the h-polynomial of each connected class on n nodes, 1 <= n <= 7.
+
+    Returns each class's gamma vector keyed by its ``edges:`` spec, in the
+    atlas order of ``_classes.CONNECTED[n]``, from the face counts of
+    ``ringcalc.class_face_counts``.  The whole row is checked at once by
+    ``_packed_gammas``; if that raises, one class at a time, so that the
+    first class that fails raises ``ArithmeticError`` naming its spec: the
+    committed counts of every class have a gamma vector, so one without is
+    the table's failure, not bad input.
+    """
+    rows = class_face_counts(n)  # refuses n outside 1..7
+    specs, dim = CONNECTED[n], n - 1
+    try:
+        return dict(zip(specs, _packed_gammas(rows, dim), strict=True))
+    except (ValueError, ArithmeticError):
+        pass
+    results: dict[str, GammaVector] = {}
+    for spec, counts in zip(specs, rows, strict=True):
+        try:
+            results[spec] = gal_check_poly(h_from_f(Poly2.from_coeffs(counts)), dim)
+        except (ValueError, ArithmeticError) as exc:
+            raise ArithmeticError(f"h-polynomial of {spec}: {exc}") from exc
+    return results
+
+
+def _packed_gammas(rows: Sequence[Sequence[int]], dim: int) -> list[GammaVector]:
+    """The gamma vectors of a row of classes' face counts, by one Gal check of the row.
+
+    Coefficient i of one ``Poly2`` holds f_i of every class, class c in
+    the 64-bit field at bit 64 c (the packed format of ``algebra``, at
+    W = 64), so one ``h_from_f`` and one ``gal_check_poly`` run on the
+    whole row; each gamma column is then read back as signed 64-bit
+    fields, biased by 2^63 so that they carry nothing into each other.
+
+    Exact while every field stays below 2^63 in absolute value.  The
+    counts are 16-bit, which the row checks before it packs, and dim <= 6.
+    The Taylor shift of ``h_from_f`` takes its largest values when the
+    counts alternate in sign, where each step adds two magnitudes, and
+    they stay below 2^25.  Peel step i of ``gamma_from_h``, at most 4 of
+    them, subtracts gamma_i C(m, k), m = dim - 2i, from values bounded as
+    gamma_i is, so it multiplies the bound by at most 1 + 2^m:
+    (1 + 2^6)(1 + 2^4)(1 + 2^2)(1 + 2^0) = 11050 in all.  So every field
+    compared or decoded stays below 2^40: ``is_symmetric`` and
+    ``any(residual)`` read the fields exactly, and the row raises
+    whenever one class's own check would.  So does a row with a count
+    outside [0, 2^16) or a class with no nonzero count, and hence no
+    degree, a row of unequal lengths, and a row past seven nodes.  The
+    64-bit width is fixed by that bound, not chosen.
+    """
+    if dim > 6 or not all(map(any, rows)):
+        raise ValueError("a class row needs 1-7 nodes and nonzero face counts")
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= 1 << 16:
+        raise ValueError("a class row needs 16-bit face counts")
+    fields = f"<{len(rows)}q"
+    f = Poly2.from_coeffs(
+        int.from_bytes(pack(fields, *column), "little") for column in zip(*rows, strict=True)
+    )
+    # 2^63 in each field, which moves its signed range onto the unsigned one
+    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * len(rows), "little")
+    columns = [
+        unpack(fields, ((g + bias) ^ bias).to_bytes(8 * len(rows), "little"))
+        for g in gal_check_poly(h_from_f(f), dim)
+    ]
+    return [GammaVector(dim, gammas) for gammas in zip(*columns)]

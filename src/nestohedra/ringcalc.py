@@ -53,6 +53,8 @@ whole class scan's face counts by position, with no graph built and no
 key.  On eight or more nodes ``FPolyCache`` shares results between
 graphs: each subproblem missed by the per-call mask memo is looked up,
 and stored, under the adjacency tuple of its labelled induced subgraph.
+``induced_fpolys`` is the one function that takes a cache, as ``verify``
+shares one across its families.
 The recursion takes graphs only: nestohedra of building sets that do not
 come from a graph are out of scope.
 """
@@ -364,6 +366,6 @@ def induced_fpolys(g: Graph, masks: list[int], cache: FPolyCache | None = None) 
     return out
 
 
-def fpoly(g: Graph, cache: FPolyCache | None = None) -> Poly2:
+def fpoly(g: Graph) -> Poly2:
     """Face polynomial of the nestohedron of g's building set: ``induced_fpolys`` on all of g."""
-    return induced_fpolys(g, [(1 << g.n) - 1], cache)[0]
+    return induced_fpolys(g, [(1 << g.n) - 1])[0]

@@ -555,9 +555,10 @@ FAMILIES: dict[str, FamilySpec] = {
 }
 
 
-def _family(fam: "FamilySpec | str") -> FamilySpec:
-    if isinstance(fam, FamilySpec):
-        return fam
+def _family(fam: str) -> FamilySpec:
+    """The registered family of an id; a family is named by its id only."""
+    if not isinstance(fam, str):
+        raise TypeError(f"a family is named by its id, not by a {type(fam).__name__}")
     try:
         return FAMILIES[fam]
     except KeyError:
@@ -594,8 +595,8 @@ def _family_f_cached(fam_id: str, order: int) -> Series2:
     raise NotInFamilyError(f"unknown family {fam_id!r}")
 
 
-def family_f(fam: "FamilySpec | str", order: int = DEFAULT_ORDER) -> Series2:
-    """Face-polynomial generating function of a family, truncated at order."""
+def family_f(fam: str, order: int = DEFAULT_ORDER) -> Series2:
+    """Face-polynomial generating function of the family with id fam, truncated at order."""
     return _family_f_cached(_family(fam).id, order)
 
 
@@ -611,28 +612,19 @@ def _phi_f(order: int) -> Series2:
     return shrink_y * ((bare_x + eta_linear(order) * _T) * _diagonal(_denominator(order)))
 
 
-def coeff_normalized(
-    fam: "FamilySpec | str",
-    k: int,
-    l: int = 0,
-    *,
-    order: int | None = None,
-) -> Poly2:
-    """k! l! times the (k, l) coefficient of the family's face series.
+def coeff_normalized(fam: str, k: int, l: int = 0) -> Poly2:
+    """k! l! times the (k, l) coefficient of the face series of the family with id fam.
 
     That is the coefficient a ``Series2`` stores, and it equals the face
-    polynomial of the polytope the family places at x^k y^l.  Without
-    ``order`` the series is built at order k + l, the least that holds the
-    coefficient.  Raises ``NotInFamilyError`` for indices outside the
-    family and ``ValueError`` for indices beyond the truncation order.
+    polynomial of the polytope the family places at x^k y^l.  It is the
+    same at every truncation order that holds it, so it is read from the
+    series at order k + l, the least one.  Raises ``NotInFamilyError`` for
+    indices outside the family.
     """
     spec = _family(fam)
     if not spec.contains(k, l):
         raise NotInFamilyError(f"({k}, {l}) carries no polytope of family {spec.id!r}")
-    series = family_f(spec, order if order is not None else k + l)
-    if k + l > series.order:
-        raise ValueError(f"index ({k}, {l}) beyond truncation order {series.order}")
-    return series.coeff(k, l)
+    return family_f(fam, k + l).coeff(k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -721,23 +713,20 @@ def identity_suite(
     st_l, phi_l, sum_l = (truncate(s, low) for s in (st, phi, pe_sum))
     grow_phi = truncate(swap_xy(exp_series(apt, order)), low) * phi_l
 
-    checks: list[tuple[str, Series2, Series2]] = [
-        ("I1", deriv_t(pe), pe * pe),
-        ("I2", deriv_t(st), x * st + pe_st),
-        ("I3", deriv_t(nb), y_nb + nb_sum),
-        ("I4", deriv_t(bb), swap_xy(y_nb) + y_nb + bb_sum),
-        ("I5", deriv_x(st), st_l * apt + truncate(pe_st, low) * at),
-        ("I6", deriv_x(nb), grow_phi + truncate(nb_sum, low) * at),
-        ("I7", deriv_y(phi), sum_l * phi_l * at),
+    # each identity's two sides, in IDENTITY_NAMES order
+    checks: list[tuple[Series2, Series2]] = [
+        (deriv_t(pe), pe * pe),
+        (deriv_t(st), x * st + pe_st),
+        (deriv_t(nb), y_nb + nb_sum),
+        (deriv_t(bb), swap_xy(y_nb) + y_nb + bb_sum),
+        (deriv_x(st), st_l * apt + truncate(pe_st, low) * at),
+        (deriv_x(nb), grow_phi + truncate(nb_sum, low) * at),
+        (deriv_y(phi), sum_l * phi_l * at),
         (
-            "I8",
             deriv_x(bb),
-            truncate(bb_sum, low) * at
-            - sum_l * apt
-            + truncate(swap_xy(nb), low) * apt
-            + grow_phi,
+            truncate(bb_sum, low) * at - sum_l * apt + truncate(swap_xy(nb), low) * apt + grow_phi,
         ),
     ]
-    found = [first_mismatch(lhs, rhs) for _, lhs, rhs in checks]
+    found = [first_mismatch(lhs, rhs) for lhs, rhs in checks]
     found[4:] = [m and (m[0], m[1], h_from_f(m[2])) for m in found[4:]]  # I5-I8's at the h level
-    return tuple(IdentityResult(name, m) for (name, _, _), m in zip(checks, found))
+    return tuple(IdentityResult(name, m) for name, m in zip(IDENTITY_NAMES, found, strict=True))

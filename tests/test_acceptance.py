@@ -30,7 +30,7 @@ from nestohedra.invariants import (
     gal_check_series,
     gamma,
 )
-from nestohedra.ringcalc import FPolyCache, fpoly
+from nestohedra.ringcalc import fpoly
 from nestohedra.series import FAMILIES, coeff_normalized, family_f, identity_suite
 from witnesses import (
     PolyExpr,
@@ -53,14 +53,13 @@ T = Poly2.from_coeffs((1, 0))
 def test_1_recursion_equals_series_coefficients() -> None:
     started = time.perf_counter()
     bound = 7
-    cache = FPolyCache()
     checked = 0
     for fam_id in ("pe", "st", "nabla-because", "because-because"):
         spec = FAMILIES[fam_id]
         series = family_f(fam_id, bound)
         for k, l in spec.indices(bound):
             from_series = series.coeff(k, l)
-            from_recursion = fpoly(spec.graph_at(k, l), cache)
+            from_recursion = fpoly(spec.graph_at(k, l))
             assert from_series == from_recursion, (fam_id, k, l)
             checked += 1
     elapsed = time.perf_counter() - started
@@ -105,9 +104,13 @@ def test_4_spot_values() -> None:
     assert gamma(complete_graph(2)).gammas == (Fraction(1),)
 
     # The same numbers out of the generating functions.
-    assert coeff_normalized("because-because", 1, 2, order=4).coeffs == (5, 5, 1)
-    assert coeff_normalized("pe", 3, order=4).coeffs == (6, 6, 1)
-    assert coeff_normalized("pe", 2, order=4).coeffs == (2, 1)
+    assert coeff_normalized("because-because", 1, 2).coeffs == (5, 5, 1)
+    assert coeff_normalized("pe", 3).coeffs == (6, 6, 1)
+    assert coeff_normalized("pe", 2).coeffs == (2, 1)
+    # and read from series truncated above them
+    assert family_f("because-because", 4).coeff(1, 2).coeffs == (5, 5, 1)
+    assert family_f("pe", 4).coeff(3, 0).coeffs == (6, 6, 1)
+    assert family_f("pe", 4).coeff(2, 0).coeffs == (2, 1)
 
     # Facets of the K_{2,2} nestohedron: one per proper connected subset.
     g = bipartite_graph(2, 2)
@@ -138,7 +141,6 @@ def test_5_structural_properties_small_graphs() -> None:
     started = time.perf_counter()
     graphs = connected_graphs_upto_iso(6)
     assert len(graphs) == 143
-    cache = FPolyCache()
     for g in graphs:
         b = building_set_from_graph(g)
         d = boundary(g)
@@ -146,8 +148,8 @@ def test_5_structural_properties_small_graphs() -> None:
         # the facets are compared factor by isomorphism class
         assert up_to_iso(d) == up_to_iso(facets_from_building_set(b)), g
         assert d.total_mass() == len(b.sets) - 1, g
-        assert dehn_sommerville(g, cache), g
-        assert euler_relation_holds(fvector(g, cache)), g
+        assert dehn_sommerville(g), g
+        assert euler_relation_holds(fvector(g)), g
     elapsed = time.perf_counter() - started
     assert elapsed < 120
     print(f"PASS structural properties: {len(graphs)} graph classes, {elapsed:.2f}s")

@@ -188,11 +188,12 @@ def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
     # An h-polynomial that breaks Dehn-Sommerville came from a faulty
     # recursion on a valid spec: a failed check (1), not bad input (2).
     # invariants derives h from its one face polynomial, and gal-scan from
-    # a row's packed face counts, both through h_from_f; the row then fails
-    # its check and is run again one class at a time, and the first class
-    # is named.
-    plain_h_from_f = cli.h_from_f
-    monkeypatch.setattr(cli, "h_from_f", lambda f: plain_h_from_f(f) + power(A, 2))
+    # a row's packed face counts in invariants.gal_check_classes, both
+    # through h_from_f; the row then fails its check and is run again one
+    # class at a time, and the first class is named.
+    plain_h_from_f = algebra.h_from_f
+    for module in (cli, invariants):
+        monkeypatch.setattr(module, "h_from_f", lambda f: plain_h_from_f(f) + power(A, 2))
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
     assert (code, out) == (1, "")
     assert err == (
@@ -449,6 +450,16 @@ def test_gal_scan_connected_graph_classes(capsys) -> None:
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+def _class_scan(
+    specs: list[str], rows: list[list[int]], dim: int
+) -> list[algebra.GammaVector]:
+    """``gal_check_classes`` on a row of these specs and face counts in place of the atlas's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "CONNECTED", {dim + 1: tuple(specs)})
+        patch.setattr(invariants, "class_face_counts", lambda n: rows)
+        return list(invariants.gal_check_classes(dim + 1).values())
+
+
 def _one_class_at_a_time(
     specs: list[str], rows: list[list[int]], dim: int
 ) -> list[algebra.GammaVector]:
@@ -511,19 +522,19 @@ def test_a_packed_class_row_agrees_with_one_class_at_a_time(data) -> None:
     wide = not all(0 <= c < 2**16 for counts in rows for c in counts)
     if wide:
         with pytest.raises(ValueError):
-            cli._packed_gammas(rows, n - 1)
+            invariants._packed_gammas(rows, n - 1)
     try:
         expected = _one_class_at_a_time(specs, rows, n - 1)
     except ArithmeticError as exc:
         with pytest.raises((ValueError, ArithmeticError)):
-            cli._packed_gammas(rows, n - 1)
+            invariants._packed_gammas(rows, n - 1)
         with pytest.raises(ArithmeticError) as raised:
-            cli._class_gammas(specs, rows, n - 1)
+            _class_scan(specs, rows, n - 1)
         assert str(raised.value) == str(exc)
     else:
         if not wide:
-            assert cli._packed_gammas(rows, n - 1) == expected
-        assert cli._class_gammas(specs, rows, n - 1) == expected
+            assert invariants._packed_gammas(rows, n - 1) == expected
+        assert _class_scan(specs, rows, n - 1) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -542,7 +553,7 @@ def test_a_packed_class_row_stays_inside_its_fields(n: int) -> None:
     assert shift * growth < 2**40
     # past seven nodes the bound is not claimed, and the row raises
     with pytest.raises(ValueError):
-        cli._packed_gammas([[1] * 8], 7)
+        invariants._packed_gammas([[1] * 8], 7)
 
 
 @pytest.mark.parametrize(
@@ -556,15 +567,15 @@ def test_a_class_row_refuses_counts_outside_16_bits(counts: list[int]) -> None:
     # range check alone refuses it, and the scan checks the class on its own.
     dim = len(counts) - 1
     with pytest.raises(ValueError, match="16-bit"):
-        cli._packed_gammas([counts], dim)
+        invariants._packed_gammas([counts], dim)
     expected = _one_class_at_a_time(["class 0"], [counts], dim)
-    assert cli._class_gammas(["class 0"], [counts], dim) == expected
+    assert _class_scan(["class 0"], [counts], dim) == expected
 
 
 def test_a_class_scan_checks_each_row_once(capsys, monkeypatch) -> None:
     # Every atlas row passes its packed check: one h_from_f per scan.
-    plain, calls = cli.h_from_f, []
-    monkeypatch.setattr(cli, "h_from_f", lambda f: calls.append(f) or plain(f))
+    plain, calls = invariants.h_from_f, []
+    monkeypatch.setattr(invariants, "h_from_f", lambda f: calls.append(f) or plain(f))
     for n in range(1, 8):
         calls.clear()
         code, _, err = _run(capsys, ["gal-scan", "--graph-class", "connected", "--nodes", str(n)])
@@ -1041,10 +1052,10 @@ def test_gal_scan_negative_control_digests(capsys, monkeypatch, scan: str, fmt: 
         _doctor_pe_f(monkeypatch, _with_hexagon(_NON_GAL))
         argv = ["gal-scan", "--family", "all", "--bound", "4"]
     else:
-        assert cli.h_from_f(Poly2.from_coeffs((2, 2, 1))) == _NON_GAL
-        plain = cli.class_face_counts
+        assert algebra.h_from_f(Poly2.from_coeffs((2, 2, 1))) == _NON_GAL
+        plain = invariants.class_face_counts
         monkeypatch.setattr(
-            cli,
+            invariants,
             "class_face_counts",
             lambda n: [[2, 2, 1] if f == [6, 6, 1] else f for f in plain(n)],
         )

@@ -8,7 +8,8 @@ from typing import Callable
 
 import pytest
 
-from nestohedra.algebra import GammaVector, Poly2
+from nestohedra._classes import CONNECTED
+from nestohedra.algebra import GammaVector, Poly2, h_from_f
 from nestohedra.buildingset import (
     MAX_GROUND,
     bipartite_graph,
@@ -20,13 +21,14 @@ from nestohedra.buildingset import (
 )
 from nestohedra.invariants import (
     fvector,
+    gal_check_classes,
     gal_check_poly,
     gal_check_series,
     gamma,
     hpoly,
 )
-from nestohedra.ringcalc import FPolyCache
-from nestohedra.series import FAMILIES, Series2, _drop_one_term, family_f
+from nestohedra.ringcalc import class_face_counts
+from nestohedra.series import FAMILIES, NotInFamilyError, Series2, _drop_one_term, family_f
 from witnesses import (
     connected_graphs_upto_iso,
     dehn_sommerville,
@@ -65,9 +67,8 @@ def test_hpoly_and_gamma_frozen_values() -> None:
 
 
 def test_dehn_sommerville_over_small_connected_graphs() -> None:
-    cache = FPolyCache()
     for g in connected_graphs_upto_iso(5):
-        assert dehn_sommerville(g, cache)
+        assert dehn_sommerville(g)
 
 
 def test_euler_relation() -> None:
@@ -173,6 +174,33 @@ def test_gal_check_series_reports_each_fault_once(
     assert results[(3, 0)] == GammaVector(2, (1, -2))
 
 
+def test_gal_check_series_takes_a_family_id_only() -> None:
+    with pytest.raises(TypeError, match="^a family is named by its id, not by a FamilySpec$"):
+        gal_check_series(family_f("pe", 3), FAMILIES["pe"])
+    with pytest.raises(NotInFamilyError, match="^unknown family 'no-such-family'$"):
+        gal_check_series(family_f("pe", 3), "no-such-family")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gal_check_classes_equals_one_class_at_a_time(n: int) -> None:
+    # The packed row gives every class's own gamma vector, keyed by the
+    # spec the scan prints, in atlas order; every class passes.
+    expected = {
+        spec: gal_check_poly(h_from_f(Poly2.from_coeffs(counts)), n - 1)
+        for spec, counts in zip(CONNECTED[n], class_face_counts(n), strict=True)
+    }
+    results = gal_check_classes(n)
+    assert results == expected
+    assert list(results) == list(CONNECTED[n])
+    assert all(gv.passed for gv in results.values())
+
+
+@pytest.mark.parametrize("n", [0, 8, -1])
+def test_gal_check_classes_covers_one_to_seven_nodes(n: int) -> None:
+    with pytest.raises(ValueError, match="^the atlas covers 1..7 nodes$"):
+        gal_check_classes(n)
+
+
 def test_gal_check_series_scans_every_family() -> None:
     for fam_id in FAMILIES:
         results = gal_check_series(family_f(fam_id, 5), fam_id)
@@ -203,11 +231,10 @@ def test_gamma_of_disconnected_graphs_uses_the_product() -> None:
 def test_path_gammas_are_the_associahedron_closed_form() -> None:
     # path:n gives the (n-1)-dimensional associahedron, with
     # gamma_i = C(n-1, 2i) * Cat(i).
-    cache = FPolyCache()
     for n in range(1, MAX_GROUND + 1):
         catalan = [comb(2 * i, i) // (i + 1) for i in range(n)]
         expected = tuple(comb(n - 1, 2 * i) * catalan[i] for i in range((n - 1) // 2 + 1))
-        assert gamma(path_graph(n), cache).gammas == expected, n
+        assert gamma(path_graph(n)).gammas == expected, n
 
 
 def test_complete_fvectors_are_ordered_set_partitions() -> None:
@@ -218,10 +245,9 @@ def test_complete_fvectors_are_ordered_set_partitions() -> None:
     for n in range(1, MAX_GROUND + 1):
         prev = stirling[-1] + [0]
         stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
-    cache = FPolyCache()
     for n in range(1, MAX_GROUND + 1):
         expected = [factorial(n - k) * stirling[n][n - k] for k in range(n)]
-        assert fvector(complete_graph(n), cache) == expected, n
+        assert fvector(complete_graph(n)) == expected, n
 
 
 def test_permutohedron_gammas_count_permutations_without_double_descents() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -31,3 +32,97 @@ def test_importing_the_root_leaves_the_command_line_unloaded() -> None:
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout == "[]\n"
+
+
+# the parameter names of every public callable of the layers: a changed
+# signature fails here until this pin changes with it
+PUBLIC_PARAMETERS = {
+    "algebra.Poly2": (),
+    "algebra.Poly2.from_coeffs": ("coeffs",),
+    "algebra.Poly2.terms": ("self",),
+    "algebra.Poly2.to_records": ("self",),
+    "algebra.GammaVector": ("n", "gammas"),
+    "algebra.GammaVector.as_strings": ("self",),
+    "algebra.InhomogeneousError": ("terms",),
+    "algebra.h_from_f": ("p",),
+    "algebra.homogeneous_degree": ("p",),
+    "algebra.is_symmetric": ("p",),
+    "algebra.gamma_from_h": ("p",),
+    "buildingset.Graph": ("adj",),
+    "buildingset.complete_graph": ("n",),
+    "buildingset.empty_graph": ("n",),
+    "buildingset.path_graph": ("n",),
+    "buildingset.cycle_graph": ("n",),
+    "buildingset.star_graph": ("leaves",),
+    "buildingset.bipartite_graph": ("m", "n"),
+    "buildingset.join_graphs": ("a", "b"),
+    "buildingset.graph_from_edges": ("n", "pairs"),
+    "buildingset.twin_classes": ("g",),
+    "buildingset.parse_graph_spec": ("spec",),
+    "buildingset.graph_spec": ("g",),
+    "invariants.fvector": ("g",),
+    "invariants.hpoly": ("g",),
+    "invariants.gamma": ("g",),
+    "invariants.gal_check_poly": ("p", "n"),
+    "invariants.gal_check_series": ("series_f", "fam"),
+    "invariants.gal_check_classes": ("n",),
+    "ringcalc.FPolyCache.lookup": ("self", "key", "default"),
+    "ringcalc.FPolyCache.store": ("self", "key", "value"),
+    "ringcalc.class_face_counts": ("n",),
+    "ringcalc.fpoly": ("g",),
+    "ringcalc.induced_fpolys": ("g", "masks", "cache"),
+    "series.Series2": ("order", "offset", "coeffs", "bounds", "width"),
+    "series.Series2.monomial": ("order", "k", "l"),
+    "series.Series2.one": ("order", "k", "l"),
+    "series.Series2.coeff": ("self", "k", "l"),
+    "series.Series2.items": ("self",),
+    "series.exp_series": ("p", "order"),
+    "series.inv_series": ("s",),
+    "series.eta_linear": ("order",),
+    "series.deriv_x": ("s",),
+    "series.deriv_y": ("s",),
+    "series.deriv_t": ("s",),
+    "series.swap_xy": ("s",),
+    "series.truncate": ("s", "order"),
+    "series.first_mismatch": ("a", "b"),
+    "series.FamilySpec": ("id", "offset", "member", "graph_at", "nodes_at"),
+    "series.FamilySpec.contains": ("self", "k", "l"),
+    "series.FamilySpec.dim": ("self", "k", "l"),
+    "series.FamilySpec.indices": ("self", "bound"),
+    "series.family_f": ("fam", "order"),
+    "series.pe_f_xplusy": ("order",),
+    "series.coeff_normalized": ("fam", "k", "l"),
+    "series.IdentityResult": ("name", "mismatch"),
+    "series.identity_suite": ("order", "corrupt"),
+}
+
+
+def _public_parameters() -> dict[str, tuple[str, ...]]:
+    """Each public function and class of a layer, and each public method of
+    such a class, by ``layer.name``, with its parameter names.  A class
+    whose constructor is a builtin's with no signature (an exception,
+    ``FPolyCache``) is named by its public methods only."""
+    found = {}
+    for layer in LAYERS:
+        prefix = layer.__name__.rpartition(".")[2]
+        for name in layer.__all__:
+            obj = getattr(layer, name)
+            if not callable(obj):
+                continue
+            members = [(name, obj)]
+            if isinstance(obj, type):
+                members += [
+                    (f"{name}.{attr}", getattr(obj, attr))
+                    for attr in vars(obj)
+                    if not attr.startswith("_") and callable(getattr(obj, attr))
+                ]
+            for label, member in members:
+                try:
+                    found[f"{prefix}.{label}"] = tuple(inspect.signature(member).parameters)
+                except ValueError:
+                    pass
+    return found
+
+
+def test_the_public_signatures_are_pinned() -> None:
+    assert _public_parameters() == PUBLIC_PARAMETERS

@@ -59,13 +59,13 @@ A = Poly2.from_coeffs((0, 1))
 T = Poly2.from_coeffs((1, 0))
 
 
-def _face_poly(e: PolyExpr, cache: FPolyCache) -> Poly2:
+def _face_poly(e: PolyExpr) -> Poly2:
     """Face polynomial of a sum of products of graph nestohedra."""
     out = Poly2.from_coeffs(())
     for product, c in e.terms():
         term = Poly2.from_coeffs((c,))
         for factor in product:
-            term = term * fpoly(factor, cache)
+            term = term * fpoly(factor)
         out = out + term
     return out
 
@@ -182,10 +182,13 @@ def test_fpoly_of_a_point_and_of_disconnected_graphs() -> None:
 
 
 def test_fpoly_graph_convenience() -> None:
-    # fpoly takes the graph itself, with or without a caller's memo.
+    # fpoly takes the graph only; induced_fpolys is the one function that
+    # takes a caller's cache.
     triangle = power(A, 2) + 6 * A * T + 6 * power(T, 2)
     assert fpoly(complete_graph(3)) == triangle
-    assert fpoly(complete_graph(3), FPolyCache()) == triangle
+    assert induced_fpolys(complete_graph(3), [0b111], FPolyCache()) == [triangle]
+    with pytest.raises(TypeError):
+        fpoly(complete_graph(3), FPolyCache())
 
 
 @pytest.fixture(scope="module")
@@ -201,9 +204,8 @@ def test_fpoly_over_the_atlas_equals_the_all_subsets_recursion(atlas_facet_fpoly
     # nested-set recursion and once through the facet recursion over all
     # 2^n node subsets, each with its own memo.
     assert len(atlas_facet_fpolys) == 996
-    cache = FPolyCache()
     for g, f in atlas_facet_fpolys.items():
-        assert fpoly(g, cache) == f, graph_spec(g)
+        assert fpoly(g) == f, graph_spec(g)
 
 
 def test_fpoly_of_complete_bipartite_graphs_equals_the_denominator_sum() -> None:
@@ -243,12 +245,11 @@ def test_fpoly_equals_the_facet_recursion_witness() -> None:
     # and the facet recursion with its twin orbits and canonical memo.  The
     # atlas classes are compared in the all-subsets test above.
     memo: dict = {}
-    cache = FPolyCache()
     graphs = [parse_graph_spec(spec) for spec in NAMED_SHAPES]
     rng = random.Random(5)
     graphs += [_random_twin_free(n, rng) for n in range(5, 11)]
     for g in graphs:
-        assert fpoly(g, cache) == facet_fpoly(g, memo), graph_spec(g)
+        assert fpoly(g) == facet_fpoly(g, memo), graph_spec(g)
 
 
 @st.composite
@@ -436,27 +437,23 @@ def test_fpoly_without_a_cache_keeps_no_memo_between_calls() -> None:
 
 
 def test_fpoly_coefficients_are_ints() -> None:
-    cache = FPolyCache()
     for g in connected_graphs_upto_iso(6):
-        assert all(type(c) is int for _, c in fpoly(g, cache).terms()), g
+        assert all(type(c) is int for _, c in fpoly(g).terms()), g
 
 
 def test_fpoly_degree_is_the_dimension() -> None:
-    cache = FPolyCache()
     for g in connected_graphs_upto_iso(5):
         b = building_set_from_graph(g)
-        assert homogeneous_degree(fpoly(g, cache)) == dimension(b) == g.n - 1
+        assert homogeneous_degree(fpoly(g)) == dimension(b) == g.n - 1
 
 
 def test_fpoly_solves_the_boundary_equation() -> None:
-    cache = FPolyCache()
     for g in connected_graphs_upto_iso(5):
-        assert poly_deriv_t(fpoly(g, cache)) == _face_poly(boundary(g), cache)
+        assert poly_deriv_t(fpoly(g)) == _face_poly(boundary(g))
 
 
 def test_fpoly_of_disconnected_graphs_satisfies_leibniz() -> None:
     # d/dt f(G + H) = f(boundary(G) x H) + f(G x boundary(H)).
-    cache = FPolyCache()
     pairs = [
         (complete_graph(2), complete_graph(2)),
         (path_graph(3), star_graph(3)),
@@ -468,7 +465,7 @@ def test_fpoly_of_disconnected_graphs_satisfies_leibniz() -> None:
         )
         times_h = PolyExpr({p + (h,): c for p, c in boundary(g).terms()})
         times_g = PolyExpr({p + (g,): c for p, c in boundary(h).terms()})
-        assert poly_deriv_t(fpoly(union, cache)) == _face_poly(times_h + times_g, cache)
+        assert poly_deriv_t(fpoly(union)) == _face_poly(times_h + times_g)
 
 
 def test_relabelled_graphs_give_identical_fpoly() -> None:
@@ -476,24 +473,24 @@ def test_relabelled_graphs_give_identical_fpoly() -> None:
     # on its own labelling and must still give the same answer: the classes
     # up to five nodes flipped, those on six and seven nodes under seeded
     # permutations, which interleave their twin classes' labels.
-    shared = FPolyCache()
     rng = random.Random(11)
     for g in connected_graphs_upto_iso(7):
         perm = list(range(g.n))[::-1]
         if g.n > 5:
             rng.shuffle(perm)
         relabelled = graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in edges(g)))
-        assert fpoly(relabelled, FPolyCache()) == fpoly(g, shared), graph_spec(relabelled)
+        assert fpoly(relabelled) == fpoly(g), graph_spec(relabelled)
 
 
 def test_a_smaller_complete_bipartite_graph_is_served_from_the_shared_cache() -> None:
     # K_{8,8} is the induced subgraph of K_{9,9} on the first nodes of each
     # part, so the larger recursion has already stored it, labels and all.
     cache = FPolyCache()
-    fpoly(bipartite_graph(9, 9), cache)
+    induced_fpolys(bipartite_graph(9, 9), [(1 << 18) - 1], cache)
     size = len(cache)
     assert cache.lookup(bipartite_graph(8, 8).adj) is not None
-    assert fpoly(bipartite_graph(8, 8), cache) == facet_fpoly(bipartite_graph(8, 8))
+    k88 = bipartite_graph(8, 8)
+    assert induced_fpolys(k88, [(1 << 16) - 1], cache) == [facet_fpoly(k88)]
     assert len(cache) == size
 
 
@@ -570,6 +567,62 @@ def test_a_class_scan_shares_subproblems_across_its_graphs(family_run) -> None:
     _, stored, expanded, _ = family_run
     assert len(expanded) == len(stored) == 46
     assert min(mask.bit_count() for mask in expanded) == 8
+
+
+def _cache_traffic(family: str, order: int) -> list[tuple[int, int | None]]:
+    """Each ``FPolyCache`` lookup of one verify run, in order: the position
+    in the run of the family that looks it up, and that of the family that
+    stored its key, or None on a miss."""
+    current = [-1]
+    stored_by: dict[tuple[int, ...], int] = {}
+    lookups: list[tuple[int, int | None]] = []
+    lookup, store = FPolyCache.lookup, FPolyCache.store
+
+    def counted_fpolys(g: Graph, masks: list[int], cache: FPolyCache) -> list[Poly2]:
+        current[0] += 1  # verify makes one induced_fpolys call per family
+        return induced_fpolys(g, masks, cache)
+
+    def counted_lookup(cache: FPolyCache, key: tuple[int, ...]) -> int | None:
+        f = lookup(cache, key)
+        lookups.append((current[0], None if f is None else stored_by[key]))
+        return f
+
+    def counted_store(cache: FPolyCache, key: tuple[int, ...], value: int) -> None:
+        stored_by[key] = current[0]
+        store(cache, key, value)
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(cli, "induced_fpolys", counted_fpolys)
+        patch.setattr(FPolyCache, "lookup", counted_lookup)
+        patch.setattr(FPolyCache, "store", counted_store)
+        assert main(["verify", "--family", family, "--max-order", str(order)]) == 0
+    return lookups
+
+
+def test_verify_shares_its_cache_across_families_only() -> None:
+    # Why induced_fpolys keeps its cache parameter: at order 8, verify
+    # --family all looks up 19 subproblems of eight or more nodes, and 5 of
+    # them hit, each on a key that an earlier family stored.  Inside one
+    # family the per-call mask memo serves most repeats first, so a run of
+    # a single family hits its cache only where two of its members are one
+    # labelled graph under different masks: nabla-because's K_7 join one
+    # node is K_8, its member at (8, 0), which pe stores first in the run
+    # of all families.
+    lookups = _cache_traffic("all", 8)
+    hits = [(family, by) for family, by in lookups if by is not None]
+    assert (len(lookups), len(hits)) == (19, 5)
+    assert all(by < family for family, by in hits), hits
+    single = {
+        fam_id: [by for _, by in _cache_traffic(fam_id, 8) if by is not None]
+        for fam_id in FAMILIES
+    }
+    assert single == {
+        "pe": [],
+        "st": [],
+        "starmarked": [],
+        "nabla-because": [0],
+        "because-because": [],
+    }
 
 
 def test_twin_classes_are_taken_only_where_the_formula_runs(family_run, capsys) -> None:
@@ -739,9 +792,9 @@ def test_the_tables_list_each_node_count_in_atlas_order(atlas_facet_fpolys) -> N
 def test_the_table_is_committed_at_the_recursions_width() -> None:
     # Each entry is packed as the recursion reads it: n fields of _WIDTH
     # bits, the top one the single top face, every field a positive count
-    # below 2^16, as cli._packed_gammas needs.  The literals are written at
-    # 73 bits, so a change of MAX_GROUND, and with it of _WIDTH, fails here
-    # until they are rewritten.  _TABLE holds the very same ints.
+    # below 2^16, as invariants._packed_gammas needs.  The literals are
+    # written at 73 bits, so a change of MAX_GROUND, and with it of _WIDTH,
+    # fails here until they are rewritten.  _TABLE holds the very same ints.
     width = ringcalc._WIDTH
     field = (1 << width) - 1
     for n, row in ringcalc.CLASSES.items():

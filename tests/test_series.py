@@ -23,6 +23,7 @@ from nestohedra.series import (
     IDENTITY_FAMILIES,
     IDENTITY_NAMES,
     IdentityResult,
+    FamilySpec,
     NotInFamilyError,
     Series2,
     coeff_normalized,
@@ -140,12 +141,11 @@ def test_scalars_are_poly2s_and_the_constructor_takes_packed_slots() -> None:
         lambda: eta_linear(-1),
         lambda: family_f("pe", -1),
         lambda: pe_f_xplusy(-1),
-        lambda: coeff_normalized("pe", 1, order=-1),
         lambda: truncate(Series2.one(3), -1),
     ],
     ids=[
         "Series2", "Series2-with-slot", "one", "monomial-in-range", "monomial-above",
-        "exp_series", "eta_linear", "family_f", "pe_f_xplusy", "coeff_normalized", "truncate",
+        "exp_series", "eta_linear", "family_f", "pe_f_xplusy", "truncate",
     ],
 )
 def test_a_negative_truncation_order_is_refused(build) -> None:
@@ -804,29 +804,44 @@ def test_coeff_normalized_matches_the_recursion() -> None:
     ]:
         spec = FAMILIES[fam_id]
         expected = fpoly(spec.graph_at(k, l))
-        assert coeff_normalized(fam_id, k, l, order=5) == expected
+        assert coeff_normalized(fam_id, k, l) == expected
 
 
 def test_coeff_normalized_builds_the_order_the_index_needs() -> None:
-    # With neither an order nor a series the coefficient comes from a series
-    # built at k + l, so indices above the default order are within reach.
+    # The coefficient comes from a series built at k + l, so indices above
+    # the default order are within reach, and it is the same at every
+    # order that holds it.
     for fam_id, k, l in [("pe", 9, 0), ("pe", 12, 0), ("because-because", 5, 6)]:
         expected = fpoly(FAMILIES[fam_id].graph_at(k, l))
         assert coeff_normalized(fam_id, k, l) == expected, (fam_id, k, l)
-        assert coeff_normalized(fam_id, k, l, order=k + l + 2) == expected
+        for order in (k + l, k + l + 1, k + l + 2):
+            assert family_f(fam_id, order).coeff(k, l) == expected, (fam_id, k, l, order)
 
 
 def test_coeff_normalized_rejects_bad_indices() -> None:
     with pytest.raises(NotInFamilyError):
-        coeff_normalized("pe", 0, 0, order=4)
+        coeff_normalized("pe", 0, 0)
     with pytest.raises(NotInFamilyError):
-        coeff_normalized("st", 1, 1, order=4)
+        coeff_normalized("st", 1, 1)
     with pytest.raises(NotInFamilyError):
-        coeff_normalized("because-because", 3, 0, order=4)
-    with pytest.raises(ValueError, match=r"^index \(6, 0\) beyond truncation order 4$"):
-        coeff_normalized("pe", 6, 0, order=4)
+        coeff_normalized("because-because", 3, 0)
+    with pytest.raises(NotInFamilyError, match=r"^\(-1, 0\) carries no polytope"):
+        coeff_normalized("pe", -1, 0)
     with pytest.raises(NotInFamilyError):
-        coeff_normalized("no-such-family", 1, 0, order=4)
+        coeff_normalized("no-such-family", 1, 0)
+
+
+def test_a_family_is_named_by_its_id_only() -> None:
+    # A spec object, registered or built by a caller under a registered id,
+    # is refused: its other fields would otherwise be read by some calls
+    # and ignored by others.
+    registered = FAMILIES["pe"]
+    homemade = FamilySpec("pe", 0, lambda k, l: l == 0, registered.graph_at, registered.nodes_at)
+    for spec in (registered, homemade):
+        with pytest.raises(TypeError, match="^a family is named by its id, not by a FamilySpec$"):
+            family_f(spec, 3)
+        with pytest.raises(TypeError, match="^a family is named by its id"):
+            coeff_normalized(spec, 2)
 
 
 def test_family_coefficients_are_homogeneous_of_family_dimension() -> None:

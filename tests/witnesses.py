@@ -76,7 +76,6 @@ from nestohedra.buildingset import (
     twin_classes,
 )
 from nestohedra.invariants import hpoly
-from nestohedra.ringcalc import FPolyCache
 from nestohedra.series import (
     DEFAULT_ORDER,
     IDENTITY_FAMILIES,
@@ -1149,9 +1148,9 @@ def h_from_gamma(gv: GammaVector) -> Poly2:
     return out
 
 
-def dehn_sommerville(g: Graph, cache: FPolyCache | None = None) -> bool:
+def dehn_sommerville(g: Graph) -> bool:
     """Symmetry of the h-polynomial."""
-    return is_symmetric(hpoly(g, cache))
+    return is_symmetric(hpoly(g))
 
 
 def euler_relation_holds(face_counts: list[int]) -> bool:
