@@ -14,12 +14,12 @@ header and rows) and ``main`` alone writes it, as JSON (sorted keys) or
 CSV, building only the one it writes; both are byte-deterministic for
 fixed inputs.
 
-The subcommands and their flags live in one option table, ``_COMMANDS``.
+The subcommands, their flags and each flag's accepted values (an order
+flag's range is its ``choices``) live in one option table, ``_COMMANDS``.
 A well-formed argv (an exact subcommand, then exact ``--flag value``
-pairs with valid values) is read from it directly; anything else, help
-and every usage error included, goes to the argparse parser built from
-the same table, so argparse is imported only when it has something to
-say.
+pairs with accepted values) is read from it directly; anything else,
+help and every usage error included, goes to the argparse parser built
+from the same table, and only then is argparse imported.
 
 Exit codes: 0 when every check passes, 1 when a verification or scan
 finds a failure or the computation fails one of its own checks, 2 on bad
@@ -184,12 +184,6 @@ def cmd_invariants(args: SimpleNamespace) -> _Report:
 
 def cmd_verify(args: SimpleNamespace) -> _Report:
     max_order = args.max_order
-    if max_order < 0:
-        raise ValueError("max order must be nonnegative")
-    if max_order > MAX_ORDER:
-        raise ValueError(
-            f"max order {max_order} exceeds the largest truncation order {MAX_ORDER}"
-        )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
     cache = FPolyCache()
     reports, rows = [], []
@@ -227,8 +221,6 @@ def cmd_verify(args: SimpleNamespace) -> _Report:
 
 def cmd_identities(args: SimpleNamespace) -> _Report:
     order = args.order
-    if not 2 <= order <= MAX_ORDER:
-        raise ValueError(f"identity checks need a truncation order in 2..{MAX_ORDER}")
     with _located(lambda: f"identities at order {order}"):
         results = identity_suite(order, corrupt=args.corrupt)
     entries, rows = [], []
@@ -290,10 +282,6 @@ def _scan_row(item: _ScanItem) -> tuple[object, ...]:
 
 def _scan_families(args: SimpleNamespace) -> _Report:
     bound = args.bound if args.bound is not None else DEFAULT_ORDER
-    if bound > MAX_ORDER:
-        raise ValueError(
-            f"bound {bound} exceeds the largest truncation order {MAX_ORDER}"
-        )
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
     scanned = []
     for fam_id in fam_ids:
@@ -314,8 +302,6 @@ def _scan_families(args: SimpleNamespace) -> _Report:
 def _scan_graph_classes(args: SimpleNamespace) -> _Report:
     if args.nodes is None:
         raise ValueError("--graph-class needs --nodes N")
-    if not 1 <= args.nodes <= 7:
-        raise ValueError("graph-class scans cover 1..7 nodes")
     results = gal_check_classes(args.nodes)
     items = [({"graph": spec}, gv) for spec, gv in results.items()]
     failed = not all(gv.passed for gv in results.values())
@@ -329,8 +315,6 @@ def _scan_graph_classes(args: SimpleNamespace) -> _Report:
 
 
 def cmd_gal_scan(args: SimpleNamespace) -> _Report:
-    if args.bound is not None and args.bound < 1:
-        raise ValueError("bound must be at least 1")
     if (args.family is None) == (args.graph_class is None):
         raise ValueError("choose exactly one of --family or --graph-class")
     if args.family is not None:
@@ -389,9 +373,10 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], _Report], str, dict[str, 
             "--max-order": dict(
                 dest="max_order",
                 type=_int_flag,
+                choices=(_orders := range(0, MAX_ORDER + 1)),
                 default=DEFAULT_ORDER,
                 metavar="M",
-                help=f"largest total index k+l to check, 0..{MAX_ORDER} "
+                help=f"largest total index k+l to check, {_orders.start}..{_orders[-1]} "
                 f"(default {DEFAULT_ORDER})",
             ),
             **_FORMAT,
@@ -404,9 +389,10 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], _Report], str, dict[str, 
             "--order": dict(
                 dest="order",
                 type=_int_flag,
+                choices=(_orders := range(2, MAX_ORDER + 1)),
                 default=DEFAULT_ORDER,
                 metavar="N",
-                help=f"truncation order, 2..{MAX_ORDER} (default {DEFAULT_ORDER})",
+                help=f"truncation order, {_orders.start}..{_orders[-1]} (default {DEFAULT_ORDER})",
             ),
             "--corrupt": dict(
                 dest="corrupt",
@@ -426,9 +412,10 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], _Report], str, dict[str, 
             "--bound": dict(
                 dest="bound",
                 type=_int_flag,
+                choices=(_orders := range(1, MAX_ORDER + 1)),
                 metavar="B",
-                help=f"largest total index k+l to scan, 1..{MAX_ORDER} (family mode, "
-                f"default {DEFAULT_ORDER})",
+                help=f"largest total index k+l to scan, {_orders.start}..{_orders[-1]} "
+                f"(family mode, default {DEFAULT_ORDER})",
             ),
             "--graph-class": dict(
                 dest="graph_class",

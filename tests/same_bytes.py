@@ -99,6 +99,20 @@ USAGE = [
     *([command, "--help"] for command in ("invariants", "verify", "identities", "gal-scan")),
 ]
 
+# values outside what a flag accepts: orders just past their ranges in the
+# option table (argparse's usage error), and node counts outside the atlas,
+# which the library refuses
+REFUSALS = [
+    ["identities", "--order", "1"],
+    ["identities", "--order", "17"],
+    ["identities", "--order", "-1"],
+    ["verify", "--max-order", "17"],
+    ["gal-scan", "--family", "pe", "--bound", "0"],
+    ["gal-scan", "--family", "pe", "--bound", "17"],
+    ["gal-scan", "--graph-class", "connected", "--nodes", "0"],
+    ["gal-scan", "--graph-class", "connected", "--nodes", "8"],
+]
+
 
 def argvs() -> list[list[str]]:
     """The recorded argv set, without the format flag."""
@@ -118,7 +132,7 @@ def argvs() -> list[list[str]]:
     ]
     out += [["gal-scan", "--graph-class", "connected", "--nodes", str(n)] for n in range(1, 8)]
     out += [["invariants", "--graph", spec] for spec in GRAPHS]
-    out += USAGE
+    out += USAGE + REFUSALS
     return out
 
 

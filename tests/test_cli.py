@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -24,6 +25,7 @@ from nestohedra.algebra import Poly2
 from nestohedra.buildingset import Graph, _induced_adj
 from nestohedra.cli import main
 from nestohedra.series import FAMILIES
+from same_bytes import GOLDEN
 from witnesses import f_from_h, h_from_gamma, power, series_of
 
 A = Poly2.from_coeffs((0, 1))
@@ -34,6 +36,25 @@ def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@functools.cache
+def _golden_stdout() -> dict[tuple[str, ...], str]:
+    records = json.loads(Path(GOLDEN).read_text(encoding="utf-8"))
+    return {tuple(record["argv"]): record["stdout"] for record in records}
+
+
+def _recorded_stdout(argv: list[str]) -> str:
+    """The stdout digest tests/golden.json records for argv, in JSON unless argv names a format."""
+    if "--format" not in argv:
+        argv = [*argv, "--format", "json"]
+    return _golden_stdout()[tuple(argv)]
+
+
+def _choices_error(flag: str, value: int, choices: range) -> str:
+    """argparse's last stderr line for an int value outside a flag's range."""
+    listed = ", ".join(map(str, choices))
+    return f"error: argument {flag}: invalid choice: {value} (choose from {listed})"
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +332,9 @@ def test_verify_all_families_csv_rows_are_sorted(capsys) -> None:
 
 
 def test_verify_rejects_orders_beyond_the_truncation(capsys) -> None:
-    code, _, err = _run(capsys, ["verify", "--family", "pe", "--max-order", "99"])
-    assert code == 2
-    assert "truncation" in err
+    code, out, err = _run(capsys, ["verify", "--family", "pe", "--max-order", "99"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(_choices_error("--max-order", 99, range(17)))
 
 
 _VERIFY_NEGATIVE_CONTROL = {
@@ -388,10 +409,11 @@ def test_int_flags_take_ascii_digits_only(capsys, text: str) -> None:
         assert (code, out) == (2, ""), argv
         assert "Traceback" not in err
         assert err.splitlines()[-1].endswith(f"error: argument {argv[-1]}: invalid int value: {text!r}")
-    # a minus sign still reaches the command's own range check
-    assert _run(capsys, ["identities", "--order", "-1"]) == (
-        2, "", "error: identity checks need a truncation order in 2..16\n"
-    )
+    # a minus sign is read, and the flag's range refuses the value
+    code, out, err = _run(capsys, ["identities", "--order", "-1"])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(_choices_error("--order", -1, range(2, 17)))
 
 
 def test_corrupted_identities_fail_with_a_named_identity(capsys) -> None:
@@ -877,50 +899,29 @@ def test_complete_bipartite_recursion_matches_the_series_to_order_sixteen(capsys
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv",
     [
-        (
-            ["identities", "--order", "12"],
-            "c02a038eaaa67597a47a1088fe2351b6468a93b07c2c75af677efa001d9237b8",
-        ),
-        (
-            ["identities", "--order", "16"],
-            "b4120c77392688ede5d53f6ac6b8a604038886defaa480cd0e2cb78910e252a5",
-        ),
-        (
-            ["gal-scan", "--family", "all", "--bound", "16", "--format", "csv"],
-            "dad367b113ec949007357b35bceb4e06de3b9da57576eb95158617f031532523",
-        ),
-        (
-            ["verify", "--family", "all", "--max-order", "12"],
-            "04fb4edb0bd79734a9a9bceab4263a278d49e78c6645a3ee414d0b13569b0199",
-        ),
+        ["identities", "--order", "12"],
+        ["identities", "--order", "16"],
+        ["gal-scan", "--family", "all", "--bound", "16", "--format", "csv"],
+        ["verify", "--family", "all", "--max-order", "12"],
     ],
     ids=["identities-12", "identities-16", "gal-scan-all-16-csv", "verify-all-12"],
 )
-def test_output_digests_above_the_bench_reference(capsys, argv: list[str], digest: str) -> None:
-    # sha256 of stdout, recorded before the one-pass series kernel; the
-    # bench reference stops at order 10.
+def test_output_digests_above_the_bench_reference(capsys, argv: list[str]) -> None:
+    # sha256 of stdout, as tests/golden.json records it; the bench
+    # reference stops at order 10.
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == _recorded_stdout(argv)
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (
-            ["gal-scan", "--graph-class", "connected", "--nodes", "7", "--format", "csv"],
-            "48fa6c1f02663062f0f023c805c19c6405c0776c31199a358e2e03bc69a87138",
-        ),
-        (
-            ["invariants", "--graph", "cycle:20"],
-            "6b16a41fbd68e71b9d01c66894dbfa36e99e3c61f6abd07115777baefc8ab2ae",
-        ),
-        (
-            ["invariants", "--graph", "bipartite:10,10"],
-            "75a54d7ea27202aa73ea5ba5e63c30f328d1c33150e022f14057a36062f96ab4",
-        ),
+        (["gal-scan", "--graph-class", "connected", "--nodes", "7", "--format", "csv"], None),
+        (["invariants", "--graph", "cycle:20"], None),
+        (["invariants", "--graph", "bipartite:10,10"], None),
         (
             ["invariants", "--graph", "path:20"],
             "97b526378172eeb824d15a416c1643f2e13458cbc8c001bb4cf3b8634a58d4b7",
@@ -929,107 +930,74 @@ def test_output_digests_above_the_bench_reference(capsys, argv: list[str], diges
     ids=["gal-scan-connected-7-csv", "cycle-20", "bipartite-10-10", "path-20"],
 )
 def test_recursion_output_digests_beyond_the_bench_reference(
-    capsys, argv: list[str], digest: str
+    capsys, argv: list[str], digest: str | None
 ) -> None:
-    # sha256 of stdout, recorded while the recursion still held its face
-    # counts as coefficient lists; the bench reference has no 7-node scan
-    # and no 20-node graph.
+    # sha256 of stdout; the bench reference has no 7-node scan and no
+    # 20-node graph.  None reads the digest tests/golden.json records; it
+    # holds no path:20 run, whose digest is kept here.
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == (digest or _recorded_stdout(argv))
 
 
-_HIGH_ORDER_NEGATIVE_CONTROLS = {
-    ("pe", 12): "cb308d4da6191e7b4557e276686c19b8caec7ebf9a10bd03d8c9410646188406",
-    ("pe", 16): "f34ed89f86c51842085aa291b33ac3d0c50520a4b89be8a035497c2d8e333165",
-    ("st", 12): "35d59422c6cc2beffc2e47764f57b5b5b5e6c0c01667a805b2f03c37766b4ce9",
-    ("st", 16): "70907492bf4e2cd0802acf4d56a495edd1348d9b1988d0ddbb035ccd023d758d",
-    ("nabla-because", 12): "e3d616f693746d803b76c836f0e2602ba4f2ecc0c1c33c86ed67ed598683e7c0",
-    ("nabla-because", 16): "edbfa537535816907c0f32a1d81b99f4dc20b0b22c4267f1c3e736745ee2f14c",
-    ("because-because", 12): "cbe17c3e6282a16ec986e01fe3ddd9cdfc394d37ebf7b4060a80c8726ca86c1e",
-    ("because-because", 16): "20b867823888508b25b4d932a6fd4e46cbc36a8568668ae136cc1cbd49eb029d",
-}
+_HIGH_ORDER_NEGATIVE_CONTROLS = [
+    (family, order)
+    for family in ("pe", "st", "nabla-because", "because-because")
+    for order in (12, 16)
+]
 
 
-@pytest.mark.parametrize("family, order", list(_HIGH_ORDER_NEGATIVE_CONTROLS))
+@pytest.mark.parametrize("family, order", _HIGH_ORDER_NEGATIVE_CONTROLS)
 def test_negative_control_output_digests_at_high_order(capsys, family: str, order: int) -> None:
-    # sha256 of stdout, recorded while each product slot was still summed
-    # as a list of coefficients: the mismatches are decoded from packed
-    # slots only where two series differ.
+    # sha256 of stdout, as tests/golden.json records it: the mismatches
+    # are decoded from packed slots only where two series differ.
     argv = ["identities", "--order", str(order), "--corrupt", family, "--format", "json"]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (1, "")
-    digest = _HIGH_ORDER_NEGATIVE_CONTROLS[(family, order)]
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == _recorded_stdout(argv)
 
 
 def test_negative_control_output_digest(capsys) -> None:
-    # sha256 of stdout, recorded while fractions was still imported at
-    # module level: the mismatch records print 1/2, the one non-integer
-    # a command line run formats.
+    # sha256 of stdout, as tests/golden.json records it: the mismatch
+    # records print 1/2, the one non-integer a command line run formats.
     argv = ["identities", "--order", "4", "--corrupt", "pe", "--format", "json"]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (1, "")
     assert '"c": "1/2"' in out
-    assert (
-        hashlib.sha256(out.encode()).hexdigest()
-        == "f0cc767571653bcb0b41bb4d4911796294968e7822871fc2a4b8892cc3cf888d"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == _recorded_stdout(argv)
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv",
     [
-        (
-            ["gal-scan", "--family", "all", "--bound", "12"],
-            "a4a1bd6bd28a5e62932b3e91b2be590ae023eb48828f17d9035cd4b07306a860",
-        ),
-        (
-            ["gal-scan", "--graph-class", "connected", "--nodes", "6"],
-            "963b3af2cb96d9dd62307a0ad6c621dfad77d05f65f7f3e8caeff7a0fdb6a09e",
-        ),
+        ["gal-scan", "--family", "all", "--bound", "12"],
+        ["gal-scan", "--graph-class", "connected", "--nodes", "6"],
     ],
     ids=["family-all-12", "connected-6"],
 )
-def test_gal_scan_json_digests(capsys, argv: list[str], digest: str) -> None:
-    # sha256 of stdout, recorded while each scan wrote its own violation
-    # and gamma entries.
+def test_gal_scan_json_digests(capsys, argv: list[str]) -> None:
+    # sha256 of stdout, as tests/golden.json records it.
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == _recorded_stdout(argv)
 
 
 @pytest.mark.parametrize(
-    "argv, code, digest",
+    "argv, code",
     [
-        (
-            ["invariants", "--graph", "join(star:4,empty:4)"],
-            0,
-            "4b7b3ec50fbd033aebb790a48da1528423828c6c50ccabb81b97c7e4f4e31bce",
-        ),
-        (
-            ["verify", "--family", "all", "--max-order", "8"],
-            0,
-            "1ca5d64c20ccfb3eb258bf2ac2abc28a46899cc8009bf90621193c0481f3c7f1",
-        ),
-        (
-            ["identities", "--order", "8"],
-            0,
-            "a094740a8d8aa7ed7d477e3a463d6614b7f7e309118d0cdb275f7febdbec3a26",
-        ),
-        (
-            ["identities", "--order", "6", "--corrupt", "because-because"],
-            1,
-            "ed8b64c31b2eb673fee42e6a88676e970b61229d9e8efe8f523b8fc1ee920a95",
-        ),
+        (["invariants", "--graph", "join(star:4,empty:4)"], 0),
+        (["verify", "--family", "all", "--max-order", "8"], 0),
+        (["identities", "--order", "8"], 0),
+        (["identities", "--order", "6", "--corrupt", "because-because"], 1),
     ],
     ids=["invariants-join", "verify-all-8", "identities-8", "identities-6-corrupt"],
 )
-def test_csv_digests(capsys, argv: list[str], code: int, digest: str) -> None:
-    # sha256 of stdout, recorded while each command wrote its own CSV.
-    result, out, err = _run(capsys, argv + ["--format", "csv"])
+def test_csv_digests(capsys, argv: list[str], code: int) -> None:
+    # sha256 of stdout, as tests/golden.json records it.
+    argv = argv + ["--format", "csv"]
+    result, out, err = _run(capsys, argv)
     assert (result, err) == (code, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == _recorded_stdout(argv)
 
 _NON_GAL = power(A, 2) + power(T, 2)  # gammas 1, -2
 
@@ -1249,12 +1217,52 @@ def test_the_module_entry_point_reads_sys_argv(capsys, monkeypatch) -> None:
         ["identities", "--corrupt", "starmarked"],
         ["gal-scan", "--graph-class", "tree", "--nodes", "3"],
         ["gal-scan", "--family", "pe", "--order", "3"],
+        ["identities", "--order", "1"],
+        ["identities", "--order", "17"],
+        ["identities", "--order", "-1"],
+        ["verify", "--max-order", "17"],
+        ["gal-scan", "--family", "pe", "--bound", "0"],
+        ["gal-scan", "--family", "pe", "--bound", "17"],
     ],
 )
 def test_the_reader_leaves_other_argvs_to_argparse(argv: list[str]) -> None:
     # Help, prefixes, --flag=value, repeats, --, negative numbers, bad
-    # values and missing or extra arguments all take argparse's path.
+    # values, orders outside their range and missing or extra arguments
+    # all take argparse's path.
     assert cli._read_argv(argv) is None
+
+
+def test_each_order_range_is_stated_once_in_the_option_table(capsys) -> None:
+    # Every int flag but --nodes has a range as its choices.  Both readers
+    # refuse the value just below and just above it, as argparse's usage
+    # error, and the flag's help names the range as lo..hi.
+    ranged = {}
+    for command, (_, _, flags) in cli._COMMANDS.items():
+        for flag, keywords in flags.items():
+            if keywords.get("type") is cli._int_flag and flag != "--nodes":
+                ranged[command, flag] = keywords
+    assert sorted(flag for _, flag in ranged) == ["--bound", "--max-order", "--order"]
+    for (command, flag), keywords in ranged.items():
+        orders = keywords["choices"]
+        assert isinstance(orders, range) and orders.stop == cli.MAX_ORDER + 1
+        assert f"{orders.start}..{orders.stop - 1}" in keywords["help"]
+        for value in (orders.start - 1, orders.stop):
+            argv = [command, flag, str(value)]
+            assert cli._read_argv(argv) is None
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err.splitlines()[-1].endswith(_choices_error(flag, value, orders))
+
+
+def test_node_counts_outside_the_atlas_are_the_librarys_refusal(capsys) -> None:
+    # --nodes has no range in the option table: the library's one check of
+    # the atlas limit refuses the count, with its own message and exit 2.
+    for nodes in (0, 8):
+        with pytest.raises(ValueError) as refusal:
+            ringcalc.class_face_counts(nodes)
+        assert str(refusal.value) == "the atlas covers 1..7 nodes"
+        argv = ["gal-scan", "--graph-class", "connected", "--nodes", str(nodes)]
+        assert _run(capsys, argv) == (2, "", f"error: {refusal.value}\n")
 
 
 def test_the_reader_reads_ints_and_defaults_as_argparse_does() -> None:
