@@ -4,15 +4,17 @@ Four subcommands: ``invariants`` prints face data for one graph's
 nestohedron, ``verify`` compares the nested-set recursion against the
 closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
-a polytope family or over all small connected graphs.  Each scan is one
-``invariants`` call keyed by what the command names: a family scan
-passes the family's id to ``gal_check_series``, and a graph-class scan
-passes the node count to ``gal_check_classes``, which builds no graph
-and keys each class's gamma vector by the spec it prints.  Each command
-returns its report (exit code, a call that builds its JSON object, CSV
-header and rows) and ``main`` alone writes it, as JSON (sorted keys) or
-CSV, building only the one it writes; both are byte-deterministic for
-fixed inputs.
+a polytope family or over all small connected graphs.  Each check is one
+library call on the name of what it checks, and returns a mapping keyed
+by what it checked: a family scan passes the family's id and the bound
+to ``gal_check_series``, which builds the series itself; a graph-class
+scan passes the node count to ``gal_check_classes``, which builds no
+graph and keys each class's gamma vector by the spec it prints; and
+``identity_suite`` keys each identity's mismatch by its name.  Each
+command returns its report (exit code, a call that builds its JSON
+object, CSV header and rows) and ``main`` alone writes it, as JSON
+(sorted keys) or CSV, building only the one it writes; both are
+byte-deterministic for fixed inputs.
 
 The subcommands, their flags and each flag's accepted values (an order
 flag's range is its ``choices``) live in one option table, ``_COMMANDS``.
@@ -224,23 +226,23 @@ def cmd_identities(args: SimpleNamespace) -> _Report:
     with _located(lambda: f"identities at order {order}"):
         results = identity_suite(order, corrupt=args.corrupt)
     entries, rows = [], []
-    for result in results:
-        entry: dict[str, object] = {"identity": result.name, "passed": result.passed}
+    for name, mismatch in results.items():
+        entry: dict[str, object] = {"identity": name, "passed": mismatch is None}
         k = l = ""
-        if result.mismatch is not None:
+        if mismatch is not None:
             from fractions import Fraction
 
             # the raw [x^k y^l] difference: the stored one over k! l!,
             # each coefficient written p or p/q in lowest terms
-            k, l, diff = result.mismatch
+            k, l, diff = mismatch
             scale = factorial(k) * factorial(l)
             difference = [
                 {"i": i, "j": j, "c": str(Fraction(c, scale))} for (i, j), c in diff.terms()
             ]
             entry["mismatch"] = {"k": k, "l": l, "difference": difference}
         entries.append(entry)
-        rows.append((result.name, str(result.passed).lower(), k, l))
-    passed = all(result.passed for result in results)
+        rows.append((name, str(mismatch is None).lower(), k, l))
+    passed = all(mismatch is None for mismatch in results.values())
     obj = {"order": order, "passed": passed, "results": entries}
     return 0 if passed else 1, lambda: obj, ("identity", "passed", "mismatch_k", "mismatch_l"), rows
 
@@ -285,9 +287,7 @@ def _scan_families(args: SimpleNamespace) -> _Report:
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
     scanned = []
     for fam_id in fam_ids:
-        with _located(lambda: f"series of {fam_id} at order {bound}"):
-            series = family_f(fam_id, bound)
-        results = gal_check_series(series, fam_id)
+        results = gal_check_series(fam_id, bound)
         scanned.append((fam_id, [({"k": k, "l": l}, gv) for (k, l), gv in results.items()]))
     failed = not all(gv.passed for _, items in scanned for _, gv in items)
 

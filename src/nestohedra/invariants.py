@@ -5,10 +5,12 @@ it has a gamma vector; a polytope or series coefficient "passes" when every
 gamma entry is nonnegative.  ``gal_check_poly`` is the one check: it
 returns the gamma vector of one polynomial, which reports its own first
 negative entry, and it raises on a polynomial that has no gamma vector.
-The two scans run it on a batch: ``gal_check_series`` on the h-polynomial
-of every coefficient of a family's face series, keyed by index, and
-``gal_check_classes`` on that of every connected class of an atlas row,
-keyed by spec.  Each names the first item that fails.
+The two scans run it on a batch, each called by the name of what it
+checks and keyed by what it checked: ``gal_check_series(fam, order)`` on
+the h-polynomial of every coefficient of the family's face series, keyed
+by index, and ``gal_check_classes(n)`` on that of every connected class
+of the atlas row of n nodes, keyed by spec.  Each names the first item
+that fails.
 A negative entry is a finding; a missing gamma vector is a fault.
 """
 
@@ -27,7 +29,7 @@ from .algebra import (
 )
 from .buildingset import Graph
 from .ringcalc import class_face_counts, fpoly
-from .series import Series2, _family
+from .series import _family, family_f
 
 __all__ = [
     "fvector",
@@ -66,20 +68,30 @@ def gal_check_poly(p: Poly2, n: int) -> GammaVector:
     return gamma_from_h(p)
 
 
-def gal_check_series(series_f: Series2, fam: str) -> dict[tuple[int, int], GammaVector]:
+def gal_check_series(fam: str, order: int) -> dict[tuple[int, int], GammaVector]:
     """``gal_check_poly`` on the h-polynomial of each coefficient of a family's face series.
 
-    ``fam`` is the family's id.  Returns, for each family index (k, l)
-    with k + l <= series_f.order in index order, the gamma vector of
-    h_from_f of the stored coefficient k! l! [x^k y^l], checked against
-    the family dimension.  Only those slots are decoded, each once.  Every
-    coefficient of a family's h-series has a gamma vector, so one without,
-    or a slot that does not decode, is the series' failure, not bad input:
-    it raises ``ArithmeticError`` naming the family and index.
+    ``fam`` is the family's id, and the series is ``family_f(fam, order)``.
+    Returns, for each family index (k, l) with k + l <= order in index
+    order, the gamma vector of h_from_f of the stored coefficient
+    k! l! [x^k y^l], checked against the family dimension.  Only those
+    slots are decoded, each once.  A ``FamilySpec`` (``TypeError``), an
+    unknown id (``NotInFamilyError``) or a negative order (``ValueError``)
+    is refused before anything is built.  Every coefficient of a family's
+    h-series has a gamma vector, so a build that fails, a slot that does
+    not decode, or a coefficient without one is the series' failure, not
+    bad input: it raises ``ArithmeticError`` naming the family and the
+    order or index.
     """
     spec = _family(fam)
+    if order < 0:
+        raise ValueError("negative truncation order")
+    try:
+        series_f = family_f(fam, order)
+    except (ValueError, ArithmeticError) as exc:
+        raise ArithmeticError(f"series of {fam} at order {order}: {exc}") from exc
     results: dict[tuple[int, int], GammaVector] = {}
-    for k, l in spec.indices(series_f.order):
+    for k, l in spec.indices(order):
         try:
             results[(k, l)] = gal_check_poly(h_from_f(series_f.coeff(k, l)), spec.dim(k, l))
         except (ValueError, ArithmeticError) as exc:

@@ -44,13 +44,13 @@ mask it reads has at most 17.
 
 A subproblem of at most seven nodes is read from one committed table,
 ``_classes.CLASSES``, by ``_key``, an int that names its isomorphism
-class.  The table is committed packed at W = _WIDTH, so ``_TABLE``
-merges its rows as they stand and nothing is converted at import.  So
-the formula runs only on eight or more nodes, and a graph takes its twin
-classes only once the formula runs on it.  The table lists the classes
-of each node count in atlas order, so ``class_face_counts`` reads a
-whole class scan's face counts by position, with no graph built and no
-key.  On eight or more nodes ``FPolyCache`` shares results between
+class, in the row of its node count.  The table is committed packed at
+W = _WIDTH, so its ints are read as they stand and nothing is converted
+at import.  So the formula runs only on eight or more nodes, and a graph
+takes its twin classes only once the formula runs on it.  The table
+lists the classes of each node count in atlas order, so
+``class_face_counts`` reads a whole class scan's face counts by
+position, with no graph built and no key.  On eight or more nodes ``FPolyCache`` shares results between
 graphs: each subproblem missed by the per-call mask memo is looked up,
 and stored, under the adjacency tuple of its labelled induced subgraph.
 ``induced_fpolys`` is the one function that takes a cache, as ``verify``
@@ -97,16 +97,11 @@ def class_face_counts(n: int) -> list[list[int]]:
     return [[f >> shift & field for shift in shifts] for f in CLASSES[n].values()]
 
 
-# every entry of CLASSES by its _key, the same ints, so that a subproblem
-# reads its packed face counts with one lookup
-_TABLE = {key: f for row in CLASSES.values() for key, f in row.items()}
-
-
 class FPolyCache(dict):
     """Packed face counts of connected graphs on eight or more nodes.
 
     A key is the adjacency tuple of a labelled graph, and ``Graph(key)`` is
-    that graph; graphs of at most seven nodes are read from ``_TABLE``.
+    that graph; graphs of at most seven nodes are read from ``CLASSES``.
     Shared across ``induced_fpolys`` calls, and so across graphs.
     """
 
@@ -119,23 +114,24 @@ def _key(adj: tuple[int, ...], mask: int) -> int:
 
     Each node of degree d in it adds 1 << 4 * d, a histogram of degrees
     with a 4-bit count each, and that is the key when it is a key of
-    ``_TABLE``: when no other class of its node count shares it.  Otherwise
-    each node v has the code deg(v) << 11 | t << 6 | s, where t sums
-    |N(u) & N(v)| over the neighbours u of v, twice the triangles at v, and
-    s sums deg(u) over them, all inside mask; t is at most 30 and s at most
-    36, so the fields never overlap.  The key is then the sorted codes, 14
-    bits each, the largest lowest.  Only classes of five or more nodes
-    share histograms, and their codes lie at or above 2^67, where no
-    histogram reaches, since those lie below 2^28.  Both are the same for
-    every labelling, and the 995 connected classes on 2-7 nodes take 995
-    keys, which the tests check.
+    ``CLASSES[n]``, n the node count: when no other class of n nodes
+    shares it.  Otherwise each node v has the code
+    deg(v) << 11 | t << 6 | s, where t sums |N(u) & N(v)| over the
+    neighbours u of v, twice the triangles at v, and s sums deg(u) over
+    them, all inside mask; t is at most 30 and s at most 36, so the fields
+    never overlap.  The key is then the sorted codes, 14 bits each, the
+    largest lowest.  Only classes of five or more nodes share histograms,
+    and their codes lie at or above 2^67, where no histogram reaches, since
+    those lie below 2^28.  Both are the same for every labelling, and the
+    995 connected classes on 2-7 nodes take 995 keys, which the tests
+    check.
     """
     key, left = 0, mask
     while left:
         low = left & -left
         left ^= low
         key += 1 << 4 * (adj[low.bit_length() - 1] & mask).bit_count()
-    if key in _TABLE:
+    if key in CLASSES[mask.bit_count()]:
         return key
     codes, left = [], mask
     while left:
@@ -171,7 +167,7 @@ class _NestedSets:
 
     Only ``expand`` reads the twin classes, so they and the per-node tables
     built from them wait for its first call.  A graph whose components
-    all have at most seven nodes is read from ``_TABLE`` whole and never
+    all have at most seven nodes is read from ``CLASSES`` whole and never
     builds them.
     """
 
@@ -215,7 +211,7 @@ class _NestedSets:
             return f
         n = mask.bit_count()
         if n <= 7:
-            f = _TABLE[_key(self.adj, mask)]
+            f = CLASSES[n][_key(self.adj, mask)]
         else:
             key = _induced_adj(self.adj, mask)
             f = self.cache.lookup(key)

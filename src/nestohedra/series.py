@@ -111,7 +111,6 @@ __all__ = [
     "family_f",
     "pe_f_xplusy",
     "coeff_normalized",
-    "IdentityResult",
     "identity_suite",
     "IDENTITY_NAMES",
     "IDENTITY_FAMILIES",
@@ -637,24 +636,6 @@ IDENTITY_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8")
 IDENTITY_FAMILIES = ("pe", "st", "nabla-because", "because-because")
 
 
-class IdentityResult(Record):
-    """One identity's outcome.
-
-    ``mismatch`` is ``first_mismatch``'s (k, l, difference) at the first
-    index where the two sides differ, or None when they agree: the
-    difference of the stored k! l! coefficients, an integer polynomial.
-    """
-
-    __slots__ = ("name", "mismatch")
-
-    def __init__(self, name: str, mismatch: Optional[tuple[int, int, Poly2]]):
-        self._set(name, mismatch)
-
-    @property
-    def passed(self) -> bool:
-        return self.mismatch is None
-
-
 def _drop_one_term(s: Series2) -> Series2:
     """Remove the smallest slot of total degree >= 2; a test corruption."""
     victim = next((i for i in range(_index(0, 2), len(s._coeffs)) if s._coeffs[i]), None)
@@ -667,15 +648,17 @@ def _drop_one_term(s: Series2) -> Series2:
 
 def identity_suite(
     order: int = DEFAULT_ORDER, corrupt: str | None = None
-) -> tuple[IdentityResult, ...]:
+) -> dict[str, Optional[tuple[int, int, Poly2]]]:
     """Check the eight differential identities at a truncation order.
 
     I1-I4 differentiate in t and are compared at the full order; I5-I8
     differentiate in x or y, which costs one order of reliability, so they
     are compared at order - 1.  ``corrupt`` names a family whose face series
     gets one term dropped first, for negative-control testing.  Returns
-    one result per identity, in ``IDENTITY_NAMES`` order; a failed one
-    keeps the stored k! l! difference at its first mismatch.
+    each identity's mismatch keyed by its name, in ``IDENTITY_NAMES``
+    order: None when its two sides agree, else ``first_mismatch``'s
+    (k, l, difference) at the first index where they differ, the
+    difference of the stored k! l! coefficients.
 
     I5-I8 relate h-series; as alpha -> alpha - t is a ring automorphism
     acting on each slot alone, they are compared between face series with
@@ -729,4 +712,4 @@ def identity_suite(
     ]
     found = [first_mismatch(lhs, rhs) for lhs, rhs in checks]
     found[4:] = [m and (m[0], m[1], h_from_f(m[2])) for m in found[4:]]  # I5-I8's at the h level
-    return tuple(IdentityResult(name, m) for name, m in zip(IDENTITY_NAMES, found, strict=True))
+    return dict(zip(IDENTITY_NAMES, found, strict=True))

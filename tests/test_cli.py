@@ -677,14 +677,16 @@ def test_gal_scan_usage_errors(capsys) -> None:
 
 
 def _doctor_pe_f(monkeypatch, doctor: Callable[[series.Series2], series.Series2]) -> None:
-    """Make the CLI's pe face series doctor(s) in place of s."""
-    plain = cli.family_f
+    """Make the pe face series that ``verify`` and the family scan build doctor(s) in place of s."""
+    plain = series.family_f
 
     def doctored(fam_id: str, order: int) -> series.Series2:
         s = plain(fam_id, order)
         return doctor(s) if fam_id == "pe" else s
 
+    # verify builds its series in cli, and the family scan's gal_check_series in invariants
     monkeypatch.setattr(cli, "family_f", doctored)
+    monkeypatch.setattr(invariants, "family_f", doctored)
 
 
 def _with_hexagon(p: Poly2) -> Callable[[series.Series2], series.Series2]:
@@ -848,6 +850,7 @@ def test_a_failed_series_build_exits_one(capsys, monkeypatch) -> None:
         raise ValueError("plain")
 
     monkeypatch.setattr(cli, "family_f", broken)
+    monkeypatch.setattr(invariants, "family_f", broken)
     code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])
     assert (code, out, err) == (1, "", "error: series of pe at order 4: plain\n")
 

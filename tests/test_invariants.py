@@ -8,6 +8,7 @@ from typing import Callable
 
 import pytest
 
+from nestohedra import invariants
 from nestohedra._classes import CONNECTED
 from nestohedra.algebra import GammaVector, Poly2, h_from_f
 from nestohedra.buildingset import (
@@ -28,7 +29,15 @@ from nestohedra.invariants import (
     hpoly,
 )
 from nestohedra.ringcalc import class_face_counts
-from nestohedra.series import FAMILIES, NotInFamilyError, Series2, _drop_one_term, family_f
+from nestohedra.series import (
+    FAMILIES,
+    IDENTITY_NAMES,
+    NotInFamilyError,
+    Series2,
+    _drop_one_term,
+    family_f,
+    identity_suite,
+)
 from witnesses import (
     connected_graphs_upto_iso,
     dehn_sommerville,
@@ -118,8 +127,18 @@ def test_gal_check_poly_rejects_malformed_input() -> None:
         gal_check_poly(Poly2.from_coeffs(()), 0)
 
 
+def _built_as(monkeypatch, series_f: Series2) -> None:
+    """Make ``gal_check_series`` build series_f, at its own order, in place of the family's."""
+
+    def build(fam: str, order: int) -> Series2:
+        assert order == series_f.order, (fam, order)
+        return series_f
+
+    monkeypatch.setattr(invariants, "family_f", build)
+
+
 def test_gal_check_series_on_the_bipartite_family() -> None:
-    results = gal_check_series(family_f("because-because", 7), "because-because")
+    results = gal_check_series("because-because", 7)
     assert all(result.passed for result in results.values())
     assert list(results) == FAMILIES["because-because"].indices(7)
     assert len(results) == 23
@@ -127,10 +146,10 @@ def test_gal_check_series_on_the_bipartite_family() -> None:
     assert results[(1, 1)] == GammaVector(1, (Fraction(1),))
 
 
-def test_gal_check_series_flags_a_dropped_coefficient() -> None:
-    broken = _drop_one_term(family_f("because-because", 4))
+def test_gal_check_series_flags_a_dropped_coefficient(monkeypatch) -> None:
+    _built_as(monkeypatch, _drop_one_term(family_f("because-because", 4)))
     with pytest.raises(ArithmeticError) as excinfo:
-        gal_check_series(broken, "because-because")
+        gal_check_series("because-because", 4)
     assert str(excinfo.value) == (
         "h-series of because-because at (1, 1): zero polynomial has no homogeneous degree"
     )
@@ -155,18 +174,18 @@ def _pe_f_with_hexagon(p: Poly2) -> Series2:
     ids=["asymmetric", "wrong-degree", "negative-gamma"],
 )
 def test_gal_check_series_reports_each_fault_once(
-    doctored: Callable[[], Series2], error: str | None
+    monkeypatch, doctored: Callable[[], Series2], error: str | None
 ) -> None:
     # A coefficient with no gamma vector is the series' fault and raises,
     # naming the family and index; a negative gamma entry is a finding and
     # is reported in that index's result.
-    series_f = doctored()
+    _built_as(monkeypatch, doctored())
     if error is not None:
         with pytest.raises(ArithmeticError) as excinfo:
-            gal_check_series(series_f, "pe")
+            gal_check_series("pe", 3)
         assert str(excinfo.value) == "h-series of pe at " + error
         return
-    results = gal_check_series(series_f, "pe")
+    results = gal_check_series("pe", 3)
     assert [(index, gv.first_negative) for index, gv in results.items() if not gv.passed] == [
         ((3, 0), (1, -2))
     ]
@@ -176,9 +195,42 @@ def test_gal_check_series_reports_each_fault_once(
 
 def test_gal_check_series_takes_a_family_id_only() -> None:
     with pytest.raises(TypeError, match="^a family is named by its id, not by a FamilySpec$"):
-        gal_check_series(family_f("pe", 3), FAMILIES["pe"])
+        gal_check_series(FAMILIES["pe"], 3)
     with pytest.raises(NotInFamilyError, match="^unknown family 'no-such-family'$"):
-        gal_check_series(family_f("pe", 3), "no-such-family")
+        gal_check_series("no-such-family", 3)
+
+
+def test_gal_check_series_refuses_bad_input_before_building(monkeypatch) -> None:
+    # the caller's faults are refused as such before any series is built;
+    # a build that fails is the series' fault, located by family and order
+    def unbuilt(fam: str, order: int) -> Series2:
+        raise AssertionError(f"built {fam} at order {order}")
+
+    monkeypatch.setattr(invariants, "family_f", unbuilt)
+    with pytest.raises(ValueError, match="^negative truncation order$"):
+        gal_check_series("pe", -1)
+    with pytest.raises(NotInFamilyError, match="^unknown family 'no-such-family'$"):
+        gal_check_series("no-such-family", 4)
+    with pytest.raises(TypeError, match="^a family is named by its id, not by a FamilySpec$"):
+        gal_check_series(FAMILIES["pe"], 4)
+
+    def plain(fam: str, order: int) -> Series2:
+        raise ValueError("plain")
+
+    monkeypatch.setattr(invariants, "family_f", plain)
+    with pytest.raises(ArithmeticError, match="^series of pe at order 4: plain$") as excinfo:
+        gal_check_series("pe", 4)
+    assert type(excinfo.value) is ArithmeticError
+    assert str(excinfo.value.__cause__) == "plain"
+
+
+def test_every_check_is_keyed_by_what_it_checked() -> None:
+    for fam_id, spec in FAMILIES.items():
+        assert list(gal_check_series(fam_id, 5)) == spec.indices(5), fam_id
+    assert list(gal_check_classes(4)) == list(CONNECTED[4])
+    suite = identity_suite(6)
+    assert list(suite) == list(IDENTITY_NAMES)
+    assert suite == dict.fromkeys(IDENTITY_NAMES)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -203,13 +255,13 @@ def test_gal_check_classes_covers_one_to_seven_nodes(n: int) -> None:
 
 def test_gal_check_series_scans_every_family() -> None:
     for fam_id in FAMILIES:
-        results = gal_check_series(family_f(fam_id, 5), fam_id)
+        results = gal_check_series(fam_id, 5)
         failed = {index: gv.first_negative for index, gv in results.items() if not gv.passed}
         assert not failed, (fam_id, failed)
 
 
 def test_scan_report_serialization() -> None:
-    results = gal_check_series(family_f("pe", 4), "pe")
+    results = gal_check_series("pe", 4)
     assert list(results) == [(1, 0), (2, 0), (3, 0), (4, 0)]
     assert [gv.as_strings() for gv in results.values()] == [
         ["1"], ["1"], ["1", "2"], ["1", "8"]
@@ -253,7 +305,7 @@ def test_complete_fvectors_are_ordered_set_partitions() -> None:
 def test_permutohedron_gammas_count_permutations_without_double_descents() -> None:
     # The pe scan against Foata-Strehl counting (permutohedron_gammas): a
     # witness that neither the recursion nor the series supplies.
-    results = gal_check_series(family_f("pe", 8), "pe")
+    results = gal_check_series("pe", 8)
     assert results == {(n, 0): permutohedron_gammas(n) for n in range(1, 9)}
     assert results[(8, 0)] == GammaVector(7, (1, 240, 3072, 3968))
 

@@ -64,7 +64,7 @@ PUBLIC_PARAMETERS = {
     "invariants.hpoly": ("g",),
     "invariants.gamma": ("g",),
     "invariants.gal_check_poly": ("p", "n"),
-    "invariants.gal_check_series": ("series_f", "fam"),
+    "invariants.gal_check_series": ("fam", "order"),
     "invariants.gal_check_classes": ("n",),
     "ringcalc.FPolyCache.lookup": ("self", "key", "default"),
     "ringcalc.FPolyCache.store": ("self", "key", "value"),
@@ -92,7 +92,6 @@ PUBLIC_PARAMETERS = {
     "series.family_f": ("fam", "order"),
     "series.pe_f_xplusy": ("order",),
     "series.coeff_normalized": ("fam", "k", "l"),
-    "series.IdentityResult": ("name", "mismatch"),
     "series.identity_suite": ("order", "corrupt"),
 }
 

@@ -2,10 +2,8 @@
 
 The repr strings were recorded from the dataclasses these records were
 before they became slotted classes, so the public behaviour is pinned
-across that change.  The repr of ``IdentityResult`` has since lost
-``passed``, which became a property of ``mismatch``; ``GammaVector``
-derives ``first_negative`` and ``passed`` from its entries, so neither is
-a field or part of its repr.
+across that change.  ``GammaVector`` derives ``first_negative`` and
+``passed`` from its entries, so neither is a field or part of its repr.
 """
 
 from __future__ import annotations
@@ -16,11 +14,11 @@ from nestohedra import (
     FamilySpec,
     GammaVector,
     Graph,
-    IdentityResult,
     Poly2,
     path_graph,
     star_graph,
 )
+from nestohedra._record import Record
 
 # (build one record, build an unequal one, a field name, the repr)
 FROZEN = {
@@ -35,12 +33,6 @@ FROZEN = {
         lambda: GammaVector(2, (1, -2)),
         "gammas",
         "GammaVector(n=2, gammas=(1, 2))",
-    ),
-    "IdentityResult": (
-        lambda: IdentityResult("I1", None),
-        lambda: IdentityResult(name="I2", mismatch=None),
-        "name",
-        "IdentityResult(name='I1', mismatch=None)",
     ),
     "FamilySpec": (
         lambda: FamilySpec("demo", 1, max, min, pow),
@@ -71,13 +63,20 @@ def test_frozen_records_are_values(name: str) -> None:
     assert a == b
 
 
+class _Pair(Record):
+    """A record of a name and a value, which may hold a polynomial."""
+
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: object):
+        self._set(name, value)
+
+
 def test_a_record_holding_a_polynomial_is_unhashable() -> None:
-    result = IdentityResult("I1", (1, 2, Poly2.from_coeffs((1, 2))))
-    assert repr(result) == (
-        "IdentityResult(name='I1', mismatch=(1, 2, Poly2.from_coeffs((1, 2))))"
-    )
-    assert result == IdentityResult("I1", (1, 2, Poly2.from_coeffs((1, 2))))
-    assert not result.passed and IdentityResult("I1", None).passed
+    result = _Pair("I1", (1, 2, Poly2.from_coeffs((1, 2))))
+    assert repr(result) == "_Pair(name='I1', value=(1, 2, Poly2.from_coeffs((1, 2))))"
+    assert result == _Pair("I1", (1, 2, Poly2.from_coeffs((1, 2))))
+    assert result != _Pair("I1", None) and result != _Pair("I2", result.value)
     with pytest.raises(TypeError):
         hash(result)
 

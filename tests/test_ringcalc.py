@@ -693,7 +693,7 @@ def test_the_key_takes_one_value_per_class(n, atlas_facet_fpolys) -> None:
     # class's whole mask, which keeps the formula tested on 2-7 nodes
     for g in atlas:
         f = ringcalc._NestedSets(g, FPolyCache()).face_counts(full)
-        assert f == ringcalc._TABLE[ringcalc._key(g.adj, full)], graph_spec(g)
+        assert f == ringcalc.CLASSES[n][ringcalc._key(g.adj, full)], graph_spec(g)
         facet = atlas_facet_fpolys[g].coeffs
         assert tuple(algebra._digits(f, ringcalc._WIDTH)) == facet, graph_spec(g)
         assert ringcalc._NestedSets(g, FPolyCache()).expand(full) == f, graph_spec(g)
@@ -734,12 +734,13 @@ def test_the_shape_adds_its_sums_only_where_classes_share_degrees() -> None:
     classes = {
         g: sum(1 << 4 * row.bit_count() for row in g.adj) for g in connected_graphs_upto_iso(7)
     }
-    assert len(classes) == len(ringcalc._TABLE) == 996
+    keys = {key for row in ringcalc.CLASSES.values() for key in row}
+    assert len(classes) == len(keys) == 996
     histograms = list(classes.values())
     shared = {histogram for histogram in histograms if histograms.count(histogram) > 1}
     assert Counter(sum(h >> 4 * d & 15 for d in range(7)) for h in shared) == {5: 2, 6: 23, 7: 137}
     assert Counter(g.n for g, h in classes.items() if h in shared) == {5: 4, 6: 67, 7: 853 - 99}
-    assert not shared & set(ringcalc._TABLE)
+    assert not shared & keys
     assert max(histograms) < 1 << 28
     for g, histogram in classes.items():
         key = ringcalc._key(g.adj, (1 << g.n) - 1)
@@ -794,16 +795,18 @@ def test_the_table_is_committed_at_the_recursions_width() -> None:
     # bits, the top one the single top face, every field a positive count
     # below 2^16, as invariants._packed_gammas needs.  The literals are
     # written at 73 bits, so a change of MAX_GROUND, and with it of _WIDTH,
-    # fails here until they are rewritten.  _TABLE holds the very same ints.
+    # fails here until they are rewritten.  A subproblem reads the very
+    # same int: face_counts returns the committed one itself.
     width = ringcalc._WIDTH
     field = (1 << width) - 1
     for n, row in ringcalc.CLASSES.items():
-        for key, f in row.items():
+        full = (1 << n) - 1
+        for g, (key, f) in zip(connected_graphs_upto_iso(n, n), row.items(), strict=True):
             assert f >> width * (n - 1) == 1, (n, hex(key))
             counts = [f >> width * i & field for i in range(n)]
             assert all(0 < c < 1 << 16 for c in counts), (n, hex(key))
-            assert ringcalc._TABLE[key] is f
-    assert len(ringcalc._TABLE) == sum(map(len, ringcalc.CLASSES.values())) == 996
+            assert ringcalc._NestedSets(g, FPolyCache()).face_counts(full) is f, graph_spec(g)
+    assert sum(map(len, ringcalc.CLASSES.values())) == 996
 
 
 # sha256 of repr(class_face_counts(n)), written from the tree whose table had
@@ -852,7 +855,7 @@ def test_the_key_ignores_labels_and_the_nodes_outside_its_mask(n) -> None:
         mask = sum(1 << perm[v] for v in range(n))
         assert ringcalc._key(larger.adj, mask) == key, graph_spec(larger)
         nested = ringcalc._NestedSets(larger, FPolyCache())
-        assert nested.face_counts(mask) == ringcalc._TABLE[key], graph_spec(larger)
+        assert nested.face_counts(mask) == ringcalc.CLASSES[n][key], graph_spec(larger)
 
 
 def test_the_packed_field_width_holds_the_permutohedron_face_count() -> None:

@@ -22,7 +22,6 @@ from nestohedra.series import (
     FAMILIES,
     IDENTITY_FAMILIES,
     IDENTITY_NAMES,
-    IdentityResult,
     FamilySpec,
     NotInFamilyError,
     Series2,
@@ -483,7 +482,7 @@ def test_the_fields_hold_every_coefficient_of_the_largest_order(
     monkeypatch.setattr(
         series, "first_mismatch", lambda a, b: compared.extend((a, b)) or plain_mismatch(a, b)
     )
-    assert all(r.passed for r in identity_suite(MAX_ORDER))
+    assert all(m is None for m in identity_suite(MAX_ORDER).values())
     families = [family_f(fam, MAX_ORDER) for fam in FAMILIES]
     assert len(compared) == 2 * len(IDENTITY_NAMES)
     assert {id(s) for s in compared + families} <= {id(s) for s in built}
@@ -588,7 +587,7 @@ def test_every_series_shares_one_denominator_per_order(monkeypatch, cold_series_
         return inverses[-1]
 
     monkeypatch.setattr(series, "inv_series", counted)
-    assert all(r.passed for r in identity_suite(8))
+    assert all(m is None for m in identity_suite(8).values())
     assert len(inverses) == 1
     order = 6
     inverted.clear()
@@ -611,7 +610,7 @@ def test_operands_of_two_packings_raise(cold_series_caches) -> None:
         with pytest.raises(ValueError, match=f"^packing mismatch: {widths} fields$"):
             op(low, built)
     assert low == built
-    assert all(r.passed for r in identity_suite(8))
+    assert all(m is None for m in identity_suite(8).values())
 
 
 def test_a_zero_scalar_keeps_the_operands_packing() -> None:
@@ -961,8 +960,8 @@ def test_family_coefficients_equal_the_denominator_sum(cold_series_caches, fam: 
 @pytest.mark.parametrize("order", [2, 3, 4, 6, 8, 10])
 def test_identity_suite_passes(order: int) -> None:
     results = identity_suite(order)
-    assert [r.name for r in results] == list(IDENTITY_NAMES)
-    assert all(r.passed for r in results), next(r for r in results if not r.passed)
+    assert list(results) == list(IDENTITY_NAMES)
+    assert all(m is None for m in results.values()), results
 
 
 @pytest.mark.parametrize("corrupt", [None, *IDENTITY_FAMILIES])
@@ -970,7 +969,8 @@ def test_i5_to_i8_between_face_series_match_them_between_h_series(corrupt) -> No
     # alpha -> alpha - t is a ring automorphism acting on each slot alone,
     # so the suite's face-level check reports what the h-level one does
     for order in range(2, 11):
-        assert identity_suite(order, corrupt)[4:] == h_level_identities(order, corrupt)
+        suite = identity_suite(order, corrupt)
+        assert list(suite.items())[4:] == list(h_level_identities(order, corrupt).items())
 
 
 def test_a_passing_suite_substitutes_nothing(monkeypatch, cold_series_caches) -> None:
@@ -989,10 +989,10 @@ def test_a_passing_suite_substitutes_nothing(monkeypatch, cold_series_caches) ->
 
     counted("h_from_f")
     assert not hasattr(series, "subst_h_series")
-    assert all(r.passed for r in identity_suite(8))
+    assert all(m is None for m in identity_suite(8).values())
     assert calls == []
     results = identity_suite(6, corrupt="pe")
-    assert [r.name for r in results[4:] if not r.passed] == ["I5"]
+    assert [name for name, m in list(results.items())[4:] if m is not None] == ["I5"]
     assert calls == ["h_from_f"]
 
 
@@ -1002,10 +1002,10 @@ def test_identity_suite_rejects_tiny_orders() -> None:
 
 
 def test_corrupted_series_fails_with_a_located_index() -> None:
-    failure = next((r for r in identity_suite(6, corrupt="pe") if not r.passed), None)
-    assert failure is not None
-    assert failure.name == "I1"
-    k, l, diff = failure.mismatch
+    results = identity_suite(6, corrupt="pe")
+    failure = next((name for name, m in results.items() if m is not None), None)
+    assert failure == "I1"
+    k, l, diff = results[failure]
     assert (k, l) == (2, 0)
     assert diff
     assert all(type(c) is int for c in diff.coeffs)
@@ -1025,7 +1025,7 @@ CORRUPTED_FAILURES = {
 @pytest.mark.parametrize("family", CORRUPTED_FAILURES)
 def test_each_corruption_fails_exactly_its_identities(family: str, order: int) -> None:
     results = identity_suite(order, corrupt=family)
-    assert [r.name for r in results if not r.passed] == CORRUPTED_FAILURES[family]
+    assert [name for name, m in results.items() if m is not None] == CORRUPTED_FAILURES[family]
 
 
 def _term_by_term_sides(order: int, corrupt: str | None) -> list[tuple[Series2, Series2]]:
@@ -1085,7 +1085,7 @@ def test_the_factored_right_hand_sides_equal_the_term_by_term_ones(monkeypatch, 
             found = plain(*sides)
             if found is not None and i >= 4:  # I5-I8 report their difference at the h level
                 found = (found[0], found[1], h_from_f(found[2]))
-            assert results[i].mismatch == found, (order, i)
+            assert results[IDENTITY_NAMES[i]] == found, (order, i)
 
 
 @pytest.mark.parametrize(("order", "pairs"), [(6, 788), (8, 1873), (16, 18653)])
@@ -1103,7 +1103,7 @@ def test_the_suite_forms_each_product_once(monkeypatch, cold_series_caches, orde
         return plain(a, b, at)
 
     monkeypatch.setattr(series, "_product", counted)
-    assert all(r.passed for r in identity_suite(order))
+    assert all(m is None for m in identity_suite(order).values())
     assert counts == [17, pairs]
     # I8 mirrors nabla-because at the full order, so no order - 1 mirror is built
     assert series._mirror.cache_info().currsize == 1
@@ -1128,9 +1128,7 @@ def test_identity_report_serialization(capsys) -> None:
 def test_identity_result_reports_the_raw_difference(capsys, monkeypatch) -> None:
     # the stored k! l! difference at (2, 1), written divided by 2! 1! = 2
     stored = Poly2.from_coeffs((4, 0, -3, 1))
-    result = IdentityResult("I5", (2, 1, stored))
-    assert result.mismatch == (2, 1, stored) and not result.passed
-    monkeypatch.setattr(cli, "identity_suite", lambda order, corrupt=None: (result,))
+    monkeypatch.setattr(cli, "identity_suite", lambda order, corrupt=None: {"I5": (2, 1, stored)})
     assert main(["identities", "--order", "3"]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "order": 3,

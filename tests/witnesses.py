@@ -80,7 +80,6 @@ from nestohedra.series import (
     DEFAULT_ORDER,
     IDENTITY_FAMILIES,
     FamilySpec,
-    IdentityResult,
     Series2,
     _diagonal,
     _drop_one_term,
@@ -962,8 +961,13 @@ def phi_h(order: int = DEFAULT_ORDER) -> Series2:
     return subst_h_series(_phi_f(order))
 
 
-def h_level_identities(order: int, corrupt: str | None = None) -> tuple[IdentityResult, ...]:
+def h_level_identities(
+    order: int, corrupt: str | None = None
+) -> dict[str, tuple[int, int, Poly2] | None]:
     """I5-I8 of ``identity_suite``, each side pushed through alpha -> alpha - t.
+
+    Returns each identity's first mismatch keyed by its name, None where
+    the two sides agree, as the suite does.
 
     The operands are the h-series of pe, st, nabla-because and
     because-because (one term dropped from ``corrupt``'s face series
@@ -999,7 +1003,7 @@ def h_level_identities(order: int, corrupt: str | None = None) -> tuple[Identity
             + grow_phi,
         ),
     ]
-    return tuple(IdentityResult(name, first_mismatch(lhs, rhs)) for name, lhs, rhs in checks)
+    return {name: first_mismatch(lhs, rhs) for name, lhs, rhs in checks}
 
 
 # ---------------------------------------------------------------------------
