@@ -17,7 +17,6 @@ these graph operations are checked against.
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -55,26 +54,21 @@ class GraphSpecError(ValueError):
     """Malformed graph description."""
 
 
-@total_ordering
 class Graph(Record):
     """Simple undirected graph on nodes 0..n-1, as adjacency masks.
 
     Bit v of ``adj[u]`` is set when u-v is an edge.  The masks are the whole
-    value, so a graph is hashable and sortable, and its masks serve as the
-    shared memo's key: two graphs are equal exactly when they are the same
-    labelled graph.  ``Graph(adj)`` trusts its masks to be symmetric and
-    loop-free; ``graph_from_edges`` is the validating constructor.
+    value, so a graph is hashable, and its masks serve as the shared memo's
+    key: two graphs are equal exactly when they are the same labelled
+    graph.  Graphs have no order; sort them by their masks.  ``Graph(adj)``
+    trusts its masks to be symmetric and loop-free; ``graph_from_edges`` is
+    the validating constructor.
     """
 
     __slots__ = ("adj",)
 
     def __init__(self, adj: tuple[int, ...]):
         self._set(adj)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.adj < other.adj
 
     @property
     def n(self) -> int:

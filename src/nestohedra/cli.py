@@ -6,15 +6,15 @@ closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
 a polytope family or over all small connected graphs.  Each check is one
 library call on the name of what it checks, and returns a mapping keyed
-by what it checked: a family scan passes the family's id and the bound
-to ``gal_check_series``, which builds the series itself; a graph-class
-scan passes the node count to ``gal_check_classes``, which builds no
-graph and keys each class's gamma vector by the spec it prints; and
-``identity_suite`` keys each identity's mismatch by its name.  Each
-command returns its report (exit code, a call that builds its JSON
-object, CSV header and rows) and ``main`` alone writes it, as JSON
-(sorted keys) or CSV, building only the one it writes; both are
-byte-deterministic for fixed inputs.
+by what it checked, so this module only formats: ``verify_series`` takes
+the family ids and the order, ``gal_check_series`` a family's id and the
+bound, ``gal_check_classes`` the node count (it builds no graph and keys
+each class by the spec it prints), and ``identity_suite`` the order.  A
+failed computation comes back as an ``ArithmeticError`` that already
+names what failed.  Each command returns its report (exit code, a call
+that builds its JSON object, CSV header and rows) and ``main`` alone
+writes it, as JSON (sorted keys) or CSV, building only the one it
+writes; both are byte-deterministic for fixed inputs.
 
 The subcommands, their flags and each flag's accepted values (an order
 flag's range is its ``choices``) live in one option table, ``_COMMANDS``.
@@ -33,22 +33,15 @@ from __future__ import annotations
 import sys
 from _csv import writer
 from _json import encode_basestring_ascii
-from contextlib import contextmanager
 from math import factorial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .algebra import GammaVector, h_from_f
+from .algebra import GammaVector
 from .buildingset import graph_spec, parse_graph_spec
-from .invariants import gal_check_classes, gal_check_poly, gal_check_series
-from .ringcalc import FPolyCache, fpoly, induced_fpolys
-from .series import (
-    DEFAULT_ORDER,
-    FAMILIES,
-    IDENTITY_FAMILIES,
-    family_f,
-    identity_suite,
-)
+from .invariants import _h_and_gamma, gal_check_classes, gal_check_series, verify_series
+from .ringcalc import fpoly
+from .series import DEFAULT_ORDER, FAMILIES, IDENTITY_FAMILIES, identity_suite
 
 if TYPE_CHECKING:
     import argparse
@@ -64,7 +57,7 @@ _Report = tuple[int, Callable[[], dict[str, object]], Sequence[str], Iterable[Se
 
 
 # ---------------------------------------------------------------------------
-# output, and failures located by what failed
+# output
 
 
 def _json_parts(obj: object, indent: str, out: list[str]) -> None:
@@ -114,36 +107,6 @@ def _json_parts(obj: object, indent: str, out: list[str]) -> None:
         raise TypeError(f"{type(obj).__name__} is not written as JSON")
 
 
-def _emit_json(obj: object) -> None:
-    out: list[str] = []
-    _json_parts(obj, "", out)
-    out.append("\n")
-    sys.stdout.write("".join(out))
-
-
-def _emit_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    # ``csv.writer`` is this C writer, and its default dialect is csv's "excel"
-    out = writer(sys.stdout, lineterminator="\n")
-    out.writerow(header)
-    out.writerows(rows)
-
-
-@contextmanager
-def _located(what: Callable[[], str]) -> Iterator[None]:
-    """Re-raise a failed computation as ArithmeticError naming what failed.
-
-    The arguments were validated before the computation, so a series slot
-    that does not decode, coefficients that outgrow their packed fields, or
-    an h-polynomial the Gal check refuses are the computation's failure,
-    not the input's: one line naming it, exit 1, not 2.  ``what`` is
-    called only on failure, so the success path never formats a graph.
-    """
-    try:
-        yield
-    except (ValueError, ArithmeticError) as exc:
-        raise ArithmeticError(f"{what()}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -152,10 +115,9 @@ def cmd_invariants(args: SimpleNamespace) -> _Report:
     graph = parse_graph_spec(args.graph)
     f = fpoly(graph)
     fvec = list(f.coeffs)
-    h = h_from_f(f)
     dim = len(fvec) - 1
-    with _located(lambda: f"h-polynomial of {graph_spec(graph)}"):
-        gammas = gal_check_poly(h, dim).as_strings()
+    h, gv = _h_and_gamma(f, dim, lambda: graph_spec(graph))
+    gammas = gv.as_strings()
     facets = fvec[-2] if dim >= 1 else 0
     spec = args.graph.strip()
 
@@ -187,31 +149,15 @@ def cmd_invariants(args: SimpleNamespace) -> _Report:
 def cmd_verify(args: SimpleNamespace) -> _Report:
     max_order = args.max_order
     fam_ids = list(FAMILIES) if args.family == "all" else [args.family]
-    cache = FPolyCache()
     reports, rows = [], []
-    for fam_id in fam_ids:
-        spec = FAMILIES[fam_id]
-        indices = spec.indices(max_order)
-        with _located(lambda: f"series of {fam_id} at order {max_order}"):
-            series = family_f(fam_id, max_order)
-            coeffs = [series.coeff(k, l) for k, l in indices]
-        # every member is a node mask of the family's largest graph, and one
-        # recursion on that graph reads them all
-        masks = [spec.nodes_at(k, l, max_order) for k, l in indices]
-        actuals = induced_fpolys(spec.graph_at(max_order, max_order), masks, cache)
+    for fam_id, checked in verify_series(fam_ids, max_order).items():
         mismatches = []
-        for (k, l), expected, actual in zip(indices, coeffs, actuals):
-            if expected != actual:
-                mismatches.append(
-                    {
-                        "k": k,
-                        "l": l,
-                        "series": expected.to_records(),
-                        "recursion": actual.to_records(),
-                    }
-                )
-            rows.append((fam_id, k, l, "ok" if expected == actual else "mismatch"))
-        reports.append({"family": fam_id, "checked": len(indices), "mismatches": mismatches})
+        for (k, l), found in checked.items():
+            if found is not None:
+                series_f, recursion = (p.to_records() for p in found)
+                mismatches.append({"k": k, "l": l, "series": series_f, "recursion": recursion})
+            rows.append((fam_id, k, l, "ok" if found is None else "mismatch"))
+        reports.append({"family": fam_id, "checked": len(checked), "mismatches": mismatches})
     failed = any(report["mismatches"] for report in reports)
     obj = {"max_order": max_order, "passed": not failed, "reports": reports}
     return 1 if failed else 0, lambda: obj, ("family", "k", "l", "status"), rows
@@ -223,8 +169,7 @@ def cmd_verify(args: SimpleNamespace) -> _Report:
 
 def cmd_identities(args: SimpleNamespace) -> _Report:
     order = args.order
-    with _located(lambda: f"identities at order {order}"):
-        results = identity_suite(order, corrupt=args.corrupt)
+    results = identity_suite(order, corrupt=args.corrupt)
     entries, rows = [], []
     for name, mismatch in results.items():
         entry: dict[str, object] = {"identity": name, "passed": mismatch is None}
@@ -503,9 +448,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code, obj, header, rows = args.func(args)
         if args.format == "json":
-            _emit_json(obj())
+            parts: list[str] = []
+            _json_parts(obj(), "", parts)
+            sys.stdout.write("".join(parts) + "\n")
         else:
-            _emit_csv(header, rows)
+            # ``csv.writer`` is this C writer, and its default dialect is csv's "excel"
+            out = writer(sys.stdout, lineterminator="\n")
+            out.writerow(header)
+            out.writerows(rows)
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,23 +1,22 @@
-"""Face vectors, h-polynomials, gamma vectors, and nonnegativity scans.
+"""Face vectors, h-polynomials, gamma vectors, and the library's checks.
 
 For a simple polytope the h-polynomial is symmetric (Dehn-Sommerville), so
 it has a gamma vector; a polytope or series coefficient "passes" when every
-gamma entry is nonnegative.  ``gal_check_poly`` is the one check: it
+gamma entry is nonnegative.  ``gal_check_poly`` is the one Gal check: it
 returns the gamma vector of one polynomial, which reports its own first
 negative entry, and it raises on a polynomial that has no gamma vector.
-The two scans run it on a batch, each called by the name of what it
-checks and keyed by what it checked: ``gal_check_series(fam, order)`` on
-the h-polynomial of every coefficient of the family's face series, keyed
-by index, and ``gal_check_classes(n)`` on that of every connected class
-of the atlas row of n nodes, keyed by spec.  Each names the first item
-that fails.
-A negative entry is a finding; a missing gamma vector is a fault.
+Each batch check is called by the name of what it checks and keyed by
+what it checked: ``gal_check_series(fam, order)`` by index,
+``gal_check_classes(n)`` by spec, and ``verify_series(fams, order)``, the
+series against the recursion, by family and index.  A negative gamma
+entry is a finding; a missing gamma vector, or a build or decode that
+fails, is a fault: an ``ArithmeticError`` naming what failed.
 """
 
 from __future__ import annotations
 
 from struct import pack, unpack
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from ._classes import CONNECTED
 from .algebra import (
@@ -28,8 +27,8 @@ from .algebra import (
     homogeneous_degree,
 )
 from .buildingset import Graph
-from .ringcalc import class_face_counts, fpoly
-from .series import _family, family_f
+from .ringcalc import FPolyCache, class_face_counts, fpoly, induced_fpolys
+from .series import Series2, Slot, _family, family_f
 
 __all__ = [
     "fvector",
@@ -38,6 +37,7 @@ __all__ = [
     "gal_check_poly",
     "gal_check_series",
     "gal_check_classes",
+    "verify_series",
 ]
 
 
@@ -68,6 +68,26 @@ def gal_check_poly(p: Poly2, n: int) -> GammaVector:
     return gamma_from_h(p)
 
 
+def _family_series(fam: str, order: int, read: Sequence[Slot] = ()) -> tuple[Series2, list[Poly2]]:
+    """``family_f(fam, order)`` and its coefficients at the indices read, the
+    arguments checked: a failure is the series', named by family and order."""
+    try:
+        series_f = family_f(fam, order)
+        return series_f, [series_f.coeff(k, l) for k, l in read]
+    except (ValueError, ArithmeticError) as exc:
+        raise ArithmeticError(f"series of {fam} at order {order}: {exc}") from exc
+
+
+def _h_and_gamma(f: Poly2, dim: int, spec: Callable[[], str]) -> tuple[Poly2, GammaVector]:
+    """The h-polynomial of a polytope's face polynomial f and its gamma vector;
+    a failure is the computation's, named by ``spec()``, called only then."""
+    try:
+        h = h_from_f(f)
+        return h, gal_check_poly(h, dim)
+    except (ValueError, ArithmeticError) as exc:
+        raise ArithmeticError(f"h-polynomial of {spec()}: {exc}") from exc
+
+
 def gal_check_series(fam: str, order: int) -> dict[tuple[int, int], GammaVector]:
     """``gal_check_poly`` on the h-polynomial of each coefficient of a family's face series.
 
@@ -77,19 +97,14 @@ def gal_check_series(fam: str, order: int) -> dict[tuple[int, int], GammaVector]
     k! l! [x^k y^l], checked against the family dimension.  Only those
     slots are decoded, each once.  A ``FamilySpec`` (``TypeError``), an
     unknown id (``NotInFamilyError``) or a negative order (``ValueError``)
-    is refused before anything is built.  Every coefficient of a family's
-    h-series has a gamma vector, so a build that fails, a slot that does
-    not decode, or a coefficient without one is the series' failure, not
-    bad input: it raises ``ArithmeticError`` naming the family and the
-    order or index.
+    is refused before anything is built.  A build that fails raises
+    ``ArithmeticError`` naming the family and the order, and a slot that
+    does not decode or has no gamma vector one naming the index.
     """
     spec = _family(fam)
     if order < 0:
         raise ValueError("negative truncation order")
-    try:
-        series_f = family_f(fam, order)
-    except (ValueError, ArithmeticError) as exc:
-        raise ArithmeticError(f"series of {fam} at order {order}: {exc}") from exc
+    series_f, _ = _family_series(fam, order)
     results: dict[tuple[int, int], GammaVector] = {}
     for k, l in spec.indices(order):
         try:
@@ -116,12 +131,38 @@ def gal_check_classes(n: int) -> dict[str, GammaVector]:
         return dict(zip(specs, _packed_gammas(rows, dim), strict=True))
     except (ValueError, ArithmeticError):
         pass
-    results: dict[str, GammaVector] = {}
-    for spec, counts in zip(specs, rows, strict=True):
-        try:
-            results[spec] = gal_check_poly(h_from_f(Poly2.from_coeffs(counts)), dim)
-        except (ValueError, ArithmeticError) as exc:
-            raise ArithmeticError(f"h-polynomial of {spec}: {exc}") from exc
+    return {
+        spec: _h_and_gamma(Poly2.from_coeffs(counts), dim, spec.__str__)[1]
+        for spec, counts in zip(specs, rows, strict=True)
+    }
+
+
+def verify_series(
+    fams: Sequence[str], order: int
+) -> dict[str, dict[Slot, Optional[tuple[Poly2, Poly2]]]]:
+    """Each family's face series against the nested-set recursion on its members.
+
+    Per id of ``fams`` and per family index (k, l) with k + l <= order, in
+    that order: None where the coefficient k! l! [x^k y^l] of
+    ``family_f(fam, order)`` equals the face polynomial of the member, else
+    the (series, recursion) pair.  Each slot is decoded once, one
+    ``induced_fpolys`` call reads a family's members as node masks of its
+    largest graph, and the families share one ``FPolyCache``.  Input is
+    refused and a failed build located as in ``gal_check_series``.
+    """
+    specs = [_family(fam) for fam in fams]
+    if order < 0:
+        raise ValueError("negative truncation order")
+    cache = FPolyCache()
+    results = {}
+    for fam, spec in zip(fams, specs):
+        indices = spec.indices(order)
+        _, expected = _family_series(fam, order, indices)
+        masks = [spec.nodes_at(k, l, order) for k, l in indices]
+        actual = induced_fpolys(spec.graph_at(order, order), masks, cache)
+        results[fam] = {
+            index: None if e == a else (e, a) for index, e, a in zip(indices, expected, actual)
+        }
     return results
 
 

@@ -672,44 +672,50 @@ def identity_suite(
     whose mirror is I4's x nb(y, x), and I5, I6 and I8 truncate pe st,
     nb pe(x + y) and (bb - x - y) pe(x + y) to order - 1 and scale them,
     so no series is multiplied twice.  The module docstring says why the
-    reports equal those of each term multiplied on its own.
+    reports equal those of each term multiplied on its own.  An order below
+    2 or an unknown family to corrupt is refused first; any later failure
+    is the arithmetic's, an ``ArithmeticError`` naming the order.
     """
     if order < 2:
         raise ValueError("the identity suite needs truncation order >= 2")
-    series_f = {fam_id: family_f(fam_id, order) for fam_id in IDENTITY_FAMILIES}
-    if corrupt is not None:
-        if corrupt not in series_f:
-            raise NotInFamilyError(f"cannot corrupt unknown family {corrupt!r}")
-        series_f[corrupt] = _drop_one_term(series_f[corrupt])
-    pe, st, nb, bb = (series_f[fam_id] for fam_id in IDENTITY_FAMILIES)
-    pe_sum = pe_f_xplusy(order)
-    phi = _phi_f(order)
-    x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
-    at, apt = (_A + _T) * _T, _A + 2 * _T  # alpha t and alpha + t at the h level
-    # each product is formed once (pe at x + y is the uncorrupted pe's
-    # copy): I3 and I4 share y nb, and I4's x nb(y, x) is its mirror
-    nb_sum, bb_sum, pe_st, y_nb = nb * pe_sum, (bb - x - y) * pe_sum, pe * st, y * nb
-    # d/dx and d/dy cost I5-I8 one order, so their right-hand sides are
-    # compared at order - 1, where I5, I6 and I8 read truncations of the
-    # products above: a truncated product is the product of the truncations
-    low = order - 1
-    st_l, phi_l, sum_l = (truncate(s, low) for s in (st, phi, pe_sum))
-    grow_phi = truncate(swap_xy(exp_series(apt, order)), low) * phi_l
+    if corrupt is not None and corrupt not in IDENTITY_FAMILIES:
+        raise NotInFamilyError(f"cannot corrupt unknown family {corrupt!r}")
+    try:
+        series_f = {fam_id: family_f(fam_id, order) for fam_id in IDENTITY_FAMILIES}
+        if corrupt is not None:
+            series_f[corrupt] = _drop_one_term(series_f[corrupt])
+        pe, st, nb, bb = (series_f[fam_id] for fam_id in IDENTITY_FAMILIES)
+        pe_sum = pe_f_xplusy(order)
+        phi = _phi_f(order)
+        x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
+        at, apt = (_A + _T) * _T, _A + 2 * _T  # alpha t and alpha + t at the h level
+        # each product is formed once (pe at x + y is the uncorrupted pe's
+        # copy): I3 and I4 share y nb, and I4's x nb(y, x) is its mirror
+        nb_sum, bb_sum, pe_st, y_nb = nb * pe_sum, (bb - x - y) * pe_sum, pe * st, y * nb
+        # d/dx and d/dy cost I5-I8 one order, so their right-hand sides are
+        # compared at order - 1, where I5, I6 and I8 read truncations of the
+        # products above: a truncated product is the product of the truncations
+        low = order - 1
+        st_l, phi_l, sum_l = (truncate(s, low) for s in (st, phi, pe_sum))
+        grow_phi = truncate(swap_xy(exp_series(apt, order)), low) * phi_l
 
-    # each identity's two sides, in IDENTITY_NAMES order
-    checks: list[tuple[Series2, Series2]] = [
-        (deriv_t(pe), pe * pe),
-        (deriv_t(st), x * st + pe_st),
-        (deriv_t(nb), y_nb + nb_sum),
-        (deriv_t(bb), swap_xy(y_nb) + y_nb + bb_sum),
-        (deriv_x(st), st_l * apt + truncate(pe_st, low) * at),
-        (deriv_x(nb), grow_phi + truncate(nb_sum, low) * at),
-        (deriv_y(phi), sum_l * phi_l * at),
-        (
-            deriv_x(bb),
-            truncate(bb_sum, low) * at - sum_l * apt + truncate(swap_xy(nb), low) * apt + grow_phi,
-        ),
-    ]
-    found = [first_mismatch(lhs, rhs) for lhs, rhs in checks]
-    found[4:] = [m and (m[0], m[1], h_from_f(m[2])) for m in found[4:]]  # I5-I8's at the h level
-    return dict(zip(IDENTITY_NAMES, found, strict=True))
+        # each identity's two sides, in IDENTITY_NAMES order
+        checks: list[tuple[Series2, Series2]] = [
+            (deriv_t(pe), pe * pe),
+            (deriv_t(st), x * st + pe_st),
+            (deriv_t(nb), y_nb + nb_sum),
+            (deriv_t(bb), swap_xy(y_nb) + y_nb + bb_sum),
+            (deriv_x(st), st_l * apt + truncate(pe_st, low) * at),
+            (deriv_x(nb), grow_phi + truncate(nb_sum, low) * at),
+            (deriv_y(phi), sum_l * phi_l * at),
+            (
+                deriv_x(bb),
+                truncate(bb_sum, low) * at - sum_l * apt + truncate(swap_xy(nb), low) * apt
+                + grow_phi,
+            ),
+        ]
+        found = [first_mismatch(lhs, rhs) for lhs, rhs in checks]
+        found[4:] = [m and (m[0], m[1], h_from_f(m[2])) for m in found[4:]]  # I5-I8's at h level
+        return dict(zip(IDENTITY_NAMES, found, strict=True))
+    except (ValueError, ArithmeticError) as exc:
+        raise ArithmeticError(f"identities at order {order}: {exc}") from exc

@@ -210,11 +210,10 @@ def test_an_asymmetric_h_polynomial_exits_one(capsys, monkeypatch) -> None:
     # recursion on a valid spec: a failed check (1), not bad input (2).
     # invariants derives h from its one face polynomial, and gal-scan from
     # a row's packed face counts in invariants.gal_check_classes, both
-    # through h_from_f; the row then fails its check and is run again one
-    # class at a time, and the first class is named.
+    # through h_from_f in invariants; the row then fails its check and is
+    # run again one class at a time, and the first class is named.
     plain_h_from_f = algebra.h_from_f
-    for module in (cli, invariants):
-        monkeypatch.setattr(module, "h_from_f", lambda f: plain_h_from_f(f) + power(A, 2))
+    monkeypatch.setattr(invariants, "h_from_f", lambda f: plain_h_from_f(f) + power(A, 2))
     code, out, err = _run(capsys, ["invariants", "--graph", "complete:3"])
     assert (code, out) == (1, "")
     assert err == (
@@ -351,7 +350,7 @@ def test_verify_negative_control_digests(capsys, monkeypatch, fmt: str) -> None:
     # exit 1, and nothing on stderr.  verify reads each member as a node
     # mask of the family's largest graph, so the triangle is the mask
     # whose induced subgraph it is.
-    plain, triangle = cli.induced_fpolys, nestohedra.complete_graph(3)
+    plain, triangle = invariants.induced_fpolys, nestohedra.complete_graph(3)
 
     def corrupted(g: Graph, masks: list[int], cache=None) -> list[Poly2]:
         return [
@@ -359,7 +358,7 @@ def test_verify_negative_control_digests(capsys, monkeypatch, fmt: str) -> None:
             for mask, f in zip(masks, plain(g, masks, cache))
         ]
 
-    monkeypatch.setattr(cli, "induced_fpolys", corrupted)
+    monkeypatch.setattr(invariants, "induced_fpolys", corrupted)
     argv = ["verify", "--family", "pe", "--max-order", "4", "--format", fmt]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (1, "")
@@ -684,8 +683,7 @@ def _doctor_pe_f(monkeypatch, doctor: Callable[[series.Series2], series.Series2]
         s = plain(fam_id, order)
         return doctor(s) if fam_id == "pe" else s
 
-    # verify builds its series in cli, and the family scan's gal_check_series in invariants
-    monkeypatch.setattr(cli, "family_f", doctored)
+    # both checks build their series in invariants
     monkeypatch.setattr(invariants, "family_f", doctored)
 
 
@@ -849,7 +847,6 @@ def test_a_failed_series_build_exits_one(capsys, monkeypatch) -> None:
     def broken(fam_id: str, order: int) -> series.Series2:
         raise ValueError("plain")
 
-    monkeypatch.setattr(cli, "family_f", broken)
     monkeypatch.setattr(invariants, "family_f", broken)
     code, out, err = _run(capsys, ["gal-scan", "--family", "pe", "--bound", "4"])
     assert (code, out, err) == (1, "", "error: series of pe at order 4: plain\n")

@@ -27,6 +27,7 @@ from nestohedra.invariants import (
     gal_check_series,
     gamma,
     hpoly,
+    verify_series,
 )
 from nestohedra.ringcalc import class_face_counts
 from nestohedra.series import (
@@ -200,26 +201,32 @@ def test_gal_check_series_takes_a_family_id_only() -> None:
         gal_check_series("no-such-family", 3)
 
 
-def test_gal_check_series_refuses_bad_input_before_building(monkeypatch) -> None:
-    # the caller's faults are refused as such before any series is built;
-    # a build that fails is the series' fault, located by family and order
+@pytest.mark.parametrize(
+    "check",
+    [gal_check_series, lambda fam, order: verify_series(["pe", fam], order)],
+    ids=["gal_check_series", "verify_series"],
+)
+def test_gal_check_series_refuses_bad_input_before_building(monkeypatch, check) -> None:
+    # the caller's faults are refused as such before any series is built,
+    # pe's too where verify is given pe first; a build that fails is the
+    # series' fault, located by family and order
     def unbuilt(fam: str, order: int) -> Series2:
         raise AssertionError(f"built {fam} at order {order}")
 
     monkeypatch.setattr(invariants, "family_f", unbuilt)
     with pytest.raises(ValueError, match="^negative truncation order$"):
-        gal_check_series("pe", -1)
+        check("pe", -1)
     with pytest.raises(NotInFamilyError, match="^unknown family 'no-such-family'$"):
-        gal_check_series("no-such-family", 4)
+        check("no-such-family", 4)
     with pytest.raises(TypeError, match="^a family is named by its id, not by a FamilySpec$"):
-        gal_check_series(FAMILIES["pe"], 4)
+        check(FAMILIES["pe"], 4)
 
     def plain(fam: str, order: int) -> Series2:
         raise ValueError("plain")
 
     monkeypatch.setattr(invariants, "family_f", plain)
     with pytest.raises(ArithmeticError, match="^series of pe at order 4: plain$") as excinfo:
-        gal_check_series("pe", 4)
+        check("pe", 4)
     assert type(excinfo.value) is ArithmeticError
     assert str(excinfo.value.__cause__) == "plain"
 
@@ -228,6 +235,12 @@ def test_every_check_is_keyed_by_what_it_checked() -> None:
     for fam_id, spec in FAMILIES.items():
         assert list(gal_check_series(fam_id, 5)) == spec.indices(5), fam_id
     assert list(gal_check_classes(4)) == list(CONNECTED[4])
+    fams = list(FAMILIES)[::-1]
+    verified = verify_series(fams, 5)
+    assert list(verified) == fams
+    for fam_id, checked in verified.items():
+        assert checked == dict.fromkeys(FAMILIES[fam_id].indices(5)), fam_id
+        assert list(checked) == FAMILIES[fam_id].indices(5), fam_id
     suite = identity_suite(6)
     assert list(suite) == list(IDENTITY_NAMES)
     assert suite == dict.fromkeys(IDENTITY_NAMES)

@@ -66,6 +66,7 @@ PUBLIC_PARAMETERS = {
     "invariants.gal_check_poly": ("p", "n"),
     "invariants.gal_check_series": ("fam", "order"),
     "invariants.gal_check_classes": ("n",),
+    "invariants.verify_series": ("fams", "order"),
     "ringcalc.FPolyCache.lookup": ("self", "key", "default"),
     "ringcalc.FPolyCache.store": ("self", "key", "value"),
     "ringcalc.class_face_counts": ("n",),

@@ -1,0 +1,62 @@
+"""The reach gate: every function in ``src/`` runs on a recorded argv, or is listed here.
+
+``python3 tests/traffic.py --functions SRC`` runs the recorded argv set,
+``same_bytes.runs()``, in one fresh process with cold series caches, as
+``tests/test_golden.py`` runs it, under a ``sys.setprofile`` hook
+installed before the package is imported, and prints each function that
+no run called.  That set must equal ``UNREACHED`` name for name: a new
+function needs a recorded argv that runs it or an entry with a reason a
+reader can check, and an entry that a run does reach fails too, so the
+list cannot go stale.  Error branches inside a function that runs are not
+gated; tests that patch reach them.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import nestohedra
+
+TRAFFIC = Path(__file__).with_name("traffic.py")
+
+README = "README API: the README's library section shows or names it; no command calls it"
+VALUE = "value protocol: compares, hashes or shows a value, which no command asks of it"
+IMMUTABLE = "value protocol: refuses changing a record's field, which no command tries"
+
+UNREACHED = {
+    "invariants.fvector": README,
+    "invariants.hpoly": README,
+    "invariants.gamma": README,
+    "series.coeff_normalized": README,
+    "series.Series2.__eq__": README,
+    "series.Series2.items": "public API: a series' nonzero slots, in the signature pin; "
+    "the tests read series through it",
+    "cli.entrypoint": "the console script; the runs call cli.main, which it wraps in sys.exit",
+    "buildingset.graph_spec": "failure only: names the graph of an h-polynomial with no gamma "
+    "vector, as the tests that patch h_from_f show",
+    "algebra.GammaVector.first_negative": "failure only: the witness of a negative gamma entry, "
+    "which no family or class has",
+    "algebra.InhomogeneousError.__init__": "failure only: adding polynomials of two degrees",
+    "_record.Record._values": VALUE,
+    "_record.Record.__eq__": VALUE,
+    "_record.Record.__hash__": VALUE,
+    "_record.Record.__repr__": VALUE,
+    "algebra.Poly2.__repr__": VALUE,
+    "series.Series2.__repr__": VALUE,
+    "_record.Record.__setattr__": IMMUTABLE,
+    "_record.Record.__delattr__": IMMUTABLE,
+}
+
+
+def test_every_unreached_function_is_listed_with_its_reason() -> None:
+    assert all(UNREACHED.values())
+    src = Path(nestohedra.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(TRAFFIC), "--functions", str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert set(done.stdout.split()) == set(UNREACHED)

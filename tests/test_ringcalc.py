@@ -519,7 +519,7 @@ def family_run() -> tuple[list[Graph], list[tuple[int, ...]], list[int], list[Gr
             return expand(self, mask)
 
         with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
-            patch.setattr(cli, "induced_fpolys", counted_fpolys)
+            patch.setattr(invariants, "induced_fpolys", counted_fpolys)
             patch.setattr(FPolyCache, "store", counted_store)
             patch.setattr(ringcalc._NestedSets, "expand", counted_expand)
             assert main(["verify", "--family", "all", "--max-order", "10"]) == 0
@@ -592,7 +592,7 @@ def _cache_traffic(family: str, order: int) -> list[tuple[int, int | None]]:
         store(cache, key, value)
 
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
-        patch.setattr(cli, "induced_fpolys", counted_fpolys)
+        patch.setattr(invariants, "induced_fpolys", counted_fpolys)
         patch.setattr(FPolyCache, "lookup", counted_lookup)
         patch.setattr(FPolyCache, "store", counted_store)
         assert main(["verify", "--family", family, "--max-order", str(order)]) == 0

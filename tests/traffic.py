@@ -1,18 +1,25 @@
-"""List the lines of a source tree that the command line never runs.
+"""List the code of a source tree that the command line never runs.
 
     python3 tests/traffic.py SRC
+    python3 tests/traffic.py --functions SRC
 
 SRC is a directory that holds the ``nestohedra`` package (a tree's
-``src``).  Every argv of ``same_bytes.argvs()`` runs in both output
-formats through ``nestohedra.cli.main``, in one process under
-``sys.settrace``, with the ``series`` module's ``lru_cache``s emptied
-before each run as a fresh process would find them.  For each module of
-the package it then prints the lines that hold code but never ran, as
-``module.py: 12-14, 40``, or ``module.py: every code line ran``, and,
-where there are any, the functions and methods none of whose lines ran,
-by dotted name, as ``module.py unrun: Graph.copy, _helper``; a nested
-function is named only where the function around it ran.  Standard
-library only; pytest does not collect this file.
+``src``).  Every recorded run of ``same_bytes.runs()`` goes through
+``nestohedra.cli.main``, in one process, with the ``series`` module's
+``lru_cache``s emptied before each run as a fresh process would find
+them.  A ``sys.setprofile`` hook records the calls, and a ``sys.settrace``
+hook the lines, both installed before the package is imported, so code
+that runs at import counts as run.
+
+For each module of the package the script prints the lines that hold
+code but never ran, as ``module.py: 12-14, 40``, or ``module.py: every
+code line ran``, and, where there are any, the functions and methods no
+run called, by dotted name, as ``module.py unrun: Graph.copy, _helper``;
+a nested function is named only where the function around it ran.  With
+``--functions`` it traces no lines, which costs less, and prints just
+those functions, one ``module.dotted.name`` per line: the set the reach
+gate, ``tests/test_reach_gate.py``, compares with its committed list.
+Standard library only; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -26,7 +33,10 @@ import pkgutil
 import sys
 from types import CodeType
 
-from same_bytes import argvs
+from same_bytes import runs
+
+# a called function, as its code object names it: (co_qualname, co_firstlineno)
+Called = tuple[str, int]
 
 
 def own_lines(code: CodeType) -> set[int]:
@@ -43,24 +53,22 @@ def code_lines(code: CodeType) -> set[int]:
     return lines
 
 
-def unrun_functions(code: CodeType, ran: set[int], prefix: str = "") -> list[str]:
-    """Dotted names of the functions nested in code none of whose lines ran.
+def unrun_functions(code: CodeType, called: set[Called], prefix: str = "") -> list[str]:
+    """Dotted names of the functions nested in code that no run called.
 
-    A function's lines are those of its body and of the code nested in it,
-    less the lines its parent runs to define it (the ``def`` and decorator
-    lines).  Comprehensions and lambdas count as part of their function,
-    and a class body, which runs at import, only as the methods in it.
+    Comprehensions and lambdas count as part of their function, and a
+    class body, which runs at import, only as the methods in it.  A
+    function nested in one that was never called is not named apart.
     """
-    out, defining = [], own_lines(code)
+    out = []
     for const in code.co_consts:
         if not isinstance(const, CodeType) or const.co_name.startswith("<"):
             continue
-        name = prefix + const.co_name
-        body = code_lines(const) - defining
-        if const.co_flags & inspect.CO_NEWLOCALS and body and not body & ran:
+        name, key = prefix + const.co_name, (const.co_qualname, const.co_firstlineno)
+        if const.co_flags & inspect.CO_NEWLOCALS and key not in called:
             out.append(name)
         else:
-            out += unrun_functions(const, ran, name + ".")
+            out += unrun_functions(const, called, name + ".")
     return out
 
 
@@ -75,55 +83,78 @@ def spans(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
-def main(args: list[str]) -> int:
-    if len(args) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    package = os.path.join(os.path.abspath(args[0]), "nestohedra")
+def trace(src: str, lines: bool) -> dict[str, tuple[set[int], set[Called]]]:
+    """Per source file of the package in src: the lines that ran and the functions called.
+
+    Lines are traced only when asked for; otherwise their sets stay empty.
+    """
+    package = os.path.join(os.path.abspath(src), "nestohedra")
     sys.path.insert(0, os.path.dirname(package))
-    ran: dict[str, set[int]] = {}
+    found = {
+        os.path.join(package, name): (set(), set())
+        for name in sorted(os.listdir(package))
+        if name.endswith(".py")
+    }
 
     def local(frame, event, arg):
         if event == "line":
-            ran[frame.f_code.co_filename].add(frame.f_lineno)
+            found[frame.f_code.co_filename][0].add(frame.f_lineno)
         return local
 
     def tracer(frame, event, arg):
         # only frames of the package's own files are traced line by line
-        if frame.f_code.co_filename in ran:
-            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        if frame.f_code.co_filename in found:
+            found[frame.f_code.co_filename][0].add(frame.f_lineno)
             return local
         return None
 
-    paths = sorted(
-        os.path.join(package, name) for name in os.listdir(package) if name.endswith(".py")
-    )
-    for path in paths:
-        ran[path] = set()
-    sys.settrace(tracer)
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename in found:
+                found[code.co_filename][1].add((code.co_qualname, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    if lines:
+        sys.settrace(tracer)
     try:
         for info in pkgutil.iter_modules([package]):
             importlib.import_module(f"nestohedra.{info.name}")
         from nestohedra import cli, series
 
         caches = [v for v in vars(series).values() if hasattr(v, "cache_clear")]
-        for argv in argvs():
-            for fmt in ("json", "csv"):
-                for cache in caches:
-                    cache.cache_clear()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                    io.StringIO()
-                ):
-                    cli.main([*argv, "--format", fmt])
+        for argv in runs():
+            for cache in caches:
+                cache.cache_clear()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                cli.main(argv)
     finally:
         sys.settrace(None)
-    for path in paths:
-        with open(path, encoding="utf-8") as f:
-            code = compile(f.read(), path, "exec")
-        missed = sorted(code_lines(code) - ran[path])
-        name = os.path.basename(path)
+        sys.setprofile(None)
+    return found
+
+
+def compiled(path: str) -> CodeType:
+    with open(path, encoding="utf-8") as f:
+        return compile(f.read(), path, "exec")
+
+
+def main(args: list[str]) -> int:
+    functions = args[:1] == ["--functions"]
+    if len(args) != 1 + functions or args[-1].startswith("-"):
+        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[2:4]), file=sys.stderr)
+        return 2
+    for path, (ran, called) in trace(args[-1], lines=not functions).items():
+        code, name = compiled(path), os.path.basename(path)
+        unrun = unrun_functions(code, called)
+        if functions:
+            module = name.removesuffix(".py")
+            print("".join(f"{module}.{function}\n" for function in unrun), end="")
+            continue
+        missed = sorted(code_lines(code) - ran)
         print(f"{name}: {spans(missed) if missed else 'every code line ran'}")
-        unrun = unrun_functions(code, ran[path])
         if unrun:
             print(f"{name} unrun: {', '.join(unrun)}")
     return 0

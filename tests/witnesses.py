@@ -327,6 +327,11 @@ def graph_components(g: Graph) -> list[Graph]:
 Product = tuple[Graph, ...]
 
 
+def by_masks(g: Graph) -> tuple[int, ...]:
+    """The order graphs are sorted in: by their adjacency masks."""
+    return g.adj
+
+
 class PolyExpr:
     """Integer combination of products of connected graph nestohedra."""
 
@@ -335,12 +340,12 @@ class PolyExpr:
     def __init__(self, terms: Mapping[Product, int]):
         acc: dict[Product, int] = {}
         for product, c in terms.items():
-            product = tuple(sorted(product))
+            product = tuple(sorted(product, key=by_masks))
             acc[product] = acc.get(product, 0) + c
         self._terms = {p: c for p, c in acc.items() if c}
 
     def terms(self) -> list[tuple[Product, int]]:
-        return sorted(self._terms.items())
+        return sorted(self._terms.items(), key=lambda term: [g.adj for g in term[0]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyExpr):
@@ -389,7 +394,7 @@ def plain_boundary(g: Graph) -> PolyExpr:
     for s in range(1, full):
         if connected_submask(g.adj, s):
             factors = (induced_subgraph(g, s), contraction(g, s))
-            product = tuple(sorted(f for f in factors if f.n > 1))
+            product = tuple(sorted((f for f in factors if f.n > 1), key=by_masks))
             counts[product] = counts.get(product, 0) + 1
     return PolyExpr(counts)
 
@@ -472,17 +477,18 @@ def term_of(graphs: list[Graph], c: int = 1) -> PolyExpr:
 @lru_cache(maxsize=None)
 def canonical(g: Graph) -> Graph:
     """Least relabelled copy of g over every node permutation: one per class."""
-    return min(
+    relabelled = (
         graph_from_edges(g.n, ((p[u], p[v]) for u, v in edges(g)))
         for p in permutations(range(g.n))
     )
+    return min(relabelled, key=by_masks)
 
 
 def up_to_iso(e: PolyExpr) -> dict:
     """The terms of e with every factor replaced by its isomorphism class."""
     out: dict = {}
     for product, c in e.terms():
-        classes = tuple(sorted(canonical(g) for g in product))
+        classes = tuple(sorted((canonical(g) for g in product), key=by_masks))
         out[classes] = out.get(classes, 0) + c
     return out
 
