@@ -40,10 +40,9 @@ __all__ = [
 
 # Grounds are bitmasks in a Python int, so the cap is soft.  It is not a
 # cost bound: the nested-set recursion visits every connected node set of
-# a twin-free graph, about 3 to 3.5 times more per node (a random 14-node
-# one takes 2.9-3.9 s, so one near 20 nodes would take hours), while
-# twin-rich and sparse graphs at 20 nodes take under 0.1 s (2 shared
-# cores, CPython 3.11).
+# a twin-free graph, a time that grows several times per node, while
+# twin-rich and sparse graphs at 20 nodes take milliseconds (the README's
+# recursion section gives the measured times).
 MAX_GROUND = 20
 # Deepest join nesting parse_graph_spec accepts; far above any spec within
 # MAX_GROUND nodes that does not join empty graphs.

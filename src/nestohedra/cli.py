@@ -5,11 +5,13 @@ nestohedron, ``verify`` compares the nested-set recursion against the
 closed-form generating functions, ``identities`` runs the eight
 differential identities, and ``gal-scan`` sweeps gamma-nonnegativity over
 a polytope family or over all small connected graphs.  Each check is one
-library call on the name of what it checks, and returns a mapping keyed
-by what it checked, so this module only formats: ``verify_series`` takes
-the family ids and the order, ``gal_check_series`` a family's id and the
-bound, ``gal_check_classes`` the node count (it builds no graph and keys
-each class by the spec it prints), and ``identity_suite`` the order.  A
+library call on what it checks, so this module only formats:
+``gal_check_graph`` takes the parsed graph and returns its face
+polynomial, h-polynomial and gamma vector, and each batch check returns
+a mapping keyed by what it checked: ``verify_series`` takes the family
+ids and the order, ``gal_check_series`` a family's id and the bound,
+``gal_check_classes`` the node count (it builds no graph and keys each
+class by the spec it prints), and ``identity_suite`` the order.  A
 failed computation comes back as an ``ArithmeticError`` that already
 names what failed.  Each command returns its report (exit code, a call
 that builds its JSON object, CSV header and rows) and ``main`` alone
@@ -38,9 +40,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import GammaVector
-from .buildingset import graph_spec, parse_graph_spec
-from .invariants import _h_and_gamma, gal_check_classes, gal_check_series, verify_series
-from .ringcalc import fpoly
+from .buildingset import parse_graph_spec
+from .invariants import gal_check_classes, gal_check_graph, gal_check_series, verify_series
 from .series import DEFAULT_ORDER, FAMILIES, IDENTITY_FAMILIES, identity_suite
 
 if TYPE_CHECKING:
@@ -112,11 +113,9 @@ def _json_parts(obj: object, indent: str, out: list[str]) -> None:
 
 
 def cmd_invariants(args: SimpleNamespace) -> _Report:
-    graph = parse_graph_spec(args.graph)
-    f = fpoly(graph)
+    f, h, gv = gal_check_graph(parse_graph_spec(args.graph))
     fvec = list(f.coeffs)
     dim = len(fvec) - 1
-    h, gv = _h_and_gamma(f, dim, lambda: graph_spec(graph))
     gammas = gv.as_strings()
     facets = fvec[-2] if dim >= 1 else 0
     spec = args.graph.strip()

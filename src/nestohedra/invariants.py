@@ -5,7 +5,9 @@ it has a gamma vector; a polytope or series coefficient "passes" when every
 gamma entry is nonnegative.  ``gal_check_poly`` is the one Gal check: it
 returns the gamma vector of one polynomial, which reports its own first
 negative entry, and it raises on a polynomial that has no gamma vector.
-Each batch check is called by the name of what it checks and keyed by
+``gal_check_graph(g)`` runs it on one graph's nestohedron and returns the
+face polynomial, the h-polynomial and the gamma vector together.  Each
+batch check is called by the name of what it checks and keyed by
 what it checked: ``gal_check_series(fam, order)`` by index,
 ``gal_check_classes(n)`` by spec, and ``verify_series(fams, order)``, the
 series against the recursion, by family and index.  A negative gamma
@@ -26,32 +28,17 @@ from .algebra import (
     h_from_f,
     homogeneous_degree,
 )
-from .buildingset import Graph
+from .buildingset import Graph, graph_spec
 from .ringcalc import FPolyCache, class_face_counts, fpoly, induced_fpolys
 from .series import Series2, Slot, _family, family_f
 
 __all__ = [
-    "fvector",
-    "hpoly",
-    "gamma",
     "gal_check_poly",
+    "gal_check_graph",
     "gal_check_series",
     "gal_check_classes",
     "verify_series",
 ]
-
-
-def fvector(g: Graph) -> list[int]:
-    """Face counts by dimension; the last entry (the polytope itself) is 1."""
-    return list(fpoly(g).coeffs)
-
-
-def hpoly(g: Graph) -> Poly2:
-    return h_from_f(fpoly(g))
-
-
-def gamma(g: Graph) -> GammaVector:
-    return gamma_from_h(hpoly(g))
 
 
 def gal_check_poly(p: Poly2, n: int) -> GammaVector:
@@ -86,6 +73,19 @@ def _h_and_gamma(f: Poly2, dim: int, spec: Callable[[], str]) -> tuple[Poly2, Ga
         return h, gal_check_poly(h, dim)
     except (ValueError, ArithmeticError) as exc:
         raise ArithmeticError(f"h-polynomial of {spec()}: {exc}") from exc
+
+
+def gal_check_graph(g: Graph) -> tuple[Poly2, Poly2, GammaVector]:
+    """``gal_check_poly`` on the h-polynomial of one graph's nestohedron.
+
+    Returns the face polynomial ``fpoly(g)``, whose coefficient list is the
+    f-vector (the last entry, the polytope itself, is 1), its h-polynomial
+    and the gamma vector of that, checked against the polytope's dimension.
+    An h-polynomial with no gamma vector raises ``ArithmeticError`` naming
+    the graph by its ``edges:`` spec.
+    """
+    f = fpoly(g)
+    return f, *_h_and_gamma(f, len(f.coeffs) - 1, lambda: graph_spec(g))
 
 
 def gal_check_series(fam: str, order: int) -> dict[tuple[int, int], GammaVector]:

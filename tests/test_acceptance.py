@@ -24,12 +24,7 @@ from nestohedra.buildingset import (
     star_graph,
 )
 from nestohedra.cli import main
-from nestohedra.invariants import (
-    fvector,
-    gal_check_poly,
-    gal_check_series,
-    gamma,
-)
+from nestohedra.invariants import gal_check_graph, gal_check_poly, gal_check_series
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import FAMILIES, coeff_normalized, family_f, identity_suite
 from witnesses import (
@@ -97,11 +92,13 @@ def test_3_gamma_nonnegativity_scan() -> None:
 
 
 def test_4_spot_values() -> None:
-    assert fvector(path_graph(3)) == [5, 5, 1]
-    assert fvector(complete_graph(3)) == [6, 6, 1]
-    assert gamma(complete_graph(3)).gammas == (Fraction(1), Fraction(2))
-    assert fvector(complete_graph(2)) == [2, 1]
-    assert gamma(complete_graph(2)).gammas == (Fraction(1),)
+    assert gal_check_graph(path_graph(3))[0].coeffs == (5, 5, 1)
+    f, _, gv = gal_check_graph(complete_graph(3))
+    assert f.coeffs == (6, 6, 1)
+    assert gv.gammas == (Fraction(1), Fraction(2))
+    f, _, gv = gal_check_graph(complete_graph(2))
+    assert f.coeffs == (2, 1)
+    assert gv.gammas == (Fraction(1),)
 
     # The same numbers out of the generating functions.
     assert coeff_normalized("because-because", 1, 2).coeffs == (5, 5, 1)
@@ -133,7 +130,7 @@ def test_4_spot_values() -> None:
                 connected_subsets += 1
     assert connected_subsets == 13
     assert len(building_set_from_graph(g).sets) == connected_subsets
-    assert fvector(g)[-2] == connected_subsets - 1 == 12
+    assert gal_check_graph(g)[0].coeffs[-2] == connected_subsets - 1 == 12
     print("PASS spot values: path, triangle, edge, and the 12 facets of K22")
 
 
@@ -149,7 +146,7 @@ def test_5_structural_properties_small_graphs() -> None:
         assert up_to_iso(d) == up_to_iso(facets_from_building_set(b)), g
         assert d.total_mass() == len(b.sets) - 1, g
         assert dehn_sommerville(g), g
-        assert euler_relation_holds(fvector(g)), g
+        assert euler_relation_holds(list(gal_check_graph(g)[0].coeffs)), g
     elapsed = time.perf_counter() - started
     assert elapsed < 120
     print(f"PASS structural properties: {len(graphs)} graph classes, {elapsed:.2f}s")

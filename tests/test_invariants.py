@@ -21,12 +21,10 @@ from nestohedra.buildingset import (
     star_graph,
 )
 from nestohedra.invariants import (
-    fvector,
     gal_check_classes,
+    gal_check_graph,
     gal_check_poly,
     gal_check_series,
-    gamma,
-    hpoly,
     verify_series,
 )
 from nestohedra.ringcalc import class_face_counts
@@ -54,26 +52,42 @@ T = Poly2.from_coeffs((1, 0))
 
 
 def test_fvector_frozen_values() -> None:
-    assert fvector(complete_graph(2)) == [2, 1]
-    assert fvector(path_graph(3)) == [5, 5, 1]
-    assert fvector(complete_graph(3)) == [6, 6, 1]
-    assert fvector(bipartite_graph(2, 2)) == [20, 30, 12, 1]
-    assert fvector(complete_graph(4)) == [24, 36, 14, 1]
+    # The face polynomial's coefficient list is the f-vector.
+    assert gal_check_graph(complete_graph(2))[0].coeffs == (2, 1)
+    assert gal_check_graph(path_graph(3))[0].coeffs == (5, 5, 1)
+    assert gal_check_graph(complete_graph(3))[0].coeffs == (6, 6, 1)
+    assert gal_check_graph(bipartite_graph(2, 2))[0].coeffs == (20, 30, 12, 1)
+    assert gal_check_graph(complete_graph(4))[0].coeffs == (24, 36, 14, 1)
     # Vertices of the three-leaf star's nestohedron count the partial
     # permutations of three items: 16.
-    assert fvector(star_graph(3)) == [16, 24, 10, 1]
+    assert gal_check_graph(star_graph(3))[0].coeffs == (16, 24, 10, 1)
 
 
 def test_fvector_of_a_point() -> None:
-    assert fvector(complete_graph(1)) == [1]
+    assert gal_check_graph(complete_graph(1)) == (
+        Poly2.from_coeffs((1,)),
+        Poly2.from_coeffs((1,)),
+        GammaVector(0, (1,)),
+    )
 
 
 def test_hpoly_and_gamma_frozen_values() -> None:
-    assert hpoly(complete_graph(3)) == power(A, 2) + 4 * A * T + power(T, 2)
-    assert gamma(complete_graph(3)).gammas == (Fraction(1), Fraction(2))
-    assert gamma(path_graph(3)).gammas == (Fraction(1), Fraction(1))
-    assert gamma(complete_graph(2)).gammas == (Fraction(1),)
-    assert gamma(bipartite_graph(2, 2)).gammas == (Fraction(1), Fraction(6))
+    _, h, gv = gal_check_graph(complete_graph(3))
+    assert h == power(A, 2) + 4 * A * T + power(T, 2)
+    assert gv.gammas == (Fraction(1), Fraction(2))
+    assert gal_check_graph(path_graph(3))[2].gammas == (Fraction(1), Fraction(1))
+    assert gal_check_graph(complete_graph(2))[2].gammas == (Fraction(1),)
+    assert gal_check_graph(bipartite_graph(2, 2))[2].gammas == (Fraction(1), Fraction(6))
+
+
+def test_gal_check_graph_names_the_graph_whose_h_polynomial_fails(monkeypatch) -> None:
+    plain = invariants.h_from_f
+    monkeypatch.setattr(invariants, "h_from_f", lambda f: plain(f) + power(A, 2))
+    with pytest.raises(ArithmeticError) as failed:
+        gal_check_graph(complete_graph(3))
+    assert str(failed.value) == (
+        "h-polynomial of edges:3:0-1,0-2,1-2: not symmetric in alpha and t: 2*a^2 + 4*a*t + t^2"
+    )
 
 
 def test_dehn_sommerville_over_small_connected_graphs() -> None:
@@ -285,8 +299,9 @@ def test_scan_report_serialization() -> None:
 def test_gamma_of_disconnected_graphs_uses_the_product() -> None:
     two_edges = parse_graph_spec("edges:4:0-1,2-3")
     # The product of two segments is a square; h = (a+t)^2, gamma = [1, 0].
-    assert hpoly(two_edges) == power(A + T, 2)
-    assert gamma(two_edges).gammas == (Fraction(1), Fraction(0))
+    _, h, gv = gal_check_graph(two_edges)
+    assert h == power(A + T, 2)
+    assert gv.gammas == (Fraction(1), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +314,7 @@ def test_path_gammas_are_the_associahedron_closed_form() -> None:
     for n in range(1, MAX_GROUND + 1):
         catalan = [comb(2 * i, i) // (i + 1) for i in range(n)]
         expected = tuple(comb(n - 1, 2 * i) * catalan[i] for i in range((n - 1) // 2 + 1))
-        assert gamma(path_graph(n)).gammas == expected, n
+        assert gal_check_graph(path_graph(n))[2].gammas == expected, n
 
 
 def test_complete_fvectors_are_ordered_set_partitions() -> None:
@@ -312,7 +327,7 @@ def test_complete_fvectors_are_ordered_set_partitions() -> None:
         stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
     for n in range(1, MAX_GROUND + 1):
         expected = [factorial(n - k) * stirling[n][n - k] for k in range(n)]
-        assert fvector(complete_graph(n)) == expected, n
+        assert list(gal_check_graph(complete_graph(n))[0].coeffs) == expected, n
 
 
 def test_permutohedron_gammas_count_permutations_without_double_descents() -> None:
@@ -333,4 +348,4 @@ def test_cycle_gammas_are_the_cyclohedron_closed_form() -> None:
             factorial(d) // (factorial(i) ** 2 * factorial(d - 2 * i))
             for i in range(d // 2 + 1)
         )
-        assert gamma(cycle).gammas == expected, n
+        assert gal_check_graph(cycle)[2].gammas == expected, n

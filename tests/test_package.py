@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -9,7 +11,7 @@ import sys
 from pathlib import Path
 
 import nestohedra
-from nestohedra import algebra, buildingset, invariants, ringcalc, series
+from nestohedra import algebra, buildingset, cli, invariants, ringcalc, series
 
 LAYERS = (algebra, buildingset, invariants, ringcalc, series)
 
@@ -32,6 +34,21 @@ def test_importing_the_root_leaves_the_command_line_unloaded() -> None:
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_cli_takes_only_public_names_from_the_library() -> None:
+    # A command is built from public library calls only: every name cli
+    # imports from a module of the package is in that module's __all__.
+    taken = [
+        (module, alias.name)
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "nestohedra")
+        for module in [importlib.import_module("." * node.level + (node.module or ""), "nestohedra")]
+        for alias in node.names
+    ]
+    assert {module.__name__ for module, _ in taken} >= {"nestohedra.invariants", "nestohedra.series"}
+    assert [(m.__name__, name) for m, name in taken if name not in m.__all__] == []
 
 
 # the parameter names of every public callable of the layers: a changed
@@ -60,10 +77,8 @@ PUBLIC_PARAMETERS = {
     "buildingset.twin_classes": ("g",),
     "buildingset.parse_graph_spec": ("spec",),
     "buildingset.graph_spec": ("g",),
-    "invariants.fvector": ("g",),
-    "invariants.hpoly": ("g",),
-    "invariants.gamma": ("g",),
     "invariants.gal_check_poly": ("p", "n"),
+    "invariants.gal_check_graph": ("g",),
     "invariants.gal_check_series": ("fam", "order"),
     "invariants.gal_check_classes": ("n",),
     "invariants.verify_series": ("fams", "order"),

@@ -1,34 +1,24 @@
 """The reach gate: every function in ``src/`` runs on a recorded argv, or is listed here.
 
 ``python3 tests/traffic.py --functions SRC`` runs the recorded argv set,
-``same_bytes.runs()``, in one fresh process with cold series caches, as
-``tests/test_golden.py`` runs it, under a ``sys.setprofile`` hook
-installed before the package is imported, and prints each function that
-no run called.  That set must equal ``UNREACHED`` name for name: a new
-function needs a recorded argv that runs it or an entry with a reason a
-reader can check, and an entry that a run does reach fails too, so the
-list cannot go stale.  Error branches inside a function that runs are not
+``same_bytes.runs()``, in one fresh process with cold series caches,
+under a ``sys.setprofile`` hook installed before the package is
+imported, and reports each function that no run called; the
+``recorded_runs`` fixture runs it once per test run, and
+``tests/test_golden.py`` reads the same run's digests.  That set must
+equal ``UNREACHED`` name for name: a new function needs a recorded argv
+that runs it or an entry with a reason a reader can check, and an entry
+that a run does reach fails too, so the list cannot go stale.  Error branches inside a function that runs are not
 gated; tests that patch reach them.
 """
 
 from __future__ import annotations
-
-import subprocess
-import sys
-from pathlib import Path
-
-import nestohedra
-
-TRAFFIC = Path(__file__).with_name("traffic.py")
 
 README = "README API: the README's library section shows or names it; no command calls it"
 VALUE = "value protocol: compares, hashes or shows a value, which no command asks of it"
 IMMUTABLE = "value protocol: refuses changing a record's field, which no command tries"
 
 UNREACHED = {
-    "invariants.fvector": README,
-    "invariants.hpoly": README,
-    "invariants.gamma": README,
     "series.coeff_normalized": README,
     "series.Series2.__eq__": README,
     "series.Series2.items": "public API: a series' nonzero slots, in the signature pin; "
@@ -50,13 +40,6 @@ UNREACHED = {
 }
 
 
-def test_every_unreached_function_is_listed_with_its_reason() -> None:
+def test_every_unreached_function_is_listed_with_its_reason(recorded_runs) -> None:
     assert all(UNREACHED.values())
-    src = Path(nestohedra.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, str(TRAFFIC), "--functions", str(src)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert set(done.stdout.split()) == set(UNREACHED)
+    assert set(recorded_runs["unrun"]) == set(UNREACHED)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestohedra import algebra, cli, invariants, ringcalc
+from nestohedra import algebra, invariants, ringcalc
 from nestohedra.algebra import Poly2, homogeneous_degree
 from nestohedra.buildingset import (
     MAX_GROUND,
@@ -654,7 +654,6 @@ def test_the_small_scans_run_no_formula_and_store_nothing(nodes, monkeypatch, ca
     monkeypatch.setattr(FPolyCache, "store", refused)
     monkeypatch.setattr(ringcalc, "twin_classes", refused)
     monkeypatch.setattr(ringcalc, "_key", refused)
-    monkeypatch.setattr(cli, "fpoly", refused)
     monkeypatch.setattr(invariants, "fpoly", refused)
     assert main(["gal-scan", "--graph-class", "connected", "--nodes", nodes]) == 0
     capsys.readouterr()

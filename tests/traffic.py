@@ -5,21 +5,25 @@
 
 SRC is a directory that holds the ``nestohedra`` package (a tree's
 ``src``).  Every recorded run of ``same_bytes.runs()`` goes through
-``nestohedra.cli.main``, in one process, with the ``series`` module's
-``lru_cache``s emptied before each run as a fresh process would find
-them.  A ``sys.setprofile`` hook records the calls, and a ``sys.settrace``
-hook the lines, both installed before the package is imported, so code
-that runs at import counts as run.
+``nestohedra.cli.main``, in one process with ``COLUMNS=80``, with the
+``series`` module's ``lru_cache``s emptied before each run as a fresh
+process would find them.  A ``sys.setprofile`` hook records the calls,
+and a ``sys.settrace`` hook the lines, both installed before the package
+is imported, so code that runs at import counts as run.
 
 For each module of the package the script prints the lines that hold
 code but never ran, as ``module.py: 12-14, 40``, or ``module.py: every
 code line ran``, and, where there are any, the functions and methods no
 run called, by dotted name, as ``module.py unrun: Graph.copy, _helper``;
 a nested function is named only where the function around it ran.  With
-``--functions`` it traces no lines, which costs less, and prints just
-those functions, one ``module.dotted.name`` per line: the set the reach
-gate, ``tests/test_reach_gate.py``, compares with its committed list.
-Standard library only; pytest does not collect this file.
+``--functions`` it traces no lines, which costs less, and prints one JSON
+object: under ``unrun`` just those functions, as ``module.dotted.name``,
+and under ``digests`` each run's ``same_bytes.digests`` record, in the
+order of ``runs()``.  A tier-1 test run reads both from one such process:
+the reach gate, ``tests/test_reach_gate.py``, compares the functions with
+its committed list, and ``tests/test_golden.py`` the records with
+``tests/golden.json``.  Standard library only; pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import contextlib
 import importlib
 import inspect
 import io
+import json
 import os
 import pkgutil
 import sys
 from types import CodeType
 
-from same_bytes import runs
+from same_bytes import digests, runs
 
 # a called function, as its code object names it: (co_qualname, co_firstlineno)
 Called = tuple[str, int]
@@ -83,8 +88,9 @@ def spans(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
-def trace(src: str, lines: bool) -> dict[str, tuple[set[int], set[Called]]]:
-    """Per source file of the package in src: the lines that ran and the functions called.
+def trace(src: str, lines: bool) -> tuple[dict[str, tuple[set[int], set[Called]]], list[dict]]:
+    """Per source file of the package in src, the lines that ran and the
+    functions called; and each run's ``digests`` record.
 
     Lines are traced only when asked for; otherwise their sets stay empty.
     """
@@ -114,6 +120,8 @@ def trace(src: str, lines: bool) -> dict[str, tuple[set[int], set[Called]]]:
             if code.co_filename in found:
                 found[code.co_filename][1].add((code.co_qualname, code.co_firstlineno))
 
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage and help at it
+    records = []
     sys.setprofile(profile)
     if lines:
         sys.settrace(tracer)
@@ -126,14 +134,14 @@ def trace(src: str, lines: bool) -> dict[str, tuple[set[int], set[Called]]]:
         for argv in runs():
             for cache in caches:
                 cache.cache_clear()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                io.StringIO()
-            ):
-                cli.main(argv)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.main(argv)
+            records.append(digests(argv, status, out.getvalue().encode(), err.getvalue().encode()))
     finally:
         sys.settrace(None)
         sys.setprofile(None)
-    return found
+    return found, records
 
 
 def compiled(path: str) -> CodeType:
@@ -146,17 +154,21 @@ def main(args: list[str]) -> int:
     if len(args) != 1 + functions or args[-1].startswith("-"):
         print("\n".join(line.strip() for line in __doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
-    for path, (ran, called) in trace(args[-1], lines=not functions).items():
+    found, records = trace(args[-1], lines=not functions)
+    names: list[str] = []
+    for path, (ran, called) in found.items():
         code, name = compiled(path), os.path.basename(path)
         unrun = unrun_functions(code, called)
         if functions:
             module = name.removesuffix(".py")
-            print("".join(f"{module}.{function}\n" for function in unrun), end="")
+            names += (f"{module}.{function}" for function in unrun)
             continue
         missed = sorted(code_lines(code) - ran)
         print(f"{name}: {spans(missed) if missed else 'every code line ran'}")
         if unrun:
             print(f"{name} unrun: {', '.join(unrun)}")
+    if functions:
+        print(json.dumps({"unrun": names, "digests": records}, indent=1))
     return 0
 
 

@@ -75,7 +75,7 @@ from nestohedra.buildingset import (
     parse_graph_spec,
     twin_classes,
 )
-from nestohedra.invariants import hpoly
+from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
     IDENTITY_FAMILIES,
@@ -1159,8 +1159,8 @@ def h_from_gamma(gv: GammaVector) -> Poly2:
 
 
 def dehn_sommerville(g: Graph) -> bool:
-    """Symmetry of the h-polynomial."""
-    return is_symmetric(hpoly(g))
+    """Symmetry of the h-polynomial of the recursion's face polynomial."""
+    return is_symmetric(h_from_f(fpoly(g)))
 
 
 def euler_relation_holds(face_counts: list[int]) -> bool:
