@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nestohedra
-from nestohedra import series
+from same_bytes import clear_series_caches
 
 TRAFFIC = Path(__file__).with_name("traffic.py")
 
@@ -18,12 +18,9 @@ TRAFFIC = Path(__file__).with_name("traffic.py")
 @pytest.fixture
 def cold_series_caches():
     """Empty every lru_cache of the series module, before and after the test."""
-    caches = [value for value in vars(series).values() if hasattr(value, "cache_clear")]
-    for cache in caches:
-        cache.cache_clear()
+    clear_series_caches()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    clear_series_caches()
 
 
 @pytest.fixture(scope="session")

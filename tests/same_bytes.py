@@ -10,14 +10,18 @@ on both; the first argv whose stdout, stderr or exit code differs is
 printed, and the script exits 1.  With no difference it prints the number
 of runs compared and exits 0.  With ``--write`` it runs on one tree and
 rewrites ``tests/golden.json``: per run, its argv, exit code and the
-SHA-256 digests of its stdout and stderr, which a tier-1 test compares
-with the same runs in process.  Standard library only; pytest does not
-collect this file.
+SHA-256 digests of its stdout and stderr.  That file is the one store of
+recorded bytes, and ``tests/test_golden.py`` its one reader among the
+tests, which checks it against the same runs in process, each through
+``in_process``.  Standard library only; pytest does not collect this
+file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -38,9 +42,11 @@ FAMILIES = ("pe", "st", "starmarked", "nabla-because", "because-because")
 # of 5-node classes that share degrees (a triangle with a two-edge tail and
 # a 4-cycle with a pendant, the house and K_{2,3}), a 7-node graph that
 # holds all four as induced subgraphs, and the four pairs of 6-node classes
-# that share every node's degree and triangle count; last, graphs whose
+# that share every node's degree and triangle count; then graphs whose
 # seven-node subproblems are masks inside larger graphs: seeded twin-free
-# graphs on 12 and 10 nodes (edge probability 1/2) and a twin-rich join
+# graphs on 12 and 10 nodes (edge probability 1/2) and a twin-rich join;
+# last path:20, the longest path a spec may name (path:21 crosses the
+# 20-node limit), beside cycle:20 and bipartite:10,10 at that limit
 GRAPHS = (
     "path:12",
     "bipartite:4,4",
@@ -87,6 +93,7 @@ GRAPHS = (
     "edges:10:0-1,0-4,0-5,0-6,0-9,1-2,1-4,1-6,1-7,1-9,2-5,2-6,2-9,3-4,3-5,3-6,3-7,3-8,3-9,"
     "4-5,4-6,4-7,4-8,4-9,5-6,6-7,7-8,7-9",
     "join(star:3,empty:4)",
+    "path:20",
 )
 
 # argvs that only the argparse parser reads: an unknown flag, a flag with no
@@ -145,6 +152,30 @@ def run(src: str, argv: list[str]) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
     done = subprocess.run([sys.executable, "-m", "nestohedra.cli", *argv], capture_output=True, env=env)
     return done.returncode, done.stdout, done.stderr
+
+
+def clear_series_caches() -> None:
+    """Empty every lru_cache of the series module, as a fresh process finds them."""
+    from nestohedra import series
+
+    for value in vars(series).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``cli.main(argv)`` with cold series caches.
+
+    The package is imported here, not at the top, so that a caller can
+    install its hooks before the package loads.
+    """
+    from nestohedra import cli
+
+    clear_series_caches()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def digests(argv: list[str], code: int, out: bytes, err: bytes) -> dict:

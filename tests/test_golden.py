@@ -3,36 +3,25 @@
 ``python3 tests/same_bytes.py --write SRC`` writes the file from
 ``python -m nestohedra.cli`` runs; a change that means to change some
 output rewrites it, and the file's diff names the argvs whose bytes moved.
+The file is the one store of recorded bytes and this module its one
+reader among the tests: no other test compares a recorded run's bytes.
 The digests checked against it are the ones the reach gate's process
 records (the ``recorded_runs`` fixture), so a test run runs the set once.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 from pathlib import Path
 
 import pytest
 
 import nestohedra
-from nestohedra import cli, series
-from same_bytes import GOLDEN, run, runs
-
-
-def _in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
-    """Exit code, stdout and stderr of cli.main, with series' caches as a fresh process finds them."""
-    for cache in (v for v in vars(series).values() if hasattr(v, "cache_clear")):
-        cache.cache_clear()
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue().encode(), err.getvalue().encode()
+from same_bytes import GOLDEN, in_process, run, runs
 
 
 @pytest.fixture
-def columns_80(monkeypatch, cold_series_caches):
+def columns_80(monkeypatch):
     # argparse wraps usage and help at COLUMNS, as the recorded runs had it
     monkeypatch.setenv("COLUMNS", "80")
 
@@ -64,4 +53,4 @@ def test_the_in_process_bytes_are_those_of_the_module_entry_point(columns_80, ar
     # process; one run per command, an error line and a usage error show
     # that the two give the same bytes.
     src = Path(nestohedra.__file__).resolve().parents[1]
-    assert _in_process(argv) == run(str(src), argv)
+    assert in_process(argv) == run(str(src), argv)

@@ -5,11 +5,12 @@
 
 SRC is a directory that holds the ``nestohedra`` package (a tree's
 ``src``).  Every recorded run of ``same_bytes.runs()`` goes through
-``nestohedra.cli.main``, in one process with ``COLUMNS=80``, with the
-``series`` module's ``lru_cache``s emptied before each run as a fresh
-process would find them.  A ``sys.setprofile`` hook records the calls,
-and a ``sys.settrace`` hook the lines, both installed before the package
-is imported, so code that runs at import counts as run.
+``same_bytes.in_process``, in one process with ``COLUMNS=80``: it empties
+the ``series`` module's ``lru_cache``s, as a fresh process would find
+them, and calls ``nestohedra.cli.main``.  A ``sys.setprofile`` hook
+records the calls, and a ``sys.settrace`` hook the lines, both installed
+before the package is imported, so code that runs at import counts as
+run.
 
 For each module of the package the script prints the lines that hold
 code but never ran, as ``module.py: 12-14, 40``, or ``module.py: every
@@ -28,17 +29,15 @@ this file.
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import inspect
-import io
 import json
 import os
 import pkgutil
 import sys
 from types import CodeType
 
-from same_bytes import digests, runs
+from same_bytes import digests, in_process, runs
 
 # a called function, as its code object names it: (co_qualname, co_firstlineno)
 Called = tuple[str, int]
@@ -121,23 +120,13 @@ def trace(src: str, lines: bool) -> tuple[dict[str, tuple[set[int], set[Called]]
                 found[code.co_filename][1].add((code.co_qualname, code.co_firstlineno))
 
     os.environ["COLUMNS"] = "80"  # argparse wraps usage and help at it
-    records = []
     sys.setprofile(profile)
     if lines:
         sys.settrace(tracer)
     try:
         for info in pkgutil.iter_modules([package]):
             importlib.import_module(f"nestohedra.{info.name}")
-        from nestohedra import cli, series
-
-        caches = [v for v in vars(series).values() if hasattr(v, "cache_clear")]
-        for argv in runs():
-            for cache in caches:
-                cache.cache_clear()
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                status = cli.main(argv)
-            records.append(digests(argv, status, out.getvalue().encode(), err.getvalue().encode()))
+        records = [digests(argv, *in_process(argv)) for argv in runs()]
     finally:
         sys.settrace(None)
         sys.setprofile(None)
