@@ -27,7 +27,9 @@ from the same table, and only then is argparse imported.
 
 Exit codes: 0 when every check passes, 1 when a verification or scan
 finds a failure or the computation fails one of its own checks, 2 on bad
-usage or input.
+usage or input.  ``main`` returns the code, and the ``nestohedra``
+console script that pip generates, like ``python -m nestohedra.cli``,
+passes it to ``sys.exit``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .series import DEFAULT_ORDER, FAMILIES, IDENTITY_FAMILIES, identity_suite
 if TYPE_CHECKING:
     import argparse
 
-__all__ = ["main", "entrypoint"]
+__all__ = ["main"]
 
 MAX_ORDER = 16
 
@@ -465,9 +467,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -60,6 +60,10 @@ in x alone, is inverted:
 * because-because:  complete bipartite nestohedra, with the two isolated-node
                     point terms x and y added separately
 
+A polytope's face polynomial is read as ``family_f(fam, order).coeff(k, l)``
+at any order from k + l up, since a coefficient is the same at every
+order that holds it.
+
 ``identity_suite`` checks the eight exact differential identities these
 series satisfy, I5-I8 between h-series, compared through alpha -> alpha - t
 between face series; they are the series-level image of the facet
@@ -109,8 +113,6 @@ __all__ = [
     "FAMILIES",
     "NotInFamilyError",
     "family_f",
-    "pe_f_xplusy",
-    "coeff_normalized",
     "identity_suite",
     "IDENTITY_NAMES",
     "IDENTITY_FAMILIES",
@@ -599,31 +601,11 @@ def family_f(fam: str, order: int = DEFAULT_ORDER) -> Series2:
     return _family_f_cached(_family(fam).id, order)
 
 
-def pe_f_xplusy(order: int = DEFAULT_ORDER) -> Series2:
-    """The permutohedron series evaluated at x + y."""
-    return _diagonal(family_f("pe", order))
-
-
 def _phi_f(order: int) -> Series2:
     """phi, the kernel of I6-I8: exp(-t y) (exp(alpha x) + t eta(x)) / (1 - t eta(x+y))."""
     shrink_y = swap_xy(exp_series(-_T, order))
     bare_x = exp_series(_A, order)
     return shrink_y * ((bare_x + eta_linear(order) * _T) * _diagonal(_denominator(order)))
-
-
-def coeff_normalized(fam: str, k: int, l: int = 0) -> Poly2:
-    """k! l! times the (k, l) coefficient of the face series of the family with id fam.
-
-    That is the coefficient a ``Series2`` stores, and it equals the face
-    polynomial of the polytope the family places at x^k y^l.  It is the
-    same at every truncation order that holds it, so it is read from the
-    series at order k + l, the least one.  Raises ``NotInFamilyError`` for
-    indices outside the family.
-    """
-    spec = _family(fam)
-    if not spec.contains(k, l):
-        raise NotInFamilyError(f"({k}, {l}) carries no polytope of family {spec.id!r}")
-    return family_f(fam, k + l).coeff(k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +667,7 @@ def identity_suite(
         if corrupt is not None:
             series_f[corrupt] = _drop_one_term(series_f[corrupt])
         pe, st, nb, bb = (series_f[fam_id] for fam_id in IDENTITY_FAMILIES)
-        pe_sum = pe_f_xplusy(order)
+        pe_sum = _diagonal(family_f("pe", order))
         phi = _phi_f(order)
         x, y = Series2.monomial(order, 1, 0), Series2.monomial(order, 0, 1)
         at, apt = (_A + _T) * _T, _A + 2 * _T  # alpha t and alpha + t at the h level

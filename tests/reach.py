@@ -30,7 +30,7 @@ import statistics
 import subprocess
 import sys
 
-from same_bytes import GOLDEN
+from same_bytes import GOLDEN, emit
 
 RUNS = 10
 
@@ -152,7 +152,7 @@ def main(args: list[str]) -> int:
         )
         print(f"{' '.join(op)[:60]}: done", file=sys.stderr)
     imported = {"runs": len(imports["parent"]), **compared(imports)}
-    print(json.dumps({"ops": report, "import": imported}, indent=1))
+    emit(json.dumps({"ops": report, "import": imported}, indent=1))
     return 0
 
 

@@ -13,8 +13,9 @@ rewrites ``tests/golden.json``: per run, its argv, exit code and the
 SHA-256 digests of its stdout and stderr.  That file is the one store of
 recorded bytes, and ``tests/test_golden.py`` its one reader among the
 tests, which checks it against the same runs in process, each through
-``in_process``.  Standard library only; pytest does not collect this
-file.
+``in_process``.  Each script beside it writes its stdout through
+``emit``, which ends as the command line does when stdout closes early.
+Standard library only; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -184,11 +185,28 @@ def digests(argv: list[str], code: int, out: bytes, err: bytes) -> dict:
     return {"argv": argv, "exit": code, "stdout": out, "stderr": err}
 
 
+def emit(text: str) -> None:
+    """Write text and a newline to stdout, or end as ``cli.main`` does on a failed write.
+
+    Each line is flushed, so a closed stdout fails here: one ``error:``
+    line goes to stderr and the script exits 2.  stdout is first pointed
+    at ``os.devnull``, so that the interpreter's flush at exit, which
+    still holds the unwritten text, prints no traceback either.
+    """
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
 def write(src: str) -> int:
     records = [digests(argv, *run(src, argv)) for argv in runs()]
     with open(GOLDEN, "w", encoding="utf-8") as f:
         f.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
-    print(f"wrote {len(records)} runs to {os.path.relpath(GOLDEN)}")
+    emit(f"wrote {len(records)} runs to {os.path.relpath(GOLDEN)}")
     return 0
 
 
@@ -203,9 +221,9 @@ def main(args: list[str]) -> int:
         before, after = run(parent, argv), run(change, argv)
         if before != after:
             fields = [n for n, a, b in zip(("exit code", "stdout", "stderr"), before, after) if a != b]
-            print(f"differs in {', '.join(fields)}: {' '.join(argv)}")
+            emit(f"differs in {', '.join(fields)}: {' '.join(argv)}")
             return 1
-    print(f"same bytes on {count} runs")
+    emit(f"same bytes on {count} runs")
     return 0
 
 

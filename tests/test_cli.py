@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -824,6 +825,40 @@ def test_a_failed_write_exits_two(capsys, monkeypatch, fmt: str) -> None:
     monkeypatch.setattr(sys, "stdout", _BrokenPipe())
     code = main(["invariants", "--graph", "path:3", "--format", fmt])
     assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_a_script_whose_stdout_closed_ends_as_the_command_line_does() -> None:
+    # tests/same_bytes.py, traffic.py and reach.py write stdout through
+    # same_bytes.emit; with the pipe's read end closed before the write,
+    # it gives main's one error line and exit 2, and no traceback at exit
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import same_bytes; same_bytes.emit('x')"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_the_console_script_is_main(capsys, monkeypatch) -> None:
+    # pip's console script calls sys.exit(target()), so the target is main,
+    # whose return value is the exit code
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"nestohedra": "nestohedra.cli:main"}
+    module, _, name = scripts["nestohedra"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    for argv, code in ((["invariants", "--graph", "path:3"], 0), ([], 2)):
+        monkeypatch.setattr(sys, "argv", ["nestohedra", *argv])
+        assert target() == code, argv
+    assert "usage: nestohedra" in capsys.readouterr().err
 
 
 def test_a_failed_series_build_exits_one(capsys, monkeypatch) -> None:

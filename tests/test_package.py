@@ -106,8 +106,6 @@ PUBLIC_PARAMETERS = {
     "series.FamilySpec.dim": ("self", "k", "l"),
     "series.FamilySpec.indices": ("self", "bound"),
     "series.family_f": ("fam", "order"),
-    "series.pe_f_xplusy": ("order",),
-    "series.coeff_normalized": ("fam", "k", "l"),
     "series.identity_suite": ("order", "corrupt"),
 }
 

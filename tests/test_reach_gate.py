@@ -19,11 +19,9 @@ VALUE = "value protocol: compares, hashes or shows a value, which no command ask
 IMMUTABLE = "value protocol: refuses changing a record's field, which no command tries"
 
 UNREACHED = {
-    "series.coeff_normalized": README,
     "series.Series2.__eq__": README,
     "series.Series2.items": "public API: a series' nonzero slots, in the signature pin; "
     "the tests read series through it",
-    "cli.entrypoint": "the console script; the runs call cli.main, which it wraps in sys.exit",
     "buildingset.graph_spec": "failure only: names the graph of an h-polynomial with no gamma "
     "vector, as the tests that patch h_from_f show",
     "algebra.GammaVector.first_negative": "failure only: the witness of a negative gamma entry, "

@@ -37,7 +37,7 @@ import pkgutil
 import sys
 from types import CodeType
 
-from same_bytes import digests, in_process, runs
+from same_bytes import digests, emit, in_process, runs
 
 # a called function, as its code object names it: (co_qualname, co_firstlineno)
 Called = tuple[str, int]
@@ -153,11 +153,11 @@ def main(args: list[str]) -> int:
             names += (f"{module}.{function}" for function in unrun)
             continue
         missed = sorted(code_lines(code) - ran)
-        print(f"{name}: {spans(missed) if missed else 'every code line ran'}")
+        emit(f"{name}: {spans(missed) if missed else 'every code line ran'}")
         if unrun:
-            print(f"{name} unrun: {', '.join(unrun)}")
+            emit(f"{name} unrun: {', '.join(unrun)}")
     if functions:
-        print(json.dumps({"unrun": names, "digests": records}, indent=1))
+        emit(json.dumps({"unrun": names, "digests": records}, indent=1))
     return 0
 
 
