@@ -9,7 +9,7 @@ coefficients, entry i being that of alpha^i t^(n-i), and the zero
 polynomial is the empty tuple.  ``Poly2.from_coeffs`` builds one from that
 tuple, and alpha is ``Poly2.from_coeffs((0, 1))``.  Products are packed
 (below), sums are elementwise, and mixing total degrees raises
-``InhomogeneousError``.
+``ValueError``.
 
 Two changes of basis matter downstream.  Substituting alpha -> alpha - t
 turns a face polynomial into the corresponding h-polynomial, which is
@@ -48,7 +48,6 @@ from ._record import Record
 __all__ = [
     "Poly2",
     "GammaVector",
-    "InhomogeneousError",
     "h_from_f",
     "homogeneous_degree",
     "is_symmetric",
@@ -97,16 +96,6 @@ def _egf_inverse(r: Sequence[int]) -> list[int]:
     return b
 
 
-class InhomogeneousError(ValueError):
-    """Raised when a polynomial required to be homogeneous mixes degrees."""
-
-    def __init__(self, terms: Iterable[tuple[int, int, int]]):
-        self.terms = sorted(terms)
-        degrees = sorted({i + j for i, j, _ in self.terms})
-        offending = ", ".join(f"{c}*a^{i}*t^{j}" for i, j, c in self.terms)
-        super().__init__(f"mixed total degrees {degrees}: {offending}")
-
-
 class Poly2:
     """Homogeneous polynomial in alpha and t with int coefficients.
 
@@ -115,7 +104,7 @@ class Poly2:
     alpha^i t^(n-i); the zero polynomial has no entries and adds to a
     polynomial of any degree.  Sums, differences and comparisons take two
     ``Poly2``s, and adding nonzero polynomials of different degrees raises
-    ``InhomogeneousError``; only a product also takes an int.  Instances
+    ``ValueError``; only a product also takes an int.  Instances
     are treated as immutable.
     """
 
@@ -159,9 +148,8 @@ class Poly2:
         if not self._terms:
             return other
         if len(self._terms) != len(other._terms):
-            raise InhomogeneousError(
-                (i, j, c) for p in (self, other) for (i, j), c in p.terms()
-            )
+            n, m = len(self._terms) - 1, len(other._terms) - 1
+            raise ValueError(f"mixed total degrees {n} and {m}")
         return Poly2.from_coeffs(map(add, self._terms, other._terms))
 
     def __sub__(self, other: "Poly2") -> "Poly2":

@@ -24,7 +24,6 @@ from ._record import Record
 __all__ = [
     "MAX_GROUND",
     "Graph",
-    "GraphSpecError",
     "complete_graph",
     "empty_graph",
     "path_graph",
@@ -47,10 +46,6 @@ MAX_GROUND = 20
 # Deepest join nesting parse_graph_spec accepts; far above any spec within
 # MAX_GROUND nodes that does not join empty graphs.
 _MAX_SPEC_NESTING = 32
-
-
-class GraphSpecError(ValueError):
-    """Malformed graph description."""
 
 
 class Graph(Record):
@@ -222,7 +217,7 @@ def _split_top_level(text: str, spec: str) -> list[str]:
         if ch == "(":
             depth += 1
             if depth >= _MAX_SPEC_NESTING:
-                raise GraphSpecError(f"graph spec nested more than {_MAX_SPEC_NESTING} deep")
+                raise ValueError(f"graph spec nested more than {_MAX_SPEC_NESTING} deep")
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -231,7 +226,7 @@ def _split_top_level(text: str, spec: str) -> list[str]:
             parts.append(text[start:i])
             start = i + 1
     if depth:
-        raise GraphSpecError(f"unbalanced parentheses in {spec!r}")
+        raise ValueError(f"unbalanced parentheses in {spec!r}")
     parts.append(text[start:])
     return parts
 
@@ -245,9 +240,9 @@ def _size(text: str, spec: str, extra: int = 0) -> int:
     except ValueError:  # more digits than int() converts
         n = None
     if n is None:
-        raise GraphSpecError(f"bad size {text!r} in {spec!r}")
+        raise ValueError(f"bad size {text!r} in {spec!r}")
     if n + extra > MAX_GROUND:
-        raise GraphSpecError(f"{spec!r} has {n + extra} nodes, more than {MAX_GROUND}")
+        raise ValueError(f"{spec!r} has {n + extra} nodes, more than {MAX_GROUND}")
     return n
 
 
@@ -269,10 +264,10 @@ def parse_graph_spec(spec: str) -> Graph:
     if spec.startswith("join(") and spec.endswith(")"):
         parts = _split_top_level(spec[len("join(") : -1], spec)
         if len(parts) != 2:
-            raise GraphSpecError(f"join takes two arguments: {spec!r}")
+            raise ValueError(f"join takes two arguments: {spec!r}")
         a, b = map(parse_graph_spec, parts)
         if a.n + b.n > MAX_GROUND:
-            raise GraphSpecError(f"{spec!r} has {a.n + b.n} nodes, more than {MAX_GROUND}")
+            raise ValueError(f"{spec!r} has {a.n + b.n} nodes, more than {MAX_GROUND}")
         return join_graphs(a, b)
     head, _, rest = spec.partition(":")
     if head in _SHAPES:
@@ -281,12 +276,12 @@ def parse_graph_spec(spec: str) -> Graph:
     if head == "cycle":
         n = _size(rest, spec)
         if n < 3:
-            raise GraphSpecError(f"a cycle needs at least 3 nodes: {spec!r}")
+            raise ValueError(f"a cycle needs at least 3 nodes: {spec!r}")
         return cycle_graph(n)
     if head == "bipartite":
         sizes = rest.split(",")
         if len(sizes) != 2:
-            raise GraphSpecError(f"bipartite takes two sizes: {spec!r}")
+            raise ValueError(f"bipartite takes two sizes: {spec!r}")
         m = _size(sizes[0], spec)
         return bipartite_graph(m, _size(sizes[1], spec, m))
     if head == "edges":
@@ -296,10 +291,10 @@ def parse_graph_spec(spec: str) -> Graph:
         for item in filter(None, map(str.strip, body.split(","))):
             ends = item.split("-")
             if len(ends) != 2:
-                raise GraphSpecError(f"bad edge {item!r} in {spec!r}")
+                raise ValueError(f"bad edge {item!r} in {spec!r}")
             pairs.append((_size(ends[0], spec), _size(ends[1], spec)))
         try:
             return graph_from_edges(n, pairs)
         except ValueError as exc:
-            raise GraphSpecError(f"{exc} in {spec!r}") from None
-    raise GraphSpecError(f"unknown graph spec {spec!r}")
+            raise ValueError(f"{exc} in {spec!r}") from None
+    raise ValueError(f"unknown graph spec {spec!r}")

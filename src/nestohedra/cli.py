@@ -26,8 +26,9 @@ help and every usage error included, goes to the argparse parser built
 from the same table, and only then is argparse imported.
 
 Exit codes: 0 when every check passes, 1 when a verification or scan
-finds a failure or the computation fails one of its own checks, 2 on bad
-usage or input.  ``main`` returns the code, and the ``nestohedra``
+finds a failure or the computation fails one of its own checks (an
+``ArithmeticError``), 2 on bad usage or input (a ``ValueError``, or an
+``OSError`` on output).  ``main`` returns the code, and the ``nestohedra``
 console script that pip generates, like ``python -m nestohedra.cli``,
 passes it to ``sys.exit``.
 """

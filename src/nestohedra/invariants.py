@@ -95,11 +95,11 @@ def gal_check_series(fam: str, order: int) -> dict[tuple[int, int], GammaVector]
     Returns, for each family index (k, l) with k + l <= order in index
     order, the gamma vector of h_from_f of the stored coefficient
     k! l! [x^k y^l], checked against the family dimension.  Only those
-    slots are decoded, each once.  A ``FamilySpec`` (``TypeError``), an
-    unknown id (``NotInFamilyError``) or a negative order (``ValueError``)
-    is refused before anything is built.  A build that fails raises
-    ``ArithmeticError`` naming the family and the order, and a slot that
-    does not decode or has no gamma vector one naming the index.
+    slots are decoded, each once.  A ``FamilySpec`` (``TypeError``), or an
+    unknown id or a negative order (``ValueError``), is refused before
+    anything is built.  A build that fails raises ``ArithmeticError``
+    naming the family and the order, and a slot that does not decode or
+    has no gamma vector one naming the index.
     """
     spec = _family(fam)
     if order < 0:

@@ -111,7 +111,6 @@ __all__ = [
     "first_mismatch",
     "FamilySpec",
     "FAMILIES",
-    "NotInFamilyError",
     "family_f",
     "identity_suite",
     "IDENTITY_NAMES",
@@ -475,10 +474,6 @@ def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
 # families
 
 
-class NotInFamilyError(ValueError):
-    """An (k, l) index that carries no polytope of the requested family."""
-
-
 class FamilySpec(Record):
     """Where a family's polytopes sit in its generating function.
 
@@ -563,7 +558,7 @@ def _family(fam: str) -> FamilySpec:
     try:
         return FAMILIES[fam]
     except KeyError:
-        raise NotInFamilyError(f"unknown family {fam!r}") from None
+        raise ValueError(f"unknown family {fam!r}") from None
 
 
 _A = Poly2.from_coeffs((0, 1))
@@ -593,7 +588,7 @@ def _family_f_cached(fam_id: str, order: int) -> Series2:
         half = (exp_series(_A + _T, order) - exp_series(_A, order)) * swap_xy(eta_x)
         bracket = half + swap_xy(half) + eta_x * swap_xy(eta_x) * _A
         return bracket * denom + Series2.monomial(order, 1, 0) + Series2.monomial(order, 0, 1)
-    raise NotInFamilyError(f"unknown family {fam_id!r}")
+    raise ValueError(f"unknown family {fam_id!r}")
 
 
 def family_f(fam: str, order: int = DEFAULT_ORDER) -> Series2:
@@ -661,7 +656,7 @@ def identity_suite(
     if order < 2:
         raise ValueError("the identity suite needs truncation order >= 2")
     if corrupt is not None and corrupt not in IDENTITY_FAMILIES:
-        raise NotInFamilyError(f"cannot corrupt unknown family {corrupt!r}")
+        raise ValueError(f"cannot corrupt unknown family {corrupt!r}")
     try:
         series_f = {fam_id: family_f(fam_id, order) for fam_id in IDENTITY_FAMILIES}
         if corrupt is not None:

@@ -14,7 +14,6 @@ from hypothesis import assume, example, given, strategies as st
 import nestohedra
 from nestohedra.algebra import (
     GammaVector,
-    InhomogeneousError,
     Poly2,
     _digits,
     _pack,
@@ -91,14 +90,14 @@ def test_homogeneous_degree() -> None:
     assert homogeneous_degree(Poly2.from_coeffs((1,))) == 0
     with pytest.raises(ValueError):
         homogeneous_degree(Poly2.from_coeffs(()))
-    with pytest.raises(InhomogeneousError):
+    with pytest.raises(ValueError, match="^mixed total degrees 1 and 2$"):
         homogeneous_degree(A + power(T, 2))
 
 
 def test_mixed_total_degrees_are_refused() -> None:
-    with pytest.raises(InhomogeneousError):
+    with pytest.raises(ValueError, match="^mixed total degrees 1 and 2$"):
         A + power(T, 2)
-    with pytest.raises(InhomogeneousError):
+    with pytest.raises(ValueError, match="^mixed total degrees 1 and 2$"):
         A - power(T, 2)
     zero = Poly2.from_coeffs(())
     for p in (Poly2.from_coeffs((3,)), A, power(A, 2) + 6 * A * T, power(T, 7)):
@@ -194,9 +193,10 @@ def test_arithmetic_agrees_with_the_sparse_witness(pair_p, pair_q) -> None:
     assert dict(poly_deriv_t(p).terms()) == sparse_deriv_t(sp)
     assert dict(h_from_f(p).terms()) == sparse_h_from_f(sp)
     if p and q and homogeneous_degree(p) != homogeneous_degree(q):
-        with pytest.raises(InhomogeneousError):
+        mixed = f"^mixed total degrees {homogeneous_degree(p)} and {homogeneous_degree(q)}$"
+        with pytest.raises(ValueError, match=mixed):
             p + q
-        with pytest.raises(InhomogeneousError):
+        with pytest.raises(ValueError, match=mixed):
             p - q
     else:
         assert dict((p + q).terms()) == sparse_add(sp, sq)

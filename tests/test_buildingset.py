@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 from itertools import combinations
 
@@ -14,7 +15,6 @@ from nestohedra._classes import CONNECTED
 from nestohedra.buildingset import (
     MAX_GROUND,
     Graph,
-    GraphSpecError,
     bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -360,33 +360,45 @@ def test_parse_graph_spec() -> None:
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, message",
     [
-        "nonsense:4",
-        "complete:",
-        "complete:-1",
-        "bipartite:2",
-        "edges:2:0-5",
-        "edges:2:0-0",
-        "edges:two:0-1",
-        "join(complete:2)",
-        "join(complete:2,empty:1,empty:1)",
-        "cycle:2",
-        "cycle:0",
-        "cycle:21",
-        "",
-        # sizes and labels are ASCII digits only, not whatever int() reads
-        "complete:1_0",
-        "complete:+3",
-        "complete:\u0663",
-        "bipartite:1,-0",
-        "edges:3:0-1_0",
-        "join(complete:2,empty:1))",
-        pytest.param("complete:" + "9" * 5000, id="more-digits-than-int-converts"),
+        pytest.param(bad, message, id=bad)
+        for bad, message in [
+            ("nonsense:4", "unknown graph spec 'nonsense:4'"),
+            ("complete:", "bad size '' in 'complete:'"),
+            ("complete:-1", "bad size '-1' in 'complete:-1'"),
+            ("bipartite:2", "bipartite takes two sizes: 'bipartite:2'"),
+            ("edges:2:0-5", "edge 0-5 out of range for 2 nodes in 'edges:2:0-5'"),
+            ("edges:2:0-0", "self-loop at node 0 in 'edges:2:0-0'"),
+            ("edges:two:0-1", "bad size 'two' in 'edges:two:0-1'"),
+            ("join(complete:2)", "join takes two arguments: 'join(complete:2)'"),
+            (
+                "join(complete:2,empty:1,empty:1)",
+                "join takes two arguments: 'join(complete:2,empty:1,empty:1)'",
+            ),
+            ("cycle:2", "a cycle needs at least 3 nodes: 'cycle:2'"),
+            ("cycle:0", "a cycle needs at least 3 nodes: 'cycle:0'"),
+            ("cycle:21", "'cycle:21' has 21 nodes, more than 20"),
+            ("", "unknown graph spec ''"),
+            # sizes and labels are ASCII digits only, not whatever int() reads
+            ("complete:1_0", "bad size '1_0' in 'complete:1_0'"),
+            ("complete:+3", "bad size '+3' in 'complete:+3'"),
+            ("complete:\u0663", "bad size '\u0663' in 'complete:\u0663'"),
+            ("bipartite:1,-0", "bad size '-0' in 'bipartite:1,-0'"),
+            ("edges:3:0-1_0", "bad size '1_0' in 'edges:3:0-1_0'"),
+            ("join(complete:2,empty:1))", "unbalanced parentheses in 'join(complete:2,empty:1))'"),
+        ]
+    ]
+    + [
+        pytest.param(
+            "complete:" + "9" * 5000,
+            f"bad size {'9' * 5000!r} in {'complete:' + '9' * 5000!r}",
+            id="more-digits-than-int-converts",
+        )
     ],
 )
-def test_parse_graph_spec_rejects(bad: str) -> None:
-    with pytest.raises(GraphSpecError):
+def test_parse_graph_spec_rejects(bad: str, message: str) -> None:
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_graph_spec(bad)
 
 
@@ -397,15 +409,21 @@ def test_parse_graph_spec_rejects_oversized_graphs(monkeypatch) -> None:
         raise AssertionError("built edges for an oversized spec")
 
     monkeypatch.setattr(buildingset, "graph_from_edges", refuse)
-    for spec in ("complete:1500", "empty:21", "path:21", "star:20", "bipartite:10,11"):
-        with pytest.raises(GraphSpecError):
+    for spec, n in [
+        ("complete:1500", 1500),
+        ("empty:21", 21),
+        ("path:21", 21),
+        ("star:20", 21),
+        ("bipartite:10,11", 21),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(spec))} has {n} nodes, more than 20$"):
             parse_graph_spec(spec)
-    with pytest.raises(GraphSpecError):
+    with pytest.raises(ValueError, match="^'edges:21:0-1' has 21 nodes, more than 20$"):
         parse_graph_spec("edges:21:0-1")
     monkeypatch.undo()
 
     monkeypatch.setattr(buildingset, "join_graphs", refuse)
-    with pytest.raises(GraphSpecError):
+    with pytest.raises(ValueError, match=r"^'join\(complete:15,complete:15\)' has 30 nodes, more than 20$"):
         parse_graph_spec("join(complete:15,complete:15)")
     monkeypatch.undo()
     assert parse_graph_spec(f"complete:{MAX_GROUND}").n == MAX_GROUND
@@ -414,7 +432,7 @@ def test_parse_graph_spec_rejects_oversized_graphs(monkeypatch) -> None:
 
 def test_parse_graph_spec_rejects_deep_nesting() -> None:
     deep = "join(empty:0," * 2000 + "empty:0" + ")" * 2000
-    with pytest.raises(GraphSpecError, match="nested"):
+    with pytest.raises(ValueError, match="^graph spec nested more than 32 deep$"):
         parse_graph_spec(deep)
     shallow = "join(empty:1," * 10 + "empty:1" + ")" * 10
     assert parse_graph_spec(shallow) == complete_graph(11)

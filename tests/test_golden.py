@@ -3,6 +3,8 @@
 ``python3 tests/same_bytes.py --write SRC`` writes the file from
 ``python -m nestohedra.cli`` runs; a change that means to change some
 output rewrites it, and the file's diff names the argvs whose bytes moved.
+Any other change leaves the file as it is, and this module checks the
+tree's in-process bytes against it, so no second tree is run to compare.
 The file is the one store of recorded bytes and this module its one
 reader among the tests: no other test compares a recorded run's bytes.
 The digests checked against it are the ones the reach gate's process

@@ -26,7 +26,6 @@ UNREACHED = {
     "vector, as the tests that patch h_from_f show",
     "algebra.GammaVector.first_negative": "failure only: the witness of a negative gamma entry, "
     "which no family or class has",
-    "algebra.InhomogeneousError.__init__": "failure only: adding polynomials of two degrees",
     "_record.Record._values": VALUE,
     "_record.Record.__eq__": VALUE,
     "_record.Record.__hash__": VALUE,

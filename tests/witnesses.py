@@ -1135,7 +1135,7 @@ def poly_deriv_t(p: Poly2) -> Poly2:
 
 
 def poly_from_records(records: Iterable[Mapping[str, object]]) -> Poly2:
-    """Inverse of ``Poly2.to_records``; records of two degrees raise ``InhomogeneousError``."""
+    """Inverse of ``Poly2.to_records``; records of two degrees raise ``ValueError``."""
     out = Poly2.from_coeffs(())
     for r in records:
         i, j = int(r["i"]), int(r["j"])
