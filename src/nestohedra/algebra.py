@@ -39,11 +39,10 @@ and ``_egf_inverse`` are that format, shared by the three callers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
-
-from ._record import Record
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "Poly2",
@@ -222,12 +221,12 @@ def h_from_f(p: Poly2) -> Poly2:
     return Poly2.from_coeffs(h)
 
 
-class GammaVector(Record):
+class GammaVector(namedtuple("GammaVector", "n gammas")):
     """Coefficients of h over the basis (alpha t)^i (alpha + t)^(n-2i)."""
 
-    __slots__ = ("n", "gammas")
+    __slots__ = ()
 
-    def __init__(self, n: int, gammas: tuple[int, ...]):
+    def __new__(cls, n: int, gammas: tuple[int, ...]) -> GammaVector:
         expected = n // 2 + 1
         if n < 0:
             raise ValueError("negative degree")
@@ -235,10 +234,7 @@ class GammaVector(Record):
             raise ValueError(
                 f"degree {n} needs {expected} gamma entries, got {len(gammas)}"
             )
-        self._set(n, tuple(gammas))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.gammas)
+        return super().__new__(cls, n, tuple(gammas))
 
     @property
     def first_negative(self) -> Optional[tuple[int, int]]:

@@ -17,9 +17,8 @@ these graph operations are checked against.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Iterable, Sequence
-
-from ._record import Record
 
 __all__ = [
     "MAX_GROUND",
@@ -48,21 +47,18 @@ MAX_GROUND = 20
 _MAX_SPEC_NESTING = 32
 
 
-class Graph(Record):
+class Graph(namedtuple("Graph", "adj")):
     """Simple undirected graph on nodes 0..n-1, as adjacency masks.
 
     Bit v of ``adj[u]`` is set when u-v is an edge.  The masks are the whole
     value, so a graph is hashable, and its masks serve as the shared memo's
     key: two graphs are equal exactly when they are the same labelled
-    graph.  Graphs have no order; sort them by their masks.  ``Graph(adj)``
-    trusts its masks to be symmetric and loop-free; ``graph_from_edges`` is
-    the validating constructor.
+    graph.  A graph is the 1-tuple of its masks, so graphs order as their
+    masks do.  ``Graph(adj)`` trusts its masks to be symmetric and
+    loop-free; ``graph_from_edges`` is the validating constructor.
     """
 
-    __slots__ = ("adj",)
-
-    def __init__(self, adj: tuple[int, ...]):
-        self._set(adj)
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -202,6 +202,6 @@ def _packed_gammas(rows: Sequence[Sequence[int]], dim: int) -> list[GammaVector]
     bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * len(rows), "little")
     columns = [
         unpack(fields, ((g + bias) ^ bias).to_bytes(8 * len(rows), "little"))
-        for g in gal_check_poly(h_from_f(f), dim)
+        for g in gal_check_poly(h_from_f(f), dim).gammas
     ]
     return [GammaVector(dim, gammas) for gammas in zip(*columns)]

@@ -81,15 +81,14 @@ association, and its reports do not depend on the order chosen.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache, partialmethod
 from math import comb, factorial
 from operator import add, sub
 from typing import Callable, Iterable, Optional
 
-from ._record import Record
 from .algebra import Poly2, _digits, _egf_inverse, _pack, h_from_f
 from .buildingset import (
-    Graph,
     bipartite_graph,
     complete_graph,
     empty_graph,
@@ -474,7 +473,7 @@ def first_mismatch(a: Series2, b: Series2) -> Optional[tuple[int, int, Poly2]]:
 # families
 
 
-class FamilySpec(Record):
+class FamilySpec(namedtuple("FamilySpec", "id offset member graph_at nodes_at")):
     """Where a family's polytopes sit in its generating function.
 
     ``member`` decides which monomials x^k y^l carry a polytope, ``graph_at``
@@ -486,17 +485,7 @@ class FamilySpec(Record):
     on the family's largest graph serves every member up to order n.
     """
 
-    __slots__ = ("id", "offset", "member", "graph_at", "nodes_at")
-
-    def __init__(
-        self,
-        id: str,
-        offset: int,
-        member: Callable[[int, int], bool],
-        graph_at: Callable[[int, int], Graph],
-        nodes_at: Callable[[int, int, int], int],
-    ):
-        self._set(id, offset, member, graph_at, nodes_at)
+    __slots__ = ()
 
     def contains(self, k: int, l: int) -> bool:
         return k >= 0 and l >= 0 and self.member(k, l)

@@ -105,7 +105,8 @@ def test_cycle_graph() -> None:
 def test_adjacency_masks_are_built_once_per_graph() -> None:
     # The masks are the graph's one field: built by the constructor, read
     # by every operation, and the whole of its value and hash.
-    assert Graph.__slots__ == ("adj",)
+    assert Graph._fields == ("adj",)
+    assert Graph.__slots__ == ()
     g = bipartite_graph(2, 2)
     assert not hasattr(g, "__dict__")
     with pytest.raises(AttributeError):

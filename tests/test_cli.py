@@ -1045,8 +1045,8 @@ def test_no_subcommand_imports_networkx() -> None:
     # package it was taken from.  A well-formed argv is read from the
     # option table without argparse (nor the locale module its messages
     # pull in); an abbreviated flag is argparse's to read.  The records
-    # are plain slotted classes and every passing op is integer-only, so
-    # neither dataclasses nor fractions (nor what they import) is loaded.
+    # are named tuples and every passing op is integer-only, so neither
+    # dataclasses nor fractions (nor what they import) is loaded.
     script = """
 import contextlib, io, json, sys
 from nestohedra.cli import main

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 README = "README API: the README's library section shows or names it; no command calls it"
 VALUE = "value protocol: compares, hashes or shows a value, which no command asks of it"
-IMMUTABLE = "value protocol: refuses changing a record's field, which no command tries"
 
 UNREACHED = {
     "series.Series2.__eq__": README,
@@ -26,14 +25,8 @@ UNREACHED = {
     "vector, as the tests that patch h_from_f show",
     "algebra.GammaVector.first_negative": "failure only: the witness of a negative gamma entry, "
     "which no family or class has",
-    "_record.Record._values": VALUE,
-    "_record.Record.__eq__": VALUE,
-    "_record.Record.__hash__": VALUE,
-    "_record.Record.__repr__": VALUE,
     "algebra.Poly2.__repr__": VALUE,
     "series.Series2.__repr__": VALUE,
-    "_record.Record.__setattr__": IMMUTABLE,
-    "_record.Record.__delattr__": IMMUTABLE,
 }
 
 

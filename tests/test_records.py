@@ -1,9 +1,11 @@
 """The value records: construction, repr, equality, hash and immutability.
 
-The repr strings were recorded from the dataclasses these records were
-before they became slotted classes, so the public behaviour is pinned
-across that change.  ``GammaVector`` derives ``first_negative`` and
-``passed`` from its entries, so neither is a field or part of its repr.
+``Graph``, ``GammaVector`` and ``FamilySpec`` are named tuples, so a
+record equals, hashes and orders as the tuple of its fields, and its
+repr is ``Name(field=value, ...)``; the repr strings below were recorded
+before the records became named tuples, so that text is pinned across
+the change.  ``GammaVector`` derives ``first_negative`` and ``passed``
+from its entries, so neither is a field or part of its repr.
 """
 
 from __future__ import annotations
@@ -14,12 +16,9 @@ from nestohedra import (
     FamilySpec,
     GammaVector,
     Graph,
-    Poly2,
     path_graph,
     star_graph,
 )
-from nestohedra._record import Record
-from witnesses import by_masks
 
 # (build one record, build an unequal one, a field name, the repr)
 FROZEN = {
@@ -64,34 +63,22 @@ def test_frozen_records_are_values(name: str) -> None:
     assert a == b
 
 
-class _Pair(Record):
-    """A record of a name and a value, which may hold a polynomial."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: object):
-        self._set(name, value)
-
-
-def test_a_record_holding_a_polynomial_is_unhashable() -> None:
-    result = _Pair("I1", (1, 2, Poly2.from_coeffs((1, 2))))
-    assert repr(result) == "_Pair(name='I1', value=(1, 2, Poly2.from_coeffs((1, 2))))"
-    assert result == _Pair("I1", (1, 2, Poly2.from_coeffs((1, 2))))
-    assert result != _Pair("I1", None) and result != _Pair("I2", result.value)
-    with pytest.raises(TypeError):
-        hash(result)
-
-
 def test_graphs_order_by_their_masks() -> None:
-    # Graphs have no order of their own; the witnesses sort them by their
-    # mask tuples, (0b010, ...) before (0b110, ...).
+    # A graph is the 1-tuple of its masks, so graphs sort as their mask
+    # tuples do: (0b010, ...) before (0b110, ...).
     low, high = path_graph(3), star_graph(2)
-    assert sorted([high, low, path_graph(3)], key=by_masks) == [low, low, high]
-    assert min([high, low], key=by_masks) is low
-    with pytest.raises(TypeError):
-        low < high  # noqa: B015
+    graphs = [high, low, path_graph(3)]
+    assert sorted(graphs) == sorted(graphs, key=lambda g: g.adj) == [low, low, high]
+    assert min([high, low]) is low
+    assert path_graph(3) < star_graph(2)
     assert Graph(low.adj) == low and hash(Graph(low.adj)) == hash(low)
-    assert low != low.adj
+    assert low == (low.adj,) and low != low.adj
+
+
+def test_gamma_vectors_iterate_as_their_fields() -> None:
+    gv = GammaVector(2, (1, 2))
+    assert list(gv) == [2, (1, 2)]
+    assert tuple(gv) == (gv.n, gv.gammas)
 
 
 def test_gamma_vectors_report_their_first_negative_entry() -> None:

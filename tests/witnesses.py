@@ -327,11 +327,6 @@ def graph_components(g: Graph) -> list[Graph]:
 Product = tuple[Graph, ...]
 
 
-def by_masks(g: Graph) -> tuple[int, ...]:
-    """The order graphs are sorted in: by their adjacency masks."""
-    return g.adj
-
-
 class PolyExpr:
     """Integer combination of products of connected graph nestohedra."""
 
@@ -340,7 +335,7 @@ class PolyExpr:
     def __init__(self, terms: Mapping[Product, int]):
         acc: dict[Product, int] = {}
         for product, c in terms.items():
-            product = tuple(sorted(product, key=by_masks))
+            product = tuple(sorted(product))
             acc[product] = acc.get(product, 0) + c
         self._terms = {p: c for p, c in acc.items() if c}
 
@@ -394,7 +389,7 @@ def plain_boundary(g: Graph) -> PolyExpr:
     for s in range(1, full):
         if connected_submask(g.adj, s):
             factors = (induced_subgraph(g, s), contraction(g, s))
-            product = tuple(sorted((f for f in factors if f.n > 1), key=by_masks))
+            product = tuple(sorted(f for f in factors if f.n > 1))
             counts[product] = counts.get(product, 0) + 1
     return PolyExpr(counts)
 
@@ -481,14 +476,14 @@ def canonical(g: Graph) -> Graph:
         graph_from_edges(g.n, ((p[u], p[v]) for u, v in edges(g)))
         for p in permutations(range(g.n))
     )
-    return min(relabelled, key=by_masks)
+    return min(relabelled)
 
 
 def up_to_iso(e: PolyExpr) -> dict:
     """The terms of e with every factor replaced by its isomorphism class."""
     out: dict = {}
     for product, c in e.terms():
-        classes = tuple(sorted((canonical(g) for g in product), key=by_masks))
+        classes = tuple(sorted(canonical(g) for g in product))
         out[classes] = out.get(classes, 0) + c
     return out
 
