@@ -48,8 +48,6 @@ __all__ = [
     "Poly2",
     "GammaVector",
     "h_from_f",
-    "homogeneous_degree",
-    "is_symmetric",
     "gamma_from_h",
 ]
 
@@ -195,18 +193,6 @@ class Poly2:
         return [{"i": i, "j": j, "c": str(c)} for (i, j), c in self.terms()]
 
 
-def homogeneous_degree(p: Poly2) -> int:
-    """Total degree of a polynomial; ``ValueError`` on the zero polynomial."""
-    if not p:
-        raise ValueError("zero polynomial has no homogeneous degree")
-    return len(p.coeffs) - 1
-
-
-def is_symmetric(p: Poly2) -> bool:
-    """True when p(alpha, t) == p(t, alpha).  The zero polynomial qualifies."""
-    return p.coeffs == p.coeffs[::-1]
-
-
 def h_from_f(p: Poly2) -> Poly2:
     """Substitute alpha -> alpha - t, the face-to-h change of variables.
 
@@ -236,6 +222,9 @@ class GammaVector(namedtuple("GammaVector", "n gammas")):
             )
         return super().__new__(cls, n, tuple(gammas))
 
+    # the tuple's _make, which _replace calls, would skip those checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @property
     def first_negative(self) -> Optional[tuple[int, int]]:
         """``(i, gamma_i)`` of the first negative entry, None when there is none."""
@@ -257,12 +246,15 @@ def gamma_from_h(p: Poly2) -> GammaVector:
     alpha^(n-i) t^i left in the residual, which is then cleared, binomial
     by binomial.  A nonzero residual after the last step would mean the
     symmetric basis failed, so it is reported as an internal error rather
-    than a bad input.
+    than a bad input.  A bad input, the zero polynomial (which has no
+    degree) or an asymmetric one, raises ``ValueError``.
     """
-    n = homogeneous_degree(p)
-    if not is_symmetric(p):
-        raise ValueError(f"not symmetric in alpha and t: {p}")
+    if not p:
+        raise ValueError("zero polynomial has no homogeneous degree")
     residual = list(p.coeffs)
+    if residual != residual[::-1]:
+        raise ValueError(f"not symmetric in alpha and t: {p}")
+    n = len(residual) - 1
     gammas = []
     for i in range(n // 2 + 1):
         g = residual[n - i]

@@ -253,8 +253,10 @@ def parse_graph_spec(spec: str) -> Graph:
     ``cycle:N`` (N >= 3), ``bipartite:M,N``, ``edges:N:0-1,1-2,...``
     (0-based labels, possibly no edges) and ``join(SPEC,SPEC)``.  Sizes
     and labels are ASCII digits; spaces around them and around a join's
-    arguments are ignored.  Node counts above MAX_GROUND are rejected
-    before any edge is built, and nesting past _MAX_SPEC_NESTING too.
+    arguments are ignored.  A shape or ``edges:`` spec of more than
+    MAX_GROUND nodes is rejected before any edge is built; a join builds
+    both parts first, each within the cap, and then refuses their summed
+    count before it joins them.  Nesting past _MAX_SPEC_NESTING is rejected too.
     """
     spec = spec.strip()
     if spec.startswith("join(") and spec.endswith(")"):

@@ -28,9 +28,10 @@ from the same table, and only then is argparse imported.
 Exit codes: 0 when every check passes, 1 when a verification or scan
 finds a failure or the computation fails one of its own checks (an
 ``ArithmeticError``), 2 on bad usage or input (a ``ValueError``, or an
-``OSError`` on output).  ``main`` returns the code, and the ``nestohedra``
-console script that pip generates, like ``python -m nestohedra.cli``,
-passes it to ``sys.exit``.
+``OSError`` on output or a stdout closed at start).  A closed stderr
+loses the ``error:`` line, not the code.  ``main`` returns the code, and
+the ``nestohedra`` console script that pip generates, like ``python -m
+nestohedra.cli``, passes it to ``sys.exit``.
 """
 
 from __future__ import annotations
@@ -447,9 +448,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         except SystemExit as exc:
             return int(exc.code or 0)
+    error: object = None
     try:
         code, obj, header, rows = args.func(args)
-        if args.format == "json":
+        if sys.stdout is None:  # descriptor 1 was closed when Python started
+            code, error = 2, "standard output is closed"
+        elif args.format == "json":
             parts: list[str] = []
             _json_parts(obj(), "", parts)
             sys.stdout.write("".join(parts) + "\n")
@@ -458,14 +462,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = writer(sys.stdout, lineterminator="\n")
             out.writerow(header)
             out.writerows(rows)
-        return code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
     except ArithmeticError as exc:
         # valid input whose computation failed an exactness check
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, exc
+    if error is not None:
+        try:
+            sys.stderr.write(f"error: {error}\n")
+        except (AttributeError, OSError):
+            pass  # standard error is closed too: the exit code alone reports the failure
+    return code
 
 
 if __name__ == "__main__":

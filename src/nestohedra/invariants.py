@@ -21,13 +21,7 @@ from struct import pack, unpack
 from typing import Callable, Optional, Sequence
 
 from ._classes import CONNECTED
-from .algebra import (
-    GammaVector,
-    Poly2,
-    gamma_from_h,
-    h_from_f,
-    homogeneous_degree,
-)
+from .algebra import GammaVector, Poly2, gamma_from_h, h_from_f
 from .buildingset import Graph, graph_spec
 from .ringcalc import FPolyCache, class_face_counts, fpoly, induced_fpolys
 from .series import Series2, Slot, _family, family_f
@@ -49,9 +43,8 @@ def gal_check_poly(p: Poly2, n: int) -> GammaVector:
     residual raises ``ArithmeticError``; a negative gamma entry is a
     finding, which the vector reports as its ``first_negative``.
     """
-    degree = homogeneous_degree(p)
-    if degree != n:
-        raise ValueError(f"expected degree {n}, got {degree}")
+    if p and len(p.coeffs) - 1 != n:
+        raise ValueError(f"expected degree {n}, got {len(p.coeffs) - 1}")
     return gamma_from_h(p)
 
 
@@ -183,9 +176,9 @@ def _packed_gammas(rows: Sequence[Sequence[int]], dim: int) -> list[GammaVector]
     them, subtracts gamma_i C(m, k), m = dim - 2i, from values bounded as
     gamma_i is, so it multiplies the bound by at most 1 + 2^m:
     (1 + 2^6)(1 + 2^4)(1 + 2^2)(1 + 2^0) = 11050 in all.  So every field
-    compared or decoded stays below 2^40: ``is_symmetric`` and
-    ``any(residual)`` read the fields exactly, and the row raises
-    whenever one class's own check would.  So does a row with a count
+    compared or decoded stays below 2^40: the symmetry check and the
+    ``any(residual)`` of ``gamma_from_h`` read the fields exactly, and the
+    row raises whenever one class's own check would.  So does a row with a count
     outside [0, 2^16) or a class with no nonzero count, and hence no
     degree, a row of unequal lengths, and a row past seven nodes.  The
     64-bit width is fixed by that bound, not chosen.

@@ -82,7 +82,7 @@ association, and its reports do not depend on the order chosen.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partialmethod
+from functools import lru_cache
 from math import comb, factorial
 from operator import add, sub
 from typing import Callable, Iterable, Optional
@@ -221,20 +221,15 @@ class Series2:
             coeffs[_index(k, l)] = bounds[k + l] = 1
         return cls(order, k + l, coeffs, tuple(bounds), width)
 
-    one = partialmethod(monomial, k=0, l=0)
-
     def coeff(self, k: int, l: int) -> Poly2:
-        return Poly2.from_coeffs(self._slot_digits(k, l))
-
-    def _slot_digits(self, k: int, l: int) -> list[int]:
-        """Slot (k, l)'s coefficients, k + l - offset + 1 of them, lowest alpha power first."""
+        """Slot (k, l)'s polynomial, of degree k + l - offset."""
         # an empty slot below the grading has no digits, and reads as zero
         count = k + l - self.offset + 1
         held = min(k, l) >= 0 and k + l <= self.order
         digits = _digits(self._coeffs[_index(k, l)] if held else 0, self._width)
         if len(digits) > max(count, 0):
             raise ArithmeticError(f"slot {(k, l)} does not fit {self._width}-bit fields")
-        return digits + [0] * (count - len(digits))
+        return Poly2.from_coeffs(digits + [0] * (count - len(digits)))
 
     def items(self) -> list[tuple[Slot, Poly2]]:
         return [(s, self.coeff(*s)) for s, v in zip(_layout(self.order), self._coeffs) if v]
@@ -487,15 +482,12 @@ class FamilySpec(namedtuple("FamilySpec", "id offset member graph_at nodes_at"))
 
     __slots__ = ()
 
-    def contains(self, k: int, l: int) -> bool:
-        return k >= 0 and l >= 0 and self.member(k, l)
-
     def dim(self, k: int, l: int) -> int:
         return k + l - self.offset
 
     def indices(self, bound: int) -> list[tuple[int, int]]:
         """Family indices with k + l <= bound, in (k+l, k) order."""
-        return [(k, d - k) for d in range(bound + 1) for k in range(d + 1) if self.contains(k, d - k)]
+        return [(k, d - k) for d in range(bound + 1) for k in range(d + 1) if self.member(k, d - k)]
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -557,7 +549,7 @@ _T = Poly2.from_coeffs((1, 0))
 @lru_cache(maxsize=None)
 def _denominator(order: int) -> Series2:
     """1 / (1 - t eta(x)), shared by every series built at this order."""
-    return inv_series(Series2.one(order) - eta_linear(order) * _T)
+    return inv_series(Series2.monomial(order, 0, 0) - eta_linear(order) * _T)
 
 
 @lru_cache(maxsize=None)

@@ -722,13 +722,13 @@ def test_a_family_scan_decodes_each_family_index_once(capsys, monkeypatch) -> No
     # the face series' slots are read where the scan takes h, and only at
     # the family's own indices
     decoded = []
-    plain = series.Series2._slot_digits
+    plain = series.Series2.coeff
 
-    def counted(self: series.Series2, k: int, l: int) -> list[int]:
+    def counted(self: series.Series2, k: int, l: int) -> Poly2:
         decoded.append((k, l))
         return plain(self, k, l)
 
-    monkeypatch.setattr(series.Series2, "_slot_digits", counted)
+    monkeypatch.setattr(series.Series2, "coeff", counted)
     assert _run(capsys, ["gal-scan", "--family", "all", "--bound", "6"])[0] == 0
     assert len(decoded) == sum(len(spec.indices(6)) for spec in FAMILIES.values())
 
@@ -825,6 +825,28 @@ def test_a_failed_write_exits_two(capsys, monkeypatch, fmt: str) -> None:
     monkeypatch.setattr(sys, "stdout", _BrokenPipe())
     code = main(["invariants", "--graph", "path:3", "--format", fmt])
     assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_standard_streams_keep_the_exit_codes(fmt: str) -> None:
+    # a descriptor closed before Python starts leaves sys.stdout None, and
+    # a closed descriptor 2 fails the error line's write: neither ends in
+    # a traceback and exit 1
+    def run(graph: str, *closed: int) -> tuple[int, bytes]:
+        argv = ["invariants", "--graph", graph, "--format", fmt]
+        done = subprocess.run(
+            [sys.executable, "-m", "nestohedra.cli", *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=_src_env(),
+            preexec_fn=lambda: [os.close(fd) for fd in closed],
+        )
+        return done.returncode, done.stderr
+
+    assert run("path:3", 1) == (2, b"error: standard output is closed\n")
+    assert run("path:3", 1, 2) == (2, b"")
+    assert run("bogus:3", 2) == (2, b"")
+    assert run("bogus:3", 1, 2) == (2, b"")
 
 
 def test_a_script_whose_stdout_closed_ends_as_the_command_line_does() -> None:

@@ -82,8 +82,6 @@ PUBLIC_PARAMETERS = {
     "algebra.GammaVector": ("n", "gammas"),
     "algebra.GammaVector.as_strings": ("self",),
     "algebra.h_from_f": ("p",),
-    "algebra.homogeneous_degree": ("p",),
-    "algebra.is_symmetric": ("p",),
     "algebra.gamma_from_h": ("p",),
     "buildingset.Graph": ("adj",),
     "buildingset.complete_graph": ("n",),
@@ -109,7 +107,6 @@ PUBLIC_PARAMETERS = {
     "ringcalc.induced_fpolys": ("g", "masks", "cache"),
     "series.Series2": ("order", "offset", "coeffs", "bounds", "width"),
     "series.Series2.monomial": ("order", "k", "l"),
-    "series.Series2.one": ("order", "k", "l"),
     "series.Series2.coeff": ("self", "k", "l"),
     "series.Series2.items": ("self",),
     "series.exp_series": ("p", "order"),
@@ -122,7 +119,6 @@ PUBLIC_PARAMETERS = {
     "series.truncate": ("s", "order"),
     "series.first_mismatch": ("a", "b"),
     "series.FamilySpec": ("id", "offset", "member", "graph_at", "nodes_at"),
-    "series.FamilySpec.contains": ("self", "k", "l"),
     "series.FamilySpec.dim": ("self", "k", "l"),
     "series.FamilySpec.indices": ("self", "bound"),
     "series.family_f": ("fam", "order"),

@@ -102,3 +102,15 @@ def test_gamma_vectors_validate_and_keep_a_tuple() -> None:
     with pytest.raises(ValueError, match="negative degree"):
         GammaVector(-1, ())
 
+
+def test_make_and_replace_check_as_the_constructor_does() -> None:
+    # the named tuple's own _make, which _replace calls, builds the tuple
+    # without __new__, and so would accept both
+    with pytest.raises(ValueError, match="^degree 2 needs 2 gamma entries, got 1$"):
+        GammaVector._make((2, (1,)))
+    with pytest.raises(ValueError, match="^negative degree$"):
+        GammaVector(2, (1, 2))._replace(n=-4)
+    with pytest.raises(ValueError, match="^degree 4 needs 3 gamma entries, got 2$"):
+        GammaVector(2, (1, 2))._replace(n=4)
+    assert GammaVector._make([3, [1, 4]]) == GammaVector(3, (1, 4))
+    assert GammaVector(2, (1, 2))._replace(gammas=[1, -2]).gammas == (1, -2)
