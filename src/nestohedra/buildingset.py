@@ -164,13 +164,8 @@ def _induced_adj(adj: Sequence[int], mask: int) -> tuple[int, ...]:
 
     They key the shared memo of the nested-set recursion.  One pass over
     the runs of set bits in mask lists its nodes and the shift that packs
-    each run down onto the runs below it; a mask of one run is a single
-    shift.
+    each run down onto the runs below it.
     """
-    low = mask & -mask
-    lo = low.bit_length() - 1
-    if not mask & (mask + low):
-        return tuple([(adj[v] & mask) >> lo for v in range(lo, lo + mask.bit_count())])
     runs = []
     nodes: list[int] = []
     p = 0

@@ -23,7 +23,8 @@ flag's range is its ``choices``) live in one option table, ``_COMMANDS``.
 A well-formed argv (an exact subcommand, then exact ``--flag value``
 pairs with accepted values) is read from it directly; anything else,
 help and every usage error included, goes to the argparse parser built
-from the same table, and only then is argparse imported.
+from the same table, and only then is argparse imported.  ``main`` writes
+argparse's help itself, so a failed help write exits as any other.
 
 Exit codes: 0 when every check passes, 1 when a verification or scan
 finds a failure or the computation fails one of its own checks (an
@@ -39,6 +40,7 @@ from __future__ import annotations
 import sys
 from _csv import writer
 from _json import encode_basestring_ascii
+from io import StringIO
 from math import factorial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
@@ -442,17 +444,25 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_argv(argv)
+    args, help_text = _read_argv(argv), ""
     if args is None:
+        # argparse would swallow a failed write of its help, so main writes it
+        stdout, sys.stdout = sys.stdout, StringIO()
         try:
             args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         except SystemExit as exc:
-            return int(exc.code or 0)
+            if exc.code:  # a usage error, already on stderr
+                return int(exc.code)
+            help_text = sys.stdout.getvalue()
+        finally:
+            sys.stdout = stdout
     error: object = None
     try:
-        code, obj, header, rows = args.func(args)
+        code, obj, header, rows = (0, None, (), ()) if help_text else args.func(args)
         if sys.stdout is None:  # descriptor 1 was closed when Python started
             code, error = 2, "standard output is closed"
+        elif help_text:
+            sys.stdout.write(help_text)
         elif args.format == "json":
             parts: list[str] = []
             _json_parts(obj(), "", parts)

@@ -18,20 +18,19 @@ and d/dy are per-degree slices, sums are elementwise, a ``Poly2`` scalar
 multiplies each slot by its value at alpha = 2^W, and d/dt scales each
 slot's digits in one pass.  A product at order N works in divided
 powers: it scales each nonzero slot (k, l) of both operands by
-N!/(k! l!), runs the operand with fewer nonzero slots outside and the
-other's inside, by degree, adds each plain product into a
-flat (N + 1)^2 table at k (N + 1) + l, where the indices of two factors
-add, and reads the table back into a list once, each slot divided exactly
-by N!^2/(k! l!).  Every series is graded, slot (k, l) of degree
-k + l - offset with one offset per series, so a slot's digit count follows
-from its index.  The kernel is int arithmetic, whose scaled slots and sums
+N!/(k! l!), runs the left operand outside and the right one inside, by
+degree, adds each plain product into a flat (N + 1)^2 table at
+k (N + 1) + l, where the indices of two factors add, and reads the table
+back into a list once, each slot divided exactly by N!^2/(k! l!).  Every
+series is graded, slot (k, l) of degree k + l - offset with one offset
+per series, so a slot's digit count follows from its index.  The kernel is int arithmetic, whose scaled slots and sums
 may leave their fields, as evaluation at alpha = 2^W is a ring map; a slot
 is decoded only where it is read or differentiated in t, or differs from
 another.  Each series bounds, per total degree, its slots' absolute
 coefficient sums and raises ArithmeticError where a bound reaches
 2^(W-1), beyond which decoding could be wrong.  Bounds multiply as
-exponential generating functions in z = x + y, in one product of packed
-ints.  With E = e^z and R = 1 / (2 - E) (ordered Bell numbers a(n)), every
+exponential generating functions in z = x + y, by the binomial sum.
+With E = e^z and R = 1 / (2 - E) (ordered Bell numbers a(n)), every
 face series of a family is at most F = 5 E^3 R, and so is phi's face
 series, at most 2 E^2 R (as e^{-t y} <= E and e^{alpha x} + t eta(x) <=
 2 E).  A d/dt, and every sum of products the identity suite forms, is at
@@ -144,20 +143,8 @@ def _scales(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _egf_product(p: Bounds, q: Bounds) -> Bounds:
-    """The binomial product of two nonnegative bounds, as one product of packed ints.
-
-    Operand field j holds entry j times N!/j!, so product field d <= N is N!^2/d!
-    times entry d, at most 2 N!^2 max(p) max(q); carries only run up from it.
-    """
-    order = len(p) - 1
-    up, down = _scales(order)
-    width = max(p).bit_length() + max(q).bit_length() + (2 * down[0]).bit_length()
-    packed_p = packed_q = 0
-    for j in range(order, -1, -1):
-        packed_p = (packed_p << width) + p[j] * up[j]
-        packed_q = (packed_q << width) + q[j] * up[j]
-    product, mask = packed_p * packed_q, (1 << width) - 1
-    return tuple([(product >> width * d & mask) // down[d] for d in range(order + 1)])
+    """The binomial product of two bounds: entry d is sum_j C(d, j) p_j q_(d-j)."""
+    return tuple([sum(comb(d, j) * p[j] * q[d - j] for j in range(d + 1)) for d in range(len(p))])
 
 
 @lru_cache(maxsize=None)
@@ -302,13 +289,11 @@ def _product(a: Slots, b: Slots, order: int) -> Slots:
 
     With each nonzero slot (k, l) of both lists scaled by N!/(k! l!), the
     products that land in slot (k, l) sum to N!^2/(k! l!) times it, one
-    exact division.  The list with fewer nonzero slots runs outside; the
-    other's nonzero slots come by total degree, so each outer slot stops at
-    the first one beyond the order.  Slot (k, l) sums in a table at
-    k (N + 1) + l, the sum of its factors' table indices, read back once.
+    exact division.  The second list's nonzero slots come by total degree,
+    so each slot of the first stops at the first one beyond the order.
+    Slot (k, l) sums in a table at k (N + 1) + l, the sum of its factors'
+    table indices, read back once.
     """
-    if a.count(0) < b.count(0):
-        a, b = b, a
     cells, (up, down) = _cells(order), _scales(order)
     inner = [(d, index, q * up[index]) for (d, index), q in zip(cells, b) if q]
     vals = [0] * (order + 1) ** 2

@@ -8,9 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import nestohedra
 from same_bytes import clear_series_caches
+
+# tests/mutants.py runs tier-1 under this profile: it reads which tests
+# fail, not their smallest failing examples, and keeps no example database
+settings.register_profile("mutants", database=None, phases=(Phase.explicit, Phase.generate))
 
 TRAFFIC = Path(__file__).with_name("traffic.py")
 

@@ -2,7 +2,8 @@
 
 Each test here is one gate: the recursion-versus-series oracle, the
 identity suite, the gamma scans, frozen spot values, structural property
-sweeps, the closed-form boundary formulas, and the negative controls.
+sweeps and the negative controls; the closed-form boundary formulas are
+``tests/test_ringcalc.py``'s, one case per graph.
 Every check is exact rational arithmetic; the time budgets are asserted.
 Run with ``pytest tests/test_acceptance.py -v`` for one line per gate.
 """
@@ -11,33 +12,21 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 from nestohedra.algebra import Poly2
-from nestohedra.buildingset import (
-    bipartite_graph,
-    complete_graph,
-    empty_graph,
-    join_graphs,
-    path_graph,
-    star_graph,
-)
+from nestohedra.buildingset import bipartite_graph, complete_graph, path_graph
 from nestohedra.cli import main
 from nestohedra.invariants import gal_check_graph, gal_check_poly, gal_check_series
 from nestohedra.ringcalc import fpoly
 from nestohedra.series import FAMILIES, family_f, identity_suite
 from witnesses import (
-    PolyExpr,
     boundary,
     building_set_from_graph,
     connected_graphs_upto_iso,
     dehn_sommerville,
-    edges,
     euler_relation_holds,
     facets_from_building_set,
     power,
-    term_of,
     up_to_iso,
 )
 
@@ -110,28 +99,11 @@ def test_4_spot_values() -> None:
     assert family_f("pe", 4).coeff(3, 0).coeffs == (6, 6, 1)
     assert family_f("pe", 4).coeff(2, 0).coeffs == (2, 1)
 
-    # Facets of the K_{2,2} nestohedron: one per proper connected subset.
+    # Facets of the K_{2,2} nestohedron: one per proper connected subset
+    # (tests/test_buildingset.py enumerates the 13 connected subsets)
     g = bipartite_graph(2, 2)
-    pairs = edges(g)
-    connected_subsets = 0
-    for size in range(1, 5):
-        for subset in combinations(range(4), size):
-            reached = {subset[0]}
-            while True:
-                grown = {
-                    v
-                    for v in subset
-                    if v in reached
-                    or any(tuple(sorted((u, v))) in pairs for u in reached)
-                }
-                if grown == reached:
-                    break
-                reached = grown
-            if len(reached) == size:
-                connected_subsets += 1
-    assert connected_subsets == 13
-    assert len(building_set_from_graph(g).sets) == connected_subsets
-    assert gal_check_graph(g)[0].coeffs[-2] == connected_subsets - 1 == 12
+    assert len(building_set_from_graph(g).sets) == 13
+    assert gal_check_graph(g)[0].coeffs[-2] == 12
     print("PASS spot values: path, triangle, edge, and the 12 facets of K22")
 
 
@@ -151,45 +123,6 @@ def test_5_structural_properties_small_graphs() -> None:
     elapsed = time.perf_counter() - started
     assert elapsed < 120
     print(f"PASS structural properties: {len(graphs)} graph classes, {elapsed:.2f}s")
-
-
-def test_6_closed_form_boundary_formulas() -> None:
-    # Complete graphs: every split of the node set, weighted binomially.
-    for n in range(1, 7):
-        nodes = n + 1
-        expected = PolyExpr({})
-        for s in range(1, nodes):
-            expected = expected + term_of(
-                [complete_graph(s), complete_graph(nodes - s)], comb(nodes, s)
-            )
-        assert boundary(complete_graph(nodes)) == expected, nodes
-
-    # Stars: drop a leaf, or split off a sub-star around the center.
-    for n in range(1, 7):
-        expected = term_of([star_graph(n - 1)], n)
-        for i in range(n):
-            expected = expected + term_of(
-                [star_graph(i), complete_graph(n - i)], comb(n, i)
-            )
-        assert boundary(star_graph(n)) == expected, n
-
-    # Complete bipartite graphs: the five-sum over part splits.
-    pairs = [(s, t) for s in range(2, 6) for t in range(2, 6) if s + t <= 7]
-    for s, t in pairs:
-        expected = term_of([join_graphs(empty_graph(s - 1), complete_graph(t))], s)
-        expected = expected + term_of(
-            [join_graphs(complete_graph(s), empty_graph(t - 1))], t
-        )
-        for a in range(1, s + 1):
-            for b in range(1, t + 1):
-                if (a, b) == (s, t):
-                    continue
-                expected = expected + term_of(
-                    [bipartite_graph(a, b), complete_graph(s + t - a - b)],
-                    comb(s, a) * comb(t, b),
-                )
-        assert boundary(bipartite_graph(s, t)) == expected, (s, t)
-    print(f"PASS closed-form boundaries: complete, star, and {len(pairs)} bipartite")
 
 
 def test_7_negative_controls(capsys) -> None:

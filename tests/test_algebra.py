@@ -92,19 +92,6 @@ def test_gamma_from_h_reads_the_degree_and_refuses_zero() -> None:
         A + power(T, 2)
 
 
-def test_mixed_total_degrees_are_refused() -> None:
-    with pytest.raises(ValueError, match="^mixed total degrees 1 and 2$"):
-        A + power(T, 2)
-    with pytest.raises(ValueError, match="^mixed total degrees 1 and 2$"):
-        A - power(T, 2)
-    zero = Poly2.from_coeffs(())
-    for p in (Poly2.from_coeffs((3,)), A, power(A, 2) + 6 * A * T, power(T, 7)):
-        assert zero + p == p
-        assert p + zero == p
-        assert zero - p == -p
-        assert not p - p
-
-
 def test_sums_and_comparisons_take_two_polynomials() -> None:
     # from_coeffs is the one constructor, and only a product takes an int
     pytest.raises(TypeError, Poly2, (1, 2))
@@ -146,11 +133,6 @@ def test_gamma_from_h_refuses_an_asymmetric_polynomial() -> None:
         gamma_from_h(power(A, 2) + A * T)
 
 
-def test_gamma_from_h_hexagon() -> None:
-    gv = gamma_from_h(power(A, 2) + 4 * A * T + power(T, 2))
-    assert gv == GammaVector(2, (1, 2))
-
-
 def test_gamma_detects_negative_entries() -> None:
     gv = gamma_from_h(power(A, 2) + power(T, 2))
     assert gv.gammas == (1, -2)
@@ -161,26 +143,10 @@ def test_gamma_detects_negative_entries() -> None:
         assert gv.passed == (gv.first_negative is None) == (min(gammas) >= 0)
 
 
-def test_gamma_rejects_asymmetric_input() -> None:
-    with pytest.raises(ValueError):
-        gamma_from_h(power(A, 2) + A * T)
-
-
 def test_h_from_gamma_expands_the_basis() -> None:
     gv = GammaVector(3, (1, 4))
     # (a+t)^3 + 4*a*t*(a+t)
     assert h_from_gamma(gv) == power(A + T, 3) + 4 * A * T * (A + T)
-
-
-@given(
-    n=st.integers(min_value=0, max_value=8),
-    data=st.data(),
-)
-def test_gamma_round_trip(n: int, data) -> None:
-    entries = data.draw(st.lists(st.integers(), min_size=n // 2 + 1, max_size=n // 2 + 1))
-    assume(any(entries))
-    gv = GammaVector(n, tuple(entries))
-    assert gamma_from_h(h_from_gamma(gv)) == gv
 
 
 @given(homogeneous(), homogeneous())
@@ -298,7 +264,8 @@ def test_integrate_t_agrees_with_the_sparse_witness(n: int, data) -> None:
     data=st.data(),
 )
 def test_gamma_round_trip_agrees_with_the_sparse_witness(n: int, data) -> None:
-    gammas = data.draw(st.lists(COEFFICIENTS, min_size=n // 2 + 1, max_size=n // 2 + 1))
+    entries = st.one_of(COEFFICIENTS, st.integers())
+    gammas = data.draw(st.lists(entries, min_size=n // 2 + 1, max_size=n // 2 + 1))
     assume(any(gammas))
     gv = GammaVector(n, tuple(gammas))
     h = h_from_gamma(gv)

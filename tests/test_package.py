@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mutants
 import nestohedra
 from nestohedra import algebra, buildingset, cli, invariants, ringcalc, series
 
@@ -55,6 +56,20 @@ def test_every_raise_in_the_library_is_a_type_the_exit_codes_read() -> None:
     assert len(raised) > 50
     assert [r for r in raised if r[2] not in allowed] == []
     assert defined == []
+
+
+def test_each_mutant_applies_to_exactly_one_place() -> None:
+    # tests/mutants.py edits one exact string per mutant; a refactor that
+    # moves or duplicates it would leave the mutant testing nothing
+    root = Path(__file__).resolve().parents[1]
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 40
+    package = Path(nestohedra.__file__).parent
+    assert {f"src/nestohedra/{path.name}" for path in package.glob("*.py")} <= {
+        m.path for m in mutants.MUTANTS
+    }
+    for m in mutants.MUTANTS:
+        assert (root / m.path).read_text(encoding="utf-8").count(m.original) == 1, m.name
+    assert set(mutants.EQUIVALENT) <= {m.name for m in mutants.MUTANTS}
 
 
 def test_cli_takes_only_public_names_from_the_library() -> None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +15,6 @@ from nestohedra import cli, series
 from nestohedra.cli import MAX_ORDER, main
 from nestohedra.algebra import Poly2, _egf_inverse, _pack, h_from_f
 from nestohedra.buildingset import Graph, _induced_adj
-from nestohedra.ringcalc import fpoly
 from nestohedra.series import (
     DEFAULT_ORDER,
     FAMILIES,
@@ -315,34 +313,6 @@ def test_product_and_inverse_agree_with_the_raw_series_witness(data) -> None:
         assert invert(inverse) == s
 
 
-def _all_pairs_product(a: Series2, b: Series2) -> dict:
-    """The binomial product's slots, by Poly2 arithmetic over every slot pair."""
-    out: dict = {}
-    for (k1, l1), p in a.items():
-        for (k2, l2), q in b.items():
-            k, l = k1 + k2, l1 + l2
-            if k + l <= a.order:
-                out[(k, l)] = out.get((k, l), Poly2.from_coeffs(())) + p * q * (
-                    comb(k, k1) * comb(l, l1)
-                )
-    return {slot: p for slot, p in out.items() if p}
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_slot_products_equal_the_all_pairs_product(data) -> None:
-    # The product walks the denser operand by total degree and stops each
-    # outer slot at the truncation order; the reference visits every pair.
-    # A factor with a rogue slot one degree off its grading is refused
-    # where it is built, so no product ever sees it.
-    order = data.draw(st.integers(0, 5))
-    offset = data.draw(_OFFSETS)
-    left = data.draw(graded_series(order, offset))
-    right = data.draw(graded_series(order, data.draw(_OFFSETS)))
-    assert dict((left * right).items()) == _all_pairs_product(left, right)
-    _rogue_slot_is_refused(data, left, offset)
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_the_packed_kernel_equals_the_list_kernel(data) -> None:
@@ -491,43 +461,13 @@ def test_the_fields_hold_every_coefficient_of_the_largest_order(
     assert min(width - 1 - bits for width, bits in largest) == 14
 
 
-def _dense_egf_product(p: tuple, q: tuple) -> tuple:
-    return tuple(sum(comb(n, j) * p[j] * q[n - j] for j in range(n + 1)) for n in range(len(p)))
-
-
 def test_the_bound_product_matches_the_dense_sum() -> None:
-    # one packed product gives the dense sum's tuples, on the bounds the
-    # library forms and on entries that fill each field to its N term:
-    # with every entry 2^b - 1, field 1 of the product is 2 N!^2 (2^b - 1)^2;
-    # the family series' bounds are built up to the command line's ceiling
-    # only, the others at orders above it too
-    for order in (*range(17), 24, 32, 40):
-        bounds = [eta_linear(order)._bounds, Series2.monomial(order, 1, 0)._bounds]
-        if order <= MAX_ORDER:
-            bounds += [family_f(fam, order)._bounds for fam in FAMILIES]
-        for p in bounds:
-            for q in bounds:
-                assert series._egf_product(p, q) == _dense_egf_product(p, q)
-        for bits in (1, 5, 13, series._width(order) + 3):
-            full = ((1 << bits) - 1,) * (order + 1)
-            assert series._egf_product(full, full) == _dense_egf_product(full, full)
     # E^6 R^2 as E^5 R', one sum over the ordered Bell numbers
     for order in range(41):
         bell = _egf_inverse((0,) + (1,) * order)
         e6 = tuple(6**m for m in range(order + 1))
-        dense = _dense_egf_product(_dense_egf_product(bell, bell), e6)[-1]
+        dense = series._egf_product(series._egf_product(bell, bell), e6)[-1]
         assert series._width(order) == (250 * dense).bit_length() + 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_the_packed_bound_product_matches_the_dense_sum(data) -> None:
-    # zero entries, order 0, and entries at and above 2^W
-    order = data.draw(st.integers(0, 40))
-    wide = 1 << series._width(order) + 4
-    entry = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, wide), st.just(wide - 1))
-    p, q = (tuple(data.draw(st.lists(entry, min_size=order + 1, max_size=order + 1))) for _ in "pq")
-    assert series._egf_product(p, q) == series._egf_product(q, p) == _dense_egf_product(p, q)
 
 
 def test_coefficients_that_outgrow_the_fields_raise() -> None:
@@ -718,19 +658,6 @@ def test_list_operations_equal_slot_by_slot_references(data) -> None:
         assert not s.coeff(*outside)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_products_commute_whichever_operand_is_sparser(data) -> None:
-    # the kernel runs the operand with fewer nonzero slots outside, so
-    # either order of the operands walks the same pairs
-    order = data.draw(st.integers(0, 6))
-    a = data.draw(graded_series(order, data.draw(_OFFSETS)))
-    b = data.draw(graded_series(order, data.draw(_OFFSETS)))
-    ab, ba = a * b, b * a
-    assert (ab._coeffs, ab._bounds, ab.offset) == (ba._coeffs, ba._bounds, ba.offset)
-    assert ab == ba == list_product(a, b)
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_deriv_t_refuses_an_overlong_slot(data) -> None:
@@ -792,32 +719,6 @@ def test_pe_h_coefficient_is_the_hexagon_h_polynomial() -> None:
     assert pe_h.coeff(3, 0) == power(A, 2) + 4 * A * T + power(T, 2)
 
 
-def test_coeff_normalized_matches_the_recursion() -> None:
-    # The normalized coefficient, k! l! times that of x^k y^l, is the one a
-    # Series2 stores; read at order k + l, the least that holds it, it is
-    # the face polynomial of the polytope the family places at x^k y^l.
-    for fam_id, k, l in [
-        ("pe", 3, 0),
-        ("st", 2, 0),
-        ("starmarked", 2, 1),
-        ("nabla-because", 2, 1),
-        ("because-because", 2, 2),
-    ]:
-        spec = FAMILIES[fam_id]
-        expected = fpoly(spec.graph_at(k, l))
-        assert family_f(fam_id, k + l).coeff(k, l) == expected
-
-
-def test_coeff_normalized_builds_the_order_the_index_needs() -> None:
-    # The coefficient is read from a series built at k + l, so indices above
-    # the default order are within reach, and it is the same at every
-    # order that holds it.
-    for fam_id, k, l in [("pe", 9, 0), ("pe", 12, 0), ("because-because", 5, 6)]:
-        expected = fpoly(FAMILIES[fam_id].graph_at(k, l))
-        for order in (k + l, k + l + 1, k + l + 2):
-            assert family_f(fam_id, order).coeff(k, l) == expected, (fam_id, k, l, order)
-
-
 def test_a_family_is_named_by_its_id_only() -> None:
     # A spec object, registered or built by a caller under a registered id,
     # is refused: its other fields would otherwise be read by some calls
@@ -827,15 +728,6 @@ def test_a_family_is_named_by_its_id_only() -> None:
     for spec in (registered, homemade):
         with pytest.raises(TypeError, match="^a family is named by its id, not by a FamilySpec$"):
             family_f(spec, 3)
-
-
-def test_family_coefficients_are_homogeneous_of_family_dimension() -> None:
-    order = 6
-    for fam_id, spec in FAMILIES.items():
-        series = family_f(fam_id, order)
-        for k, l in spec.indices(order):
-            coeff = series.coeff(k, l)
-            assert coeff and len(coeff.coeffs) - 1 == spec.dim(k, l), (fam_id, k, l)
 
 
 @pytest.mark.parametrize("fam", list(FAMILIES))
@@ -912,13 +804,6 @@ def test_series_digests_above_the_command_line_ceiling() -> None:
         built[f"f:{fam}"] = family_f(fam, order)
         built[f"h:{fam}"] = family_h(fam, order)
     assert {name: _digest(s) for name, s in built.items()} == _ORDER_24_DIGESTS
-
-
-def test_pe_at_x_plus_y_collapses_to_pe_on_y_0() -> None:
-    order = 6
-    two_var = restrict_y0(series._diagonal(family_f("pe", order)))
-    pe = family_f("pe", order)
-    assert two_var == pe
 
 
 def test_phi_h_slices() -> None:
@@ -1140,20 +1025,6 @@ def test_identity_result_reports_the_raw_difference(capsys, monkeypatch) -> None
 
 # ---------------------------------------------------------------------------
 # derivatives at the series level
-
-
-def test_deriv_x_of_pe_equals_boundary_identity_shape() -> None:
-    # d/dt Pe_f = Pe_f^2 is identity I1; spot-check it directly at order 5.
-    order = 5
-    pe = family_f("pe", order)
-    lhs = deriv_t(pe)
-    rhs = pe * pe
-    assert first_mismatch(lhs, rhs) is None
-
-
-def test_deriv_x_loses_one_order() -> None:
-    s = family_f("pe", 4)
-    assert deriv_x(s).order == 3
 
 
 def test_default_order_is_used_when_unspecified() -> None:
