@@ -898,37 +898,82 @@ def _src_env() -> dict[str, str]:
     return env
 
 
-def test_no_subcommand_imports_networkx() -> None:
-    # The graph atlas is a committed table, so the CLI runs without the
-    # package it was taken from, and a class scan, in either format, loads
-    # no module at all.  A well-formed argv is read from the option table
-    # without argparse (nor the locale module its messages pull in); an
-    # abbreviated flag is argparse's to read.  The records are named tuples
-    # and every passing op is integer-only, so neither dataclasses nor
-    # fractions (nor what they import) is loaded.
+def test_a_class_scan_imports_no_module() -> None:
+    # The atlas tokens sit in the class table, which the package imports,
+    # and the packed row is read back with builtins: no class scan loads
+    # a module, in either format.
     script = """
 import contextlib, io, json, sys
 from nestohedra.cli import main
-
-def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return main(argv)
-
 before = set(sys.modules)
-scan = ["gal-scan", "--graph-class", "connected", "--nodes"]
-codes = [run([*scan, str(n), "--format", fmt]) for n in range(1, 8) for fmt in ("json", "csv")]
-scans = sorted(set(sys.modules) - before)
-codes += [run(["invariants", "--graph", "path:4"]), run(["identities", "--order", "3"])]
-codes.append(run(["verify", "--family", "pe", "--max-order", "3"]))
-unused = ("networkx", "argparse", "locale", "dataclasses", "inspect", "ast", "fractions")
-loaded = [name for name in (*unused, "decimal", "numbers") if name in sys.modules]
-codes.append(run(["invariants", "--gra", "path:4"]))
-print(json.dumps([codes, scans, loaded, "argparse" in sys.modules]))
+codes = []
+for n in range(1, 8):
+    for fmt in ("json", "csv"):
+        argv = ["gal-scan", "--graph-class", "connected", "--nodes", str(n), "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(argv))
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - before)}))
 """
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), check=True
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        check=True,
     )
-    assert json.loads(done.stdout) == [[0] * 18, [], [], True]
+    assert json.loads(done.stdout) == {"codes": [0] * 14, "loaded": []}
+
+
+def test_no_subcommand_imports_networkx() -> None:
+    # The graph atlas is a committed table, so the CLI runs without the
+    # package it was taken from.  A well-formed argv is read from the
+    # option table without argparse (nor the locale module its messages
+    # pull in); an abbreviated flag is argparse's to read.  The records
+    # are named tuples and every passing op is integer-only, so neither
+    # dataclasses nor fractions (nor what they import) is loaded.
+    script = """
+import contextlib, io, json, sys
+from nestohedra.cli import main
+runs = [
+    ["invariants", "--graph", "path:4"],
+    ["verify", "--family", "pe", "--max-order", "3"],
+    ["identities", "--order", "3"],
+    ["gal-scan", "--graph-class", "connected", "--nodes", "5"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+unused = (
+    "networkx", "argparse", "locale",
+    "dataclasses", "inspect", "ast", "fractions", "decimal", "numbers",
+)
+loaded = {name: name in sys.modules for name in unused}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["invariants", "--gra", "path:4"]))
+loaded["argparse after --gra"] = "argparse" in sys.modules
+print(json.dumps({"codes": codes, **loaded}))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        check=True,
+    )
+    assert json.loads(done.stdout) == {
+        "codes": [0, 0, 0, 0, 0],
+        "networkx": False,
+        "argparse": False,
+        "locale": False,
+        "dataclasses": False,
+        "inspect": False,
+        "ast": False,
+        "fractions": False,
+        "decimal": False,
+        "numbers": False,
+        "argparse after --gra": True,
+    }
 
 
 # ---------------------------------------------------------------------------
